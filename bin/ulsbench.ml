@@ -45,16 +45,19 @@ let figures_cmd =
     Arg.(value & flag & info [ "quick" ] ~doc:"Smaller sweeps, faster run.")
   in
   let run ids quick =
+    let module E = Uls_bench.Experiments in
+    (match List.filter (fun id -> not (List.mem_assoc id E.by_id)) ids with
+    | [] -> ()
+    | unknown ->
+      Printf.eprintf "ulsbench figures: unknown experiment%s %s; valid ids:\n"
+        (if List.length unknown = 1 then "" else "s")
+        (String.concat ", " (List.map (Printf.sprintf "%S") unknown));
+      List.iter (fun (id, _) -> prerr_endline ("  " ^ id)) E.by_id;
+      exit 124);
     let tables =
       match ids with
-      | [] -> Uls_bench.Experiments.all ~quick ()
-      | ids ->
-        List.map
-          (fun id ->
-            match List.assoc_opt id Uls_bench.Experiments.by_id with
-            | Some f -> f ~quick ()
-            | None -> failwith (Printf.sprintf "unknown experiment %S" id))
-          ids
+      | [] -> E.all ~quick ()
+      | ids -> List.map (fun id -> (List.assoc id E.by_id) ~quick ()) ids
     in
     List.iter (Uls_bench.Table.print Format.std_formatter) tables
   in
@@ -1600,57 +1603,47 @@ let storm_cmd =
 (* --- races ------------------------------------------------------------- *)
 
 let races_cmd =
+  let module X = Uls_analysis.Explore in
+  let module S = Uls_analysis.Scenarios in
   let seeds =
     Arg.(value & opt int 16 & info [ "seeds" ] ~docv:"K"
-           ~doc:"Perturbed runs per scenario (seeds 0..K-1) besides the \
-                 FIFO baseline.")
-  in
-  let smoke =
-    Arg.(value & flag & info [ "smoke" ]
-           ~doc:"CI mode: stop a buggy fixture's seed loop at the first \
-                 catching seed instead of running all K.")
+           ~doc:"Seeded random walks per scenario (seeds 0..K-1), on top of \
+                 the FIFO baseline and, for scenarios with a bound, the \
+                 depth-first sweep.")
   in
   let scenario =
     Arg.(value & opt (some string) None & info [ "scenario" ] ~docv:"NAME"
            ~doc:"Run a single scenario by name.")
   in
-  let replay =
-    Arg.(value & opt (some int) None & info [ "replay" ] ~docv:"SEED"
-           ~doc:"Replay --scenario under one seed and dump its \
-                 fingerprint, violations, and any deadlock report.")
-  in
   let verbose =
     Arg.(value & flag & info [ "verbose"; "v" ]
            ~doc:"Full divergence/violation listings.")
   in
-  let explore_flag =
-    Arg.(value & flag & info [ "explore" ]
-           ~doc:"Systematic DPOR-style exploration instead of seed \
-                 sampling: enumerate same-timestamp schedules for every \
-                 scenario with an exploration bound, with independence \
-                 pruning and state-fingerprint dedup. Prints honest \
-                 coverage (exhaustive vs preemption-bounded) and, for \
-                 flagged schedules, the racing operation pair.")
+  let schedule_conv =
+    let parse id =
+      match X.parse_schedule_id id with
+      | Some _ -> Ok id
+      | None -> Error (`Msg (X.string_of_replay_error (X.Malformed_id id)))
+    in
+    Arg.conv (parse, Format.pp_print_string)
   in
   let replay_schedule =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some schedule_conv) None
          & info [ "replay-schedule" ] ~docv:"ID"
-             ~doc:"Replay --scenario under one explorer schedule id \
-                   (e.g. 0.4.1, as printed by --explore) and dump its \
-                   fingerprint, violations, racing pairs, and any \
-                   deadlock report.")
+             ~doc:"Replay --scenario under one schedule id (sparse \
+                   $(i,POS:CHOICE) list such as 29:1,38:2, or fifo, as \
+                   printed by a flagged run) and dump its fingerprint, \
+                   violations, racing pairs, and any deadlock report. An \
+                   id that does not fit the scenario exits 124.")
   in
   let max_runs =
     Arg.(value & opt (some int) None & info [ "max-runs" ] ~docv:"N"
-           ~doc:"Override the per-scenario explorer run budget.")
+           ~doc:"Override the per-scenario depth-first sweep run budget.")
   in
   let max_preempt =
     Arg.(value & opt (some int) None & info [ "max-preemptions" ] ~docv:"P"
            ~doc:"Override the per-scenario preemption cap.")
   in
-  let module A = Uls_analysis.Race in
-  let module X = Uls_analysis.Explore in
-  let module S = Uls_analysis.Scenarios in
   let find_or_die name =
     match S.find name with
     | Some sc -> sc
@@ -1659,7 +1652,7 @@ let races_cmd =
         (String.concat ", " (List.map (fun sc -> sc.S.sc_name) S.all));
       exit 124
   in
-  let dump_outcome ?(pairs = []) (o : S.outcome) =
+  let dump_outcome ~pairs (o : S.outcome) =
     print_endline (Uls_analysis.Fingerprint.to_string o.S.fingerprint);
     List.iter
       (fun v -> print_endline (Uls_engine.Invariant.string_of_violation v))
@@ -1670,22 +1663,9 @@ let races_cmd =
     | None -> ());
     if o.S.violations <> [] || o.S.deadlock <> None then exit 1
   in
-  let run seeds smoke scenario replay explore replay_schedule max_runs
-      max_preempt verbose sched =
-    match (replay, replay_schedule) with
-    | Some _, Some _ ->
-      prerr_endline "ulsbench races: --replay and --replay-schedule conflict";
-      exit 124
-    | Some seed, None ->
-      let name =
-        match scenario with
-        | Some n -> n
-        | None ->
-          prerr_endline "ulsbench races: --replay requires --scenario";
-          exit 124
-      in
-      dump_outcome (A.replay ~sched (find_or_die name) ~seed)
-    | None, Some id ->
+  let run seeds scenario replay_schedule max_runs max_preempt verbose sched =
+    match replay_schedule with
+    | Some id -> (
       let name =
         match scenario with
         | Some n -> n
@@ -1693,72 +1673,44 @@ let races_cmd =
           prerr_endline "ulsbench races: --replay-schedule requires --scenario";
           exit 124
       in
-      let o, pairs = X.replay ~sched (find_or_die name) ~schedule:id in
-      dump_outcome ~pairs o
-    | None, None ->
+      match X.replay ~sched (find_or_die name) ~schedule:id with
+      | Ok (o, pairs) -> dump_outcome ~pairs o
+      | Error e ->
+        Printf.eprintf "ulsbench races: --replay-schedule %s: %s\n" id
+          (X.string_of_replay_error e);
+        exit 124)
+    | None ->
       let scenarios =
         match scenario with
         | Some name -> [ find_or_die name ]
         | None -> S.all
       in
       let failures = ref 0 in
-      if explore then begin
-        (* Systematic mode: scenarios without a bound are skipped (their
-           schedule tree is not explorable at useful cost), and that is
-           reported rather than silently passed. *)
-        List.iter
-          (fun sc ->
-            match sc.S.sc_bound with
-            | None ->
-              Printf.printf "%-20s %-7s skipped: no exploration bound\n"
-                sc.S.sc_name
-                (if sc.S.sc_buggy then "[buggy]" else "[clean]")
-            | Some _ ->
-              let v = X.explore ~sched ?max_runs ?max_preemptions:max_preempt sc in
-              print_endline (X.render ~verbose v);
-              let ok = if sc.S.sc_buggy then X.flagged v else X.clean v in
-              if not ok then begin
-                incr failures;
-                Printf.printf "FAIL: %s %s\n" sc.S.sc_name
-                  (if sc.S.sc_buggy then
-                     "— systematic exploration no longer finds this seeded \
-                      regression"
-                   else "— not schedule-independent")
-              end)
-          scenarios;
-        if !failures > 0 then exit 1;
-        print_endline "races --explore: all scenarios OK"
-      end
-      else begin
-        List.iter
-          (fun sc ->
-            let v =
-              if smoke && sc.S.sc_buggy then
-                A.run_until_flagged ~max_seeds:seeds ~sched sc
-              else A.run_scenario ~seeds ~sched sc
-            in
-            print_endline (A.render ~verbose v);
-            let ok = if sc.S.sc_buggy then A.flagged v else A.clean v in
-            if not ok then begin
-              incr failures;
-              Printf.printf "FAIL: %s %s\n" sc.S.sc_name
-                (if sc.S.sc_buggy then
-                   "— the detector no longer catches this seeded regression"
-                 else "— not schedule-independent")
-            end)
-          scenarios;
-        if !failures > 0 then exit 1;
-        print_endline "races: all scenarios OK"
-      end
+      List.iter
+        (fun sc ->
+          let v =
+            X.explore ~sched ~seeds ?max_runs ?max_preemptions:max_preempt sc
+          in
+          print_endline (X.render ~verbose v);
+          let ok = if sc.S.sc_buggy then X.flagged v else X.clean v in
+          if not ok then begin
+            incr failures;
+            Printf.printf "FAIL: %s %s\n" sc.S.sc_name
+              (if sc.S.sc_buggy then
+                 "— the explorer no longer finds this seeded regression"
+               else "— not schedule-independent")
+          end)
+        scenarios;
+      if !failures > 0 then exit 1;
+      print_endline "races: all scenarios OK"
   in
   Cmd.v
     (Cmd.info "races"
-       ~doc:"Schedule-perturbation race detection over the invariant suite: \
-             seed sampling by default, systematic DPOR-style enumeration \
-             with --explore")
-    Term.(const run $ seeds $ smoke $ scenario $ replay $ explore_flag
-          $ replay_schedule $ max_runs $ max_preempt $ verbose
-          $ sched_flag `Heap)
+       ~doc:"Schedule exploration over the invariant suite: seeded random \
+             walks for every scenario plus a DPOR-style depth-first sweep \
+             for scenarios with an exploration bound")
+    Term.(const run $ seeds $ scenario $ replay_schedule $ max_runs
+          $ max_preempt $ verbose $ sched_flag `Heap)
 
 let () =
   let doc = "Sockets-over-EMP reproduction benchmarks (simulated testbed)" in

@@ -1,20 +1,24 @@
-(* DPOR-style systematic schedule exploration.
+(* Schedule exploration: one explorer, two strategies.
 
-   The sampling detector (Race) perturbs same-timestamp dispatch order
-   with seeded shuffles and hopes a bad interleaving falls out. This
-   module replaces hope with enumeration for scenarios that opt in
-   (Scenarios.sc_bound): it drives the scenario under the engine's
-   [`Controlled] tie-break, where every same-timestamp tie is an
-   explicit decision point, and walks the schedule tree with a stateless
-   depth-first search.
+   Every run drives the scenario under the engine's [`Controlled]
+   tie-break, where every same-timestamp tie is an explicit decision
+   point, and records the choice taken at each. The recorded choices
+   name the schedule, so a finding from either strategy replays through
+   the one [replay] path.
 
-   Enumeration. A schedule is identified by its decision prefix: the
-   list of choice indices taken at decision points 0..k-1, with the
-   default (index 0 = FIFO order) everywhere after. After running a
-   prefix, the search expands alternatives only at decision points at
-   depth >= |prefix| — the classic duplicate-free stateless-DFS
-   expansion rule, so every choice sequence in the bounded space is
-   executed exactly once.
+   Seeded walks. Every scenario gets K walks: at each decision point
+   walk [s] picks uniformly among the enabled tasks from a PRNG seeded
+   with [s]. Walks sample the whole schedule space at full workload
+   size, where enumeration is unaffordable.
+
+   Depth-first sweep. Scenarios that opt in (Scenarios.sc_bound) also
+   get a stateless depth-first search over the schedule tree. A
+   schedule is identified by its decision prefix: the list of choice
+   indices taken at decision points 0..k-1, with the default (index 0 =
+   FIFO order) everywhere after. After running a prefix, the search
+   expands alternatives only at decision points at depth >= |prefix| —
+   the classic duplicate-free stateless-DFS expansion rule, so every
+   choice sequence in the bounded space is executed exactly once.
 
    Pruning (sleep-set flavour). Before expanding alternative task [a]
    at decision [i], the search checks the dispatch log of the run it
@@ -41,9 +45,10 @@
    says "exhaustive" only when the tree drained with no alternative
    skipped by cap or budget.
 
-   Every flagged finding carries its schedule id (the sparse decision
-   prefix, e.g. "29:1"), replayable deterministically with
-   [races --scenario S --explore --replay-schedule 29:1]. *)
+   Both strategies share one FIFO baseline, one judge and one findings
+   list. Every finding carries its schedule id (the sparse choice list,
+   e.g. "29:1"), replayable deterministically with
+   [races --scenario S --replay-schedule 29:1]. *)
 
 open Uls_engine
 
@@ -53,13 +58,16 @@ type finding =
   | Deadlocked of Deadlock.report
 
 type flagged = {
-  fl_schedule : string;  (* schedule id: dotted decision prefix *)
+  fl_schedule : string;  (* schedule id: sparse pos:choice list *)
   fl_finding : finding;
   fl_preemptions : int;  (* deviations from FIFO in this schedule *)
+  fl_walk : int option;  (* seed of the walk that found it; None: sweep *)
 }
 
 type stats = {
-  st_runs : int;  (* schedules actually executed *)
+  st_runs : int;  (* sweep schedules executed, the FIFO baseline included *)
+  st_walks : int;  (* seeded walks executed *)
+  st_walks_flagged : int;  (* walks the judge flagged *)
   st_decision_points : int;  (* total decision points encountered *)
   st_max_depth : int;  (* deepest decision point seen *)
   st_pruned : int;  (* alternatives skipped as independence-equivalent *)
@@ -67,8 +75,8 @@ type stats = {
   st_truncated : int;  (* frontier entries abandoned when the run budget ran out *)
   st_distinct_states : int;  (* distinct end-state fingerprints *)
   st_exhaustive : bool;
-      (* the whole tree was enumerated: frontier drained, nothing capped
-         or truncated — "all N inequivalent schedules verified" *)
+      (* the sweep enumerated the whole tree: frontier drained, nothing
+         capped or truncated — "all N inequivalent schedules verified" *)
 }
 
 type verdict = {
@@ -108,7 +116,7 @@ let parse_schedule_id s =
       let a = Array.make len 0 in
       List.iter
         (fun (p, c) ->
-          if p < 0 || c <= 0 then raise Exit;
+          if p < 0 || c <= 0 || a.(p) <> 0 then raise Exit;
           a.(p) <- c)
         pairs;
       Some a
@@ -124,25 +132,24 @@ type decision = {
   d_pos : int;  (* dispatch index of the chosen task *)
 }
 
-(* Run the scenario once under the decision prefix (defaults beyond it).
-   Returns the outcome, the decisions actually encountered (oldest
-   first) and the attached happens-before tracker. Uses the global sim
-   creation hook, so explorations cannot nest. *)
-let run_once (run_fn : ?sched:[ `Heap | `Wheel ] -> Scenarios.tiebreak -> Scenarios.outcome)
-    ?sched prefix =
+(* Run the scenario once, taking [pick i n] (an index below [n]) at
+   decision point [i]. Returns the outcome, the decisions actually
+   encountered (oldest first) and, when [track], the attached
+   happens-before tracker. Uses the global sim creation hook, so
+   explorations cannot nest. *)
+let run_once ?(track = true) ?sched (sc : Scenarios.t) pick =
   let hb = ref None in
-  Sim.set_create_hook
-    (Some
-       (fun sim ->
-         (* first sim created inside the run function is the scenario's *)
-         if !hb = None then hb := Some (Hb.attach sim)));
+  if track then
+    Sim.set_create_hook
+      (Some
+         (fun sim ->
+           (* first sim created inside the run function is the scenario's *)
+           if !hb = None then hb := Some (Hb.attach sim)));
   let decisions = ref [] in
   let depth = ref 0 in
   let choose enabled =
-    let i = !depth in
+    let c = pick !depth (Array.length enabled) in
     incr depth;
-    let c = if i < Array.length prefix then prefix.(i) else 0 in
-    let c = if c < 0 || c >= Array.length enabled then 0 else c in
     let pos = match !hb with Some h -> Hb.dispatch_count h | None -> 0 in
     decisions := { d_enabled = enabled; d_chosen = c; d_pos = pos } :: !decisions;
     c
@@ -150,9 +157,27 @@ let run_once (run_fn : ?sched:[ `Heap | `Wheel ] -> Scenarios.tiebreak -> Scenar
   let outcome =
     Fun.protect
       ~finally:(fun () -> Sim.set_create_hook None)
-      (fun () -> run_fn ?sched (`Controlled choose))
+      (fun () -> sc.Scenarios.sc_run ?sched (`Controlled choose))
   in
   (outcome, List.rev !decisions, !hb)
+
+let prefix_pick prefix i _ = if i < Array.length prefix then prefix.(i) else 0
+
+let choices decisions = Array.of_list (List.map (fun d -> d.d_chosen) decisions)
+let pairs_of = function Some h -> Hb.pairs h | None -> []
+let detach = function Some h -> Hb.detach h | None -> ()
+
+(* Walks run untracked: the tracker costs several times the run itself
+   on the full-size workloads, and only a flagged walk needs its racing
+   pairs — which a tracked replay of its schedule recovers. *)
+let walk_run ?sched sc ~seed =
+  let rng = Rng.create ~seed in
+  run_once ~track:false ?sched sc (fun _ n -> Rng.int rng n)
+
+let walk ?sched sc ~seed =
+  let outcome, decisions, hb = walk_run ?sched sc ~seed in
+  detach hb;
+  (schedule_id (choices decisions), outcome)
 
 (* --- the search --------------------------------------------------------- *)
 
@@ -202,60 +227,79 @@ let equivalent_alternative log ~from_pos ~alt_seq =
     end
   end
 
-let explore ?sched ?max_runs ?max_preemptions (sc : Scenarios.t) =
-  let bound =
-    match sc.Scenarios.sc_bound with
-    | Some b -> b
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Explore: scenario %s has no exploration bound"
-           sc.Scenarios.sc_name)
-  in
-  let budget = Option.value max_runs ~default:bound.Scenarios.b_runs in
-  let cap = Option.value max_preemptions ~default:bound.Scenarios.b_preemptions in
-  let run_fn =
-    match bound.Scenarios.b_run with
-    | Some f -> f
-    | None -> sc.Scenarios.sc_run
-  in
-  let frontier = Stack.create () in
-  Stack.push [||] frontier;
+let explore ?sched ?(seeds = 16) ?max_runs ?max_preemptions (sc : Scenarios.t) =
   let runs = ref 0 in
   let decision_points = ref 0 in
   let max_depth = ref 0 in
-  let pruned = ref 0 in
-  let capped = ref 0 in
   let states = Hashtbl.create 64 in
   let baseline = ref None in
   let flagged_acc = ref [] in
   let pairs_acc = ref [] in
-  while (not (Stack.is_empty frontier)) && !runs < budget do
-    let prefix = Stack.pop frontier in
-    let outcome, decisions, hb = run_once run_fn ?sched prefix in
+  (* Bookkeeping both strategies share: end-state dedup, the judge
+     against the FIFO baseline (the first run), one finding per distinct
+     schedule. True iff the run is flagged. *)
+  let observe ?walk (outcome, decisions, hb) =
     incr runs;
-    if !baseline = None then baseline := Some outcome;
+    let depth = List.length decisions in
+    decision_points := !decision_points + depth;
+    max_depth := max !max_depth depth;
     Hashtbl.replace states (Fingerprint.digest outcome.Scenarios.fingerprint) ();
-    let base = if !runs = 1 then None else !baseline in
-    (match judge ~baseline:base outcome with
+    let verdict = judge ~baseline:!baseline outcome in
+    if !baseline = None then baseline := Some outcome;
+    match verdict with
+    | None -> false
     | Some f ->
-      flagged_acc :=
-        {
-          fl_schedule = schedule_id prefix;
-          fl_finding = f;
-          fl_preemptions = preemptions prefix;
-        }
-        :: !flagged_acc;
-      if !pairs_acc = [] then
-        pairs_acc := (match hb with Some h -> Hb.pairs h | None -> [])
-    | None -> ());
-    (* expansion: alternatives at decision points this run opened *)
+      let chosen = choices decisions in
+      let id = schedule_id chosen in
+      if not (List.exists (fun fl -> fl.fl_schedule = id) !flagged_acc) then begin
+        flagged_acc :=
+          {
+            fl_schedule = id;
+            fl_finding = f;
+            fl_preemptions = preemptions chosen;
+            fl_walk = walk;
+          }
+          :: !flagged_acc;
+        if !pairs_acc = [] then
+          pairs_acc :=
+            (match hb with
+            | Some h -> Hb.pairs h
+            | None ->
+              let _, _, hb = run_once ?sched sc (prefix_pick chosen) in
+              let pairs = pairs_of hb in
+              detach hb;
+              pairs)
+      end;
+      true
+  in
+  (* Each run builds and abandons a full simulation (cluster state,
+     buffers, the tracker's clock arrays); across hundreds of runs the
+     dead heap outgrows what the incremental major GC keeps up with and
+     RSS climbs into gigabytes. Compacting on a cadence keeps the whole
+     search in a flat footprint for a few percent of run time. *)
+  let retire hb =
+    detach hb;
+    if !runs land 31 = 0 then Gc.compact ()
+  in
+  (* Sweep: the frontier starts at the baseline's empty prefix, so an
+     unbounded scenario runs the baseline alone. *)
+  let budget, cap =
+    match sc.Scenarios.sc_bound with
+    | Some b ->
+      ( max 1 (Option.value max_runs ~default:b.Scenarios.b_runs),
+        Option.value max_preemptions ~default:b.Scenarios.b_preemptions )
+    | None -> (1, 0)
+  in
+  let frontier = Stack.create () in
+  Stack.push [||] frontier;
+  let sweep_runs = ref 0 and pruned = ref 0 and capped = ref 0 in
+  (* expansion: alternatives at decision points this run opened *)
+  let expand prefix decisions hb =
     let log = match hb with Some h -> Hb.dispatch_log h | None -> [||] in
     let plen = Array.length prefix in
     let base_preempt = preemptions prefix in
     List.iteri
       (fun i d ->
-        incr decision_points;
-        if i + 1 > !max_depth then max_depth := i + 1;
         if i >= plen then
           for a = 0 to Array.length d.d_enabled - 1 do
             if a <> d.d_chosen then
@@ -272,34 +316,46 @@ let explore ?sched ?max_runs ?max_preemptions (sc : Scenarios.t) =
                 Stack.push child frontier
               end
           done)
-      decisions;
-    (match hb with Some h -> Hb.detach h | None -> ());
-    (* Each run builds and abandons a full simulation (cluster state,
-       buffers, the tracker's clock arrays); across hundreds of runs the
-       dead heap outgrows what the incremental major GC keeps up with
-       and RSS climbs into gigabytes. Compacting on a cadence keeps the
-       whole sweep in a flat footprint for a few percent of run time. *)
-    if !runs land 31 = 0 then Gc.compact ()
+      decisions
+  in
+  while (not (Stack.is_empty frontier)) && !sweep_runs < budget do
+    let prefix = Stack.pop frontier in
+    (* Only the sweep's expansion reads the tracker; an unbounded
+       scenario's flagged baseline recovers its pairs by a tracked re-run. *)
+    let ((_, decisions, hb) as run) =
+      run_once ~track:(sc.Scenarios.sc_bound <> None) ?sched sc
+        (prefix_pick prefix)
+    in
+    incr sweep_runs;
+    ignore (observe run);
+    if sc.Scenarios.sc_bound <> None then expand prefix decisions hb;
+    retire hb
   done;
   let truncated = Stack.length frontier in
+  let walks_flagged = ref 0 in
+  for seed = 0 to seeds - 1 do
+    let ((_, _, hb) as run) = walk_run ?sched sc ~seed in
+    if observe ~walk:seed run then incr walks_flagged;
+    retire hb
+  done;
   let stats =
     {
-      st_runs = !runs;
+      st_runs = !sweep_runs;
+      st_walks = max seeds 0;
+      st_walks_flagged = !walks_flagged;
       st_decision_points = !decision_points;
       st_max_depth = !max_depth;
       st_pruned = !pruned;
       st_capped = !capped;
       st_truncated = truncated;
       st_distinct_states = Hashtbl.length states;
-      st_exhaustive = truncated = 0 && !capped = 0;
+      st_exhaustive =
+        sc.Scenarios.sc_bound <> None && truncated = 0 && !capped = 0;
     }
   in
   {
     e_scenario = sc;
-    e_baseline =
-      (match !baseline with
-      | Some b -> b
-      | None -> failwith "Explore: no runs executed");
+    e_baseline = Option.get !baseline;
     e_flagged = List.rev !flagged_acc;
     e_pairs = !pairs_acc;
     e_stats = stats;
@@ -308,22 +364,58 @@ let explore ?sched ?max_runs ?max_preemptions (sc : Scenarios.t) =
 let clean v = v.e_flagged = []
 let flagged v = not (clean v)
 
+(* --- replay ------------------------------------------------------------- *)
+
+type replay_error =
+  | Malformed_id of string
+  | Choice_out_of_range of { at : int; choice : int; enabled : int }
+  | Unreached of { at : int; reached : int }
+
+let string_of_replay_error = function
+  | Malformed_id s ->
+    Printf.sprintf
+      "malformed schedule id %S: expected \"fifo\" or comma-separated \
+       POS:CHOICE pairs with distinct POS >= 0 and CHOICE >= 1 (e.g. \
+       29:1,38:2)"
+      s
+  | Choice_out_of_range { at; choice; enabled } ->
+    Printf.sprintf
+      "schedule takes alternative %d at decision point %d, which offers \
+       only %d (0..%d)"
+      choice at enabled (enabled - 1)
+  | Unreached { at; reached } ->
+    Printf.sprintf
+      "schedule names decision point %d, but this scenario reaches only %d \
+       decision point%s"
+      at reached (if reached = 1 then "" else "s")
+
 (* Deterministic single-schedule reproduction (the --replay-schedule
-   path). Returns the outcome plus the racing pairs the happens-before
-   tracker saw along that schedule. *)
+   path). A schedule that does not fit the scenario — a choice beyond a
+   decision point's alternatives, or a decision point the run never
+   reaches — is an error, never a silently different run. *)
 let replay ?sched (sc : Scenarios.t) ~schedule =
   match parse_schedule_id schedule with
-  | None -> invalid_arg (Printf.sprintf "Explore.replay: bad schedule id %S" schedule)
-  | Some prefix ->
-    let run_fn =
-      match sc.Scenarios.sc_bound with
-      | Some { Scenarios.b_run = Some f; _ } -> f
-      | _ -> sc.Scenarios.sc_run
+  | None -> Error (Malformed_id schedule)
+  | Some prefix -> (
+    let bad = ref None in
+    let pick i n =
+      let c = prefix_pick prefix i n in
+      if c < n then c
+      else begin
+        if !bad = None then
+          bad := Some (Choice_out_of_range { at = i; choice = c; enabled = n });
+        0
+      end
     in
-    let outcome, _, hb = run_once run_fn ?sched prefix in
-    let pairs = match hb with Some h -> Hb.pairs h | None -> [] in
-    (match hb with Some h -> Hb.detach h | None -> ());
-    (outcome, pairs)
+    let outcome, decisions, hb = run_once ?sched sc pick in
+    let pairs = pairs_of hb in
+    detach hb;
+    let reached = List.length decisions in
+    match !bad with
+    | Some e -> Error e
+    | None when reached < Array.length prefix ->
+      Error (Unreached { at = Array.length prefix - 1; reached })
+    | None -> Ok (outcome, pairs))
 
 (* --- rendering ---------------------------------------------------------- *)
 
@@ -333,17 +425,30 @@ let finding_line = function
   | Deadlocked rep ->
     Printf.sprintf "deadlock: %d fiber(s) stuck" (List.length rep.Deadlock.rep_stuck)
 
-let coverage_line st =
-  if st.st_exhaustive then
-    Printf.sprintf
-      "exhaustive: all %d schedules run (%d inequivalent end states, %d \
-       equivalent alternatives pruned)"
-      st.st_runs st.st_distinct_states st.st_pruned
-  else
-    Printf.sprintf
-      "bounded: %d schedules run (%d inequivalent end states, %d pruned, %d \
-       beyond preemption cap, %d beyond run budget)"
-      st.st_runs st.st_distinct_states st.st_pruned st.st_capped st.st_truncated
+let plural n = if n = 1 then "" else "s"
+
+let coverage_line (sc : Scenarios.t) st =
+  let sweep =
+    match sc.Scenarios.sc_bound with
+    | None -> ""
+    | Some _ when st.st_exhaustive ->
+      Printf.sprintf
+        "exhaustive: all %d schedules run (%d equivalent alternatives \
+         pruned) + "
+        st.st_runs st.st_pruned
+    | Some _ ->
+      Printf.sprintf
+        "bounded: %d schedules run (%d pruned, %d beyond preemption cap, %d \
+         beyond run budget) + "
+        st.st_runs st.st_pruned st.st_capped st.st_truncated
+  in
+  Printf.sprintf "%s%d seeded walk%s%s; %d inequivalent end state%s" sweep
+    st.st_walks (plural st.st_walks)
+    (if st.st_walks_flagged > 0 then
+       Printf.sprintf " (%d flagged)" st.st_walks_flagged
+     else "")
+    st.st_distinct_states
+    (plural st.st_distinct_states)
 
 let render ?(verbose = false) v =
   let b = Buffer.create 256 in
@@ -351,7 +456,7 @@ let render ?(verbose = false) v =
   Buffer.add_string b
     (Printf.sprintf "%-20s %-7s %s" sc.Scenarios.sc_name
        (if sc.Scenarios.sc_buggy then "[buggy]" else "[clean]")
-       (coverage_line v.e_stats));
+       (coverage_line sc v.e_stats));
   if clean v then Buffer.add_string b "\n  no divergence, no violations, no deadlock"
   else begin
     let shown = if verbose then max_int else 3 in
@@ -359,9 +464,11 @@ let render ?(verbose = false) v =
       (fun i f ->
         if i < shown then
           Buffer.add_string b
-            (Printf.sprintf "\n  schedule %s (%d preemption%s): %s" f.fl_schedule
-               f.fl_preemptions
-               (if f.fl_preemptions = 1 then "" else "s")
+            (Printf.sprintf "\n  %sschedule %s (%d preemption%s): %s"
+               (match f.fl_walk with
+               | Some s -> Printf.sprintf "walk %d: " s
+               | None -> "")
+               f.fl_schedule f.fl_preemptions (plural f.fl_preemptions)
                (finding_line f.fl_finding)))
       v.e_flagged;
     (if List.length v.e_flagged > shown then
@@ -380,7 +487,7 @@ let render ?(verbose = false) v =
       Buffer.add_string b
         (Printf.sprintf
            "\n  replay deterministically with: ulsbench races --scenario %s \
-            --explore --replay-schedule %s"
+            --replay-schedule %s"
            sc.Scenarios.sc_name f.fl_schedule)
     | [] -> ())
   end;

@@ -1,4 +1,4 @@
-(* Final-state fingerprint for the race detector. The whole point of
+(* Final-state fingerprint for the schedule explorer. The whole point of
    schedule perturbation is that a *correct* run reaches the same
    semantic end state under every same-timestamp reordering, so the
    fingerprint may only include observables the protocol contract

@@ -1,5 +1,5 @@
 (** Final-state fingerprint: the semantic end state of a run, reduced to
-    a digest the race detector can compare across schedule
+    a digest the schedule explorer can compare across schedule
     perturbations. Only schedule-independent observables participate —
     application-level operation counts ({!stable_counters}), the
     surviving connection tables, recorded invariant violations (without

@@ -10,7 +10,7 @@
       awaiting an acknowledgment that can no longer arrive.
 
     Findings are returned and also recorded into the simulation's
-    {!Uls_engine.Invariant} monitor (so they reach the race detector's
+    {!Uls_engine.Invariant} monitor (so they reach the explorer's
     fingerprint). *)
 
 type finding = {

@@ -1,10 +1,11 @@
-(* The invariant suite: small, closed workloads the race detector runs
-   under schedule perturbation. A scenario builds a cluster with the
-   requested tie-break policy, enables the invariant monitors, drives a
-   workload to quiescence, then runs the sanitizers and captures the
-   final-state fingerprint. Clean scenarios must fingerprint identically
-   under every seed; the buggy fixtures exist so CI can prove the
-   detector still catches the bug class they encode. *)
+(* The invariant suite: small, closed workloads the schedule explorer
+   runs under perturbed same-timestamp dispatch. A scenario builds a
+   cluster with the requested tie-break policy, enables the invariant
+   monitors, drives a workload to quiescence, then runs the sanitizers
+   and captures the final-state fingerprint. Clean scenarios must
+   fingerprint identically under every schedule; the buggy fixtures
+   exist so CI can prove the explorer still catches the bug class they
+   encode. *)
 
 open Uls_engine
 module Cluster = Uls_bench.Cluster
@@ -24,16 +25,13 @@ type outcome = {
   stop : [ `Quiescent | `Time_limit | `Stopped ];
 }
 
-(* Opt-in to systematic exploration. [b_runs] caps how many schedules
-   the explorer executes; [b_preemptions] caps deviations from FIFO per
+(* Opt-in to the depth-first sweep. [b_runs] caps how many schedules
+   the sweep executes; [b_preemptions] caps deviations from FIFO per
    schedule (max_int means the explorer may claim exhaustiveness if the
-   tree drains within budget); [b_run], when set, is a reduced-size
-   variant of the workload so each of the hundreds of explored schedules
-   stays cheap. *)
+   tree drains within budget). *)
 type bound = {
   b_runs : int;
   b_preemptions : int;
-  b_run : (?sched:[ `Heap | `Wheel ] -> tiebreak -> outcome) option;
 }
 
 type t = {
@@ -216,8 +214,8 @@ let connect_churn ?opts ?sched tiebreak =
    to the mailbox of the writer that requested it (per-rid routing — the
    PR 2 fix); the buggy variant pushes all grants through one shared
    mailbox, so whichever writer pops first claims whatever grant arrived
-   first. Under FIFO dispatch the orders happen to agree; under seeded
-   shuffle the writers' wake-up order at the gate decouples from the
+   first. Under FIFO dispatch the orders happen to agree; once the
+   schedule reorders the tie, the writers' wake-up order at the gate decouples from the
    grant arrival order and the pairing crosses — caught both by the
    [scenario.grant_routing] invariant and by fingerprint divergence. *)
 
@@ -283,7 +281,7 @@ let grant_fixture ~routed ?sched tiebreak =
         else Mailbox.send shared rid;
         incr grants_seen;
         (* Release every writer at the same instant once all grants are
-           queued: their wake-up order is exactly what the shuffle
+           queued: their wake-up order is exactly what the explorer
            perturbs. *)
         if !grants_seen = writers then Cond.broadcast gate)
   done;
@@ -357,7 +355,7 @@ let fabric_churn ?(sched = `Heap) tiebreak =
    into the same endpoint submission ring while a single reaper retires
    completions through the completion ring — the SQ cursor handoff,
    doorbell arming and CQ reaping are exactly the shared state the
-   shuffle perturbs. Every message is tag-addressed, so a cross-producer
+   explorer perturbs. Every message is tag-addressed, so a cross-producer
    descriptor mixup surfaces as a digest mismatch at the receiver.
    Doorbell/fetch-batch counts are schedule-dependent (a doorbell rung
    mid-fetch coalesces), so the fingerprint takes only the
@@ -439,8 +437,8 @@ let rings_firehose ?(msgs = 24) ?(batch = 4) ?sched tiebreak =
    Under FIFO the waiter parks first and the signal lands; if the
    signaller wins the tie the signal finds no waiter and is dropped, and
    the waiter parks forever — a deadlock that exists on exactly one of
-   the two possible schedules. Seed sampling finds it with probability
-   1/2 per seed; the explorer proves both schedules. Runs on a bare sim
+   the two possible schedules. A seeded walk finds it with probability
+   1/2; the depth-first sweep proves both schedules. Runs on a bare sim
    (no cluster) so the schedule tree is exactly the two fibers. *)
 
 let lost_signal ?sched tiebreak =
@@ -467,25 +465,26 @@ let lost_signal ?sched tiebreak =
 
 (* --- registry --------------------------------------------------------- *)
 
-(* Exploration bounds. Micro fixtures get an unbounded preemption cap —
-   their whole schedule tree fits in the run budget, so the explorer can
-   claim exhaustiveness. Full protocol scenarios get a preemption-bounded
-   sweep (every schedule within [b_preemptions] deviations of FIFO),
-   with reduced-size workloads where each run would otherwise be too
-   slow to afford hundreds of schedules. *)
+(* Sweep bounds. Micro fixtures get an unbounded preemption cap — their
+   whole schedule tree fits in the run budget, so the explorer can claim
+   exhaustiveness. Protocol scenarios get a preemption-bounded sweep
+   (every schedule within [b_preemptions] deviations of FIFO); where a
+   full-size run is too slow to afford hundreds of schedules, the
+   full-size scenario is walked only and a "-mini" variant of the same
+   workload carries the sweep. *)
 
-(* Compact substrate profile for exploration runs: the object under
+(* Compact substrate profile for the "-mini" variants: the object under
    test is the schedule tree, not bulk payload, and the default
    32-credit x 64 KB provisioning makes each of the hundreds of runs
    fault megabytes of fresh buffer pages (the whole sweep went from
    seconds to tens of seconds of kernel time without this). *)
-let explore_opts =
+let mini_opts =
   { Opt.data_streaming with Opt.credits = 4; buffer_size = 4_096 }
 
-let exhaustive runs = Some { b_runs = runs; b_preemptions = max_int; b_run = None }
+let exhaustive runs = Some { b_runs = runs; b_preemptions = max_int }
 
-let preemption_bounded ?run ~runs ~preemptions () =
-  Some { b_runs = runs; b_preemptions = preemptions; b_run = run }
+let preemption_bounded ~runs ~preemptions =
+  Some { b_runs = runs; b_preemptions = preemptions }
 
 let clean_suite =
   [
@@ -494,12 +493,15 @@ let clean_suite =
       sc_descr = "streaming echo through credit flow control, 2 clients";
       sc_buggy = false;
       sc_run = eager_echo ?match_engine:None ?opts:None ?writes:None;
-      sc_bound =
-        preemption_bounded ~runs:160 ~preemptions:1
-          ~run:
-            (eager_echo ?match_engine:None ~opts:explore_opts
-               ~writes:[ 512; 64 ])
-          ();
+      sc_bound = None;
+    };
+    {
+      sc_name = "eager-echo-mini";
+      sc_descr = "eager-echo with 4 x 4 KB credits and two short writes";
+      sc_buggy = false;
+      sc_run =
+        eager_echo ?match_engine:None ~opts:mini_opts ~writes:[ 512; 64 ];
+      sc_bound = preemption_bounded ~runs:160 ~preemptions:1;
     };
     {
       sc_name = "hashed-echo";
@@ -509,12 +511,16 @@ let clean_suite =
       sc_run =
         eager_echo ~match_engine:Uls_nic.Match_list.Hashed ?opts:None
           ?writes:None;
-      sc_bound =
-        preemption_bounded ~runs:160 ~preemptions:1
-          ~run:
-            (eager_echo ~match_engine:Uls_nic.Match_list.Hashed
-               ~opts:explore_opts ~writes:[ 512; 64 ])
-          ();
+      sc_bound = None;
+    };
+    {
+      sc_name = "hashed-echo-mini";
+      sc_descr = "hashed-echo with 4 x 4 KB credits and two short writes";
+      sc_buggy = false;
+      sc_run =
+        eager_echo ~match_engine:Uls_nic.Match_list.Hashed ~opts:mini_opts
+          ~writes:[ 512; 64 ];
+      sc_bound = preemption_bounded ~runs:160 ~preemptions:1;
     };
     {
       sc_name = "dg-rendezvous";
@@ -528,17 +534,21 @@ let clean_suite =
       sc_descr = "connect/transfer/close cycles reclaim all descriptors";
       sc_buggy = false;
       sc_run = connect_churn ?opts:None;
-      sc_bound =
-        preemption_bounded ~runs:160 ~preemptions:1
-          ~run:(connect_churn ~opts:explore_opts)
-          ();
+      sc_bound = None;
+    };
+    {
+      sc_name = "connect-churn-mini";
+      sc_descr = "connect-churn with 4 x 4 KB credits";
+      sc_buggy = false;
+      sc_run = connect_churn ~opts:mini_opts;
+      sc_bound = preemption_bounded ~runs:160 ~preemptions:1;
     };
     {
       sc_name = "rendezvous-grants";
       sc_descr = "raw-EMP grant protocol with per-request grant routing";
       sc_buggy = false;
       sc_run = grant_fixture ~routed:true;
-      sc_bound = preemption_bounded ~runs:256 ~preemptions:2 ();
+      sc_bound = preemption_bounded ~runs:256 ~preemptions:2;
     };
     {
       sc_name = "rings-firehose";
@@ -546,10 +556,14 @@ let clean_suite =
                   one reaper retiring completions";
       sc_buggy = false;
       sc_run = rings_firehose ?msgs:None ?batch:None;
-      sc_bound =
-        preemption_bounded ~runs:160 ~preemptions:1
-          ~run:(rings_firehose ~msgs:6 ~batch:2)
-          ();
+      sc_bound = None;
+    };
+    {
+      sc_name = "rings-firehose-mini";
+      sc_descr = "rings-firehose with 6 messages per producer, batch 2";
+      sc_buggy = false;
+      sc_run = rings_firehose ~msgs:6 ~batch:2;
+      sc_bound = preemption_bounded ~runs:160 ~preemptions:1;
     };
     {
       sc_name = "fabric-churn";
@@ -569,7 +583,7 @@ let buggy_suite =
         "re-introduced PR 2 bug: grants popped from one shared mailbox";
       sc_buggy = true;
       sc_run = grant_fixture ~routed:false;
-      sc_bound = preemption_bounded ~runs:256 ~preemptions:2 ();
+      sc_bound = preemption_bounded ~runs:256 ~preemptions:2;
     };
     {
       sc_name = "lost-signal";

@@ -1,4 +1,4 @@
-(** The invariant suite: closed workloads the race detector perturbs.
+(** The invariant suite: closed workloads the schedule explorer perturbs.
 
     Each scenario builds its own cluster with a chosen same-timestamp
     tie-break policy, enables the invariant monitors, drives a workload
@@ -6,11 +6,10 @@
     final-state fingerprint. A {e clean} scenario must produce the same
     fingerprint, zero violations, and no deadlock under every tie-break;
     a {e buggy} fixture encodes a known bug class (re-introduced
-    deliberately) that the detector must keep catching. *)
+    deliberately) that the explorer must keep catching. *)
 
 type tiebreak = Uls_engine.Sim.tiebreak_spec
-(** [`Fifo], [`Seeded_shuffle seed] (the sampling detector), or
-    [`Controlled choose] (the systematic explorer's instrument — see
+(** [`Fifo] or [`Controlled choose] (the explorer's instrument — see
     {!Uls_engine.Sim.set_tiebreak}). *)
 
 type outcome = {
@@ -23,31 +22,26 @@ type outcome = {
 }
 
 type bound = {
-  b_runs : int;  (** explorer schedule budget *)
+  b_runs : int;  (** depth-first sweep schedule budget *)
   b_preemptions : int;
       (** max deviations from FIFO per schedule; [max_int] lets the
           explorer drain the whole tree and claim exhaustiveness *)
-  b_run : (?sched:[ `Heap | `Wheel ] -> tiebreak -> outcome) option;
-      (** reduced-size variant of the workload for exploration (each of
-          hundreds of schedules re-runs the scenario); [None] explores
-          [sc_run] itself *)
 }
-(** A scenario's opt-in to systematic exploration ({!Explore}). *)
+(** A scenario's opt-in to the depth-first sweep ({!Explore}). *)
 
 type t = {
   sc_name : string;
   sc_descr : string;
   sc_buggy : bool;
-      (** fixtures the detector must flag (CI fails if it stops catching
+      (** fixtures the explorer must flag (CI fails if it stops catching
           them) *)
   sc_run : ?sched:[ `Heap | `Wheel ] -> tiebreak -> outcome;
       (** [sched] selects the simulator event-queue implementation
           (default binary heap); dispatch order is identical either
           way, so fingerprints must not depend on it *)
   sc_bound : bound option;
-      (** [None]: the scenario is not explorable (e.g. fabric-churn,
-          whose fleet driver owns its own sim) and [races --explore]
-          skips it *)
+      (** [None]: the scenario is too large for a depth-first sweep and
+          gets seeded walks only *)
 }
 
 val clean_suite : t list
@@ -56,7 +50,8 @@ val clean_suite : t list
     connection churn, the raw-EMP grant protocol with per-request
     routing, and fleet arrivals over the sharded serving fabric (ring
     placement + completion counts fingerprinted from the fleet
-    report). *)
+    report). Workloads too large to sweep come with a "-mini" variant
+    that carries the depth-first sweep. *)
 
 val buggy_suite : t list
 (** Seeded regressions: the PR 2 shared-grant-queue bug re-introduced in

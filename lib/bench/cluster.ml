@@ -15,8 +15,8 @@ type t = {
 let create ?(model = Cost_model.paper_testbed) ?tiebreak
     ?(match_engine = Uls_nic.Match_list.Linear) ?sched ~n () =
   let sim = Sim.create ?sched () in
-  (* Must precede any spawn: NIC/node setup tasks scheduled below should
-     already draw shuffled priorities under a perturbed schedule. *)
+  (* Set before anything runs: under a controlled schedule the ties
+     among the NIC/node setup tasks below are decision points too. *)
   (match tiebreak with Some tb -> Sim.set_tiebreak sim tb | None -> ());
   let net =
     Uls_ether.Network.create sim ~bits_per_ns:model.Cost_model.link_bits_per_ns

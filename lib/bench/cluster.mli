@@ -14,7 +14,7 @@ val create :
 (** [create ?model ?tiebreak ~n ()] builds the cluster. [tiebreak] sets
     the simulator's same-timestamp dispatch policy (see
     {!Uls_engine.Sim.set_tiebreak}) before any task is scheduled — the
-    race detector's schedule-perturbation hook. Default FIFO.
+    schedule explorer's perturbation hook. Default FIFO.
     [match_engine] selects the NIC tag-match firmware on every node
     (default [Linear], the paper's measured generation). [sched] selects
     the event-queue implementation ({!Uls_engine.Sim.create}); dispatch

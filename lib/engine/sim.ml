@@ -4,7 +4,6 @@
    value for the wheel's internal arrays. *)
 type task = {
   mutable time : Time.ns;
-  mutable pri : int;  (* tie-break priority among same-timestamp tasks *)
   mutable seq : int;
   mutable run : unit -> unit;
   mutable free_next : task;
@@ -13,19 +12,14 @@ type task = {
 let nop () = ()
 
 let rec dummy_task =
-  { time = max_int; pri = max_int; seq = max_int; run = nop;
-    free_next = dummy_task }
+  { time = max_int; seq = max_int; run = nop; free_next = dummy_task }
 
-(* Same-timestamp dispatch order. FIFO gives every task the same
-   priority, so the [seq] fallback reproduces strict scheduling order;
-   the seeded shuffle draws a random priority per task, perturbing the
-   order of simultaneous events only — the race detector's schedule
-   perturbation (timestamps themselves never move). [Controlled] hands
-   each same-timestamp tie to an external chooser as an explicit
-   decision point: the systematic explorer's instrument. *)
+(* Same-timestamp dispatch order. FIFO dispatches a tie in [seq]
+   (scheduling) order. [Controlled] hands each same-timestamp tie to an
+   external chooser as an explicit decision point: the schedule
+   explorer's instrument (timestamps themselves never move). *)
 type tiebreak =
   | Fifo
-  | Shuffle of Rng.t
   | Controlled of (int array -> int)
 
 (* Sync-point instrumentation. Constructors are argless so classifying
@@ -65,7 +59,7 @@ type parked = {
 
 (* Event queue: binary comparison heap (the original structure) or the
    hierarchical timing wheel. Both dispatch in identical
-   (time, pri, seq) order — the wheel's near-future heap uses the same
+   (time, seq) order — the wheel's near-future heap uses the same
    comparator — so the choice is a pure throughput ablation. *)
 type queue =
   | Q_heap of task Heap.t
@@ -96,10 +90,7 @@ exception Fiber_failure of string * exn
 
 let compare_task a b =
   let c = compare a.time b.time in
-  if c <> 0 then c
-  else
-    let c = compare a.pri b.pri in
-    if c <> 0 then c else compare a.seq b.seq
+  if c <> 0 then c else compare a.seq b.seq
 
 let next_uid = ref 0
 
@@ -151,12 +142,10 @@ let current_fiber t = t.cur_fiber
 let current_fiber_id t = t.cur_fiber_id
 let sched t = match t.q with Q_heap _ -> `Heap | Q_wheel _ -> `Wheel
 
-type tiebreak_spec =
-  [ `Fifo | `Seeded_shuffle of int | `Controlled of (int array -> int) ]
+type tiebreak_spec = [ `Fifo | `Controlled of (int array -> int) ]
 
 let set_tiebreak t = function
   | `Fifo -> t.tiebreak <- Fifo
-  | `Seeded_shuffle seed -> t.tiebreak <- Shuffle (Rng.create ~seed)
   | `Controlled choose -> t.tiebreak <- Controlled choose
 
 let set_hooks t h = t.hooks <- h
@@ -187,15 +176,14 @@ let blocked_report t =
    count. *)
 let pool_max = 4096
 
-let alloc_task t ~time ~pri ~seq ~run =
+let alloc_task t ~time ~seq ~run =
   let cell = t.free in
-  if cell == dummy_task then { time; pri; seq; run; free_next = dummy_task }
+  if cell == dummy_task then { time; seq; run; free_next = dummy_task }
   else begin
     t.free <- cell.free_next;
     t.pooled <- t.pooled - 1;
     cell.free_next <- dummy_task;
     cell.time <- time;
-    cell.pri <- pri;
     cell.seq <- seq;
     cell.run <- run;
     cell
@@ -212,12 +200,7 @@ let release_task t cell =
 let schedule t ~time run =
   if time < t.now then invalid_arg "Sim: scheduling in the past";
   t.seq <- t.seq + 1;
-  let pri =
-    match t.tiebreak with
-    | Fifo | Controlled _ -> 0  (* Controlled: FIFO order inside a tie *)
-    | Shuffle rng -> Rng.int rng 0x4000_0000
-  in
-  let cell = alloc_task t ~time ~pri ~seq:t.seq ~run in
+  let cell = alloc_task t ~time ~seq:t.seq ~run in
   match t.q with
   | Q_heap h -> Heap.push h cell
   | Q_wheel w -> Wheel.push w cell
@@ -322,7 +305,7 @@ let q_push t cell =
 
 (* Under [Controlled], every task sharing the minimum timestamp is popped
    and the chooser picks which runs next (by index into the seq array,
-   which is in FIFO order since Controlled pri is always 0); the rest are
+   which is in FIFO order); the rest are
    re-inserted untouched. A singleton tie is not a decision point. Due
    tasks re-insert into the wheel's exact-order near-future heap, so
    push-back is order-safe on both schedulers. *)
@@ -367,7 +350,7 @@ let run ?until t =
           ignore (q_pop t);
           let task =
             match t.tiebreak with
-            | Fifo | Shuffle _ -> task
+            | Fifo -> task
             | Controlled choose -> pop_controlled t task choose
           in
           t.now <- task.time;

@@ -5,10 +5,10 @@
     and blocks on external events with {!suspend}; higher-level
     synchronisation ({!Cond}, {!Mailbox}, {!Resource}) is built on these
     two primitives. Execution is fully deterministic: simultaneous events
-    run in scheduling order under the default {b FIFO} tie-break, or in a
-    seeded-shuffled order under {!set_tiebreak} — the analysis layer's
-    schedule perturbation (same-timestamp reordering only; timestamps
-    themselves never move). *)
+    run in scheduling order under the default {b FIFO} tie-break, or in
+    an externally chosen order under {!set_tiebreak} — the analysis
+    layer's schedule exploration (same-timestamp reordering only;
+    timestamps themselves never move). *)
 
 type t
 
@@ -21,8 +21,8 @@ val create : ?sched:[ `Heap | `Wheel ] -> unit -> t
     queue). [~sched:`Wheel] selects the hierarchical timing wheel
     ({!Wheel}): O(1) amortized insert/extract regardless of pending-event
     count, with dispatch order {e byte-identical} to the heap — the
-    (time, pri, seq) tie-break contract holds on both, so FIFO runs,
-    seeded shuffles, and determinism fingerprints are scheduler-
+    (time, seq) tie-break contract holds on both, so FIFO runs,
+    controlled schedules, and determinism fingerprints are scheduler-
     independent. *)
 
 val sched : t -> [ `Heap | `Wheel ]
@@ -34,18 +34,13 @@ val uid : t -> int
 
 val now : t -> Time.ns
 
-type tiebreak_spec =
-  [ `Fifo | `Seeded_shuffle of int | `Controlled of (int array -> int) ]
+type tiebreak_spec = [ `Fifo | `Controlled of (int array -> int) ]
 
 val set_tiebreak : t -> tiebreak_spec -> unit
 (** Dispatch policy for same-timestamp tasks. [`Fifo] (the default)
-    runs them in scheduling order; [`Seeded_shuffle seed] assigns each
-    subsequently scheduled task a priority drawn from a seeded PRNG, so
-    simultaneous events dispatch in a reproducible shuffled order. Same
-    seed, same schedule — a divergence found under one seed replays
-    deterministically. Affects only tasks scheduled after the call.
+    runs them in scheduling order.
 
-    [`Controlled choose] is the systematic explorer's instrument: each
+    [`Controlled choose] is the schedule explorer's instrument: each
     time two or more tasks are due at the same instant, the whole tie is
     handed to [choose] as an array of task sequence numbers in FIFO
     order, and the returned index picks which runs next (out-of-range

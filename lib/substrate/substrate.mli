@@ -30,7 +30,7 @@ val active_connections : t -> int
 (** Size of the active-socket table (§5.3). *)
 
 val conn_ids : t -> int list
-(** Ids of every open connection, sorted — the race detector hashes this
+(** Ids of every open connection, sorted — the schedule explorer hashes this
     connection table into its final-state fingerprint. *)
 
 val conns : t -> Conn.t list

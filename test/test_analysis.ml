@@ -1,8 +1,9 @@
 (* Tests for the analysis layer: invariant monitor mechanics, the three
    sanitizers against seeded known-bad scenarios, the deadlock
-   diagnoser's wait-for report, and the schedule-perturbation race
-   detector (clean scenario stays clean; the re-introduced
-   shared-grant-queue bug is caught). *)
+   diagnoser's wait-for report, and the schedule explorer's two
+   strategies, seeded walks and the depth-first sweep (clean scenarios
+   stay clean; the re-introduced shared-grant-queue bug is caught; every
+   finding replays by schedule id). *)
 open Uls_engine
 module Cluster = Uls_bench.Cluster
 module Sub = Uls_substrate.Substrate
@@ -206,7 +207,7 @@ let test_no_deadlock_on_clean_run () =
   check_bool "daemon parked fibers are not a deadlock" true
     (An.Deadlock.check sim = None)
 
-(* --- race detector ------------------------------------------------------ *)
+(* --- seeded walks ------------------------------------------------------- *)
 
 let scenario name =
   match An.Scenarios.find name with
@@ -214,36 +215,64 @@ let scenario name =
   | None -> Alcotest.failf "scenario %s not registered" name
 
 let test_race_clean_scenario () =
-  let v = An.Race.run_scenario ~seeds:4 (scenario "rendezvous-grants") in
-  check_bool "clean across seeds" true (An.Race.clean v);
-  check_int "all seeds ran" 4 (List.length v.An.Race.v_perturbed)
+  (* Sweep cut to the baseline: only the baseline and the 4 walks run. *)
+  let v =
+    An.Explore.explore ~max_runs:1 ~seeds:4 (scenario "rendezvous-grants")
+  in
+  check_bool "clean across walks" true (An.Explore.clean v);
+  check_int "all walks ran" 4 v.An.Explore.e_stats.An.Explore.st_walks
 
 let test_race_catches_shared_grant_queue () =
-  let v = An.Race.run_until_flagged ~max_seeds:16 (scenario "shared-grant-queue") in
-  check_bool "flagged" true (An.Race.flagged v);
-  (* The detector reports both signals: fingerprint divergence and the
-     named invariant violation, each with its offending seed. *)
-  check_bool "fingerprint divergence" true (v.An.Race.v_divergent <> []);
-  (match v.An.Race.v_violating with
-  | (seed, first) :: _ ->
-    check_bool "seed recorded for replay" true (seed >= 0);
-    check_bool "violation names the grant-routing invariant" true
-      (contains ~affix:"scenario.grant_routing" first);
-    (* Determinism: replaying the offending seed reproduces the bug. *)
-    let replayed = An.Race.replay (scenario "shared-grant-queue") ~seed in
+  let sc = scenario "shared-grant-queue" in
+  (* Walk seeds in order until one trips the grant-routing invariant. *)
+  let rec first_flagged seed =
+    if seed >= 16 then Alcotest.fail "no walk in 16 caught the bug"
+    else
+      let id, o = An.Explore.walk sc ~seed in
+      match o.An.Scenarios.violations with
+      | v :: _ -> (id, o, v)
+      | [] -> first_flagged (seed + 1)
+  in
+  let id, o, viol = first_flagged 0 in
+  check_str "violation names the grant-routing invariant"
+    "scenario.grant_routing" viol.Invariant.v_name;
+  check_bool "walk took a non-FIFO schedule" true (id <> "fifo");
+  (* Determinism: the walk's schedule id replays to the same violation. *)
+  (match An.Explore.replay sc ~schedule:id with
+  | Ok (replayed, _) ->
     check_bool "replay reproduces the violation" true
       (List.exists
-         (fun viol -> viol.Invariant.v_name = "scenario.grant_routing")
+         (fun v ->
+           v.Invariant.v_name = viol.Invariant.v_name
+           && v.Invariant.v_detail = viol.Invariant.v_detail)
          replayed.An.Scenarios.violations)
-  | [] -> Alcotest.fail "no violation recorded");
-  check_bool "FIFO baseline itself is quiet (the bug needs perturbation)"
-    true
-    (v.An.Race.v_baseline.An.Race.r_outcome.An.Scenarios.violations = [])
+  | Error e -> Alcotest.fail (An.Explore.string_of_replay_error e));
+  (* Through the explorer, with the sweep cut to the baseline so every
+     finding is a walk's: walks are flagged and carry their seed; the
+     FIFO baseline itself is quiet (the bug needs perturbation). *)
+  let v = An.Explore.explore ~max_runs:1 sc in
+  check_bool "walks flagged" true
+    (v.An.Explore.e_stats.An.Explore.st_walks_flagged > 0
+    && List.for_all
+         (fun f -> f.An.Explore.fl_walk <> None)
+         v.An.Explore.e_flagged);
+  check_bool "walk findings carry racing pairs" true (v.An.Explore.e_pairs <> []);
+  check_bool "FIFO baseline itself is quiet" true
+    (v.An.Explore.e_baseline.An.Scenarios.violations = []);
+  (* Both detection signals: besides the violation, the flagged walk's
+     end state differs from the baseline's fingerprint. *)
+  check_bool "fingerprint divergence" true
+    (An.Fingerprint.first_difference
+       v.An.Explore.e_baseline.An.Scenarios.fingerprint
+       o.An.Scenarios.fingerprint
+    <> None)
 
 let test_fingerprint_stability () =
-  (* Same scenario, same seed, twice: byte-identical fingerprints. *)
+  (* Same scenario, same seed, twice: the same schedule and byte-identical
+     fingerprints. *)
   let sc = scenario "connect-churn" in
-  let a = An.Race.replay sc ~seed:7 and b = An.Race.replay sc ~seed:7 in
+  let id_a, a = An.Explore.walk sc ~seed:7 and id_b, b = An.Explore.walk sc ~seed:7 in
+  check_str "deterministic schedule id" id_a id_b;
   check_str "deterministic digest"
     (An.Fingerprint.digest a.An.Scenarios.fingerprint)
     (An.Fingerprint.digest b.An.Scenarios.fingerprint);
@@ -264,12 +293,39 @@ let test_explore_schedule_id_roundtrip () =
   check_str "empty prefix is fifo" "fifo" (An.Explore.schedule_id [||]);
   check_str "sparse form" "2:1" (An.Explore.schedule_id [| 0; 0; 1 |]);
   check_bool "garbage rejected" true
-    (An.Explore.parse_schedule_id "2:x" = None)
+    (An.Explore.parse_schedule_id "2:x" = None);
+  check_bool "dotted prefix rejected" true
+    (An.Explore.parse_schedule_id "0.4.1" = None);
+  check_bool "duplicate position rejected" true
+    (An.Explore.parse_schedule_id "3:1,3:2" = None)
+
+(* A schedule id that does not fit the scenario must be an error, not a
+   silently different (FIFO-defaulted) run. *)
+let test_explore_replay_rejects_misfit_ids () =
+  let sc = scenario "lost-signal" in
+  let expect_error name id pred =
+    match An.Explore.replay sc ~schedule:id with
+    | Ok _ -> Alcotest.failf "%s: %s replayed instead of failing" name id
+    | Error e -> check_bool name true (pred e)
+  in
+  expect_error "unreached decision point" "99999:5" (function
+    | An.Explore.Unreached { at = 99999; reached = 1 } -> true
+    | _ -> false);
+  expect_error "choice beyond the alternatives" "0:5" (function
+    | An.Explore.Choice_out_of_range { at = 0; choice = 5; enabled = 2 } -> true
+    | _ -> false);
+  expect_error "malformed id" "0.4.1" (function
+    | An.Explore.Malformed_id "0.4.1" -> true
+    | _ -> false);
+  match An.Explore.replay sc ~schedule:"0:1" with
+  | Ok (o, _) -> check_bool "a fitting id replays" true (o.An.Scenarios.deadlock <> None)
+  | Error e -> Alcotest.fail (An.Explore.string_of_replay_error e)
 
 (* Satellite: a deadlock that exists only on a non-FIFO interleaving,
    found exhaustively, reported with named wait-for edges. *)
 let test_explore_lost_signal_exhaustive () =
-  let v = An.Explore.explore (scenario "lost-signal") in
+  (* The sweep alone: walks would find the same schedule again. *)
+  let v = An.Explore.explore ~seeds:0 (scenario "lost-signal") in
   check_bool "explorer flags the lost wakeup" true (An.Explore.flagged v);
   check_bool "coverage is exhaustive" true v.An.Explore.e_stats.An.Explore.st_exhaustive;
   check_int "the space is exactly two schedules" 2
@@ -310,17 +366,18 @@ let test_explore_catches_shared_grant_queue () =
       (contains ~affix:"scenario.grant_routing" msg);
     check_bool "schedule id recorded for replay" true (sched <> "");
     (* Satellite: the schedule id carried by the finding reproduces it. *)
-    let outcome, _ =
-      An.Explore.replay (scenario "shared-grant-queue") ~schedule:sched
+    let replay () =
+      match An.Explore.replay (scenario "shared-grant-queue") ~schedule:sched with
+      | Ok (o, _) -> o
+      | Error e -> Alcotest.fail (An.Explore.string_of_replay_error e)
     in
+    let outcome = replay () in
     check_bool "replay by schedule id reproduces the violation" true
       (List.exists
          (fun viol -> viol.Invariant.v_name = "scenario.grant_routing")
          outcome.An.Scenarios.violations);
     (* And twice: schedule ids are deterministic coordinates. *)
-    let again, _ =
-      An.Explore.replay (scenario "shared-grant-queue") ~schedule:sched
-    in
+    let again = replay () in
     check_str "replay is deterministic"
       (An.Fingerprint.digest outcome.An.Scenarios.fingerprint)
       (An.Fingerprint.digest again.An.Scenarios.fingerprint)
@@ -340,7 +397,7 @@ let test_explore_catches_shared_grant_queue () =
 let test_explore_clean_scenario () =
   (* A correct protocol scenario: every explored schedule converges to
      the one fingerprint, no violations, no deadlock. *)
-  let v = An.Explore.explore ~max_runs:24 (scenario "rings-firehose") in
+  let v = An.Explore.explore ~max_runs:24 (scenario "rings-firehose-mini") in
   check_bool "clean" true (An.Explore.clean v);
   check_int "all schedules reach the same end state" 1
     v.An.Explore.e_stats.An.Explore.st_distinct_states
@@ -386,6 +443,8 @@ let suites =
           test_fingerprint_stability;
         Alcotest.test_case "explore: schedule ids roundtrip" `Quick
           test_explore_schedule_id_roundtrip;
+        Alcotest.test_case "explore: replay rejects misfit ids" `Quick
+          test_explore_replay_rejects_misfit_ids;
         Alcotest.test_case "explore: lost signal found exhaustively" `Quick
           test_explore_lost_signal_exhaustive;
         Alcotest.test_case "explore: shared grant queue deterministic" `Quick

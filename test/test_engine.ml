@@ -56,7 +56,8 @@ let prop_heap_sorts =
 (* --- Wheel --- *)
 
 (* Elements are (time, pri, seq) triples compared structurally — the
-   exact shape of the sim's tie-break contract. *)
+   sim's (time, seq) tie-break contract plus a secondary key inside a
+   timestamp, so ties are ordered by more than insertion order. *)
 let wheel_create () =
   Wheel.create ~dummy:(max_int, 0, 0) ~time:(fun (t, _, _) -> t) ~cmp:compare ()
 
@@ -134,8 +135,8 @@ let test_wheel_coincident_boundary () =
     (List.map (fun (t, _, _) -> t) (wheel_drain w))
 
 (* Pinned-seed heap-vs-wheel parity: random schedule/cancel/advance ops
-   must yield identical dispatch sequences on both structures, under
-   FIFO (pri always 0) and shuffled (random pri) tie-breaks. Cancelled
+   must yield identical dispatch sequences on both structures, with
+   pri always 0 (the sim's FIFO order) and with random pri. Cancelled
    elements stay queued (the sim cancels by defusing the closure) and
    are filtered from the dispatch log on extraction. *)
 let wheel_heap_parity ~shuffled seed =
@@ -748,10 +749,10 @@ let test_registry_eviction () =
 (* A program with same-time collisions, fiber suspends, a time-limited
    run/resume, and a far-future timer (overflow level under `Wheel).
    The full dispatch log must be byte-identical across schedulers for
-   both tie-break policies. *)
+   both tie-break policies (the controlled one a seeded random walk). *)
 let sim_parity_run ~sched ~tiebreak =
   let sim = Sim.create ~sched () in
-  Sim.set_tiebreak sim tiebreak;
+  Sim.set_tiebreak sim (tiebreak ());
   let log = Buffer.create 1024 in
   for i = 1 to 8 do
     Sim.spawn sim
@@ -781,7 +782,12 @@ let test_sim_sched_parity () =
       let lw, ew = sim_parity_run ~sched:`Wheel ~tiebreak in
       Alcotest.(check string) "dispatch log identical" lh lw;
       check_int "events executed identical" eh ew)
-    [ `Fifo; `Seeded_shuffle 42 ]
+    [
+      (fun () -> `Fifo);
+      (fun () ->
+        let rng = Rng.create ~seed:42 in
+        `Controlled (fun enabled -> Rng.int rng (Array.length enabled)));
+    ]
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
 

@@ -235,8 +235,8 @@ let test_fleet_drain () =
     (r.Fleet.resets + r.Fleet.refused + r.Fleet.errors + r.Fleet.shed)
 
 (* The report's schedule-independent facts must not change when
-   same-timestamp dispatch order is perturbed — the race detector's
-   discipline applied to the whole fabric. *)
+   same-timestamp dispatch order is perturbed by a seeded random walk —
+   the schedule explorer's discipline applied to the whole fabric. *)
 let test_fleet_schedule_independent () =
   let base = small () in
   let facts (r : Fleet.report) =
@@ -252,10 +252,10 @@ let test_fleet_schedule_independent () =
   in
   let fifo = facts (Fleet.run { base with tiebreak = Some `Fifo }) in
   for s = 0 to 2 do
-    let p =
-      facts (Fleet.run { base with tiebreak = Some (`Seeded_shuffle s) })
-    in
-    check_bool (Printf.sprintf "shuffle seed %d matches fifo" s) true
+    let rng = Rng.create ~seed:s in
+    let walk enabled = Rng.int rng (Array.length enabled) in
+    let p = facts (Fleet.run { base with tiebreak = Some (`Controlled walk) }) in
+    check_bool (Printf.sprintf "walk seed %d matches fifo" s) true
       (p = fifo)
   done
 
