@@ -705,8 +705,10 @@ let fabric_cmd =
   let smoke =
     Arg.(value & flag & info [ "smoke" ]
            ~doc:"CI mode: pinned-seed cell x stack matrix plus a \
-                 kill-failover run and a determinism double-run; non-zero \
-                 exit on any hang, mismatch or divergence.")
+                 kill-failover run and a determinism double-run whose first \
+                 run also checks that closed server-side streams are \
+                 collectable; non-zero exit on any hang, mismatch, \
+                 divergence or retained stream.")
   in
   let auto_clients cells conns = max 4 (min 64 (max cells ((conns + 2047) / 2048) * 4)) in
   let build ~stack ~cells ~shards ~conns ~requests ~size ~rate ~think ~clients
@@ -834,12 +836,36 @@ let fabric_cmd =
             incr failures
           end)
         [ `Ds; `Tcp ];
-      (* Determinism: same seed, byte-identical report. *)
+      (* Determinism: same seed, byte-identical report. The first run
+         also checks that closed connections leave nothing behind: every
+         64th closed server-side stream is held weakly, and none may
+         survive a full major GC while the cluster is still alive. *)
       let cfg = base `Ds 4 in
-      let a = Fleet.run cfg and b = Fleet.run cfg in
+      let closes = ref 0 and sampled = ref [] and survivors = ref 0 in
+      let sample (s : Uls_api.Sockets_api.stream) =
+        incr closes;
+        if !closes mod 64 = 0 then begin
+          let w = Weak.create 1 in
+          Weak.set w 0 (Some s);
+          sampled := w :: !sampled
+        end
+      in
+      let count_survivors _ =
+        Gc.full_major ();
+        survivors := List.length (List.filter (fun w -> Weak.check w 0) !sampled)
+      in
+      let a = Fleet.run ~on_server_close:sample ~on_metrics:count_survivors cfg in
+      let b = Fleet.run cfg in
       check "determinism" a;
       if a <> b then begin
         prerr_endline "ulsbench fabric --smoke: seeded runs diverged";
+        incr failures
+      end;
+      if !sampled = [] || !survivors > 0 then begin
+        Printf.eprintf
+          "ulsbench fabric --smoke: %d of %d sampled closed server streams \
+           still reachable\n"
+          !survivors (List.length !sampled);
         incr failures
       end;
       if !failures > 0 then begin

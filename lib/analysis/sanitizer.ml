@@ -71,18 +71,21 @@ let scan ?(conns = []) cluster =
      acknowledged or abandoned (failed). A slot still "in flight" holds
      a registered memory region that no completion will ever release. *)
   List.iter
-    (fun pool ->
-      let stuck = Uls_substrate.Sendpool.in_flight pool in
-      if stuck > 0 then
-        add
-          {
-            f_check = "sub.sendpool_leak";
-            f_node = -1;
-            f_detail =
-              Printf.sprintf "%d send-pool slots still in flight at quiescence"
-                stuck;
-          })
-    (Uls_substrate.Sendpool.pools_for_sim sim);
+    (fun (node, sub) ->
+      List.iter
+        (fun pool ->
+          let stuck = Uls_substrate.Sendpool.in_flight pool in
+          if stuck > 0 then
+            add
+              {
+                f_check = "sub.sendpool_leak";
+                f_node = node;
+                f_detail =
+                  Printf.sprintf
+                    "%d send-pool slots still in flight at quiescence" stuck;
+              })
+        (Uls_substrate.Substrate.send_pools sub))
+    (Uls_bench.Cluster.substrates cluster);
   List.rev !findings
 
 let render findings =

@@ -124,7 +124,30 @@ let note_error e =
 
 exception Shed_by_server
 
-let run ?on_metrics (cfg : config) =
+(* Hand every server-side stream to [f] once the server has closed it;
+   the stream itself is untouched. *)
+let observe_server_closes (api : Api.stack) f =
+  let wrap ((s : Api.stream), peer) =
+    ( { s with
+        Api.close =
+          (fun () ->
+            s.Api.close ();
+            f s) },
+      peer )
+  in
+  {
+    api with
+    Api.listen =
+      (fun ~node ~port ~backlog ->
+        let l = api.Api.listen ~node ~port ~backlog in
+        {
+          l with
+          Api.accept = (fun () -> wrap (l.Api.accept ()));
+          try_accept = (fun () -> Option.map wrap (l.Api.try_accept ()));
+        });
+  }
+
+let run ?on_metrics ?on_server_close (cfg : config) =
   if cfg.cells < 1 then invalid_arg "Fleet.run: cells < 1";
   if cfg.client_nodes < 1 then invalid_arg "Fleet.run: client_nodes < 1";
   (* Node layout: cells 0..K-1, prober K, clients K+1..K+client_nodes. *)
@@ -143,6 +166,11 @@ let run ?on_metrics (cfg : config) =
     match cfg.kind with
     | Chaos.Tcp config -> Cluster.tcp_api ~config c
     | Chaos.Sub opts -> Cluster.substrate_api ~opts c
+  in
+  let api =
+    match on_server_close with
+    | Some f -> observe_server_closes api f
+    | None -> api
   in
   let bound =
     match cfg.time_limit with

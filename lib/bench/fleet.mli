@@ -127,8 +127,15 @@ val liveness_bound : conns:int -> Uls_engine.Time.ns
 (** Default virtual-time hang bound, scaled with fleet size plus
     failover headroom. *)
 
-val run : ?on_metrics:(Uls_engine.Metrics.t -> unit) -> config -> report
+val run :
+  ?on_metrics:(Uls_engine.Metrics.t -> unit) ->
+  ?on_server_close:(Uls_api.Sockets_api.stream -> unit) ->
+  config ->
+  report
 (** Build the cluster (cells, one probe node, client hosts), start the
-    fabric, drive the arrival process, quiesce, and report. *)
+    fabric, drive the arrival process, quiesce, and report.
+    [on_metrics] runs after the run, while the cluster is still alive.
+    [on_server_close] receives every server-side stream right after the
+    server closed it (a leak check can hold them weakly). *)
 
 val print_report : Format.formatter -> config -> report -> unit

@@ -47,6 +47,8 @@ type recv = {
   mutable r_matched : bool;
   mutable r_done : bool;
   mutable r_cancelled : bool;
+  mutable r_entry : recv Match_list.handle;
+      (* its match-list descriptor while posted: unposting is O(1) *)
   r_cond : Cond.t;
 }
 
@@ -536,6 +538,7 @@ let make_recv t ~src ~tag region ~off ~len =
       r_matched = false;
       r_done = false;
       r_cancelled = false;
+      r_entry = Match_list.detached;
       r_cond = Cond.create ~label:"emp:recv" (sim t);
     }
   in
@@ -552,7 +555,7 @@ let post_recv t ~src ~tag region ~off ~len =
   (match uq_match t ~src ~tag with
   | Some slot -> consume_uq t slot r
   | None ->
-    Match_list.post t.posted ~src ~tag r;
+    r.r_entry <- Match_list.post t.posted ~src ~tag r;
     Tigon.doorbell t.nic;
     (* The doorbell lands on the queue that will serve this peer (queue 0
        for wildcard posts — any queue may end up matching it). *)
@@ -590,7 +593,7 @@ let post_recv_batch t specs =
           (match uq_match t ~src ~tag with
           | Some slot -> consume_uq t slot r
           | None ->
-            Match_list.post t.posted ~src ~tag r;
+            r.r_entry <- Match_list.post t.posted ~src ~tag r;
             let q = if src = -1 then 0 else Tigon.steer t.nic ~flow:src in
             queue_counts.(q) <- queue_counts.(q) + 1);
           r)
@@ -614,11 +617,11 @@ let unpost_recv t r =
   if r.r_matched || r.r_done then false
   else begin
     r.r_cancelled <- true;
-    let removed = Match_list.unpost_matching t.posted (fun r' -> r' == r) in
+    let removed = Match_list.remove t.posted r.r_entry in
     (* Cancelled receives complete with the -1 sentinel so fibers blocked
        in [wait_recv] unwind (socket close, §5.3). *)
     complete_recv t r ~len:(-1) ~src:(-1) ~tag:(-1);
-    removed <> []
+    removed
   end
 
 let uq_has_match t ~src ~tag = uq_match t ~src ~tag <> None

@@ -33,6 +33,8 @@ let pin_region t region ~off:_ ~len =
   end
 
 let prepin t region = Hashtbl.replace t.pinned (Memory.id region) ()
+let unpin t region = Hashtbl.remove t.pinned (Memory.id region)
+let pinned_regions t = Hashtbl.length t.pinned
 
 let translation_cache_hits t = t.cache_hits
 let translation_cache_misses t = t.cache_misses

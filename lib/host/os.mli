@@ -29,6 +29,15 @@ val prepin : t -> Memory.region -> unit
     without charging the pin cost. Used for buffers registered during
     connection establishment, outside any timed path. *)
 
+val unpin : t -> Memory.region -> unit
+(** Forget a dead region's translation-cache entry (its owner closed and
+    will never post it again), so the pin table tracks live regions
+    only. Free of simulated cost, and no later pin can tell the
+    difference: a dead region is never pinned again. *)
+
+val pinned_regions : t -> int
+(** Entries in the pin table. *)
+
 val translation_cache_hits : t -> int
 val translation_cache_misses : t -> int
 val flush_translation_cache : t -> unit

@@ -6,19 +6,25 @@
       until one matches, so the per-frame cost is O(total posted
       descriptors) at the paper's ~550 ns each. Faithful to the measured
       Tigon firmware and kept as the ablation baseline.
-    - [Hashed] — a hash index keyed on (src, tag) with per-key
-      descriptor rings. A concrete frame can match at most four keys
+    - [Hashed] — a hash index keyed on (src, tag) with a FIFO of
+      descriptors per key. A concrete frame can match at most four keys
       ((src,tag), (-1,tag), (src,-1), (-1,-1)), so a lookup costs a few
       hash probes instead of a walk, independent of how many other
       connections have descriptors posted.
 
     Every lookup reports a {!probe} so the NIC model can charge walk and
-    hash costs explicitly. *)
+    hash costs explicitly. A wildcard class's hash probe is paid from the
+    first post of that class until {!unpost_all}.
+
+    Removal is physical under both engines: a taken or unposted
+    descriptor is unlinked at once (O(1) per descriptor), and a key
+    whose FIFO empties leaves the index, so the list never retains a
+    removed value. *)
 
 type engine = Linear | Hashed
 
 type probe = { walked : int; lookups : int }
-(** [walked]: descriptors examined (linear walk or ring heads compared);
+(** [walked]: descriptors examined (linear walk or key heads compared);
     [lookups]: hash-table probes (0 for the linear engine). *)
 
 val no_probe : probe
@@ -33,9 +39,19 @@ val engine_name : engine -> string
 val engine_of_string : string -> engine option
 val length : 'a t -> int
 
-val post : 'a t -> src:int -> tag:int -> 'a -> unit
+type 'a handle
+(** One posted descriptor, for unposting it in O(1) with {!remove}. *)
+
+val detached : 'a handle
+(** A handle that names no descriptor ({!remove} answers [false]). *)
+
+val post : 'a t -> src:int -> tag:int -> 'a -> 'a handle
 (** Append a descriptor matching sender [src] and 16-bit [tag].
     [src = -1] or [tag = -1] act as wildcards. *)
+
+val remove : 'a t -> 'a handle -> bool
+(** Unpost this descriptor in O(1). [false] if it was already taken or
+    removed. *)
 
 val take : 'a t -> src:int -> tag:int -> 'a option * probe
 (** Find, remove and return the first descriptor matching an incoming

@@ -152,7 +152,7 @@ let fwd_fiber t () =
     | Fwd_post fwd ->
       Stats.Counter.incr t.mh.h_mailbox_fetches;
       Resource.use t.rx_cpus.(0) m.Cost_model.nic_mailbox_fetch;
-      Match_list.post t.fwd_list ~src:fwd.fwd_src ~tag:fwd.fwd_tag fwd;
+      ignore (Match_list.post t.fwd_list ~src:fwd.fwd_src ~tag:fwd.fwd_tag fwd);
       (* Drain collective frames that raced ahead of the descriptor. *)
       let rec drain () =
         if fwd.fwd_need > 0 then begin

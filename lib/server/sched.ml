@@ -40,8 +40,11 @@ type conn = {
   c_id : int;
   c_stream : Api.stream;
   c_react : string -> reaction;
-  mutable c_seen_data : bool;
-      (* a first byte arrived: no longer a half-open embryo *)
+  c_embryo : conn option ref;
+      (* [Some self] while half-open (accepted, no byte yet): the embryo
+         timer reaches the connection only through this cell, which the
+         first byte and close both clear, so a pending timer never keeps
+         a served or closed connection alive *)
   mutable c_open : bool;
   mutable c_queued : bool;
       (* in the run queue (or being processed by a worker): readiness
@@ -90,6 +93,7 @@ let shed t = t.shed
 let close_conn t c =
   if c.c_open then begin
     c.c_open <- false;
+    c.c_embryo := None;
     (match c.c_handle with Some h -> Evq.deregister h | None -> ());
     Hashtbl.remove t.conns c.c_id;
     (try c.c_stream.close () with _ -> ());
@@ -104,7 +108,7 @@ let one_chunk t c =
   let data = try c.c_stream.recv chunk with _ -> "" in
   if data = "" then close_conn t c
   else begin
-    c.c_seen_data <- true;
+    c.c_embryo := None;
     match c.c_react data with
     | exception _ -> close_conn t c
     | r ->
@@ -136,6 +140,20 @@ let process t c =
 
 let update_backlog t =
   t.mh.g_backlog := float_of_int (try t.listener.pending () with _ -> 0)
+
+let arm_embryo_timer t c =
+  let cell = c.c_embryo in
+  cell := Some c;
+  Sim.at t.sim (Sim.now t.sim + t.cfg.embryo_timeout) (fun () ->
+      match !cell with
+      | Some c ->
+        cell := None;
+        Stats.Counter.incr t.mh.h_embryo_closed;
+        Sim.spawn t.sim
+          ~name:(Printf.sprintf "sched-embryo-%d.%d" t.node c.c_id)
+          ~daemon:true
+          (fun () -> close_conn t c)
+      | None -> ())
 
 let drain_accepts t =
   let n = ref 0 in
@@ -169,7 +187,7 @@ let drain_accepts t =
             c_id = t.next_id;
             c_stream = stream;
             c_react = t.handler peer;
-            c_seen_data = false;
+            c_embryo = ref None;
             c_open = true;
             c_queued = false;
             c_handle = None;
@@ -191,17 +209,11 @@ let drain_accepts t =
            tick would keep the cluster from ever quiescing): a client
            that abandoned the handshake after we built the connection
            never sends a byte, and its half-open orphan must not pin an
-           inflight slot forever. *)
+           inflight slot forever. A plain callback, not a sleeping
+           fiber; it spawns a fiber (close may block) only for an
+           embryo it actually closes. *)
         if t.cfg.embryo_timeout > 0 && t.cfg.embryo_timeout < max_int then
-          Sim.spawn t.sim
-            ~name:(Printf.sprintf "sched-embryo-%d.%d" t.node c.c_id)
-            ~daemon:true
-            (fun () ->
-              Sim.delay t.sim t.cfg.embryo_timeout;
-              if c.c_open && not c.c_seen_data then begin
-                Stats.Counter.incr t.mh.h_embryo_closed;
-                close_conn t c
-              end)
+          arm_embryo_timer t c
       end
   done;
   update_backlog t

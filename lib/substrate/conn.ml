@@ -19,22 +19,22 @@ type env = {
   opts : Options.t;
   ctrl_pool : Sendpool.t;  (* registered ring for small control messages *)
   notify : unit -> unit;
-  release_id : int -> unit;
+  release : t -> unit;
 }
 
-type slot = {
+and slot = {
   sl_region : Memory.region;
   mutable sl_current : E.recv option;
 }
 
-type ready = {
+and ready = {
   rd_seq : int;
   rd_slot : slot;
   rd_len : int; (* payload bytes *)
   mutable rd_off : int; (* consumed payload bytes (streaming reads) *)
 }
 
-type rdvz_req = {
+and rdvz_req = {
   rq_seq : int;
   rq_id : int;
   rq_size : int;
@@ -42,7 +42,7 @@ type rdvz_req = {
 
 (* Metric handles resolved once at create: stream reads/writes bump a
    counter cell directly instead of a per-call registry lookup. *)
-type handles = {
+and handles = {
   h_credit_acks_sent : Stats.Counter.t;
   h_credit_wait_us : Stats.Summary.t;
   h_rdvz_grant_wait_us : Stats.Summary.t;
@@ -55,7 +55,7 @@ type handles = {
   h_resets : Stats.Counter.t;
 }
 
-type t = {
+and t = {
   env : env;
   id : int;
   peer_node : int;
@@ -300,7 +300,8 @@ let ack_fiber t slot () =
 let uq_ack_fiber t () =
   let tag = Tags.make Tags.Credit_ack t.id in
   let region = Memory.alloc 16 in
-  Os.prepin (Node.os t.env.node) region;
+  let os = Node.os t.env.node in
+  Os.prepin os region;
   let rec loop () =
     if t.closed || t.reset then ()
     else if E.uq_has_match t.env.emp ~src:t.peer_node ~tag then begin
@@ -327,7 +328,9 @@ let uq_ack_fiber t () =
       loop ()
     end
   in
-  loop ()
+  loop ();
+  (* The fiber owned its ack buffer; nothing posts it again. *)
+  Os.unpin os region
 
 let req_fiber t () =
   let rec loop () =
@@ -412,7 +415,10 @@ let rdvz_tx_region t len =
     try E.wait_send t.env.emp s with E.Send_failed _ -> ())
   | _ -> ());
   t.rdvz_tx_pending <- None;
-  if Memory.length t.rdvz_tx < len then t.rdvz_tx <- Memory.alloc len;
+  if Memory.length t.rdvz_tx < len then begin
+    Os.unpin (Node.os t.env.node) t.rdvz_tx;
+    t.rdvz_tx <- Memory.alloc len
+  end;
   t.rdvz_tx
 
 let rendezvous_write t data =
@@ -545,6 +551,7 @@ let stage_for_batch t data ~flush =
   end
 
 let data_pool_slots t = Sendpool.slots t.data_pool
+let data_pool t = t.data_pool
 
 (* Gathered write: stage up to a send-pool's worth of eager messages,
    then post them all through the endpoint's tx ring under a single
@@ -692,7 +699,10 @@ let read_rdvz t (q : rdvz_req) n =
      not lose bytes, so receive the whole message and keep the tail for
      later reads. *)
   let cap = if streaming then max 1 q.rq_size else max 1 (min n q.rq_size) in
-  if Memory.length t.rdvz_rx < cap then t.rdvz_rx <- Memory.alloc cap;
+  if Memory.length t.rdvz_rx < cap then begin
+    Os.unpin (Node.os t.env.node) t.rdvz_rx;
+    t.rdvz_rx <- Memory.alloc cap
+  end;
   let region = t.rdvz_rx in
   let r =
     E.post_recv t.env.emp ~src:t.peer_node
@@ -907,6 +917,30 @@ let close_notify_fiber t seq () =
   in
   attempt 1 (Time.ms 1)
 
+(* Every region the connection registered: receive slots, the send
+   pool's ring and the rendezvous buffers. *)
+let regions t =
+  let slot_regions slots = List.map (fun s -> s.sl_region) slots in
+  slot_regions (Array.to_list t.data_slots)
+  @ slot_regions (List.of_seq (Queue.to_seq t.spare_slots))
+  @ slot_regions (Array.to_list t.ack_slots)
+  @ slot_regions [ t.req_slot; t.grant_slot; t.close_slot ]
+  @ Sendpool.regions t.data_pool
+  @ [ t.rdvz_tx; t.rdvz_rx ]
+
+(* What a dead connection gives back (§5.3): its descriptors, its entry
+   in the active-socket table (the substrate keeps its data pool only
+   while sends are still in flight) and its regions' pin-table entries —
+   free of simulated cost, since a dead region is never pinned again. *)
+let teardown t =
+  unpost_everything t;
+  wake_all t;
+  (* Wake the UQ ack fiber so it observes [closed]/[reset] and exits. *)
+  Cond.broadcast (E.uq_arrival_cond t.env.emp);
+  t.env.release t;
+  let os = Node.os t.env.node in
+  List.iter (Os.unpin os) (regions t)
+
 let close t =
   if not t.closed then begin
     t.closed <- true;
@@ -915,11 +949,7 @@ let close t =
     if t.peer_conn >= 0 && not t.peer_closed && not t.reset then
       Sim.spawn (sim t) ~name:"sub-close-notify"
         (close_notify_fiber t t.next_seq);
-    unpost_everything t;
-    wake_all t;
-    (* Wake the UQ ack fiber so it observes [closed] and exits. *)
-    Cond.broadcast (E.uq_arrival_cond t.env.emp);
-    t.env.release_id t.id
+    teardown t
   end
 
 let mark_reset t =
@@ -928,10 +958,7 @@ let mark_reset t =
     Stats.Counter.incr t.mh.h_resets;
     Trace.instant t.trace ~layer:Trace.Substrate ~node:(node_id t) ~conn:t.id
       "sub.reset";
-    unpost_everything t;
-    wake_all t;
-    Cond.broadcast (E.uq_arrival_cond t.env.emp);
-    t.env.release_id t.id
+    teardown t
   end
 
 let is_reset t = t.reset

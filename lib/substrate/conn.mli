@@ -13,17 +13,19 @@ type env = {
   opts : Options.t;
   ctrl_pool : Sendpool.t;  (** registered ring for small control messages *)
   notify : unit -> unit;  (** substrate activity hook for select() *)
-  release_id : int -> unit;  (** drop from the active-socket table *)
+  release : t -> unit;
+      (** drop from the active-socket table (close and reset; must be
+          idempotent) *)
 }
 
-type slot = {
+and slot = {
   sl_region : Uls_host.Memory.region;
   mutable sl_current : Uls_emp.Endpoint.recv option;
 }
 (** A receive buffer with its currently posted descriptor (also used by
     the listener's backlog descriptors). *)
 
-type t
+and t
 
 val create :
   env ->
@@ -95,6 +97,14 @@ val data_pool_slots : t -> int
     many messages on one connection (slot reuse would corrupt a staged,
     unposted message). *)
 
+val data_pool : t -> Sendpool.t
+(** The connection's registered send ring. *)
+
+val regions : t -> Uls_host.Memory.region list
+(** Every memory region the connection owns: receive slots, send ring,
+    rendezvous buffers. {!close} and {!mark_reset} drop them all from
+    the node's pin table. *)
+
 val readable : t -> bool
 
 val add_watcher : t -> (unit -> unit) -> unit
@@ -106,7 +116,8 @@ val add_watcher : t -> (unit -> unit) -> unit
 
 val close : t -> unit
 (** Sends the "closed" control message (sequence-numbered so it cannot
-    overtake in-flight data) and unposts every descriptor. The message is
+    overtake in-flight data), unposts every descriptor, leaves the
+    active-socket table and unpins the connection's regions. The message is
     retransmitted with backoff if EMP exhausts its retries — a peer that
     never hears it would keep its descriptors posted forever. Idempotent. *)
 

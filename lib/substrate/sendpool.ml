@@ -7,9 +7,14 @@
 open Uls_host
 module E = Uls_emp.Endpoint
 
+type state =
+  | Idle
+  | Claimed  (* handed out for a send that is not posted yet *)
+  | Sent of E.send
+
 type slot = {
   region : Memory.region;
-  mutable pending : E.send option;
+  mutable state : state;
 }
 
 type t = {
@@ -18,37 +23,33 @@ type t = {
   mutable next : int;
 }
 
-(* Every pool of a simulation, for the analysis layer's leak scan (keyed
-   by Sim uid, like Metrics). *)
-let registry : (int, t list ref) Hashtbl.t = Hashtbl.create 8
-
-let pools_for_sim sim =
-  match Hashtbl.find_opt registry (Uls_engine.Sim.uid sim) with
-  | Some l -> !l
-  | None -> []
-
 let create node emp ~slots ~size =
   let mk _ =
     let region = Memory.alloc size in
     (* Ring buffers are registered at pool-creation (connection setup)
        time, so steady-state sends always hit the translation cache. *)
     Os.prepin (Node.os node) region;
-    { region; pending = None }
+    { region; state = Idle }
   in
-  let t = { emp; slots = Array.init slots mk; next = 0 } in
-  let key = Uls_engine.Sim.uid (Node.sim node) in
-  (match Hashtbl.find_opt registry key with
-  | Some l -> l := t :: !l
-  | None -> Hashtbl.replace registry key (ref [ t ]));
-  t
+  { emp; slots = Array.init slots mk; next = 0 }
+
+let regions t = Array.fold_right (fun slot acc -> slot.region :: acc) t.slots []
+
+let slot_in_flight slot =
+  match slot.state with
+  | Sent s -> (not (E.send_done s)) && not (E.send_failed s)
+  | Idle | Claimed -> false
 
 let in_flight t =
   Array.fold_left
-    (fun acc slot ->
-      match slot.pending with
-      | Some s when (not (E.send_done s)) && not (E.send_failed s) -> acc + 1
-      | _ -> acc)
+    (fun acc slot -> if slot_in_flight slot then acc + 1 else acc)
     0 t.slots
+
+let busy t =
+  Array.exists
+    (fun slot ->
+      match slot.state with Claimed -> true | Idle | Sent _ -> slot_in_flight slot)
+    t.slots
 
 let slot_size t = Memory.length t.slots.(0).region
 let slots t = Array.length t.slots
@@ -60,13 +61,13 @@ let slots t = Array.length t.slots
 let claim_slot t =
   let slot = t.slots.(t.next) in
   t.next <- (t.next + 1) mod Array.length t.slots;
-  (match slot.pending with
-  | Some s when not (E.send_done s) -> (
+  (match slot.state with
+  | Sent s when not (E.send_done s) -> (
     (* A failed earlier send (peer closed mid-retransmission) still
        frees the slot. *)
     try E.wait_send t.emp s with E.Send_failed _ -> ())
   | _ -> ());
-  slot.pending <- None;
+  slot.state <- Claimed;
   slot
 
 let send t ~dst ~tag data =
@@ -75,7 +76,7 @@ let send t ~dst ~tag data =
   let slot = claim_slot t in
   Memory.blit_from_string data slot.region ~off:0;
   let s = E.post_send t.emp ~dst ~tag slot.region ~off:0 ~len in
-  slot.pending <- Some s;
+  slot.state <- Sent s;
   s
 
 (** Claim a slot and fill it without posting: the batched path stages
@@ -89,4 +90,4 @@ let stage t ~dst ~tag data =
   Memory.blit_from_string data slot.region ~off:0;
   (slot, (dst, tag, slot.region, 0, len))
 
-let commit slots sends = List.iter2 (fun slot s -> slot.pending <- Some s) slots sends
+let commit slots sends = List.iter2 (fun slot s -> slot.state <- Sent s) slots sends

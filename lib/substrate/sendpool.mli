@@ -39,10 +39,14 @@ val commit : slot list -> Uls_emp.Endpoint.send list -> unit
 (** Record the posted sends against their staged slots (same order), so
     later slot reuse waits for them. *)
 
+val busy : t -> bool
+(** A send is in flight, or a slot is claimed and its send not yet
+    recorded: the pool may still hold a send the leak scan must see. *)
+
 val in_flight : t -> int
 (** Slots whose send is neither acknowledged nor failed. At quiescence a
     non-zero count means acknowledgments can no longer arrive — the
     memory-region leak sanitizer flags it. *)
 
-val pools_for_sim : Uls_engine.Sim.t -> t list
-(** Every pool created under this simulation (for the leak scan). *)
+val regions : t -> Uls_host.Memory.region list
+(** The ring buffers, in slot order. *)

@@ -48,7 +48,13 @@ type t = {
       (** (client node, client conn id) -> server conn id, for every live
           accepted connection: a client that never heard our reply resends
           its request, which must re-answer — not build a second
-          connection *)
+          connection. The key is the accepted connection's own
+          (peer node, peer conn), so release drops it in O(1). *)
+  mutable draining : Sendpool.t list;
+      (** data pools of released connections that still had sends in
+          flight: the leak scan must see them until they drain *)
+  mutable draining_len : int;
+  mutable draining_sweep_at : int;
   activity : Cond.t;
   mutable next_id : int;
   mutable next_eport : int;
@@ -140,6 +146,9 @@ let create ?(opts = Options.data_streaming_enhanced) node emp =
       conns = Hashtbl.create 32;
       listeners = Hashtbl.create 8;
       accepted = Hashtbl.create 32;
+      draining = [];
+      draining_len = 0;
+      draining_sweep_at = 16;
       activity = Cond.create ~label:"sub:activity" (Node.sim node);
       next_id = 0;
       next_eport = 40_000;
@@ -158,6 +167,42 @@ let alloc_id t =
   in
   search 0
 
+(* A released connection's data pool stays owned only while it may
+   still hold a send ([Sendpool.busy]). Drained pools are swept out
+   whenever the list doubles, so upkeep is amortized O(1) per release
+   and the list stays within twice the pools that really hold a send. *)
+let retire_pool t pool =
+  if Sendpool.busy pool then begin
+    t.draining <- pool :: t.draining;
+    t.draining_len <- t.draining_len + 1;
+    if t.draining_len >= t.draining_sweep_at then begin
+      t.draining <- List.filter Sendpool.busy t.draining;
+      t.draining_len <- List.length t.draining;
+      t.draining_sweep_at <- max 16 (2 * t.draining_len)
+    end
+  end
+
+(* Close and reset both release; only the first release of this very
+   connection acts (its id may already belong to a newer one). *)
+let release t c =
+  let id = Conn.id c in
+  match Hashtbl.find_opt t.conns id with
+  | Some c' when c' == c ->
+    Hashtbl.remove t.conns id;
+    (* Drop the accept-dedup binding too, or a recycled conn id would
+       answer a stranger's retried request. *)
+    let key = (Conn.peer_node c, Conn.peer_conn c) in
+    (match Hashtbl.find_opt t.accepted key with
+    | Some v when v = id -> Hashtbl.remove t.accepted key
+    | _ -> ());
+    retire_pool t (Conn.data_pool c)
+  | _ -> ()
+
+let send_pools t =
+  t.ctrl_pool
+  :: List.map Conn.data_pool (conns t)
+  @ List.filter Sendpool.busy t.draining
+
 let conn_env t =
   {
     Conn.node = t.node;
@@ -165,17 +210,7 @@ let conn_env t =
     opts = t.opts;
     ctrl_pool = t.ctrl_pool;
     notify = (fun () -> Cond.broadcast t.activity);
-    release_id =
-      (fun id ->
-        Hashtbl.remove t.conns id;
-        (* Drop the accept-dedup binding too, or a recycled conn id
-           would answer a stranger's retried request. *)
-        let stale =
-          Hashtbl.fold
-            (fun k v acc -> if v = id then k :: acc else acc)
-            t.accepted []
-        in
-        List.iter (Hashtbl.remove t.accepted) stale);
+    release = release t;
   }
 
 (* --- listen / accept -------------------------------------------------- *)
@@ -310,11 +345,12 @@ let close_listener t l =
     Hashtbl.remove t.listeners l.l_port;
     Array.iter
       (fun slot ->
-        match slot.Conn.sl_current with
+        (match slot.Conn.sl_current with
         | Some r ->
           ignore (E.unpost_recv t.emp r);
           slot.Conn.sl_current <- None
-        | None -> ())
+        | None -> ());
+        Os.unpin (Node.os t.node) slot.Conn.sl_region)
       l.l_slots;
     (* Wake fibers parked in accept so they observe l_closed. *)
     Cond.broadcast t.activity;
@@ -385,7 +421,11 @@ let connect_blocking t (server : Uls_api.Sockets_api.addr) =
       if n < attempts then attempt (n + 1) (2 * timeout)
       else give_up (Timed_out server)
   in
-  attempt 1 t.opts.Options.connect_timeout
+  (* The reply buffer serves this handshake only: once it resolves,
+     nothing posts it again. *)
+  Fun.protect
+    ~finally:(fun () -> Os.unpin (Node.os t.node) reply_region)
+    (fun () -> attempt 1 t.opts.Options.connect_timeout)
 
 let connect t (server : Uls_api.Sockets_api.addr) =
   if server.port < 0 || server.port > Tags.max_id then

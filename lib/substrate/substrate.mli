@@ -37,6 +37,13 @@ val conns : t -> Conn.t list
 (** The open connections themselves, sorted by id (the leak sanitizer
     walks them). *)
 
+val send_pools : t -> Sendpool.t list
+(** Every send pool this substrate owns that can hold an in-flight send:
+    the control pool, each open connection's data pool, and the data
+    pools of released connections whose sends have not all completed
+    (the leak sanitizer scans them). A closed connection's pool is
+    dropped once it drains, so nothing outlives its last send. *)
+
 val listen : t -> port:int -> backlog:int -> listener
 (** Pre-posts [backlog] connection-request descriptors. Ports are 12-bit
     (tag-encoded). @raise Uls_api.Sockets_api.Bind_in_use *)

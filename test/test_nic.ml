@@ -1,5 +1,5 @@
 (* Tests for the NIC model: tag matching list semantics and walk
-   accounting (both engines), descriptor rings, RSS steering, Tigon
+   accounting (both engines), removal and collectability, RSS steering, Tigon
    resources and transmit backpressure. *)
 open Uls_engine
 open Uls_nic
@@ -7,12 +7,14 @@ open Uls_nic
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+let post ml ~src ~tag v = ignore (Match_list.post ml ~src ~tag v)
+
 (* --- Match_list (every semantic test runs under both engines) --- *)
 
 let test_match_basic engine () =
   let ml = Match_list.create ~engine () in
-  Match_list.post ml ~src:1 ~tag:10 "a";
-  Match_list.post ml ~src:1 ~tag:11 "b";
+  post ml ~src:1 ~tag:10 "a";
+  post ml ~src:1 ~tag:11 "b";
   (match Match_list.take ml ~src:1 ~tag:11 with
   | Some "b", _ -> ()
   | _ -> Alcotest.fail "expected b");
@@ -25,8 +27,8 @@ let test_match_walk_accounting () =
   (* Linear engine: probe.walked counts descriptors examined, matched
      one included; no hash lookups. *)
   let ml = Match_list.create ~engine:Match_list.Linear () in
-  Match_list.post ml ~src:1 ~tag:10 "a";
-  Match_list.post ml ~src:1 ~tag:11 "b";
+  post ml ~src:1 ~tag:10 "a";
+  post ml ~src:1 ~tag:11 "b";
   (match Match_list.take ml ~src:1 ~tag:11 with
   | Some "b", { Match_list.walked; lookups } ->
     check_int "walked past a" 2 walked;
@@ -41,7 +43,7 @@ let test_hashed_lookup_accounting () =
      independent of how many other keys hold descriptors. *)
   let ml = Match_list.create ~engine:Match_list.Hashed () in
   for i = 0 to 999 do
-    Match_list.post ml ~src:i ~tag:7 i
+    post ml ~src:i ~tag:7 i
   done;
   (match Match_list.take ml ~src:999 ~tag:7 with
   | Some 999, { Match_list.walked; lookups } ->
@@ -55,8 +57,8 @@ let test_hashed_lookup_accounting () =
 
 let test_match_fifo_same_tag engine () =
   let ml = Match_list.create ~engine () in
-  Match_list.post ml ~src:1 ~tag:5 "first";
-  Match_list.post ml ~src:1 ~tag:5 "second";
+  post ml ~src:1 ~tag:5 "first";
+  post ml ~src:1 ~tag:5 "second";
   (match Match_list.take ml ~src:1 ~tag:5 with
   | Some "first", _ -> ()
   | _ -> Alcotest.fail "FIFO violated");
@@ -66,8 +68,8 @@ let test_match_fifo_same_tag engine () =
 
 let test_match_src_filter engine () =
   let ml = Match_list.create ~engine () in
-  Match_list.post ml ~src:1 ~tag:5 "from1";
-  Match_list.post ml ~src:2 ~tag:5 "from2";
+  post ml ~src:1 ~tag:5 "from1";
+  post ml ~src:2 ~tag:5 "from2";
   (match Match_list.take ml ~src:2 ~tag:5 with
   | Some "from2", _ -> ()
   | _ -> Alcotest.fail "src filter failed");
@@ -75,15 +77,15 @@ let test_match_src_filter engine () =
 
 let test_match_wildcards engine () =
   let ml = Match_list.create ~engine () in
-  Match_list.post ml ~src:(-1) ~tag:9 "anysrc";
+  post ml ~src:(-1) ~tag:9 "anysrc";
   (match Match_list.take ml ~src:42 ~tag:9 with
   | Some "anysrc", _ -> ()
   | _ -> Alcotest.fail "wildcard src should match");
-  Match_list.post ml ~src:3 ~tag:(-1) "anytag";
+  post ml ~src:3 ~tag:(-1) "anytag";
   (match Match_list.take ml ~src:3 ~tag:12345 with
   | Some "anytag", _ -> ()
   | _ -> Alcotest.fail "wildcard tag should match");
-  Match_list.post ml ~src:(-1) ~tag:(-1) "anything";
+  post ml ~src:(-1) ~tag:(-1) "anything";
   match Match_list.take ml ~src:7 ~tag:7 with
   | Some "anything", _ -> ()
   | _ -> Alcotest.fail "full wildcard should match"
@@ -92,8 +94,8 @@ let test_wildcard_beats_later_exact engine () =
   (* Post order decides between a wildcard and an exact match: the
      earlier post wins, whichever class it is in. *)
   let ml = Match_list.create ~engine () in
-  Match_list.post ml ~src:(-1) ~tag:4 "wild-first";
-  Match_list.post ml ~src:2 ~tag:4 "exact-later";
+  post ml ~src:(-1) ~tag:4 "wild-first";
+  post ml ~src:2 ~tag:4 "exact-later";
   (match Match_list.take ml ~src:2 ~tag:4 with
   | Some "wild-first", _ -> ()
   | _ -> Alcotest.fail "earlier wildcard should win");
@@ -104,7 +106,7 @@ let test_wildcard_beats_later_exact engine () =
 let test_match_miss_walks_all engine () =
   let ml = Match_list.create ~engine () in
   for i = 0 to 9 do
-    Match_list.post ml ~src:1 ~tag:i i
+    post ml ~src:1 ~tag:i i
   done;
   check_bool "no match" true (fst (Match_list.take ml ~src:1 ~tag:99) = None);
   check_int "all still posted" 10 (Match_list.length ml)
@@ -112,7 +114,7 @@ let test_match_miss_walks_all engine () =
 let test_unpost engine () =
   let ml = Match_list.create ~engine () in
   for i = 0 to 4 do
-    Match_list.post ml ~src:1 ~tag:i i
+    post ml ~src:1 ~tag:i i
   done;
   let removed = Match_list.unpost_matching ml (fun v -> v mod 2 = 0) in
   Alcotest.(check (list int)) "evens removed" [ 0; 2; 4 ] removed;
@@ -122,34 +124,34 @@ let test_unpost engine () =
   check_int "empty" 0 (Match_list.length ml)
 
 let test_unposted_never_matches engine () =
-  (* An entry tombstoned through the global list must not surface via
-     the hashed rings later. *)
+  (* An entry unposted through the global list must not surface via
+     its key's FIFO later. *)
   let ml = Match_list.create ~engine () in
-  Match_list.post ml ~src:1 ~tag:1 "dead";
-  Match_list.post ml ~src:1 ~tag:1 "live";
+  post ml ~src:1 ~tag:1 "dead";
+  post ml ~src:1 ~tag:1 "live";
   ignore (Match_list.unpost_matching ml (fun v -> v = "dead"));
   (match Match_list.take ml ~src:1 ~tag:1 with
   | Some "live", _ -> ()
-  | _ -> Alcotest.fail "tombstone leaked");
+  | _ -> Alcotest.fail "unposted entry leaked");
   check_bool "empty now" true (fst (Match_list.take ml ~src:1 ~tag:1) = None)
 
 let test_removed_not_counted_in_walk () =
   let ml = Match_list.create () in
   for i = 0 to 9 do
-    Match_list.post ml ~src:1 ~tag:i i
+    post ml ~src:1 ~tag:i i
   done;
   ignore (Match_list.unpost_matching ml (fun v -> v < 9));
   match Match_list.take ml ~src:1 ~tag:9 with
   | Some 9, { Match_list.walked; _ } ->
-    check_int "tombstones are free to skip" 1 walked
+    check_int "removed entries are never walked" 1 walked
   | _ -> Alcotest.fail "expected 9"
 
 let test_compaction_preserves_order engine () =
   let ml = Match_list.create ~engine () in
   for i = 0 to 99 do
-    Match_list.post ml ~src:1 ~tag:i i
+    post ml ~src:1 ~tag:i i
   done;
-  (* Remove most entries to trigger compaction, then check the rest. *)
+  (* Remove most entries, then check the rest kept post order. *)
   ignore (Match_list.unpost_matching ml (fun v -> v mod 10 <> 0));
   let rest = ref [] in
   Match_list.iter ml (fun v -> rest := v :: !rest);
@@ -158,19 +160,16 @@ let test_compaction_preserves_order engine () =
     (List.rev !rest)
 
 let test_churn_10k engine () =
-  (* Sustained post/take churn across 10k entries: the in-place
-     compaction must keep FIFO-per-key order the whole way (and not
-     blow up quadratically — this test is also the regression witness
-     for the list-rebuild compaction it replaced). *)
+  (* Sustained post/take churn across 10k entries: FIFO-per-key order
+     must hold the whole way, with O(1) work per removal. *)
   let ml = Match_list.create ~engine () in
   let next = Array.make 7 0 and posted = Array.make 7 0 in
   let total = 10_000 in
   for i = 0 to total - 1 do
     let key = i mod 7 in
-    Match_list.post ml ~src:key ~tag:key (i / 7);
+    post ml ~src:key ~tag:key (i / 7);
     posted.(key) <- posted.(key) + 1;
-    (* Every third post, drain two entries: constant churn keeps the
-       vector full of tombstones and compaction busy. *)
+    (* Every third post, drain two entries: constant churn. *)
     if i mod 3 = 2 then
       for _ = 1 to 2 do
         let key = (i / 3) mod 7 in
@@ -207,7 +206,7 @@ let prop_match_list_vs_model =
         (fun (is_post, (src, tag)) ->
           if is_post then begin
             incr counter;
-            Match_list.post ml ~src ~tag !counter;
+            post ml ~src ~tag !counter;
             model := !model @ [ (src, tag, !counter) ];
             true
           end
@@ -254,8 +253,8 @@ let test_engine_parity_seeded () =
         | 0 | 1 | 2 ->
           incr counter;
           let src = pick_id () and tag = pick_id () in
-          Match_list.post lin ~src ~tag !counter;
-          Match_list.post hsh ~src ~tag !counter
+          post lin ~src ~tag !counter;
+          post hsh ~src ~tag !counter
         | 3 ->
           (* Query side: concrete most of the time, wildcard sometimes
              (the hashed engine's documented linear fallback). *)
@@ -284,47 +283,58 @@ let test_engine_parity_seeded () =
       drain ())
     [ 7; 42; 1337; 9001; 123456 ]
 
-(* --- Desc_ring --- *)
-
-let test_desc_ring_fifo () =
-  let r = Desc_ring.create ~dead:(fun v -> !v < 0) () in
-  let cells = Array.init 20 (fun i -> ref i) in
-  Array.iter (Desc_ring.push r) cells;
-  check_int "length" 20 (Desc_ring.length r);
-  (* Tombstone a prefix and some interior entries. *)
-  List.iter (fun i -> cells.(i) := -1) [ 0; 1; 2; 5; 7 ];
-  (match Desc_ring.peek r with
-  | Some v -> check_int "peek reaps dead heads" 3 !v
-  | None -> Alcotest.fail "empty after reap");
-  (match Desc_ring.pop r with
-  | Some v -> check_int "pop returns live head" 3 !v
-  | None -> Alcotest.fail "pop failed");
-  (match Desc_ring.pop r with
-  | Some v -> check_int "next live" 4 !v
-  | None -> Alcotest.fail "pop failed");
-  (* Interior tombstones are reaped when they surface. *)
-  (match Desc_ring.pop r with
-  | Some v -> check_int "skips 5" 6 !v
-  | None -> Alcotest.fail "pop failed");
-  (match Desc_ring.pop r with
-  | Some v -> check_int "skips 7" 8 !v
-  | None -> Alcotest.fail "pop failed");
-  (* Push while partially drained exercises the circular wrap. *)
-  for i = 20 to 40 do
-    Desc_ring.push r (ref i)
+(* Removed descriptors must not stay reachable from a live list (a
+   closed connection's key never sees another frame to reap them).
+   Values are boxed so the weak pointers track real heap blocks. *)
+let test_removed_values_collectable engine () =
+  let ml = Match_list.create ~engine () in
+  let n = 8 in
+  let w = Weak.create (2 * n) in
+  let value i = Option.get (Weak.get w i) in
+  (* Slots 0..n-1 on key (1, 7), all unposted; slots n..2n-1 on the
+     tag-wildcard key (3, -1), all but the last removed one by one. *)
+  for i = 0 to (2 * n) - 1 do
+    let v = Bytes.make 16 'v' in
+    Weak.set w i (Some v);
+    if i < n then post ml ~src:1 ~tag:7 v else post ml ~src:3 ~tag:(-1) v
   done;
-  let last = ref (-1) in
-  let rec drain () =
-    match Desc_ring.pop r with
-    | Some v ->
-      check_bool "monotone drain" true (!v > !last);
-      last := !v;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  check_int "fully drained" 0 (Desc_ring.length r);
-  check_bool "empty" true (Desc_ring.is_empty r)
+  let key1 = List.init n value in
+  ignore (Match_list.unpost_matching ml (fun v -> List.memq v key1));
+  for i = n to (2 * n) - 2 do
+    let v = value i in
+    ignore (Match_list.remove_first ml (fun v' -> v' == v))
+  done;
+  check_int "one live descriptor left" 1 (Match_list.length ml);
+  Gc.full_major ();
+  for i = 0 to (2 * n) - 2 do
+    check_bool "removed value collected" false (Weak.check w i)
+  done;
+  check_bool "live value kept" true (Weak.check w ((2 * n) - 1));
+  (* The emptied key works again, in FIFO order, after a re-post. *)
+  post ml ~src:1 ~tag:7 (Bytes.of_string "again-1");
+  post ml ~src:1 ~tag:7 (Bytes.of_string "again-2");
+  List.iter
+    (fun want ->
+      match Match_list.take ml ~src:1 ~tag:7 with
+      | Some v, _ -> Alcotest.(check string) "re-post FIFO" want (Bytes.to_string v)
+      | None, _ -> Alcotest.fail "re-posted key did not match")
+    [ "again-1"; "again-2" ]
+
+let test_remove_by_handle engine () =
+  let ml = Match_list.create ~engine () in
+  let a = Match_list.post ml ~src:1 ~tag:1 "a" in
+  let b = Match_list.post ml ~src:1 ~tag:1 "b" in
+  let c = Match_list.post ml ~src:1 ~tag:1 "c" in
+  check_bool "remove middle" true (Match_list.remove ml b);
+  check_bool "second remove is a no-op" false (Match_list.remove ml b);
+  check_bool "detached handle" false (Match_list.remove ml Match_list.detached);
+  (match Match_list.take ml ~src:1 ~tag:1 with
+  | Some "a", _ -> ()
+  | _ -> Alcotest.fail "expected a");
+  check_bool "taken handle no longer removable" false (Match_list.remove ml a);
+  check_bool "remove tail" true (Match_list.remove ml c);
+  check_int "empty" 0 (Match_list.length ml);
+  check_bool "nothing left" true (fst (Match_list.take ml ~src:1 ~tag:1) = None)
 
 (* --- Tigon --- *)
 
@@ -428,12 +438,13 @@ let suites =
               test_removed_not_counted_in_walk ];
           engine_cases "compaction order" test_compaction_preserves_order;
           engine_cases "10k churn keeps order" test_churn_10k;
+          engine_cases "removed values collectable"
+            test_removed_values_collectable;
+          engine_cases "remove by handle" test_remove_by_handle;
           [ Alcotest.test_case "engine parity (pinned seeds)" `Quick
               test_engine_parity_seeded ];
           List.map QCheck_alcotest.to_alcotest [ prop_match_list_vs_model ];
         ] );
-    ( "nic.desc_ring",
-      [ Alcotest.test_case "FIFO with tombstones" `Quick test_desc_ring_fifo ] );
     ( "nic.tigon",
       [
         Alcotest.test_case "resource FIFO" `Quick test_tigon_resources_serialize;

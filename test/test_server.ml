@@ -326,6 +326,96 @@ let test_scheduler_admission_control () =
   check_bool "admission control shed some" true (!rejected > 0);
   check_bool "admission control admitted some" true (!admitted > 0)
 
+(* --- embryo timer ------------------------------------------------------- *)
+
+(* A scheduler on node 0 whose listener records, per accepted stream,
+   the virtual instants of accept and of the server's close. *)
+let embryo_rig ~timeout =
+  let c = Uls_bench.Cluster.create ~n:2 () in
+  let sim = Uls_bench.Cluster.sim c in
+  let api =
+    Uls_bench.Cluster.substrate_api ~opts:Uls_substrate.Options.server c
+  in
+  let accepted_at = ref [] and closed_at = ref [] in
+  let sched = ref None in
+  Sim.spawn sim (fun () ->
+      let l = api.listen ~node:0 ~port:80 ~backlog:8 in
+      let observe (s, peer) =
+        accepted_at := Sim.now sim :: !accepted_at;
+        let close () =
+          closed_at := Sim.now sim :: !closed_at;
+          s.Uls_api.Sockets_api.close ()
+        in
+        ({ s with Uls_api.Sockets_api.close }, peer)
+      in
+      let listener =
+        {
+          l with
+          Uls_api.Sockets_api.try_accept =
+            (fun () -> Option.map observe (l.try_accept ()));
+        }
+      in
+      sched :=
+        Some
+          (Sched.start sim ~node:0
+             ~config:{ Sched.default_config with embryo_timeout = timeout }
+             ~listener
+             ~handler:(fun _ data -> { Sched.replies = [ data ]; close = false })
+             ()));
+  let embryo_closed () =
+    Metrics.counter_value (Metrics.for_sim sim) ~node:0
+      "server.sched.embryo_closed"
+  in
+  (c, sim, api, sched, accepted_at, closed_at, embryo_closed)
+
+let test_embryo_timer_closes_silent_conn () =
+  let timeout = Time.ms 5 in
+  let c, sim, api, sched, accepted_at, closed_at, embryo_closed =
+    embryo_rig ~timeout
+  in
+  let eof = ref false in
+  Sim.spawn sim (fun () ->
+      Sim.delay sim (Time.us 10);
+      let s = api.connect ~node:1 { node = 0; port = 80 } in
+      (* Never write: the server must give up on us by itself. *)
+      eof := s.recv 16 = "";
+      s.close ());
+  Sim.spawn sim (fun () ->
+      Sim.delay sim (Time.ms 50);
+      Option.iter Sched.stop !sched);
+  ignore (Uls_bench.Cluster.run ~until:(Time.s 1) c);
+  (match (!accepted_at, !closed_at) with
+  | [ a ], z :: _ ->
+    check_int "closed exactly embryo_timeout after accept" timeout
+      (List.fold_left min z !closed_at - a)
+  | _ -> Alcotest.fail "expected one accepted and a closed connection");
+  check_int "counted as an embryo close" 1 (embryo_closed ());
+  check_bool "client saw end of stream" true !eof
+
+let test_embryo_timer_spares_conn_that_spoke () =
+  let timeout = Time.ms 5 in
+  let c, sim, api, sched, accepted_at, closed_at, embryo_closed =
+    embryo_rig ~timeout
+  in
+  let echoed = ref "" and open_after_timeout = ref false in
+  Sim.spawn sim (fun () ->
+      Sim.delay sim (Time.us 10);
+      let s = api.connect ~node:1 { node = 0; port = 80 } in
+      s.send "x";
+      echoed := s.recv 16;
+      (* Idle well past the timeout: the timer must stay quiet. *)
+      Sim.delay sim (4 * timeout);
+      open_after_timeout := !closed_at = [];
+      s.close ());
+  Sim.spawn sim (fun () ->
+      Sim.delay sim (Time.ms 50);
+      Option.iter Sched.stop !sched);
+  ignore (Uls_bench.Cluster.run ~until:(Time.s 1) c);
+  check_str "echoed" "x" !echoed;
+  check_int "one accept" 1 (List.length !accepted_at);
+  check_bool "still open after the timeout" true !open_after_timeout;
+  check_int "no embryo close" 0 (embryo_closed ())
+
 (* --- HTTP incremental parsing ------------------------------------------ *)
 
 let req ?(version = "HTTP/1.1") ?(headers = []) ?(body = "") path =
@@ -523,6 +613,10 @@ let suites =
       [
         Alcotest.test_case "fairness under hot neighbor" `Quick
           test_scheduler_fairness_hot_neighbor;
+        Alcotest.test_case "embryo timer closes a silent conn" `Quick
+          test_embryo_timer_closes_silent_conn;
+        Alcotest.test_case "embryo timer spares a conn that spoke" `Quick
+          test_embryo_timer_spares_conn_that_spoke;
         Alcotest.test_case "admission control sheds" `Quick
           test_scheduler_admission_control;
       ] );

@@ -785,6 +785,68 @@ let prop_dg_message_count =
           ignore (Uls_bench.Cluster.run c);
           List.rev !got = sizes))
 
+(* Closed connections leave nothing behind: once both sides of K echo
+   connections have closed and the cluster has quiesced, neither side's
+   connection nor any region it owned may still be reachable — while
+   the cluster itself is. Covers the NIC match index (cancelled
+   descriptors), the substrate's send pools and the pin table. *)
+let test_closed_conns_collectable engine () =
+  let k = 6 in
+  let c = Uls_bench.Cluster.create ~match_engine:engine ~n:2 () in
+  let sim = Uls_bench.Cluster.sim c in
+  let opts = Opt.server in
+  let client = Uls_bench.Cluster.substrate ~opts c 0 in
+  let server = Uls_bench.Cluster.substrate ~opts c 1 in
+  let tracked = ref [] and echoed = ref 0 and pins = ref [] in
+  let track conn =
+    List.iter
+      (fun v ->
+        let w = Weak.create 1 in
+        Weak.set w 0 (Some v);
+        tracked := w :: !tracked)
+      (Obj.repr conn
+      :: List.map Obj.repr (Uls_substrate.Conn.regions conn))
+  in
+  let pinned () =
+    List.map
+      (fun i ->
+        Uls_host.Os.pinned_regions
+          (Uls_host.Node.os (Uls_bench.Cluster.node c i)))
+      [ 0; 1 ]
+  in
+  Sim.spawn sim (fun () ->
+      let l = Sub.listen server ~port:80 ~backlog:4 in
+      pins := pinned ();
+      for _ = 1 to k do
+        let conn, _ = Sub.accept server l in
+        track conn;
+        Sim.spawn sim (fun () ->
+            Uls_substrate.Conn.write conn (Uls_substrate.Conn.read conn 64);
+            ignore (Uls_substrate.Conn.read conn 64);
+            Uls_substrate.Conn.close conn)
+      done);
+  for i = 1 to k do
+    Sim.spawn sim (fun () ->
+        Sim.delay sim (Time.us (10 * i));
+        let conn = Sub.connect client { node = 1; port = 80 } in
+        track conn;
+        Uls_substrate.Conn.write conn "ping";
+        if Uls_substrate.Conn.read conn 64 = "ping" then incr echoed;
+        Uls_substrate.Conn.close conn)
+  done;
+  check_bool "quiescent" true (Uls_bench.Cluster.run c = `Quiescent);
+  check_int "every pair echoed" k !echoed;
+  check_int "no connection left open" 0
+    (Sub.active_connections client + Sub.active_connections server);
+  Alcotest.(check (list int))
+    "pin tables back to their pre-connection size" !pins (pinned ());
+  Gc.full_major ();
+  let survivors =
+    List.length (List.filter (fun w -> Weak.check w 0) !tracked)
+  in
+  check_int "closed connections and their regions collected" 0 survivors;
+  ignore (Sys.opaque_identity c)
+
 let suites =
   [
     ( "substrate.connection",
@@ -848,5 +910,9 @@ let suites =
           test_peer_close_wakes_all_rendezvous_writers;
         Alcotest.test_case "concurrent rendezvous writers" `Quick
           test_concurrent_rendezvous_writers_deliver_all;
+        Alcotest.test_case "closed conns collectable (linear)" `Quick
+          (test_closed_conns_collectable Uls_nic.Match_list.Linear);
+        Alcotest.test_case "closed conns collectable (hashed)" `Quick
+          (test_closed_conns_collectable Uls_nic.Match_list.Hashed);
       ] );
   ]
