@@ -1,5 +1,6 @@
 (* Command-line driver for the reproduction: run paper experiments or
-   one-off micro-benchmarks on the simulated testbed. *)
+   one-off micro-benchmarks on the simulated testbed, and the CI gates
+   ([check]). *)
 
 open Cmdliner
 
@@ -25,14 +26,42 @@ let stack_conv =
   in
   Arg.conv (parse, print)
 
-let kind_of_stack = function
-  | `Emp -> Uls_bench.Microbench.Emp_raw
-  | `Tcp -> Uls_bench.Microbench.Tcp Uls_tcp.Config.default
-  | `Tcp_tuned ->
-    Uls_bench.Microbench.Tcp Uls_tcp.Config.(with_buffers default 262_144)
-  | `Ds -> Uls_bench.Microbench.Sub Uls_substrate.Options.data_streaming_enhanced
-  | `Ds_base -> Uls_bench.Microbench.Sub Uls_substrate.Options.data_streaming
-  | `Dg -> Uls_bench.Microbench.Sub Uls_substrate.Options.datagram
+let stack_flag ~doc =
+  Arg.(value & opt stack_conv `Ds & info [ "stack" ] ~docv:"STACK" ~doc)
+
+let any_stack = "emp | tcp | tcp-tuned | ds | ds-base | dg"
+
+(* [~serving] maps ds to the substrate's server preset (small
+   per-connection buffers, piggy-backed acks). *)
+let kind_of_stack ?(serving = false) stack =
+  let module M = Uls_bench.Microbench in
+  let module O = Uls_substrate.Options in
+  match stack with
+  | `Emp -> M.Emp_raw
+  | `Tcp -> M.Tcp Uls_tcp.Config.default
+  | `Tcp_tuned -> M.Tcp Uls_tcp.Config.(with_buffers default 262_144)
+  | `Ds -> M.Sub (if serving then O.server else O.data_streaming_enhanced)
+  | `Ds_base -> M.Sub O.data_streaming
+  | `Dg -> M.Sub O.datagram
+
+(* The sockets-stream drivers (chaos, serve, fabric) have no raw-EMP
+   mode. *)
+let stream_kind ~cmd ?serving stack =
+  match kind_of_stack ?serving stack with
+  | Uls_bench.Microbench.Emp_raw ->
+    Printf.eprintf "ulsbench %s: raw EMP has no sockets stream; use ds/dg\n"
+      cmd;
+    exit 124
+  | Uls_bench.Microbench.Tcp c -> Uls_bench.Chaos.Tcp c
+  | Uls_bench.Microbench.Sub o -> Uls_bench.Chaos.Sub o
+
+let seed_flag =
+  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED"
+         ~doc:"Rng and fault-engine seed; same seed, same run.")
+
+let loss_flag =
+  Arg.(value & opt float 0. & info [ "loss" ] ~docv:"P"
+         ~doc:"Uniform frame-loss probability (fault engine).")
 
 (* --- figures ----------------------------------------------------------- *)
 
@@ -95,6 +124,12 @@ let emit_json ~file fields =
   close_out oc;
   Printf.printf "record appended -> %s\n" file
 
+(* [--json]: the record sink for [file], a no-op unless the flag is set. *)
+let json_flag ~file =
+  let doc = Printf.sprintf "Append a JSON record per run to %s." file in
+  let on = Arg.(value & flag & info [ "json" ] ~doc) in
+  Term.(const (fun on -> if on then emit_json ~file else ignore) $ on)
+
 let sched_conv =
   let parse = function
     | "heap" -> Ok `Heap
@@ -115,10 +150,10 @@ let sched_flag default =
 
 let sched_name = function `Heap -> "heap" | `Wheel -> "wheel"
 
-(* Parse one flat record emitted by [emit_json] back into fields — the
-   --check gates read committed BENCH_*.json baselines with this. Only
+(* Parse one flat record emitted by [emit_json] back into fields. Only
    handles the shape we emit: one {"k":v,...} object per line, values
-   ints / %.3f floats / bools / %S strings. *)
+   ints / %.3f floats / bools / %S strings. A line cut short anywhere,
+   even between fields, is not a record. *)
 let parse_record line =
   let n = String.length line in
   let i = ref 0 in
@@ -172,24 +207,9 @@ let parse_record line =
       end
     in
     loop ();
+    expect '}';
     Some (List.rev !fields)
   with Exit -> None
-
-let read_records file =
-  if not (Sys.file_exists file) then []
-  else begin
-    let ic = open_in file in
-    let recs = ref [] in
-    (try
-       while true do
-         match parse_record (input_line ic) with
-         | Some r -> recs := r :: !recs
-         | None -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !recs
-  end
 
 let match_conv =
   let parse s =
@@ -216,10 +236,6 @@ let json_str s = Printf.sprintf "%S" s
 let json_bool b = if b then "true" else "false"
 
 let latency_cmd =
-  let stack =
-    Arg.(value & opt stack_conv `Ds & info [ "stack" ] ~docv:"STACK"
-           ~doc:"emp | tcp | tcp-tuned | ds | ds-base | dg")
-  in
   let size =
     Arg.(value & opt int 4 & info [ "size" ] ~docv:"BYTES" ~doc:"Message size.")
   in
@@ -241,13 +257,9 @@ let latency_cmd =
   in
   Cmd.v
     (Cmd.info "latency" ~doc:"Ping-pong one-way latency on a 2-node cluster")
-    Term.(const run $ stack $ size $ iters $ metrics_flag)
+    Term.(const run $ stack_flag ~doc:any_stack $ size $ iters $ metrics_flag)
 
 let bandwidth_cmd =
-  let stack =
-    Arg.(value & opt stack_conv `Ds & info [ "stack" ] ~docv:"STACK"
-           ~doc:"emp | tcp | tcp-tuned | ds | ds-base | dg")
-  in
   let msg =
     Arg.(value & opt int 65_536 & info [ "msg" ] ~docv:"BYTES" ~doc:"Message size.")
   in
@@ -272,9 +284,25 @@ let bandwidth_cmd =
   in
   Cmd.v
     (Cmd.info "bandwidth" ~doc:"Unidirectional stream bandwidth")
-    Term.(const run $ stack $ msg $ total $ metrics_flag)
+    Term.(const run $ stack_flag ~doc:any_stack $ msg $ total $ metrics_flag)
 
 (* --- chaos -------------------------------------------------------------- *)
+
+(* One loss sweep per stack, tables printed; returns the number of runs
+   that hung or delivered corrupt bytes. *)
+let chaos_sweep ~stacks ~seed ~total ~msg ~rates =
+  List.fold_left
+    (fun bad stack ->
+      let kind = stream_kind ~cmd:"chaos" stack in
+      let rows = Uls_bench.Chaos.sweep ~seed ~rates ~total ~msg ~kind () in
+      Uls_bench.Chaos.print_table Format.std_formatter ~kind rows;
+      bad
+      + List.length
+          (List.filter
+             (fun r ->
+               not (r.Uls_bench.Chaos.completed && r.Uls_bench.Chaos.intact))
+             rows))
+    0 stacks
 
 let chaos_cmd =
   let stacks =
@@ -282,10 +310,6 @@ let chaos_cmd =
            ~docv:"STACK"
            ~doc:"Stack(s) to sweep (repeatable): tcp | tcp-tuned | ds | \
                  ds-base | dg. Default: ds and tcp.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED"
-           ~doc:"Fault-engine seed; same seed, same fault sequence.")
   in
   let total =
     Arg.(value & opt int (4 * 1024 * 1024) & info [ "total" ] ~docv:"BYTES"
@@ -300,33 +324,10 @@ let chaos_cmd =
          & info [ "loss" ] ~docv:"P,P,..."
              ~doc:"Frame-loss probabilities to sweep (fractions, not %).")
   in
-  let chaos_kind = function
-    | `Emp ->
-      prerr_endline "ulsbench chaos: raw EMP has no sockets stream; use ds/dg";
-      exit 124
-    | `Tcp -> Uls_bench.Chaos.Tcp Uls_tcp.Config.default
-    | `Tcp_tuned ->
-      Uls_bench.Chaos.Tcp Uls_tcp.Config.(with_buffers default 262_144)
-    | `Ds -> Uls_bench.Chaos.Sub Uls_substrate.Options.data_streaming_enhanced
-    | `Ds_base -> Uls_bench.Chaos.Sub Uls_substrate.Options.data_streaming
-    | `Dg -> Uls_bench.Chaos.Sub Uls_substrate.Options.datagram
-  in
   let run stacks seed total msg rates =
-    let failures = ref 0 in
-    List.iter
-      (fun stack ->
-        let kind = chaos_kind stack in
-        let rows = Uls_bench.Chaos.sweep ~seed ~rates ~total ~msg ~kind () in
-        Uls_bench.Chaos.print_table Format.std_formatter ~kind rows;
-        List.iter
-          (fun r ->
-            if not (r.Uls_bench.Chaos.completed && r.Uls_bench.Chaos.intact)
-            then incr failures)
-          rows)
-      stacks;
-    if !failures > 0 then begin
-      Printf.eprintf "ulsbench chaos: %d run(s) hung or corrupted data\n"
-        !failures;
+    let bad = chaos_sweep ~stacks ~seed ~total ~msg ~rates in
+    if bad > 0 then begin
+      Printf.eprintf "ulsbench chaos: %d run(s) hung or corrupted data\n" bad;
       exit 1
     end
   in
@@ -336,28 +337,51 @@ let chaos_cmd =
          "Stream a checksummed payload under seeded frame loss and print \
           goodput/retransmission tables per loss rate; exits non-zero if \
           any run hangs or delivers corrupt bytes")
-    Term.(const run $ stacks $ seed $ total $ msg $ rates)
+    Term.(const run $ stacks $ seed_flag $ total $ msg $ rates)
 
 (* --- serve -------------------------------------------------------------- *)
 
+let serve_config stack workload open_loop ~conns ~requests ~size ~think ~seed
+    ~loss ~clients ~backlog ~workers ~max_inflight ~match_engine ~event_sched =
+  let open Uls_bench in
+  let client_nodes =
+    if clients > 0 then clients else max 2 (min 8 ((conns + 511) / 512))
+  in
+  let backlog = if backlog > 0 then backlog else max 64 (min conns 1024) in
+  let sched =
+    if workers = Uls_server.Sched.default_config.workers && max_inflight = 0
+    then None
+    else
+      Some
+        {
+          Uls_server.Sched.default_config with
+          workers;
+          max_inflight = (if max_inflight = 0 then max_int else max_inflight);
+          reject =
+            (match workload with
+            | Load.Http -> Some Uls_server.Server.http_reject
+            | Load.Echo -> None);
+        }
+  in
+  {
+    Load.kind = stream_kind ~cmd:"serve" ~serving:true stack;
+    workload;
+    loop = (match open_loop with None -> Load.Closed | Some r -> Load.Open r);
+    conns;
+    requests_per_conn = requests;
+    size;
+    think = think *. 1e3;
+    seed;
+    loss;
+    client_nodes;
+    backlog;
+    sched;
+    match_engine;
+    event_sched;
+  }
+
 let serve_cmd =
   let open Uls_bench in
-  let stack =
-    Arg.(value & opt stack_conv `Ds & info [ "stack" ] ~docv:"STACK"
-           ~doc:"tcp | tcp-tuned | ds | ds-base | dg. For serving, ds maps \
-                 to the substrate's server preset (small per-connection \
-                 buffers, piggy-backed acks).")
-  in
-  let serve_kind = function
-    | `Emp ->
-      prerr_endline "ulsbench serve: raw EMP has no sockets stream; use ds/dg";
-      exit 124
-    | `Tcp -> Chaos.Tcp Uls_tcp.Config.default
-    | `Tcp_tuned -> Chaos.Tcp Uls_tcp.Config.(with_buffers default 262_144)
-    | `Ds -> Chaos.Sub Uls_substrate.Options.server
-    | `Ds_base -> Chaos.Sub Uls_substrate.Options.data_streaming
-    | `Dg -> Chaos.Sub Uls_substrate.Options.datagram
-  in
   let workload_conv =
     let parse = function
       | "echo" -> Ok Load.Echo
@@ -395,12 +419,6 @@ let serve_cmd =
     Arg.(value & opt float 0. & info [ "think" ] ~docv:"US"
            ~doc:"Mean think time between requests (us, closed loop).")
   in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED"
-                    ~doc:"Rng seed; same seed, same run.") in
-  let loss =
-    Arg.(value & opt float 0. & info [ "loss" ] ~docv:"P"
-           ~doc:"Uniform frame-loss probability (fault engine).")
-  in
   let clients =
     Arg.(value & opt int 0 & info [ "clients" ] ~docv:"N"
            ~doc:"Client nodes the fleet spreads over (0 = auto).")
@@ -418,59 +436,8 @@ let serve_cmd =
            ~doc:"Admission limit; accepts beyond it are shed with an \
                  explicit reject (0 = unlimited).")
   in
-  let smoke =
-    Arg.(value & flag & info [ "smoke" ]
-           ~doc:"CI mode: pinned-seed runs over ds and tcp, echo and http, \
-                 plus a determinism double-run; non-zero exit on any hang, \
-                 lost request, mismatch or divergence.")
-  in
-  let build_config stack workload open_loop ~conns ~requests ~size ~think
-      ~seed ~loss ~clients ~backlog ~workers ~max_inflight ~match_engine
-      ~event_sched =
-    let kind = serve_kind stack in
-    let client_nodes =
-      if clients > 0 then clients else max 2 (min 8 ((conns + 511) / 512))
-    in
-    let backlog = if backlog > 0 then backlog else max 64 (min conns 1024) in
-    let sched =
-      if workers = Uls_server.Sched.default_config.workers && max_inflight = 0
-      then None
-      else
-        Some
-          {
-            Uls_server.Sched.default_config with
-            workers;
-            max_inflight = (if max_inflight = 0 then max_int else max_inflight);
-            reject =
-              (match workload with
-              | Load.Http -> Some Uls_server.Server.http_reject
-              | Load.Echo -> None);
-          }
-    in
-    {
-      Load.kind;
-      workload;
-      loop = (match open_loop with None -> Load.Closed | Some r -> Load.Open r);
-      conns;
-      requests_per_conn = requests;
-      size;
-      think = think *. 1e3;
-      seed;
-      loss;
-      client_nodes;
-      backlog;
-      sched;
-      match_engine;
-      event_sched;
-    }
-  in
-  let run_one ?on_metrics cfg =
-    let r = Load.run ?on_metrics cfg in
-    Load.print_report Format.std_formatter cfg r;
-    r
-  in
-  let serve_json cfg (r : Load.report) =
-    emit_json ~file:"BENCH_serve.json"
+  let serve_json record cfg (r : Load.report) =
+    record
       [
         ("bench", json_str "serve");
         ("stack", json_str (Chaos.kind_name cfg.Load.kind));
@@ -513,87 +480,17 @@ let serve_cmd =
       ]
   in
   let run stack conns requests size workload open_loop think seed loss clients
-      backlog workers max_inflight match_engine event_sched smoke metrics json =
+      backlog workers max_inflight match_engine event_sched metrics record =
+    let cfg =
+      serve_config stack workload open_loop ~conns ~requests ~size ~think ~seed
+        ~loss ~clients ~backlog ~workers ~max_inflight ~match_engine
+        ~event_sched
+    in
     let on_metrics = if metrics then Some dump_metrics else None in
-    if smoke then begin
-      (* Pinned-seed CI matrix; flags other than --metrics and --sched
-         are ignored. *)
-      let failures = ref 0 in
-      let smoke_config ?(match_engine = Uls_nic.Match_list.Hashed) stack
-          workload =
-        build_config stack workload None ~conns:128 ~requests:4 ~size:256
-          ~think:0. ~seed:42 ~loss:0. ~clients:2 ~backlog:0 ~workers:4
-          ~max_inflight:0 ~match_engine ~event_sched
-      in
-      let check r =
-        if
-          not
-            (r.Load.completed_run && r.Load.intact && r.Load.errors = 0
-           && r.Load.shed = 0 && r.Load.refused = 0 && r.Load.mismatches = 0
-           && r.Load.completed = r.Load.sent)
-        then incr failures
-      in
-      List.iter
-        (fun (st, w) -> check (run_one ?on_metrics (smoke_config st w)))
-        [ (`Ds, Load.Echo); (`Ds, Load.Http); (`Tcp, Load.Echo);
-          (`Tcp, Load.Http) ];
-      (* Determinism: same seed, byte-identical report. *)
-      let cfg = smoke_config `Ds Load.Echo in
-      let a = Load.run cfg and b = Load.run cfg in
-      check a;
-      if a <> b then begin
-        prerr_endline "ulsbench serve --smoke: seeded runs diverged";
-        incr failures
-      end;
-      (* Match-engine ablation at the 512-conn row (where the linear
-         walk's O(posted descriptors) cost begins to bite): hashed must
-         be at least as fast as linear on both stacks, and the hashed
-         row must be schedule-deterministic. *)
-      let scale_config stack engine =
-        build_config stack Load.Echo None ~conns:512 ~requests:2 ~size:256
-          ~think:0. ~seed:42 ~loss:0. ~clients:4 ~backlog:0 ~workers:4
-          ~max_inflight:0 ~match_engine:engine ~event_sched
-      in
-      (* Match-engine ablation only on the substrate stack: TCP takes the
-         kernel receive path and never touches the NIC tag matcher, so a
-         linear-vs-hashed pair there is the same run counted twice. *)
-      let lin = run_one ?on_metrics (scale_config `Ds Uls_nic.Match_list.Linear) in
-      let hsh = run_one ?on_metrics (scale_config `Ds Uls_nic.Match_list.Hashed) in
-      check lin;
-      check hsh;
-      if hsh.Load.rps < lin.Load.rps *. 0.999 then begin
-        Printf.eprintf
-          "ulsbench serve --smoke: hashed slower than linear at 512 \
-           conns (%.0f vs %.0f req/s)\n"
-          hsh.Load.rps lin.Load.rps;
-        incr failures
-      end;
-      (* TCP at the same 512-conn point, once. *)
-      check (run_one ?on_metrics (scale_config `Tcp Uls_nic.Match_list.Hashed));
-      let cfg = scale_config `Ds Uls_nic.Match_list.Hashed in
-      let a = Load.run cfg and b = Load.run cfg in
-      check a;
-      if a <> b then begin
-        prerr_endline
-          "ulsbench serve --smoke: hashed 512-conn seeded runs diverged";
-        incr failures
-      end;
-      if !failures > 0 then begin
-        Printf.eprintf "ulsbench serve --smoke: %d failure(s)\n" !failures;
-        exit 1
-      end;
-      print_endline "serve smoke: ok"
-    end
-    else begin
-      let cfg =
-        build_config stack workload open_loop ~conns ~requests ~size ~think
-          ~seed ~loss ~clients ~backlog ~workers ~max_inflight ~match_engine
-          ~event_sched
-      in
-      let r = run_one ?on_metrics cfg in
-      if json then serve_json cfg r;
-      if not (r.Load.completed_run && r.Load.intact) then exit 1
-    end
+    let r = Load.run ?on_metrics cfg in
+    Load.print_report Format.std_formatter cfg r;
+    serve_json record cfg r;
+    if not (r.Load.completed_run && r.Load.intact) then exit 1
   in
   Cmd.v
     (Cmd.info "serve"
@@ -601,30 +498,46 @@ let serve_cmd =
          "Event-driven server under a client fleet: echo or keep-alive \
           HTTP over the readiness engine + connection scheduler, driven \
           open- or closed-loop; prints throughput and latency percentiles")
-    Term.(const run $ stack $ conns $ requests $ size $ workload $ open_loop
-          $ think $ seed $ loss $ clients $ backlog $ workers $ max_inflight
-          $ match_engine_flag $ sched_flag `Wheel $ smoke $ metrics_flag
-          $ Arg.(value & flag & info [ "json" ]
-                   ~doc:"Append a JSON record to BENCH_serve.json."))
+    Term.(const run
+          $ stack_flag
+              ~doc:"tcp | tcp-tuned | ds | ds-base | dg. For serving, ds \
+                    maps to the substrate's server preset (small \
+                    per-connection buffers, piggy-backed acks)."
+          $ conns $ requests $ size $ workload $ open_loop $ think $ seed_flag
+          $ loss_flag $ clients $ backlog $ workers $ max_inflight
+          $ match_engine_flag $ sched_flag `Wheel $ metrics_flag
+          $ json_flag ~file:"BENCH_serve.json")
 
 (* --- fabric ------------------------------------------------------------- *)
 
+let fabric_config ~stack ~cells ~shards ~conns ~requests ~size ~rate ~think
+    ~clients ~seed ~loss ~max_inflight ~backlog ~vnodes ~kill ~drain
+    ~match_engine ~event_sched =
+  let auto_clients = max 4 (min 64 (max cells ((conns + 2047) / 2048) * 4)) in
+  {
+    Uls_bench.Fleet.default with
+    kind = stream_kind ~cmd:"fabric" ~serving:true stack;
+    match_engine;
+    event_sched;
+    cells;
+    shards;
+    conns;
+    requests_per_conn = requests;
+    size;
+    rate;
+    think = think *. 1e3;
+    client_nodes = (if clients > 0 then clients else auto_clients);
+    seed;
+    loss;
+    max_inflight;
+    backlog;
+    vnodes;
+    kill = Option.map (fun (c, ms) -> (c, Uls_engine.Time.ms ms)) kill;
+    drain = Option.map (fun (c, ms) -> (c, Uls_engine.Time.ms ms)) drain;
+  }
+
 let fabric_cmd =
   let open Uls_bench in
-  let stack =
-    Arg.(value & opt stack_conv `Ds & info [ "stack" ] ~docv:"STACK"
-           ~doc:"tcp | tcp-tuned | ds | ds-base | dg.")
-  in
-  let fabric_kind = function
-    | `Emp ->
-      prerr_endline "ulsbench fabric: raw EMP has no sockets stream; use ds/dg";
-      exit 124
-    | `Tcp -> Chaos.Tcp Uls_tcp.Config.default
-    | `Tcp_tuned -> Chaos.Tcp Uls_tcp.Config.(with_buffers default 262_144)
-    | `Ds -> Chaos.Sub Uls_substrate.Options.server
-    | `Ds_base -> Chaos.Sub Uls_substrate.Options.data_streaming
-    | `Dg -> Chaos.Sub Uls_substrate.Options.datagram
-  in
   (* "CELL@MS": cell id and a virtual-time instant in milliseconds. *)
   let cell_at_conv =
     let parse s =
@@ -673,12 +586,6 @@ let fabric_cmd =
            ~doc:"Client nodes (0 = auto: enough to keep per-node NIC \
                  match walks short).")
   in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED"
-                    ~doc:"Rng seed; same seed, same run.") in
-  let loss =
-    Arg.(value & opt float 0. & info [ "loss" ] ~docv:"P"
-           ~doc:"Uniform frame-loss probability.")
-  in
   let max_inflight =
     Arg.(value & opt int 0 & info [ "max-inflight" ] ~docv:"N"
            ~doc:"Per-shard admission limit (0 = unlimited).")
@@ -702,42 +609,8 @@ let fabric_cmd =
     Arg.(value & opt (some cell_at_conv) None & info [ "drain" ] ~docv:"CELL@MS"
            ~doc:"Gracefully drain this cell at this virtual time.")
   in
-  let smoke =
-    Arg.(value & flag & info [ "smoke" ]
-           ~doc:"CI mode: pinned-seed cell x stack matrix plus a \
-                 kill-failover run and a determinism double-run whose first \
-                 run also checks that closed server-side streams are \
-                 collectable; non-zero exit on any hang, mismatch, \
-                 divergence or retained stream.")
-  in
-  let auto_clients cells conns = max 4 (min 64 (max cells ((conns + 2047) / 2048) * 4)) in
-  let build ~stack ~cells ~shards ~conns ~requests ~size ~rate ~think ~clients
-      ~seed ~loss ~max_inflight ~backlog ~vnodes ~kill ~drain ~match_engine
-      ~event_sched =
-    {
-      Fleet.default with
-      kind = fabric_kind stack;
-      match_engine;
-      event_sched;
-      cells;
-      shards;
-      conns;
-      requests_per_conn = requests;
-      size;
-      rate;
-      think = think *. 1e3;
-      client_nodes = (if clients > 0 then clients else auto_clients cells conns);
-      seed;
-      loss;
-      max_inflight;
-      backlog;
-      vnodes;
-      kill = Option.map (fun (c, ms) -> (c, Uls_engine.Time.ms ms)) kill;
-      drain = Option.map (fun (c, ms) -> (c, Uls_engine.Time.ms ms)) drain;
-    }
-  in
-  let fabric_json (cfg : Fleet.config) (r : Fleet.report) =
-    emit_json ~file:"BENCH_fabric.json"
+  let fabric_json record (cfg : Fleet.config) (r : Fleet.report) =
+    record
       ([
          ("bench", json_str "fabric");
          ("stack", json_str (Chaos.kind_name cfg.Fleet.kind));
@@ -782,109 +655,18 @@ let fabric_cmd =
        ])
   in
   let run stack cells shards conns requests size rate think clients seed loss
-      max_inflight backlog vnodes kill drain match_engine event_sched smoke
-      metrics json =
+      max_inflight backlog vnodes kill drain match_engine event_sched metrics
+      record =
+    let cfg =
+      fabric_config ~stack ~cells ~shards ~conns ~requests ~size ~rate ~think
+        ~clients ~seed ~loss ~max_inflight ~backlog ~vnodes ~kill ~drain
+        ~match_engine ~event_sched
+    in
     let on_metrics = if metrics then Some dump_metrics else None in
-    if smoke then begin
-      (* Pinned-seed CI matrix: cells x stacks, plus one kill-failover
-         run; flags other than --metrics and --sched are ignored. *)
-      let failures = ref 0 in
-      let base stack cells =
-        build ~stack ~cells ~shards:2 ~conns:256 ~requests:2 ~size:128
-          ~rate:8_000. ~think:0. ~clients:4 ~seed:42 ~loss:0. ~max_inflight:0
-          ~backlog:128 ~vnodes:64 ~kill:None ~drain:None
-          ~match_engine:Uls_nic.Match_list.Hashed ~event_sched
-      in
-      let check name ?(allow_failures = false) (r : Fleet.report) =
-        let ok =
-          r.Fleet.completed_run && r.Fleet.intact
-          && (allow_failures
-             || r.Fleet.refused = 0 && r.Fleet.resets = 0
-                && r.Fleet.errors = 0)
-        in
-        if not ok then begin
-          Printf.eprintf "ulsbench fabric --smoke: %s failed\n" name;
-          incr failures
-        end
-      in
-      List.iter
-        (fun (st, cells) ->
-          let cfg = base st cells in
-          Format.printf "--- fabric smoke: %s cells=%d@."
-            (Chaos.kind_name cfg.Fleet.kind) cells;
-          let r = Fleet.run ?on_metrics cfg in
-          Fleet.print_report Format.std_formatter cfg r;
-          check (Printf.sprintf "%s/%d-cell"
-                   (Chaos.kind_name cfg.Fleet.kind) cells) r)
-        [ (`Ds, 1); (`Ds, 4); (`Tcp, 1); (`Tcp, 4) ];
-      (* Kill a cell mid-load on both stacks: the ring must heal and the
-         run must complete with failures confined to the killed cell. *)
-      List.iter
-        (fun st ->
-          let cfg =
-            { (base st 4) with Fleet.kill = Some (1, Uls_engine.Time.ms 8) }
-          in
-          Format.printf "--- fabric smoke: %s kill-failover@."
-            (Chaos.kind_name cfg.Fleet.kind);
-          let r = Fleet.run ?on_metrics cfg in
-          Fleet.print_report Format.std_formatter cfg r;
-          check
-            (Printf.sprintf "%s/kill" (Chaos.kind_name cfg.Fleet.kind))
-            ~allow_failures:true r;
-          if r.Fleet.healed_at_ms < 0. then begin
-            prerr_endline "ulsbench fabric --smoke: ring never healed";
-            incr failures
-          end)
-        [ `Ds; `Tcp ];
-      (* Determinism: same seed, byte-identical report. The first run
-         also checks that closed connections leave nothing behind: every
-         64th closed server-side stream is held weakly, and none may
-         survive a full major GC while the cluster is still alive. *)
-      let cfg = base `Ds 4 in
-      let closes = ref 0 and sampled = ref [] and survivors = ref 0 in
-      let sample (s : Uls_api.Sockets_api.stream) =
-        incr closes;
-        if !closes mod 64 = 0 then begin
-          let w = Weak.create 1 in
-          Weak.set w 0 (Some s);
-          sampled := w :: !sampled
-        end
-      in
-      let count_survivors _ =
-        Gc.full_major ();
-        survivors := List.length (List.filter (fun w -> Weak.check w 0) !sampled)
-      in
-      let a = Fleet.run ~on_server_close:sample ~on_metrics:count_survivors cfg in
-      let b = Fleet.run cfg in
-      check "determinism" a;
-      if a <> b then begin
-        prerr_endline "ulsbench fabric --smoke: seeded runs diverged";
-        incr failures
-      end;
-      if !sampled = [] || !survivors > 0 then begin
-        Printf.eprintf
-          "ulsbench fabric --smoke: %d of %d sampled closed server streams \
-           still reachable\n"
-          !survivors (List.length !sampled);
-        incr failures
-      end;
-      if !failures > 0 then begin
-        Printf.eprintf "ulsbench fabric --smoke: %d failure(s)\n" !failures;
-        exit 1
-      end;
-      print_endline "fabric smoke: ok"
-    end
-    else begin
-      let cfg =
-        build ~stack ~cells ~shards ~conns ~requests ~size ~rate ~think
-          ~clients ~seed ~loss ~max_inflight ~backlog ~vnodes ~kill ~drain
-          ~match_engine ~event_sched
-      in
-      let r = Fleet.run ?on_metrics cfg in
-      Fleet.print_report Format.std_formatter cfg r;
-      if json then fabric_json cfg r;
-      if not (r.Fleet.completed_run && r.Fleet.intact) then exit 1
-    end
+    let r = Fleet.run ?on_metrics cfg in
+    Fleet.print_report Format.std_formatter cfg r;
+    fabric_json record cfg r;
+    if not (r.Fleet.completed_run && r.Fleet.intact) then exit 1
   in
   Cmd.v
     (Cmd.info "fabric"
@@ -892,12 +674,11 @@ let fabric_cmd =
          "Sharded serving fabric: L4-balanced server cells (consistent \
           hashing, SO_REUSEPORT shards) under an open-loop connection \
           fleet, with optional mid-load cell kill or drain")
-    Term.(const run $ stack $ cells $ shards $ conns $ requests $ size $ rate
-          $ think $ clients $ seed $ loss $ max_inflight $ backlog $ vnodes
-          $ kill $ drain $ match_engine_flag $ sched_flag `Wheel $ smoke
-          $ metrics_flag
-          $ Arg.(value & flag & info [ "json" ]
-                   ~doc:"Append a JSON record to BENCH_fabric.json."))
+    Term.(const run $ stack_flag ~doc:"tcp | tcp-tuned | ds | ds-base | dg."
+          $ cells $ shards $ conns $ requests $ size $ rate $ think $ clients
+          $ seed_flag $ loss_flag $ max_inflight $ backlog $ vnodes $ kill
+          $ drain $ match_engine_flag $ sched_flag `Wheel $ metrics_flag
+          $ json_flag ~file:"BENCH_fabric.json")
 
 (* --- trace -------------------------------------------------------------- *)
 
@@ -905,10 +686,6 @@ let trace_cmd =
   let experiment =
     Arg.(value & pos 0 string "pingpong" & info [] ~docv:"EXPERIMENT"
            ~doc:"pingpong | bandwidth | barrier")
-  in
-  let stack =
-    Arg.(value & opt stack_conv `Ds & info [ "stack" ] ~docv:"STACK"
-           ~doc:"emp | tcp | tcp-tuned | ds | ds-base | dg")
   in
   let size =
     Arg.(value & opt int 4 & info [ "size" ] ~docv:"BYTES"
@@ -974,8 +751,8 @@ let trace_cmd =
        ~doc:
          "Run a benchmark with structured tracing enabled and emit \
           Chrome-trace JSON (load in chrome://tracing or Perfetto)")
-    Term.(const run $ experiment $ stack $ size $ msg $ nodes $ iters $ out
-          $ metrics_flag)
+    Term.(const run $ experiment $ stack_flag ~doc:any_stack $ size $ msg
+          $ nodes $ iters $ out $ metrics_flag)
 
 (* --- collectives -------------------------------------------------------- *)
 
@@ -1070,31 +847,35 @@ let collective_cmd =
 
 (* --- engine ------------------------------------------------------------ *)
 
+let engine_pair rows name =
+  let module B = Uls_bench.Engine_bench in
+  let find sched =
+    List.find (fun r -> r.B.scenario = name && r.B.sched = sched) rows
+  in
+  (find `Heap, find `Wheel)
+
+let print_engine rows =
+  let module B = Uls_bench.Engine_bench in
+  Format.printf "%-14s %8s %10s %10s %14s %9s %8s@." "scenario" "conns"
+    "sched" "events" "events/sec" "speedup" "mw/ev";
+  List.iter
+    (fun sh ->
+      let h, w = engine_pair rows sh.B.sh_name in
+      List.iter
+        (fun (r : B.row) ->
+          Format.printf "%-14s %8d %10s %10d %14.0f %9s %8.2f@." r.B.scenario
+            r.B.conns (sched_name r.B.sched) r.B.events r.B.events_per_sec
+            (if r.B.sched = `Wheel then
+               Printf.sprintf "%.2fx" (r.B.events_per_sec /. h.B.events_per_sec)
+             else "")
+            r.B.minor_words_per_event)
+        [ h; w ])
+    B.shapes
+
 let engine_cmd =
   let open Uls_bench in
-  let json =
-    Arg.(value & flag & info [ "json" ]
-           ~doc:"Append one JSON record per (scenario, scheduler) run to \
-                 BENCH_engine.json.")
-  in
-  let check =
-    Arg.(value & flag & info [ "check" ]
-           ~doc:"CI gate: heap and wheel must dispatch identical event \
-                 counts per scenario, the wheel must beat the heap by at \
-                 least 2x events/sec on the 65536-conn fabric shape, no \
-                 run may allocate more than 14 minor words per dispatched \
-                 event (allocation sanitizer), and against the committed \
-                 baseline every event count must match exactly and no \
-                 per-scenario wheel-vs-heap speedup may regress by more \
-                 than 20%.")
-  in
-  let baseline =
-    Arg.(value & opt string "BENCH_engine.json"
-         & info [ "baseline" ] ~docv:"FILE"
-             ~doc:"Committed pinned-seed baseline the --check gate reads.")
-  in
-  let engine_json (r : Engine_bench.row) =
-    emit_json ~file:"BENCH_engine.json"
+  let engine_json record (r : Engine_bench.row) =
+    record
       [
         ("bench", json_str "engine");
         ("scenario", json_str r.Engine_bench.scenario);
@@ -1107,154 +888,10 @@ let engine_cmd =
          json_float r.Engine_bench.minor_words_per_event);
       ]
   in
-  let run json check baseline_file =
+  let run record =
     let rows = Engine_bench.run_all () in
-    let find sched name =
-      List.find
-        (fun r ->
-          r.Engine_bench.scenario = name && r.Engine_bench.sched = sched)
-        rows
-    in
-    Format.printf "%-14s %8s %10s %10s %14s %9s %8s@." "scenario" "conns"
-      "sched" "events" "events/sec" "speedup" "mw/ev";
-    List.iter
-      (fun sh ->
-        let name = sh.Engine_bench.sh_name in
-        let h = find `Heap name and w = find `Wheel name in
-        List.iter
-          (fun (r : Engine_bench.row) ->
-            Format.printf "%-14s %8d %10s %10d %14.0f %9s %8.2f@."
-              r.Engine_bench.scenario r.Engine_bench.conns
-              (sched_name r.Engine_bench.sched)
-              r.Engine_bench.events r.Engine_bench.events_per_sec
-              (if r.Engine_bench.sched = `Wheel then
-                 Printf.sprintf "%.2fx"
-                   (r.Engine_bench.events_per_sec
-                   /. h.Engine_bench.events_per_sec)
-               else "")
-              r.Engine_bench.minor_words_per_event)
-          [ h; w ])
-      Engine_bench.shapes;
-    if json then List.iter engine_json rows;
-    if check then begin
-      let failures = ref 0 in
-      let fail fmt =
-        Printf.ksprintf
-          (fun msg ->
-            Printf.eprintf "ulsbench engine --check: %s\n" msg;
-            incr failures)
-          fmt
-      in
-      (* Dispatch parity: the wheel is a drop-in replacement, so both
-         schedulers must execute exactly the same events. *)
-      List.iter
-        (fun sh ->
-          let name = sh.Engine_bench.sh_name in
-          let h = find `Heap name and w = find `Wheel name in
-          if h.Engine_bench.events <> w.Engine_bench.events then
-            fail "%s: heap dispatched %d events, wheel %d" name
-              h.Engine_bench.events w.Engine_bench.events)
-        Engine_bench.shapes;
-      (* Allocation sanitizer: the steady-state cost is the workload's
-         own per-cycle closures (measured 9-12.2 minor words/event
-         across shapes); the dispatch loop — including the analysis
-         instrumentation hooks when no tracker is attached — must add
-         nothing. 14.0 leaves noise headroom yet trips on a single
-         boxed allocation per event on the heavier shapes. *)
-      let alloc_ceiling = 14.0 in
-      List.iter
-        (fun (r : Engine_bench.row) ->
-          if r.Engine_bench.minor_words_per_event > alloc_ceiling then
-            fail
-              "%s/%s: %.2f minor words/event exceeds the %.1f allocation \
-               ceiling (engine hot path started allocating)"
-              r.Engine_bench.scenario
-              (sched_name r.Engine_bench.sched)
-              r.Engine_bench.minor_words_per_event alloc_ceiling)
-        rows;
-      (* The tentpole claim: O(1) queue ops must show at fleet scale. *)
-      let h = find `Heap "fabric-65536" and w = find `Wheel "fabric-65536" in
-      if
-        w.Engine_bench.events_per_sec
-        < 2.0 *. h.Engine_bench.events_per_sec
-      then
-        fail "fabric-65536: wheel %.0f ev/s < 2x heap %.0f ev/s"
-          w.Engine_bench.events_per_sec h.Engine_bench.events_per_sec;
-      (* Baseline gates. Event counts are deterministic, so they must
-         match the committed records exactly; raw events/sec is machine-
-         dependent, so the regression gate runs on the wheel-vs-heap
-         speedup ratio (machine-independent to first order): each
-         scenario's measured ratio must reach 80% of the baseline's. *)
-      let base = read_records baseline_file in
-      let base_field recs key =
-        List.filter_map
-          (fun r ->
-            match
-              ( List.assoc_opt "bench" r,
-                List.assoc_opt "scenario" r,
-                List.assoc_opt "sched" r,
-                List.assoc_opt key r )
-            with
-            | Some "engine", Some sc, Some sd, Some v -> Some ((sc, sd), v)
-            | _ -> None)
-          recs
-      in
-      let last_of assoc k =
-        List.fold_left
-          (fun acc (k', v) -> if k' = k then Some v else acc)
-          None assoc
-      in
-      let base_events = base_field base "events" in
-      let base_eps = base_field base "events_per_sec" in
-      if base_events = [] then
-        Printf.printf
-          "engine --check: no baseline records in %s; skipping baseline \
-           gates\n"
-          baseline_file
-      else
-        List.iter
-          (fun sh ->
-            let name = sh.Engine_bench.sh_name in
-            let h = find `Heap name and w = find `Wheel name in
-            List.iter
-              (fun (r : Engine_bench.row) ->
-                match
-                  last_of base_events (name, sched_name r.Engine_bench.sched)
-                with
-                | Some v when int_of_string v <> r.Engine_bench.events ->
-                  fail "%s/%s: %d events, baseline %s (event structure \
-                        changed — recapture the baseline deliberately)"
-                    name
-                    (sched_name r.Engine_bench.sched)
-                    r.Engine_bench.events v
-                | _ -> ())
-              [ h; w ];
-            match
-              ( last_of base_eps (name, "heap"),
-                last_of base_eps (name, "wheel") )
-            with
-            | Some bh, Some bw ->
-              let bh = float_of_string bh and bw = float_of_string bw in
-              if bh > 0. && h.Engine_bench.events_per_sec > 0. then begin
-                let base_ratio = bw /. bh in
-                let ratio =
-                  w.Engine_bench.events_per_sec
-                  /. h.Engine_bench.events_per_sec
-                in
-                if ratio < 0.8 *. base_ratio then
-                  fail
-                    "%s: wheel/heap speedup %.2fx regressed more than 20%% \
-                     from baseline %.2fx"
-                    name ratio base_ratio
-              end
-            | _ -> ())
-          Engine_bench.shapes;
-      if !failures > 0 then begin
-        Printf.eprintf "ulsbench engine --check: %d failure(s)\n" !failures;
-        exit 1
-      end;
-      print_endline "engine check: ok"
-    end
+    print_engine rows;
+    List.iter (engine_json record) rows
   in
   Cmd.v
     (Cmd.info "engine"
@@ -1262,7 +899,7 @@ let engine_cmd =
          "Event-core throughput: events/sec through the simulator on \
           synthetic timer workloads (pingpong, serve-512, fabric-4096, \
           fabric-65536), binary heap vs hierarchical timing wheel")
-    Term.(const run $ json $ check $ baseline)
+    Term.(const run $ json_flag ~file:"BENCH_engine.json")
 
 (* --- rings: firehose + storm ------------------------------------------- *)
 
@@ -1293,34 +930,8 @@ let firehose_cmd =
     Arg.(value & opt int d.Firehose.size
          & info [ "size" ] ~docv:"BYTES" ~doc:"Payload bytes per message.")
   in
-  let seed =
-    Arg.(value & opt int d.Firehose.seed & info [ "seed" ] ~doc:"RNG seed.")
-  in
-  let loss =
-    Arg.(value & opt float 0.
-         & info [ "loss" ] ~docv:"P"
-             ~doc:"Uniform frame-loss probability (the rings chaos leg).")
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ]
-           ~doc:"Append a JSON record to BENCH_rings.json.")
-  in
-  let check =
-    Arg.(value & flag & info [ "check" ]
-           ~doc:"CI gate: pinned-seed runs must be intact and \
-                 deterministic, batch=32 must reach at least 2x the \
-                 batch=1 pps on the small-message shape, the NIC \
-                 doorbell/mailbox-fetch audit pair must agree, the 2% \
-                 loss chaos leg must stay byte-exact, and pps must not \
-                 regress below 80% of the committed baseline.")
-  in
-  let baseline =
-    Arg.(value & opt string "BENCH_rings.json"
-         & info [ "baseline" ] ~docv:"FILE"
-             ~doc:"Committed pinned-seed baseline the --check gate reads.")
-  in
-  let firehose_json (cfg : Firehose.config) (r : Firehose.report) =
-    emit_json ~file:"BENCH_rings.json"
+  let firehose_json record (cfg : Firehose.config) (r : Firehose.report) =
+    record
       [
         ("bench", json_str "firehose");
         ("match",
@@ -1350,13 +961,7 @@ let firehose_cmd =
       ]
   in
   let run sinks count size batch busy_poll seed loss match_engine event_sched
-      metrics json check baseline_file =
-    let on_metrics = if metrics then Some dump_metrics else None in
-    let run_one cfg =
-      let r = Firehose.run ?on_metrics cfg in
-      Firehose.print_report Format.std_formatter cfg r;
-      r
-    in
+      metrics record =
     let cfg =
       {
         Firehose.sinks;
@@ -1370,121 +975,11 @@ let firehose_cmd =
         event_sched;
       }
     in
-    if check then begin
-      let failures = ref 0 in
-      let fail fmt =
-        Printf.ksprintf
-          (fun msg ->
-            Printf.eprintf "ulsbench firehose --check: %s\n" msg;
-            incr failures)
-          fmt
-      in
-      let gate_cfg =
-        { Firehose.default with Firehose.match_engine; event_sched }
-      in
-      let sane tag (r : Firehose.report) =
-        if not (r.Firehose.completed_run && r.Firehose.intact) then
-          fail "%s: run incomplete or corrupt (%d/%d delivered, %d \
-                mismatches)"
-            tag r.Firehose.delivered r.Firehose.messages
-            r.Firehose.mismatches
-      in
-      (* Doorbell audit: once a run drains, every NIC mailbox fetch must
-         be explained by a doorbell — the metric pair that caught the TX
-         double-charge. At batch depth > 1 a doorbell rung while the
-         firmware is mid-fetch coalesces into that fetch, so doorbells
-         may lead fetches by a handful; a fetch with no doorbell (or a
-         large gap) still fails. Batch=1 serialises doorbell/fetch pairs
-         and must agree exactly. *)
-      let audit ?(exact = false) tag (r : Firehose.report) =
-        let d = r.Firehose.doorbells and f = r.Firehose.mailbox_fetches in
-        let bad = if exact then d <> f else f > d || d - f > 16 in
-        if bad then
-          fail "%s: doorbell audit: %d doorbells vs %d mailbox fetches"
-            tag d f
-      in
-      let r32 = run_one { gate_cfg with Firehose.batch = 32 } in
-      sane "batch=32" r32;
-      audit "batch=32" r32;
-      let r1 = run_one { gate_cfg with Firehose.batch = 1 } in
-      sane "batch=1" r1;
-      audit ~exact:true "batch=1" r1;
-      (* The tentpole claim: one doorbell per batch must show up as
-         small-message throughput. *)
-      if r1.Firehose.pps > 0. && r32.Firehose.pps < 2.0 *. r1.Firehose.pps
-      then
-        fail "batch=32 pps %.0f < 2x batch=1 pps %.0f" r32.Firehose.pps
-          r1.Firehose.pps;
-      (* Busy-poll delivers the same bytes without any doorbells. *)
-      let rbp =
-        run_one { gate_cfg with Firehose.batch = 32; busy_poll = true }
-      in
-      sane "busy-poll" rbp;
-      if rbp.Firehose.ring_doorbells <> 0 then
-        fail "busy-poll: tx ring rang %d doorbells"
-          rbp.Firehose.ring_doorbells;
-      if rbp.Firehose.delivered <> r32.Firehose.delivered then
-        fail "busy-poll delivered %d, wakeup delivered %d"
-          rbp.Firehose.delivered r32.Firehose.delivered;
-      (* Chaos leg: 2% uniform loss, still byte-exact. *)
-      let rloss =
-        run_one { gate_cfg with Firehose.batch = 32; loss = 0.02 }
-      in
-      sane "loss=0.02" rloss;
-      if rloss.Firehose.faults_injected = 0 then
-        fail "loss=0.02: fault engine injected nothing";
-      (* Determinism: same config, byte-identical report. *)
-      let a = Firehose.run { gate_cfg with Firehose.batch = 32 } in
-      if a <> r32 then fail "batch=32 seeded runs diverged";
-      (* Baseline gate: pps is virtual-time throughput — deterministic —
-         so a regression below 80% of the committed record is a real
-         cost-model or path regression, not machine noise. *)
-      let base = read_records baseline_file in
-      let base_pps =
-        List.fold_left
-          (fun acc r ->
-            match
-              ( List.assoc_opt "bench" r,
-                List.assoc_opt "batch" r,
-                List.assoc_opt "size" r,
-                List.assoc_opt "busy_poll" r,
-                List.assoc_opt "loss" r,
-                List.assoc_opt "pps" r )
-            with
-            | ( Some "firehose",
-                Some "32",
-                Some s,
-                Some "false",
-                Some l,
-                Some pps )
-              when int_of_string s = gate_cfg.Firehose.size
-                   && float_of_string l = 0. ->
-              Some (float_of_string pps)
-            | _ -> acc)
-          None base
-      in
-      (match base_pps with
-      | None ->
-        Printf.printf
-          "firehose --check: no baseline record in %s; skipping baseline \
-           gate\n"
-          baseline_file
-      | Some b ->
-        if b > 0. && r32.Firehose.pps < 0.8 *. b then
-          fail "batch=32 pps %.0f below 80%% of baseline %.0f"
-            r32.Firehose.pps b);
-      if !failures > 0 then begin
-        Printf.eprintf "ulsbench firehose --check: %d failure(s)\n"
-          !failures;
-        exit 1
-      end;
-      print_endline "firehose check: ok"
-    end
-    else begin
-      let r = run_one cfg in
-      if json then firehose_json cfg r;
-      if not (r.Firehose.completed_run && r.Firehose.intact) then exit 1
-    end
+    let on_metrics = if metrics then Some dump_metrics else None in
+    let r = Firehose.run ?on_metrics cfg in
+    Firehose.print_report Format.std_formatter cfg r;
+    firehose_json record cfg r;
+    if not (r.Firehose.completed_run && r.Firehose.intact) then exit 1
   in
   Cmd.v
     (Cmd.info "firehose"
@@ -1494,8 +989,9 @@ let firehose_cmd =
           sinks, one doorbell per --batch submissions; prints pps and \
           the NIC doorbell/fetch audit pair")
     Term.(const run $ sinks $ count $ size $ batch_flag d.Firehose.batch
-          $ busy_poll_flag $ seed $ loss $ match_engine_flag
-          $ sched_flag `Wheel $ metrics_flag $ json $ check $ baseline)
+          $ busy_poll_flag $ seed_flag $ loss_flag $ match_engine_flag
+          $ sched_flag `Wheel $ metrics_flag
+          $ json_flag ~file:"BENCH_rings.json")
 
 let storm_cmd =
   let open Uls_bench in
@@ -1521,21 +1017,8 @@ let storm_cmd =
     Arg.(value & opt int d.Storm.backlog
          & info [ "backlog" ] ~docv:"N" ~doc:"Per-target listen backlog.")
   in
-  let seed =
-    Arg.(value & opt int d.Storm.seed & info [ "seed" ] ~doc:"RNG seed.")
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ]
-           ~doc:"Append a JSON record to BENCH_rings.json.")
-  in
-  let smoke =
-    Arg.(value & flag & info [ "smoke" ]
-           ~doc:"CI mode: pinned-seed batch=32 and batch=1 runs plus a \
-                 determinism double-run; non-zero exit on any hang, \
-                 unanswered probe, refusal or divergence.")
-  in
-  let storm_json (cfg : Storm.config) (r : Storm.report) =
-    emit_json ~file:"BENCH_rings.json"
+  let storm_json record (cfg : Storm.config) (r : Storm.report) =
+    record
       [
         ("bench", json_str "storm");
         ("match",
@@ -1561,13 +1044,8 @@ let storm_cmd =
         ("completed_run", json_bool r.Storm.completed_run);
       ]
   in
-  let run_one cfg =
-    let r = Storm.run cfg in
-    Storm.print_report Format.std_formatter cfg r;
-    r
-  in
   let run scanners targets window probes batch backlog busy_poll seed
-      match_engine event_sched json smoke =
+      match_engine event_sched record =
     let cfg =
       {
         Storm.scanners;
@@ -1582,39 +1060,10 @@ let storm_cmd =
         event_sched;
       }
     in
-    if smoke then begin
-      let failures = ref 0 in
-      let gate_cfg = { Storm.default with Storm.match_engine; event_sched } in
-      let check tag (r : Storm.report) =
-        if not (r.Storm.completed_run && r.Storm.intact) then begin
-          Printf.eprintf
-            "ulsbench storm --smoke: %s incomplete or refused (%d/%d \
-             answered, %d refused)\n"
-            tag
-            (r.Storm.accepted + r.Storm.refused)
-            r.Storm.attempts r.Storm.refused;
-          incr failures
-        end
-      in
-      let r32 = run_one { gate_cfg with Storm.batch = 32 } in
-      check "batch=32" r32;
-      check "batch=1" (run_one { gate_cfg with Storm.batch = 1 });
-      let a = Storm.run { gate_cfg with Storm.batch = 32 } in
-      if a <> r32 then begin
-        prerr_endline "ulsbench storm --smoke: seeded runs diverged";
-        incr failures
-      end;
-      if !failures > 0 then begin
-        Printf.eprintf "ulsbench storm --smoke: %d failure(s)\n" !failures;
-        exit 1
-      end;
-      print_endline "storm smoke: ok"
-    end
-    else begin
-      let r = run_one cfg in
-      if json then storm_json cfg r;
-      if not (r.Storm.completed_run && r.Storm.intact) then exit 1
-    end
+    let r = Storm.run cfg in
+    Storm.print_report Format.std_formatter cfg r;
+    storm_json record cfg r;
+    if not (r.Storm.completed_run && r.Storm.intact) then exit 1
   in
   Cmd.v
     (Cmd.info "storm"
@@ -1623,8 +1072,9 @@ let storm_cmd =
           fire batched connection attempts at substrate listeners, one \
           doorbell per --batch probes; prints connect-attempt rate")
     Term.(const run $ scanners $ targets $ window $ probes
-          $ batch_flag d.Storm.batch $ backlog $ busy_poll_flag $ seed
-          $ match_engine_flag $ sched_flag `Wheel $ json $ smoke)
+          $ batch_flag d.Storm.batch $ backlog $ busy_poll_flag $ seed_flag
+          $ match_engine_flag $ sched_flag `Wheel
+          $ json_flag ~file:"BENCH_rings.json")
 
 (* --- races ------------------------------------------------------------- *)
 
@@ -1738,6 +1188,397 @@ let races_cmd =
     Term.(const run $ seeds $ scenario $ replay_schedule $ max_runs
           $ max_preempt $ verbose $ sched_flag `Heap)
 
+(* --- check: the CI gates ------------------------------------------------ *)
+
+(* Every gate reports through this one collector; each failure names its
+   gate. *)
+let current_gate = ref ""
+let gate_failures = ref 0
+
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "ulsbench check %s: %s\n" !current_gate msg;
+      incr gate_failures)
+    fmt
+
+(* A committed BENCH_*.json baseline, oldest record first. A missing
+   file or an unparseable line fails the running gate: a baseline gate
+   never passes by default. *)
+let baseline file =
+  match In_channel.with_open_text file In_channel.input_all with
+  | exception Sys_error e ->
+    fail "baseline %s" e;
+    None
+  | text ->
+    let rec parse acc lineno = function
+      | [] -> Some (file, List.rev acc)
+      | "" :: rest -> parse acc (lineno + 1) rest
+      | line :: rest -> (
+        match parse_record line with
+        | Some r -> parse (r :: acc) (lineno + 1) rest
+        | None ->
+          fail "baseline %s:%d is not a record" file lineno;
+          None)
+    in
+    parse [] 1 (String.split_on_char '\n' text)
+
+(* The [key] field, read by [parse], of the newest baseline record that
+   carries every [where] field; no such record fails the running gate. *)
+let lookup base ~where key parse =
+  match base with
+  | None -> None
+  | Some (file, recs) -> (
+    let matches r = List.for_all (fun kv -> List.mem kv r) where in
+    let value r = Option.bind (List.assoc_opt key r) parse in
+    match Option.bind (List.find_opt matches (List.rev recs)) value with
+    | Some _ as v -> v
+    | None ->
+      fail "baseline %s has no record with %s and a readable %s" file
+        (String.concat " "
+           (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v) where))
+        key;
+      None)
+
+let engine_gate () =
+  let module B = Uls_bench.Engine_bench in
+  let rows = B.run_all () in
+  print_engine rows;
+  let alloc_ceiling = 14.0 in
+  let base = baseline "BENCH_engine.json" in
+  let where name sched =
+    [ ("bench", "engine"); ("scenario", name); ("sched", sched_name sched) ]
+  in
+  List.iter
+    (fun sh ->
+      let name = sh.B.sh_name in
+      let h, w = engine_pair rows name in
+      if h.B.events <> w.B.events then
+        fail "%s: heap dispatched %d events, wheel %d" name h.B.events
+          w.B.events;
+      List.iter
+        (fun (r : B.row) ->
+          let sched = sched_name r.B.sched in
+          if r.B.minor_words_per_event > alloc_ceiling then
+            fail
+              "%s/%s: %.2f minor words/event exceeds the %.1f allocation \
+               ceiling (engine hot path started allocating)"
+              name sched r.B.minor_words_per_event alloc_ceiling;
+          match
+            lookup base ~where:(where name r.B.sched) "events"
+              int_of_string_opt
+          with
+          | Some v when v <> r.B.events ->
+            fail
+              "%s/%s: %d events, baseline %d (event structure changed — \
+               recapture the baseline deliberately)"
+              name sched r.B.events v
+          | _ -> ())
+        [ h; w ];
+      let eps sched =
+        lookup base ~where:(where name sched) "events_per_sec"
+          float_of_string_opt
+      in
+      match (eps `Heap, eps `Wheel) with
+      | Some bh, Some bw when bh > 0. && h.B.events_per_sec > 0. ->
+        let base_ratio = bw /. bh in
+        let ratio = w.B.events_per_sec /. h.B.events_per_sec in
+        if ratio < 0.8 *. base_ratio then
+          fail
+            "%s: wheel/heap speedup %.2fx regressed more than 20%% from \
+             baseline %.2fx"
+            name ratio base_ratio
+      | _ -> ())
+    B.shapes;
+  let h, w = engine_pair rows "fabric-65536" in
+  if w.B.events_per_sec < 2.0 *. h.B.events_per_sec then
+    fail "fabric-65536: wheel %.0f ev/s < 2x heap %.0f ev/s"
+      w.B.events_per_sec h.B.events_per_sec
+
+let firehose_gate () =
+  let module F = Uls_bench.Firehose in
+  let run cfg =
+    let r = F.run cfg in
+    F.print_report Format.std_formatter cfg r;
+    r
+  in
+  let sane tag (r : F.report) =
+    if not (r.F.completed_run && r.F.intact) then
+      fail "%s: run incomplete or corrupt (%d/%d delivered, %d mismatches)"
+        tag r.F.delivered r.F.messages r.F.mismatches
+  in
+  (* Once a run drains, every NIC mailbox fetch must be explained by a
+     doorbell — the metric pair that caught the TX double-charge. At
+     batch depth > 1 a doorbell rung while the firmware is mid-fetch
+     coalesces into that fetch, so doorbells may lead fetches by a
+     handful; a fetch with no doorbell (or a large gap) still fails.
+     Batch=1 serialises doorbell/fetch pairs and must agree exactly. *)
+  let audit ?(exact = false) tag (r : F.report) =
+    let d = r.F.doorbells and f = r.F.mailbox_fetches in
+    let bad = if exact then d <> f else f > d || d - f > 16 in
+    if bad then
+      fail "%s: doorbell audit: %d doorbells vs %d mailbox fetches" tag d f
+  in
+  let d = F.default in
+  let r32 = run { d with F.batch = 32 } in
+  sane "batch=32" r32;
+  audit "batch=32" r32;
+  let r1 = run { d with F.batch = 1 } in
+  sane "batch=1" r1;
+  audit ~exact:true "batch=1" r1;
+  if r1.F.pps > 0. && r32.F.pps < 2.0 *. r1.F.pps then
+    fail "batch=32 pps %.0f < 2x batch=1 pps %.0f" r32.F.pps r1.F.pps;
+  let rbp = run { d with F.batch = 32; busy_poll = true } in
+  sane "busy-poll" rbp;
+  if rbp.F.ring_doorbells <> 0 then
+    fail "busy-poll: tx ring rang %d doorbells" rbp.F.ring_doorbells;
+  if rbp.F.delivered <> r32.F.delivered then
+    fail "busy-poll delivered %d, wakeup delivered %d" rbp.F.delivered
+      r32.F.delivered;
+  let rloss = run { d with F.batch = 32; loss = 0.02 } in
+  sane "loss=0.02" rloss;
+  if rloss.F.faults_injected = 0 then
+    fail "loss=0.02: fault engine injected nothing";
+  if F.run { d with F.batch = 32 } <> r32 then
+    fail "batch=32 seeded runs diverged";
+  let where =
+    [ ("bench", "firehose"); ("batch", "32"); ("size", json_int d.F.size);
+      ("busy_poll", "false"); ("loss", json_float 0.) ]
+  in
+  let base = baseline "BENCH_rings.json" in
+  match lookup base ~where "pps" float_of_string_opt with
+  | Some b when r32.F.pps < 0.8 *. b ->
+    fail "batch=32 pps %.0f below 80%% of baseline %.0f" r32.F.pps b
+  | _ -> ()
+
+let storm_gate () =
+  let module S = Uls_bench.Storm in
+  let run batch =
+    let cfg = { S.default with S.batch } in
+    let r = S.run cfg in
+    S.print_report Format.std_formatter cfg r;
+    if not (r.S.completed_run && r.S.intact) then
+      fail "batch=%d incomplete or refused (%d/%d answered, %d refused)" batch
+        (r.S.accepted + r.S.refused) r.S.attempts r.S.refused;
+    r
+  in
+  let r32 = run 32 in
+  ignore (run 1);
+  if S.run { S.default with S.batch = 32 } <> r32 then
+    fail "batch=32 seeded runs diverged"
+
+let serve_gate () =
+  let module L = Uls_bench.Load in
+  let cfg ?(match_engine = Uls_nic.Match_list.Hashed) ~conns ~requests
+      ~clients stack workload =
+    serve_config stack workload None ~conns ~requests ~size:256 ~think:0.
+      ~seed:42 ~loss:0. ~clients ~backlog:0 ~workers:4 ~max_inflight:0
+      ~match_engine ~event_sched:`Wheel
+  in
+  let smoke = cfg ~conns:128 ~requests:4 ~clients:2 in
+  let scale = cfg ~conns:512 ~requests:2 ~clients:4 in
+  let clean tag (r : L.report) =
+    if
+      not
+        (r.L.completed_run && r.L.intact && r.L.errors = 0 && r.L.shed = 0
+       && r.L.refused = 0 && r.L.mismatches = 0 && r.L.completed = r.L.sent)
+    then
+      fail "%s: %d/%d completed (%d errors, %d shed, %d refused, %d \
+            mismatches%s)"
+        tag r.L.completed r.L.sent r.L.errors r.L.shed r.L.refused
+        r.L.mismatches
+        (if r.L.completed_run && r.L.intact then "" else ", hung or corrupt")
+  in
+  let run tag c =
+    let r = L.run c in
+    L.print_report Format.std_formatter c r;
+    clean tag r;
+    r
+  in
+  let twice tag c =
+    let a = L.run c and b = L.run c in
+    clean tag a;
+    if a <> b then fail "%s: seeded runs diverged" tag
+  in
+  List.iter
+    (fun (st, w, tag) -> ignore (run tag (smoke st w)))
+    [ (`Ds, L.Echo, "ds/echo"); (`Ds, L.Http, "ds/http");
+      (`Tcp, L.Echo, "tcp/echo"); (`Tcp, L.Http, "tcp/http") ];
+  twice "ds/echo" (smoke `Ds L.Echo);
+  let linear = Uls_nic.Match_list.Linear in
+  let lin = run "ds/512/linear" (scale ~match_engine:linear `Ds L.Echo) in
+  let hsh = run "ds/512/hashed" (scale `Ds L.Echo) in
+  if hsh.L.rps < lin.L.rps *. 0.999 then
+    fail "hashed slower than linear at 512 conns (%.0f vs %.0f req/s)"
+      hsh.L.rps lin.L.rps;
+  ignore (run "tcp/512" (scale `Tcp L.Echo));
+  twice "ds/512/hashed" (scale `Ds L.Echo)
+
+let fabric_gate () =
+  let module F = Uls_bench.Fleet in
+  let base stack cells =
+    fabric_config ~stack ~cells ~shards:2 ~conns:256 ~requests:2 ~size:128
+      ~rate:8_000. ~think:0. ~clients:4 ~seed:42 ~loss:0. ~max_inflight:0
+      ~backlog:128 ~vnodes:64 ~kill:None ~drain:None
+      ~match_engine:Uls_nic.Match_list.Hashed ~event_sched:`Wheel
+  in
+  let clean ?(allow_failures = false) tag (r : F.report) =
+    if
+      not
+        (r.F.completed_run && r.F.intact
+        && (allow_failures
+           || r.F.refused = 0 && r.F.resets = 0 && r.F.errors = 0))
+    then
+      fail "%s: hung, corrupt or failed connections (%d refused, %d \
+            resets, %d errors)"
+        tag r.F.refused r.F.resets r.F.errors
+  in
+  let run label cfg =
+    Format.printf "--- fabric smoke: %s %s@."
+      (Uls_bench.Chaos.kind_name cfg.F.kind) label;
+    let r = F.run cfg in
+    F.print_report Format.std_formatter cfg r;
+    r
+  in
+  List.iter
+    (fun (st, cells) ->
+      let cfg = base st cells in
+      let tag =
+        Printf.sprintf "%s/%d-cell" (Uls_bench.Chaos.kind_name cfg.F.kind) cells
+      in
+      clean tag (run (Printf.sprintf "cells=%d" cells) cfg))
+    [ (`Ds, 1); (`Ds, 4); (`Tcp, 1); (`Tcp, 4) ];
+  List.iter
+    (fun st ->
+      let cfg = { (base st 4) with F.kill = Some (1, Uls_engine.Time.ms 8) } in
+      let tag = Uls_bench.Chaos.kind_name cfg.F.kind ^ "/kill" in
+      let r = run "kill-failover" cfg in
+      clean ~allow_failures:true tag r;
+      if r.F.healed_at_ms < 0. then fail "%s: ring never healed" tag)
+    [ `Ds; `Tcp ];
+  let cfg = base `Ds 4 in
+  let closes = ref 0 and sampled = ref [] and survivors = ref 0 in
+  let sample (s : Uls_api.Sockets_api.stream) =
+    incr closes;
+    if !closes mod 64 = 0 then begin
+      let w = Weak.create 1 in
+      Weak.set w 0 (Some s);
+      sampled := w :: !sampled
+    end
+  in
+  let count_survivors _ =
+    Gc.full_major ();
+    survivors := List.length (List.filter (fun w -> Weak.check w 0) !sampled)
+  in
+  let a = F.run ~on_server_close:sample ~on_metrics:count_survivors cfg in
+  let b = F.run cfg in
+  clean "determinism" a;
+  if a <> b then fail "seeded runs diverged";
+  if !sampled = [] || !survivors > 0 then
+    fail "%d of %d sampled closed server streams still reachable" !survivors
+      (List.length !sampled)
+
+let chaos_gate () =
+  let bad =
+    chaos_sweep ~stacks:[ `Ds; `Tcp ] ~seed:42 ~total:1_048_576 ~msg:16_384
+      ~rates:Uls_bench.Chaos.default_rates
+  in
+  if bad > 0 then fail "%d run(s) hung or corrupted data" bad
+
+(** The gates CI runs, in order. Each pins its seed and settings and
+    reads only the committed baselines.
+
+    - [engine]: the four engine shapes (pingpong through fabric-65536)
+      on both schedulers. Heap and wheel must dispatch identical event
+      counts (dispatch parity). The wheel must beat the heap by at least
+      2x events/sec on fabric-65536, where O(1) queue ops must show. No
+      run may allocate more than 14 minor words per dispatched event:
+      the allocation sanitizer. Steady state is 9-12.2, all of it the
+      workload's own per-cycle closures, so the dispatch loop, including
+      the happens-before hook sites when no tracker is attached, adds
+      nothing. Against BENCH_engine.json every event count must match
+      exactly (a mismatch means the event structure changed: recapture
+      deliberately), and no shape's wheel/heap speedup may fall below
+      80% of the baseline's. Ratios, not raw events/sec, so the gate is
+      machine-independent to first order; each is the median of five
+      interleaved heap/wheel pairs ({!Uls_bench.Engine_bench.run_all}).
+    - [firehose]: the small-message datagram firehose through the
+      submission/completion rings. Every run is byte-exact; batch=32
+      reaches at least 2x the batch=1 (per-call ablation) pps; the NIC
+      doorbell/mailbox-fetch audit pair agrees; busy-poll delivers the
+      same bytes with zero ring doorbells; the 2% loss chaos leg stays
+      byte-exact; a double-run is byte-identical; and batch=32 pps stays
+      at or above 80% of BENCH_rings.json. Virtual-time pps, so the
+      gate is machine-independent.
+    - [storm]: the ZMap-style windowed connection storm through the ring
+      path. batch=32 and the batch=1 ablation both answer every probe
+      with zero refusals, and a double-run is byte-identical.
+    - [serve]: the event-driven server under the timing wheel. A stack x
+      workload matrix (substrate/TCP, echo/HTTP) and a double-run, with
+      no hang, dropped request, shed, refusal or response mismatch. Then
+      the match-engine ablation at 512 connections, where the linear
+      walk's O(posted descriptors) cost begins to bite: the hashed tag
+      index must be at least as fast as the linear walk, and its row
+      byte-identical across a double-run. The ablation runs on the
+      substrate only, since TCP takes the kernel receive path and never
+      touches the NIC tag matcher; TCP gets one scale run.
+    - [fabric]: a cell-count x stack matrix (1/4 cells, substrate/TCP)
+      of open-loop fleet runs through the consistent-hash balancer;
+      kill-failover on both stacks (cell 1 paused mid-load: the ring
+      must heal and failures stay confined to the dead cell); and a
+      byte-identical double-run. Its first run also checks that closed
+      connections leave nothing behind: every 64th closed server-side
+      stream is held weakly, and none may survive a full major GC while
+      the cluster is still alive.
+    - [chaos]: a checksummed payload streamed through the substrate and
+      kernel TCP at 0/0.5/2/5% seeded frame loss. No run may hang past
+      the virtual-time bound or deliver corrupt bytes; 1 MB per run
+      keeps the sweep short. *)
+let gates =
+  [
+    ("engine", engine_gate);
+    ("firehose", firehose_gate);
+    ("storm", storm_gate);
+    ("serve", serve_gate);
+    ("fabric", fabric_gate);
+    ("chaos", chaos_gate);
+  ]
+
+let check_cmd =
+  let names =
+    Arg.(value & pos_all (enum (List.map (fun (n, _) -> (n, n)) gates)) []
+         & info [] ~docv:"GATE"
+             ~doc:"Gates to run: engine | firehose | storm | serve | fabric \
+                   | chaos. Default: all, in that order.")
+  in
+  let run names =
+    let names = if names = [] then List.map fst gates else names in
+    let failed =
+      List.filter
+        (fun name ->
+          current_gate := name;
+          gate_failures := 0;
+          (try (List.assoc name gates) ()
+           with e -> fail "raised %s" (Printexc.to_string e));
+          if !gate_failures > 0 then
+            Printf.eprintf "ulsbench check %s: %d failure(s)\n" name
+              !gate_failures
+          else Printf.printf "check %s: ok\n%!" name;
+          !gate_failures > 0)
+        names
+    in
+    if failed <> [] then begin
+      Printf.eprintf "ulsbench check: failed: %s\n" (String.concat ", " failed);
+      exit 1
+    end
+  in
+  Cmd.v
+    (Cmd.info "check"
+       ~doc:
+         "CI gates over pinned-seed runs and the committed BENCH_*.json \
+          baselines; exits non-zero naming every gate that failed")
+    Term.(const run $ names)
+
 let () =
   let doc = "Sockets-over-EMP reproduction benchmarks (simulated testbed)" in
   let info = Cmd.info "ulsbench" ~version:"1.0" ~doc in
@@ -1757,4 +1598,5 @@ let () =
             fabric_cmd;
             trace_cmd;
             races_cmd;
+            check_cmd;
           ]))

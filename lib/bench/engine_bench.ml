@@ -68,6 +68,9 @@ let install sim sh =
   done
 
 let run_shape ~sched sh =
+  (* Collect the previous run's garbage outside the timed region, so no
+     run pays for another's major-heap work. *)
+  Gc.full_major ();
   let sim = Sim.create ~sched () in
   install sim sh;
   let t0 = Sys.time () in
@@ -90,7 +93,22 @@ let run_shape ~sched sh =
       (if events > 0 then gained /. float_of_int events else 0.);
   }
 
+(* On a shared 2-core host one heap/wheel pair swings the speedup by up
+   to 20% run to run: pingpong, whose steady-state ratio there is near
+   1.0x, read 0.79-1.18x per pair. Interleaved pairs see the same host
+   load, and their median speedup is steady enough to gate on. *)
+let pairs = 5
+
 let run_all () =
   List.concat_map
-    (fun sh -> [ run_shape ~sched:`Heap sh; run_shape ~sched:`Wheel sh ])
+    (fun sh ->
+      let runs =
+        List.init pairs (fun _ ->
+            let h = run_shape ~sched:`Heap sh in
+            let w = run_shape ~sched:`Wheel sh in
+            (w.events_per_sec /. h.events_per_sec, h, w))
+        |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+      in
+      let _, h, w = List.nth runs (pairs / 2) in
+      [ h; w ])
     shapes

@@ -45,15 +45,18 @@ type row = {
           dispatched. The steady-state cost is the per-cycle closures the
           workload itself arms; the dispatch loop contributes nothing, so
           a rise here means the engine hot path started allocating (the
-          allocation-sanitizer gate in [engine --check] enforces a
+          allocation-sanitizer gate in [check engine] enforces a
           ceiling). *)
 }
 
 val sched_name : sched -> string
 
 val run_shape : sched:sched -> shape -> row
-(** Build a fresh sim with the given scheduler, install the workload,
-    run to quiescence, and time it. *)
+(** Collect garbage, build a fresh sim with the given scheduler,
+    install the workload, run to quiescence, and time it. *)
 
 val run_all : unit -> row list
-(** Every shape under both schedulers, heap first. *)
+(** Every shape under both schedulers, heap first. Each shape runs five
+    interleaved heap/wheel pairs and returns the pair with the median
+    wheel-vs-heap speedup, so one disturbed run cannot move the ratio
+    the [check engine] gate reads. *)

@@ -116,12 +116,6 @@ type report = {
    RTO budgets) to every connection that was talking to the dead cell. *)
 let liveness_bound ~conns = Time.s 120 + (conns * Time.ms 250)
 
-let debug_errors = Sys.getenv_opt "LOAD_DEBUG" <> None
-
-let note_error e =
-  if debug_errors then
-    prerr_endline ("fleet: client error: " ^ Printexc.to_string e)
-
 exception Shed_by_server
 
 (* Hand every server-side stream to [f] once the server has closed it;
@@ -278,8 +272,7 @@ let run ?on_metrics ?on_server_close (cfg : config) =
             incr no_route;
             None
           end
-        | exception e ->
-          note_error e;
+        | exception _ ->
           if tries + 1 < cfg.connect_retries then begin
             backoff tries;
             attempt (tries + 1)
@@ -297,16 +290,13 @@ let run ?on_metrics ?on_server_close (cfg : config) =
       incr open_now;
       if !open_now > !peak_open then peak_open := !open_now;
       let last_activity = ref (Sim.now sim) in
-      let phase = ref "idle" in
-      Hashtbl.replace live conn (s, last_activity, cell, phase);
+      Hashtbl.replace live conn (s, last_activity);
       (try
          for seq = 0 to cfg.requests_per_conn - 1 do
            let t0 = Sim.now sim in
            t_first := min !t_first t0;
            let payload = Load.echo_payload ~conn ~seq ~size:cfg.size in
-           phase := Printf.sprintf "send#%d" seq;
            s.Api.send payload;
-           phase := Printf.sprintf "recv#%d" seq;
            let got =
              try Api.recv_exact s cfg.size
              with Api.Connection_closed when seq = 0 -> raise Shed_by_server
@@ -329,17 +319,11 @@ let run ?on_metrics ?on_server_close (cfg : config) =
         resets_c.(cell) <- resets_c.(cell) + 1
       | Shed_by_server -> shed_c.(cell) <- shed_c.(cell) + 1
       | Api.Connection_reset -> resets_c.(cell) <- resets_c.(cell) + 1
-      | e ->
-        note_error e;
-        errors_c.(cell) <- errors_c.(cell) + 1);
+      | _ -> errors_c.(cell) <- errors_c.(cell) + 1);
       Hashtbl.remove live conn;
       (try s.Api.close () with _ -> ());
       decr open_now);
     incr finished;
-    if debug_errors then
-      Printf.eprintf "fleet: conn %d finished (%d/%d) at %.2fms\n%!" conn
-        !finished cfg.conns
-        (float_of_int (Sim.now sim) /. 1e6);
     Cond.broadcast finished_c
   in
   (* Scheduled chaos: kill pauses the cell's node (frames dropped both
@@ -396,18 +380,12 @@ let run ?on_metrics ?on_server_close (cfg : config) =
             let now = Sim.now sim in
             let victims =
               Hashtbl.fold
-                (fun conn (s, last, cell, phase) acc ->
-                  if now - !last > idle_limit then (conn, s, cell, phase) :: acc
-                  else acc)
+                (fun conn (s, last) acc ->
+                  if now - !last > idle_limit then (conn, s) :: acc else acc)
                 live []
             in
             List.iter
-              (fun (conn, (s : Api.stream), cell, phase) ->
-                if debug_errors then
-                  Printf.eprintf
-                    "fleet: reap conn %d cell %d stuck in %s at %.2fms\n%!"
-                    conn cell !phase
-                    (float_of_int now /. 1e6);
+              (fun (conn, (s : Api.stream)) ->
                 Hashtbl.replace reaped conn ();
                 Hashtbl.remove live conn;
                 try s.Api.close () with _ -> ())
@@ -415,9 +393,6 @@ let run ?on_metrics ?on_server_close (cfg : config) =
           done);
       Sim.spawn sim ~name:"fleet-janitor" (fun () ->
           Cond.wait_until finished_c (fun () -> !finished >= cfg.conns);
-          if debug_errors then
-            Printf.eprintf "fleet: janitor stopping fabric at %.2fms\n%!"
-              (float_of_int (Sim.now sim) /. 1e6);
           Fabric.stop fab));
   let outcome = Cluster.run ~until:bound c in
   let fab =

@@ -88,14 +88,6 @@ let liveness_bound ~conns = Time.s 60 + (conns * Time.ms 250)
    one gets an explicit 503. Either way: shed, not an error. *)
 exception Refused_by_server
 
-(* LOAD_DEBUG=1 prints every swallowed client-side exception — the
-   difference between "TCP ran out of retries" and a real bug. *)
-let debug_errors = Sys.getenv_opt "LOAD_DEBUG" <> None
-
-let note_error e =
-  if debug_errors then
-    prerr_endline ("load: client error: " ^ Printexc.to_string e)
-
 let run ?on_metrics cfg =
   let c =
     Cluster.create ~match_engine:cfg.match_engine ~sched:cfg.event_sched
@@ -225,14 +217,12 @@ let run ?on_metrics cfg =
       incr open_now;
       if !open_now > !peak_open then peak_open := !open_now;
       Some s
-    | exception ((Api.Connection_refused _ | Api.Connection_timeout _) as e) ->
+    | exception (Api.Connection_refused _ | Api.Connection_timeout _) ->
       (* connect-level: the server (or its node) never took the flow *)
-      note_error e;
       arrive ();
       incr refused;
       None
-    | exception e ->
-      note_error e;
+    | exception _ ->
       arrive ();
       incr errors;
       None
@@ -272,9 +262,7 @@ let run ?on_metrics cfg =
                done
              with
             | Refused_by_server -> incr shed
-            | e ->
-              note_error e;
-              incr errors);
+            | _ -> incr errors);
             close_tracked s);
           finish ())
     done
@@ -319,8 +307,7 @@ let run ?on_metrics cfg =
                   | Refused_by_server ->
                     incr shed;
                     false
-                  | e ->
-                    note_error e;
+                  | _ ->
                     incr errors;
                     false
                 in

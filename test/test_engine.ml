@@ -683,6 +683,57 @@ let test_trace_chrome_json_shape () =
   check_bool "args survive" true (contains {|"len":"4"|});
   check_bool "quotes escaped" true (contains {|\"quoted\"|})
 
+(* The export [ulsbench trace pingpong] writes, over a real substrate
+   ping-pong: one JSON event per line, each with the keys
+   chrome://tracing needs, spans carrying ids, and every layer of the
+   sockets path present. *)
+let test_trace_pingpong_export () =
+  let _, tr, _ =
+    Uls_bench.Microbench.ping_pong_observed ~iters:10
+      ~kind:
+        (Uls_bench.Microbench.Sub
+           Uls_substrate.Options.data_streaming_enhanced)
+      ~size:4 ()
+  in
+  let lines =
+    String.split_on_char '\n' (Trace.to_chrome_json tr)
+    |> List.filter (fun l -> l <> "")
+  in
+  check_int "one line per event" (List.length (Trace.events tr))
+    (List.length lines);
+  (* The index just past [needle] in [line]. *)
+  let find line needle =
+    let n = String.length needle and h = String.length line in
+    let rec go i =
+      if i + n > h then None
+      else if String.sub line i n = needle then Some (i + n)
+      else go (i + 1)
+    in
+    go 0
+  in
+  let has line key = find line (Printf.sprintf "\"%s\":" key) <> None in
+  let field line key =
+    Option.map
+      (fun j -> String.sub line j (String.index_from line j '"' - j))
+      (find line (Printf.sprintf "\"%s\":\"" key))
+  in
+  List.iter
+    (fun line ->
+      List.iter
+        (fun key -> check_bool (key ^ " present") true (has line key))
+        [ "name"; "cat"; "ph"; "ts"; "pid"; "tid" ];
+      match field line "ph" with
+      | Some ("b" | "e") -> check_bool "span carries an id" true (has line "id")
+      | Some "i" -> ()
+      | ph -> Alcotest.failf "bad phase %s" (Option.value ph ~default:"none"))
+    lines;
+  let cats = List.filter_map (fun l -> field l "cat") lines in
+  List.iter
+    (fun layer -> check_bool (layer ^ " layer traced") true (List.mem layer cats))
+    [ "nic"; "emp"; "substrate"; "app" ];
+  check_bool "spans, not only instants" true
+    (List.exists (fun l -> field l "ph" = Some "b") lines)
+
 let test_trace_overlapping_spans_by_id () =
   (* Two in-flight spans of the same name must keep distinct ids so a
      viewer can pair begin/end correctly. *)
@@ -881,6 +932,8 @@ let suites =
         Alcotest.test_case "span totals" `Quick test_trace_span_totals;
         Alcotest.test_case "chrome json shape" `Quick
           test_trace_chrome_json_shape;
+        Alcotest.test_case "pingpong export shape" `Quick
+          test_trace_pingpong_export;
         Alcotest.test_case "overlapping span ids" `Quick
           test_trace_overlapping_spans_by_id;
       ] );
