@@ -1478,6 +1478,69 @@ let fabric_gate () =
     fail "%d of %d sampled closed server streams still reachable" !survivors
       (List.length !sampled)
 
+(* Host memory must be O(live). A long run samples the process's live
+   words after a full major GC every [every] operations, never at the
+   run's end; the first sample is the warm-up (pools, tables and
+   reservoirs filled). After it, no segment may end more than 2 words
+   per operation above the one before: in-flight state moves by less,
+   while a per-message history (a hash-table entry is at least 4 words)
+   exceeds it. *)
+let soak_gate () =
+  let samples = ref [] in
+  let sample () =
+    Gc.full_major ();
+    samples := (Gc.stat ()).Gc.live_words :: !samples
+  in
+  let flat tag ~every ok =
+    let words = List.rev !samples in
+    samples := [];
+    Printf.printf "soak %s: live words every %d ops: %s\n%!" tag every
+      (String.concat " " (List.map string_of_int words));
+    if not ok then fail "%s: run hung or delivered corrupt data" tag;
+    match words with
+    | [] | [ _ ] | [ _; _ ] -> fail "%s: too few segments" tag
+    | _warmup :: first :: rest ->
+      ignore
+        (List.fold_left
+           (fun prev w ->
+             if w > prev + (2 * every) then
+               fail "%s: live words grew from %d to %d in %d operations" tag
+                 prev w every;
+             w)
+           first rest)
+  in
+  let module L = Uls_bench.Load in
+  let serve =
+    serve_config `Ds L.Echo None ~conns:64 ~requests:800 ~size:256 ~think:0.
+      ~seed:42 ~loss:0. ~clients:4 ~backlog:0 ~workers:4 ~max_inflight:0
+      ~match_engine:Uls_nic.Match_list.Hashed ~event_sched:`Wheel
+  in
+  let every = 10_000 in
+  let r = L.run ~progress:(every, sample) serve in
+  flat "serve" ~every
+    (r.L.completed_run && r.L.intact && r.L.completed = r.L.sent);
+  let module F = Uls_bench.Firehose in
+  let every = 18_000 in
+  let r = F.run ~progress:(every, sample) { F.default with F.count = 24_000 } in
+  flat "firehose" ~every (r.F.completed_run && r.F.intact);
+  (* Session churn warms up slowly: every accepted connection arms the
+     server's 2 s embryo timer, which stays queued after the session
+     ends (8000 timers at 4000 sessions/s), and per-node histograms
+     fill their 8192-sample reservoirs at a fraction of the session
+     rate. Both are full by the second sample. *)
+  let module Fl = Uls_bench.Fleet in
+  let every = 6_000 and closes = ref 0 in
+  let on_server_close _ =
+    incr closes;
+    if !closes mod every = 0 then sample ()
+  in
+  let r =
+    Fl.run ~on_server_close
+      { Fl.default with Fl.conns = 26_000; cells = 2; shards = 2;
+        client_nodes = 4 }
+  in
+  flat "fabric" ~every (r.Fl.completed_run && r.Fl.intact)
+
 let chaos_gate () =
   let bad =
     chaos_sweep ~stacks:[ `Ds; `Tcp ] ~seed:42 ~total:1_048_576 ~msg:16_384
@@ -1533,7 +1596,13 @@ let chaos_gate () =
     - [chaos]: a checksummed payload streamed through the substrate and
       kernel TCP at 0/0.5/2/5% seeded frame loss. No run may hang past
       the virtual-time bound or deliver corrupt bytes; 1 MB per run
-      keeps the sweep short. *)
+      keeps the sweep short.
+    - [soak]: host memory is O(live). Serve (50k requests), firehose
+      (96k messages) and fabric session churn (26k sessions) each run
+      in one process, sampling live words after a full major GC at
+      every segment end; after the warm-up segment no segment may grow
+      by more than 2 words per operation. A per-message history, such
+      as an unbounded EMP finished-message table, fails it. *)
 let gates =
   [
     ("engine", engine_gate);
@@ -1542,6 +1611,7 @@ let gates =
     ("serve", serve_gate);
     ("fabric", fabric_gate);
     ("chaos", chaos_gate);
+    ("soak", soak_gate);
   ]
 
 let check_cmd =
@@ -1549,7 +1619,7 @@ let check_cmd =
     Arg.(value & pos_all (enum (List.map (fun (n, _) -> (n, n)) gates)) []
          & info [] ~docv:"GATE"
              ~doc:"Gates to run: engine | firehose | storm | serve | fabric \
-                   | chaos. Default: all, in that order.")
+                   | chaos | soak. Default: all, in that order.")
   in
   let run names =
     let names = if names = [] then List.map fst gates else names in

@@ -67,7 +67,7 @@ let message cfg ~sink ~index =
   String.init cfg.size (fun b ->
       Char.chr ((cfg.seed + (sink * 131) + (index * 7919) + (b * 13)) land 0xff))
 
-let run ?on_metrics cfg =
+let run ?on_metrics ?progress cfg =
   if cfg.sinks < 1 then invalid_arg "Firehose.run: sinks < 1";
   if cfg.batch < 1 then invalid_arg "Firehose.run: batch < 1";
   let c =
@@ -117,7 +117,10 @@ let run ?on_metrics cfg =
           if not (String.equal msg (message cfg ~sink:k ~index:!got)) then
             incr mismatches;
           incr got;
-          incr delivered
+          incr delivered;
+          match progress with
+          | Some (every, f) when !delivered mod every = 0 -> f ()
+          | _ -> ()
         in
         while !got < cfg.count && not !eof do
           if cfg.batch > 1 then

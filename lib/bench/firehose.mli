@@ -40,8 +40,14 @@ type report = {
   completed_run : bool;
 }
 
-val run : ?on_metrics:(Uls_engine.Metrics.t -> unit) -> config -> report
+val run :
+  ?on_metrics:(Uls_engine.Metrics.t -> unit) ->
+  ?progress:int * (unit -> unit) ->
+  config ->
+  report
 (** One firehose run on a fresh cluster. Deterministic: same config,
-    byte-identical report. *)
+    byte-identical report. [progress = (n, f)] calls [f] from inside the
+    run after every [n]th delivered message, with the whole cluster
+    live. *)
 
 val print_report : Format.formatter -> config -> report -> unit

@@ -88,7 +88,7 @@ let liveness_bound ~conns = Time.s 60 + (conns * Time.ms 250)
    one gets an explicit 503. Either way: shed, not an error. *)
 exception Refused_by_server
 
-let run ?on_metrics cfg =
+let run ?on_metrics ?progress cfg =
   let c =
     Cluster.create ~match_engine:cfg.match_engine ~sched:cfg.event_sched
       ~n:(1 + cfg.client_nodes) ()
@@ -135,7 +135,10 @@ let run ?on_metrics cfg =
     let now = Sim.now sim in
     Stats.Summary.add lat (float_of_int (now - t0));
     t_last := max !t_last now;
-    incr completed
+    incr completed;
+    match progress with
+    | Some (every, f) when !completed mod every = 0 -> f ()
+    | _ -> ()
   in
   let send_mark s data =
     t_first := min !t_first (Sim.now sim);

@@ -96,9 +96,16 @@ val liveness_bound : conns:int -> Uls_engine.Time.ns
 (** Virtual-time hang bound, scaled with fleet size (the EMP match walk
     is O(posted descriptors), so big fleets are legitimately slow). *)
 
-val run : ?on_metrics:(Uls_engine.Metrics.t -> unit) -> config -> report
+val run :
+  ?on_metrics:(Uls_engine.Metrics.t -> unit) ->
+  ?progress:int * (unit -> unit) ->
+  config ->
+  report
 (** Build a cluster, start the server on node 0 port 80, drive the
     fleet, quiesce, and report. [on_metrics] sees the simulation's
-    metrics registry after the run (e.g. to dump it). *)
+    metrics registry after the run (e.g. to dump it). [progress = (n,
+    f)] calls [f] from inside the run after every [n]th completed
+    request, with the whole cluster live (the soak gate's sampling
+    point). *)
 
 val print_report : Format.formatter -> config -> report -> unit

@@ -78,6 +78,17 @@ type rx_record = {
   mutable rec_nacked : bool; (* a NACK for the current gap is outstanding *)
 }
 
+(* What the receiver remembers about one source: the sender's latest
+   low-water mark, and the messages completed at or above it (kept to
+   re-ack their duplicates). Everything below the mark is settled and
+   forgotten, so the table is bounded by the sender's outstanding
+   messages rather than by its history. *)
+type peer = {
+  mutable p_lwm : int;
+  p_finished : (int, int) Hashtbl.t;  (* msg id -> nframes *)
+  p_order : int Queue.t;  (* finished ids, oldest first *)
+}
+
 type stats = {
   messages_sent : int;
   messages_received : int;
@@ -88,6 +99,7 @@ type stats = {
   unexpected_queue_hits : int;
   descriptor_walk_total : int;
   nacks_sent : int;
+  finished_retained : int;
 }
 
 type desc_stats = {
@@ -123,8 +135,13 @@ type t = {
   posted : recv Match_list.t;
   uq : uq_slot Vec.t;
   active_rx : (Wire.msg_key, rx_record) Hashtbl.t;
-  finished_rx : (Wire.msg_key, int) Hashtbl.t; (* nframes, for dup re-acks *)
+  rx_peers : (int, peer) Hashtbl.t;  (* by source node *)
   active_tx : (Wire.msg_key, send) Hashtbl.t;
+  (* Per destination, the ids of messages posted toward it, oldest
+     first; the settled ones are popped off the front, so the front is
+     the low-water mark. Ids, not sends: a settled send and its region
+     must stay collectable. *)
+  tx_order : (int, int Queue.t) Hashtbl.t;
   (* One mailbox + dispatcher fiber per NIC receive queue: frames are
      RSS-steered by source node, so each peer's traffic is handled by a
      fixed queue and per-message state stays single-fiber. *)
@@ -176,11 +193,33 @@ let stats t =
     unexpected_queue_hits = t.st_uq_hits;
     descriptor_walk_total = t.st_walked;
     nacks_sent = t.st_nacks;
+    finished_retained =
+      Hashtbl.fold (fun _ p n -> n + Hashtbl.length p.p_finished) t.rx_peers 0;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Transmit side                                                       *)
 (* ------------------------------------------------------------------ *)
+
+let outstanding t id =
+  Hashtbl.mem t.active_tx { Wire.src_node = node_id t; msg_id = id }
+
+(* The lowest id still unacknowledged toward [dst]. With nothing
+   outstanding there, every id issued so far is settled. *)
+let low_water t dst =
+  match Hashtbl.find_opt t.tx_order dst with
+  | None -> t.next_msg_id + 1
+  | Some q ->
+    while (not (Queue.is_empty q)) && not (outstanding t (Queue.peek q)) do
+      ignore (Queue.pop q)
+    done;
+    if Queue.is_empty q then t.next_msg_id + 1 else Queue.peek q
+
+(* A send is settled (fully acknowledged or abandoned): it leaves the
+   active table and the front of its destination's order. *)
+let settle t st =
+  Hashtbl.remove t.active_tx st.s_key;
+  ignore (low_water t st.s_dst : int)
 
 let chunk_of st idx =
   if st.s_len = 0 then ""
@@ -205,6 +244,7 @@ let send_frame t st idx =
       frame_idx = idx;
       nframes = st.s_nframes;
       total_len = st.s_len;
+      lwm = low_water t st.s_dst;
       chunk;
     }
   in
@@ -214,7 +254,7 @@ let send_frame t st idx =
 
 let fail_send t st =
   st.s_failed <- true;
-  Hashtbl.remove t.active_tx st.s_key;
+  settle t st;
   Stats.Counter.incr t.mh.h_send_failures;
   Trace.span_end t.trace ~layer:Trace.Emp ~node:(node_id t) "emp.send"
     ~args:[ ("outcome", "failed") ]
@@ -308,13 +348,24 @@ let make_send t ~dst ~tag region ~off ~len =
       s_ring = false;
       s_reaped = false;
       s_span =
-        Trace.span_begin t.trace ~layer:Trace.Emp ~node:(node_id t)
-          ~seq:t.next_msg_id "emp.send"
-          ~args:[ ("len", string_of_int len) ];
+        (if Trace.enabled t.trace then
+           Trace.span_begin t.trace ~layer:Trace.Emp ~node:(node_id t)
+             ~seq:t.next_msg_id "emp.send"
+             ~args:[ ("len", string_of_int len) ]
+         else 0);
       s_cond = Cond.create ~label:"emp:send" (sim t);
     }
   in
   Hashtbl.replace t.active_tx st.s_key st;
+  let order =
+    match Hashtbl.find_opt t.tx_order dst with
+    | Some q -> q
+    | None ->
+      let q = Queue.create () in
+      Hashtbl.replace t.tx_order dst q;
+      q
+  in
+  Queue.push t.next_msg_id order;
   t.st_msgs_sent <- t.st_msgs_sent + 1;
   Stats.Counter.incr t.mh.h_messages_sent;
   st
@@ -760,21 +811,47 @@ let store_chunk t record (d : Wire.data) =
   | To_user r ->
     let room = r.r_cap - dst_off in
     let n = min bytes (max 0 room) in
-    if n > 0 then Memory.blit_from_string (String.sub d.chunk 0 n) r.r_region ~off:(r.r_off + dst_off)
+    if n > 0 then
+      Memory.blit_from_string ~len:n d.chunk r.r_region ~off:(r.r_off + dst_off)
   | To_uq slot ->
     let room = slot.u_size - dst_off in
     let n = min bytes (max 0 room) in
-    if n > 0 then Memory.blit_from_string (String.sub d.chunk 0 n) slot.u_buf ~off:dst_off);
+    if n > 0 then Memory.blit_from_string ~len:n d.chunk slot.u_buf ~off:dst_off);
   Tigon.dma t.nic ~bytes
 
-let finish_record t key record =
+let peer t src =
+  match Hashtbl.find_opt t.rx_peers src with
+  | Some p -> p
+  | None ->
+    let p =
+      { p_lwm = 0; p_finished = Hashtbl.create 16; p_order = Queue.create () }
+    in
+    Hashtbl.replace t.rx_peers src p;
+    p
+
+(* Frames may arrive reordered, so a mark only ever rises. Finished
+   entries below it are dropped oldest first. *)
+let advance_lwm p lwm =
+  if lwm > p.p_lwm then begin
+    p.p_lwm <- lwm;
+    while (not (Queue.is_empty p.p_order)) && Queue.peek p.p_order < lwm do
+      Hashtbl.remove p.p_finished (Queue.pop p.p_order)
+    done
+  end
+
+let finish_record t p key record =
   Hashtbl.remove t.active_rx key;
-  Hashtbl.replace t.finished_rx key record.rec_nframes;
+  let id = key.Wire.msg_id in
+  if id >= p.p_lwm then begin
+    Hashtbl.replace p.p_finished id record.rec_nframes;
+    Queue.push id p.p_order
+  end;
   t.st_msgs_recv <- t.st_msgs_recv + 1;
   Stats.Counter.incr t.mh.h_messages_received;
-  Trace.instant t.trace ~layer:Trace.Emp ~node:(node_id t) "emp.msg_complete"
-    ~seq:key.Wire.msg_id
-    ~args:[ ("len", string_of_int record.rec_total) ];
+  if Trace.enabled t.trace then
+    Trace.instant t.trace ~layer:Trace.Emp ~node:(node_id t) "emp.msg_complete"
+      ~seq:id
+      ~args:[ ("len", string_of_int record.rec_total) ];
   match record.rec_dst with
   | To_user r ->
     complete_recv t r
@@ -800,20 +877,29 @@ let rx_data t ~queue (d : Wire.data) =
   let m = model t in
   Tigon.rx_work ~queue t.nic m.Cost_model.nic_rx_classify;
   let key = d.key in
+  let p = peer t key.Wire.src_node in
+  advance_lwm p d.lwm;
   let record =
     match Hashtbl.find_opt t.active_rx key with
     | Some record ->
       (* Later frame: matched against the in-progress receive record. *)
       Tigon.rx_work ~queue t.nic m.Cost_model.nic_tag_match_per_desc;
       Some record
-    | None ->
-      if Hashtbl.mem t.finished_rx key then begin
-        (* Duplicate of a completed message: re-ack so the sender stops. *)
-        let nframes = Hashtbl.find t.finished_rx key in
+    | None -> (
+      (* Below the mark the message is settled at the sender, so the
+         frame is a stale duplicate; at or above it, only the finished
+         table knows. *)
+      let finished =
+        if key.Wire.msg_id < p.p_lwm then Some d.nframes
+        else Hashtbl.find_opt p.p_finished key.Wire.msg_id
+      in
+      match finished with
+      | Some nframes ->
+        (* Duplicate of a completed message: re-ack so the sender stops,
+           and never match it against a descriptor. *)
         send_protocol_ack t ~queue ~dst:key.Wire.src_node ~key ~acked:nframes;
         None
-      end
-      else begin
+      | None -> (
         match match_new_message t ~queue d with
         | None ->
           t.st_drops <- t.st_drops + 1;
@@ -835,8 +921,7 @@ let rx_data t ~queue (d : Wire.data) =
             }
           in
           Hashtbl.replace t.active_rx key record;
-          Some record
-      end
+          Some record))
   in
   match record with
   | None -> ()
@@ -882,7 +967,7 @@ let rx_data t ~queue (d : Wire.data) =
           (Wire.nack_frame ~src:(node_id t) ~dst:key.Wire.src_node ~key
              ~next_expected:record.rec_prefix)
       end;
-      if complete then finish_record t key record
+      if complete then finish_record t p key record
     end
 
 let rx_ack t ~queue key acked =
@@ -901,7 +986,7 @@ let rx_ack t ~queue key acked =
     end;
     if st.s_acked >= st.s_nframes && not st.s_done then begin
       st.s_done <- true;
-      Hashtbl.remove t.active_tx key;
+      settle t st;
       Trace.span_end t.trace ~layer:Trace.Emp ~node:(node_id t) "emp.send"
         st.s_span;
       (* Completion notification DMA'd to the host. Ring-submitted
@@ -950,7 +1035,7 @@ let reset t =
   let unposted = Match_list.unpost_all t.posted in
   t.st_desc_completed <- t.st_desc_completed + List.length unposted;
   Hashtbl.reset t.active_rx;
-  Hashtbl.reset t.finished_rx;
+  Hashtbl.reset t.rx_peers;
   Vec.iter
     (fun slot ->
       slot.u_state <- `Free;
@@ -987,8 +1072,9 @@ let create ?(config = default_config) node nic =
       posted = Match_list.create ~engine:(Tigon.match_engine nic) ();
       uq = Vec.create ();
       active_rx = Hashtbl.create 64;
-      finished_rx = Hashtbl.create 256;
+      rx_peers = Hashtbl.create 16;
       active_tx = Hashtbl.create 64;
+      tx_order = Hashtbl.create 16;
       rx_queues =
         Array.init (Tigon.rx_queues nic) (fun i ->
             let label =

@@ -173,6 +173,9 @@ type stats = {
   unexpected_queue_hits : int;
   descriptor_walk_total : int;  (** descriptors walked by tag matching *)
   nacks_sent : int;
+  finished_retained : int;
+      (** completed messages still remembered to re-ack duplicates: those
+          at or above each sender's low-water mark *)
 }
 
 val stats : t -> stats

@@ -9,6 +9,7 @@ type data = {
   frame_idx : int;
   nframes : int;
   total_len : int;
+  lwm : int;
   chunk : string;
 }
 

@@ -15,6 +15,11 @@ type data = {
   frame_idx : int;
   nframes : int;
   total_len : int;
+  lwm : int;
+      (** the sender's low-water mark toward this destination: the
+          lowest message id it still has unacknowledged there. Every
+          lower id is settled, so the receiver may forget it. Carried in
+          the fixed header: it adds no wire bytes. *)
   chunk : string;  (** the payload bytes this frame carries *)
 }
 
@@ -24,7 +29,7 @@ type Uls_ether.Frame.payload +=
   | Nack of { key : msg_key; next_expected : int }
 
 val header_bytes : int
-(** EMP header per frame (sequence/tag/length fields). *)
+(** EMP header per frame (sequence/tag/length/low-water-mark fields). *)
 
 val max_data_per_frame : int
 val frames_for : int -> int

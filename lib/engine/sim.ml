@@ -43,11 +43,17 @@ type hooks = {
   on_dispatch : seq:int -> time:Time.ns -> unit;
 }
 
+(* A parked fiber is a cell of an intrusive doubly-linked ring headed
+   by a per-sim sentinel, so parking and unparking are O(1) and allocate
+   this one cell. Unlinking points the cell at itself, which is also how
+   a resume tells that it already ran. *)
 type park = {
   pk_fiber : string;
   pk_label : string;
   pk_since : Time.ns;
   pk_daemon : bool;
+  mutable pk_prev : park;
+  mutable pk_next : park;
 }
 
 type parked = {
@@ -80,8 +86,7 @@ type t = {
   mutable next_fiber_id : int;
   mutable next_sync_uid : int;  (* Cond/Mailbox/Resource identities *)
   mutable hooks : hooks option;
-  parked : (int, park) Hashtbl.t;
-  mutable next_park : int;
+  parked : park;  (* sentinel of the parked-fiber ring *)
   mutable free : task;  (* head of the recycled task-cell list *)
   mutable pooled : int;
 }
@@ -123,8 +128,12 @@ let create ?(sched = `Heap) () =
     next_fiber_id = 0;
     next_sync_uid = 0;
     hooks = None;
-    parked = Hashtbl.create 16;
-    next_park = 0;
+    parked =
+      (let rec head =
+         { pk_fiber = ""; pk_label = ""; pk_since = 0; pk_daemon = false;
+           pk_prev = head; pk_next = head }
+       in
+       head);
     free = dummy_task;
     pooled = 0;
   }
@@ -158,18 +167,24 @@ let note_op t kind uid label =
   match t.hooks with None -> () | Some h -> h.on_op kind uid label
 
 let blocked_report t =
-  Hashtbl.fold
-    (fun _ p acc ->
-      { fiber = p.pk_fiber; label = p.pk_label; since = p.pk_since;
-        daemon = p.pk_daemon }
-      :: acc)
-    t.parked []
+  let rec collect p acc =
+    if p == t.parked then acc
+    else
+      collect p.pk_next
+        ({ fiber = p.pk_fiber; label = p.pk_label; since = p.pk_since;
+           daemon = p.pk_daemon }
+        :: acc)
+  in
+  collect t.parked.pk_next []
   |> List.sort (fun a b ->
          let c = compare a.since b.since in
          if c <> 0 then c
          else
            let c = compare a.fiber b.fiber in
-           if c <> 0 then c else compare a.label b.label)
+           if c <> 0 then c
+           else
+             let c = compare a.label b.label in
+             if c <> 0 then c else compare a.daemon b.daemon)
 
 (* Pool cap: beyond this, freed cells go to the GC instead — bounds the
    retained memory of a sim that briefly spiked its outstanding-event
@@ -253,19 +268,22 @@ let run_fiber t ~daemon ~fid name f =
         (fun k ->
           assert (t' == t);
           t.blocked <- t.blocked + 1;
-          t.next_park <- t.next_park + 1;
-          let park_id = t.next_park in
-          Hashtbl.replace t.parked park_id
+          let head = t.parked in
+          let pk =
             { pk_fiber = name; pk_label = label; pk_since = t.now;
-              pk_daemon = daemon };
-          let resumed = ref false in
+              pk_daemon = daemon; pk_prev = head; pk_next = head.pk_next }
+          in
+          head.pk_next.pk_prev <- pk;
+          head.pk_next <- pk;
           let unpark () =
-            resumed := true;
             t.blocked <- t.blocked - 1;
-            Hashtbl.remove t.parked park_id
+            pk.pk_prev.pk_next <- pk.pk_next;
+            pk.pk_next.pk_prev <- pk.pk_prev;
+            pk.pk_prev <- pk;
+            pk.pk_next <- pk
           in
           let resume () =
-            if not !resumed then begin
+            if pk.pk_next != pk then begin
               unpark ();
               schedule t ~time:t.now (fun () ->
                   t.cur_fiber <- name;
@@ -280,7 +298,7 @@ let run_fiber t ~daemon ~fid name f =
           match register resume with
           | () -> ()
           | exception e ->
-            if not !resumed then unpark ();
+            if pk.pk_next != pk then unpark ();
             finish ();
             raise (Fiber_failure (name, e)))
     | _ -> None

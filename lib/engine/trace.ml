@@ -107,11 +107,17 @@ let span_end t ~layer ?(node = -1) ?(conn = -1) ?(seq = -1) ?(args = []) name
     id =
   if t.on && id > 0 then record t ~layer ~node ~conn ~seq ~args name (Span_end id)
 
+(* Disabled, a span is just the call: no protect closure, no record.
+   Hot callers also test [enabled] themselves so that the optional
+   arguments are never boxed. *)
 let span t ~layer ?node ?conn ?seq ?args name f =
-  let id = span_begin t ~layer ?node ?conn ?seq ?args name in
-  Fun.protect
-    ~finally:(fun () -> span_end t ~layer ?node ?conn ?seq ?args name id)
-    f
+  if not t.on then f ()
+  else begin
+    let id = span_begin t ~layer ?node ?conn ?seq ?args name in
+    Fun.protect
+      ~finally:(fun () -> span_end t ~layer ?node ?conn ?seq ?args name id)
+      f
+  end
 
 let events t = List.rev (Vec.fold (fun acc e -> e :: acc) [] t.events)
 let clear t = Vec.clear t.events

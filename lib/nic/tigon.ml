@@ -281,12 +281,16 @@ let transmit t frame =
   Uls_ether.Network.send t.net frame
 
 let tx_work t d =
-  Trace.span t.trace ~layer:Trace.Nic ~node:t.node_id "nic.tx_work" (fun () ->
-      Resource.use t.tx_cpu d)
+  if Trace.enabled t.trace then
+    Trace.span t.trace ~layer:Trace.Nic ~node:t.node_id "nic.tx_work"
+      (fun () -> Resource.use t.tx_cpu d)
+  else Resource.use t.tx_cpu d
 
 let rx_work ?(queue = 0) t d =
-  Trace.span t.trace ~layer:Trace.Nic ~node:t.node_id "nic.rx_work" (fun () ->
-      Resource.use t.rx_cpus.(queue) d)
+  if Trace.enabled t.trace then
+    Trace.span t.trace ~layer:Trace.Nic ~node:t.node_id "nic.rx_work"
+      (fun () -> Resource.use t.rx_cpus.(queue) d)
+  else Resource.use t.rx_cpus.(queue) d
 (* [pipelined] models the gather-DMA behaviour of a descriptor-ring
    engine: transfers queued while the engine is already busy ride the
    running burst and skip the per-transaction setup. A transfer that

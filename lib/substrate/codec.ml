@@ -24,4 +24,4 @@ let decode ?(count = -1) s =
 let decode_region region ~off ~count =
   List.init count (fun i ->
       Int64.to_int
-        (Bytes.get_int64_le (Uls_host.Memory.bytes region) (off + (i * int_bytes))))
+        (Uls_host.Memory.get_int64_le region (off + (i * int_bytes))))

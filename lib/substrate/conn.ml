@@ -498,6 +498,17 @@ let uses_rendezvous t len =
       len > (opts t).Options.eager_max || len > Options.chunk_capacity (opts t)
     | Options.Data_streaming -> false)
 
+(* A public call inside its substrate trace span. Untraced it is the
+   bare call: the span's optional arguments are boxed, and [args] built,
+   only when tracing is on. *)
+let no_args () = []
+
+let in_span t name ~args f =
+  if Trace.enabled t.trace then
+    Trace.span t.trace ~layer:Trace.Substrate ~node:(node_id t) ~conn:t.id name
+      ~args:(args ()) f
+  else f ()
+
 let write t data =
   if t.reset then raise Reset;
   if t.closed || t.peer_closed then raise Closed;
@@ -505,9 +516,8 @@ let write t data =
   if String.length data > 0 then begin
     Stats.Counter.incr t.mh.h_writes;
     Stats.Counter.add t.mh.h_bytes_written (String.length data);
-    Trace.span t.trace ~layer:Trace.Substrate ~node:(node_id t) ~conn:t.id
-      "sub.write"
-      ~args:[ ("len", string_of_int (String.length data)) ]
+    in_span t "sub.write"
+      ~args:(fun () -> [ ("len", string_of_int (String.length data)) ])
       (fun () ->
         Node.compute t.env.node (opts t).Options.write_overhead;
         if uses_rendezvous t (String.length data) then rendezvous_write t data
@@ -567,9 +577,8 @@ let writev t datas =
     if t.reset then raise Reset;
     if t.closed || t.peer_closed then raise Closed;
     if t.peer_conn < 0 then raise Closed;
-    Trace.span t.trace ~layer:Trace.Substrate ~node:(node_id t) ~conn:t.id
-      "sub.writev"
-      ~args:[ ("msgs", string_of_int (List.length datas)) ]
+    in_span t "sub.writev"
+      ~args:(fun () -> [ ("msgs", string_of_int (List.length datas)) ])
       (fun () ->
         Node.compute t.env.node (opts t).Options.write_overhead;
         let staged = ref [] and count = ref 0 in
@@ -742,8 +751,7 @@ let read t n =
   if t.closed then raise Closed;
   if n <= 0 then ""
   else
-    Trace.span t.trace ~layer:Trace.Substrate ~node:(node_id t) ~conn:t.id
-      "sub.read" (fun () ->
+    in_span t "sub.read" ~args:no_args (fun () ->
         Node.compute t.env.node (opts t).Options.read_overhead;
         let rec wait () =
           if t.reset then raise Reset;
@@ -813,8 +821,7 @@ let readv t ~max:maxn =
   if t.closed then raise Closed;
   if maxn <= 0 then []
   else
-    Trace.span t.trace ~layer:Trace.Substrate ~node:(node_id t) ~conn:t.id
-      "sub.readv" (fun () ->
+    in_span t "sub.readv" ~args:no_args (fun () ->
         Node.compute t.env.node (opts t).Options.read_overhead;
         let use_ring = (opts t).Options.rx_ring in
         let acc = ref [] and freed = ref [] and got = ref 0 in

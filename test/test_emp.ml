@@ -359,6 +359,126 @@ let prop_random_sizes_intact =
       run c;
       !ok)
 
+(* --- Low-water mark: the finished table is bounded ------------------- *)
+
+let test_finished_table_bounded () =
+  (* Rounds of [window] concurrent messages, each round posted only once
+     the previous one is fully acknowledged. Every frame carries the
+     sender's low-water mark, so the receiver forgets each round as the
+     next arrives: it never remembers more messages than the sender can
+     have outstanding. *)
+  let c, e0, e1 = two_nodes () in
+  let sim = Uls_bench.Cluster.sim c in
+  let window = 4 and rounds = 16 in
+  let worst = ref 0 and got = ref 0 in
+  Sim.spawn sim (fun () ->
+      for k = 0 to (window * rounds) - 1 do
+        let buf = Memory.alloc 3_000 in
+        let r = E.post_recv e1 ~src:0 ~tag:k buf ~off:0 ~len:3_000 in
+        Sim.spawn sim (fun () ->
+            let len, _, _ = E.wait_recv e1 r in
+            if Memory.sub_string buf ~off:0 ~len = String.make 3_000 (Char.chr k)
+            then incr got)
+      done);
+  Sim.spawn sim (fun () ->
+      for round = 0 to rounds - 1 do
+        let sends =
+          List.init window (fun i ->
+              let k = (round * window) + i in
+              send_string e0 ~dst:1 ~tag:k (String.make 3_000 (Char.chr k)))
+        in
+        List.iter (E.wait_send e0) sends;
+        worst := max !worst (E.stats e1).E.finished_retained
+      done);
+  run c;
+  check_int "all delivered intact" (window * rounds) !got;
+  check_int "messages received" (window * rounds) (E.stats e1).E.messages_received;
+  check_bool "finished table within the outstanding window" true
+    (!worst <= window);
+  check_bool "finished table in use" true (!worst > 0)
+
+let test_stale_duplicate_below_mark () =
+  (* A captured frame of message 1 is replayed after message 2 has moved
+     the receiver's mark past it: the receiver has already forgotten
+     message 1, re-acks the stale copy, and leaves a posted wildcard
+     descriptor alone. *)
+  let c, e0, e1 = two_nodes () in
+  let sim = Uls_bench.Cluster.sim c in
+  let net = Uls_bench.Cluster.network c in
+  let captured = ref None in
+  Uls_ether.Network.set_fault_filter net (fun frame ->
+      (match frame.Uls_ether.Frame.payload with
+      | Uls_emp.Wire.Data d when d.Uls_emp.Wire.key.Uls_emp.Wire.msg_id = 1 ->
+        if !captured = None then captured := Some frame
+      | _ -> ());
+      false);
+  let spare = ref None and before = ref (E.stats e1) in
+  Sim.spawn sim (fun () ->
+      let b1 = Memory.alloc 64 and b2 = Memory.alloc 64 in
+      let r1 = E.post_recv e1 ~src:0 ~tag:1 b1 ~off:0 ~len:64 in
+      let r2 = E.post_recv e1 ~src:0 ~tag:2 b2 ~off:0 ~len:64 in
+      ignore (E.wait_recv e1 r1);
+      ignore (E.wait_recv e1 r2);
+      spare := Some (E.post_recv e1 ~src:(-1) ~tag:(-1) (Memory.alloc 64) ~off:0 ~len:64));
+  Sim.spawn sim (fun () ->
+      E.wait_send e0 (send_string e0 ~dst:1 ~tag:1 "first");
+      E.wait_send e0 (send_string e0 ~dst:1 ~tag:2 "second");
+      Sim.delay sim (Time.us 100);
+      before := E.stats e1;
+      match !captured with
+      | Some frame -> Uls_ether.Network.send net frame
+      | None -> ());
+  run c;
+  let after = E.stats e1 in
+  check_bool "a frame of message 1 was captured" true (!captured <> None);
+  check_int "message 1 already forgotten" 1 !before.E.finished_retained;
+  check_int "stale copy re-acked" (!before.E.protocol_acks_sent + 1)
+    after.E.protocol_acks_sent;
+  check_int "no message delivered twice" 2 after.E.messages_received;
+  check_int "nothing dropped" 0 after.E.frames_dropped_no_descriptor;
+  (match !spare with
+  | Some r -> check_bool "spare descriptor untouched" false (E.recv_done r)
+  | None -> Alcotest.fail "spare never posted");
+  check_int "spare still posted" 1 (E.posted_descriptors e1)
+
+let test_dup_reorder_byte_exact () =
+  (* Half the data frames from node 0 are duplicated and a quarter are
+     delayed by up to 400 us, past the next message's frames. Delivery stays byte-exact, duplicates of
+     settled messages never reach a descriptor (a trailing wildcard
+     stays posted), and the finished table stays bounded. *)
+  let c, e0, e1 = two_nodes () in
+  let sim = Uls_bench.Cluster.sim c in
+  let fault = Fault.create ~seed:7 sim in
+  Fault.set_link_plan fault ~link:"uplink-0"
+    { Fault.clean with dup_p = 0.5; delay_p = 0.5; delay_max = Time.us 400 };
+  Uls_ether.Network.set_fault (Uls_bench.Cluster.network c) fault;
+  let n = 24 and size = 6_000 in
+  let payload k = String.init size (fun i -> Char.chr ((i + (k * 7)) mod 256)) in
+  let got = ref [] and spare = ref None in
+  Sim.spawn sim (fun () ->
+      for k = 0 to n - 1 do
+        let buf = Memory.alloc size in
+        let r = E.post_recv e1 ~src:0 ~tag:k buf ~off:0 ~len:size in
+        let len, _, _ = E.wait_recv e1 r in
+        got := Memory.sub_string buf ~off:0 ~len :: !got
+      done;
+      spare := Some (E.post_recv e1 ~src:(-1) ~tag:(-1) (Memory.alloc size) ~off:0 ~len:size));
+  Sim.spawn sim (fun () ->
+      for k = 0 to n - 1 do
+        E.wait_send e0 (send_string e0 ~dst:1 ~tag:k (payload k))
+      done);
+  run c;
+  Alcotest.(check (list string)) "byte-exact, once each" (List.init n payload)
+    (List.rev !got);
+  check_bool "duplicates were injected" true (Fault.faults_injected fault > 0);
+  check_int "message count not inflated" n (E.stats e1).E.messages_received;
+  check_int "no duplicate reached the matcher" 0
+    (E.stats e1).E.frames_dropped_no_descriptor;
+  (match !spare with
+  | Some r -> check_bool "spare descriptor untouched" false (E.recv_done r)
+  | None -> Alcotest.fail "spare never posted");
+  check_bool "finished table bounded" true ((E.stats e1).E.finished_retained <= 1)
+
 let suites =
   [
     ( "emp.delivery",
@@ -377,6 +497,15 @@ let suites =
         Alcotest.test_case "send failure" `Quick test_send_failure_no_receiver;
         Alcotest.test_case "ack window" `Quick test_protocol_ack_window;
         Alcotest.test_case "nack fast recovery" `Quick test_nack_fast_recovery;
+      ] );
+    ( "emp.low_water_mark",
+      [
+        Alcotest.test_case "finished table bounded" `Quick
+          test_finished_table_bounded;
+        Alcotest.test_case "stale duplicate below mark" `Quick
+          test_stale_duplicate_below_mark;
+        Alcotest.test_case "dup+reorder byte-exact" `Quick
+          test_dup_reorder_byte_exact;
       ] );
     ( "emp.unexpected_queue",
       [

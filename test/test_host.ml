@@ -42,6 +42,72 @@ let test_memory_blit_between_regions () =
   Memory.blit ~src ~src_off:2 ~dst ~dst_off:0 ~len:3;
   Alcotest.(check string) "blit" "cde" (Memory.sub_string dst ~off:0 ~len:3)
 
+let zeros n = String.make n '\000'
+
+let test_memory_unwritten_reads_zero () =
+  let r = Memory.alloc 100 in
+  Alcotest.(check string) "fresh region" (zeros 100)
+    (Memory.sub_string r ~off:0 ~len:100);
+  Memory.blit_from_string "abc" r ~off:10;
+  Alcotest.(check string) "around a write" "\000\000abc\000\000\000"
+    (Memory.sub_string r ~off:8 ~len:8);
+  Alcotest.(check string) "past the written prefix" (zeros 50)
+    (Memory.sub_string r ~off:50 ~len:50);
+  Memory.blit_from_string ~len:2 "xyz" r ~off:98;
+  Alcotest.(check string) "prefix of a string, at the end" "\000xy"
+    (Memory.sub_string r ~off:97 ~len:3);
+  Alcotest.(check bool) "bad range still rejected" true
+    (match Memory.sub_string r ~off:90 ~len:11 with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+let test_memory_blit_across_boundary () =
+  (* The source has 4 written bytes; a blit of 8 carries them and then
+     zeros, overwriting what the destination already held. *)
+  let src = Memory.alloc 64 in
+  Memory.blit_from_string "WXYZ" src ~off:0;
+  let dst = Memory.of_string (String.make 16 '.') in
+  Memory.blit ~src ~src_off:2 ~dst ~dst_off:4 ~len:8;
+  Alcotest.(check string) "written then unwritten source"
+    "....YZ\000\000\000\000\000\000...."
+    (Memory.sub_string dst ~off:0 ~len:16);
+  (* Into a never-written destination, from a fully written source. *)
+  let dst = Memory.alloc 32 in
+  Memory.blit ~src:(Memory.of_string "abcdef") ~src_off:0 ~dst ~dst_off:20
+    ~len:6;
+  Alcotest.(check string) "lands past the destination's prefix"
+    (zeros 20 ^ "abcdef" ^ zeros 6)
+    (Memory.sub_string dst ~off:0 ~len:32);
+  (* Within one region, overlapping. *)
+  let r = Memory.alloc 16 in
+  Memory.blit_from_string "0123" r ~off:0;
+  Memory.blit ~src:r ~src_off:0 ~dst:r ~dst_off:2 ~len:6;
+  Alcotest.(check string) "overlapping self-blit" "010123\000\000"
+    (Memory.sub_string r ~off:0 ~len:8);
+  Alcotest.(check int64) "int64 across the prefix" 0x0000000000003332L
+    (Memory.get_int64_le r 4)
+
+let test_memory_unwritten_costs_unchanged () =
+  (* Materialization is invisible to the cost model: a never-written
+     region has its declared length and pins exactly like a written one. *)
+  let sim = Sim.create () in
+  let os = Os.create sim model in
+  let fresh = Memory.alloc 10_000 in
+  let written = Memory.of_string (String.make 10_000 'w') in
+  check_int "declared length" 10_000 (Memory.length fresh);
+  let pin r =
+    let t0 = ref 0 and t1 = ref 0 in
+    Sim.spawn sim (fun () ->
+        t0 := Sim.now sim;
+        Os.pin_region os r ~off:0 ~len:1;
+        t1 := Sim.now sim);
+    ignore (Sim.run sim);
+    !t1 - !t0
+  in
+  let cost = Cost_model.pin_cost model ~bytes:10_000 in
+  check_int "never-written pin cost" cost (pin fresh);
+  check_int "written pin cost" cost (pin written)
+
 let test_translation_cache () =
   let sim = Sim.create () in
   let os = Os.create sim model in
@@ -124,6 +190,12 @@ let suites =
         Alcotest.test_case "unique ids" `Quick test_memory_ids_unique;
         Alcotest.test_case "blit between regions" `Quick
           test_memory_blit_between_regions;
+        Alcotest.test_case "unwritten reads zero" `Quick
+          test_memory_unwritten_reads_zero;
+        Alcotest.test_case "blit across the written prefix" `Quick
+          test_memory_blit_across_boundary;
+        Alcotest.test_case "unwritten costs unchanged" `Quick
+          test_memory_unwritten_costs_unchanged;
       ] );
     ( "host.os",
       [
