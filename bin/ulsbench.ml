@@ -33,27 +33,36 @@ let any_stack = "emp | tcp | tcp-tuned | ds | ds-base | dg"
 
 (* [~serving] maps ds to the substrate's server preset (small
    per-connection buffers, piggy-backed acks). *)
-let kind_of_stack ?(serving = false) stack =
-  let module M = Uls_bench.Microbench in
+let kind_of_stack ?(serving = false) stack : Uls_bench.Cluster.stack =
   let module O = Uls_substrate.Options in
   match stack with
-  | `Emp -> M.Emp_raw
-  | `Tcp -> M.Tcp Uls_tcp.Config.default
-  | `Tcp_tuned -> M.Tcp Uls_tcp.Config.(with_buffers default 262_144)
-  | `Ds -> M.Sub (if serving then O.server else O.data_streaming_enhanced)
-  | `Ds_base -> M.Sub O.data_streaming
-  | `Dg -> M.Sub O.datagram
+  | `Emp -> `Emp_raw
+  | `Tcp -> `Tcp Uls_tcp.Config.default
+  | `Tcp_tuned -> `Tcp Uls_tcp.Config.(with_buffers default 262_144)
+  | `Ds -> `Sub (if serving then O.server else O.data_streaming_enhanced)
+  | `Ds_base -> `Sub O.data_streaming
+  | `Dg -> `Sub O.datagram
 
 (* The sockets-stream drivers (chaos, serve, fabric) have no raw-EMP
    mode. *)
 let stream_kind ~cmd ?serving stack =
   match kind_of_stack ?serving stack with
-  | Uls_bench.Microbench.Emp_raw ->
+  | `Emp_raw ->
     Printf.eprintf "ulsbench %s: raw EMP has no sockets stream; use ds/dg\n"
       cmd;
     exit 124
-  | Uls_bench.Microbench.Tcp c -> Uls_bench.Chaos.Tcp c
-  | Uls_bench.Microbench.Sub o -> Uls_bench.Chaos.Sub o
+  | #Uls_bench.Cluster.stream as kind -> kind
+
+(* Counts and sizes where 0 means nothing: refused at parse time with
+   cmdliner's usage-error exit (124) rather than run into a division by
+   zero or a nan. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
 
 let seed_flag =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED"
@@ -101,6 +110,13 @@ let metrics_flag =
          ~doc:"Dump the per-node metrics registry after the run.")
 
 let dump_metrics m = Uls_engine.Metrics.dump m Format.std_formatter
+
+(* [--metrics] for the microbenchmarks: the observer keeps the run's
+   registry, and [dump] prints it after the result line. *)
+let metrics_observer metrics =
+  let kept = ref None in
+  let observe = if metrics then Some (fun _ m -> kept := Some m) else None in
+  (observe, fun () -> Option.iter dump_metrics !kept)
 
 (* Machine-tracked perf records: one JSON object per run, appended to a
    BENCH_*.json file (created on first use) so the trajectory
@@ -235,25 +251,34 @@ let json_float f = Printf.sprintf "%.3f" f
 let json_str s = Printf.sprintf "%S" s
 let json_bool b = if b then "true" else "false"
 
+let latency_json (l : Uls_bench.Latency.summary) =
+  let open Uls_bench.Latency in
+  [
+    ("elapsed_ms", json_float l.elapsed_ms);
+    ("rps", json_float l.rps);
+    ("mean_us", json_float l.mean_us);
+    ("p50_us", json_float l.p50_us);
+    ("p95_us", json_float l.p95_us);
+    ("p99_us", json_float l.p99_us);
+    ("p999_us", json_float l.p999_us);
+  ]
+
 let latency_cmd =
   let size =
-    Arg.(value & opt int 4 & info [ "size" ] ~docv:"BYTES" ~doc:"Message size.")
+    Arg.(value & opt pos_int 4 & info [ "size" ] ~docv:"BYTES"
+           ~doc:"Message size.")
   in
-  let iters = Arg.(value & opt int 30 & info [ "iters" ] ~doc:"Iterations.") in
+  let iters =
+    Arg.(value & opt pos_int 30 & info [ "iters" ] ~doc:"Iterations.")
+  in
   let run stack size iters metrics =
-    if metrics then begin
-      let us, _, m =
-        Uls_bench.Microbench.ping_pong_observed ~iters
-          ~kind:(kind_of_stack stack) ~size ()
-      in
-      Printf.printf "%d-byte one-way latency: %.2f us\n" size us;
-      dump_metrics m
-    end
-    else
-      let us =
-        Uls_bench.Microbench.ping_pong ~iters ~kind:(kind_of_stack stack) ~size ()
-      in
-      Printf.printf "%d-byte one-way latency: %.2f us\n" size us
+    let observe, dump = metrics_observer metrics in
+    let us =
+      Uls_bench.Microbench.ping_pong ?observe ~iters ~kind:(kind_of_stack stack)
+        ~size ()
+    in
+    Printf.printf "%d-byte one-way latency: %.2f us\n" size us;
+    dump ()
   in
   Cmd.v
     (Cmd.info "latency" ~doc:"Ping-pong one-way latency on a 2-node cluster")
@@ -261,26 +286,21 @@ let latency_cmd =
 
 let bandwidth_cmd =
   let msg =
-    Arg.(value & opt int 65_536 & info [ "msg" ] ~docv:"BYTES" ~doc:"Message size.")
+    Arg.(value & opt pos_int 65_536 & info [ "msg" ] ~docv:"BYTES"
+           ~doc:"Message size.")
   in
   let total =
-    Arg.(value & opt int (16 * 1024 * 1024) & info [ "total" ] ~docv:"BYTES"
-           ~doc:"Total bytes to stream.")
+    Arg.(value & opt pos_int (16 * 1024 * 1024) & info [ "total" ]
+           ~docv:"BYTES" ~doc:"Total bytes to stream.")
   in
   let run stack msg total metrics =
-    if metrics then begin
-      let mbps, _, m =
-        Uls_bench.Microbench.bandwidth_observed ~total
-          ~kind:(kind_of_stack stack) ~msg ()
-      in
-      Printf.printf "stream bandwidth (%d-byte messages): %.1f Mb/s\n" msg mbps;
-      dump_metrics m
-    end
-    else
-      let mbps =
-        Uls_bench.Microbench.bandwidth ~total ~kind:(kind_of_stack stack) ~msg ()
-      in
-      Printf.printf "stream bandwidth (%d-byte messages): %.1f Mb/s\n" msg mbps
+    let observe, dump = metrics_observer metrics in
+    let mbps =
+      Uls_bench.Microbench.bandwidth ?observe ~total ~kind:(kind_of_stack stack)
+        ~msg ()
+    in
+    Printf.printf "stream bandwidth (%d-byte messages): %.1f Mb/s\n" msg mbps;
+    dump ()
   in
   Cmd.v
     (Cmd.info "bandwidth" ~doc:"Unidirectional stream bandwidth")
@@ -312,11 +332,11 @@ let chaos_cmd =
                  ds-base | dg. Default: ds and tcp.")
   in
   let total =
-    Arg.(value & opt int (4 * 1024 * 1024) & info [ "total" ] ~docv:"BYTES"
-           ~doc:"Bytes streamed per run.")
+    Arg.(value & opt pos_int (4 * 1024 * 1024) & info [ "total" ]
+           ~docv:"BYTES" ~doc:"Bytes streamed per run.")
   in
   let msg =
-    Arg.(value & opt int 16_384 & info [ "msg" ] ~docv:"BYTES"
+    Arg.(value & opt pos_int 16_384 & info [ "msg" ] ~docv:"BYTES"
            ~doc:"Bytes per write.")
   in
   let rates =
@@ -395,15 +415,15 @@ let serve_cmd =
     Arg.conv (parse, print)
   in
   let conns =
-    Arg.(value & opt int 64 & info [ "conns" ] ~docv:"N"
+    Arg.(value & opt pos_int 64 & info [ "conns" ] ~docv:"N"
            ~doc:"Concurrent client connections.")
   in
   let requests =
-    Arg.(value & opt int 8 & info [ "requests" ] ~docv:"N"
+    Arg.(value & opt pos_int 8 & info [ "requests" ] ~docv:"N"
            ~doc:"Requests per connection.")
   in
   let size =
-    Arg.(value & opt int 512 & info [ "size" ] ~docv:"BYTES"
+    Arg.(value & opt pos_int 512 & info [ "size" ] ~docv:"BYTES"
            ~doc:"Echo payload / HTTP response-body size.")
   in
   let workload =
@@ -428,7 +448,7 @@ let serve_cmd =
            ~doc:"Server listen backlog (0 = auto).")
   in
   let workers =
-    Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N"
+    Arg.(value & opt pos_int 4 & info [ "workers" ] ~docv:"N"
            ~doc:"Scheduler worker fibers.")
   in
   let max_inflight =
@@ -438,9 +458,9 @@ let serve_cmd =
   in
   let serve_json record cfg (r : Load.report) =
     record
-      [
+      ([
         ("bench", json_str "serve");
-        ("stack", json_str (Chaos.kind_name cfg.Load.kind));
+        ("stack", json_str (Cluster.stack_name cfg.Load.kind));
         ("workload",
          json_str
            (match cfg.Load.workload with Load.Echo -> "echo" | Load.Http -> "http"));
@@ -452,8 +472,8 @@ let serve_cmd =
         ("match",
          json_str
            (match cfg.Load.kind with
-           | Chaos.Tcp _ -> "n/a" (* kernel path: no NIC tag matching *)
-           | Chaos.Sub _ ->
+           | `Tcp _ -> "n/a" (* kernel path: no NIC tag matching *)
+           | `Sub _ ->
              Uls_nic.Match_list.engine_name cfg.Load.match_engine));
         ("sched", json_str (sched_name cfg.Load.event_sched));
         ("conns", json_int cfg.Load.conns);
@@ -468,16 +488,12 @@ let serve_cmd =
         ("errors", json_int r.Load.errors);
         ("mismatches", json_int r.Load.mismatches);
         ("peak_open", json_int r.Load.peak_open);
-        ("elapsed_ms", json_float r.Load.elapsed_ms);
-        ("rps", json_float r.Load.rps);
-        ("mean_us", json_float r.Load.mean_us);
-        ("p50_us", json_float r.Load.p50_us);
-        ("p95_us", json_float r.Load.p95_us);
-        ("p99_us", json_float r.Load.p99_us);
-        ("p999_us", json_float r.Load.p999_us);
-        ("intact", json_bool r.Load.intact);
-        ("completed_run", json_bool r.Load.completed_run);
       ]
+      @ latency_json r.Load.lat
+      @ [
+          ("intact", json_bool r.Load.intact);
+          ("completed_run", json_bool r.Load.completed_run);
+        ])
   in
   let run stack conns requests size workload open_loop think seed loss clients
       backlog workers max_inflight match_engine event_sched metrics record =
@@ -553,23 +569,23 @@ let fabric_cmd =
     Arg.conv (parse, print)
   in
   let cells =
-    Arg.(value & opt int 4 & info [ "cells" ] ~docv:"K"
+    Arg.(value & opt pos_int 4 & info [ "cells" ] ~docv:"K"
            ~doc:"Server cells behind the balancer.")
   in
   let shards =
-    Arg.(value & opt int 4 & info [ "shards" ] ~docv:"N"
+    Arg.(value & opt pos_int 4 & info [ "shards" ] ~docv:"N"
            ~doc:"SO_REUSEPORT listener shards (schedulers) per cell.")
   in
   let conns =
-    Arg.(value & opt int 2048 & info [ "conns" ] ~docv:"N"
+    Arg.(value & opt pos_int 2048 & info [ "conns" ] ~docv:"N"
            ~doc:"Total connection arrivals over the run.")
   in
   let requests =
-    Arg.(value & opt int 2 & info [ "requests" ] ~docv:"N"
+    Arg.(value & opt pos_int 2 & info [ "requests" ] ~docv:"N"
            ~doc:"Requests per connection.")
   in
   let size =
-    Arg.(value & opt int 256 & info [ "size" ] ~docv:"BYTES"
+    Arg.(value & opt pos_int 256 & info [ "size" ] ~docv:"BYTES"
            ~doc:"Echo payload size.")
   in
   let rate =
@@ -597,7 +613,7 @@ let fabric_cmd =
                  frame; keep it modest.")
   in
   let vnodes =
-    Arg.(value & opt int 128 & info [ "vnodes" ] ~docv:"N"
+    Arg.(value & opt pos_int 128 & info [ "vnodes" ] ~docv:"N"
            ~doc:"Consistent-hash virtual nodes per cell.")
   in
   let kill =
@@ -613,14 +629,14 @@ let fabric_cmd =
     record
       ([
          ("bench", json_str "fabric");
-         ("stack", json_str (Chaos.kind_name cfg.Fleet.kind));
+         ("stack", json_str (Cluster.stack_name cfg.Fleet.kind));
          ("cells", json_int cfg.Fleet.cells);
          ("shards", json_int cfg.Fleet.shards);
          ("match",
           json_str
             (match cfg.Fleet.kind with
-            | Chaos.Tcp _ -> "n/a" (* kernel path: no NIC tag matching *)
-            | Chaos.Sub _ ->
+            | `Tcp _ -> "n/a" (* kernel path: no NIC tag matching *)
+            | `Sub _ ->
               Uls_nic.Match_list.engine_name cfg.Fleet.match_engine));
          ("sched", json_str (sched_name cfg.Fleet.event_sched));
          ("conns", json_int cfg.Fleet.conns);
@@ -643,16 +659,12 @@ let fabric_cmd =
          ("peak_cell_open", json_int r.Fleet.peak_cell_open);
          ("healed_at_ms", json_float r.Fleet.healed_at_ms);
          ("drained_at_ms", json_float r.Fleet.drained_at_ms);
-         ("elapsed_ms", json_float r.Fleet.elapsed_ms);
-         ("rps", json_float r.Fleet.rps);
-         ("mean_us", json_float r.Fleet.mean_us);
-         ("p50_us", json_float r.Fleet.p50_us);
-         ("p95_us", json_float r.Fleet.p95_us);
-         ("p99_us", json_float r.Fleet.p99_us);
-         ("p999_us", json_float r.Fleet.p999_us);
-         ("intact", json_bool r.Fleet.intact);
-         ("completed_run", json_bool r.Fleet.completed_run);
-       ])
+       ]
+      @ latency_json r.Fleet.lat
+      @ [
+          ("intact", json_bool r.Fleet.intact);
+          ("completed_run", json_bool r.Fleet.completed_run);
+        ])
   in
   let run stack cells shards conns requests size rate think clients seed loss
       max_inflight backlog vnodes kill drain match_engine event_sched metrics
@@ -688,47 +700,50 @@ let trace_cmd =
            ~doc:"pingpong | bandwidth | barrier")
   in
   let size =
-    Arg.(value & opt int 4 & info [ "size" ] ~docv:"BYTES"
+    Arg.(value & opt pos_int 4 & info [ "size" ] ~docv:"BYTES"
            ~doc:"Message size (pingpong).")
   in
   let msg =
-    Arg.(value & opt int 65_536 & info [ "msg" ] ~docv:"BYTES"
+    Arg.(value & opt pos_int 65_536 & info [ "msg" ] ~docv:"BYTES"
            ~doc:"Message size (bandwidth).")
   in
   let nodes =
-    Arg.(value & opt int 8 & info [ "nodes" ] ~docv:"N"
+    Arg.(value & opt pos_int 8 & info [ "nodes" ] ~docv:"N"
            ~doc:"Group size (barrier).")
   in
-  let iters = Arg.(value & opt int 10 & info [ "iters" ] ~doc:"Iterations.") in
+  let iters =
+    Arg.(value & opt pos_int 10 & info [ "iters" ] ~doc:"Iterations.")
+  in
   let out =
     Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE"
            ~doc:"Write the Chrome-trace JSON here instead of stdout.")
   in
   let run experiment stack size msg nodes iters out metrics =
     let kind = kind_of_stack stack in
-    let summary, tr, m =
+    let observed = ref None in
+    let observe tr m = observed := Some (tr, m) in
+    let summary =
       match experiment with
       | "pingpong" ->
-        let us, tr, m =
-          Uls_bench.Microbench.ping_pong_observed ~iters ~kind ~size ()
-        in
-        (Printf.sprintf "%d-byte one-way latency: %.2f us" size us, tr, m)
+        let us = Uls_bench.Microbench.ping_pong ~observe ~iters ~kind ~size () in
+        Printf.sprintf "%d-byte one-way latency: %.2f us" size us
       | "bandwidth" ->
-        let mbps, tr, m =
-          Uls_bench.Microbench.bandwidth_observed ~total:(4 * 1024 * 1024)
+        let mbps =
+          Uls_bench.Microbench.bandwidth ~observe ~total:(4 * 1024 * 1024)
             ~kind ~msg ()
         in
-        (Printf.sprintf "stream bandwidth: %.1f Mb/s" mbps, tr, m)
+        Printf.sprintf "stream bandwidth: %.1f Mb/s" mbps
       | "barrier" ->
-        let us, tr, m =
-          Uls_bench.Microbench.barrier_latency_observed ~iters
+        let us =
+          Uls_bench.Microbench.barrier_latency ~observe ~iters
             ~alg:Uls_collective.Group.Binomial_tree ~nodes ()
         in
-        (Printf.sprintf "%d-node barrier: %.2f us" nodes us, tr, m)
+        Printf.sprintf "%d-node barrier: %.2f us" nodes us
       | other ->
         Printf.eprintf "ulsbench trace: unknown experiment %S\n" other;
         exit 124
     in
+    let tr, m = Option.get !observed in
     let json = Uls_engine.Trace.to_chrome_json tr in
     (* Keep stdout pure JSON when no --out was given, so the output can
        be piped straight into a validator or chrome://tracing. *)
@@ -795,50 +810,36 @@ let collective_cmd =
          & info [ "alg" ] ~docv:"ALG" ~doc:"linear | binomial | recdbl | nic")
   in
   let nodes =
-    Arg.(value & opt int 8 & info [ "nodes" ] ~docv:"N" ~doc:"Group size.")
+    Arg.(value & opt pos_int 8 & info [ "nodes" ] ~docv:"N"
+           ~doc:"Group size.")
   in
   let size =
-    Arg.(value & opt int 65_536 & info [ "size" ] ~docv:"BYTES"
+    Arg.(value & opt pos_int 65_536 & info [ "size" ] ~docv:"BYTES"
            ~doc:"Payload size (bcast/allreduce only).")
   in
-  let iters = Arg.(value & opt int 10 & info [ "iters" ] ~doc:"Iterations.") in
+  let iters =
+    Arg.(value & opt pos_int 10 & info [ "iters" ] ~doc:"Iterations.")
+  in
   let run op alg nodes size iters metrics =
-    if nodes < 1 then begin
-      prerr_endline "ulsbench: --nodes must be at least 1";
-      exit 124
-    end;
+    let observe, dump = metrics_observer metrics in
     let alg_name = Uls_collective.Group.algorithm_name alg in
-    match op with
+    (match op with
     | `Barrier ->
-      if metrics then begin
-        let us, _, m =
-          Uls_bench.Microbench.barrier_latency_observed ~iters ~alg ~nodes ()
-        in
-        Printf.printf "%d-node %s barrier: %.2f us\n" nodes alg_name us;
-        dump_metrics m
-      end
-      else
-        let us = Uls_bench.Microbench.barrier_latency ~iters ~alg ~nodes () in
-        Printf.printf "%d-node %s barrier: %.2f us\n" nodes alg_name us
+      let us =
+        Uls_bench.Microbench.barrier_latency ?observe ~iters ~alg ~nodes ()
+      in
+      Printf.printf "%d-node %s barrier: %.2f us\n" nodes alg_name us
     | (`Bcast | `Allreduce) as op ->
       let op_name =
         match op with `Bcast -> "bcast" | `Allreduce -> "allreduce"
       in
-      if metrics then begin
-        let mbps, _, m =
-          Uls_bench.Microbench.coll_bandwidth_observed ~iters ~op ~alg ~nodes
-            ~size ()
-        in
-        Printf.printf "%d-node %s %s (%d B): %.1f Mb/s\n" nodes alg_name
-          op_name size mbps;
-        dump_metrics m
-      end
-      else
-        let mbps =
-          Uls_bench.Microbench.coll_bandwidth ~iters ~op ~alg ~nodes ~size ()
-        in
-        Printf.printf "%d-node %s %s (%d B): %.1f Mb/s\n" nodes alg_name
-          op_name size mbps
+      let mbps =
+        Uls_bench.Microbench.coll_bandwidth ?observe ~iters ~op ~alg ~nodes
+          ~size ()
+      in
+      Printf.printf "%d-node %s %s (%d B): %.1f Mb/s\n" nodes alg_name
+        op_name size mbps);
+    dump ()
   in
   Cmd.v
     (Cmd.info "collective"
@@ -909,7 +910,7 @@ let busy_poll_flag =
                loop spins instead of sleeping between doorbells.")
 
 let batch_flag default =
-  Arg.(value & opt int default
+  Arg.(value & opt pos_int default
        & info [ "batch" ] ~docv:"N"
            ~doc:"Submission batch depth: descriptors per doorbell. \
                  $(b,1) is the per-call ablation (byte-identical to the \
@@ -919,15 +920,15 @@ let firehose_cmd =
   let open Uls_bench in
   let d = Firehose.default in
   let sinks =
-    Arg.(value & opt int d.Firehose.sinks
+    Arg.(value & opt pos_int d.Firehose.sinks
          & info [ "sinks" ] ~docv:"N" ~doc:"Sink nodes (source is node 0).")
   in
   let count =
-    Arg.(value & opt int d.Firehose.count
+    Arg.(value & opt pos_int d.Firehose.count
          & info [ "count" ] ~docv:"N" ~doc:"Messages per sink.")
   in
   let size =
-    Arg.(value & opt int d.Firehose.size
+    Arg.(value & opt pos_int d.Firehose.size
          & info [ "size" ] ~docv:"BYTES" ~doc:"Payload bytes per message.")
   in
   let firehose_json record (cfg : Firehose.config) (r : Firehose.report) =
@@ -997,20 +998,20 @@ let storm_cmd =
   let open Uls_bench in
   let d = Storm.default in
   let scanners =
-    Arg.(value & opt int d.Storm.scanners
+    Arg.(value & opt pos_int d.Storm.scanners
          & info [ "scanners" ] ~docv:"N" ~doc:"Scanner (prober) nodes.")
   in
   let targets =
-    Arg.(value & opt int d.Storm.targets
+    Arg.(value & opt pos_int d.Storm.targets
          & info [ "targets" ] ~docv:"N" ~doc:"Target (listener) nodes.")
   in
   let window =
-    Arg.(value & opt int d.Storm.window
+    Arg.(value & opt pos_int d.Storm.window
          & info [ "window" ] ~docv:"W"
              ~doc:"Probe slots (concurrent probes) per scanner.")
   in
   let probes =
-    Arg.(value & opt int d.Storm.probes
+    Arg.(value & opt pos_int d.Storm.probes
          & info [ "probes" ] ~docv:"N" ~doc:"Probes per scanner.")
   in
   let backlog =
@@ -1408,9 +1409,9 @@ let serve_gate () =
   let linear = Uls_nic.Match_list.Linear in
   let lin = run "ds/512/linear" (scale ~match_engine:linear `Ds L.Echo) in
   let hsh = run "ds/512/hashed" (scale `Ds L.Echo) in
-  if hsh.L.rps < lin.L.rps *. 0.999 then
+  if hsh.L.lat.rps < lin.L.lat.rps *. 0.999 then
     fail "hashed slower than linear at 512 conns (%.0f vs %.0f req/s)"
-      hsh.L.rps lin.L.rps;
+      hsh.L.lat.rps lin.L.lat.rps;
   ignore (run "tcp/512" (scale `Tcp L.Echo));
   twice "ds/512/hashed" (scale `Ds L.Echo)
 
@@ -1435,7 +1436,7 @@ let fabric_gate () =
   in
   let run label cfg =
     Format.printf "--- fabric smoke: %s %s@."
-      (Uls_bench.Chaos.kind_name cfg.F.kind) label;
+      (Uls_bench.Cluster.stack_name cfg.F.kind) label;
     let r = F.run cfg in
     F.print_report Format.std_formatter cfg r;
     r
@@ -1444,14 +1445,15 @@ let fabric_gate () =
     (fun (st, cells) ->
       let cfg = base st cells in
       let tag =
-        Printf.sprintf "%s/%d-cell" (Uls_bench.Chaos.kind_name cfg.F.kind) cells
+        Printf.sprintf "%s/%d-cell" (Uls_bench.Cluster.stack_name cfg.F.kind)
+          cells
       in
       clean tag (run (Printf.sprintf "cells=%d" cells) cfg))
     [ (`Ds, 1); (`Ds, 4); (`Tcp, 1); (`Tcp, 4) ];
   List.iter
     (fun st ->
       let cfg = { (base st 4) with F.kill = Some (1, Uls_engine.Time.ms 8) } in
-      let tag = Uls_bench.Chaos.kind_name cfg.F.kind ^ "/kill" in
+      let tag = Uls_bench.Cluster.stack_name cfg.F.kind ^ "/kill" in
       let r = run "kill-failover" cfg in
       clean ~allow_failures:true tag r;
       if r.F.healed_at_ms < 0. then fail "%s: ring never healed" tag)

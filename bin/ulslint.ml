@@ -1,6 +1,7 @@
 (* Source lint for the repository's own invariants. Stdlib-only text
-   pass over lib/ — deliberately not a typed AST tool, so it runs
-   before anything builds and stays dependency-free. Three rules:
+   pass over lib/ (dead-export also reads every .ml that could use a
+   lib/ export) — deliberately not a typed AST tool, so it runs before
+   anything builds and stays dependency-free. The rules:
 
    no-assert-false   [assert false] is banned in lib/: protocol and
                      decode paths must fail with a named, typed error
@@ -33,6 +34,13 @@
                      turns "fiber X waiting on conn:3 credits" into
                      "waiting on cond#17".
 
+   dead-export       a [val] in a lib/**/*.mli whose name appears in no
+                     .ml outside its own module (lib/, bin/, perfbench/,
+                     examples/, test/): an interface entry nobody else
+                     calls is surface to maintain for nothing. A name
+                     match anywhere counts as a use, so the rule errs
+                     towards keeping an export.
+
    Findings can be suppressed by .ulslint-allow at the repo root
    ("rule path[:line]" per line, '#' comments); stale allowlist entries
    are themselves errors, so the file can only shrink. *)
@@ -42,7 +50,7 @@ let root = ref "."
 let rules =
   [
     "no-assert-false"; "missing-mli"; "blocking-watcher";
-    "metrics-name-lookup"; "unlabeled-sync";
+    "metrics-name-lookup"; "unlabeled-sync"; "dead-export";
   ]
 
 type finding = { rule : string; path : string; line : int; msg : string }
@@ -59,12 +67,12 @@ let read_lines path =
   close_in ic;
   String.split_on_char '\n' s
 
-let rec walk dir acc =
+let rec walk ?(suffix = ".ml") dir acc =
   Array.fold_left
     (fun acc entry ->
       let path = Filename.concat dir entry in
-      if Sys.is_directory path then walk path acc
-      else if Filename.check_suffix entry ".ml" then path :: acc
+      if Sys.is_directory path then walk ~suffix path acc
+      else if Filename.check_suffix entry suffix then path :: acc
       else acc)
     acc (Sys.readdir dir)
 
@@ -231,6 +239,69 @@ let check_unlabeled_sync path lines =
         sync_constructors)
     arr
 
+(* --- rule: dead-export --------------------------------------------------- *)
+
+let is_ident_char c =
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+  || c = '_' || c = '\''
+
+(* Every identifier-shaped token of a file, comments and strings
+   included. *)
+let tokens lines =
+  let acc = Hashtbl.create 256 in
+  List.iter
+    (fun line ->
+      let n = String.length line in
+      let i = ref 0 in
+      while !i < n do
+        if is_ident_char line.[!i] then begin
+          let j = ref !i in
+          while !j < n && is_ident_char line.[!j] do
+            incr j
+          done;
+          Hashtbl.replace acc (String.sub line !i (!j - !i)) ();
+          i := !j
+        end
+        else incr i
+      done)
+    lines;
+  acc
+
+(* The name of a [val] declared on this line, if any (operators are
+   skipped). *)
+let val_name line =
+  let t = String.trim line in
+  if String.length t > 4 && String.sub t 0 4 = "val " then begin
+    let rest = String.trim (String.sub t 4 (String.length t - 4)) in
+    let n = String.length rest in
+    let j = ref 0 in
+    while !j < n && is_ident_char rest.[!j] do
+      incr j
+    done;
+    if !j > 0 then Some (String.sub rest 0 !j) else None
+  end
+  else None
+
+(* [users] maps each token to the .ml files it appears in. *)
+let check_dead_exports ~users mli =
+  let own = Filename.chop_suffix mli ".mli" ^ ".ml" in
+  List.iteri
+    (fun i line ->
+      match val_name line with
+      | None -> ()
+      | Some name ->
+        let used =
+          List.exists (fun f -> f <> own)
+            (Option.value ~default:[] (Hashtbl.find_opt users name))
+        in
+        if not used then
+          report "dead-export" mli (i + 1)
+            (Printf.sprintf
+               "%s is exported but no other module uses it; drop it from \
+                the interface (and the code, if nothing inside uses it)"
+               name))
+    (read_lines mli)
+
 (* --- allowlist --------------------------------------------------------- *)
 
 type allow = { a_rule : string; a_path : string; a_line : int option }
@@ -304,6 +375,24 @@ let () =
       check_metrics_lookup path lines;
       check_unlabeled_sync path lines)
     files;
+  let users = Hashtbl.create 4096 in
+  List.iter
+    (fun dir ->
+      let dir = Filename.concat !root dir in
+      if Sys.file_exists dir then
+        List.iter
+          (fun path ->
+            Hashtbl.iter
+              (fun tok () ->
+                let prev =
+                  Option.value ~default:[] (Hashtbl.find_opt users tok)
+                in
+                Hashtbl.replace users tok (path :: prev))
+              (tokens (read_lines path)))
+          (walk dir []))
+    [ "lib"; "bin"; "perfbench"; "examples"; "test" ];
+  List.iter (check_dead_exports ~users)
+    (List.sort compare (walk ~suffix:".mli" lib []));
   let allows = load_allowlist (Filename.concat !root ".ulslint-allow") in
   let relativize f =
     (* Report paths relative to the repo root so allowlist entries are

@@ -10,11 +10,6 @@
 
 type t
 
-val stable_counters : string list
-(** Metric counters allowed into the fingerprint. Everything else
-    (frame, ack, retransmission, read-call counts) is legitimately
-    schedule-dependent and excluded. *)
-
 val capture :
   ?observables:string list ->
   Uls_engine.Sim.t ->

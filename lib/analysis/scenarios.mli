@@ -44,21 +44,17 @@ type t = {
           gets seeded walks only *)
 }
 
-val clean_suite : t list
-(** Scenarios that must stay schedule-independent: streaming echo under
-    credit flow control, datagram rendezvous from concurrent clients,
-    connection churn, the raw-EMP grant protocol with per-request
-    routing, and fleet arrivals over the sharded serving fabric (ring
-    placement + completion counts fingerprinted from the fleet
-    report). Workloads too large to sweep come with a "-mini" variant
-    that carries the depth-first sweep. *)
-
-val buggy_suite : t list
-(** Seeded regressions: the PR 2 shared-grant-queue bug re-introduced in
-    a raw-EMP fixture, and a lost-wakeup fixture whose deadlock exists
-    on exactly one of two schedules (the explorer's exhaustive-proof
-    demo). *)
-
 val all : t list
+(** The clean suite, then the seeded regressions. Clean scenarios must
+    stay schedule-independent: streaming echo under credit flow control,
+    datagram rendezvous from concurrent clients, connection churn, the
+    raw-EMP grant protocol with per-request routing, and fleet arrivals
+    over the sharded serving fabric (ring placement + completion counts
+    fingerprinted from the fleet report). Workloads too large to sweep
+    come with a "-mini" variant that carries the depth-first sweep. The
+    regressions are the shared-grant-queue bug re-introduced in a
+    raw-EMP fixture, and a lost-wakeup fixture whose deadlock exists on
+    exactly one of two schedules (the explorer's exhaustive-proof
+    demo). *)
 
 val find : string -> t option

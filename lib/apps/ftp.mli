@@ -2,9 +2,6 @@
     data streamed over the same connection, running on RAM disks at both
     ends. Works unchanged over kernel TCP and both substrate modes. *)
 
-val chunk_size : int
-(** Bulk transfer unit (60 KB: one substrate credit buffer per chunk). *)
-
 val server :
   Uls_engine.Sim.t ->
   Uls_api.Sockets_api.stack ->

@@ -206,7 +206,6 @@ end
 
 (* --- the §7.4 workload ------------------------------------------------ *)
 
-let request_bytes = 16
 let http10_requests_per_conn = 1
 let http11_requests_per_conn = 8
 let chunk = 65_536

@@ -80,10 +80,6 @@ end
 
 (** {1 The §7.4 workload} *)
 
-val request_bytes : int
-(** 16 — the paper's nominal request size (kept for reference; the real
-    request line is a few bytes longer). *)
-
 val http10_requests_per_conn : int
 val http11_requests_per_conn : int
 

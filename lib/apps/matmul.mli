@@ -22,9 +22,6 @@ type result = {
   elapsed : Uls_engine.Time.ns;  (** distribute + compute + collect *)
 }
 
-val default_ns_per_flop : float
-(** Naive triple-loop on the testbed's 700 MHz Pentium III. *)
-
 val worker :
   ?ns_per_flop:float ->
   Uls_engine.Sim.t ->

@@ -24,6 +24,3 @@ val read : t -> name:string -> off:int -> len:int -> string
 (** Read up to [len] bytes at [off]; shorter at end of file; [""] past
     the end. Charges the FS call overhead plus the per-byte copy.
     @raise Not_found if the file does not exist. *)
-
-val file_read_overhead : Uls_engine.Time.ns
-(** Fixed per-call cost (VFS + buffer cache lookup). *)

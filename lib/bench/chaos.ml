@@ -29,35 +29,19 @@ let liveness_bound = Time.s 60
    [`Time_limit] (reported as [completed = false]) instead of a test
    harness that never returns. *)
 
-type kind =
-  | Sub of Uls_substrate.Options.t
-  | Tcp of Uls_tcp.Config.t
-
-let kind_name = function
-  | Sub o -> "EMP-" ^ Uls_substrate.Options.mode_name o
-  | Tcp _ -> "TCP"
-
-let make_api kind c =
-  match kind with
-  | Tcp config -> Cluster.tcp_api ~config c
-  | Sub opts -> Cluster.substrate_api ~opts c
-
 let retransmit_metric = function
-  | Sub _ -> "emp.frames_retransmitted"
-  | Tcp _ -> "tcp.retransmits"
+  | `Sub _ -> "emp.frames_retransmitted"
+  | `Tcp _ -> "tcp.retransmits"
 
 (* One streaming run at one loss rate: client sends [total] patterned
    bytes in [msg]-byte writes, server verifies every byte and answers
    with one confirmation byte. *)
 let stream_run ~kind ~seed ~loss ~total ~msg =
   let c = Cluster.create ~n:2 () in
-  let api = make_api kind c in
+  let api = Cluster.api c kind in
   let sim = Cluster.sim c in
-  let fault = Fault.create ~seed sim in
-  if loss > 0. then begin
-    Fault.set_default_plan fault (Fault.uniform_loss loss);
-    Uls_ether.Network.set_fault (Cluster.network c) fault
-  end;
+  let fault = Cluster.fault ~seed c in
+  if loss > 0. then Fault.set_default_plan fault (Fault.uniform_loss loss);
   let payload = pattern ~seed:(seed lxor 0x5ca1ab1e) total in
   let intact = ref false in
   let t_start = ref 0 and t_end = ref 0 in
@@ -100,7 +84,7 @@ let stream_run ~kind ~seed ~loss ~total ~msg =
     elapsed_ms = float_of_int elapsed /. 1_000_000.;
     faults_injected = Fault.faults_injected fault;
     retransmits = per_node (retransmit_metric kind);
-    nacks = (match kind with Sub _ -> per_node "emp.nacks_sent" | Tcp _ -> 0);
+    nacks = (match kind with `Sub _ -> per_node "emp.nacks_sent" | `Tcp _ -> 0);
     intact = !intact;
     completed = outcome = `Quiescent;
   }
@@ -112,7 +96,7 @@ let sweep ?(seed = 42) ?(rates = default_rates) ?(total = 4 * 1024 * 1024)
   List.map (fun loss -> stream_run ~kind ~seed ~loss ~total ~msg) rates
 
 let print_table fmt ~kind rows =
-  Format.fprintf fmt "%s, %s:@." (kind_name kind)
+  Format.fprintf fmt "%s, %s:@." (Cluster.stack_name kind)
     "goodput under uniform frame loss";
   Format.fprintf fmt "  %8s %12s %12s %8s %12s %8s %6s@." "loss%" "Mbit/s"
     "elapsed ms" "faults" "retransmits" "nacks" "ok";

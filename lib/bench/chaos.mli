@@ -13,14 +13,8 @@ type row = {
   completed : bool;  (** quiesced within the virtual-time liveness bound *)
 }
 
-type kind =
-  | Sub of Uls_substrate.Options.t
-  | Tcp of Uls_tcp.Config.t
-
-val kind_name : kind -> string
-
 val stream_run :
-  kind:kind -> seed:int -> loss:float -> total:int -> msg:int -> row
+  kind:Cluster.stream -> seed:int -> loss:float -> total:int -> msg:int -> row
 (** One streaming run: [total] patterned bytes in [msg]-byte writes under
     uniform per-frame loss probability [loss], verified byte-for-byte at
     the receiver. *)
@@ -33,8 +27,9 @@ val sweep :
   ?rates:float list ->
   ?total:int ->
   ?msg:int ->
-  kind:kind ->
+  kind:Cluster.stream ->
   unit ->
   row list
 
-val print_table : Format.formatter -> kind:kind -> row list -> unit
+val print_table :
+  Format.formatter -> kind:Cluster.stream -> row list -> unit

@@ -10,7 +10,16 @@ type t = {
   emps : Uls_emp.Endpoint.t option array;
   subs : Uls_substrate.Substrate.t option array;
   mutable tcp : Uls_tcp.Tcp_stack.t option;
+  mutable fault : Fault.t option;
 }
+
+type stream = [ `Tcp of Uls_tcp.Config.t | `Sub of Uls_substrate.Options.t ]
+type stack = [ stream | `Emp_raw ]
+
+let stack_name = function
+  | `Emp_raw -> "EMP"
+  | `Tcp _ -> "TCP"
+  | `Sub o -> "EMP-" ^ Uls_substrate.Options.mode_name o
 
 let create ?(model = Cost_model.paper_testbed) ?tiebreak
     ?(match_engine = Uls_nic.Match_list.Linear) ?sched ~n () =
@@ -37,6 +46,7 @@ let create ?(model = Cost_model.paper_testbed) ?tiebreak
     emps = Array.make n None;
     subs = Array.make n None;
     tcp = None;
+    fault = None;
   }
 
 let sim t = t.sim
@@ -75,6 +85,19 @@ let tcp ?config t =
     stack
 
 let tcp_api ?config t = Uls_tcp.Tcp_stack.api (tcp ?config t)
+
+let api t = function
+  | `Tcp config -> tcp_api ~config t
+  | `Sub opts -> substrate_api ~opts t
+
+let fault ?seed t =
+  match t.fault with
+  | Some f -> f
+  | None ->
+    let f = Fault.create ?seed t.sim in
+    Uls_ether.Network.set_fault t.net f;
+    t.fault <- Some f;
+    f
 
 let instantiated arr =
   Array.to_list arr

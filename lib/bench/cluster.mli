@@ -3,6 +3,18 @@
 
 type t
 
+type stream = [ `Tcp of Uls_tcp.Config.t | `Sub of Uls_substrate.Options.t ]
+(** A sockets stack and its options: kernel TCP or the substrate over
+    EMP. The stream drivers (chaos, serve, fabric) take only these. *)
+
+type stack = [ stream | `Emp_raw ]
+(** Every stack the paper's §7 measures; [`Emp_raw] is EMP's own
+    descriptor interface, with no sockets layer. *)
+
+val stack_name : [< stack ] -> string
+(** ["EMP-DS"] / ["EMP-DG"] for the substrate, ["TCP"], and ["EMP"] for
+    raw EMP: the names reports and BENCH records carry. *)
+
 val create :
   ?model:Uls_host.Cost_model.t ->
   ?tiebreak:Uls_engine.Sim.tiebreak_spec ->
@@ -44,6 +56,15 @@ val substrate : ?opts:Uls_substrate.Options.t -> t -> int -> Uls_substrate.Subst
 
 val substrate_api : ?opts:Uls_substrate.Options.t -> t -> Uls_api.Sockets_api.stack
 (** Substrate instances on every node, as a sockets stack. *)
+
+val api : t -> [< stream ] -> Uls_api.Sockets_api.stack
+(** The sockets stack a {!stream} names, on every node. *)
+
+val fault : ?seed:int -> t -> Uls_engine.Fault.t
+(** The cluster's fault engine, created and attached to every hop of the
+    network on the first call and cached after it; [seed] applies only
+    to that call. With no plan installed the engine delivers every frame
+    without drawing randomness, so attaching it changes no event. *)
 
 val run : ?until:Uls_engine.Time.ns -> t -> [ `Quiescent | `Time_limit | `Stopped ]
 

@@ -27,8 +27,6 @@ let shapes =
       sh_timeout = Time.ms 50; sh_far = true };
   ]
 
-let find_shape name = List.find_opt (fun s -> s.sh_name = name) shapes
-
 type row = {
   scenario : string;
   conns : int;

@@ -31,8 +31,6 @@ type shape = {
 val shapes : shape list
 (** pingpong, serve-512, fabric-4096, fabric-65536. *)
 
-val find_shape : string -> shape option
-
 type row = {
   scenario : string;
   conns : int;
@@ -50,10 +48,6 @@ type row = {
 }
 
 val sched_name : sched -> string
-
-val run_shape : sched:sched -> shape -> row
-(** Collect garbage, build a fresh sim with the given scheduler,
-    install the workload, run to quiescence, and time it. *)
 
 val run_all : unit -> row list
 (** Every shape under both schedulers, heap first. Each shape runs five

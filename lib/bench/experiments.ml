@@ -21,11 +21,11 @@ let fig11 ?(quick = false) () =
   let sizes = if quick then [ 4; 256; 4096 ] else latency_sizes in
   let kinds =
     [
-      ("EMP", Microbench.Emp_raw);
-      ("DG", Microbench.Sub dg);
-      ("DS", Microbench.Sub ds_base);
-      ("DS_DA", Microbench.Sub ds_da);
-      ("DS_DA_UQ", Microbench.Sub ds_full);
+      ("EMP", `Emp_raw);
+      ("DG", `Sub dg);
+      ("DS", `Sub ds_base);
+      ("DS_DA", `Sub ds_da);
+      ("DS_DA_UQ", `Sub ds_full);
     ]
   in
   let rows =
@@ -62,12 +62,12 @@ let fig12 ?(quick = false) () =
       (fun credits ->
         let without =
           Microbench.ping_pong ~iters
-            ~kind:(Microbench.Sub { ds_base with Opt.credits })
+            ~kind:(`Sub { ds_base with Opt.credits })
             ~size:4 ()
         in
         let with_da =
           Microbench.ping_pong ~iters
-            ~kind:(Microbench.Sub { ds_da with Opt.credits })
+            ~kind:(`Sub { ds_da with Opt.credits })
             ~size:4 ()
         in
         [ Table.cell_i credits; Table.cell_f2 without; Table.cell_f2 with_da ])
@@ -98,9 +98,9 @@ let fig13 ?(quick = false) () =
   let lat_rows =
     List.map
       (fun size ->
-        let tcp = Microbench.ping_pong ~iters ~kind:(Microbench.Tcp tcp_default) ~size () in
-        let ds = Microbench.ping_pong ~iters ~kind:(Microbench.Sub ds_full) ~size () in
-        let dgl = Microbench.ping_pong ~iters ~kind:(Microbench.Sub dg) ~size () in
+        let tcp = Microbench.ping_pong ~iters ~kind:(`Tcp tcp_default) ~size () in
+        let ds = Microbench.ping_pong ~iters ~kind:(`Sub ds_full) ~size () in
+        let dgl = Microbench.ping_pong ~iters ~kind:(`Sub dg) ~size () in
         [
           "lat " ^ Table.cell_i size;
           Table.cell_f2 tcp;
@@ -113,11 +113,11 @@ let fig13 ?(quick = false) () =
   let total = if quick then 4 * 1024 * 1024 else 16 * 1024 * 1024 in
   let bw_kinds =
     [
-      ("bw TCP-16K", Microbench.Tcp tcp_default);
-      ("bw TCP-tuned", Microbench.Tcp tcp_tuned);
-      ("bw DS_DA_UQ", Microbench.Sub ds_full);
-      ("bw DG", Microbench.Sub dg);
-      ("bw EMP", Microbench.Emp_raw);
+      ("bw TCP-16K", `Tcp tcp_default);
+      ("bw TCP-tuned", `Tcp tcp_tuned);
+      ("bw DS_DA_UQ", `Sub ds_full);
+      ("bw DG", `Sub dg);
+      ("bw EMP", `Emp_raw);
     ]
   in
   let bw_rows =
@@ -143,21 +143,12 @@ let fig13 ?(quick = false) () =
 (* Figure 14: ftp bandwidth                                               *)
 (* ---------------------------------------------------------------------- *)
 
-type app_stack = {
-  as_name : string;
-  as_make : Cluster.t -> Uls_api.Sockets_api.stack;
-}
+let app_stacks : (string * Cluster.stream) list =
+  [ ("TCP", `Tcp tcp_default); ("DS", `Sub ds_full); ("DG", `Sub dg) ]
 
-let app_stacks =
-  [
-    { as_name = "TCP"; as_make = (fun c -> Cluster.tcp_api ~config:tcp_default c) };
-    { as_name = "DS"; as_make = (fun c -> Cluster.substrate_api ~opts:ds_full c) };
-    { as_name = "DG"; as_make = (fun c -> Cluster.substrate_api ~opts:dg c) };
-  ]
-
-let ftp_run stack_maker ~file_size =
+let ftp_run stack ~file_size =
   let c = Cluster.create ~n:2 () in
-  let api = stack_maker c in
+  let api = Cluster.api c stack in
   let sim = Cluster.sim c in
   let server_disk = Uls_apps.Ramdisk.create (Cluster.node c 1) in
   let client_disk = Uls_apps.Ramdisk.create (Cluster.node c 0) in
@@ -188,14 +179,14 @@ let fig14 ?(quick = false) () =
       (fun size ->
         Table.cell_i size
         :: List.map
-             (fun st -> Table.cell_f (ftp_run st.as_make ~file_size:size))
+             (fun (_, st) -> Table.cell_f (ftp_run st ~file_size:size))
              app_stacks)
       sizes
   in
   {
     Table.id = "fig14";
     title = "FTP transfer bandwidth (Mb/s) vs file size (RAM disks)";
-    header = "file(B)" :: List.map (fun s -> s.as_name) app_stacks;
+    header = "file(B)" :: List.map fst app_stacks;
     rows;
     notes =
       [
@@ -208,23 +199,17 @@ let fig14 ?(quick = false) () =
 (* Figures 15/16: web server response time, HTTP/1.0 and HTTP/1.1        *)
 (* ---------------------------------------------------------------------- *)
 
-let web_stacks =
+let web_stacks : (string * Cluster.stream) list =
   (* Paper §7.4 uses credit size 4 for the web server workload. *)
   [
-    { as_name = "TCP"; as_make = (fun c -> Cluster.tcp_api ~config:tcp_default c) };
-    {
-      as_name = "DS";
-      as_make = (fun c -> Cluster.substrate_api ~opts:{ ds_full with Opt.credits = 4 } c);
-    };
-    {
-      as_name = "DG";
-      as_make = (fun c -> Cluster.substrate_api ~opts:{ dg with Opt.credits = 4 } c);
-    };
+    ("TCP", `Tcp tcp_default);
+    ("DS", `Sub { ds_full with Opt.credits = 4 });
+    ("DG", `Sub { dg with Opt.credits = 4 });
   ]
 
-let web_run stack_maker ~response_size ~requests_per_conn ~connections =
+let web_run stack ~response_size ~requests_per_conn ~connections =
   let c = Cluster.create ~n:4 () in
-  let api = stack_maker c in
+  let api = Cluster.api c stack in
   let sim = Cluster.sim c in
   Sim.spawn sim ~name:"web-server"
     (Uls_apps.Http.server sim api ~node:0 ~port:80 ~response_size
@@ -254,9 +239,9 @@ let web_table ~id ~requests_per_conn ?(quick = false) () =
       (fun response_size ->
         Table.cell_i response_size
         :: List.map
-             (fun st ->
+             (fun (_, st) ->
                Table.cell_f
-                 (web_run st.as_make ~response_size ~requests_per_conn
+                 (web_run st ~response_size ~requests_per_conn
                     ~connections))
              web_stacks)
       sizes
@@ -267,7 +252,7 @@ let web_table ~id ~requests_per_conn ?(quick = false) () =
       Printf.sprintf
         "Web server mean response time (us), %d request(s) per connection, 3 clients"
         requests_per_conn;
-    header = "resp(B)" :: List.map (fun s -> s.as_name) web_stacks;
+    header = "resp(B)" :: List.map fst web_stacks;
     rows;
     notes =
       [
@@ -288,9 +273,9 @@ let fig16 ?quick () =
 (* Figure 17: matrix multiplication                                       *)
 (* ---------------------------------------------------------------------- *)
 
-let matmul_run stack_maker ~n =
+let matmul_run stack ~n =
   let c = Cluster.create ~n:4 () in
-  let api = stack_maker c in
+  let api = Cluster.api c stack in
   let sim = Cluster.sim c in
   let a = Uls_apps.Matmul.random_matrix ~seed:1 ~n in
   let b = Uls_apps.Matmul.random_matrix ~seed:2 ~n in
@@ -319,13 +304,13 @@ let fig17 ?(quick = false) () =
     List.map
       (fun n ->
         Table.cell_i n
-        :: List.map (fun st -> Table.cell_f2 (matmul_run st.as_make ~n)) app_stacks)
+        :: List.map (fun (_, st) -> Table.cell_f2 (matmul_run st ~n)) app_stacks)
       ns
   in
   {
     Table.id = "fig17";
     title = "Matrix multiplication time (ms), 4 nodes (select()-based master)";
-    header = "N" :: List.map (fun s -> s.as_name) app_stacks;
+    header = "N" :: List.map fst app_stacks;
     rows;
     notes =
       [ "results verified against the sequential reference multiply" ];
@@ -338,9 +323,9 @@ let fig17 ?(quick = false) () =
 let connect_table ?quick:_ () =
   let kinds =
     [
-      ("TCP", Microbench.Tcp tcp_default);
-      ("substrate DS", Microbench.Sub ds_full);
-      ("substrate DG", Microbench.Sub dg);
+      ("TCP", `Tcp tcp_default);
+      ("substrate DS", `Sub ds_full);
+      ("substrate DG", `Sub dg);
     ]
   in
   let rows =
@@ -367,11 +352,11 @@ let ablation_unexpected ?(quick = false) () =
     List.map
       (fun size ->
         let eager =
-          Microbench.ping_pong ~iters ~kind:(Microbench.Sub ds_full) ~size ()
+          Microbench.ping_pong ~iters ~kind:(`Sub ds_full) ~size ()
         in
         let rdvz =
           Microbench.ping_pong ~iters
-            ~kind:(Microbench.Sub { ds_full with Opt.scheme = Opt.Rendezvous })
+            ~kind:(`Sub { ds_full with Opt.scheme = Opt.Rendezvous })
             ~size ()
         in
         [ Table.cell_i size; Table.cell_f2 eager; Table.cell_f2 rdvz ])
@@ -421,11 +406,11 @@ let ablation_comm_thread ?(quick = false) () =
     List.map
       (fun size ->
         let eager =
-          Microbench.ping_pong ~iters ~kind:(Microbench.Sub ds_full) ~size ()
+          Microbench.ping_pong ~iters ~kind:(`Sub ds_full) ~size ()
         in
         let thread =
           Microbench.ping_pong ~iters
-            ~kind:(Microbench.Sub { ds_full with Opt.scheme = Opt.Comm_thread })
+            ~kind:(`Sub { ds_full with Opt.scheme = Opt.Comm_thread })
             ~size ()
         in
         [ Table.cell_i size; Table.cell_f2 eager; Table.cell_f2 thread ])
@@ -449,11 +434,11 @@ let ablation_block_send ?(quick = false) () =
     List.map
       (fun size ->
         let normal =
-          Microbench.ping_pong ~iters ~kind:(Microbench.Sub ds_full) ~size ()
+          Microbench.ping_pong ~iters ~kind:(`Sub ds_full) ~size ()
         in
         let blocking =
           Microbench.ping_pong ~iters
-            ~kind:(Microbench.Sub { ds_full with Opt.block_send = true })
+            ~kind:(`Sub { ds_full with Opt.block_send = true })
             ~size ()
         in
         [ Table.cell_i size; Table.cell_f2 normal; Table.cell_f2 blocking ])
@@ -549,7 +534,7 @@ let ablation_udp ?(quick = false) () =
     List.map
       (fun size ->
         let udp = udp_latency size in
-        let dgl = Microbench.ping_pong ~iters ~kind:(Microbench.Sub dg) ~size () in
+        let dgl = Microbench.ping_pong ~iters ~kind:(`Sub dg) ~size () in
         [ Table.cell_i size; Table.cell_f2 udp; Table.cell_f2 dgl ])
       [ 4; 1024 ]
   in
@@ -567,7 +552,7 @@ let ablation_piggyback ?(quick = false) () =
   let iters = if quick then 10 else 30 in
   let mk piggyback =
     Microbench.ping_pong ~iters
-      ~kind:(Microbench.Sub { ds_base with Opt.piggyback = piggyback })
+      ~kind:(`Sub { ds_base with Opt.piggyback = piggyback })
       ~size:4 ()
   in
   {
@@ -586,12 +571,12 @@ let ablation_uq ?(quick = false) () =
       (fun credits ->
         let off =
           Microbench.ping_pong ~iters
-            ~kind:(Microbench.Sub { ds_da with Opt.credits }) ~size:4 ()
+            ~kind:(`Sub { ds_da with Opt.credits }) ~size:4 ()
         in
         let on =
           Microbench.ping_pong ~iters
             ~kind:
-              (Microbench.Sub { ds_da with Opt.credits; unexpected_queue = true })
+              (`Sub { ds_da with Opt.credits; unexpected_queue = true })
             ~size:4 ()
         in
         [ Table.cell_i credits; Table.cell_f2 off; Table.cell_f2 on ])
@@ -695,18 +680,21 @@ let breakdown ?(quick = false) () =
   let iters = if quick then 10 else 30 in
   let kinds =
     [
-      ("EMP", Microbench.Emp_raw);
-      ("DS_DA_UQ", Microbench.Sub ds_full);
-      ("TCP", Microbench.Tcp tcp_default);
+      ("EMP", `Emp_raw);
+      ("DS_DA_UQ", `Sub ds_full);
+      ("TCP", `Tcp tcp_default);
     ]
   in
   let rows =
     List.concat_map
       (fun (name, kind) ->
-        let lat, tr, _ = Microbench.ping_pong_observed ~iters ~kind ~size:4 () in
+        let totals = ref [] in
+        let lat =
+          Microbench.ping_pong ~iters ~kind ~size:4 ()
+            ~observe:(fun tr _ -> totals := Trace.span_totals tr)
+        in
         let totals =
-          Trace.span_totals tr
-          |> List.sort (fun (_, _, _, a) (_, _, _, b) -> compare b a)
+          List.sort (fun (_, _, _, a) (_, _, _, b) -> compare b a) !totals
         in
         List.filteri (fun i _ -> i < 5) totals
         |> List.mapi (fun i (layer, sname, count, total_ns) ->

@@ -75,11 +75,9 @@ let run ?on_metrics ?progress cfg =
       ~n:(cfg.sinks + 1) ()
   in
   let sim = Cluster.sim c in
-  let fault = Fault.create ~seed:cfg.seed sim in
-  if cfg.loss > 0. then begin
+  let fault = Cluster.fault ~seed:cfg.seed c in
+  if cfg.loss > 0. then
     Fault.set_default_plan fault (Fault.uniform_loss cfg.loss);
-    Uls_ether.Network.set_fault (Cluster.network c) fault
-  end;
   (* The fill-ring repost path is a property of the receive side, but
      options are per-node and uniform here: the source never reads data
      messages, so setting [rx_ring] everywhere only changes sinks.

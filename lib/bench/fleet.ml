@@ -9,7 +9,7 @@ module Fabric = Uls_fabric.Fabric
 module Ring = Uls_fabric.Ring
 
 type config = {
-  kind : Chaos.kind;
+  kind : Cluster.stream;
   cells : int;
   shards : int;
   conns : int;
@@ -23,20 +23,16 @@ type config = {
   max_inflight : int;
   backlog : int;
   vnodes : int;
-  probe_period : Time.ns;
-  fail_threshold : int;
-  connect_retries : int;
   kill : (int * Time.ns) option;
   drain : (int * Time.ns) option;
   tiebreak : Uls_engine.Sim.tiebreak_spec option;
-  time_limit : Time.ns option;
   match_engine : Uls_nic.Match_list.engine;
   event_sched : [ `Heap | `Wheel ];
 }
 
 let default =
   {
-    kind = Chaos.Sub Uls_substrate.Options.server;
+    kind = `Sub Uls_substrate.Options.server;
     cells = 4;
     shards = 4;
     conns = 512;
@@ -54,13 +50,9 @@ let default =
        ~0.5 ms of NIC CPU per received frame before any conn data. *)
     backlog = 128;
     vnodes = 128;
-    probe_period = Time.ms 5;
-    fail_threshold = 2;
-    connect_retries = 6;
     kill = None;
     drain = None;
     tiebreak = None;
-    time_limit = None;
     match_engine = Uls_nic.Match_list.Hashed;
     event_sched = `Heap;
   }
@@ -98,13 +90,7 @@ type report = {
   healed_at_ms : float;
   drained_at_ms : float;
   drain_open : int;
-  elapsed_ms : float;
-  rps : float;
-  mean_us : float;
-  p50_us : float;
-  p95_us : float;
-  p99_us : float;
-  p999_us : float;
+  lat : Latency.summary;
   per_cell : cell_report array;
   transitions : (float * int * string * string) list;
   intact : bool;
@@ -115,6 +101,9 @@ type report = {
    runs: a kill adds bounded-retransmission stalls (connect timeouts,
    RTO budgets) to every connection that was talking to the dead cell. *)
 let liveness_bound ~conns = Time.s 120 + (conns * Time.ms 250)
+
+(* Re-route attempts per arrival. *)
+let connect_retries = 6
 
 exception Shed_by_server
 
@@ -147,40 +136,21 @@ let run ?on_metrics ?on_server_close (cfg : config) =
   (* Node layout: cells 0..K-1, prober K, clients K+1..K+client_nodes. *)
   let n_nodes = cfg.cells + 1 + cfg.client_nodes in
   let c =
-    match cfg.tiebreak with
-    | Some tiebreak ->
-      Cluster.create ~tiebreak ~match_engine:cfg.match_engine
-        ~sched:cfg.event_sched ~n:n_nodes ()
-    | None ->
-      Cluster.create ~match_engine:cfg.match_engine ~sched:cfg.event_sched
-        ~n:n_nodes ()
+    Cluster.create ?tiebreak:cfg.tiebreak ~match_engine:cfg.match_engine
+      ~sched:cfg.event_sched ~n:n_nodes ()
   in
   let sim = Cluster.sim c in
-  let api =
-    match cfg.kind with
-    | Chaos.Tcp config -> Cluster.tcp_api ~config c
-    | Chaos.Sub opts -> Cluster.substrate_api ~opts c
-  in
+  let api = Cluster.api c cfg.kind in
   let api =
     match on_server_close with
     | Some f -> observe_server_closes api f
     | None -> api
   in
-  let bound =
-    match cfg.time_limit with
-    | Some t -> t
-    | None -> liveness_bound ~conns:cfg.conns
-  in
-  let fault =
-    if cfg.loss > 0. || cfg.kill <> None then begin
-      let fault = Fault.create ~seed:cfg.seed sim in
-      if cfg.loss > 0. then
-        Fault.set_default_plan fault (Fault.uniform_loss cfg.loss);
-      Uls_ether.Network.set_fault (Cluster.network c) fault;
-      Some fault
-    end
-    else None
-  in
+  let bound = liveness_bound ~conns:cfg.conns in
+  if cfg.loss > 0. then
+    Fault.set_default_plan
+      (Cluster.fault ~seed:cfg.seed c)
+      (Fault.uniform_loss cfg.loss);
   let sched =
     if cfg.max_inflight = 0 then None
     else
@@ -216,8 +186,7 @@ let run ?on_metrics ?on_server_close (cfg : config) =
      reader, which records the conn as reset. *)
   let live = Hashtbl.create 64 in (* conn -> (stream, last-activity ref) *)
   let reaped = Hashtbl.create 8 in
-  let lat = Stats.Summary.create () in
-  let t_first = ref max_int and t_last = ref 0 in
+  let lat = Latency.create () in
   let finished = ref 0 in
   let finished_c = Cond.create ~label:"fleet:finished" sim in
   let rngs =
@@ -250,7 +219,7 @@ let run ?on_metrics ?on_server_close (cfg : config) =
     let rec attempt tries =
       match Fabric.route fab ~key with
       | exception Fabric.No_live_cells ->
-        if tries + 1 < cfg.connect_retries then begin
+        if tries + 1 < connect_retries then begin
           backoff tries;
           attempt (tries + 1)
         end
@@ -264,7 +233,7 @@ let run ?on_metrics ?on_server_close (cfg : config) =
           if tries > 0 then incr retried_ok;
           Some (s, cell)
         | exception Fabric.No_live_cells ->
-          if tries + 1 < cfg.connect_retries then begin
+          if tries + 1 < connect_retries then begin
             backoff tries;
             attempt (tries + 1)
           end
@@ -273,7 +242,7 @@ let run ?on_metrics ?on_server_close (cfg : config) =
             None
           end
         | exception _ ->
-          if tries + 1 < cfg.connect_retries then begin
+          if tries + 1 < connect_retries then begin
             backoff tries;
             attempt (tries + 1)
           end
@@ -294,7 +263,7 @@ let run ?on_metrics ?on_server_close (cfg : config) =
       (try
          for seq = 0 to cfg.requests_per_conn - 1 do
            let t0 = Sim.now sim in
-           t_first := min !t_first t0;
+           Latency.sent lat ~now:t0;
            let payload = Load.echo_payload ~conn ~seq ~size:cfg.size in
            s.Api.send payload;
            let got =
@@ -304,8 +273,7 @@ let run ?on_metrics ?on_server_close (cfg : config) =
            if got <> payload then
              mismatches_c.(cell) <- mismatches_c.(cell) + 1;
            let now = Sim.now sim in
-           Stats.Summary.add lat (float_of_int (now - t0));
-           t_last := max !t_last now;
+           Latency.completed lat ~t0 ~now;
            last_activity := now;
            completed_c.(cell) <- completed_c.(cell) + 1;
            if cfg.think > 0. && seq < cfg.requests_per_conn - 1 then
@@ -328,10 +296,12 @@ let run ?on_metrics ?on_server_close (cfg : config) =
   in
   (* Scheduled chaos: kill pauses the cell's node (frames dropped both
      ways) past the end of the run. Cell ids are node ids by layout. *)
-  (match (cfg.kill, fault) with
-  | Some (cell, at), Some fault ->
-    Fault.pause_node fault ~node:cell ~from:at ~until:(bound * 2)
-  | _ -> ());
+  (match cfg.kill with
+  | Some (cell, at) ->
+    Fault.pause_node
+      (Cluster.fault ~seed:cfg.seed c)
+      ~node:cell ~from:at ~until:(bound * 2)
+  | None -> ());
   (* Fabric creation binds listeners (simulator effects), so the whole
      setup runs inside a fiber. *)
   Sim.spawn sim ~name:"fleet-setup" (fun () ->
@@ -346,8 +316,6 @@ let run ?on_metrics ?on_server_close (cfg : config) =
             vnodes = cfg.vnodes;
             ring_seed = cfg.seed;
             probe_node = Some cfg.cells;
-            probe_period = cfg.probe_period;
-            fail_threshold = cfg.fail_threshold;
           }
       in
       fab_ref := Some fab;
@@ -445,11 +413,6 @@ let run ?on_metrics ?on_server_close (cfg : config) =
     | Some (ms, _, _, _) -> ms
     | None -> -1.
   in
-  let elapsed = if !t_last > !t_first then !t_last - !t_first else 0 in
-  let pct p =
-    if Stats.Summary.count lat = 0 then 0.
-    else Stats.Summary.percentile lat p /. 1e3
-  in
   (* Failure budget: resets and terminal connect failures are legitimate
      only on a killed cell; everything else must be clean, and every
      established connection must account for all its requests. *)
@@ -488,18 +451,7 @@ let run ?on_metrics ?on_server_close (cfg : config) =
       (match cfg.drain with
       | Some (cell, _) -> Fabric.drain_open fab cell
       | None -> 0);
-    elapsed_ms = float_of_int elapsed /. 1e6;
-    rps =
-      (if elapsed > 0 then
-         float_of_int completed /. (float_of_int elapsed /. 1e9)
-       else 0.);
-    mean_us =
-      (if Stats.Summary.count lat = 0 then 0.
-       else Stats.Summary.mean lat /. 1e3);
-    p50_us = pct 0.5;
-    p95_us = pct 0.95;
-    p99_us = pct 0.99;
-    p999_us = pct 0.999;
+    lat = Latency.summary lat;
     per_cell;
     transitions;
     intact =
@@ -512,7 +464,7 @@ let print_report fmt (cfg : config) (r : report) =
   Format.fprintf fmt
     "%s fabric: cells=%d shards=%d conns=%d rate=%.0f/s requests=%d \
      size=%dB@."
-    (Chaos.kind_name cfg.kind) cfg.cells cfg.shards cfg.conns cfg.rate
+    (Cluster.stack_name cfg.kind) cfg.cells cfg.shards cfg.conns cfg.rate
     cfg.requests_per_conn cfg.size;
   Format.fprintf fmt
     "  arrivals %d  established %d  completed %d  shed %d  refused %d  \
@@ -528,11 +480,7 @@ let print_report fmt (cfg : config) (r : report) =
   if r.drained_at_ms >= 0. then
     Format.fprintf fmt "  drain completed at %.2f ms (%d conns drained)@."
       r.drained_at_ms r.drain_open;
-  Format.fprintf fmt "  elapsed %.2f ms  throughput %.0f req/s@." r.elapsed_ms
-    r.rps;
-  Format.fprintf fmt
-    "  latency us: mean %.1f  p50 %.1f  p95 %.1f  p99 %.1f  p99.9 %.1f@."
-    r.mean_us r.p50_us r.p95_us r.p99_us r.p999_us;
+  Latency.pp fmt r.lat;
   Array.iteri
     (fun id c ->
       Format.fprintf fmt

@@ -34,7 +34,7 @@
     deterministic for a given seed over both stacks. *)
 
 type config = {
-  kind : Chaos.kind;  (** which stack, and its options *)
+  kind : Cluster.stream;  (** which stack, and its options *)
   cells : int;  (** server cells (nodes 0..cells-1) *)
   shards : int;  (** SO_REUSEPORT shards per cell *)
   conns : int;  (** total connection arrivals over the run *)
@@ -51,9 +51,6 @@ type config = {
           descriptors sit in the NIC match list, so every RX frame pays
           O(backlog) walk cost on top of O(open conns) *)
   vnodes : int;  (** ring virtual nodes per cell *)
-  probe_period : Uls_engine.Time.ns;
-  fail_threshold : int;
-  connect_retries : int;  (** re-route attempts per arrival *)
   kill : (int * Uls_engine.Time.ns) option;
       (** pause this cell's node (frames dropped both ways) from this
           virtual time until past the end of the run *)
@@ -61,8 +58,6 @@ type config = {
       (** gracefully drain this cell at this virtual time *)
   tiebreak : Uls_engine.Sim.tiebreak_spec option;
       (** simulator dispatch tie-break (race-detector hook) *)
-  time_limit : Uls_engine.Time.ns option;
-      (** virtual-time hang bound; default {!liveness_bound} *)
   match_engine : Uls_nic.Match_list.engine;
       (** NIC tag-match firmware on every node; [Linear] is the ablation
           reproducing the paper's O(descriptors) walk *)
@@ -109,13 +104,7 @@ type report = {
   healed_at_ms : float;  (** first cell Down transition; -1 if none *)
   drained_at_ms : float;  (** drain completion; -1 if none *)
   drain_open : int;  (** connections open when draining began *)
-  elapsed_ms : float;
-  rps : float;
-  mean_us : float;
-  p50_us : float;
-  p95_us : float;
-  p99_us : float;
-  p999_us : float;
+  lat : Latency.summary;
   per_cell : cell_report array;
   transitions : (float * int * string * string) list;
       (** (ms, cell, state, cause), oldest first *)
@@ -124,8 +113,8 @@ type report = {
 }
 
 val liveness_bound : conns:int -> Uls_engine.Time.ns
-(** Default virtual-time hang bound, scaled with fleet size plus
-    failover headroom. *)
+(** Virtual-time hang bound, scaled with fleet size plus failover
+    headroom. *)
 
 val run :
   ?on_metrics:(Uls_engine.Metrics.t -> unit) ->

@@ -12,7 +12,7 @@ type workload = Echo | Http
 type loop_mode = Closed | Open of float
 
 type config = {
-  kind : Chaos.kind;
+  kind : Cluster.stream;
   workload : workload;
   loop : loop_mode;
   conns : int;
@@ -30,7 +30,7 @@ type config = {
 
 let default =
   {
-    kind = Chaos.Sub Uls_substrate.Options.server;
+    kind = `Sub Uls_substrate.Options.server;
     workload = Echo;
     loop = Closed;
     conns = 64;
@@ -57,13 +57,7 @@ type report = {
                      was ever established *)
   mismatches : int;
   peak_open : int;
-  elapsed_ms : float;
-  rps : float;
-  mean_us : float;
-  p50_us : float;
-  p95_us : float;
-  p99_us : float;
-  p999_us : float;
+  lat : Latency.summary;
   intact : bool;
   completed_run : bool;
   server_requests : int;
@@ -94,26 +88,20 @@ let run ?on_metrics ?progress cfg =
       ~n:(1 + cfg.client_nodes) ()
   in
   let sim = Cluster.sim c in
-  let api =
-    match cfg.kind with
-    | Chaos.Tcp config -> Cluster.tcp_api ~config c
-    | Chaos.Sub opts -> Cluster.substrate_api ~opts c
-  in
-  if cfg.loss > 0. then begin
-    let fault = Fault.create ~seed:cfg.seed sim in
-    Fault.set_default_plan fault (Fault.uniform_loss cfg.loss);
-    Uls_ether.Network.set_fault (Cluster.network c) fault
-  end;
+  let api = Cluster.api c cfg.kind in
+  if cfg.loss > 0. then
+    Fault.set_default_plan
+      (Cluster.fault ~seed:cfg.seed c)
+      (Fault.uniform_loss cfg.loss);
   let rngs =
     let root = Rng.create ~seed:cfg.seed in
     Array.init (max 1 cfg.conns) (fun _ -> Rng.split root)
   in
-  let lat = Stats.Summary.create () in
+  let lat = Latency.create () in
   let sent = ref 0 and completed = ref 0 in
   let errors = ref 0 and shed = ref 0 and refused = ref 0 in
   let mismatches = ref 0 in
   let open_now = ref 0 and peak_open = ref 0 in
-  let t_first = ref max_int and t_last = ref 0 in
   let srv = ref None in
   Sim.spawn sim ~name:"load-server" (fun () ->
       let workload =
@@ -132,16 +120,14 @@ let run ?on_metrics ?progress cfg =
   let arrived_c = Cond.create ~label:"load:arrived" sim
   and finished_c = Cond.create ~label:"load:finished" sim in
   let record_latency t0 =
-    let now = Sim.now sim in
-    Stats.Summary.add lat (float_of_int (now - t0));
-    t_last := max !t_last now;
+    Latency.completed lat ~t0 ~now:(Sim.now sim);
     incr completed;
     match progress with
     | Some (every, f) when !completed mod every = 0 -> f ()
     | _ -> ()
   in
   let send_mark s data =
-    t_first := min !t_first (Sim.now sim);
+    Latency.sent lat ~now:(Sim.now sim);
     incr sent;
     s.Api.send data
   in
@@ -328,11 +314,6 @@ let run ?on_metrics ?progress cfg =
   let outcome = Cluster.run ~until:(liveness_bound ~conns:cfg.conns) c in
   let m = Metrics.for_sim sim in
   (match on_metrics with Some f -> f m | None -> ());
-  let elapsed = if !t_last > !t_first then !t_last - !t_first else 0 in
-  let pct p =
-    if Stats.Summary.count lat = 0 then 0.
-    else Stats.Summary.percentile lat p /. 1e3
-  in
   {
     sent = !sent;
     completed = !completed;
@@ -341,18 +322,7 @@ let run ?on_metrics ?progress cfg =
     refused = !refused;
     mismatches = !mismatches;
     peak_open = !peak_open;
-    elapsed_ms = float_of_int elapsed /. 1e6;
-    rps =
-      (if elapsed > 0 then
-         float_of_int !completed /. (float_of_int elapsed /. 1e9)
-       else 0.);
-    mean_us =
-      (if Stats.Summary.count lat = 0 then 0.
-       else Stats.Summary.mean lat /. 1e3);
-    p50_us = pct 0.5;
-    p95_us = pct 0.95;
-    p99_us = pct 0.99;
-    p999_us = pct 0.999;
+    lat = Latency.summary lat;
     intact = !mismatches = 0 && !errors = 0 && !completed + !shed >= !sent;
     completed_run = outcome = `Quiescent;
     server_requests = (match !srv with Some s -> Server.requests s | None -> 0);
@@ -370,18 +340,14 @@ let loop_name = function
 
 let print_report fmt cfg r =
   Format.fprintf fmt "%s %s %s: conns=%d size=%dB requests=%d@."
-    (Chaos.kind_name cfg.kind) (workload_name cfg.workload)
+    (Cluster.stack_name cfg.kind) (workload_name cfg.workload)
     (loop_name cfg.loop) cfg.conns cfg.size
     (cfg.conns * cfg.requests_per_conn);
   Format.fprintf fmt
     "  sent %d  completed %d  shed %d  refused %d  errors %d  mismatches %d  \
      peak-open %d@."
     r.sent r.completed r.shed r.refused r.errors r.mismatches r.peak_open;
-  Format.fprintf fmt "  elapsed %.2f ms  throughput %.0f req/s@." r.elapsed_ms
-    r.rps;
-  Format.fprintf fmt
-    "  latency us: mean %.1f  p50 %.1f  p95 %.1f  p99 %.1f  p99.9 %.1f@."
-    r.mean_us r.p50_us r.p95_us r.p99_us r.p999_us;
+  Latency.pp fmt r.lat;
   Format.fprintf fmt "  evq wakeups %d  spurious %d  select-scanned %d@."
     r.evq_wakeups r.evq_spurious r.select_streams_scanned;
   Format.fprintf fmt "  verdict: %s@."

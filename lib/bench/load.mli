@@ -30,7 +30,7 @@ type loop_mode =
   | Open of float  (** arrival rate, requests per second fleet-wide *)
 
 type config = {
-  kind : Chaos.kind;  (** which stack, and its options *)
+  kind : Cluster.stream;  (** which stack, and its options *)
   workload : workload;
   loop : loop_mode;
   conns : int;
@@ -69,13 +69,9 @@ type report = {
           established, so no request was offered *)
   mismatches : int;  (** responses that failed byte verification *)
   peak_open : int;  (** most connections simultaneously open *)
-  elapsed_ms : float;  (** first send to last completion, virtual *)
-  rps : float;  (** completed / elapsed *)
-  mean_us : float;
-  p50_us : float;
-  p95_us : float;
-  p99_us : float;
-  p999_us : float;
+  lat : Latency.summary;
+      (** first send to last completion; latency from send (closed
+          loop) or arrival (open loop) *)
   intact : bool;
       (** no mismatches, no errors, and every sent request accounted for
           (completed or explicitly shed) *)

@@ -6,15 +6,7 @@
 open Uls_engine
 open Uls_host
 
-type stack_kind =
-  | Emp_raw
-  | Tcp of Uls_tcp.Config.t
-  | Sub of Uls_substrate.Options.t
-
-let kind_name = function
-  | Emp_raw -> "EMP"
-  | Tcp _ -> "TCP"
-  | Sub o -> "sub-" ^ Uls_substrate.Options.mode_name o
+type observe = Trace.t -> Metrics.t -> unit
 
 (* Benchmarks double as the observability demo: with [observe] set they
    enable the cluster simulation's shared trace before any traffic and
@@ -22,8 +14,13 @@ let kind_name = function
    trace shows the full stack from app call down to NIC work. *)
 let observed_trace sim observe =
   let tr = Trace.for_sim sim in
-  if observe then Trace.enable tr;
+  if Option.is_some observe then Trace.enable tr;
   tr
+
+(* Hand the finished run's trace and metrics to [observe], if set. *)
+let report ?(observe : observe option) (v, sim) =
+  Option.iter (fun f -> f (Trace.for_sim sim) (Metrics.for_sim sim)) observe;
+  v
 
 (* --- raw EMP --------------------------------------------------------- *)
 
@@ -96,15 +93,9 @@ let emp_bandwidth ~observe ~msg ~total =
 
 (* --- stack-level ------------------------------------------------------ *)
 
-let make_api kind c =
-  match kind with
-  | Emp_raw -> invalid_arg "make_api: raw EMP has no sockets API"
-  | Tcp config -> Cluster.tcp_api ~config c
-  | Sub opts -> Cluster.substrate_api ~opts c
-
 let api_ping_pong ~observe ~kind ~size ~iters ~warmup =
   let c = Cluster.create ~n:2 () in
-  let api = make_api kind c in
+  let api = Cluster.api c kind in
   let sim = Cluster.sim c in
   let tr = observed_trace sim observe in
   let latency = ref 0. in
@@ -136,7 +127,7 @@ let api_ping_pong ~observe ~kind ~size ~iters ~warmup =
 
 let api_bandwidth ~observe ~kind ~msg ~total =
   let c = Cluster.create ~n:2 () in
-  let api = make_api kind c in
+  let api = Cluster.api c kind in
   let sim = Cluster.sim c in
   let tr = observed_trace sim observe in
   let count = max 1 (total / msg) in
@@ -173,33 +164,18 @@ let api_bandwidth ~observe ~kind ~msg ~total =
 
 (* --- entry points ----------------------------------------------------- *)
 
-let ping_pong_run ~observe ~iters ~warmup ~kind ~size =
-  match kind with
-  | Emp_raw -> emp_ping_pong ~observe ~size ~iters ~warmup
-  | Tcp _ | Sub _ -> api_ping_pong ~observe ~kind ~size ~iters ~warmup
+let ping_pong ?observe ?(iters = 30) ?(warmup = 5) ~kind ~size () =
+  report ?observe
+    (match kind with
+    | `Emp_raw -> emp_ping_pong ~observe ~size ~iters ~warmup
+    | #Cluster.stream as kind ->
+      api_ping_pong ~observe ~kind ~size ~iters ~warmup)
 
-let bandwidth_run ~observe ~total ~kind ~msg =
-  match kind with
-  | Emp_raw -> emp_bandwidth ~observe ~msg ~total
-  | Tcp _ | Sub _ -> api_bandwidth ~observe ~kind ~msg ~total
-
-let ping_pong ?(iters = 30) ?(warmup = 5) ~kind ~size () =
-  fst (ping_pong_run ~observe:false ~iters ~warmup ~kind ~size)
-
-let bandwidth ?(total = 16 * 1024 * 1024) ~kind ~msg () =
-  fst (bandwidth_run ~observe:false ~total ~kind ~msg)
-
-let instruments sim = (Trace.for_sim sim, Metrics.for_sim sim)
-
-let ping_pong_observed ?(iters = 30) ?(warmup = 5) ~kind ~size () =
-  let v, sim = ping_pong_run ~observe:true ~iters ~warmup ~kind ~size in
-  let tr, m = instruments sim in
-  (v, tr, m)
-
-let bandwidth_observed ?(total = 16 * 1024 * 1024) ~kind ~msg () =
-  let v, sim = bandwidth_run ~observe:true ~total ~kind ~msg in
-  let tr, m = instruments sim in
-  (v, tr, m)
+let bandwidth ?observe ?(total = 16 * 1024 * 1024) ~kind ~msg () =
+  report ?observe
+    (match kind with
+    | `Emp_raw -> emp_bandwidth ~observe ~msg ~total
+    | #Cluster.stream as kind -> api_bandwidth ~observe ~kind ~msg ~total)
 
 (* --- collectives ------------------------------------------------------ *)
 
@@ -209,7 +185,7 @@ module Coll = Uls_collective.Group
    A warm-up call absorbs group-formation skew, then [iters] calls are
    timed between per-rank timestamps: (max finish - min start) is the
    wall-clock span of the whole batch. *)
-let coll_span ?(observe = false) ~nodes ~iters f =
+let coll_span ~observe ~nodes ~iters f =
   let c = Cluster.create ~n:nodes () in
   let eps = Array.init nodes (fun i -> Cluster.emp c i) in
   let sim = Cluster.sim c in
@@ -233,18 +209,13 @@ let coll_span ?(observe = false) ~nodes ~iters f =
   | _ -> failwith "collective benchmark: cluster did not quiesce");
   (Array.fold_left max 0 finish - Array.fold_left min max_int start, sim)
 
-let barrier_latency ?(iters = 10) ~alg ~nodes () =
-  let span, _ = coll_span ~nodes ~iters (fun g ~rank:_ -> Coll.barrier ~alg g) in
-  float_of_int span /. float_of_int iters /. 1_000.
-
-let barrier_latency_observed ?(iters = 10) ~alg ~nodes () =
+let barrier_latency ?observe ?(iters = 10) ~alg ~nodes () =
   let span, sim =
-    coll_span ~observe:true ~nodes ~iters (fun g ~rank:_ -> Coll.barrier ~alg g)
+    coll_span ~observe ~nodes ~iters (fun g ~rank:_ -> Coll.barrier ~alg g)
   in
-  let tr, m = instruments sim in
-  (float_of_int span /. float_of_int iters /. 1_000., tr, m)
+  report ?observe (float_of_int span /. float_of_int iters /. 1_000., sim)
 
-let coll_bandwidth_run ~observe ~iters ~op ~alg ~nodes ~size =
+let coll_bandwidth ?observe ?(iters = 5) ~op ~alg ~nodes ~size () =
   (* float_sum combines 8-byte lanes, so keep allreduce payloads aligned. *)
   let size =
     match op with
@@ -260,20 +231,13 @@ let coll_bandwidth_run ~observe ~iters ~op ~alg ~nodes ~size =
       ignore (Coll.allreduce ~alg g ~op:Coll.float_sum ~max:size payload)
   in
   let span, sim = coll_span ~observe ~nodes ~iters f in
-  (Time.mbps ~bytes_transferred:(size * iters) ~elapsed:span, sim)
-
-let coll_bandwidth ?(iters = 5) ~op ~alg ~nodes ~size () =
-  fst (coll_bandwidth_run ~observe:false ~iters ~op ~alg ~nodes ~size)
-
-let coll_bandwidth_observed ?(iters = 5) ~op ~alg ~nodes ~size () =
-  let v, sim = coll_bandwidth_run ~observe:true ~iters ~op ~alg ~nodes ~size in
-  let tr, m = instruments sim in
-  (v, tr, m)
+  report ?observe
+    (Time.mbps ~bytes_transferred:(size * iters) ~elapsed:span, sim)
 
 let connect_time ~kind () =
   (* Mean time for connect() alone, over a fresh cluster. *)
   let c = Cluster.create ~n:2 () in
-  let api = make_api kind c in
+  let api = Cluster.api c kind in
   let sim = Cluster.sim c in
   let result = ref 0. in
   let iters = 10 in

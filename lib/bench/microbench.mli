@@ -3,74 +3,52 @@
     substrate. Every run builds a fresh two-node cluster, so experiments
     are independent and bit-deterministic. *)
 
-type stack_kind =
-  | Emp_raw  (** raw EMP descriptors, no sockets layer *)
-  | Tcp of Uls_tcp.Config.t
-  | Sub of Uls_substrate.Options.t
-
-val kind_name : stack_kind -> string
+type observe = Uls_engine.Trace.t -> Uls_engine.Metrics.t -> unit
+(** With [?observe], a run enables the cluster simulation's shared
+    {!Uls_engine.Trace} before any traffic and wraps its timed
+    application loops in [App]-layer spans; once the run ends the
+    callback receives the trace (span/instant events from every
+    instrumented layer: nic, emp, substrate or tcpip, app) and the
+    per-node metrics registry. *)
 
 val ping_pong :
-  ?iters:int -> ?warmup:int -> kind:stack_kind -> size:int -> unit -> float
+  ?observe:observe ->
+  ?iters:int ->
+  ?warmup:int ->
+  kind:[< Cluster.stack ] ->
+  size:int ->
+  unit ->
+  float
 (** One-way latency in microseconds (half the mean round trip over
     [iters] timed iterations after [warmup] discarded ones). *)
 
-val bandwidth : ?total:int -> kind:stack_kind -> msg:int -> unit -> float
+val bandwidth :
+  ?observe:observe ->
+  ?total:int ->
+  kind:[< Cluster.stack ] ->
+  msg:int ->
+  unit ->
+  float
 (** Stream [total] bytes (default 16 MB) in [msg]-byte messages; returns
     megabits per second of goodput. *)
 
-(** {1 Observed runs}
-
-    Same benchmarks, with the cluster simulation's shared
-    {!Uls_engine.Trace} enabled before any traffic and the timed
-    application loops wrapped in [App]-layer spans. The returned trace
-    holds span/instant events from every instrumented layer (nic, emp,
-    substrate or tcpip, app); the metrics registry holds the per-node
-    counters and histograms. Both remain valid after the run. *)
-
-val ping_pong_observed :
-  ?iters:int ->
-  ?warmup:int ->
-  kind:stack_kind ->
-  size:int ->
-  unit ->
-  float * Uls_engine.Trace.t * Uls_engine.Metrics.t
-
-val bandwidth_observed :
-  ?total:int ->
-  kind:stack_kind ->
-  msg:int ->
-  unit ->
-  float * Uls_engine.Trace.t * Uls_engine.Metrics.t
-
-val barrier_latency_observed :
-  ?iters:int ->
-  alg:Uls_collective.Group.algorithm ->
-  nodes:int ->
-  unit ->
-  float * Uls_engine.Trace.t * Uls_engine.Metrics.t
-
-val coll_bandwidth_observed :
-  ?iters:int ->
-  op:[ `Bcast | `Allreduce ] ->
-  alg:Uls_collective.Group.algorithm ->
-  nodes:int ->
-  size:int ->
-  unit ->
-  float * Uls_engine.Trace.t * Uls_engine.Metrics.t
-
-val connect_time : kind:stack_kind -> unit -> float
-(** Mean time of [connect()] alone, in microseconds (meaningless for
-    [Emp_raw], which is connectionless). *)
+val connect_time : kind:[< Cluster.stream ] -> unit -> float
+(** Mean time of [connect()] alone, in microseconds. *)
 
 val barrier_latency :
-  ?iters:int -> alg:Uls_collective.Group.algorithm -> nodes:int -> unit -> float
+  ?observe:observe ->
+  ?iters:int ->
+  alg:Uls_collective.Group.algorithm ->
+  nodes:int ->
+  unit ->
+  float
 (** Mean per-barrier latency in microseconds over an [nodes]-rank EMP
     group: one warm-up barrier, then [iters] (default 10) timed barriers;
     the span between the earliest rank start and the latest rank finish
     is divided by [iters], amortising warm-up exit skew. *)
 
 val coll_bandwidth :
+  ?observe:observe ->
   ?iters:int ->
   op:[ `Bcast | `Allreduce ] ->
   alg:Uls_collective.Group.algorithm ->

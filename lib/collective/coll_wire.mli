@@ -38,7 +38,6 @@ val body : Uls_ether.Frame.t -> string
 
 val encode_header : tag:int -> len:int -> string
 val decode_header : string -> int * int
-val decode_header_at : string -> int -> int * int
 
 val pack : (int * string) list -> string
 (** Pack [(rank, data)] entries into one bundle string. *)

@@ -117,6 +117,4 @@ val allreduce : ?alg:algorithm -> t -> op:op -> max:int -> string -> string
 module Tree : sig
   val parent : root:int -> size:int -> int -> int option
   val children : root:int -> size:int -> int -> int list
-  val subtree_ranks : root:int -> size:int -> int -> int list
-  (** The ranks in a node's subtree, itself included. *)
 end

@@ -495,9 +495,6 @@ let tx_ring_stats t =
 
 let recv_done r = r.r_done
 
-let recv_result r =
-  if r.r_done then Some (r.r_len, r.r_from, r.r_tag) else None
-
 let wait_recv t r =
   Cond.wait_until r.r_cond (fun () -> r.r_done);
   Sim.delay (sim t) (model t).Cost_model.emp_host_reap;

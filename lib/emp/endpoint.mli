@@ -126,8 +126,6 @@ val wait_recv : t -> recv -> int * int * int
 (** Block until the message has fully arrived; returns
     [(length, source node, tag)]. *)
 
-val recv_result : recv -> (int * int * int) option
-
 val wait_recv_timeout : t -> recv -> Uls_engine.Time.ns -> (int * int * int) option
 (** Like {!wait_recv} but gives up after the timeout (connection
     establishment uses this to detect refusal). The descriptor stays

@@ -36,5 +36,3 @@ let ack_frame ~src ~dst ~key ~acked =
 let nack_frame ~src ~dst ~key ~next_expected =
   Uls_ether.Frame.make ~src ~dst ~payload_len:header_bytes
     (Nack { key; next_expected })
-
-let pp_key fmt k = Format.fprintf fmt "%d#%d" k.src_node k.msg_id

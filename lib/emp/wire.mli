@@ -39,5 +39,3 @@ val frames_for : int -> int
 val data_frame : src:int -> dst:int -> data -> Uls_ether.Frame.t
 val ack_frame : src:int -> dst:int -> key:msg_key -> acked:int -> Uls_ether.Frame.t
 val nack_frame : src:int -> dst:int -> key:msg_key -> next_expected:int -> Uls_ether.Frame.t
-
-val pp_key : Format.formatter -> msg_key -> unit

@@ -16,9 +16,6 @@ let create ?(label = "cond") sim =
 
 let label t = t.label
 
-let waiters t =
-  Queue.fold (fun n w -> if w.woken then n else n + 1) 0 t.queue
-
 (* Waiters cancelled by timeout stay in the queue ([woken = true]) and are
    discarded lazily by [signal]/[broadcast]. *)
 

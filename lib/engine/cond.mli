@@ -23,4 +23,3 @@ val signal : t -> unit
 (** Wake the oldest waiter, if any. *)
 
 val broadcast : t -> unit
-val waiters : t -> int

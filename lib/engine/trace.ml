@@ -75,7 +75,6 @@ let registered_sims () =
   Sim_tbl.length registry
 
 let enable t = t.on <- true
-let disable t = t.on <- false
 let enabled t = t.on
 
 let record t ~layer ~node ~conn ~seq ~args name kind =

@@ -40,7 +40,6 @@ val registered_sims : unit -> int
 (** Number of live sims with a trace (dead entries swept first). *)
 
 val enable : t -> unit
-val disable : t -> unit
 val enabled : t -> bool
 
 val instant :

@@ -10,7 +10,6 @@ type t = {
 }
 
 let mtu = 1500
-let min_payload = 46
 let header_bytes = 14 + 4
 let overhead_bytes = 8 + 12
 let min_frame = 64 (* header + payload + FCS, before preamble/IFG *)

@@ -19,15 +19,8 @@ type t = {
 val mtu : int
 (** Maximum L2 payload: 1500 bytes. *)
 
-val min_payload : int
-(** Minimum L2 payload: 46 bytes (frames are padded up to this). *)
-
 val header_bytes : int
 (** MAC header (14) + FCS (4). *)
-
-val overhead_bytes : int
-(** Preamble + SFD (8) and inter-frame gap (12): occupies wire time but
-    is not part of the frame proper. *)
 
 val make : src:int -> dst:int -> payload_len:int -> payload -> t
 (** @raise Invalid_argument if [payload_len] exceeds {!mtu}. Frames are

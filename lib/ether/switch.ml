@@ -55,12 +55,17 @@ let set_fault_filter t f =
   t.verdict <-
     (fun ~port:_ frame -> if f frame then Fault.Drop "filter" else Fault.Deliver)
 
+(* Link names are built once here, so a frame pays only the engine's
+   inactive-check branch when no plan is installed. *)
 let set_fault t fault =
+  let links =
+    Array.init (Array.length t.ports) (fun port ->
+        Printf.sprintf "sw-in-%d" port)
+  in
   t.verdict <-
     (fun ~port frame ->
-      Fault.decide fault
-        ~link:(Printf.sprintf "sw-in-%d" port)
-        ~src:frame.Frame.src ~dst:frame.Frame.dst)
+      Fault.decide fault ~link:links.(port) ~src:frame.Frame.src
+        ~dst:frame.Frame.dst)
 
 let frames_forwarded t = t.forwarded
 let frames_dropped t = t.dropped

@@ -134,8 +134,6 @@ let note_success t cell =
       rejoin t cell ~cause:"probe-recovered"
   end
 
-let report_failure t id = note_failure t t.cells.(id) ~cause:"connect-failed"
-
 let flow_key ~client_node ~flow ~port =
   Ring.hash2 ~seed:port client_node flow
 
@@ -271,12 +269,8 @@ let stop t =
 
 let ring t = t.ring
 let cells t = Array.length t.cells
-let cell_node t id = t.cells.(id).node
 let cell_state t id = t.cells.(id).state
 let server t id = t.cells.(id).server
 let drain_open t id = t.cells.(id).drain_open
 let events t = List.rev t.events
 let config t = t.cfg
-
-let live_cells t =
-  Array.fold_left (fun acc c -> if c.state = Up then acc + 1 else acc) 0 t.cells

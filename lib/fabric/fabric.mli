@@ -101,10 +101,6 @@ val connect :
     passive health counter before re-raising.
     @raise No_live_cells when the ring is empty. *)
 
-val report_failure : t -> int -> unit
-(** Passive health: tell the fabric a data-path attempt against this
-    cell failed. *)
-
 val drain : t -> int -> unit
 (** Begin draining a cell (no-op unless it is [Up]). *)
 
@@ -113,8 +109,6 @@ val stop : t -> unit
 
 val ring : t -> Ring.t
 val cells : t -> int
-val live_cells : t -> int
-val cell_node : t -> int -> int
 val cell_state : t -> int -> cell_state
 val server : t -> int -> Uls_server.Server.t
 val drain_open : t -> int -> int

@@ -15,10 +15,6 @@ val interrupt : t -> unit
 
 val context_switch : t -> unit
 
-val wakeup_latency : t -> Uls_engine.Time.ns
-(** Delay between an event completing and a process blocked on it
-    actually running again. *)
-
 val pin_region : t -> Memory.region -> off:int -> len:int -> unit
 (** Translate-and-pin for a descriptor post. First use of a region pays
     the pin system call (per covered page); later uses hit the
@@ -41,4 +37,3 @@ val pinned_regions : t -> int
 val translation_cache_hits : t -> int
 val translation_cache_misses : t -> int
 val flush_translation_cache : t -> unit
-val syscalls_made : t -> int

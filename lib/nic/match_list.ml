@@ -2,8 +2,6 @@ type engine = Linear | Hashed
 
 type probe = { walked : int; lookups : int }
 
-let no_probe = { walked = 0; lookups = 0 }
-
 (* Every posted descriptor is one cell on two intrusive doubly-linked
    lists: the global post-order list (authoritative for the linear walk,
    wildcard queries, iteration and unposting) and, under the hashed

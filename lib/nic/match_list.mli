@@ -27,8 +27,6 @@ type probe = { walked : int; lookups : int }
 (** [walked]: descriptors examined (linear walk or key heads compared);
     [lookups]: hash-table probes (0 for the linear engine). *)
 
-val no_probe : probe
-
 type 'a t
 
 val create : ?engine:engine -> unit -> 'a t

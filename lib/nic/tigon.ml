@@ -51,9 +51,6 @@ type t = {
   fwd_list : fwd Match_list.t;
   fwd_pending : (int * int * Uls_ether.Frame.t option) Vec.t;
   fwd_queue : fwd_event Mailbox.t;
-  mutable coll_matched : int;
-  mutable coll_forwarded : int;
-  mutable coll_delivered : int;
 }
 
 (* Collective frames that arrive before the host posted the matching
@@ -96,7 +93,6 @@ let fwd_complete t fwd completing =
   List.iter
     (fun frame ->
       Resource.use t.tx_cpu t.model.Cost_model.nic_coll_forward;
-      t.coll_forwarded <- t.coll_forwarded + 1;
       Stats.Counter.incr t.mh.h_coll_forwarded;
       Trace.instant t.trace ~layer:Trace.Nic ~node:t.node_id "nic.fwd_forward";
       Uls_ether.Network.send t.net frame)
@@ -111,7 +107,6 @@ let fwd_complete t fwd completing =
       | None -> 8
     in
     Resource.use t.dma_engine (Cost_model.dma_cost t.model bytes);
-    t.coll_delivered <- t.coll_delivered + 1;
     Stats.Counter.incr t.mh.h_coll_delivered;
     deliver completing
 
@@ -128,7 +123,6 @@ let fwd_match t ~src ~tag frame =
     Vec.push t.fwd_pending (src, tag, frame)
   | Some fwd, probe ->
     Resource.use t.rx_cpus.(0) (match_cost t probe);
-    t.coll_matched <- t.coll_matched + 1;
     Stats.Counter.incr t.mh.h_coll_matched;
     Stats.Summary.add t.mh.h_fwd_walk_descs (float_of_int probe.walked);
     observe_match t probe;
@@ -232,9 +226,6 @@ let create ?(match_engine = Match_list.Linear) sim model net ~node =
       fwd_list = Match_list.create ~engine:match_engine ();
       fwd_pending = Vec.create ();
       fwd_queue = Mailbox.create ~label:(name "fwd-queue") sim;
-      coll_matched = 0;
-      coll_forwarded = 0;
-      coll_delivered = 0;
     }
   in
   Uls_ether.Network.attach net ~station:node (fun frame ->
@@ -352,10 +343,4 @@ let coll_inject t frame =
       Resource.use t.dma_engine
         (Cost_model.dma_cost t.model frame.Uls_ether.Frame.payload_len);
       Resource.use t.tx_cpu t.model.Cost_model.nic_tx_per_frame;
-      t.coll_forwarded <- t.coll_forwarded + 1;
       Uls_ether.Network.send t.net frame)
-
-let coll_matched t = t.coll_matched
-let coll_forwarded t = t.coll_forwarded
-let coll_delivered t = t.coll_delivered
-let forward_descriptors t = Match_list.length t.fwd_list

@@ -125,11 +125,3 @@ val coll_inject : t -> Uls_ether.Frame.t -> unit
     a NIC-forwarded broadcast). Charges the PIO write to the caller and
     the descriptor fetch / payload DMA / transmit to the NIC
     asynchronously. Caller must be a fiber. *)
-
-val coll_matched : t -> int
-val coll_forwarded : t -> int
-(** Frames transmitted by the forward engine ({!post_forward} emissions
-    plus {!coll_inject}). *)
-
-val coll_delivered : t -> int
-val forward_descriptors : t -> int

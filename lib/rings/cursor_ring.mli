@@ -20,7 +20,6 @@ val is_empty : 'a t -> bool
 val is_full : 'a t -> bool
 
 val prod_cursor : 'a t -> int
-val cons_cursor : 'a t -> int
 
 val try_push : 'a t -> 'a -> bool
 (** False iff the ring is full. *)

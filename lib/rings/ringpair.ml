@@ -39,9 +39,6 @@ type ('s, 'c) t = {
 
 let stats t = t.stats
 let mode t = t.mode
-let sq_length t = Cursor_ring.length t.sq
-let cq_length t = Cursor_ring.length t.cq
-let sq_space t = Cursor_ring.capacity t.sq - Cursor_ring.length t.sq
 
 (* NIC-side fetch fiber. In [Wakeup] mode it services one doorbell at a
    time: everything visible in the SQ when the doorbell is honoured is
@@ -210,7 +207,3 @@ let reap t ~max =
         (t.model.Cost_model.emp_host_reap
         + ((k - 1) * t.model.Cost_model.ring_reap_slot)));
   xs
-
-let reap_wait t ~max =
-  Cond.wait_until t.cq_ready (fun () -> not (Cursor_ring.is_empty t.cq));
-  reap t ~max

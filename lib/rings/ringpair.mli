@@ -79,11 +79,5 @@ val reap : ('s, 'c) t -> max:int -> 'c list
 (** Host side, non-blocking: pop up to [max] completions (oldest first),
     charging [emp_host_reap] + (k-1)·[ring_reap_slot] when k > 0. *)
 
-val reap_wait : ('s, 'c) t -> max:int -> 'c list
-(** Like {!reap} but parks until at least one completion is present. *)
-
 val stats : ('s, 'c) t -> stats
 val mode : ('s, 'c) t -> mode
-val sq_length : ('s, 'c) t -> int
-val cq_length : ('s, 'c) t -> int
-val sq_space : ('s, 'c) t -> int

@@ -51,9 +51,6 @@ val requests : t -> int
 val sched : t -> Sched.t
 (** The first (or only) shard's scheduler. *)
 
-val scheds : t -> Sched.t list
-(** All shard schedulers, in shard order. *)
-
 val shards : t -> int
 
 val inflight : t -> int

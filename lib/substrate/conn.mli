@@ -76,27 +76,6 @@ val readv : t -> max:int -> string list
     ({!Uls_emp.Endpoint.post_recv_batch}); otherwise reposting is
     per-message, exactly as {!read}. [[]] means end of stream. *)
 
-val stage_for_batch :
-  t ->
-  string ->
-  flush:(unit -> unit) ->
-  [ `Skip
-  | `Fallback
-  | `Staged of
-    Sendpool.slot * (int * int * Uls_host.Memory.region * int * int) ]
-(** Building block for cross-connection batches ([Substrate.sendv]):
-    claim a send-pool slot for one eager message and return it with its
-    [post_sendv] spec. [`Skip] for empty payloads, [`Fallback] when the
-    message cannot ride a batch (caller must flush staged specs first,
-    then {!write}). [flush] is invoked before blocking on flow control
-    so staged-but-unposted messages get onto the wire and can earn their
-    credits back. *)
-
-val data_pool_slots : t -> int
-(** Send-pool capacity: a batch must flush before staging more than this
-    many messages on one connection (slot reuse would corrupt a staged,
-    unposted message). *)
-
 val data_pool : t -> Sendpool.t
 (** The connection's registered send ring. *)
 

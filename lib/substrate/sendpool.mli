@@ -10,8 +10,6 @@ val create :
   Uls_host.Node.t -> Uls_emp.Endpoint.t -> slots:int -> size:int -> t
 (** Allocate and register [slots] ring buffers of [size] bytes each. *)
 
-val slot_size : t -> int
-
 val slots : t -> int
 (** Number of ring slots (batch staging must flush before wrapping). *)
 

@@ -434,50 +434,6 @@ let connect t (server : Uls_api.Sockets_api.addr) =
   Trace.span (Trace.for_sim (sim t)) ~layer:Trace.Substrate ~node:(node_id t)
     "sub.connect" (fun () -> connect_blocking t server)
 
-(* --- cross-connection batched send ------------------------------------ *)
-
-(* Gathered send across a connection group sharing this substrate: every
-   batchable message is staged on its own connection's send pool, then
-   the whole group goes through the endpoint's tx ring under a single
-   doorbell. Per-connection staging is capped at the pool size (slot
-   reuse would corrupt a staged, unposted message), and staging flushes
-   before blocking on any connection's flow control. *)
-let sendv t pairs =
-  match pairs with
-  | [] -> ()
-  | [ (c, data) ] -> Conn.write c data
-  | _ ->
-    let staged = ref [] and count = ref 0 in
-    let per_conn : (int, int) Hashtbl.t = Hashtbl.create 8 in
-    let flush () =
-      if !count > 0 then begin
-        let l = List.rev !staged in
-        staged := [];
-        count := 0;
-        Hashtbl.reset per_conn;
-        let sends = E.post_sendv t.emp (List.map snd l) in
-        Sendpool.commit (List.map fst l) sends;
-        ignore (E.reap_sent t.emp)
-      end
-    in
-    List.iter
-      (fun (c, data) ->
-        let cid = Conn.id c in
-        let n = Option.value ~default:0 (Hashtbl.find_opt per_conn cid) in
-        if n >= Conn.data_pool_slots c then flush ();
-        match Conn.stage_for_batch c data ~flush with
-        | `Skip -> ()
-        | `Staged sl ->
-          staged := sl :: !staged;
-          incr count;
-          Hashtbl.replace per_conn cid
-            (1 + Option.value ~default:0 (Hashtbl.find_opt per_conn cid))
-        | `Fallback ->
-          flush ();
-          Conn.write c data)
-      pairs;
-    flush ()
-
 (* --- stack-agnostic API ------------------------------------------------ *)
 
 let stream_of_conn (c : Conn.t) : Uls_api.Sockets_api.stream =

@@ -14,11 +14,6 @@ type kind =
   | Rdvz_data
   | Close
 
-val kind_code : kind -> int
-
-val kind_of_code : int -> kind
-(** @raise Invalid_argument outside [0..7]. *)
-
 val kind_name : kind -> string
 
 val max_id : int

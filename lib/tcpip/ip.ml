@@ -32,7 +32,6 @@ type t = {
   mutable next_ip_id : int;
   mutable delivered : int;
   mutable dropped : int;
-  mutable interrupts : int;
   mutable rx_frames : int;
 }
 
@@ -42,7 +41,6 @@ let sim t = Node.sim t.node
 let set_handler t h = t.handler <- h
 let datagrams_delivered t = t.delivered
 let datagrams_dropped t = t.dropped
-let interrupts_taken t = t.interrupts
 let frames_received t = t.rx_frames
 
 (* --- transmit ------------------------------------------------------- *)
@@ -165,7 +163,6 @@ let dispatcher t () =
           | `Timeout -> ()
       in
       coalesce ();
-      t.interrupts <- t.interrupts + 1;
       Stats.Counter.incr t.mh.h_interrupts;
       Stats.Summary.add t.mh.h_frames_per_interrupt
         (float_of_int (Queue.length t.pending));
@@ -221,7 +218,6 @@ let create node nic ~cpu ~config =
       next_ip_id = 0;
       delivered = 0;
       dropped = 0;
-      interrupts = 0;
       rx_frames = 0;
     }
   in

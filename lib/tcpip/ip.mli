@@ -26,5 +26,4 @@ val datagrams_delivered : t -> int
 val datagrams_dropped : t -> int
 (** Reassembly failures (fragment loss), counted lazily on eviction. *)
 
-val interrupts_taken : t -> int
 val frames_received : t -> int

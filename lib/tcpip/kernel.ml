@@ -26,7 +26,6 @@ type udp_sock = {
   u_capacity : int;
   u_cond : Cond.t;
   mutable u_closed : bool;
-  mutable u_drops : int;
 }
 
 type handles = {
@@ -165,8 +164,8 @@ let udp_input t ~src (d : Segment.udp_datagram) =
   | None -> () (* no ICMP in this model *)
   | Some s ->
     let len = String.length d.Segment.u_data in
-    if s.u_closed || s.u_queued_bytes + len > s.u_capacity then
-      s.u_drops <- s.u_drops + 1
+    (* A closed socket or a full receive queue drops the datagram. *)
+    if s.u_closed || s.u_queued_bytes + len > s.u_capacity then ()
     else begin
       let from = { Uls_api.Sockets_api.node = src; port = d.Segment.u_src_port } in
       Queue.push (from, d.Segment.u_data) s.u_queue;
@@ -313,7 +312,6 @@ let udp_bind t ~port =
           ~label:(Printf.sprintf "udp:%d port:%d" (node_id t) port)
           (sim t);
       u_closed = false;
-      u_drops = 0;
     }
   in
   Hashtbl.replace t.udp_socks port s;
@@ -345,13 +343,9 @@ let udp_recvfrom t s =
   in
   wait ()
 
-let udp_readable s = not (Queue.is_empty s.u_queue)
-
 let udp_close t s =
   if not s.u_closed then begin
     s.u_closed <- true;
     Hashtbl.remove t.udp_socks s.u_port;
     Cond.broadcast s.u_cond
   end
-
-let udp_drops s = s.u_drops

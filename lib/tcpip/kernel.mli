@@ -52,7 +52,4 @@ val udp_sendto : t -> udp_sock -> dst:Uls_api.Sockets_api.addr -> string -> unit
 val udp_recvfrom : t -> udp_sock -> Uls_api.Sockets_api.addr * string
 (** Blocking; datagram boundaries preserved. *)
 
-val udp_readable : udp_sock -> bool
 val udp_close : t -> udp_sock -> unit
-val udp_drops : udp_sock -> int
-(** Datagrams dropped for receive-queue overflow. *)

@@ -67,7 +67,3 @@ let pp_flags fmt f =
     (if f.ack then "A" else "")
     (if f.fin then "F" else "")
     (if f.rst then "R" else "")
-
-let pp_tcp fmt s =
-  Format.fprintf fmt "tcp %d->%d seq=%d ack=%d %a wnd=%d len=%d" s.src_port
-    s.dst_port s.seq s.ack_no pp_flags s.flags s.wnd (String.length s.data)

@@ -31,8 +31,6 @@ type ip_payload =
   | Tcp of tcp_segment
   | Udp of udp_datagram
 
-val tcp_header_bytes : int
-val udp_header_bytes : int
 val ip_header_bytes : int
 
 val payload_bytes : ip_payload -> int
@@ -60,4 +58,3 @@ val mss : int
 (** TCP MSS: a full segment exactly fills one Ethernet frame. *)
 
 val pp_flags : Format.formatter -> flags -> unit
-val pp_tcp : Format.formatter -> tcp_segment -> unit

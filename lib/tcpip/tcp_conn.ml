@@ -49,7 +49,6 @@ type t = {
   mutable cwnd : int;  (* congestion window, bytes *)
   mutable ssthresh : int;
   mutable rto : Time.ns;
-  mutable retransmits : int;
   mutable dead_since : Time.ns;
       (* start of the current run of silent RTOs with no cumulative-ack
          progress (-1 = none); config.dead_rto_abort of unbroken silence
@@ -252,7 +251,6 @@ let can_send_fin t =
 
 let rewind t =
   if in_flight t > 0 then begin
-    t.retransmits <- t.retransmits + 1;
     Stats.Counter.incr t.env.h_retransmits;
     on_loss t;
     (* Go-back-N: resend from the cumulative ack point. FIN, if it was
@@ -620,7 +618,6 @@ let make env ~local ~remote ~state =
       cwnd = cfg.Config.initial_cwnd_segments * Segment.mss;
       ssthresh = max_int / 4;
       rto = cfg.Config.min_rto;
-      retransmits = 0;
       dead_since = -1;
       synack_tries = 0;
       aborted = false;
@@ -661,6 +658,5 @@ let accept_syn env ~local ~remote (syn : Segment.tcp_segment) =
 let resend_syn t =
   if t.state = Syn_sent then emit t ~flags:(Segment.flag ~syn:true ()) ~seq:0 ()
 
-let retransmit_count t = t.retransmits
 let set_on_established t f = t.on_established <- Some f
 let state_cond t = t.state_c

@@ -51,7 +51,6 @@ val local : t -> Uls_api.Sockets_api.addr
 val remote : t -> Uls_api.Sockets_api.addr
 val state : t -> state
 val alive : t -> bool
-val retransmit_count : t -> int
 
 val state_cond : t -> Uls_engine.Cond.t
 (** Broadcast on every state change (connect's handshake wait parks on

@@ -370,7 +370,7 @@ let test_stream_integrity kind () =
     (fun loss ->
       let r = Chaos.stream_run ~kind ~seed ~loss ~total:262_144 ~msg:8_192 in
       let label =
-        Printf.sprintf "%s at %.1f%% loss" (Chaos.kind_name kind)
+        Printf.sprintf "%s at %.1f%% loss" (Cluster.stack_name kind)
           (loss *. 100.)
       in
       check_bool (label ^ ": finished in bounded time") true r.Chaos.completed;
@@ -387,7 +387,7 @@ let test_stream_integrity kind () =
     loss_rates
 
 let test_chaos_deterministic () =
-  let kind = Chaos.Sub ds in
+  let kind = `Sub ds in
   let run () = Chaos.stream_run ~kind ~seed ~loss:0.02 ~total:131_072 ~msg:4_096 in
   let a = run () and b = run () in
   check_int "same faults" a.Chaos.faults_injected b.Chaos.faults_injected;
@@ -541,9 +541,9 @@ let suites =
     ( "chaos",
       [
         Alcotest.test_case "substrate stream loss sweep" `Slow
-          (test_stream_integrity (Chaos.Sub ds));
+          (test_stream_integrity (`Sub ds));
         Alcotest.test_case "tcp stream loss sweep" `Slow
-          (test_stream_integrity (Chaos.Tcp Uls_tcp.Config.default));
+          (test_stream_integrity (`Tcp Uls_tcp.Config.default));
         Alcotest.test_case "deterministic sweep" `Quick
           test_chaos_deterministic;
         Alcotest.test_case "pingpong under chaos" `Quick

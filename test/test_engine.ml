@@ -688,13 +688,14 @@ let test_trace_chrome_json_shape () =
    chrome://tracing needs, spans carrying ids, and every layer of the
    sockets path present. *)
 let test_trace_pingpong_export () =
-  let _, tr, _ =
-    Uls_bench.Microbench.ping_pong_observed ~iters:10
-      ~kind:
-        (Uls_bench.Microbench.Sub
-           Uls_substrate.Options.data_streaming_enhanced)
-      ~size:4 ()
-  in
+  let tr = ref None in
+  ignore
+    (Uls_bench.Microbench.ping_pong
+       ~observe:(fun t _ -> tr := Some t)
+       ~iters:10
+       ~kind:(`Sub Uls_substrate.Options.data_streaming_enhanced)
+       ~size:4 ());
+  let tr = Option.get !tr in
   let lines =
     String.split_on_char '\n' (Trace.to_chrome_json tr)
     |> List.filter (fun l -> l <> "")

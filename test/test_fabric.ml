@@ -132,7 +132,7 @@ let test_steering_hash_spread_and_affinity () =
 
 (* --- fleet end-to-end -------------------------------------------------- *)
 
-let small ?(kind = Chaos.Sub Uls_substrate.Options.server) () =
+let small ?(kind = `Sub Uls_substrate.Options.server) () =
   {
     Fleet.default with
     kind;
@@ -163,7 +163,7 @@ let test_fleet_substrate_deterministic () =
   check_clean "fleet/sub" a;
   check_bool "deterministic report" true (a = b)
 
-let test_fleet_tcp () = check_clean "fleet/tcp" (Fleet.run (small ~kind:(Chaos.Tcp Uls_tcp.Config.default) ()))
+let test_fleet_tcp () = check_clean "fleet/tcp" (Fleet.run (small ~kind:(`Tcp Uls_tcp.Config.default) ()))
 
 let test_fleet_reuseport_fanout () =
   let steered = ref 0 in
@@ -213,12 +213,12 @@ let kill_cfg kind =
 
 let test_fleet_kill_failover_tcp () =
   check_failover "kill/tcp"
-    (Fleet.run (kill_cfg (Chaos.Tcp Uls_tcp.Config.default)))
+    (Fleet.run (kill_cfg (`Tcp Uls_tcp.Config.default)))
     ~killed:1
 
 let test_fleet_kill_failover_substrate () =
   check_failover "kill/sub"
-    (Fleet.run (kill_cfg (Chaos.Sub Uls_substrate.Options.server)))
+    (Fleet.run (kill_cfg (`Sub Uls_substrate.Options.server)))
     ~killed:1
 
 let test_fleet_drain () =

@@ -542,7 +542,7 @@ let check_clean label (r : Load.report) =
 
 let test_load_echo_substrate_deterministic () =
   let cfg =
-    small_cfg (Chaos.Sub Uls_substrate.Options.server) Load.Echo
+    small_cfg (`Sub Uls_substrate.Options.server) Load.Echo
   in
   let a = Load.run cfg in
   let b = Load.run cfg in
@@ -550,7 +550,7 @@ let test_load_echo_substrate_deterministic () =
   check_bool "deterministic report" true (a = b)
 
 let test_load_http_tcp_deterministic () =
-  let cfg = small_cfg (Chaos.Tcp Uls_tcp.Config.default) Load.Http in
+  let cfg = small_cfg (`Tcp Uls_tcp.Config.default) Load.Http in
   let a = Load.run cfg in
   let b = Load.run cfg in
   check_clean "http/tcp" a;
@@ -559,7 +559,7 @@ let test_load_http_tcp_deterministic () =
 let test_load_open_loop () =
   let cfg =
     {
-      (small_cfg (Chaos.Sub Uls_substrate.Options.server) Load.Echo) with
+      (small_cfg (`Sub Uls_substrate.Options.server) Load.Echo) with
       loop = Load.Open 20_000.;
     }
   in
@@ -572,7 +572,7 @@ let test_load_open_loop () =
    sockets — and the server path never touches the O(n) select scan. *)
 let test_evq_wakeups_scale_with_events () =
   let r =
-    Load.run (small_cfg (Chaos.Sub Uls_substrate.Options.server) Load.Echo)
+    Load.run (small_cfg (`Sub Uls_substrate.Options.server) Load.Echo)
   in
   check_bool "no select scans on the event-driven path" true
     (r.select_streams_scanned = 0);

@@ -9,14 +9,14 @@ let check_bool = Alcotest.(check bool)
 let lat kind = Mb.ping_pong ~iters:8 ~warmup:3 ~kind ~size:4 ()
 let bw kind = Mb.bandwidth ~total:(2 * 1024 * 1024) ~kind ~msg:65536 ()
 
-let tcp = Mb.Tcp Uls_tcp.Config.default
-let tcp_tuned = Mb.Tcp Uls_tcp.Config.(with_buffers default 262_144)
-let ds_full = Mb.Sub Opt.data_streaming_enhanced
-let ds_base = Mb.Sub Opt.data_streaming
-let dg = Mb.Sub Opt.datagram
+let tcp = `Tcp Uls_tcp.Config.default
+let tcp_tuned = `Tcp Uls_tcp.Config.(with_buffers default 262_144)
+let ds_full = `Sub Opt.data_streaming_enhanced
+let ds_base = `Sub Opt.data_streaming
+let dg = `Sub Opt.datagram
 
 let test_latency_ordering () =
-  let emp = lat Mb.Emp_raw in
+  let emp = lat `Emp_raw in
   let dg_l = lat dg in
   let ds_l = lat ds_full in
   let ds_base_l = lat ds_base in
@@ -30,7 +30,7 @@ let test_latency_ordering () =
 let test_latency_enhancement_chain () =
   (* DS > DS_DA > DS_DA_UQ, the Figure 11 ordering. The UQ gap is widest
      at moderate credit counts (more ack descriptors in the walk). *)
-  let at opts = Mb.ping_pong ~iters:12 ~warmup:4 ~kind:(Mb.Sub opts) ~size:4 () in
+  let at opts = Mb.ping_pong ~iters:12 ~warmup:4 ~kind:(`Sub opts) ~size:4 () in
   let ds = at { Opt.data_streaming with credits = 8 } in
   let ds_da = at { Opt.data_streaming with credits = 8; delayed_acks = true } in
   let ds_da_uq =
@@ -42,7 +42,7 @@ let test_latency_enhancement_chain () =
 let test_fig12_credits_trend () =
   let at credits =
     Mb.ping_pong ~iters:8 ~warmup:3
-      ~kind:(Mb.Sub { Opt.data_streaming with delayed_acks = true; credits })
+      ~kind:(`Sub { Opt.data_streaming with delayed_acks = true; credits })
       ~size:4 ()
   in
   check_bool "more credits, lower DS_DA latency" true (at 32 < at 2)
@@ -57,7 +57,7 @@ let test_bandwidth_ordering () =
 
 let test_connect_ordering () =
   let sub =
-    Mb.connect_time ~kind:(Mb.Sub { Opt.data_streaming_enhanced with credits = 4 }) ()
+    Mb.connect_time ~kind:(`Sub { Opt.data_streaming_enhanced with credits = 4 }) ()
   in
   let tcp_c = Mb.connect_time ~kind:tcp () in
   check_bool "substrate connects faster than TCP" true (sub < tcp_c)

@@ -1,5 +1,6 @@
 (* Unit tests for the small pure modules: substrate tags/codec/options,
-   send pools, TCP segment arithmetic, engine trace. *)
+   send pools, TCP segment arithmetic, engine trace, and the bench
+   drivers' shared vocabulary (stack names, latency summary). *)
 open Uls_engine
 module Opt = Uls_substrate.Options
 module Tags = Uls_substrate.Tags
@@ -201,6 +202,69 @@ let test_trace_capture () =
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
+(* --- bench vocabulary --- *)
+
+let test_stack_names () =
+  let name = Uls_bench.Cluster.stack_name in
+  Alcotest.(check (list string))
+    "names"
+    [ "EMP-DS"; "EMP-DG"; "TCP"; "EMP" ]
+    [
+      name (`Sub Opt.data_streaming_enhanced);
+      name (`Sub Opt.datagram);
+      name (`Tcp Uls_tcp.Config.default);
+      name `Emp_raw;
+    ]
+
+let check_summary label (want : Uls_bench.Latency.summary)
+    (got : Uls_bench.Latency.summary) =
+  let f name a b = Alcotest.(check (float 1e-9)) (label ^ " " ^ name) a b in
+  f "elapsed_ms" want.elapsed_ms got.elapsed_ms;
+  f "rps" want.rps got.rps;
+  f "mean_us" want.mean_us got.mean_us;
+  f "p50_us" want.p50_us got.p50_us;
+  f "p95_us" want.p95_us got.p95_us;
+  f "p99_us" want.p99_us got.p99_us;
+  f "p999_us" want.p999_us got.p999_us
+
+let test_latency_empty () =
+  (* A run that completed nothing reports zeros, never nan. *)
+  let l = Uls_bench.Latency.create () in
+  Uls_bench.Latency.sent l ~now:5_000;
+  check_summary "empty"
+    {
+      elapsed_ms = 0.;
+      rps = 0.;
+      mean_us = 0.;
+      p50_us = 0.;
+      p95_us = 0.;
+      p99_us = 0.;
+      p999_us = 0.;
+    }
+    (Uls_bench.Latency.summary l)
+
+let test_latency_known_samples () =
+  (* Request k (k = 0..100) is sent at k * 10 us and takes k + 1 us:
+     latencies 1..101 us, first send at 0, last completion at 1101 us.
+     Nearest rank over 101 sorted samples picks index round(p * 100). *)
+  let l = Uls_bench.Latency.create () in
+  for k = 0 to 100 do
+    let t0 = Time.us (10 * k) in
+    Uls_bench.Latency.sent l ~now:t0;
+    Uls_bench.Latency.completed l ~t0 ~now:(t0 + Time.us (k + 1))
+  done;
+  check_summary "101 samples"
+    {
+      elapsed_ms = 1.101;
+      rps = 101. /. 1.101e-3;
+      mean_us = 51.;
+      p50_us = 51.;
+      p95_us = 96.;
+      p99_us = 100.;
+      p999_us = 101.;
+    }
+    (Uls_bench.Latency.summary l)
+
 let suites =
   [
     ( "substrate.tags",
@@ -230,4 +294,11 @@ let suites =
       ] );
     ( "engine.trace",
       [ Alcotest.test_case "capture" `Quick test_trace_capture ] );
+    ( "bench.vocabulary",
+      [
+        Alcotest.test_case "stack names" `Quick test_stack_names;
+        Alcotest.test_case "latency: empty run" `Quick test_latency_empty;
+        Alcotest.test_case "latency: known samples" `Quick
+          test_latency_known_samples;
+      ] );
   ]
