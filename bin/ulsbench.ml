@@ -1187,7 +1187,7 @@ let races_cmd =
              walks for every scenario plus a DPOR-style depth-first sweep \
              for scenarios with an exploration bound")
     Term.(const run $ seeds $ scenario $ replay_schedule $ max_runs
-          $ max_preempt $ verbose $ sched_flag `Heap)
+          $ max_preempt $ verbose $ sched_flag `Wheel)
 
 (* --- check: the CI gates ------------------------------------------------ *)
 
@@ -1368,6 +1368,28 @@ let storm_gate () =
   if S.run { S.default with S.batch = 32 } <> r32 then
     fail "batch=32 seeded runs diverged"
 
+(* [f ()] and the minor words it allocated. *)
+let counting_words f =
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. w0)
+
+(* The allocation ceiling of a real workload: one pinned-seed run's
+   minor words per dispatched event and events per operation, each
+   against a fixed ceiling (the gate table states them). *)
+let allocation_ceiling tag ~words ~events ~ops ~max_words ~max_events =
+  let per_event = words /. float_of_int (max 1 events) in
+  let per_op = float_of_int events /. float_of_int (max 1 ops) in
+  Printf.printf
+    "%s: %.1f minor words/event (ceiling %.1f), %.1f events/op (ceiling \
+     %.1f)\n%!"
+    tag per_event max_words per_op max_events;
+  if per_event > max_words then
+    fail "%s: %.1f minor words/event exceeds the %.1f ceiling" tag per_event
+      max_words;
+  if per_op > max_events then
+    fail "%s: %.1f events/op exceeds the %.1f ceiling" tag per_op max_events
+
 let serve_gate () =
   let module L = Uls_bench.Load in
   let cfg ?(match_engine = Uls_nic.Match_list.Hashed) ~conns ~requests
@@ -1408,7 +1430,11 @@ let serve_gate () =
   twice "ds/echo" (smoke `Ds L.Echo);
   let linear = Uls_nic.Match_list.Linear in
   let lin = run "ds/512/linear" (scale ~match_engine:linear `Ds L.Echo) in
-  let hsh = run "ds/512/hashed" (scale `Ds L.Echo) in
+  let hsh, words =
+    counting_words (fun () -> run "ds/512/hashed" (scale `Ds L.Echo))
+  in
+  allocation_ceiling "ds/512/hashed" ~words ~events:hsh.L.events
+    ~ops:hsh.L.sent ~max_words:60.7 ~max_events:368.;
   if hsh.L.lat.rps < lin.L.lat.rps *. 0.999 then
     fail "hashed slower than linear at 512 conns (%.0f vs %.0f req/s)"
       hsh.L.lat.rps lin.L.lat.rps;
@@ -1473,7 +1499,9 @@ let fabric_gate () =
     survivors := List.length (List.filter (fun w -> Weak.check w 0) !sampled)
   in
   let a = F.run ~on_server_close:sample ~on_metrics:count_survivors cfg in
-  let b = F.run cfg in
+  let b, words = counting_words (fun () -> F.run cfg) in
+  allocation_ceiling "ds/4-cell" ~words ~events:b.F.events ~ops:b.F.arrivals
+    ~max_words:57.7 ~max_events:322.;
   clean "determinism" a;
   if a <> b then fail "seeded runs diverged";
   if !sampled = [] || !survivors > 0 then
@@ -1558,11 +1586,13 @@ let chaos_gate () =
       counts (dispatch parity). The wheel must beat the heap by at least
       2x events/sec on fabric-65536, where O(1) queue ops must show. No
       run may allocate more than 14 minor words per dispatched event:
-      the allocation sanitizer. Steady state is 9-12.2, all of it the
-      workload's own per-cycle closures, so the dispatch loop, including
-      the happens-before hook sites when no tracker is attached, adds
-      nothing. Against BENCH_engine.json every event count must match
-      exactly (a mismatch means the event structure changed: recapture
+      the allocation sanitizer. Steady state is 4-5 on the wheel, all
+      of it the workload's own per-cycle closures, so the dispatch loop,
+      including the happens-before hook sites when no tracker is
+      attached, adds nothing; the heap oracle reads 9-11.5, its
+      [Option] results and task cells included. Against
+      BENCH_engine.json every event count must match exactly (a
+      mismatch means the event structure changed: recapture
       deliberately), and no shape's wheel/heap speedup may fall below
       80% of the baseline's. Ratios, not raw events/sec, so the gate is
       machine-independent to first order; each is the median of five
@@ -1586,7 +1616,16 @@ let chaos_gate () =
       index must be at least as fast as the linear walk, and its row
       byte-identical across a double-run. The ablation runs on the
       substrate only, since TCP takes the kernel receive path and never
-      touches the NIC tag matcher; TCP gets one scale run.
+      touches the NIC tag matcher; TCP gets one scale run. The hashed
+      512-connection run also carries the allocation ceiling: at most
+      60.7 minor words per dispatched event and 368 events per request
+      (measured 57.3 and 350.3 on OCaml 5.1.1). The words margin, 6%,
+      leaves room for CI's OCaml 5.2 to allocate a few words per event
+      differently, and stays under the 7% that replacing the pooled
+      task cells with the wheel's slab saved: a return to pooled cells
+      (61.4) fails. The event count is a pure
+      function of the seeded run, so its 5% margin only admits a small
+      deliberate change of event structure.
     - [fabric]: a cell-count x stack matrix (1/4 cells, substrate/TCP)
       of open-loop fleet runs through the consistent-hash balancer;
       kill-failover on both stacks (cell 1 paused mid-load: the ring
@@ -1594,7 +1633,10 @@ let chaos_gate () =
       byte-identical double-run. Its first run also checks that closed
       connections leave nothing behind: every 64th closed server-side
       stream is held weakly, and none may survive a full major GC while
-      the cluster is still alive.
+      the cluster is still alive. Its second run carries the allocation
+      ceiling, with the same margins as [serve]: at most 57.7 minor
+      words per dispatched event and 322 events per session (measured
+      54.4 and 306.5; pooled task cells read 58.6).
     - [chaos]: a checksummed payload streamed through the substrate and
       kernel TCP at 0/0.5/2/5% seeded frame loss. No run may hang past
       the virtual-time bound or deliver corrupt bytes; 1 MB per run

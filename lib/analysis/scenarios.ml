@@ -312,7 +312,7 @@ let grant_fixture ~routed ?sched tiebreak =
    sanitizer/invariant channels are empty here; divergence of the
    observables across tie-breaks is the signal. *)
 
-let fabric_churn ?(sched = `Heap) tiebreak =
+let fabric_churn ?(sched = `Wheel) tiebreak =
   let r =
     Uls_bench.Fleet.run
       {

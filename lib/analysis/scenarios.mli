@@ -37,7 +37,7 @@ type t = {
           them) *)
   sc_run : ?sched:[ `Heap | `Wheel ] -> tiebreak -> outcome;
       (** [sched] selects the simulator event-queue implementation
-          (default binary heap); dispatch order is identical either
+          (default timing wheel); dispatch order is identical either
           way, so fingerprints must not depend on it *)
   sc_bound : bound option;
       (** [None]: the scenario is too large for a depth-first sweep and

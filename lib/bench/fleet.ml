@@ -54,7 +54,7 @@ let default =
     drain = None;
     tiebreak = None;
     match_engine = Uls_nic.Match_list.Hashed;
-    event_sched = `Heap;
+    event_sched = `Wheel;
   }
 
 type cell_report = {
@@ -95,6 +95,7 @@ type report = {
   transitions : (float * int * string * string) list;
   intact : bool;
   completed_run : bool;
+  events : int;
 }
 
 (* Scaled like {!Load.liveness_bound} but with headroom for failover
@@ -458,6 +459,7 @@ let run ?on_metrics ?on_server_close (cfg : config) =
       mismatches = 0 && !no_route = 0 && chaos_ok
       && completed + ((shed + cut) * cfg.requests_per_conn) >= offered;
     completed_run = outcome = `Quiescent;
+    events = Sim.events_executed sim;
   }
 
 let print_report fmt (cfg : config) (r : report) =

@@ -110,6 +110,7 @@ type report = {
       (** (ms, cell, state, cause), oldest first *)
   intact : bool;
   completed_run : bool;
+  events : int;  (** simulator events the run dispatched *)
 }
 
 val liveness_bound : conns:int -> Uls_engine.Time.ns

@@ -43,7 +43,7 @@ let default =
     backlog = 256;
     sched = None;
     match_engine = Uls_nic.Match_list.Hashed;
-    event_sched = `Heap;
+    event_sched = `Wheel;
   }
 
 type report = {
@@ -60,6 +60,7 @@ type report = {
   lat : Latency.summary;
   intact : bool;
   completed_run : bool;
+  events : int;
   server_requests : int;
   evq_wakeups : int;
   evq_spurious : int;
@@ -325,6 +326,7 @@ let run ?on_metrics ?progress cfg =
     lat = Latency.summary lat;
     intact = !mismatches = 0 && !errors = 0 && !completed + !shed >= !sent;
     completed_run = outcome = `Quiescent;
+    events = Sim.events_executed sim;
     server_requests = (match !srv with Some s -> Server.requests s | None -> 0);
     evq_wakeups = Metrics.counter_value m ~node:0 "server.evq.wakeups";
     evq_spurious = Metrics.counter_value m ~node:0 "server.evq.spurious";

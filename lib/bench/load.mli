@@ -76,6 +76,7 @@ type report = {
       (** no mismatches, no errors, and every sent request accounted for
           (completed or explicitly shed) *)
   completed_run : bool;  (** quiesced within the liveness bound *)
+  events : int;  (** simulator events the run dispatched *)
   server_requests : int;  (** served according to the server *)
   evq_wakeups : int;
   evq_spurious : int;

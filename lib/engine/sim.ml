@@ -1,7 +1,14 @@
-(* Task cells are mutable and pooled: dispatch recycles the cell onto an
-   intrusive free list (and drops the closure) instead of garbage for
-   every event. [dummy_task] is the free-list terminator and the filler
-   value for the wheel's internal arrays. *)
+(* Event queues. [`Wheel], the production queue and the default, keeps
+   each pending event in a slot of its own int-keyed slab ({!Wheel}).
+
+   [`Heap] is the parity oracle and the throughput ablation: a
+   polymorphic binary heap of task cells recycled through an intrusive
+   free list ([dummy_task] terminates it). The wheel has no task cells
+   because a pooled cell is old: every [cell.run <- closure] stores a
+   young closure into an old block through the write barrier, which
+   costs more than the allocation the pool saves. The heap keeps them
+   so that the cost gap measured by the engine gate's wheel/heap ratios
+   and the benchmark's [--sched heap] perturbation does not move. *)
 type task = {
   mutable time : Time.ns;
   mutable seq : int;
@@ -63,13 +70,11 @@ type parked = {
   daemon : bool;
 }
 
-(* Event queue: binary comparison heap (the original structure) or the
-   hierarchical timing wheel. Both dispatch in identical
-   (time, seq) order — the wheel's near-future heap uses the same
-   comparator — so the choice is a pure throughput ablation. *)
+(* Both queues dispatch in identical (time, seq) order, so the choice
+   is a pure throughput ablation. *)
 type queue =
   | Q_heap of task Heap.t
-  | Q_wheel of task Wheel.t
+  | Q_wheel of Wheel.t
 
 type t = {
   uid : int;  (* process-unique: lets side tables key off a simulation *)
@@ -87,7 +92,7 @@ type t = {
   mutable next_sync_uid : int;  (* Cond/Mailbox/Resource identities *)
   mutable hooks : hooks option;
   parked : park;  (* sentinel of the parked-fiber ring *)
-  mutable free : task;  (* head of the recycled task-cell list *)
+  mutable free : task;  (* head of the heap's recycled task-cell list *)
   mutable pooled : int;
 }
 
@@ -105,17 +110,14 @@ let next_uid = ref 0
 let create_hook : (t -> unit) option ref = ref None
 let set_create_hook h = create_hook := h
 
-let create ?(sched = `Heap) () =
+let create ?(sched = `Wheel) () =
   incr next_uid;
   let t = {
     uid = !next_uid;
     q =
       (match sched with
       | `Heap -> Q_heap (Heap.create ~cmp:compare_task)
-      | `Wheel ->
-        Q_wheel
-          (Wheel.create ~dummy:dummy_task ~time:(fun tk -> tk.time)
-             ~cmp:compare_task ()));
+      | `Wheel -> Q_wheel (Wheel.create ()));
     now = 0;
     seq = 0;
     live = 0;
@@ -186,9 +188,9 @@ let blocked_report t =
              let c = compare a.label b.label in
              if c <> 0 then c else compare a.daemon b.daemon)
 
-(* Pool cap: beyond this, freed cells go to the GC instead — bounds the
-   retained memory of a sim that briefly spiked its outstanding-event
-   count. *)
+(* Heap-path pool cap: beyond this, freed cells go to the GC instead —
+   bounds the retained memory of a sim that briefly spiked its
+   outstanding-event count. *)
 let pool_max = 4096
 
 let alloc_task t ~time ~seq ~run =
@@ -215,10 +217,9 @@ let release_task t cell =
 let schedule t ~time run =
   if time < t.now then invalid_arg "Sim: scheduling in the past";
   t.seq <- t.seq + 1;
-  let cell = alloc_task t ~time ~seq:t.seq ~run in
   match t.q with
-  | Q_heap h -> Heap.push h cell
-  | Q_wheel w -> Wheel.push w cell
+  | Q_heap h -> Heap.push h (alloc_task t ~time ~seq:t.seq ~run)
+  | Q_wheel w -> Wheel.add w ~time ~seq:t.seq run
 
 let at t time run = schedule t ~time run
 
@@ -316,33 +317,69 @@ let spawn_at t ?(name = "fiber") ?(daemon = false) time f =
 
 let spawn t ?name ?daemon f = spawn_at t ?name ?daemon t.now f
 
-let q_peek t = match t.q with Q_heap h -> Heap.peek h | Q_wheel w -> Wheel.peek w
-let q_pop t = match t.q with Q_heap h -> Heap.pop h | Q_wheel w -> Wheel.pop w
-let q_push t cell =
-  match t.q with Q_heap h -> Heap.push h cell | Q_wheel w -> Wheel.push w cell
+let dispatched t ~time ~seq =
+  t.now <- time;
+  t.executed <- t.executed + 1;
+  match t.hooks with None -> () | Some h -> h.on_dispatch ~seq ~time
 
-(* Under [Controlled], every task sharing the minimum timestamp is popped
-   and the chooser picks which runs next (by index into the seq array,
-   which is in FIFO order); the rest are
-   re-inserted untouched. A singleton tie is not a decision point. Due
-   tasks re-insert into the wheel's exact-order near-future heap, so
-   push-back is order-safe on both schedulers. *)
-let pop_controlled t first choose =
+(* Under [Controlled], every event sharing the minimum timestamp is
+   popped and the chooser picks which runs next (by index into the seq
+   array, which is in FIFO order); the rest are re-queued untouched. A
+   singleton tie is not a decision point. Due events re-queue into the
+   wheel's exact-order near-future heap, so push-back is order-safe on
+   both queues. [next] pops the following event due at the tie's time,
+   if any. *)
+let choose_tied choose first ~next ~seq ~requeue =
   let rec gather acc =
-    match q_peek t with
-    | Some tk when tk.time = first.time ->
-      ignore (q_pop t);
-      gather (tk :: acc)
-    | _ -> List.rev acc
+    match next () with Some x -> gather (x :: acc) | None -> List.rev acc
   in
   match gather [] with
   | [] -> first
   | rest ->
     let all = Array.of_list (first :: rest) in
-    let idx = choose (Array.map (fun (tk : task) -> tk.seq) all) in
+    let idx = choose (Array.map seq all) in
     let idx = if idx < 0 || idx >= Array.length all then 0 else idx in
-    Array.iteri (fun i tk -> if i <> idx then q_push t tk) all;
+    Array.iteri (fun i x -> if i <> idx then requeue x) all;
     all.(idx)
+
+(* Remove the event to run next from the queue (the minimum, or the
+   chooser's pick of the tie), account its dispatch, and return its
+   callback. [time] is the minimum's timestamp. *)
+let next_heap t h ~time =
+  let tk = Option.get (Heap.pop h) in
+  let tk =
+    match t.tiebreak with
+    | Fifo -> tk
+    | Controlled choose ->
+      let next () =
+        match Heap.peek h with
+        | Some tk' when tk'.time = time -> Heap.pop h
+        | _ -> None
+      in
+      choose_tied choose tk ~next ~seq:(fun tk -> tk.seq) ~requeue:(Heap.push h)
+  in
+  dispatched t ~time ~seq:tk.seq;
+  (* Recycle the cell before running: the closure is extracted first, so
+     even a raising task doesn't leak its cell, and tasks the closure
+     schedules can safely reuse it. *)
+  let f = tk.run in
+  release_task t tk;
+  f
+
+let next_wheel t w ~time =
+  let s = Wheel.pop w in
+  let s =
+    match t.tiebreak with
+    | Fifo -> s
+    | Controlled choose ->
+      let next () =
+        let s' = Wheel.peek w in
+        if s' >= 0 && Wheel.time w s' = time then Some (Wheel.pop w) else None
+      in
+      choose_tied choose s ~next ~seq:(Wheel.seq w) ~requeue:(Wheel.reinsert w)
+  in
+  dispatched t ~time ~seq:(Wheel.seq w s);
+  Wheel.take w s
 
 let run ?until t =
   t.stopped <- false;
@@ -354,33 +391,29 @@ let run ?until t =
       running := false
     end
     else
-      match q_peek t with
-      | None ->
+      let time =
+        match t.q with
+        | Q_heap h -> (match Heap.peek h with Some tk -> tk.time | None -> -1)
+        | Q_wheel w ->
+          let s = Wheel.peek w in
+          if s < 0 then -1 else Wheel.time w s
+      in
+      if time < 0 then begin
         result := `Quiescent;
         running := false
-      | Some task -> (
+      end
+      else
         match until with
-        | Some limit when task.time > limit ->
+        | Some limit when time > limit ->
           t.now <- limit;
           result := `Time_limit;
           running := false
         | _ ->
-          ignore (q_pop t);
-          let task =
-            match t.tiebreak with
-            | Fifo -> task
-            | Controlled choose -> pop_controlled t task choose
+          let f =
+            match t.q with
+            | Q_heap h -> next_heap t h ~time
+            | Q_wheel w -> next_wheel t w ~time
           in
-          t.now <- task.time;
-          t.executed <- t.executed + 1;
-          (match t.hooks with
-          | None -> ()
-          | Some h -> h.on_dispatch ~seq:task.seq ~time:task.time);
-          (* Recycle the cell before running: the closure is extracted
-             first, so even a raising task doesn't leak its cell, and
-             tasks the closure schedules can safely reuse it. *)
-          let f = task.run in
-          release_task t task;
-          f ())
+          f ()
   done;
   !result

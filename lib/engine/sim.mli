@@ -17,13 +17,14 @@ exception Fiber_failure of string * exn
     Carries the fiber's name and the original exception. *)
 
 val create : ?sched:[ `Heap | `Wheel ] -> unit -> t
-(** [create ()] uses the binary comparison heap (the original event
-    queue). [~sched:`Wheel] selects the hierarchical timing wheel
-    ({!Wheel}): O(1) amortized insert/extract regardless of pending-event
-    count, with dispatch order {e byte-identical} to the heap — the
-    (time, seq) tie-break contract holds on both, so FIFO runs,
-    controlled schedules, and determinism fingerprints are scheduler-
-    independent. *)
+(** [create ()] uses the hierarchical timing wheel ({!Wheel}), the
+    production event queue: O(1) amortized insert/extract regardless of
+    pending-event count, each event a slot of an int-keyed slab.
+    [~sched:`Heap] selects the binary comparison heap, the original
+    queue, kept as the parity oracle and throughput ablation. Dispatch
+    order is {e byte-identical} on both — the (time, seq) tie-break
+    contract holds on both, so FIFO runs, controlled schedules, and
+    determinism fingerprints are scheduler-independent. *)
 
 val sched : t -> [ `Heap | `Wheel ]
 (** Which event queue this sim was created with. *)

@@ -1,241 +1,280 @@
-(* Hierarchical timing wheel (hashed calendar queue) with a near-future
-   heap, an exact-order contract, and an overflow heap for far-future
-   timers.
+(* Hierarchical timing wheel (hashed calendar queue) over integer event
+   slots, with a near-future heap, an exact-order contract, and an
+   overflow heap for far-future timers.
+
+   Slab: a pending event is a slot id into [tm]/[sq] (unboxed time and
+   sequence number) and [fn] (its callback). [next] chains a queued
+   slot into its wheel bag, or a free slot into the free list. Everything
+   below moves slot ids only and compares [(tm, sq)] inline, so no store
+   in a sift, placement or cascade is a pointer store: the write barrier
+   runs once when [add] stores the callback and once when [take]
+   overwrites it with [nop]. Bags are intrusive lists through [next],
+   so the wheel's memory is the slab's and tracks the peak pending
+   count; per-slot bag arrays would each keep the largest batch their
+   slot ever held, and only after a full turn of the top level would
+   their total stop growing.
 
    Layout: [levels] wheels of [W = 256] slots each. A level-[l] slot
    spans [grain << (slot_bits * l)] ns, so the whole level-[l] wheel
-   spans exactly one level-[l+1] slot. Elements land in the lowest
-   level whose wheel still covers their delta from [base] (the start of
-   the level-0 cursor slot); anything beyond the top level's range goes
-   to the [ovf] heap and migrates down when the cursor approaches.
+   spans exactly one level-[l+1] slot. Events land in the lowest level
+   whose wheel still covers their delta from [base] (the start of the
+   level-0 cursor slot); anything beyond the top level's range goes to
+   the [ovf] heap and migrates down when the cursor approaches. A bag's
+   order is immaterial: [(time, seq)] keys are unique, and [cur] orders
+   by them whatever order a cascade pushes in.
 
    Exactness: everything with [time < base + grain] lives in [cur], a
-   binary heap ordered by the caller's full comparator, so extraction
-   order is *identical* to a plain comparison heap — the wheel only
-   replaces where far-out elements wait, not how due elements are
-   ordered. Advancing works slot-batch at a time: the next occupied
-   level-0 slot is dumped into [cur] wholesale; occupied higher-level
-   slots cascade down when the cursor enters them. Insertions are O(1)
-   (an array append), extraction is O(log batch) on a batch that is one
-   grain wide, and cursor movement amortizes to O(1) per element.
+   binary heap ordered by the full (time, seq) key, so extraction order
+   is *identical* to a plain comparison heap — the wheel only replaces
+   where far-out events wait, not how due events are ordered. Advancing
+   works slot-batch at a time: the next occupied level-0 slot is dumped
+   into [cur] wholesale; occupied higher-level slots cascade down when
+   the cursor enters them. Insertions are O(1) (a list push),
+   extraction is O(log batch) on a batch that is one grain wide, and
+   cursor movement amortizes to O(1) per event.
 
    Ordering safety of the near-future heap: [base] only moves forward,
    and any later insertion with [time < base + grain] is routed into
-   [cur] where the comparator orders it exactly — so peeking ahead
-   (which advances [base]) can never misorder a subsequent insert, even
-   one earlier than the peeked element. *)
+   [cur] where the key orders it exactly — so peeking ahead (which
+   advances [base]) can never misorder a subsequent insert, even one
+   earlier than the peeked event. *)
 
+let grain_bits = 8
+let grain = 1 lsl grain_bits
 let slot_bits = 8
 let wsize = 1 lsl slot_bits
 let wmask = wsize - 1
 let levels = 4
 
-(* Dummy-backed resizable bag: a slot's elements, appended on insert,
-   dumped and reset (with the dummy overwriting the tail, so nothing
-   popped is retained) when the cursor reaches the slot. *)
-type 'a bag = {
-  mutable ba : 'a array;
-  mutable bn : int;
+(* level-l slot width, as a shift *)
+let shift l = grain_bits + (slot_bits * l)
+let top_range = 1 lsl shift levels
+
+(* Binary min-heap of slot ids, ordered by [before]. *)
+type heap = {
+  mutable a : int array;
+  mutable n : int;
 }
 
-(* Dummy-backed binary min-heap over the caller's comparator. *)
-type 'a heap = {
-  mutable ha : 'a array;
-  mutable hn : int;
-}
+let nop () = ()
 
-type 'a t = {
-  time : 'a -> int;
-  cmp : 'a -> 'a -> int;
-  dummy : 'a;
-  grain_bits : int;
-  slots : 'a bag array array;  (* [levels][wsize] *)
-  counts : int array;  (* elements resident per level *)
+type t = {
+  mutable tm : int array;
+  mutable sq : int array;
+  mutable fn : (unit -> unit) array;
+  mutable next : int array;  (* bag or free-list link; -1 ends a list *)
+  mutable free : int;  (* head of the free-slot list *)
+  heads : int array;  (* bag heads, [l * wsize + idx] *)
+  counts : int array;  (* slots resident per level *)
   mutable base : int;  (* start of the level-0 cursor slot; grain-aligned *)
-  cur : 'a heap;
-  ovf : 'a heap;
+  cur : heap;  (* near-future heap *)
+  ovf : heap;  (* overflow heap *)
   mutable len : int;
 }
 
-let create ?(grain_bits = 8) ~dummy ~time ~cmp () =
-  if grain_bits < 0 || grain_bits + (slot_bits * levels) >= Sys.int_size - 1
-  then invalid_arg "Wheel.create: grain_bits out of range";
+let create () =
   {
-    time;
-    cmp;
-    dummy;
-    grain_bits;
-    slots =
-      Array.init levels (fun _ ->
-          Array.init wsize (fun _ -> { ba = [||]; bn = 0 }));
+    tm = [||];
+    sq = [||];
+    fn = [||];
+    next = [||];
+    free = -1;
+    heads = Array.make (levels * wsize) (-1);
     counts = Array.make levels 0;
     base = 0;
-    cur = { ha = [||]; hn = 0 };
-    ovf = { ha = [||]; hn = 0 };
+    cur = { a = [||]; n = 0 };
+    ovf = { a = [||]; n = 0 };
     len = 0;
   }
 
 let length w = w.len
 let is_empty w = w.len = 0
+let capacity w = Array.length w.tm
+let time w s = w.tm.(s)
+let seq w s = w.sq.(s)
 
-(* level-l slot width and the absolute slot index of time [t] *)
-let shift w l = w.grain_bits + (slot_bits * l)
-let grain w = 1 lsl w.grain_bits
+(* --- slab --------------------------------------------------------------- *)
+
+(* Double the slab and thread the new slots onto the free list. *)
+let grow w =
+  let n = Array.length w.tm in
+  let cap = if n = 0 then 64 else 2 * n in
+  let widen a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  w.tm <- widen w.tm 0;
+  w.sq <- widen w.sq 0;
+  w.fn <- widen w.fn nop;
+  w.next <- widen w.next 0;
+  for s = cap - 1 downto n do
+    w.next.(s) <- w.free;
+    w.free <- s
+  done
+
+let take w s =
+  let f = w.fn.(s) in
+  w.fn.(s) <- nop;
+  w.next.(s) <- w.free;
+  w.free <- s;
+  f
 
 (* --- heap ops ----------------------------------------------------------- *)
 
-let heap_push w (h : 'a heap) x =
-  if h.hn = Array.length h.ha then begin
-    let cap = if h.hn = 0 then 16 else 2 * h.hn in
-    let a = Array.make cap w.dummy in
-    Array.blit h.ha 0 a 0 h.hn;
-    h.ha <- a
+let before w a b =
+  let ta = w.tm.(a) and tb = w.tm.(b) in
+  ta < tb || (ta = tb && w.sq.(a) < w.sq.(b))
+
+let heap_push w h s =
+  if h.n = Array.length h.a then begin
+    let b = Array.make (if h.n = 0 then 16 else 2 * h.n) 0 in
+    Array.blit h.a 0 b 0 h.n;
+    h.a <- b
   end;
-  h.ha.(h.hn) <- x;
-  h.hn <- h.hn + 1;
+  h.n <- h.n + 1;
+  let a = h.a in
   (* sift up *)
-  let i = ref (h.hn - 1) in
+  let i = ref (h.n - 1) in
   let continue = ref true in
   while !continue && !i > 0 do
     let p = (!i - 1) / 2 in
-    if w.cmp h.ha.(!i) h.ha.(p) < 0 then begin
-      let tmp = h.ha.(!i) in
-      h.ha.(!i) <- h.ha.(p);
-      h.ha.(p) <- tmp;
+    if before w s a.(p) then begin
+      a.(!i) <- a.(p);
       i := p
     end
     else continue := false
-  done
-
-let heap_pop w (h : 'a heap) =
-  let top = h.ha.(0) in
-  h.hn <- h.hn - 1;
-  h.ha.(0) <- h.ha.(h.hn);
-  h.ha.(h.hn) <- w.dummy;
-  (* sift down *)
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let s = ref !i in
-    if l < h.hn && w.cmp h.ha.(l) h.ha.(!s) < 0 then s := l;
-    if r < h.hn && w.cmp h.ha.(r) h.ha.(!s) < 0 then s := r;
-    if !s <> !i then begin
-      let tmp = h.ha.(!i) in
-      h.ha.(!i) <- h.ha.(!s);
-      h.ha.(!s) <- tmp;
-      i := !s
-    end
-    else continue := false
   done;
+  a.(!i) <- s
+
+let heap_pop w h =
+  let a = h.a in
+  let top = a.(0) in
+  h.n <- h.n - 1;
+  let n = h.n in
+  if n > 0 then begin
+    let x = a.(n) in
+    (* sift down *)
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        let c = if l + 1 < n && before w a.(l + 1) a.(l) then l + 1 else l in
+        if before w a.(c) x then begin
+          a.(!i) <- a.(c);
+          i := c
+        end
+        else continue := false
+      end
+    done;
+    a.(!i) <- x
+  end;
   top
 
 (* --- placement ---------------------------------------------------------- *)
 
-(* Place [x] into the structure appropriate for its delta from [base].
-   Shared by push and cascade; does not touch [len]. *)
-let place w x =
-  let t = w.time x in
-  if t < w.base + grain w then heap_push w w.cur x
+(* Place slot [s] into the structure appropriate for its delta from
+   [base]. Shared by [reinsert] and [cascade]; does not touch [len]. *)
+let place w s =
+  let t = w.tm.(s) in
+  if t < w.base + grain then heap_push w w.cur s
   else begin
     let delta = t - w.base in
     let l = ref 0 in
-    while !l < levels && delta asr shift w (!l + 1) <> 0 do
+    while !l < levels && delta asr shift (!l + 1) <> 0 do
       incr l
     done;
-    if !l = levels then heap_push w w.ovf x
+    if !l = levels then heap_push w w.ovf s
     else begin
       let l = !l in
-      let slot = w.slots.(l).((t asr shift w l) land wmask) in
-      if slot.bn = Array.length slot.ba then begin
-        let cap = if slot.bn = 0 then 4 else 2 * slot.bn in
-        let a = Array.make cap w.dummy in
-        Array.blit slot.ba 0 a 0 slot.bn;
-        slot.ba <- a
-      end;
-      slot.ba.(slot.bn) <- x;
-      slot.bn <- slot.bn + 1;
+      let b = (l lsl slot_bits) + ((t asr shift l) land wmask) in
+      w.next.(s) <- w.heads.(b);
+      w.heads.(b) <- s;
       w.counts.(l) <- w.counts.(l) + 1
     end
   end
 
-let push w x =
+let reinsert w s =
   w.len <- w.len + 1;
-  place w x
+  place w s
 
-(* Dump a slot's elements through [place] (level-0 slots land in [cur],
-   higher-level slots redistribute downward) and reset it, overwriting
-   the tail with the dummy so nothing dispatched is retained. *)
+let add w ~time ~seq f =
+  if w.free < 0 then grow w;
+  let s = w.free in
+  w.free <- w.next.(s);
+  w.tm.(s) <- time;
+  w.sq.(s) <- seq;
+  w.fn.(s) <- f;
+  reinsert w s
+
+(* Empty a bag through [place] (level-0 slots land in [cur],
+   higher-level slots redistribute downward). *)
 let cascade w l idx =
-  let slot = w.slots.(l).(idx) in
-  let n = slot.bn in
-  if n > 0 then begin
-    w.counts.(l) <- w.counts.(l) - n;
-    slot.bn <- 0;
-    for i = 0 to n - 1 do
-      let x = slot.ba.(i) in
-      slot.ba.(i) <- w.dummy;
-      place w x
-    done
-  end
+  let b = (l lsl slot_bits) + idx in
+  let s = ref w.heads.(b) in
+  w.heads.(b) <- -1;
+  while !s >= 0 do
+    let x = !s in
+    s := w.next.(x);
+    w.counts.(l) <- w.counts.(l) - 1;
+    place w x
+  done
 
-let top_range w = 1 lsl shift w levels
-
-(* Pull every overflow element the wheel can now cover back down. Runs
+(* Pull every overflow event the wheel can now cover back down. Runs
    whenever the cursor enters a new top-level slot (and when the wheels
    drain entirely), so an overflow timer always migrates long before
    the wheel's range reaches it. *)
 let migrate_ovf w =
-  let limit = w.base + top_range w in
-  while w.ovf.hn > 0 && w.time w.ovf.ha.(0) < limit do
+  let limit = w.base + top_range in
+  while w.ovf.n > 0 && w.tm.(w.ovf.a.(0)) < limit do
     place w (heap_pop w w.ovf)
   done
 
 (* Advance [base] until [cur] is non-empty (or the wheel is empty).
    Scans the lowest occupied level for its next slot; an exhausted
    window crosses the parent boundary, cascading the parent slot the
-   cursor enters. Amortized O(1) per element: every scan either finds a
+   cursor enters. Amortized O(1) per event: every scan either finds a
    batch or retires a whole window. *)
 let advance w =
-  if w.cur.hn = 0 && w.len > 0 then begin
-    while w.cur.hn = 0 do
+  if w.cur.n = 0 && w.len > 0 then begin
+    while w.cur.n = 0 do
       let l = ref 0 in
       while !l < levels && w.counts.(!l) = 0 do
         incr l
       done;
       if !l = levels then begin
-        (* wheels empty: jump to the first overflow element *)
-        let t = w.time w.ovf.ha.(0) in
-        w.base <- t land lnot (grain w - 1);
+        (* wheels empty: jump to the first overflow event *)
+        let t = w.tm.(w.ovf.a.(0)) in
+        w.base <- t land lnot (grain - 1);
         migrate_ovf w
       end
       else begin
         let l = !l in
-        let cursor = (w.base asr shift w l) land wmask in
+        let cursor = (w.base asr shift l) land wmask in
         (* Mid-window, the cursor slot holds only wrapped next-window
-           elements, so the scan starts after it. But when [base] sits
+           events, so the scan starts after it. But when [base] sits
            exactly at the cursor slot's start (right after a boundary
-           cross or jump), wrapped elements there have just become due
+           cross or jump), wrapped events there have just become due
            and must be scanned — and only then is cascading the cursor
-           slot safe: every element re-places strictly below level [l],
+           slot safe: every event re-places strictly below level [l],
            never back into the slot being drained. *)
-        let aligned = w.base land ((1 lsl shift w l) - 1) = 0 in
+        let aligned = w.base land ((1 lsl shift l) - 1) = 0 in
         let start = if aligned then cursor else cursor + 1 in
         let found = ref (-1) in
         let i = ref start in
         while !found < 0 && !i < wsize do
-          if w.slots.(l).(!i).bn > 0 then found := !i;
+          if w.heads.((l lsl slot_bits) + !i) >= 0 then found := !i;
           incr i
         done;
         if !found >= 0 then begin
           let s = !found in
-          let slot_start =
-            ((w.base asr shift w l) + (s - cursor)) lsl shift w l
-          in
+          let slot_start = ((w.base asr shift l) + (s - cursor)) lsl shift l in
           if slot_start > w.base then begin
             w.base <- slot_start;
             (* a top-level jump enters a new top slot: pull newly
-               coverable overflow elements down before cascading, or one
+               coverable overflow events down before cascading, or one
                parked just above an old base's horizon is overtaken *)
             if l = levels - 1 then migrate_ovf w
           end;
@@ -254,7 +293,7 @@ let advance w =
              only the immediate parent would leave anything parked in a
              coincidentally entered higher slot to be silently overtaken
              until the wheel wrapped back around. *)
-          let pshift = shift w (l + 1) in
+          let pshift = shift (l + 1) in
           w.base <- ((w.base asr pshift) + 1) lsl pshift;
           if l + 1 >= levels then migrate_ovf w
           else
@@ -263,9 +302,9 @@ let advance w =
                ever revisit the lower cursor slots — so their wrapped,
                now-due entries must be cascaded here as well. *)
             for lv = levels - 1 downto 0 do
-              if w.base land ((1 lsl shift w lv) - 1) = 0 then begin
+              if w.base land ((1 lsl shift lv) - 1) = 0 then begin
                 if lv = levels - 1 then migrate_ovf w;
-                cascade w lv ((w.base asr shift w lv) land wmask)
+                cascade w lv ((w.base asr shift lv) land wmask)
               end
             done
         end
@@ -275,73 +314,12 @@ let advance w =
 
 let peek w =
   advance w;
-  if w.cur.hn = 0 then None else Some w.cur.ha.(0)
-
-let debug_check = Sys.getenv_opt "ULS_WHEEL_CHECK" <> None
-
-let debug_min w =
-  (* exhaustive min over every residence, for the debug invariant only *)
-  let best = ref None in
-  let consider x =
-    match !best with
-    | None -> best := Some x
-    | Some b -> if w.cmp x b < 0 then best := Some x
-  in
-  for i = 0 to w.cur.hn - 1 do consider w.cur.ha.(i) done;
-  for i = 0 to w.ovf.hn - 1 do consider w.ovf.ha.(i) done;
-  Array.iteri
-    (fun _l lvl ->
-      Array.iter (fun slot -> for i = 0 to slot.bn - 1 do consider slot.ba.(i) done) lvl)
-    w.slots;
-  !best
-
-let locate w x =
-  let where = ref "?" in
-  for i = 0 to w.cur.hn - 1 do if w.cur.ha.(i) == x then where := "cur" done;
-  for i = 0 to w.ovf.hn - 1 do if w.ovf.ha.(i) == x then where := "ovf" done;
-  Array.iteri
-    (fun l lvl ->
-      Array.iteri
-        (fun idx slot ->
-          for i = 0 to slot.bn - 1 do
-            if slot.ba.(i) == x then where := Printf.sprintf "L%d[%d]" l idx
-          done)
-        lvl)
-    w.slots;
-  !where
+  if w.cur.n = 0 then -1 else w.cur.a.(0)
 
 let pop w =
   advance w;
-  if w.cur.hn = 0 then None
+  if w.cur.n = 0 then -1
   else begin
-    (if debug_check then
-       match debug_min w with
-       | Some m when w.cmp m w.cur.ha.(0) < 0 ->
-         Printf.eprintf
-           "WHEEL BUG: true min t=%d at %s but cur top t=%d; base=%d \
-            counts=[%s] cur=%d ovf=%d\n%!"
-           (w.time m) (locate w m)
-           (w.time w.cur.ha.(0))
-           w.base
-           (String.concat ";" (Array.to_list (Array.map string_of_int w.counts)))
-           w.cur.hn w.ovf.hn
-       | _ -> ());
     w.len <- w.len - 1;
-    Some (heap_pop w w.cur)
+    heap_pop w w.cur
   end
-
-let clear w =
-  Array.iter
-    (fun lvl ->
-      Array.iter
-        (fun slot ->
-          slot.ba <- [||];
-          slot.bn <- 0)
-        lvl)
-    w.slots;
-  Array.fill w.counts 0 levels 0;
-  w.cur.ha <- [||];
-  w.cur.hn <- 0;
-  w.ovf.ha <- [||];
-  w.ovf.hn <- 0;
-  w.len <- 0

@@ -1,42 +1,63 @@
-(** Hierarchical timing wheel with an exact extraction-order contract.
+(** Hierarchical timing wheel over integer event slots, with an exact
+    extraction-order contract. The production event queue.
 
-    A calendar-queue replacement for the event heap: O(1) amortized
-    insert and extract regardless of how many timers are pending, four
-    levels of 256 slots each (a level-[l] slot spans
-    [2^(grain_bits + 8l)] ns), and an overflow heap for timers beyond
-    the top level's range (RTO ceilings, fault windows) that migrates
+    Each pending event is a slot of a slab the wheel owns: its time and
+    sequence number sit in unboxed [int array]s and its callback in one
+    closure array; freed slots go on an int free list. The wheel's
+    bags are int lists threaded through the slab, and its near-future
+    and overflow heaps hold slot ids, so sifting and cascading move
+    plain ints and compare [(time, seq)] inline: nothing there passes
+    through the GC's write barrier. The slab grows by doubling when its
+    free list runs dry and never shrinks, so its capacity, and with it
+    the wheel's memory, stays below twice the peak number of pending
+    events.
+
+    O(1) amortized insert and extract regardless of how many events are
+    pending: four levels of 256 slots each (a level-[l] slot spans
+    [2^(8 + 8l)] ns), and an overflow heap for events beyond the top
+    level's ~18 minute range (RTO ceilings, fault windows) that migrates
     down as the cursor approaches.
 
-    Extraction order is {e identical} to a binary heap over the same
-    comparator: every element whose time falls inside the current
-    cursor slot sits in a near-future heap ordered by the full [cmp],
-    so same-slot elements — in particular same-timestamp elements with
-    tie-break priorities — dispatch in exactly the comparison order.
-    Elements must never be inserted with a time earlier than the last
-    extracted element's time (the simulator's no-scheduling-in-the-past
-    rule); inserts earlier than the wheel's internal cursor but at or
-    after the last extraction are routed into the near-future heap and
-    order correctly. *)
+    Extraction order is {e identical} to a binary heap ordered by
+    [(time, seq)]: every slot whose time falls inside the current cursor
+    grain sits in a near-future heap ordered by the full key, so
+    same-timestamp events dispatch in exactly [seq] order. Events must
+    never be inserted earlier than the last extracted event's time (the
+    simulator's no-scheduling-in-the-past rule); inserts earlier than
+    the wheel's internal cursor but at or after the last extraction are
+    routed into the near-future heap and order correctly. *)
 
-type 'a t
+type t
 
-val create :
-  ?grain_bits:int ->
-  dummy:'a ->
-  time:('a -> int) ->
-  cmp:('a -> 'a -> int) ->
-  unit ->
-  'a t
-(** [create ~dummy ~time ~cmp ()] builds an empty wheel. [time] must be
-    non-negative and consistent with [cmp]'s primary key. [dummy] fills
-    vacated slots so extracted elements are never retained.
-    [grain_bits] (default 8, i.e. 256 ns) sets the finest slot width;
-    the four levels then span [2^(grain_bits+32)] ns (~18 min at the
-    default) before the overflow heap takes over. *)
+val create : unit -> t
+val length : t -> int
+(** Events queued (added or reinserted and not yet popped). *)
 
-val length : 'a t -> int
-val is_empty : 'a t -> bool
-val push : 'a t -> 'a -> unit
-val peek : 'a t -> 'a option
-val pop : 'a t -> 'a option
-val clear : 'a t -> unit
+val is_empty : t -> bool
+
+val add : t -> time:int -> seq:int -> (unit -> unit) -> unit
+(** [add w ~time ~seq f] takes a free slot for [f] and queues it.
+    [time] must be non-negative. *)
+
+val peek : t -> int
+(** The slot that [pop] would return, without removing it; [-1] when
+    the wheel is empty. *)
+
+val pop : t -> int
+(** Remove the [(time, seq)]-minimum slot from the queue and return it,
+    or [-1] when empty. The slot stays allocated: read it with {!time}
+    and {!seq}, then either {!take} its callback or {!reinsert} it. *)
+
+val time : t -> int -> int
+val seq : t -> int -> int
+
+val reinsert : t -> int -> unit
+(** Queue a popped slot again, untouched (the schedule explorer's
+    unchosen tie members). *)
+
+val take : t -> int -> unit -> unit
+(** Free a popped slot and return its callback. The slot drops the
+    closure, so nothing it captured is retained. *)
+
+val capacity : t -> int
+(** Slots in the slab, free or not. *)

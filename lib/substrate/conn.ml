@@ -86,7 +86,7 @@ and t = {
   grant_slot : slot;
   close_slot : slot;
   rx_handles : (slot * E.recv) Mailbox.t;
-  rx_ready : (int, ready) Hashtbl.t;
+  rx_ready : ready Int_tbl.t;
       (** keyed by sequence number: under loss, EMP messages complete out
           of order (a retransmitted message finishes after its
           successors), so the reader must look up the sequence it needs —
@@ -260,7 +260,7 @@ let rx_fiber t () =
           | Some spare -> repost_data_slot t spare
           | None -> ()
         end;
-        Hashtbl.replace t.rx_ready seq
+        Int_tbl.replace t.rx_ready seq
           { rd_seq = seq; rd_slot = slot;
             rd_len = len - Options.header_bytes; rd_off = 0 };
         notify_ready t;
@@ -624,14 +624,14 @@ type next_item =
   | Rdvz of rdvz_req
 
 let next_item t =
-  match Hashtbl.find_opt t.rx_ready t.expected_seq with
+  match Int_tbl.find_opt t.rx_ready t.expected_seq with
   | Some r -> Eager_msg r
   | None -> (
     match Hashtbl.find_opt t.req_q t.expected_seq with
     | Some q -> Rdvz q
     | None ->
       if
-        Hashtbl.length t.rx_ready = 0
+        Int_tbl.length t.rx_ready = 0
         && Hashtbl.length t.req_q = 0
         && t.peer_closed
         && t.expected_seq >= t.close_seq
@@ -664,7 +664,7 @@ let ack_due t =
 
 let message_consumed t r =
   let slot = r.rd_slot in
-  Hashtbl.remove t.rx_ready r.rd_seq;
+  Int_tbl.remove t.rx_ready r.rd_seq;
   t.expected_seq <- t.expected_seq + 1;
   if (opts t).Options.scheme = Options.Comm_thread then
     (* No credits/acks: the comm thread reposts the freed buffer so a
@@ -778,7 +778,7 @@ let read t n =
    the NIC in one fill-ring batch. Credit accounting is settled by
    [flush_reposts]. *)
 let message_consumed_deferred t r freed =
-  Hashtbl.remove t.rx_ready r.rd_seq;
+  Int_tbl.remove t.rx_ready r.rd_seq;
   t.expected_seq <- t.expected_seq + 1;
   freed := r.rd_slot :: !freed
 
@@ -1051,7 +1051,7 @@ let create env ~id ~peer_node ~peer_conn ~local_addr ~peer_addr =
         Mailbox.create
           ~label:(Printf.sprintf "conn:%d rx-handles" id)
           (Node.sim env.node);
-      rx_ready = Hashtbl.create 64;
+      rx_ready = Int_tbl.create 64;
       req_q = Hashtbl.create 16;
       expected_seq = 0;
       consumed_since_ack = 0;

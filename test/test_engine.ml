@@ -57,19 +57,37 @@ let prop_heap_sorts =
 
 (* Elements are (time, pri, seq) triples compared structurally — the
    sim's (time, seq) tie-break contract plus a secondary key inside a
-   timestamp, so ties are ordered by more than insertion order. *)
-let wheel_create () =
-  Wheel.create ~dummy:(max_int, 0, 0) ~time:(fun (t, _, _) -> t) ~cmp:compare ()
+   timestamp, so ties are ordered by more than insertion order. The
+   wheel keys its slots by (time, seq) alone, so pri and seq pack into
+   the slot's seq as [pri lsl 12 lor seq]: for seq < 4096 that orders
+   exactly as the triple does. *)
+let wheel_push w (t, pri, seq) =
+  Wheel.add w ~time:t ~seq:((pri lsl 12) lor seq) ignore
+
+let wheel_read w s =
+  let k = Wheel.seq w s in
+  (Wheel.time w s, k lsr 12, k land 0xfff)
+
+let wheel_peek w =
+  match Wheel.peek w with -1 -> None | s -> Some (wheel_read w s)
+
+let wheel_pop w =
+  match Wheel.pop w with
+  | -1 -> None
+  | s ->
+    let x = wheel_read w s in
+    let (_ : unit -> unit) = Wheel.take w s in
+    Some x
 
 let wheel_drain w =
   let rec go acc =
-    match Wheel.pop w with None -> List.rev acc | Some x -> go (x :: acc)
+    match wheel_pop w with None -> List.rev acc | Some x -> go (x :: acc)
   in
   go []
 
 let test_wheel_ordering () =
-  let w = wheel_create () in
-  List.iter (fun t -> Wheel.push w (t, 0, t)) [ 5; 1; 4; 3; 9; 2 ];
+  let w = Wheel.create () in
+  List.iter (fun t -> wheel_push w (t, 0, t)) [ 5; 1; 4; 3; 9; 2 ];
   check_int "length" 6 (Wheel.length w);
   Alcotest.(check (list int))
     "sorted drain" [ 1; 2; 3; 4; 5; 9 ]
@@ -77,28 +95,28 @@ let test_wheel_ordering () =
   check_bool "empty after drain" true (Wheel.is_empty w)
 
 let test_wheel_overflow () =
-  (* default grain_bits=8: four levels cover 2^40 ns; anything beyond
+  (* 256 ns grain: four levels cover 2^40 ns; anything beyond
      sits in the overflow heap and must migrate back in order *)
   let times =
     [ 0; 300; (1 lsl 41) + 5; 1 lsl 50; 700; (1 lsl 40) - 1; 1 lsl 40 ]
   in
-  let w = wheel_create () in
-  List.iteri (fun i t -> Wheel.push w (t, 0, i)) times;
+  let w = Wheel.create () in
+  List.iteri (fun i t -> wheel_push w (t, 0, i)) times;
   Alcotest.(check (list int))
     "overflow timers drain in time order"
     (List.sort compare times)
     (List.map (fun (t, _, _) -> t) (wheel_drain w))
 
 let test_wheel_late_insert_after_peek () =
-  let w = wheel_create () in
-  Wheel.push w (1_000_000, 0, 1);
-  (match Wheel.peek w with
+  let w = Wheel.create () in
+  wheel_push w (1_000_000, 0, 1);
+  (match wheel_peek w with
   | Some (1_000_000, _, _) -> ()
   | _ -> Alcotest.fail "peek");
   (* the peek advanced the internal cursor to the far slot; an insert
      below it (but at/after the last extraction, per the Sim contract)
      must still dispatch first *)
-  Wheel.push w (10, 0, 2);
+  wheel_push w (10, 0, 2);
   Alcotest.(check (list int))
     "earlier late insert dispatches first" [ 10; 1_000_000 ]
     (List.map (fun (t, _, _) -> t) (wheel_drain w))
@@ -112,23 +130,23 @@ let test_wheel_late_insert_after_peek () =
    now-due level-0 cursor-slot entries were scanned. Observed as
    out-of-order dispatch in the serve smoke under [--sched wheel]. *)
 let test_wheel_coincident_boundary () =
-  let w = wheel_create () in
+  let w = Wheel.create () in
   let m = 1 lsl 24 in
   (* parked early in level-2 slot 1 *)
-  Wheel.push w (m + 100, 0, 1);
+  wheel_push w (m + 100, 0, 1);
   (* walk the cursor to the last level-0 window before the 2^24 edge *)
-  Wheel.push w (m - 512, 0, 2);
-  (match Wheel.pop w with
+  wheel_push w (m - 512, 0, 2);
+  (match wheel_pop w with
   | Some (t, _, _) when t = m - 512 -> ()
   | _ -> Alcotest.fail "setup pop 1");
-  Wheel.push w (m - 256, 0, 3);
-  (match Wheel.pop w with
+  wheel_push w (m - 256, 0, 3);
+  (match wheel_pop w with
   | Some (t, _, _) when t = m - 256 -> ()
   | _ -> Alcotest.fail "setup pop 2");
   (* a wrapped level-0 entry just past the edge, and a level-1 entry
      further out that would pull the cursor over the parked element *)
-  Wheel.push w (m + 16, 0, 4);
-  Wheel.push w (m + (5 * 65536), 0, 5);
+  wheel_push w (m + 16, 0, 4);
+  wheel_push w (m + (5 * 65536), 0, 5);
   Alcotest.(check (list int))
     "crossing the 2^24 edge dispatches every level in order"
     [ m + 16; m + 100; m + (5 * 65536) ]
@@ -142,7 +160,7 @@ let test_wheel_coincident_boundary () =
 let wheel_heap_parity ~shuffled seed =
   let rng = Rng.create ~seed in
   let h = Heap.create ~cmp:compare in
-  let w = wheel_create () in
+  let w = Wheel.create () in
   let seqr = ref 0 in
   let nowr = ref 0 in
   let live = ref [] in
@@ -150,7 +168,7 @@ let wheel_heap_parity ~shuffled seed =
   let dispatched_h = ref [] in
   let dispatched_w = ref [] in
   let pop_both () =
-    match (Heap.pop h, Wheel.pop w) with
+    match (Heap.pop h, wheel_pop w) with
     | None, None -> ()
     | Some a, Some b ->
       if a <> b then
@@ -183,7 +201,7 @@ let wheel_heap_parity ~shuffled seed =
       let pri = if shuffled then Rng.int rng 0x4000_0000 else 0 in
       let e = (!nowr + delta, pri, !seqr) in
       Heap.push h e;
-      Wheel.push w e;
+      wheel_push w e;
       live := !seqr :: !live
     end
     else if op < 70 && !live <> [] then
@@ -192,7 +210,7 @@ let wheel_heap_parity ~shuffled seed =
       Hashtbl.replace cancelled victim ()
     else if op < 75 then begin
       (* peek (advances the wheel cursor) without extracting *)
-      match (Heap.peek h, Wheel.peek w) with
+      match (Heap.peek h, wheel_peek w) with
       | None, None -> ()
       | Some a, Some b when a = b -> ()
       | _ -> Alcotest.failf "seed %d: peek mismatch" seed
@@ -261,22 +279,46 @@ let test_vec_truncate_retention () =
   (* keep the vec reachable across the GC, or the checks test nothing *)
   check_int "survivor count" 1 (Vec.length v)
 
-let test_sim_task_release () =
-  (* a dispatched task's closure (and its captures) must be collectable
-     on both schedulers: the pooled cell defuses [run] on dispatch and
-     heap/wheel storage overwrites vacated slots *)
+let test_sim_slab_release () =
+  (* A spike of 10k pending callbacks drains: every payload they
+     captured must be collectable on both schedulers (the wheel's slab
+     drops a callback when its slot is freed; the heap's pooled cell
+     defuses [run]), and the wheel's slab — the memory bound that
+     replaced the heap's 4096-cell pool cap — stays under twice the
+     peak pending count and is reused, not grown, by a second spike. *)
+  let peak = 10_000 in
   List.iter
     (fun sched ->
       let sim = Sim.create ~sched () in
-      let w =
-        let payload = Bytes.create 64 in
-        Sim.at sim 5 (fun () -> ignore (Sys.opaque_identity payload));
-        weak_of payload
+      let spike () =
+        Array.init peak (fun i ->
+            let payload = Bytes.create 64 in
+            Sim.at sim (Sim.now sim + 1 + (i * 37 mod 5000)) (fun () ->
+                ignore (Sys.opaque_identity payload));
+            weak_of payload)
       in
+      let ws = spike () in
       ignore (Sim.run sim);
       Gc.full_major ();
-      check_bool "dispatched closure released" false (Weak.check w 0))
-    [ `Heap; `Wheel ]
+      check_bool "every dispatched closure released" false
+        (Array.exists (fun w -> Weak.check w 0) ws);
+      check_int "all dispatched" peak (Sim.events_executed sim))
+    [ `Heap; `Wheel ];
+  let w = Wheel.create () in
+  let spike () =
+    for i = 1 to peak do
+      Wheel.add w ~time:(i * 37 mod 5000) ~seq:i ignore
+    done;
+    while not (Wheel.is_empty w) do
+      let (_ : unit -> unit) = Wheel.take w (Wheel.pop w) in
+      ()
+    done
+  in
+  spike ();
+  let cap = Wheel.capacity w in
+  check_bool "slab bounded by the peak" true (cap >= peak && cap < 2 * peak);
+  spike ();
+  check_int "second spike reuses the slab" cap (Wheel.capacity w)
 
 (* --- Sim basics --- *)
 
@@ -881,7 +923,8 @@ let suites =
           test_sim_past_scheduling_rejected;
         Alcotest.test_case "heap/wheel dispatch parity" `Quick
           test_sim_sched_parity;
-        Alcotest.test_case "task cells released" `Quick test_sim_task_release;
+        Alcotest.test_case "slab released after spike" `Quick
+          test_sim_slab_release;
       ] );
     ( "engine.cond",
       [
