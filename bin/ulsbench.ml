@@ -146,24 +146,6 @@ let json_flag ~file =
   let on = Arg.(value & flag & info [ "json" ] ~doc) in
   Term.(const (fun on -> if on then emit_json ~file else ignore) $ on)
 
-let sched_conv =
-  let parse = function
-    | "heap" -> Ok `Heap
-    | "wheel" -> Ok `Wheel
-    | s -> Error (`Msg (Printf.sprintf "unknown scheduler %S" s))
-  in
-  let print fmt s =
-    Format.pp_print_string fmt (match s with `Heap -> "heap" | `Wheel -> "wheel")
-  in
-  Arg.conv (parse, print)
-
-let sched_flag default =
-  Arg.(value & opt sched_conv default
-       & info [ "sched" ] ~docv:"SCHED"
-           ~doc:"Simulator event queue: $(b,wheel) (hierarchical timing \
-                 wheel, O(1) amortized) or $(b,heap) (binary heap \
-                 baseline). Dispatch order is byte-identical either way.")
-
 let sched_name = function `Heap -> "heap" | `Wheel -> "wheel"
 
 (* Parse one flat record emitted by [emit_json] back into fields. Only
@@ -359,201 +341,193 @@ let chaos_cmd =
           any run hangs or delivers corrupt bytes")
     Term.(const run $ stacks $ seed_flag $ total $ msg $ rates)
 
-(* --- serve -------------------------------------------------------------- *)
+(* --- serve and fabric: one serving flag surface ----------------------- *)
 
-let serve_config stack workload open_loop ~conns ~requests ~size ~think ~seed
-    ~loss ~clients ~backlog ~workers ~max_inflight ~match_engine ~event_sched =
-  let open Uls_bench in
-  let client_nodes =
-    if clients > 0 then clients else max 2 (min 8 ((conns + 511) / 512))
-  in
-  let backlog = if backlog > 0 then backlog else max 64 (min conns 1024) in
-  let sched =
-    if workers = Uls_server.Sched.default_config.workers && max_inflight = 0
-    then None
-    else
-      Some
-        {
-          Uls_server.Sched.default_config with
-          workers;
-          max_inflight = (if max_inflight = 0 then max_int else max_inflight);
-          reject =
-            (match workload with
-            | Load.Http -> Some Uls_server.Server.http_reject
-            | Load.Echo -> None);
-        }
-  in
-  {
-    Load.kind = stream_kind ~cmd:"serve" ~serving:true stack;
-    workload;
-    loop = (match open_loop with None -> Load.Closed | Some r -> Load.Open r);
-    conns;
-    requests_per_conn = requests;
-    size;
-    think = think *. 1e3;
-    seed;
-    loss;
-    client_nodes;
-    backlog;
-    sched;
-    match_engine;
-    event_sched;
-  }
+(* NIC tag matching is the substrate's; kernel TCP never touches it. *)
+let match_json (cfg : Uls_bench.Load.config) =
+  json_str
+    (match cfg.kind with
+    | `Tcp _ -> "n/a"
+    | `Sub _ -> Uls_nic.Match_list.engine_name cfg.match_engine)
 
-let serve_cmd =
-  let open Uls_bench in
-  let workload_conv =
-    let parse = function
-      | "echo" -> Ok Load.Echo
-      | "http" -> Ok Load.Http
-      | s -> Error (`Msg (Printf.sprintf "unknown workload %S" s))
-    in
-    let print fmt w =
-      Format.pp_print_string fmt
-        (match w with Load.Echo -> "echo" | Load.Http -> "http")
-    in
-    Arg.conv (parse, print)
+(* [serve] and [fabric] are two presets of one flag surface over one
+   {!Uls_bench.Load} spec. [base] gives every shared flag its default and
+   fixes what the command does not expose; [own] reads the command's
+   own flags and applies its auto rules; [json] writes its BENCH
+   record. *)
+let serving_cmd ~name ~doc ~file ~json ~(base : Uls_bench.Load.config) own =
+  let module L = Uls_bench.Load in
+  let sessions =
+    match base.arrival with L.Sessions _ -> true | L.Closed | L.Pool _ -> false
   in
   let conns =
-    Arg.(value & opt pos_int 64 & info [ "conns" ] ~docv:"N"
-           ~doc:"Concurrent client connections.")
+    Arg.(value & opt pos_int base.conns & info [ "conns" ] ~docv:"N"
+           ~doc:"Client connections: the concurrent pool, or with session \
+                 arrivals the total arrivals over the run.")
   in
   let requests =
-    Arg.(value & opt pos_int 8 & info [ "requests" ] ~docv:"N"
-           ~doc:"Requests per connection.")
+    Arg.(value & opt pos_int base.requests_per_conn & info [ "requests" ]
+           ~docv:"N" ~doc:"Requests per connection.")
   in
   let size =
-    Arg.(value & opt pos_int 512 & info [ "size" ] ~docv:"BYTES"
+    Arg.(value & opt pos_int base.size & info [ "size" ] ~docv:"BYTES"
            ~doc:"Echo payload / HTTP response-body size.")
   in
-  let workload =
-    Arg.(value & opt workload_conv Load.Echo & info [ "workload" ]
-           ~docv:"W" ~doc:"echo | http")
-  in
-  let open_loop =
-    Arg.(value & opt (some float) None & info [ "rate" ] ~docv:"REQ/S"
-           ~doc:"Open-loop arrival rate (requests/s, fleet-wide). \
-                 Without it the fleet runs closed-loop.")
+  let rate =
+    let default =
+      match base.arrival with
+      | L.Closed -> None
+      | L.Pool r | L.Sessions r -> Some r
+    in
+    let docv, doc =
+      if sessions then
+        ("CONN/S", "Open-loop connection arrival rate, fleet-wide.")
+      else
+        ( "REQ/S",
+          "Open-loop arrival rate (requests/s, fleet-wide) over the \
+           connected pool. Without it the pool runs closed-loop." )
+    in
+    Arg.(value & opt (some float) default & info [ "rate" ] ~docv ~doc)
   in
   let think =
     Arg.(value & opt float 0. & info [ "think" ] ~docv:"US"
-           ~doc:"Mean think time between requests (us, closed loop).")
+           ~doc:"Mean think time between a connection's requests (us); \
+                 with session arrivals it raises concurrency (rate x \
+                 lifetime).")
   in
   let clients =
-    Arg.(value & opt int 0 & info [ "clients" ] ~docv:"N"
-           ~doc:"Client nodes the fleet spreads over (0 = auto).")
+    Arg.(value & opt int base.client_nodes & info [ "clients" ] ~docv:"N"
+           ~doc:"Client nodes the fleet spreads over (0 = auto: enough to \
+                 keep per-node NIC match walks short).")
   in
   let backlog =
-    Arg.(value & opt int 0 & info [ "backlog" ] ~docv:"N"
-           ~doc:"Server listen backlog (0 = auto).")
-  in
-  let workers =
-    Arg.(value & opt pos_int 4 & info [ "workers" ] ~docv:"N"
-           ~doc:"Scheduler worker fibers.")
+    Arg.(value & opt int base.backlog & info [ "backlog" ] ~docv:"N"
+           ~doc:"Listen backlog per server (serve: 0 = auto). Every posted \
+                 backlog descriptor is walked by the server NIC on each RX \
+                 frame; keep a fabric cell's modest.")
   in
   let max_inflight =
-    Arg.(value & opt int 0 & info [ "max-inflight" ] ~docv:"N"
-           ~doc:"Admission limit; accepts beyond it are shed with an \
-                 explicit reject (0 = unlimited).")
+    Arg.(value & opt int base.max_inflight & info [ "max-inflight" ] ~docv:"N"
+           ~doc:"Admission limit per scheduler shard; connections beyond it \
+                 are shed with an explicit reject (0 = unlimited).")
   in
-  let serve_json record cfg (r : Load.report) =
+  let spec stack conns requests size rate think seed loss clients backlog
+      max_inflight match_engine own =
+    own
+      {
+        base with
+        L.kind = stream_kind ~cmd:name ~serving:true stack;
+        arrival =
+          (match rate with
+          | None -> L.Closed
+          | Some r -> if sessions then L.Sessions r else L.Pool r);
+        conns;
+        requests_per_conn = requests;
+        size;
+        think = think *. 1e3;
+        seed;
+        loss;
+        client_nodes = clients;
+        backlog;
+        max_inflight;
+        match_engine;
+      }
+  in
+  let run cfg metrics record =
+    let on_metrics = if metrics then Some dump_metrics else None in
+    let r = L.run ?on_metrics cfg in
+    L.print_report Format.std_formatter cfg r;
+    json record cfg r;
+    if not (r.L.completed_run && r.L.intact) then exit 1
+  in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(const run
+          $ (const spec
+            $ stack_flag
+                ~doc:"tcp | tcp-tuned | ds | ds-base | dg. For serving, ds \
+                      maps to the substrate's server preset (small \
+                      per-connection buffers, piggy-backed acks)."
+            $ conns $ requests $ size $ rate $ think $ seed_flag $ loss_flag
+            $ clients $ backlog $ max_inflight $ match_engine_flag $ own)
+          $ metrics_flag $ json_flag ~file)
+
+let serve_cmd =
+  let module L = Uls_bench.Load in
+  let workload_name = function L.Echo -> "echo" | L.Http -> "http" in
+  let workload_conv =
+    let parse = function
+      | "echo" -> Ok L.Echo
+      | "http" -> Ok L.Http
+      | s -> Error (`Msg (Printf.sprintf "unknown workload %S" s))
+    in
+    Arg.conv (parse, fun fmt w -> Format.pp_print_string fmt (workload_name w))
+  in
+  let workload =
+    Arg.(value & opt workload_conv L.Echo & info [ "workload" ]
+           ~docv:"W" ~doc:"echo | http")
+  in
+  let workers =
+    Arg.(value & opt pos_int L.default.workers & info [ "workers" ] ~docv:"N"
+           ~doc:"Scheduler worker fibers.")
+  in
+  (* Auto rules: one client node per 512 conns (2..8), and a backlog
+     that holds the pool (64..1024). *)
+  let own workload workers (cfg : L.config) =
+    {
+      cfg with
+      L.workload;
+      workers;
+      client_nodes =
+        (if cfg.client_nodes > 0 then cfg.client_nodes
+         else max 2 (min 8 ((cfg.conns + 511) / 512)));
+      backlog =
+        (if cfg.backlog > 0 then cfg.backlog else max 64 (min cfg.conns 1024));
+    }
+  in
+  let serve_json record (cfg : L.config) (r : L.report) =
     record
       ([
-        ("bench", json_str "serve");
-        ("stack", json_str (Cluster.stack_name cfg.Load.kind));
-        ("workload",
-         json_str
-           (match cfg.Load.workload with Load.Echo -> "echo" | Load.Http -> "http"));
-        ("loop",
-         json_str
-           (match cfg.Load.loop with
-           | Load.Closed -> "closed"
-           | Load.Open r -> Printf.sprintf "open@%.0f" r));
-        ("match",
-         json_str
-           (match cfg.Load.kind with
-           | `Tcp _ -> "n/a" (* kernel path: no NIC tag matching *)
-           | `Sub _ ->
-             Uls_nic.Match_list.engine_name cfg.Load.match_engine));
-        ("sched", json_str (sched_name cfg.Load.event_sched));
-        ("conns", json_int cfg.Load.conns);
-        ("requests_per_conn", json_int cfg.Load.requests_per_conn);
-        ("size", json_int cfg.Load.size);
-        ("seed", json_int cfg.Load.seed);
-        ("loss", json_float cfg.Load.loss);
-        ("sent", json_int r.Load.sent);
-        ("completed", json_int r.Load.completed);
-        ("shed", json_int r.Load.shed);
-        ("refused", json_int r.Load.refused);
-        ("errors", json_int r.Load.errors);
-        ("mismatches", json_int r.Load.mismatches);
-        ("peak_open", json_int r.Load.peak_open);
-      ]
-      @ latency_json r.Load.lat
+         ("bench", json_str "serve");
+         ("stack", json_str (Uls_bench.Cluster.stack_name cfg.kind));
+         ("workload", json_str (workload_name cfg.workload));
+         ( "loop",
+           json_str
+             (match cfg.arrival with
+             | L.Closed -> "closed"
+             | L.Pool r -> Printf.sprintf "open@%.0f" r
+             | L.Sessions r -> Printf.sprintf "sessions@%.0f" r) );
+         ("match", match_json cfg);
+         ("sched", json_str "wheel");
+         ("conns", json_int cfg.conns);
+         ("requests_per_conn", json_int cfg.requests_per_conn);
+         ("size", json_int cfg.size);
+         ("seed", json_int cfg.seed);
+         ("loss", json_float cfg.loss);
+         ("sent", json_int r.sent);
+         ("completed", json_int r.completed);
+         ("shed", json_int r.shed);
+         ("refused", json_int r.refused);
+         ("errors", json_int (r.errors + r.resets));
+         ("mismatches", json_int r.mismatches);
+         ("peak_open", json_int r.peak_open);
+       ]
+      @ latency_json r.lat
       @ [
-          ("intact", json_bool r.Load.intact);
-          ("completed_run", json_bool r.Load.completed_run);
+          ("intact", json_bool r.intact);
+          ("completed_run", json_bool r.completed_run);
         ])
   in
-  let run stack conns requests size workload open_loop think seed loss clients
-      backlog workers max_inflight match_engine event_sched metrics record =
-    let cfg =
-      serve_config stack workload open_loop ~conns ~requests ~size ~think ~seed
-        ~loss ~clients ~backlog ~workers ~max_inflight ~match_engine
-        ~event_sched
-    in
-    let on_metrics = if metrics then Some dump_metrics else None in
-    let r = Load.run ?on_metrics cfg in
-    Load.print_report Format.std_formatter cfg r;
-    serve_json record cfg r;
-    if not (r.Load.completed_run && r.Load.intact) then exit 1
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Event-driven server under a client fleet: echo or keep-alive \
-          HTTP over the readiness engine + connection scheduler, driven \
-          open- or closed-loop; prints throughput and latency percentiles")
-    Term.(const run
-          $ stack_flag
-              ~doc:"tcp | tcp-tuned | ds | ds-base | dg. For serving, ds \
-                    maps to the substrate's server preset (small \
-                    per-connection buffers, piggy-backed acks)."
-          $ conns $ requests $ size $ workload $ open_loop $ think $ seed_flag
-          $ loss_flag $ clients $ backlog $ workers $ max_inflight
-          $ match_engine_flag $ sched_flag `Wheel $ metrics_flag
-          $ json_flag ~file:"BENCH_serve.json")
-
-(* --- fabric ------------------------------------------------------------- *)
-
-let fabric_config ~stack ~cells ~shards ~conns ~requests ~size ~rate ~think
-    ~clients ~seed ~loss ~max_inflight ~backlog ~vnodes ~kill ~drain
-    ~match_engine ~event_sched =
-  let auto_clients = max 4 (min 64 (max cells ((conns + 2047) / 2048) * 4)) in
-  {
-    Uls_bench.Fleet.default with
-    kind = stream_kind ~cmd:"fabric" ~serving:true stack;
-    match_engine;
-    event_sched;
-    cells;
-    shards;
-    conns;
-    requests_per_conn = requests;
-    size;
-    rate;
-    think = think *. 1e3;
-    client_nodes = (if clients > 0 then clients else auto_clients);
-    seed;
-    loss;
-    max_inflight;
-    backlog;
-    vnodes;
-    kill = Option.map (fun (c, ms) -> (c, Uls_engine.Time.ms ms)) kill;
-    drain = Option.map (fun (c, ms) -> (c, Uls_engine.Time.ms ms)) drain;
-  }
+  serving_cmd ~name:"serve"
+    ~doc:
+      "Event-driven server under a client fleet: echo or keep-alive HTTP \
+       over the readiness engine + connection scheduler, driven open- or \
+       closed-loop; prints throughput and latency percentiles"
+    ~file:"BENCH_serve.json" ~json:serve_json
+    ~base:{ L.default with client_nodes = 0; backlog = 0 }
+    Term.(const own $ workload $ workers)
 
 let fabric_cmd =
-  let open Uls_bench in
+  let module L = Uls_bench.Load in
   (* "CELL@MS": cell id and a virtual-time instant in milliseconds. *)
   let cell_at_conv =
     let parse s =
@@ -569,51 +543,15 @@ let fabric_cmd =
     Arg.conv (parse, print)
   in
   let cells =
-    Arg.(value & opt pos_int 4 & info [ "cells" ] ~docv:"K"
+    Arg.(value & opt pos_int L.fabric.cells & info [ "cells" ] ~docv:"K"
            ~doc:"Server cells behind the balancer.")
   in
   let shards =
-    Arg.(value & opt pos_int 4 & info [ "shards" ] ~docv:"N"
+    Arg.(value & opt pos_int L.fabric.shards & info [ "shards" ] ~docv:"N"
            ~doc:"SO_REUSEPORT listener shards (schedulers) per cell.")
   in
-  let conns =
-    Arg.(value & opt pos_int 2048 & info [ "conns" ] ~docv:"N"
-           ~doc:"Total connection arrivals over the run.")
-  in
-  let requests =
-    Arg.(value & opt pos_int 2 & info [ "requests" ] ~docv:"N"
-           ~doc:"Requests per connection.")
-  in
-  let size =
-    Arg.(value & opt pos_int 256 & info [ "size" ] ~docv:"BYTES"
-           ~doc:"Echo payload size.")
-  in
-  let rate =
-    Arg.(value & opt float 4_000. & info [ "rate" ] ~docv:"CONN/S"
-           ~doc:"Open-loop connection arrival rate, fleet-wide.")
-  in
-  let think =
-    Arg.(value & opt float 0. & info [ "think" ] ~docv:"US"
-           ~doc:"Mean think time between a connection's requests (us); \
-                 raises concurrency (rate x lifetime).")
-  in
-  let clients =
-    Arg.(value & opt int 0 & info [ "clients" ] ~docv:"N"
-           ~doc:"Client nodes (0 = auto: enough to keep per-node NIC \
-                 match walks short).")
-  in
-  let max_inflight =
-    Arg.(value & opt int 0 & info [ "max-inflight" ] ~docv:"N"
-           ~doc:"Per-shard admission limit (0 = unlimited).")
-  in
-  let backlog =
-    Arg.(value & opt int 128 & info [ "backlog" ] ~docv:"N"
-           ~doc:"Per-cell listen backlog. Every posted backlog \
-                 descriptor is walked by the cell NIC on each RX \
-                 frame; keep it modest.")
-  in
   let vnodes =
-    Arg.(value & opt pos_int 128 & info [ "vnodes" ] ~docv:"N"
+    Arg.(value & opt pos_int L.fabric.vnodes & info [ "vnodes" ] ~docv:"N"
            ~doc:"Consistent-hash virtual nodes per cell.")
   in
   let kill =
@@ -625,72 +563,78 @@ let fabric_cmd =
     Arg.(value & opt (some cell_at_conv) None & info [ "drain" ] ~docv:"CELL@MS"
            ~doc:"Gracefully drain this cell at this virtual time.")
   in
-  let fabric_json record (cfg : Fleet.config) (r : Fleet.report) =
+  let at = Option.map (fun (c, ms) -> (c, Uls_engine.Time.ms ms)) in
+  (* Auto rule: 4 client nodes per cell or per 2048 conns, whichever is
+     more (4..64). *)
+  let own cells shards vnodes kill drain (cfg : L.config) =
+    {
+      cfg with
+      L.topology =
+        L.Fabric { cells; shards; vnodes; kill = at kill; drain = at drain };
+      client_nodes =
+        (if cfg.client_nodes > 0 then cfg.client_nodes
+         else max 4 (min 64 (max cells ((cfg.conns + 2047) / 2048) * 4)));
+    }
+  in
+  let fabric_json record (cfg : L.config) (r : L.report) =
+    let f = match cfg.topology with L.Fabric f -> f | L.Server -> L.fabric in
     record
       ([
          ("bench", json_str "fabric");
-         ("stack", json_str (Cluster.stack_name cfg.Fleet.kind));
-         ("cells", json_int cfg.Fleet.cells);
-         ("shards", json_int cfg.Fleet.shards);
-         ("match",
-          json_str
-            (match cfg.Fleet.kind with
-            | `Tcp _ -> "n/a" (* kernel path: no NIC tag matching *)
-            | `Sub _ ->
-              Uls_nic.Match_list.engine_name cfg.Fleet.match_engine));
-         ("sched", json_str (sched_name cfg.Fleet.event_sched));
-         ("conns", json_int cfg.Fleet.conns);
-         ("requests_per_conn", json_int cfg.Fleet.requests_per_conn);
-         ("size", json_int cfg.Fleet.size);
-         ("rate", json_float cfg.Fleet.rate);
-         ("seed", json_int cfg.Fleet.seed);
-         ("loss", json_float cfg.Fleet.loss);
-         ("kill", json_bool (cfg.Fleet.kill <> None));
-         ("drain", json_bool (cfg.Fleet.drain <> None));
-         ("established", json_int r.Fleet.established);
-         ("completed", json_int r.Fleet.completed);
-         ("shed", json_int r.Fleet.shed);
-         ("refused", json_int r.Fleet.refused);
-         ("resets", json_int r.Fleet.resets);
-         ("errors", json_int r.Fleet.errors);
-         ("mismatches", json_int r.Fleet.mismatches);
-         ("remapped", json_int r.Fleet.remapped);
-         ("peak_open", json_int r.Fleet.peak_open);
-         ("peak_cell_open", json_int r.Fleet.peak_cell_open);
-         ("healed_at_ms", json_float r.Fleet.healed_at_ms);
-         ("drained_at_ms", json_float r.Fleet.drained_at_ms);
+         ("stack", json_str (Uls_bench.Cluster.stack_name cfg.kind));
+         ("cells", json_int f.cells);
+         ("shards", json_int f.shards);
+         ("match", match_json cfg);
+         ("sched", json_str "wheel");
+         ("conns", json_int cfg.conns);
+         ("requests_per_conn", json_int cfg.requests_per_conn);
+         ("size", json_int cfg.size);
+         ( "rate",
+           json_float
+             (match cfg.arrival with
+             | L.Sessions r | L.Pool r -> r
+             | L.Closed -> 0.) );
+         ("seed", json_int cfg.seed);
+         ("loss", json_float cfg.loss);
+         ("kill", json_bool (f.kill <> None));
+         ("drain", json_bool (f.drain <> None));
+         ("established", json_int r.established);
+         ("completed", json_int r.completed);
+         ("shed", json_int r.shed);
+         ("refused", json_int r.refused);
+         ("resets", json_int r.resets);
+         ("errors", json_int r.errors);
+         ("mismatches", json_int r.mismatches);
+         ("remapped", json_int r.remapped);
+         ("peak_open", json_int r.peak_open);
+         ("peak_cell_open", json_int r.peak_cell_open);
+         ("healed_at_ms", json_float r.healed_at_ms);
+         ("drained_at_ms", json_float r.drained_at_ms);
        ]
-      @ latency_json r.Fleet.lat
+      @ latency_json r.lat
       @ [
-          ("intact", json_bool r.Fleet.intact);
-          ("completed_run", json_bool r.Fleet.completed_run);
+          ("intact", json_bool r.intact);
+          ("completed_run", json_bool r.completed_run);
         ])
   in
-  let run stack cells shards conns requests size rate think clients seed loss
-      max_inflight backlog vnodes kill drain match_engine event_sched metrics
-      record =
-    let cfg =
-      fabric_config ~stack ~cells ~shards ~conns ~requests ~size ~rate ~think
-        ~clients ~seed ~loss ~max_inflight ~backlog ~vnodes ~kill ~drain
-        ~match_engine ~event_sched
-    in
-    let on_metrics = if metrics then Some dump_metrics else None in
-    let r = Fleet.run ?on_metrics cfg in
-    Fleet.print_report Format.std_formatter cfg r;
-    fabric_json record cfg r;
-    if not (r.Fleet.completed_run && r.Fleet.intact) then exit 1
-  in
-  Cmd.v
-    (Cmd.info "fabric"
-       ~doc:
-         "Sharded serving fabric: L4-balanced server cells (consistent \
-          hashing, SO_REUSEPORT shards) under an open-loop connection \
-          fleet, with optional mid-load cell kill or drain")
-    Term.(const run $ stack_flag ~doc:"tcp | tcp-tuned | ds | ds-base | dg."
-          $ cells $ shards $ conns $ requests $ size $ rate $ think $ clients
-          $ seed_flag $ loss_flag $ max_inflight $ backlog $ vnodes $ kill
-          $ drain $ match_engine_flag $ sched_flag `Wheel $ metrics_flag
-          $ json_flag ~file:"BENCH_fabric.json")
+  serving_cmd ~name:"fabric"
+    ~doc:
+      "Sharded serving fabric: L4-balanced server cells (consistent \
+       hashing, SO_REUSEPORT shards) under an open-loop connection fleet, \
+       with optional mid-load cell kill or drain"
+    ~file:"BENCH_fabric.json" ~json:fabric_json
+    ~base:
+      {
+        L.default with
+        topology = L.Fabric L.fabric;
+        arrival = L.Sessions 4_000.;
+        conns = 2048;
+        requests_per_conn = 2;
+        size = 256;
+        client_nodes = 0;
+        backlog = 128;
+      }
+    Term.(const own $ cells $ shards $ vnodes $ kill $ drain)
 
 (* --- trace -------------------------------------------------------------- *)
 
@@ -937,7 +881,7 @@ let firehose_cmd =
         ("bench", json_str "firehose");
         ("match",
          json_str (Uls_nic.Match_list.engine_name cfg.Firehose.match_engine));
-        ("sched", json_str (sched_name cfg.Firehose.event_sched));
+        ("sched", json_str "wheel");
         ("sinks", json_int cfg.Firehose.sinks);
         ("count", json_int cfg.Firehose.count);
         ("size", json_int cfg.Firehose.size);
@@ -961,8 +905,8 @@ let firehose_cmd =
         ("completed_run", json_bool r.Firehose.completed_run);
       ]
   in
-  let run sinks count size batch busy_poll seed loss match_engine event_sched
-      metrics record =
+  let run sinks count size batch busy_poll seed loss match_engine metrics
+      record =
     let cfg =
       {
         Firehose.sinks;
@@ -973,7 +917,6 @@ let firehose_cmd =
         seed;
         loss;
         match_engine;
-        event_sched;
       }
     in
     let on_metrics = if metrics then Some dump_metrics else None in
@@ -991,7 +934,7 @@ let firehose_cmd =
           the NIC doorbell/fetch audit pair")
     Term.(const run $ sinks $ count $ size $ batch_flag d.Firehose.batch
           $ busy_poll_flag $ seed_flag $ loss_flag $ match_engine_flag
-          $ sched_flag `Wheel $ metrics_flag
+          $ metrics_flag
           $ json_flag ~file:"BENCH_rings.json")
 
 let storm_cmd =
@@ -1024,7 +967,7 @@ let storm_cmd =
         ("bench", json_str "storm");
         ("match",
          json_str (Uls_nic.Match_list.engine_name cfg.Storm.match_engine));
-        ("sched", json_str (sched_name cfg.Storm.event_sched));
+        ("sched", json_str "wheel");
         ("scanners", json_int cfg.Storm.scanners);
         ("targets", json_int cfg.Storm.targets);
         ("window", json_int cfg.Storm.window);
@@ -1046,7 +989,7 @@ let storm_cmd =
       ]
   in
   let run scanners targets window probes batch backlog busy_poll seed
-      match_engine event_sched record =
+      match_engine record =
     let cfg =
       {
         Storm.scanners;
@@ -1058,7 +1001,6 @@ let storm_cmd =
         busy_poll;
         seed;
         match_engine;
-        event_sched;
       }
     in
     let r = Storm.run cfg in
@@ -1074,8 +1016,7 @@ let storm_cmd =
           doorbell per --batch probes; prints connect-attempt rate")
     Term.(const run $ scanners $ targets $ window $ probes
           $ batch_flag d.Storm.batch $ backlog $ busy_poll_flag $ seed_flag
-          $ match_engine_flag $ sched_flag `Wheel
-          $ json_flag ~file:"BENCH_rings.json")
+          $ match_engine_flag $ json_flag ~file:"BENCH_rings.json")
 
 (* --- races ------------------------------------------------------------- *)
 
@@ -1140,7 +1081,7 @@ let races_cmd =
     | None -> ());
     if o.S.violations <> [] || o.S.deadlock <> None then exit 1
   in
-  let run seeds scenario replay_schedule max_runs max_preempt verbose sched =
+  let run seeds scenario replay_schedule max_runs max_preempt verbose =
     match replay_schedule with
     | Some id -> (
       let name =
@@ -1150,7 +1091,7 @@ let races_cmd =
           prerr_endline "ulsbench races: --replay-schedule requires --scenario";
           exit 124
       in
-      match X.replay ~sched (find_or_die name) ~schedule:id with
+      match X.replay (find_or_die name) ~schedule:id with
       | Ok (o, pairs) -> dump_outcome ~pairs o
       | Error e ->
         Printf.eprintf "ulsbench races: --replay-schedule %s: %s\n" id
@@ -1166,7 +1107,7 @@ let races_cmd =
       List.iter
         (fun sc ->
           let v =
-            X.explore ~sched ~seeds ?max_runs ?max_preemptions:max_preempt sc
+            X.explore ~seeds ?max_runs ?max_preemptions:max_preempt sc
           in
           print_endline (X.render ~verbose v);
           let ok = if sc.S.sc_buggy then X.flagged v else X.clean v in
@@ -1187,7 +1128,7 @@ let races_cmd =
              walks for every scenario plus a DPOR-style depth-first sweep \
              for scenarios with an exploration bound")
     Term.(const run $ seeds $ scenario $ replay_schedule $ max_runs
-          $ max_preempt $ verbose $ sched_flag `Wheel)
+          $ max_preempt $ verbose)
 
 (* --- check: the CI gates ------------------------------------------------ *)
 
@@ -1390,26 +1331,40 @@ let allocation_ceiling tag ~words ~events ~ops ~max_words ~max_events =
   if per_op > max_events then
     fail "%s: %.1f events/op exceeds the %.1f ceiling" tag per_op max_events
 
+(* The substrate's server preset and default kernel TCP: what
+   [--stack ds] and [--stack tcp] select for serving. *)
+let ds = `Sub Uls_substrate.Options.server
+let tcp = `Tcp Uls_tcp.Config.default
+
 let serve_gate () =
   let module L = Uls_bench.Load in
   let cfg ?(match_engine = Uls_nic.Match_list.Hashed) ~conns ~requests
-      ~clients stack workload =
-    serve_config stack workload None ~conns ~requests ~size:256 ~think:0.
-      ~seed:42 ~loss:0. ~clients ~backlog:0 ~workers:4 ~max_inflight:0
-      ~match_engine ~event_sched:`Wheel
+      ~clients kind workload =
+    {
+      L.default with
+      kind;
+      workload;
+      conns;
+      requests_per_conn = requests;
+      size = 256;
+      client_nodes = clients;
+      backlog = conns;
+      match_engine;
+    }
   in
   let smoke = cfg ~conns:128 ~requests:4 ~clients:2 in
   let scale = cfg ~conns:512 ~requests:2 ~clients:4 in
   let clean tag (r : L.report) =
     if
       not
-        (r.L.completed_run && r.L.intact && r.L.errors = 0 && r.L.shed = 0
-       && r.L.refused = 0 && r.L.mismatches = 0 && r.L.completed = r.L.sent)
+        (r.L.completed_run && r.L.intact && r.L.errors = 0 && r.L.resets = 0
+       && r.L.shed = 0 && r.L.refused = 0 && r.L.mismatches = 0
+       && r.L.completed = r.L.sent)
     then
       fail "%s: %d/%d completed (%d errors, %d shed, %d refused, %d \
             mismatches%s)"
-        tag r.L.completed r.L.sent r.L.errors r.L.shed r.L.refused
-        r.L.mismatches
+        tag r.L.completed r.L.sent (r.L.errors + r.L.resets) r.L.shed
+        r.L.refused r.L.mismatches
         (if r.L.completed_run && r.L.intact then "" else ", hung or corrupt")
   in
   let run tag c =
@@ -1425,66 +1380,73 @@ let serve_gate () =
   in
   List.iter
     (fun (st, w, tag) -> ignore (run tag (smoke st w)))
-    [ (`Ds, L.Echo, "ds/echo"); (`Ds, L.Http, "ds/http");
-      (`Tcp, L.Echo, "tcp/echo"); (`Tcp, L.Http, "tcp/http") ];
-  twice "ds/echo" (smoke `Ds L.Echo);
+    [ (ds, L.Echo, "ds/echo"); (ds, L.Http, "ds/http");
+      (tcp, L.Echo, "tcp/echo"); (tcp, L.Http, "tcp/http") ];
+  twice "ds/echo" (smoke ds L.Echo);
   let linear = Uls_nic.Match_list.Linear in
-  let lin = run "ds/512/linear" (scale ~match_engine:linear `Ds L.Echo) in
+  let lin = run "ds/512/linear" (scale ~match_engine:linear ds L.Echo) in
   let hsh, words =
-    counting_words (fun () -> run "ds/512/hashed" (scale `Ds L.Echo))
+    counting_words (fun () -> run "ds/512/hashed" (scale ds L.Echo))
   in
   allocation_ceiling "ds/512/hashed" ~words ~events:hsh.L.events
     ~ops:hsh.L.sent ~max_words:60.7 ~max_events:368.;
   if hsh.L.lat.rps < lin.L.lat.rps *. 0.999 then
     fail "hashed slower than linear at 512 conns (%.0f vs %.0f req/s)"
       hsh.L.lat.rps lin.L.lat.rps;
-  ignore (run "tcp/512" (scale `Tcp L.Echo));
-  twice "ds/512/hashed" (scale `Ds L.Echo)
+  ignore (run "tcp/512" (scale tcp L.Echo));
+  twice "ds/512/hashed" (scale ds L.Echo)
 
 let fabric_gate () =
-  let module F = Uls_bench.Fleet in
-  let base stack cells =
-    fabric_config ~stack ~cells ~shards:2 ~conns:256 ~requests:2 ~size:128
-      ~rate:8_000. ~think:0. ~clients:4 ~seed:42 ~loss:0. ~max_inflight:0
-      ~backlog:128 ~vnodes:64 ~kill:None ~drain:None
-      ~match_engine:Uls_nic.Match_list.Hashed ~event_sched:`Wheel
+  let module L = Uls_bench.Load in
+  let base ?kill kind cells =
+    {
+      L.default with
+      kind;
+      topology =
+        L.Fabric { L.fabric with cells; shards = 2; vnodes = 64; kill };
+      arrival = L.Sessions 8_000.;
+      conns = 256;
+      requests_per_conn = 2;
+      size = 128;
+      client_nodes = 4;
+      backlog = 128;
+    }
   in
-  let clean ?(allow_failures = false) tag (r : F.report) =
+  let clean ?(allow_failures = false) tag (r : L.report) =
     if
       not
-        (r.F.completed_run && r.F.intact
+        (r.L.completed_run && r.L.intact
         && (allow_failures
-           || r.F.refused = 0 && r.F.resets = 0 && r.F.errors = 0))
+           || r.L.refused = 0 && r.L.resets = 0 && r.L.errors = 0))
     then
       fail "%s: hung, corrupt or failed connections (%d refused, %d \
             resets, %d errors)"
-        tag r.F.refused r.F.resets r.F.errors
+        tag r.L.refused r.L.resets r.L.errors
   in
-  let run label cfg =
+  let run label (cfg : L.config) =
     Format.printf "--- fabric smoke: %s %s@."
-      (Uls_bench.Cluster.stack_name cfg.F.kind) label;
-    let r = F.run cfg in
-    F.print_report Format.std_formatter cfg r;
+      (Uls_bench.Cluster.stack_name cfg.kind) label;
+    let r = L.run cfg in
+    L.print_report Format.std_formatter cfg r;
     r
   in
   List.iter
     (fun (st, cells) ->
-      let cfg = base st cells in
       let tag =
-        Printf.sprintf "%s/%d-cell" (Uls_bench.Cluster.stack_name cfg.F.kind)
-          cells
+        Printf.sprintf "%s/%d-cell" (Uls_bench.Cluster.stack_name st) cells
       in
-      clean tag (run (Printf.sprintf "cells=%d" cells) cfg))
-    [ (`Ds, 1); (`Ds, 4); (`Tcp, 1); (`Tcp, 4) ];
+      clean tag (run (Printf.sprintf "cells=%d" cells) (base st cells)))
+    [ (ds, 1); (ds, 4); (tcp, 1); (tcp, 4) ];
   List.iter
     (fun st ->
-      let cfg = { (base st 4) with F.kill = Some (1, Uls_engine.Time.ms 8) } in
-      let tag = Uls_bench.Cluster.stack_name cfg.F.kind ^ "/kill" in
-      let r = run "kill-failover" cfg in
+      let tag = Uls_bench.Cluster.stack_name st ^ "/kill" in
+      let r =
+        run "kill-failover" (base ~kill:(1, Uls_engine.Time.ms 8) st 4)
+      in
       clean ~allow_failures:true tag r;
-      if r.F.healed_at_ms < 0. then fail "%s: ring never healed" tag)
-    [ `Ds; `Tcp ];
-  let cfg = base `Ds 4 in
+      if r.L.healed_at_ms < 0. then fail "%s: ring never healed" tag)
+    [ ds; tcp ];
+  let cfg = base ds 4 in
   let closes = ref 0 and sampled = ref [] and survivors = ref 0 in
   let sample (s : Uls_api.Sockets_api.stream) =
     incr closes;
@@ -1498,9 +1460,9 @@ let fabric_gate () =
     Gc.full_major ();
     survivors := List.length (List.filter (fun w -> Weak.check w 0) !sampled)
   in
-  let a = F.run ~on_server_close:sample ~on_metrics:count_survivors cfg in
-  let b, words = counting_words (fun () -> F.run cfg) in
-  allocation_ceiling "ds/4-cell" ~words ~events:b.F.events ~ops:b.F.arrivals
+  let a = L.run ~on_server_close:sample ~on_metrics:count_survivors cfg in
+  let b, words = counting_words (fun () -> L.run cfg) in
+  allocation_ceiling "ds/4-cell" ~words ~events:b.L.events ~ops:cfg.conns
     ~max_words:57.7 ~max_events:322.;
   clean "determinism" a;
   if a <> b then fail "seeded runs diverged";
@@ -1541,9 +1503,14 @@ let soak_gate () =
   in
   let module L = Uls_bench.Load in
   let serve =
-    serve_config `Ds L.Echo None ~conns:64 ~requests:800 ~size:256 ~think:0.
-      ~seed:42 ~loss:0. ~clients:4 ~backlog:0 ~workers:4 ~max_inflight:0
-      ~match_engine:Uls_nic.Match_list.Hashed ~event_sched:`Wheel
+    {
+      L.default with
+      conns = 64;
+      requests_per_conn = 800;
+      size = 256;
+      client_nodes = 4;
+      backlog = 64;
+    }
   in
   let every = 10_000 in
   let r = L.run ~progress:(every, sample) serve in
@@ -1558,18 +1525,25 @@ let soak_gate () =
      ends (8000 timers at 4000 sessions/s), and per-node histograms
      fill their 8192-sample reservoirs at a fraction of the session
      rate. Both are full by the second sample. *)
-  let module Fl = Uls_bench.Fleet in
   let every = 6_000 and closes = ref 0 in
   let on_server_close _ =
     incr closes;
     if !closes mod every = 0 then sample ()
   in
   let r =
-    Fl.run ~on_server_close
-      { Fl.default with Fl.conns = 26_000; cells = 2; shards = 2;
-        client_nodes = 4 }
+    L.run ~on_server_close
+      {
+        L.default with
+        topology = L.Fabric { L.fabric with cells = 2; shards = 2 };
+        arrival = L.Sessions 4_000.;
+        conns = 26_000;
+        requests_per_conn = 2;
+        size = 256;
+        client_nodes = 4;
+        backlog = 128;
+      }
   in
-  flat "fabric" ~every (r.Fl.completed_run && r.Fl.intact)
+  flat "fabric" ~every (r.L.completed_run && r.L.intact)
 
 let chaos_gate () =
   let bad =

@@ -137,7 +137,7 @@ type decision = {
    encountered (oldest first) and, when [track], the attached
    happens-before tracker. Uses the global sim creation hook, so
    explorations cannot nest. *)
-let run_once ?(track = true) ?sched (sc : Scenarios.t) pick =
+let run_once ?(track = true) (sc : Scenarios.t) pick =
   let hb = ref None in
   if track then
     Sim.set_create_hook
@@ -157,7 +157,7 @@ let run_once ?(track = true) ?sched (sc : Scenarios.t) pick =
   let outcome =
     Fun.protect
       ~finally:(fun () -> Sim.set_create_hook None)
-      (fun () -> sc.Scenarios.sc_run ?sched (`Controlled choose))
+      (fun () -> sc.Scenarios.sc_run (`Controlled choose))
   in
   (outcome, List.rev !decisions, !hb)
 
@@ -170,12 +170,12 @@ let detach = function Some h -> Hb.detach h | None -> ()
 (* Walks run untracked: the tracker costs several times the run itself
    on the full-size workloads, and only a flagged walk needs its racing
    pairs — which a tracked replay of its schedule recovers. *)
-let walk_run ?sched sc ~seed =
+let walk_run sc ~seed =
   let rng = Rng.create ~seed in
-  run_once ~track:false ?sched sc (fun _ n -> Rng.int rng n)
+  run_once ~track:false sc (fun _ n -> Rng.int rng n)
 
-let walk ?sched sc ~seed =
-  let outcome, decisions, hb = walk_run ?sched sc ~seed in
+let walk sc ~seed =
+  let outcome, decisions, hb = walk_run sc ~seed in
   detach hb;
   (schedule_id (choices decisions), outcome)
 
@@ -227,7 +227,7 @@ let equivalent_alternative log ~from_pos ~alt_seq =
     end
   end
 
-let explore ?sched ?(seeds = 16) ?max_runs ?max_preemptions (sc : Scenarios.t) =
+let explore ?(seeds = 16) ?max_runs ?max_preemptions (sc : Scenarios.t) =
   let runs = ref 0 in
   let decision_points = ref 0 in
   let max_depth = ref 0 in
@@ -265,7 +265,7 @@ let explore ?sched ?(seeds = 16) ?max_runs ?max_preemptions (sc : Scenarios.t) =
             (match hb with
             | Some h -> Hb.pairs h
             | None ->
-              let _, _, hb = run_once ?sched sc (prefix_pick chosen) in
+              let _, _, hb = run_once sc (prefix_pick chosen) in
               let pairs = pairs_of hb in
               detach hb;
               pairs)
@@ -323,7 +323,7 @@ let explore ?sched ?(seeds = 16) ?max_runs ?max_preemptions (sc : Scenarios.t) =
     (* Only the sweep's expansion reads the tracker; an unbounded
        scenario's flagged baseline recovers its pairs by a tracked re-run. *)
     let ((_, decisions, hb) as run) =
-      run_once ~track:(sc.Scenarios.sc_bound <> None) ?sched sc
+      run_once ~track:(sc.Scenarios.sc_bound <> None) sc
         (prefix_pick prefix)
     in
     incr sweep_runs;
@@ -334,7 +334,7 @@ let explore ?sched ?(seeds = 16) ?max_runs ?max_preemptions (sc : Scenarios.t) =
   let truncated = Stack.length frontier in
   let walks_flagged = ref 0 in
   for seed = 0 to seeds - 1 do
-    let ((_, _, hb) as run) = walk_run ?sched sc ~seed in
+    let ((_, _, hb) as run) = walk_run sc ~seed in
     if observe ~walk:seed run then incr walks_flagged;
     retire hb
   done;
@@ -393,7 +393,7 @@ let string_of_replay_error = function
    path). A schedule that does not fit the scenario — a choice beyond a
    decision point's alternatives, or a decision point the run never
    reaches — is an error, never a silently different run. *)
-let replay ?sched (sc : Scenarios.t) ~schedule =
+let replay (sc : Scenarios.t) ~schedule =
   match parse_schedule_id schedule with
   | None -> Error (Malformed_id schedule)
   | Some prefix -> (
@@ -407,7 +407,7 @@ let replay ?sched (sc : Scenarios.t) ~schedule =
         0
       end
     in
-    let outcome, decisions, hb = run_once ?sched sc pick in
+    let outcome, decisions, hb = run_once sc pick in
     let pairs = pairs_of hb in
     detach hb;
     let reached = List.length decisions in

@@ -66,7 +66,6 @@ type verdict = {
 }
 
 val explore :
-  ?sched:[ `Heap | `Wheel ] ->
   ?seeds:int ->
   ?max_runs:int ->
   ?max_preemptions:int ->
@@ -81,7 +80,7 @@ val clean : verdict -> bool
 val flagged : verdict -> bool
 
 val walk :
-  ?sched:[ `Heap | `Wheel ] -> Scenarios.t -> seed:int -> string * Scenarios.outcome
+  Scenarios.t -> seed:int -> string * Scenarios.outcome
 (** One seeded walk: the schedule id it took and its outcome. Same seed,
     same schedule. *)
 
@@ -97,7 +96,6 @@ type replay_error =
 val string_of_replay_error : replay_error -> string
 
 val replay :
-  ?sched:[ `Heap | `Wheel ] ->
   Scenarios.t ->
   schedule:string ->
   (Scenarios.outcome * Hb.pair list, replay_error) result

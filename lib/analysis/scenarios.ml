@@ -38,7 +38,7 @@ type t = {
   sc_name : string;
   sc_descr : string;
   sc_buggy : bool;
-  sc_run : ?sched:[ `Heap | `Wheel ] -> tiebreak -> outcome;
+  sc_run : tiebreak -> outcome;
   sc_bound : bound option;
 }
 
@@ -62,8 +62,8 @@ let finish cluster ~conns ~observables stop =
     stop;
   }
 
-let start ?(n = 2) ?match_engine ?sched tiebreak =
-  let cluster = Cluster.create ?match_engine ?sched ~tiebreak ~n () in
+let start ?(n = 2) ?match_engine tiebreak =
+  let cluster = Cluster.create ?match_engine ~tiebreak ~n () in
   Invariant.enable (Invariant.for_sim (Cluster.sim cluster));
   cluster
 
@@ -89,8 +89,8 @@ let hex s = Digest.to_hex (Digest.string s)
 (* --- eager-echo: streaming mode, two clients echoed by one server --- *)
 
 let eager_echo ?match_engine ?opts
-    ?(writes = [ 1_900; 4_096; 512; 9_000; 64; 2_048 ]) ?sched tiebreak =
-  let cluster = start ~n:3 ?match_engine ?sched tiebreak in
+    ?(writes = [ 1_900; 4_096; 512; 9_000; 64; 2_048 ]) tiebreak =
+  let cluster = start ~n:3 ?match_engine tiebreak in
   let sim = Cluster.sim cluster in
   let conns = ref [] and obs = ref [] in
   let server = Cluster.substrate ?opts cluster 0 in
@@ -133,8 +133,8 @@ let eager_echo ?match_engine ?opts
    substrate's request/grant path from two clients at once (the surface
    of the shared-grant-queue bug this suite's fixture re-introduces) --- *)
 
-let dg_rendezvous ?sched tiebreak =
-  let cluster = start ~n:3 ?sched tiebreak in
+let dg_rendezvous tiebreak =
+  let cluster = start ~n:3 tiebreak in
   let sim = Cluster.sim cluster in
   let conns = ref [] and obs = ref [] in
   let opts = Opt.datagram in
@@ -175,8 +175,8 @@ let dg_rendezvous ?sched tiebreak =
 (* --- connect-churn: connection setup/teardown cycles reclaim every
    descriptor (the 2N+3 provisioning of §5.3 against the leak scans) --- *)
 
-let connect_churn ?opts ?sched tiebreak =
-  let cluster = start ~n:2 ?sched tiebreak in
+let connect_churn ?opts tiebreak =
+  let cluster = start ~n:2 tiebreak in
   let sim = Cluster.sim cluster in
   let conns = ref [] and obs = ref [] in
   let server = Cluster.substrate ?opts cluster 0 in
@@ -219,8 +219,8 @@ let connect_churn ?opts ?sched tiebreak =
    grant arrival order and the pairing crosses — caught both by the
    [scenario.grant_routing] invariant and by fingerprint divergence. *)
 
-let grant_fixture ~routed ?sched tiebreak =
-  let cluster = start ~n:2 ?sched tiebreak in
+let grant_fixture ~routed tiebreak =
+  let cluster = start ~n:2 tiebreak in
   let sim = Cluster.sim cluster in
   let inv = Invariant.for_sim sim in
   let e0 = Cluster.emp cluster 0 in
@@ -303,41 +303,41 @@ let grant_fixture ~routed ?sched tiebreak =
   let stop = Cluster.run cluster in
   finish cluster ~conns:(ref []) ~observables:obs stop
 
-(* --- fabric-churn: fleet arrivals over the sharded serving fabric ---
+(* --- fabric-churn: session arrivals over the sharded serving fabric ---
    Unlike the raw-substrate scenarios above, this one drives the whole
    stack-on-top — ring placement, reuseport demux, per-cell schedulers —
-   through Fleet's open-loop arrival process, and fingerprints the
-   report's schedule-independent facts (placement, completion and
-   failure counts, cell states). Fleet owns its cluster, so the
-   sanitizer/invariant channels are empty here; divergence of the
-   observables across tie-breaks is the signal. *)
+   through the serving driver's open-loop session arrivals, and
+   fingerprints the report's schedule-independent facts (placement,
+   completion and failure counts, cell states). The driver owns its
+   cluster, so the sanitizer/invariant channels are empty here;
+   divergence of the observables across tie-breaks is the signal. *)
 
-let fabric_churn ?(sched = `Wheel) tiebreak =
+let fabric_churn tiebreak =
+  let module L = Uls_bench.Load in
   let r =
-    Uls_bench.Fleet.run
+    L.run
       {
-        Uls_bench.Fleet.default with
-        cells = 3;
-        shards = 2;
+        L.default with
+        topology = L.Fabric { L.fabric with cells = 3; shards = 2 };
+        arrival = L.Sessions 20_000.;
         conns = 32;
-        rate = 20_000.;
+        requests_per_conn = 2;
         size = 96;
         client_nodes = 2;
+        backlog = 128;
         seed = 11;
         tiebreak = Some tiebreak;
-        event_sched = sched;
       }
   in
-  let open Uls_bench.Fleet in
   let obs =
     Printf.sprintf
       "fleet established=%d completed=%d shed=%d refused=%d resets=%d \
        errors=%d mismatches=%d no_route=%d remapped=%d quiesced=%b intact=%b"
-      r.established r.completed r.shed r.refused r.resets r.errors
+      r.L.established r.completed r.shed r.refused r.resets r.errors
       r.mismatches r.no_route r.remapped r.completed_run r.intact
     :: Array.to_list
          (Array.mapi
-            (fun id c ->
+            (fun id (c : L.cell_report) ->
               Printf.sprintf "cell %d state=%s conns=%d completed=%d shed=%d"
                 id c.c_state c.c_connects c.c_completed c.c_shed)
             r.per_cell)
@@ -361,8 +361,8 @@ let fabric_churn ?(sched = `Wheel) tiebreak =
    mid-fetch coalesces), so the fingerprint takes only the
    schedule-independent ring facts: submitted and completed. *)
 
-let rings_firehose ?(msgs = 24) ?(batch = 4) ?sched tiebreak =
-  let cluster = start ~n:2 ?sched tiebreak in
+let rings_firehose ?(msgs = 24) ?(batch = 4) tiebreak =
+  let cluster = start ~n:2 tiebreak in
   let sim = Cluster.sim cluster in
   let obs = ref [] in
   let e0 = Cluster.emp cluster 0 and e1 = Cluster.emp cluster 1 in
@@ -441,8 +441,8 @@ let rings_firehose ?(msgs = 24) ?(batch = 4) ?sched tiebreak =
    1/2; the depth-first sweep proves both schedules. Runs on a bare sim
    (no cluster) so the schedule tree is exactly the two fibers. *)
 
-let lost_signal ?sched tiebreak =
-  let sim = Sim.create ?sched () in
+let lost_signal tiebreak =
+  let sim = Sim.create () in
   Sim.set_tiebreak sim tiebreak;
   Invariant.enable (Invariant.for_sim sim);
   let obs = ref [] in

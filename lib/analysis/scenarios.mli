@@ -35,10 +35,7 @@ type t = {
   sc_buggy : bool;
       (** fixtures the explorer must flag (CI fails if it stops catching
           them) *)
-  sc_run : ?sched:[ `Heap | `Wheel ] -> tiebreak -> outcome;
-      (** [sched] selects the simulator event-queue implementation
-          (default timing wheel); dispatch order is identical either
-          way, so fingerprints must not depend on it *)
+  sc_run : tiebreak -> outcome;
   sc_bound : bound option;
       (** [None]: the scenario is too large for a depth-first sweep and
           gets seeded walks only *)

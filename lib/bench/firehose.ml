@@ -24,7 +24,6 @@ type config = {
   seed : int;
   loss : float;  (** uniform frame-loss probability (chaos leg) *)
   match_engine : Uls_nic.Match_list.engine;
-  event_sched : [ `Heap | `Wheel ];
 }
 
 let default =
@@ -37,7 +36,6 @@ let default =
     seed = 42;
     loss = 0.;
     match_engine = Uls_nic.Match_list.Hashed;
-    event_sched = `Wheel;
   }
 
 type report = {
@@ -71,8 +69,7 @@ let run ?on_metrics ?progress cfg =
   if cfg.sinks < 1 then invalid_arg "Firehose.run: sinks < 1";
   if cfg.batch < 1 then invalid_arg "Firehose.run: batch < 1";
   let c =
-    Cluster.create ~match_engine:cfg.match_engine ~sched:cfg.event_sched
-      ~n:(cfg.sinks + 1) ()
+    Cluster.create ~match_engine:cfg.match_engine ~n:(cfg.sinks + 1) ()
   in
   let sim = Cluster.sim c in
   let fault = Cluster.fault ~seed:cfg.seed c in

@@ -16,7 +16,6 @@ type config = {
   seed : int;
   loss : float;  (** uniform frame-loss probability (chaos leg) *)
   match_engine : Uls_nic.Match_list.engine;
-  event_sched : [ `Heap | `Wheel ];
 }
 
 val default : config

@@ -1,6 +1,6 @@
-(** Request-latency accounting shared by the serving drivers ({!Load},
-    {!Fleet}): one accumulator per run, one summary record in every
-    report, one way to print it. *)
+(** Request-latency accounting for the serving driver ({!Load}), over
+    either topology: one accumulator per run, one summary record in
+    every report, one way to print it. *)
 
 type t
 

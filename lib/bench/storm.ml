@@ -29,7 +29,6 @@ type config = {
   busy_poll : bool;
   seed : int;
   match_engine : Uls_nic.Match_list.engine;
-  event_sched : [ `Heap | `Wheel ];
 }
 
 let default =
@@ -43,7 +42,6 @@ let default =
     busy_poll = false;
     seed = 42;
     match_engine = Uls_nic.Match_list.Hashed;
-    event_sched = `Wheel;
   }
 
 type report = {
@@ -77,7 +75,7 @@ let run cfg =
   if cfg.window > Tags.max_id then invalid_arg "Storm.run: window > 4095";
   let n = cfg.scanners + cfg.targets in
   let c =
-    Cluster.create ~match_engine:cfg.match_engine ~sched:cfg.event_sched ~n ()
+    Cluster.create ~match_engine:cfg.match_engine ~n ()
   in
   let sim = Cluster.sim c in
   let accepted = ref 0 and refused = ref 0 and server_accepts = ref 0 in

@@ -16,7 +16,6 @@ type config = {
   busy_poll : bool;
   seed : int;
   match_engine : Uls_nic.Match_list.engine;
-  event_sched : [ `Heap | `Wheel ];
 }
 
 val default : config

@@ -15,9 +15,8 @@
     - {e active}: a prober fiber per cell (from [probe_node]) does a
       full connect+close through the stack under test every
       [probe_period];
-    - {e passive}: callers report data-path connect failures via
-      {!report_failure} (or implicitly via {!connect}), which is
-      usually the earlier signal.
+    - {e passive}: {!connect} feeds the same counter with every
+      data-path connect failure, usually the earlier signal.
 
     [fail_threshold] consecutive failures take the cell out of the ring
     (state [Down]) — the "heal": subsequent flows remap to the

@@ -7,7 +7,7 @@
 open Uls_engine
 module Ring = Uls_fabric.Ring
 module Reuseport = Uls_server.Reuseport
-module Fleet = Uls_bench.Fleet
+module Load = Uls_bench.Load
 module Chaos = Uls_bench.Chaos
 
 let check_int = Alcotest.(check int)
@@ -132,132 +132,175 @@ let test_steering_hash_spread_and_affinity () =
 
 (* --- fleet end-to-end -------------------------------------------------- *)
 
-let small ?(kind = `Sub Uls_substrate.Options.server) () =
+let small ?(kind = `Sub Uls_substrate.Options.server) ?kill ?drain () =
   {
-    Fleet.default with
+    Load.default with
     kind;
-    cells = 3;
-    shards = 2;
+    topology =
+      Load.Fabric { Load.fabric with cells = 3; shards = 2; kill; drain };
+    arrival = Load.Sessions 20_000.;
     conns = 48;
-    rate = 20_000.;
+    requests_per_conn = 2;
     size = 64;
     client_nodes = 3;
+    backlog = 128;
     seed = 7;
   }
 
-let check_clean label (r : Fleet.report) =
-  check_bool (label ^ " quiesced") true r.Fleet.completed_run;
-  check_bool (label ^ " intact") true r.Fleet.intact;
-  check_int (label ^ " established") 48 r.Fleet.established;
-  check_int (label ^ " completed") 96 r.Fleet.completed;
+let check_clean label (r : Load.report) =
+  check_bool (label ^ " quiesced") true r.Load.completed_run;
+  check_bool (label ^ " intact") true r.Load.intact;
+  check_int (label ^ " established") 48 r.Load.established;
+  check_int (label ^ " completed") 96 r.Load.completed;
   check_int (label ^ " failures") 0
-    (r.Fleet.shed + r.Fleet.refused + r.Fleet.resets + r.Fleet.errors
-   + r.Fleet.mismatches + r.Fleet.no_route);
+    (r.Load.shed + r.Load.refused + r.Load.resets + r.Load.errors
+   + r.Load.mismatches + r.Load.no_route);
   check_bool (label ^ " flows spread over every cell") true
-    (Array.for_all (fun c -> c.Fleet.c_connects > 0) r.Fleet.per_cell)
+    (Array.for_all (fun c -> c.Load.c_connects > 0) r.Load.per_cell)
 
 let test_fleet_substrate_deterministic () =
   let cfg = small () in
-  let a = Fleet.run cfg in
-  let b = Fleet.run cfg in
+  let a = Load.run cfg in
+  let b = Load.run cfg in
   check_clean "fleet/sub" a;
   check_bool "deterministic report" true (a = b)
 
-let test_fleet_tcp () = check_clean "fleet/tcp" (Fleet.run (small ~kind:(`Tcp Uls_tcp.Config.default) ()))
+let test_fleet_tcp () = check_clean "fleet/tcp" (Load.run (small ~kind:(`Tcp Uls_tcp.Config.default) ()))
 
 let test_fleet_reuseport_fanout () =
   let steered = ref 0 in
   let cfg =
-    { (small ()) with cells = 1; shards = 4; conns = 64; client_nodes = 4 }
+    {
+      (small ()) with
+      topology = Load.Fabric { Load.fabric with cells = 1; shards = 4 };
+      conns = 64;
+      client_nodes = 4;
+    }
   in
   let r =
-    Fleet.run
+    Load.run
       ~on_metrics:(fun m ->
         steered := Metrics.counter_value m ~node:0 "server.reuseport.steered")
       cfg
   in
-  check_bool "quiesced" true r.Fleet.completed_run;
-  check_bool "intact" true r.Fleet.intact;
+  check_bool "quiesced" true r.Load.completed_run;
+  check_bool "intact" true r.Load.intact;
   (* Every accepted connection (clients and health probes) went through
      the reuseport demux to a shard. *)
   check_bool
     (Printf.sprintf "demux steered >= established (%d >= %d)" !steered
-       r.Fleet.established)
+       r.Load.established)
     true
-    (!steered >= r.Fleet.established)
+    (!steered >= r.Load.established)
 
-let check_failover label (r : Fleet.report) ~killed =
-  check_bool (label ^ " quiesced") true r.Fleet.completed_run;
-  check_bool (label ^ " intact") true r.Fleet.intact;
-  check_bool (label ^ " ring healed") true (r.Fleet.healed_at_ms >= 0.);
+let check_failover label (r : Load.report) ~killed =
+  check_bool (label ^ " quiesced") true r.Load.completed_run;
+  check_bool (label ^ " intact") true r.Load.intact;
+  check_bool (label ^ " ring healed") true (r.Load.healed_at_ms >= 0.);
   check_str (label ^ " killed cell down") "down"
-    r.Fleet.per_cell.(killed).Fleet.c_state;
+    r.Load.per_cell.(killed).Load.c_state;
   Array.iteri
     (fun id c ->
       if id <> killed then
         check_int
           (Printf.sprintf "%s survivor cell %d clean" label id)
           0
-          (c.Fleet.c_resets + c.Fleet.c_refused + c.Fleet.c_errors))
-    r.Fleet.per_cell
+          (c.Load.c_resets + c.Load.c_refused + c.Load.c_errors))
+    r.Load.per_cell
 
 let kill_cfg kind =
   (* Arrivals span ~32 ms at 2000/s, so the 8 ms kill lands mid-load
      with flows still arriving for the dead cell's key range. *)
   {
-    (small ~kind ()) with
+    (small ~kind ~kill:(1, Time.ms 8) ()) with
     conns = 64;
-    rate = 2_000.;
-    kill = Some (1, Time.ms 8);
+    arrival = Load.Sessions 2_000.;
   }
 
 let test_fleet_kill_failover_tcp () =
   check_failover "kill/tcp"
-    (Fleet.run (kill_cfg (`Tcp Uls_tcp.Config.default)))
+    (Load.run (kill_cfg (`Tcp Uls_tcp.Config.default)))
     ~killed:1
 
 let test_fleet_kill_failover_substrate () =
   check_failover "kill/sub"
-    (Fleet.run (kill_cfg (`Sub Uls_substrate.Options.server)))
+    (Load.run (kill_cfg (`Sub Uls_substrate.Options.server)))
     ~killed:1
 
 let test_fleet_drain () =
   let cfg =
-    { (small ()) with conns = 64; rate = 2_000.; drain = Some (0, Time.ms 8) }
+    {
+      (small ~drain:(0, Time.ms 8) ()) with
+      conns = 64;
+      arrival = Load.Sessions 2_000.;
+    }
   in
-  let r = Fleet.run cfg in
-  check_bool "quiesced" true r.Fleet.completed_run;
-  check_bool "intact" true r.Fleet.intact;
-  check_bool "drain completed" true (r.Fleet.drained_at_ms >= 0.);
-  check_str "cell drained" "drained" r.Fleet.per_cell.(0).Fleet.c_state;
+  let r = Load.run cfg in
+  check_bool "quiesced" true r.Load.completed_run;
+  check_bool "intact" true r.Load.intact;
+  check_bool "drain completed" true (r.Load.drained_at_ms >= 0.);
+  check_str "cell drained" "drained" r.Load.per_cell.(0).Load.c_state;
   (* Draining is graceful: nothing breaks anywhere. *)
   check_int "no failures" 0
-    (r.Fleet.resets + r.Fleet.refused + r.Fleet.errors + r.Fleet.shed)
+    (r.Load.resets + r.Load.refused + r.Load.errors + r.Load.shed)
 
 (* The report's schedule-independent facts must not change when
    same-timestamp dispatch order is perturbed by a seeded random walk —
    the schedule explorer's discipline applied to the whole fabric. *)
 let test_fleet_schedule_independent () =
   let base = small () in
-  let facts (r : Fleet.report) =
-    ( r.Fleet.established,
-      r.Fleet.completed,
-      r.Fleet.shed + r.Fleet.refused + r.Fleet.resets + r.Fleet.errors,
-      r.Fleet.mismatches,
-      r.Fleet.remapped,
-      r.Fleet.no_route,
+  let facts (r : Load.report) =
+    ( r.Load.established,
+      r.Load.completed,
+      r.Load.shed + r.Load.refused + r.Load.resets + r.Load.errors,
+      r.Load.mismatches,
+      r.Load.remapped,
+      r.Load.no_route,
       Array.map
-        (fun c -> (c.Fleet.c_state, c.Fleet.c_connects, c.Fleet.c_completed))
-        r.Fleet.per_cell )
+        (fun c -> (c.Load.c_state, c.Load.c_connects, c.Load.c_completed))
+        r.Load.per_cell )
   in
-  let fifo = facts (Fleet.run { base with tiebreak = Some `Fifo }) in
+  let fifo = facts (Load.run { base with tiebreak = Some `Fifo }) in
   for s = 0 to 2 do
     let rng = Rng.create ~seed:s in
     let walk enabled = Rng.int rng (Array.length enabled) in
-    let p = facts (Fleet.run { base with tiebreak = Some (`Controlled walk) }) in
+    let p = facts (Load.run { base with tiebreak = Some (`Controlled walk) }) in
     check_bool (Printf.sprintf "walk seed %d matches fifo" s) true
       (p = fifo)
   done
+
+(* HTTP over a 2-cell fabric: topology and workload are independent
+   fields of the spec. Each cell's client-side count must agree with
+   its server. *)
+let test_fleet_http () =
+  let cfg =
+    {
+      (small ()) with
+      workload = Load.Http;
+      topology = Load.Fabric { Load.fabric with cells = 2; shards = 2 };
+      requests_per_conn = 3;
+      size = 200;
+    }
+  in
+  let a = Load.run cfg in
+  let b = Load.run cfg in
+  check_bool "quiesced" true a.Load.completed_run;
+  check_bool "intact" true a.Load.intact;
+  check_bool "deterministic report" true (a = b);
+  check_int "established" 48 a.Load.established;
+  check_int "completed" 144 a.Load.completed;
+  check_int "cells" 2 (Array.length a.Load.per_cell);
+  Array.iteri
+    (fun id c ->
+      check_bool (Printf.sprintf "cell %d served flows" id) true
+        (c.Load.c_connects > 0);
+      check_int
+        (Printf.sprintf "cell %d completes 3 per conn" id)
+        (3 * c.Load.c_connects) c.Load.c_completed;
+      check_int
+        (Printf.sprintf "cell %d server agrees" id)
+        c.Load.c_completed c.Load.c_server_requests)
+    a.Load.per_cell
 
 let suites =
   [
@@ -291,5 +334,6 @@ let suites =
         Alcotest.test_case "drain mid-load" `Quick test_fleet_drain;
         Alcotest.test_case "schedule-independent report" `Quick
           test_fleet_schedule_independent;
+        Alcotest.test_case "http over a 2-cell fabric" `Quick test_fleet_http;
       ] );
   ]

@@ -560,7 +560,7 @@ let test_load_open_loop () =
   let cfg =
     {
       (small_cfg (`Sub Uls_substrate.Options.server) Load.Echo) with
-      loop = Load.Open 20_000.;
+      arrival = Load.Pool 20_000.;
     }
   in
   let r = Load.run cfg in
@@ -583,6 +583,70 @@ let test_evq_wakeups_scale_with_events () =
     (Printf.sprintf "wakeups bounded by events (%d)" r.evq_wakeups)
     true
     (r.evq_wakeups > 0 && r.evq_wakeups <= 16 * 4 * 4)
+
+(* A run in which no connection was ever established offered requests
+   that never reached the wire: it must fail, closed loop or pool. *)
+let test_load_all_refused_fails () =
+  List.iter
+    (fun (label, kind, arrival) ->
+      let r =
+        Load.run
+          { (small_cfg kind Load.Echo) with arrival; loss = 1.0 }
+      in
+      check_bool (label ^ " quiesced") true r.completed_run;
+      check_int (label ^ " refused") 16 r.refused;
+      check_int (label ^ " sent") 0 r.sent;
+      check_bool (label ^ " not intact") false r.intact)
+    [
+      ("closed/sub", `Sub Uls_substrate.Options.server, Load.Closed);
+      ("closed/tcp", `Tcp Uls_tcp.Config.default, Load.Closed);
+      ("pool/sub", `Sub Uls_substrate.Options.server, Load.Pool 20_000.);
+    ]
+
+(* Over the substrate the server's admission-control close reaches the
+   client before its first send, so the shed surfaces at the send: still
+   a shed, not an error. *)
+let test_load_sheds_over_substrate () =
+  let r =
+    Load.run
+      {
+        Load.default with
+        kind = `Sub Uls_substrate.Options.server;
+        conns = 64;
+        requests_per_conn = 2;
+        max_inflight = 8;
+      }
+  in
+  check_bool "quiesced" true r.completed_run;
+  check_bool "shed > 0" true (r.shed > 0);
+  check_int "errors" 0 (r.errors + r.resets);
+  check_int "every request completed or shed" 128 (r.completed + (2 * r.shed));
+  check_bool "intact" true r.intact
+
+(* Session arrivals against one server: topology and arrival are
+   independent fields of the spec. *)
+let test_load_sessions_one_server () =
+  let cfg =
+    {
+      (small_cfg (`Sub Uls_substrate.Options.server) Load.Echo) with
+      arrival = Load.Sessions 20_000.;
+      conns = 48;
+      requests_per_conn = 3;
+    }
+  in
+  let a = Load.run cfg in
+  let b = Load.run cfg in
+  check_bool "quiesced" true a.completed_run;
+  check_bool "intact" true a.intact;
+  check_bool "deterministic report" true (a = b);
+  check_int "one cell" 1 (Array.length a.per_cell);
+  let c = a.per_cell.(0) in
+  check_int "established" 48 a.established;
+  check_int "cell connects" 48 c.c_connects;
+  check_int "completed" 144 a.completed;
+  check_int "cell completed" 144 c.c_completed;
+  check_int "server agrees" 144 c.c_server_requests;
+  check_int "server accepted" 48 c.c_accepted
 
 let suites =
   [
@@ -641,5 +705,11 @@ let suites =
         Alcotest.test_case "open loop" `Quick test_load_open_loop;
         Alcotest.test_case "evq wakeups scale with events" `Quick
           test_evq_wakeups_scale_with_events;
+        Alcotest.test_case "every connection refused fails" `Quick
+          test_load_all_refused_fails;
+        Alcotest.test_case "admission shedding over the substrate" `Quick
+          test_load_sheds_over_substrate;
+        Alcotest.test_case "session arrivals against one server" `Quick
+          test_load_sessions_one_server;
       ] );
   ]
