@@ -36,18 +36,17 @@ let any_stack = "emp | tcp | tcp-tuned | ds | ds-base | dg"
 let kind_of_stack ?(serving = false) stack : Uls_bench.Cluster.stack =
   let module O = Uls_substrate.Options in
   match stack with
-  | `Emp -> `Emp_raw
+  | `Emp -> `Emp Uls_emp.Endpoint.default_config
   | `Tcp -> `Tcp Uls_tcp.Config.default
   | `Tcp_tuned -> `Tcp Uls_tcp.Config.(with_buffers default 262_144)
   | `Ds -> `Sub (if serving then O.server else O.data_streaming_enhanced)
   | `Ds_base -> `Sub O.data_streaming
   | `Dg -> `Sub O.datagram
 
-(* The sockets-stream drivers (chaos, serve, fabric) have no raw-EMP
-   mode. *)
+(* The serving drivers (serve, fabric) have no raw-EMP mode. *)
 let stream_kind ~cmd ?serving stack =
   match kind_of_stack ?serving stack with
-  | `Emp_raw ->
+  | `Emp _ ->
     Printf.eprintf "ulsbench %s: raw EMP has no sockets stream; use ds/dg\n"
       cmd;
     exit 124
@@ -104,6 +103,12 @@ let figures_cmd =
     Term.(const run $ ids $ quick)
 
 (* --- one-off latency/bandwidth ----------------------------------------- *)
+
+(* Why a stream has no figure to report, if it has none. *)
+let verdict (r : Uls_bench.Microbench.report) =
+  if not r.completed then Some "HUNG"
+  else if not r.intact then Some "CORRUPT"
+  else None
 
 let metrics_flag =
   Arg.(value & flag & info [ "metrics" ]
@@ -277,11 +282,17 @@ let bandwidth_cmd =
   in
   let run stack msg total metrics =
     let observe, dump = metrics_observer metrics in
-    let mbps =
-      Uls_bench.Microbench.bandwidth ?observe ~total ~kind:(kind_of_stack stack)
+    let r =
+      Uls_bench.Microbench.stream ?observe ~total ~kind:(kind_of_stack stack)
         ~msg ()
     in
-    Printf.printf "stream bandwidth (%d-byte messages): %.1f Mb/s\n" msg mbps;
+    (match verdict r with
+    | None ->
+      Printf.printf "stream bandwidth (%d-byte messages): %.1f Mb/s\n" msg
+        r.goodput_mbps
+    | Some bad ->
+      Printf.printf "stream bandwidth (%d-byte messages): %s\n" msg bad;
+      exit 1);
     dump ()
   in
   Cmd.v
@@ -290,28 +301,34 @@ let bandwidth_cmd =
 
 (* --- chaos -------------------------------------------------------------- *)
 
-(* One loss sweep per stack, tables printed; returns the number of runs
-   that hung or delivered corrupt bytes. *)
+(* One loss sweep per stack, a table row printed per run; returns the
+   number of runs that hung or delivered corrupt bytes. *)
 let chaos_sweep ~stacks ~seed ~total ~msg ~rates =
   List.fold_left
     (fun bad stack ->
-      let kind = stream_kind ~cmd:"chaos" stack in
-      let rows = Uls_bench.Chaos.sweep ~seed ~rates ~total ~msg ~kind () in
-      Uls_bench.Chaos.print_table Format.std_formatter ~kind rows;
-      bad
-      + List.length
-          (List.filter
-             (fun r ->
-               not (r.Uls_bench.Chaos.completed && r.Uls_bench.Chaos.intact))
-             rows))
+      let kind = kind_of_stack stack in
+      Printf.printf "%s, goodput under uniform frame loss:\n"
+        (Uls_bench.Cluster.stack_name kind);
+      Printf.printf "  %8s %12s %12s %8s %12s %8s %6s\n" "loss%" "Mbit/s"
+        "elapsed ms" "faults" "retransmits" "nacks" "ok";
+      List.fold_left
+        (fun bad loss ->
+          let r = Uls_bench.Microbench.stream ~seed ~loss ~total ~kind ~msg () in
+          let v = verdict r in
+          Printf.printf "  %8.2f %12.1f %12.2f %8d %12d %8d %6s\n%!"
+            (loss *. 100.) r.goodput_mbps r.elapsed_ms r.faults_injected
+            r.retransmits r.nacks
+            (Option.value ~default:"yes" v);
+          if v = None then bad else bad + 1)
+        bad rates)
     0 stacks
 
 let chaos_cmd =
   let stacks =
     Arg.(value & opt_all stack_conv [ `Ds; `Tcp ] & info [ "stack" ]
            ~docv:"STACK"
-           ~doc:"Stack(s) to sweep (repeatable): tcp | tcp-tuned | ds | \
-                 ds-base | dg. Default: ds and tcp.")
+           ~doc:("Stack(s) to sweep (repeatable): " ^ any_stack
+                 ^ ". Default: ds and tcp."))
   in
   let total =
     Arg.(value & opt pos_int (4 * 1024 * 1024) & info [ "total" ]
@@ -322,7 +339,7 @@ let chaos_cmd =
            ~doc:"Bytes per write.")
   in
   let rates =
-    Arg.(value & opt (list float) Uls_bench.Chaos.default_rates
+    Arg.(value & opt (list float) Uls_bench.Microbench.loss_rates
          & info [ "loss" ] ~docv:"P,P,..."
              ~doc:"Frame-loss probabilities to sweep (fractions, not %).")
   in
@@ -671,12 +688,16 @@ let trace_cmd =
       | "pingpong" ->
         let us = Uls_bench.Microbench.ping_pong ~observe ~iters ~kind ~size () in
         Printf.sprintf "%d-byte one-way latency: %.2f us" size us
-      | "bandwidth" ->
-        let mbps =
-          Uls_bench.Microbench.bandwidth ~observe ~total:(4 * 1024 * 1024)
-            ~kind ~msg ()
+      | "bandwidth" -> (
+        let r =
+          Uls_bench.Microbench.stream ~observe ~total:(4 * 1024 * 1024) ~kind
+            ~msg ()
         in
-        Printf.sprintf "stream bandwidth: %.1f Mb/s" mbps
+        match verdict r with
+        | None -> Printf.sprintf "stream bandwidth: %.1f Mb/s" r.goodput_mbps
+        | Some bad ->
+          Printf.eprintf "ulsbench trace: stream %s\n" bad;
+          exit 1)
       | "barrier" ->
         let us =
           Uls_bench.Microbench.barrier_latency ~observe ~iters
@@ -1548,7 +1569,7 @@ let soak_gate () =
 let chaos_gate () =
   let bad =
     chaos_sweep ~stacks:[ `Ds; `Tcp ] ~seed:42 ~total:1_048_576 ~msg:16_384
-      ~rates:Uls_bench.Chaos.default_rates
+      ~rates:Uls_bench.Microbench.loss_rates
   in
   if bad > 0 then fail "%d run(s) hung or corrupted data" bad
 

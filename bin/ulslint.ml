@@ -37,9 +37,9 @@
    dead-export       a [val] in a lib/**/*.mli whose name appears in no
                      .ml outside its own module (lib/, bin/, perfbench/,
                      examples/, test/): an interface entry nobody else
-                     calls is surface to maintain for nothing. A name
-                     match anywhere counts as a use, so the rule errs
-                     towards keeping an export.
+                     calls is surface to maintain for nothing. Only
+                     code counts as a use: a name that appears only in
+                     comments, strings or char literals does not.
 
    Findings can be suppressed by .ulslint-allow at the repo root
    ("rule path[:line]" per line, '#' comments); stale allowlist entries
@@ -118,7 +118,7 @@ let blocking_calls =
   [
     ".read "; ".write "; ".accept "; ".recv "; ".send ";
     "Cond.wait"; "Mailbox.recv"; "Resource.use"; "Sim.delay";
-    "wait_recv"; "wait_send"; "wait_established";
+    "wait_recv"; "wait_send";
   ]
 
 let contains ~needle hay =
@@ -245,26 +245,79 @@ let is_ident_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
   || c = '_' || c = '\''
 
-(* Every identifier-shaped token of a file, comments and strings
-   included. *)
+(* Every identifier-shaped token of a file's code: comments (nested,
+   with the string literals OCaml lexes inside them), string literals,
+   quoted strings and char literals are skipped, so a name that appears
+   only in prose or data is not a use. *)
 let tokens lines =
+  let src = String.concat "\n" lines in
+  let n = String.length src in
   let acc = Hashtbl.create 256 in
-  List.iter
-    (fun line ->
-      let n = String.length line in
-      let i = ref 0 in
-      while !i < n do
-        if is_ident_char line.[!i] then begin
-          let j = ref !i in
-          while !j < n && is_ident_char line.[!j] do
-            incr j
-          done;
-          Hashtbl.replace acc (String.sub line !i (!j - !i)) ();
-          i := !j
-        end
-        else incr i
-      done)
-    lines;
+  let at i c = i < n && src.[i] = c in
+  (* Index just past the string literal whose opening quote is at [i]. *)
+  let rec skip_string i =
+    if i >= n then n
+    else if src.[i] = '\\' then skip_string (i + 2)
+    else if src.[i] = '"' then i + 1
+    else skip_string (i + 1)
+  in
+  (* [{id|...|id}] starting at [i]: index past it, or [None] if [i] does
+     not open one. *)
+  let quoted_string i =
+    let j = ref (i + 1) in
+    while !j < n && ((src.[!j] >= 'a' && src.[!j] <= 'z') || src.[!j] = '_') do
+      incr j
+    done;
+    if not (at !j '|') then None
+    else begin
+      let close = "|" ^ String.sub src (i + 1) (!j - i - 1) ^ "}" in
+      let cl = String.length close in
+      let k = ref (!j + 1) in
+      while !k + cl <= n && String.sub src !k cl <> close do
+        incr k
+      done;
+      Some (min n (!k + cl))
+    end
+  in
+  (* A char literal at [i] (['x'], ['\n'], ['\''], ['\123']): index
+     past it, or [None] for a type variable such as ['a]. Comments lex
+     them too, so a ['"'] there opens no string. *)
+  let char_literal i =
+    if at (i + 1) '\\' then
+      match String.index_from_opt src (i + 3) '\'' with
+      | Some j -> Some (j + 1)
+      | None -> Some n
+    else if at (i + 2) '\'' then Some (i + 3)
+    else None
+  in
+  let rec skip_comment depth i =
+    if i >= n || depth = 0 then i
+    else if at i '(' && at (i + 1) '*' then skip_comment (depth + 1) (i + 2)
+    else if at i '*' && at (i + 1) ')' then skip_comment (depth - 1) (i + 2)
+    else if at i '"' then skip_comment depth (skip_string (i + 1))
+    else if at i '\'' then
+      skip_comment depth (Option.value ~default:(i + 1) (char_literal i))
+    else skip_comment depth (i + 1)
+  in
+  let rec go i =
+    if i < n then
+      if at i '(' && at (i + 1) '*' then go (skip_comment 1 (i + 2))
+      else if at i '"' then go (skip_string (i + 1))
+      else if at i '{' then
+        go (Option.value ~default:(i + 1) (quoted_string i))
+      else if at i '\'' then
+        go (Option.value ~default:(i + 1) (char_literal i))
+      else if is_ident_char src.[i] then begin
+        let j = ref i in
+        while !j < n && is_ident_char src.[!j] do
+          incr j
+        done;
+        Hashtbl.replace acc (String.sub src i (!j - i)) ();
+        go !j
+      end
+      else go (i + 1)
+  in
+  go 0;
   acc
 
 (* The name of a [val] declared on this line, if any (operators are

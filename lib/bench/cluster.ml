@@ -14,10 +14,10 @@ type t = {
 }
 
 type stream = [ `Tcp of Uls_tcp.Config.t | `Sub of Uls_substrate.Options.t ]
-type stack = [ stream | `Emp_raw ]
+type stack = [ stream | `Emp of Uls_emp.Endpoint.config ]
 
 let stack_name = function
-  | `Emp_raw -> "EMP"
+  | `Emp _ -> "EMP"
   | `Tcp _ -> "TCP"
   | `Sub o -> "EMP-" ^ Uls_substrate.Options.mode_name o
 

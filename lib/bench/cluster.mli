@@ -5,11 +5,11 @@ type t
 
 type stream = [ `Tcp of Uls_tcp.Config.t | `Sub of Uls_substrate.Options.t ]
 (** A sockets stack and its options: kernel TCP or the substrate over
-    EMP. The stream drivers (chaos, serve, fabric) take only these. *)
+    EMP. The serving drivers (serve, fabric) take only these. *)
 
-type stack = [ stream | `Emp_raw ]
-(** Every stack the paper's §7 measures; [`Emp_raw] is EMP's own
-    descriptor interface, with no sockets layer. *)
+type stack = [ stream | `Emp of Uls_emp.Endpoint.config ]
+(** Every stack the paper's §7 measures; [`Emp] is EMP's own descriptor
+    interface, with no sockets layer. Each variant carries its config. *)
 
 val stack_name : [< stack ] -> string
 (** ["EMP-DS"] / ["EMP-DG"] for the substrate, ["TCP"], and ["EMP"] for

@@ -10,7 +10,18 @@ let ds_da = { Opt.data_streaming with delayed_acks = true }
 let ds_full = Opt.data_streaming_enhanced
 let dg = Opt.datagram
 
+let emp = `Emp Uls_emp.Endpoint.default_config
 let latency_sizes = [ 4; 16; 64; 256; 1024; 4096 ]
+
+(* A stream that hung or delivered wrong bytes has no figure to report:
+   fail the driver, as [matmul_run] does on a wrong product. *)
+let verified_stream ~total ~kind =
+  let r = Microbench.stream ~total ~kind ~msg:65_536 () in
+  if not r.Microbench.completed then
+    failwith (Cluster.stack_name kind ^ " stream: hung")
+  else if not r.Microbench.intact then
+    failwith (Cluster.stack_name kind ^ " stream: corrupted data");
+  r
 
 (* ---------------------------------------------------------------------- *)
 (* Figure 11: substrate latency vs raw EMP, per enhancement              *)
@@ -21,7 +32,7 @@ let fig11 ?(quick = false) () =
   let sizes = if quick then [ 4; 256; 4096 ] else latency_sizes in
   let kinds =
     [
-      ("EMP", `Emp_raw);
+      ("EMP", emp);
       ("DG", `Sub dg);
       ("DS", `Sub ds_base);
       ("DS_DA", `Sub ds_da);
@@ -117,13 +128,14 @@ let fig13 ?(quick = false) () =
       ("bw TCP-tuned", `Tcp tcp_tuned);
       ("bw DS_DA_UQ", `Sub ds_full);
       ("bw DG", `Sub dg);
-      ("bw EMP", `Emp_raw);
+      ("bw EMP", emp);
     ]
   in
   let bw_rows =
     List.map
       (fun (name, kind) ->
-        [ name; Table.cell_f (Microbench.bandwidth ~total ~kind ~msg:65536 ()); "-"; "-"; "-" ])
+        let r = verified_stream ~total ~kind in
+        [ name; Table.cell_f r.Microbench.goodput_mbps; "-"; "-"; "-" ])
       bw_kinds
   in
   {
@@ -370,36 +382,6 @@ let ablation_unexpected ?(quick = false) () =
     notes = [ "5.2: rendezvous adds a request/grant synchronisation to every send" ];
   }
 
-(* Stream [total] bytes over an already-built cluster/api (used by the
-   CPU-utilisation ablation, which inspects busy counters afterwards). *)
-let run_stream c api sim ~total =
-  let msg = 65_536 in
-  let count = max 1 (total / msg) in
-  Sim.spawn sim ~name:"sink" (fun () ->
-      let l = api.Uls_api.Sockets_api.listen ~node:1 ~port:99 ~backlog:2 in
-      let s, _ = l.accept () in
-      let goal = msg * count in
-      let rec drain got =
-        if got < goal then begin
-          let chunk = s.recv 65_536 in
-          if chunk <> "" then drain (got + String.length chunk)
-        end
-      in
-      drain 0;
-      s.send "k";
-      s.close ());
-  Sim.spawn sim ~name:"src" (fun () ->
-      Sim.delay sim (Uls_engine.Time.us 50);
-      let s = api.Uls_api.Sockets_api.connect ~node:0 { node = 1; port = 99 } in
-      let payload = String.make msg 'y' in
-      for _ = 1 to count do
-        s.send payload
-      done;
-      ignore (s.recv 1);
-      s.close ();
-      Sim.stop sim);
-  ignore (Cluster.run c)
-
 let ablation_comm_thread ?(quick = false) () =
   let iters = if quick then 10 else 30 in
   let rows =
@@ -457,32 +439,15 @@ let ablation_cpu_util ?(quick = false) () =
   (* Host CPU time consumed while streaming (the NIC-driven design's
      selling point: the host does almost nothing). *)
   let total = if quick then 4 * 1024 * 1024 else 16 * 1024 * 1024 in
-  let stream_tcp () =
-    let c = Cluster.create ~n:2 () in
-    let api = Cluster.tcp_api ~config:tcp_tuned c in
-    let stack = Cluster.tcp c in
-    let sim = Cluster.sim c in
-    run_stream c api sim ~total;
-    let kernel_busy i =
-      Uls_engine.Resource.busy_time (Uls_tcp.Kernel.cpu (Uls_tcp.Tcp_stack.kernel stack i))
-    in
-    let app_busy i = Uls_host.Node.busy_time (Cluster.node c i) in
-    (kernel_busy 0 + app_busy 0, kernel_busy 1 + app_busy 1, Sim.now sim)
-  and stream_sub () =
-    let c = Cluster.create ~n:2 () in
-    let api = Cluster.substrate_api ~opts:ds_full c in
-    let sim = Cluster.sim c in
-    run_stream c api sim ~total;
-    let app_busy i = Uls_host.Node.busy_time (Cluster.node c i) in
-    (app_busy 0, app_busy 1, Sim.now sim)
-  in
-  let row name (tx, rx, elapsed) =
+  let row name kind =
+    let r = verified_stream ~total ~kind in
     [
       name;
-      Table.cell_f (Uls_engine.Time.to_ms tx);
-      Table.cell_f (Uls_engine.Time.to_ms rx);
+      Table.cell_f r.Microbench.tx_busy_ms;
+      Table.cell_f r.Microbench.rx_busy_ms;
       Table.cell_f
-        (100. *. float_of_int (tx + rx) /. (2. *. float_of_int elapsed));
+        (100. *. (r.Microbench.tx_busy_ms +. r.Microbench.rx_busy_ms)
+        /. (2. *. r.Microbench.elapsed_ms));
     ]
   in
   {
@@ -491,7 +456,7 @@ let ablation_cpu_util ?(quick = false) () =
       Printf.sprintf "Host CPU time streaming %d MB (ms busy; %% of 2 cpus)"
         (total / 1024 / 1024);
     header = [ "stack"; "sender ms"; "receiver ms"; "cpu %" ];
-    rows = [ row "TCP (tuned)" (stream_tcp ()); row "substrate DS" (stream_sub ()) ];
+    rows = [ row "TCP (tuned)" (`Tcp tcp_tuned); row "substrate DS" (`Sub ds_full) ];
     notes =
       [
         "EMP is NIC-driven: the host only posts descriptors and copies";
@@ -633,35 +598,9 @@ let ablation_ackwindow ?(quick = false) () =
   let rows =
     List.map
       (fun ack_window ->
-        let config = { Uls_emp.Endpoint.default_config with ack_window } in
-        let c = Cluster.create ~n:2 () in
-        let e0 = Cluster.emp ~config c 0 and e1 = Cluster.emp ~config c 1 in
-        let sim = Cluster.sim c in
-        let msg = 65536 in
-        let count = total / msg in
-        let buf0 = Uls_host.Memory.alloc msg and buf1 = Uls_host.Memory.alloc msg in
-        let result = ref 0. in
-        Sim.spawn sim ~name:"sink" (fun () ->
-            let recvs =
-              List.init count (fun _ ->
-                  Uls_emp.Endpoint.post_recv e1 ~src:0 ~tag:7 buf1 ~off:0 ~len:msg)
-            in
-            List.iter (fun r -> ignore (Uls_emp.Endpoint.wait_recv e1 r)) recvs);
-        Sim.spawn sim ~name:"src" (fun () ->
-            let t0 = Sim.now sim in
-            let pending = Queue.create () in
-            for _ = 1 to count do
-              if Queue.length pending >= 8 then
-                Uls_emp.Endpoint.wait_send e0 (Queue.pop pending);
-              Queue.push
-                (Uls_emp.Endpoint.post_send e0 ~dst:1 ~tag:7 buf0 ~off:0 ~len:msg)
-                pending
-            done;
-            Queue.iter (Uls_emp.Endpoint.wait_send e0) pending;
-            result :=
-              Time.mbps ~bytes_transferred:(msg * count) ~elapsed:(Sim.now sim - t0));
-        ignore (Cluster.run c);
-        [ Table.cell_i ack_window; Table.cell_f !result ])
+        let kind = `Emp { Uls_emp.Endpoint.default_config with ack_window } in
+        let r = verified_stream ~total ~kind in
+        [ Table.cell_i ack_window; Table.cell_f r.Microbench.goodput_mbps ])
       (if quick then [ 1; 4 ] else [ 1; 2; 4; 8; 16 ])
   in
   {
@@ -680,7 +619,7 @@ let breakdown ?(quick = false) () =
   let iters = if quick then 10 else 30 in
   let kinds =
     [
-      ("EMP", `Emp_raw);
+      ("EMP", emp);
       ("DS_DA_UQ", `Sub ds_full);
       ("TCP", `Tcp tcp_default);
     ]

@@ -63,7 +63,6 @@ type t = {
 let node_id t = Node.id t.node
 let sim t = Node.sim t.node
 let activity t = t.activity
-let options t = t.opts
 let emp t = t.emp
 let active_connections t = Hashtbl.length t.conns
 

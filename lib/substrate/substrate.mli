@@ -20,7 +20,6 @@ val create : ?opts:Options.t -> Uls_host.Node.t -> Uls_emp.Endpoint.t -> t
     this provisions EMP UQ slots for credit-ack traffic (§6.4). *)
 
 val node_id : t -> int
-val options : t -> Options.t
 val emp : t -> Uls_emp.Endpoint.t
 val activity : t -> Uls_engine.Cond.t
 (** Broadcast whenever any socket of this node becomes ready; the

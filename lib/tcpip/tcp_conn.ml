@@ -507,14 +507,6 @@ let syscall t =
 
 let charge_wakeup t = Sim.delay (sim t) (model t).Cost_model.sched_wakeup
 
-let wait_established t =
-  Cond.wait_until t.state_c (fun () ->
-      match t.state with
-      | Established | Close_wait | Fin_wait_1 | Fin_wait_2 | Closing
-      | Last_ack | Time_wait | Closed_st ->
-        true
-      | Syn_sent | Syn_rcvd -> false)
-
 let app_send t data =
   syscall t;
   if t.app_closed then raise App_closed;

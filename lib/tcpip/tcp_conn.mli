@@ -50,7 +50,6 @@ val resend_syn : t -> unit
 val local : t -> Uls_api.Sockets_api.addr
 val remote : t -> Uls_api.Sockets_api.addr
 val state : t -> state
-val alive : t -> bool
 
 val state_cond : t -> Uls_engine.Cond.t
 (** Broadcast on every state change (connect's handshake wait parks on
@@ -74,4 +73,3 @@ val app_send : t -> string -> unit
 val app_recv : t -> int -> string
 val app_readable : t -> bool
 val app_close : t -> unit
-val wait_established : t -> unit

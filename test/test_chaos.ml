@@ -9,7 +9,7 @@ open Uls_api.Sockets_api
 module E = Uls_emp.Endpoint
 module Opt = Uls_substrate.Options
 module Sub = Uls_substrate.Substrate
-module Chaos = Uls_bench.Chaos
+module Mb = Uls_bench.Microbench
 module Cluster = Uls_bench.Cluster
 module Group = Uls_collective.Group
 
@@ -363,37 +363,35 @@ let test_link_down_resets_connection () =
 
 (* --- End-to-end chaos soaks --------------------------------------------- *)
 
-let loss_rates = Chaos.default_rates
-
 let test_stream_integrity kind () =
   List.iter
     (fun loss ->
-      let r = Chaos.stream_run ~kind ~seed ~loss ~total:262_144 ~msg:8_192 in
+      let r = Mb.stream ~kind ~seed ~loss ~total:262_144 ~msg:8_192 () in
       let label =
         Printf.sprintf "%s at %.1f%% loss" (Cluster.stack_name kind)
           (loss *. 100.)
       in
-      check_bool (label ^ ": finished in bounded time") true r.Chaos.completed;
-      check_bool (label ^ ": bytes intact") true r.Chaos.intact;
+      check_bool (label ^ ": finished in bounded time") true r.Mb.completed;
+      check_bool (label ^ ": bytes intact") true r.Mb.intact;
       if loss > 0. then begin
         check_bool (label ^ ": faults were injected") true
-          (r.Chaos.faults_injected > 0);
+          (r.Mb.faults_injected > 0);
         check_bool (label ^ ": recovery work happened") true
-          (r.Chaos.retransmits > 0)
+          (r.Mb.retransmits > 0)
       end
       else
         check_int (label ^ ": clean run needs no retransmits") 0
-          r.Chaos.retransmits)
-    loss_rates
+          r.Mb.retransmits)
+    Mb.loss_rates
 
 let test_chaos_deterministic () =
   let kind = `Sub ds in
-  let run () = Chaos.stream_run ~kind ~seed ~loss:0.02 ~total:131_072 ~msg:4_096 in
+  let run () = Mb.stream ~kind ~seed ~loss:0.02 ~total:131_072 ~msg:4_096 () in
   let a = run () and b = run () in
-  check_int "same faults" a.Chaos.faults_injected b.Chaos.faults_injected;
-  check_int "same retransmits" a.Chaos.retransmits b.Chaos.retransmits;
-  check_int "same nacks" a.Chaos.nacks b.Chaos.nacks;
-  check_bool "same virtual elapsed" true (a.Chaos.elapsed_ms = b.Chaos.elapsed_ms)
+  check_int "same faults" a.Mb.faults_injected b.Mb.faults_injected;
+  check_int "same retransmits" a.Mb.retransmits b.Mb.retransmits;
+  check_int "same nacks" a.Mb.nacks b.Mb.nacks;
+  check_bool "same virtual elapsed" true (a.Mb.elapsed_ms = b.Mb.elapsed_ms)
 
 let test_pingpong_under_chaos () =
   (* Mixed faults — loss, duplication, delay/reordering — under a strict

@@ -8,7 +8,6 @@ open Uls_engine
 module Ring = Uls_fabric.Ring
 module Reuseport = Uls_server.Reuseport
 module Load = Uls_bench.Load
-module Chaos = Uls_bench.Chaos
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)

@@ -7,7 +7,6 @@ module Evq = Uls_server.Evq
 module Sched = Uls_server.Sched
 module Http = Uls_apps.Http
 module Load = Uls_bench.Load
-module Chaos = Uls_bench.Chaos
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)

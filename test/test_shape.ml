@@ -7,7 +7,12 @@ module Opt = Uls_substrate.Options
 let check_bool = Alcotest.(check bool)
 
 let lat kind = Mb.ping_pong ~iters:8 ~warmup:3 ~kind ~size:4 ()
-let bw kind = Mb.bandwidth ~total:(2 * 1024 * 1024) ~kind ~msg:65536 ()
+let bw kind =
+  let r = Mb.stream ~total:(2 * 1024 * 1024) ~kind ~msg:65536 () in
+  let name = Uls_bench.Cluster.stack_name kind in
+  check_bool (name ^ " stream completed") true r.Mb.completed;
+  check_bool (name ^ " stream intact") true r.Mb.intact;
+  r.Mb.goodput_mbps
 
 let tcp = `Tcp Uls_tcp.Config.default
 let tcp_tuned = `Tcp Uls_tcp.Config.(with_buffers default 262_144)
@@ -16,7 +21,7 @@ let ds_base = `Sub Opt.data_streaming
 let dg = `Sub Opt.datagram
 
 let test_latency_ordering () =
-  let emp = lat `Emp_raw in
+  let emp = lat (`Emp Uls_emp.Endpoint.default_config) in
   let dg_l = lat dg in
   let ds_l = lat ds_full in
   let ds_base_l = lat ds_base in

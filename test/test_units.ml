@@ -213,8 +213,22 @@ let test_stack_names () =
       name (`Sub Opt.data_streaming_enhanced);
       name (`Sub Opt.datagram);
       name (`Tcp Uls_tcp.Config.default);
-      name `Emp_raw;
+      name (`Emp Uls_emp.Endpoint.default_config);
     ]
+
+(* A total that is not a multiple of the write size ends in a short
+   write: exactly [total] bytes cross, and goodput counts only them. *)
+let test_stream_short_last_write kind () =
+  let total = 100_000 in
+  let r = Uls_bench.Microbench.stream ~total ~kind ~msg:65_536 () in
+  let name = Uls_bench.Cluster.stack_name kind in
+  Alcotest.(check bool) (name ^ " completed") true r.completed;
+  Alcotest.(check bool) (name ^ " intact") true r.intact;
+  (* Mb/s x ms = 1000 bits. *)
+  Alcotest.(check (float 1e-6))
+    (name ^ " goodput over 100000 bytes")
+    (float_of_int (total * 8))
+    (r.goodput_mbps *. r.elapsed_ms *. 1000.)
 
 let check_summary label (want : Uls_bench.Latency.summary)
     (got : Uls_bench.Latency.summary) =
@@ -297,6 +311,10 @@ let suites =
     ( "bench.vocabulary",
       [
         Alcotest.test_case "stack names" `Quick test_stack_names;
+        Alcotest.test_case "stream: short last write over ds" `Quick
+          (test_stream_short_last_write (`Sub Opt.data_streaming_enhanced));
+        Alcotest.test_case "stream: short last write over tcp" `Quick
+          (test_stream_short_last_write (`Tcp Uls_tcp.Config.default));
         Alcotest.test_case "latency: empty run" `Quick test_latency_empty;
         Alcotest.test_case "latency: known samples" `Quick
           test_latency_known_samples;
