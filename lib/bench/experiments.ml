@@ -739,30 +739,6 @@ let coll_bw ?(quick = false) () =
 
 (* ---------------------------------------------------------------------- *)
 
-let all ?quick () =
-  [
-    fig11 ?quick ();
-    fig12 ?quick ();
-    fig13 ?quick ();
-    fig14 ?quick ();
-    fig15 ?quick ();
-    fig16 ?quick ();
-    fig17 ?quick ();
-    connect_table ?quick ();
-    ablation_unexpected ?quick ();
-    ablation_comm_thread ?quick ();
-    ablation_block_send ?quick ();
-    ablation_piggyback ?quick ();
-    ablation_uq ?quick ();
-    ablation_pincache ?quick ();
-    ablation_ackwindow ?quick ();
-    ablation_cpu_util ?quick ();
-    ablation_udp ?quick ();
-    breakdown ?quick ();
-    coll_barrier ?quick ();
-    coll_bw ?quick ();
-  ]
-
 let by_id =
   [
     ("fig11", fig11);
@@ -786,3 +762,5 @@ let by_id =
     ("coll-barrier", coll_barrier);
     ("coll-bw", coll_bw);
   ]
+
+let all ?quick () = List.map (fun (_, run) -> run ?quick ()) by_id

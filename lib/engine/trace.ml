@@ -204,26 +204,3 @@ let to_chrome_json t =
     t.events;
   Buffer.add_string b "]\n";
   Buffer.contents b
-
-(* --- legacy string interface -------------------------------------------- *)
-
-let render e =
-  match List.assoc_opt "line" e.ev_args with
-  | Some line -> line
-  | None ->
-    Format.asprintf "[%a] %-12s %s" Time.pp e.ev_time
-      (layer_name e.ev_layer) e.ev_name
-
-let emit t ~tag msg =
-  if t.on then begin
-    let line =
-      Format.asprintf "[%a] %-12s %s" Time.pp (Sim.now t.sim) tag msg
-    in
-    record t ~layer:Engine ~node:(-1) ~conn:(-1) ~seq:(-1)
-      ~args:[ ("tag", tag); ("line", line) ]
-      msg Instant
-  end
-
-let emitf t ~tag fmt = Format.kasprintf (fun s -> emit t ~tag s) fmt
-let lines t = List.map render (events t)
-let dump t fmt = List.iter (fun l -> Format.fprintf fmt "%s@." l) (lines t)

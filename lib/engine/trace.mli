@@ -100,14 +100,3 @@ val span_totals : t -> (layer * string * int * int) list
 val to_chrome_json : t -> string
 (** The whole buffer as a Chrome-trace JSON array ([chrome://tracing]):
     pid = node, tid = layer, async spans keyed by span id. *)
-
-(** {2 Legacy string interface} *)
-
-val emit : t -> tag:string -> string -> unit
-val emitf : t -> tag:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
-
-val lines : t -> string list
-(** Everything emitted while enabled, oldest first, rendered one event
-    per line (legacy [emit] lines verbatim). *)
-
-val dump : t -> Format.formatter -> unit

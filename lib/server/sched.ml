@@ -17,11 +17,6 @@ type config = {
   max_inflight : int;
   reject : string option;
   embryo_timeout : int;
-  drain_batch : int;
-      (* chunks a worker consumes from a connection per dispatch before
-         requeueing it: >1 amortizes the dispatch round trip when the
-         substrate delivers completions in bulk (ring path); 1 is the
-         historical one-chunk-per-dispatch behaviour *)
 }
 
 let default_config =
@@ -31,7 +26,6 @@ let default_config =
     max_inflight = max_int;
     reject = None;
     embryo_timeout = Time.s 2;
-    drain_batch = 1;
   }
 
 let chunk = 65_536
@@ -63,7 +57,6 @@ type handles = {
   h_shed : Stats.Counter.t;
   h_accepts : Stats.Counter.t;
   h_embryo_closed : Stats.Counter.t;
-  h_drain_chunks : Stats.Summary.t;
 }
 
 type t = {
@@ -120,19 +113,9 @@ let one_chunk t c =
       if r.close then close_conn t c
   end
 
-(* Up to [drain_batch] chunks per dispatch (historically exactly one):
-   with bulk completion delivery underneath, requeueing after every
-   chunk pays a dispatch round trip per message. *)
+(* One read chunk per dispatch: the fairness quantum. *)
 let process t c =
-  let chunks = ref 0 in
-  while
-    !chunks < t.cfg.drain_batch && c.c_open && c.c_stream.readable ()
-  do
-    incr chunks;
-    one_chunk t c
-  done;
-  if !chunks > 0 then
-    Stats.Summary.add t.mh.h_drain_chunks (float_of_int !chunks);
+  if c.c_open && c.c_stream.readable () then one_chunk t c;
   (* Fairness: still-hungry connections go to the back of the queue
      (c_queued stays true — no double enqueue from a racing event). *)
   if c.c_open && c.c_stream.readable () then Mailbox.send t.runq (Some c)
@@ -263,8 +246,6 @@ let start sim ~node ?(config = default_config) ~listener ~handler () =
           h_shed = counter "server.sched.shed";
           h_accepts = counter "server.sched.accepts";
           h_embryo_closed = counter "server.sched.embryo_closed";
-          h_drain_chunks =
-            Metrics.histogram metrics ~node "server.sched.drain_chunks";
         };
       conns = Hashtbl.create 64;
       next_id = 0;

@@ -50,18 +50,11 @@ type config = {
           each such half-open orphan pins an [max_inflight] slot (and
           its posted descriptors) forever, and a shard that collects
           enough of them stops accepting entirely. *)
-  drain_batch : int;
-      (** read chunks a worker consumes from one connection per dispatch
-          before requeueing it (fairness quantum). The historical value
-          is 1; larger values amortize the dispatch round trip when the
-          substrate delivers completions in bulk (the ring path), at the
-          price of a coarser fairness grain. Per-dispatch consumption is
-          recorded in the [server.sched.drain_chunks] histogram. *)
 }
 
 val default_config : config
 (** 4 workers, accept batches of 16, unlimited inflight, silent shed,
-    2 s embryo timeout, drain batch 1. *)
+    2 s embryo timeout. *)
 
 type t
 

@@ -2,11 +2,12 @@
    mechanics (wrap-around, overflow past 2^62), ringpair semantics
    (doorbell batching, backpressure, reaping, busy-poll parity), and
    the end-to-end firehose invariants (batch=1 ablation parity on both
-   match engines, doorbell/fetch audit, chaos soak). *)
+   match engines, doorbell/fetch audit, chaos soak) and storm's (every
+   probe accepted, exact audit, ring use only when batched). *)
 open Uls_engine
 module CR = Uls_rings.Cursor_ring
 module RP = Uls_rings.Ringpair
-module Firehose = Uls_bench.Firehose
+module Rings = Uls_bench.Rings
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -193,7 +194,10 @@ let test_busy_poll_parity () =
 (* --- End-to-end firehose invariants --- *)
 
 let quick =
-  { Firehose.default with Firehose.sinks = 2; count = 300; size = 64 }
+  {
+    Rings.default with
+    workload = Rings.Firehose { Rings.firehose with sinks = 2; count = 300 };
+  }
 
 let test_batch1_parity_both_engines () =
   (* batch=1 is the per-call ablation: no ring traffic, strict
@@ -202,56 +206,84 @@ let test_batch1_parity_both_engines () =
      engines at the pinned seed. *)
   List.iter
     (fun engine ->
-      let r =
-        Firehose.run
-          { quick with Firehose.batch = 1; match_engine = engine }
-      in
-      check_bool "completed" true r.Firehose.completed_run;
-      check_bool "intact" true r.Firehose.intact;
-      check_int "no ring traffic at batch=1" 0 r.Firehose.ring_submitted;
-      check_int "no ring doorbells at batch=1" 0 r.Firehose.ring_doorbells;
-      check_int "doorbell audit exact at batch=1" r.Firehose.doorbells
-        r.Firehose.mailbox_fetches)
+      let r = Rings.run { quick with batch = 1; match_engine = engine } in
+      check_bool "completed" true r.completed_run;
+      check_bool "intact" true r.intact;
+      check_int "no ring traffic at batch=1" 0 r.ring_submitted;
+      check_int "no ring doorbells at batch=1" 0 r.ring_doorbells;
+      check_int "doorbell audit exact at batch=1" r.doorbells r.mailbox_fetches)
     [ Uls_nic.Match_list.Linear; Uls_nic.Match_list.Hashed ];
   let linear =
-    Firehose.run
-      { quick with Firehose.batch = 1; match_engine = Uls_nic.Match_list.Linear }
+    Rings.run
+      { quick with batch = 1; match_engine = Uls_nic.Match_list.Linear }
   in
   let hashed =
-    Firehose.run
-      { quick with Firehose.batch = 1; match_engine = Uls_nic.Match_list.Hashed }
+    Rings.run
+      { quick with batch = 1; match_engine = Uls_nic.Match_list.Hashed }
   in
-  check_int "same deliveries either engine" linear.Firehose.delivered
-    hashed.Firehose.delivered;
-  check_int "same bytes either engine" linear.Firehose.bytes
-    hashed.Firehose.bytes
+  check_int "same deliveries either engine" linear.completed hashed.completed;
+  check_int "same bytes either engine" linear.bytes hashed.bytes
 
 let test_determinism () =
-  let a = Firehose.run { quick with Firehose.batch = 32 } in
-  let b = Firehose.run { quick with Firehose.batch = 32 } in
+  let a = Rings.run { quick with batch = 32 } in
+  let b = Rings.run { quick with batch = 32 } in
   check_bool "seeded double-run byte-identical" true (a = b)
 
 let test_doorbell_audit_pair () =
-  let r = Firehose.run { quick with Firehose.batch = 32 } in
-  check_bool "completed" true r.Firehose.completed_run;
-  check_bool "batched run uses the ring" true (r.Firehose.ring_submitted > 0);
+  let r = Rings.run { quick with batch = 32 } in
+  check_bool "completed" true r.completed_run;
+  check_bool "batched run uses the ring" true (r.ring_submitted > 0);
   (* Every fetch is explained by a doorbell; a doorbell rung while the
      firmware is mid-fetch may coalesce, so doorbells can lead by a
      handful but never trail. *)
   check_bool "fetches never exceed doorbells" true
-    (r.Firehose.mailbox_fetches <= r.Firehose.doorbells);
+    (r.mailbox_fetches <= r.doorbells);
   check_bool "coalescing gap stays small" true
-    (r.Firehose.doorbells - r.Firehose.mailbox_fetches <= 16)
+    (r.doorbells - r.mailbox_fetches <= 16)
 
 let test_chaos_soak () =
   (* 2% seeded frame loss: the reliability layer must re-deliver every
      byte exactly, and the fault engine must actually have fired. *)
-  let r = Firehose.run { quick with Firehose.batch = 32; loss = 0.02 } in
-  check_bool "completed under loss" true r.Firehose.completed_run;
-  check_bool "byte-exact under loss" true r.Firehose.intact;
-  check_int "zero mismatches" 0 r.Firehose.mismatches;
-  check_bool "faults actually injected" true (r.Firehose.faults_injected > 0);
-  check_bool "losses were retransmitted" true (r.Firehose.retransmits > 0)
+  let r =
+    Rings.run
+      {
+        quick with
+        workload =
+          Rings.Firehose
+            { Rings.firehose with sinks = 2; count = 300; loss = 0.02 };
+      }
+  in
+  check_bool "completed under loss" true r.completed_run;
+  check_bool "byte-exact under loss" true r.intact;
+  check_int "zero mismatches" 0 r.failed;
+  check_bool "faults actually injected" true (r.faults > 0);
+  check_bool "losses were retransmitted" true (r.retransmits > 0)
+
+(* --- End-to-end storm invariants --- *)
+
+let small_storm batch =
+  {
+    Rings.default with
+    workload =
+      Rings.Storm
+        { Rings.storm with scanners = 2; window = 16; probes = 200 };
+    batch;
+  }
+
+let test_storm batch () =
+  (* Every probe answered and accepted, the scanners' doorbells all
+     fetched; the per-call ablation never touches the ring, batching
+     does. *)
+  let r = Rings.run (small_storm batch) in
+  check_bool "completed" true r.completed_run;
+  check_bool "intact" true r.intact;
+  check_int "every probe answered" 400 r.completed;
+  check_int "none refused" 0 r.failed;
+  check_int "doorbell audit exact" r.doorbells r.mailbox_fetches;
+  if batch = 1 then check_int "no ring traffic at batch=1" 0 r.ring_submitted
+  else check_bool "batched run uses the ring" true (r.ring_submitted > 0);
+  check_bool "seeded double-run byte-identical" true
+    (Rings.run (small_storm batch) = r)
 
 let suites =
   [
@@ -280,5 +312,12 @@ let suites =
           test_doorbell_audit_pair;
         Alcotest.test_case "chaos soak: byte-exact at 2% loss" `Quick
           test_chaos_soak;
+      ] );
+    ( "rings.storm",
+      [
+        Alcotest.test_case "batch=1: intact, exact audit, no ring" `Quick
+          (test_storm 1);
+        Alcotest.test_case "batch=32: intact, exact audit, ring used" `Quick
+          (test_storm 32);
       ] );
   ]

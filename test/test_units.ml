@@ -174,32 +174,6 @@ let test_flags_printer () =
   Alcotest.(check string) "flags" "SA"
     (Format.asprintf "%a" Seg.pp_flags (Seg.flag ~syn:true ~ack:true ()))
 
-(* --- Trace --- *)
-
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec scan i =
-    if i + nn > nh then false
-    else if String.sub haystack i nn = needle then true
-    else scan (i + 1)
-  in
-  nn = 0 || scan 0
-
-let test_trace_capture () =
-  let sim = Sim.create () in
-  let tr = Trace.create sim in
-  Trace.emit tr ~tag:"x" "dropped while disabled";
-  Trace.enable tr;
-  Sim.spawn sim (fun () ->
-      Sim.delay sim 1_500;
-      Trace.emitf tr ~tag:"emp" "frame %d" 7);
-  ignore (Sim.run sim);
-  match Trace.lines tr with
-  | [ line ] ->
-    check_bool "has tag" true (contains line "emp");
-    check_bool "has message" true (contains line "frame 7")
-  | l -> Alcotest.failf "expected 1 line, got %d" (List.length l)
-
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 (* --- bench vocabulary --- *)
@@ -306,8 +280,6 @@ let suites =
         Alcotest.test_case "sizes" `Quick test_segment_sizes;
         Alcotest.test_case "flags printer" `Quick test_flags_printer;
       ] );
-    ( "engine.trace",
-      [ Alcotest.test_case "capture" `Quick test_trace_capture ] );
     ( "bench.vocabulary",
       [
         Alcotest.test_case "stack names" `Quick test_stack_names;
