@@ -1290,18 +1290,25 @@ let counting_words f =
   (r, Gc.minor_words () -. w0)
 
 (* The allocation ceiling of a real workload: one pinned-seed run's
-   minor words per dispatched event and events per operation, each
-   against a fixed ceiling (the gate table states them). *)
-let allocation_ceiling tag ~words ~events ~ops ~max_words ~max_events =
+   minor words per dispatched event, minor words per operation and
+   events per operation, each against a fixed ceiling (the gate table
+   states them). Words per event alone rises when events that allocate
+   little are removed; words per operation does not. *)
+let allocation_ceiling tag ~words ~events ~ops ~max_words ~max_op_words
+    ~max_events =
   let per_event = words /. float_of_int (max 1 events) in
+  let words_per_op = words /. float_of_int (max 1 ops) in
   let per_op = float_of_int events /. float_of_int (max 1 ops) in
   Printf.printf
-    "%s: %.1f minor words/event (ceiling %.1f), %.1f events/op (ceiling \
-     %.1f)\n%!"
-    tag per_event max_words per_op max_events;
+    "%s: %.1f minor words/event (ceiling %.1f), %.0f minor words/op \
+     (ceiling %.0f), %.1f events/op (ceiling %.1f)\n%!"
+    tag per_event max_words words_per_op max_op_words per_op max_events;
   if per_event > max_words then
     fail "%s: %.1f minor words/event exceeds the %.1f ceiling" tag per_event
       max_words;
+  if words_per_op > max_op_words then
+    fail "%s: %.0f minor words/op exceeds the %.0f ceiling" tag words_per_op
+      max_op_words;
   if per_op > max_events then
     fail "%s: %.1f events/op exceeds the %.1f ceiling" tag per_op max_events
 
@@ -1364,7 +1371,7 @@ let serve_gate () =
     counting_words (fun () -> run "ds/512/hashed" (scale ds L.Echo))
   in
   allocation_ceiling "ds/512/hashed" ~words ~events:hsh.L.events
-    ~ops:hsh.L.sent ~max_words:60.7 ~max_events:368.;
+    ~ops:hsh.L.sent ~max_words:60.7 ~max_op_words:21_283. ~max_events:368.;
   if hsh.L.lat.rps < lin.L.lat.rps *. 0.999 then
     fail "hashed slower than linear at 512 conns (%.0f vs %.0f req/s)"
       hsh.L.lat.rps lin.L.lat.rps;
@@ -1435,7 +1442,7 @@ let fabric_gate () =
   let a = L.run ~on_server_close:sample ~on_metrics:count_survivors cfg in
   let b, words = counting_words (fun () -> L.run cfg) in
   allocation_ceiling "ds/4-cell" ~words ~events:b.L.events ~ops:cfg.conns
-    ~max_words:57.7 ~max_events:322.;
+    ~max_words:57.7 ~max_op_words:17_650. ~max_events:322.;
   clean "determinism" a;
   if a <> b then fail "seeded runs diverged";
   if !sampled = [] || !survivors > 0 then
@@ -1498,11 +1505,12 @@ let soak_gate () =
       }
   in
   flat "firehose" ~every (r.completed_run && r.intact);
-  (* Session churn warms up slowly: every accepted connection arms the
-     server's 2 s embryo timer, which stays queued after the session
-     ends (8000 timers at 4000 sessions/s), and per-node histograms
-     fill their 8192-sample reservoirs at a fraction of the session
-     rate. Both are full by the second sample. *)
+  (* Session churn warms up slowly: per-node histograms fill their
+     8192-sample reservoirs at a fraction of the session rate, which
+     shows as the step from the first sample to the second (404698 to
+     413434 words on OCaml 5.1.1; flat after it). Timers no longer add
+     to it: a session's embryo and retransmission timers are cancelled
+     when it is served and acknowledged, and their wheel slots freed. *)
   let every = 6_000 and closes = ref 0 in
   let on_server_close _ =
     incr closes;
@@ -1570,12 +1578,16 @@ let chaos_gate () =
       substrate only, since TCP takes the kernel receive path and never
       touches the NIC tag matcher; TCP gets one scale run. The hashed
       512-connection run also carries the allocation ceiling: at most
-      60.7 minor words per dispatched event and 368 events per request
-      (measured 57.3 and 350.3 on OCaml 5.1.1). The words margin, 6%,
-      leaves room for CI's OCaml 5.2 to allocate a few words per event
-      differently, and stays under the 7% that replacing the pooled
-      task cells with the wheel's slab saved: a return to pooled cells
-      (61.4) fails. The event count is a pure
+      60.7 minor words per dispatched event, 21283 minor words and 368
+      events per request (measured 58.4, 19706 and 337.2 on OCaml
+      5.1.1). The words-per-event margin, 6%, leaves room for CI's
+      OCaml 5.2 to allocate a few words per event differently, and
+      stays under the 7% that replacing the pooled task cells with the
+      wheel's slab saved. Removing
+      events that allocate little raises words per event, so words per
+      request carries its own ceiling: 6% over the 20078 measured
+      before cancellable timers replaced the stale timer events and the
+      parked control-descriptor fibers. The event count is a pure
       function of the seeded run, so its 5% margin only admits a small
       deliberate change of event structure.
     - [fabric]: a cell-count x stack matrix (1/4 cells, substrate/TCP)
@@ -1587,8 +1599,10 @@ let chaos_gate () =
       stream is held weakly, and none may survive a full major GC while
       the cluster is still alive. Its second run carries the allocation
       ceiling, with the same margins as [serve]: at most 57.7 minor
-      words per dispatched event and 322 events per session (measured
-      54.4 and 306.5; pooled task cells read 58.6).
+      words per dispatched event, 17650 minor words and 322 events per
+      session (measured 56.8, 15870 and 279.5; the words-per-session
+      ceiling is 6% over the 16651 measured before cancellable
+      timers).
     - [chaos]: a checksummed payload streamed through the substrate and
       kernel TCP at 0/0.5/2/5% seeded frame loss. No run may hang past
       the virtual-time bound or deliver corrupt bytes; 1 MB per run

@@ -36,8 +36,6 @@ type send = {
 }
 
 type recv = {
-  r_want_src : int;
-  r_want_tag : int;
   r_region : Memory.region;
   r_off : int;
   r_cap : int;
@@ -50,6 +48,9 @@ type recv = {
   mutable r_entry : recv Match_list.handle;
       (* its match-list descriptor while posted: unposting is O(1) *)
   r_cond : Cond.t;
+  mutable r_on_complete : recv -> int -> unit;
+      (* [post_recv ~on_complete]: called with the length when the
+         descriptor completes, after its waiters' wake-up *)
 }
 
 type uq_slot = {
@@ -533,7 +534,8 @@ let complete_recv t r ~len ~src ~tag =
     (fun () ->
       Printf.sprintf "node %d: %d descriptors completed but only %d posted"
         (node_id t) t.st_desc_completed t.st_desc_posted);
-  Cond.broadcast r.r_cond
+  Cond.broadcast r.r_cond;
+  r.r_on_complete r len
 
 (* Host-side consumption of a message that landed in the unexpected
    queue: copy into the user buffer (the extra copy the paper accepts
@@ -570,13 +572,13 @@ let uq_match t ~src ~tag =
   in
   scan 0
 
-let make_recv t ~src ~tag region ~off ~len =
+let no_hook (_ : recv) (_ : int) = ()
+
+let make_recv t region ~off ~len =
   if len < 0 || off < 0 || off + len > Memory.length region then
     invalid_arg "Endpoint.post_recv: bad range";
   let r =
     {
-      r_want_src = src;
-      r_want_tag = tag;
       r_region = region;
       r_off = off;
       r_cap = len;
@@ -588,18 +590,20 @@ let make_recv t ~src ~tag region ~off ~len =
       r_cancelled = false;
       r_entry = Match_list.detached;
       r_cond = Cond.create ~label:"emp:recv" (sim t);
+      r_on_complete = no_hook;
     }
   in
   t.st_desc_posted <- t.st_desc_posted + 1;
   r
 
-let post_recv t ~src ~tag region ~off ~len =
+let post_recv ?on_complete t ~src ~tag region ~off ~len =
   if len < 0 || off < 0 || off + len > Memory.length region then
     invalid_arg "Endpoint.post_recv: bad range";
   let m = model t in
   Sim.delay (sim t) m.Cost_model.emp_host_post;
   Os.pin_region (Node.os t.node) region ~off ~len;
-  let r = make_recv t ~src ~tag region ~off ~len in
+  let r = make_recv t region ~off ~len in
+  (match on_complete with Some f -> r.r_on_complete <- f | None -> ());
   (match uq_match t ~src ~tag with
   | Some slot -> consume_uq t slot r
   | None ->
@@ -637,7 +641,7 @@ let post_recv_batch t specs =
         (fun (src, tag, region, off, len) ->
           Sim.delay (sim t) m.Cost_model.ring_slot_post;
           Os.pin_region (Node.os t.node) region ~off ~len;
-          let r = make_recv t ~src ~tag region ~off ~len in
+          let r = make_recv t region ~off ~len in
           (match uq_match t ~src ~tag with
           | Some slot -> consume_uq t slot r
           | None ->

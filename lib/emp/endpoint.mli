@@ -99,6 +99,7 @@ val set_send_failure_handler :
 type recv
 
 val post_recv :
+  ?on_complete:(recv -> int -> unit) ->
   t ->
   src:int ->
   tag:int ->
@@ -108,7 +109,14 @@ val post_recv :
   recv
 (** Post a receive descriptor ([src] and/or [tag] may be [-1] as a
     wildcard). If a matching message already sits complete in the
-    unexpected queue it is consumed immediately (host-side copy). *)
+    unexpected queue it is consumed immediately (host-side copy).
+
+    [on_complete r len] is called at the instant the descriptor [r]
+    completes, with its length ([-1] for a cancelled one), right after
+    any fiber blocked in {!wait_recv} on it has been scheduled to wake.
+    It may run outside a fiber, so it must not block; it may spawn. The
+    substrate's control descriptors use it to start one handler fiber
+    per message instead of keeping one parked per connection. *)
 
 val post_recv_batch :
   t ->

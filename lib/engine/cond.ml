@@ -1,8 +1,13 @@
 type waiter = {
   mutable woken : bool;
-  mutable timed_out : bool;
+  mutable timer : int;
+      (* a pending [wait_timeout]'s {!Sim.timer} handle; [timed_out]
+         once that timer fired; else [no_timer] *)
   resume : unit -> unit;
 }
+
+let no_timer = -1
+let timed_out = -2
 
 type t = {
   sim : Sim.t;
@@ -33,7 +38,7 @@ let prune t =
 
 let enqueue t resume =
   prune t;
-  let w = { woken = false; timed_out = false; resume } in
+  let w = { woken = false; timer = no_timer; resume } in
   Queue.push w t.queue;
   w
 
@@ -48,16 +53,20 @@ let wait_timeout t timeout =
   Sim.suspend t.sim ~label:t.label (fun resume ->
       let w = enqueue t resume in
       cell := Some w;
-      Sim.at t.sim
-        (Sim.now t.sim + timeout)
-        (fun () ->
-          if not w.woken then begin
-            w.woken <- true;
-            w.timed_out <- true;
-            w.resume ()
-          end));
+      (* A wake cancels this timer ([wake]), so the queue holds nothing
+         for a waiter that was signalled. *)
+      w.timer <-
+        Sim.timer t.sim
+          (Sim.now t.sim + timeout)
+          (fun () ->
+            if not w.woken then begin
+              w.woken <- true;
+              w.timer <- timed_out;
+              w.resume ()
+            end));
   match !cell with
-  | Some w when w.timed_out -> `Timeout  (* no wake edge: nobody signalled *)
+  | Some w when w.timer = timed_out ->
+    `Timeout  (* no wake edge: nobody signalled *)
   | Some _ ->
     Sim.note_op t.sim Op_cond_wake t.uid t.label;
     `Ok
@@ -69,17 +78,22 @@ let wait_timeout t timeout =
          "Cond.wait_timeout (%s): resumed before the waiter was registered"
          t.label)
 
+(* Wake a waiter that is still parked, withdrawing its timeout: a
+   woken [wait_timeout] leaves nothing queued behind it. *)
+let wake t w =
+  w.woken <- true;
+  if w.timer >= 0 then begin
+    Sim.cancel t.sim w.timer;
+    w.timer <- no_timer
+  end;
+  w.resume ()
+
 let signal t =
   Sim.note_op t.sim Op_cond_signal t.uid t.label;
   let rec pop () =
     match Queue.take_opt t.queue with
     | None -> ()
-    | Some w ->
-      if w.woken then pop ()
-      else begin
-        w.woken <- true;
-        w.resume ()
-      end
+    | Some w -> if w.woken then pop () else wake t w
   in
   pop ()
 
@@ -89,10 +103,7 @@ let broadcast t =
     match Queue.take_opt t.queue with
     | None -> ()
     | Some w ->
-      if not w.woken then begin
-        w.woken <- true;
-        w.resume ()
-      end;
+      if not w.woken then wake t w;
       drain ()
   in
   drain ()

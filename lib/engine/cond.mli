@@ -13,7 +13,9 @@ val wait : t -> unit
 (** Block the calling fiber until signalled. *)
 
 val wait_timeout : t -> Time.ns -> [ `Ok | `Timeout ]
-(** Block until signalled or until the timeout elapses. *)
+(** Block until signalled or until the timeout elapses. The timeout is
+    a {!Sim.timer} that a signal or broadcast cancels, so a woken wait
+    leaves no event queued behind it. *)
 
 val wait_until : t -> (unit -> bool) -> unit
 (** [wait_until c pred] returns as soon as [pred ()] holds, re-blocking on

@@ -14,12 +14,18 @@ type task = {
   mutable seq : int;
   mutable run : unit -> unit;
   mutable free_next : task;
+  mutable keyed : bool;  (* a {!timer}: listed in [timers] until it runs *)
 }
 
 let nop () = ()
 
+(* A cancelled heap cell's [run]: the cell stays in the heap and is
+   dropped, never run, when it reaches the top. *)
+let cancelled () = invalid_arg "Sim: a cancelled task was dispatched"
+
 let rec dummy_task =
-  { time = max_int; seq = max_int; run = nop; free_next = dummy_task }
+  { time = max_int; seq = max_int; run = nop; free_next = dummy_task;
+    keyed = false }
 
 (* Same-timestamp dispatch order. FIFO dispatches a tie in [seq]
    (scheduling) order. [Controlled] hands each same-timestamp tie to an
@@ -94,6 +100,8 @@ type t = {
   parked : park;  (* sentinel of the parked-fiber ring *)
   mutable free : task;  (* head of the heap's recycled task-cell list *)
   mutable pooled : int;
+  timers : (int, task) Hashtbl.t;
+      (* heap only: pending {!timer} cells by seq, the heap's handles *)
 }
 
 exception Fiber_failure of string * exn
@@ -138,6 +146,7 @@ let create ?(sched = `Wheel) () =
        head);
     free = dummy_task;
     pooled = 0;
+    timers = Hashtbl.create (match sched with `Heap -> 64 | `Wheel -> 1);
   }
   in
   (match !create_hook with None -> () | Some f -> f t);
@@ -195,7 +204,8 @@ let pool_max = 4096
 
 let alloc_task t ~time ~seq ~run =
   let cell = t.free in
-  if cell == dummy_task then { time; seq; run; free_next = dummy_task }
+  if cell == dummy_task then
+    { time; seq; run; free_next = dummy_task; keyed = false }
   else begin
     t.free <- cell.free_next;
     t.pooled <- t.pooled - 1;
@@ -208,6 +218,10 @@ let alloc_task t ~time ~seq ~run =
 
 let release_task t cell =
   cell.run <- nop;  (* drop the closure and everything it captured *)
+  if cell.keyed then begin
+    cell.keyed <- false;
+    Hashtbl.remove t.timers cell.seq
+  end;
   if t.pooled < pool_max then begin
     cell.free_next <- t.free;
     t.free <- cell;
@@ -219,9 +233,49 @@ let schedule t ~time run =
   t.seq <- t.seq + 1;
   match t.q with
   | Q_heap h -> Heap.push h (alloc_task t ~time ~seq:t.seq ~run)
-  | Q_wheel w -> Wheel.add w ~time ~seq:t.seq run
+  | Q_wheel w -> ignore (Wheel.add w ~time ~seq:t.seq run : int)
 
 let at t time run = schedule t ~time run
+
+(* Timer handles. On the wheel a handle packs the event's slot (low
+   [slot_bits]) with the low 32 bits of its seq, so a handle whose slot
+   was freed ([seq] -1) or reused (another seq) no longer matches. On
+   the heap it is the seq itself, looked up in [timers]. *)
+let slot_bits = 30
+let seq_mask = (1 lsl 32) - 1
+
+let timer t time run =
+  if time < t.now then invalid_arg "Sim: scheduling in the past";
+  t.seq <- t.seq + 1;
+  match t.q with
+  | Q_heap h ->
+    let tk = alloc_task t ~time ~seq:t.seq ~run in
+    tk.keyed <- true;
+    Hashtbl.replace t.timers t.seq tk;
+    Heap.push h tk;
+    t.seq
+  | Q_wheel w ->
+    let s = Wheel.add w ~time ~seq:t.seq run in
+    if s lsr slot_bits <> 0 then invalid_arg "Sim.timer: event slab too large";
+    ((t.seq land seq_mask) lsl slot_bits) lor s
+
+let cancel t h =
+  if h >= 0 then
+    match t.q with
+    | Q_heap _ -> (
+      match Hashtbl.find_opt t.timers h with
+      | Some tk ->
+        Hashtbl.remove t.timers h;
+        tk.keyed <- false;
+        tk.run <- cancelled
+      | None -> ())
+    | Q_wheel w ->
+      let s = h land ((1 lsl slot_bits) - 1) in
+      if s < Wheel.capacity w then begin
+        let seq = Wheel.seq w s in
+        if seq >= 0 && seq land seq_mask = h lsr slot_bits then
+          ignore (Wheel.cancel w s ~seq : bool)
+      end
 
 type _ Effect.t +=
   | Delay : t * Time.ns -> unit Effect.t
@@ -342,6 +396,16 @@ let choose_tied choose first ~next ~seq ~requeue =
     Array.iteri (fun i x -> if i <> idx then requeue x) all;
     all.(idx)
 
+(* The heap's minimum live cell, dropping cancelled cells that reached
+   the top (the wheel's [peek] does the same with its slots). *)
+let rec heap_peek t h =
+  match Heap.peek h with
+  | Some tk when tk.run == cancelled ->
+    ignore (Heap.pop h : task option);
+    release_task t tk;
+    heap_peek t h
+  | top -> top
+
 (* Remove the event to run next from the queue (the minimum, or the
    chooser's pick of the tie), account its dispatch, and return its
    callback. [time] is the minimum's timestamp. *)
@@ -352,7 +416,7 @@ let next_heap t h ~time =
     | Fifo -> tk
     | Controlled choose ->
       let next () =
-        match Heap.peek h with
+        match heap_peek t h with
         | Some tk' when tk'.time = time -> Heap.pop h
         | _ -> None
       in
@@ -393,7 +457,8 @@ let run ?until t =
     else
       let time =
         match t.q with
-        | Q_heap h -> (match Heap.peek h with Some tk -> tk.time | None -> -1)
+        | Q_heap h -> (
+          match heap_peek t h with Some tk -> tk.time | None -> -1)
         | Q_wheel w ->
           let s = Wheel.peek w in
           if s < 0 then -1 else Wheel.time w s

@@ -63,6 +63,23 @@ val at : t -> Time.ns -> (unit -> unit) -> unit
 (** Schedule a plain (non-fiber) callback at an absolute time. The
     callback must not perform fiber effects. *)
 
+val timer : t -> Time.ns -> (unit -> unit) -> int
+(** {!at} that returns a handle for {!cancel}: a non-negative int
+    carrying the event's queue slot and sequence number. [-1] is never a
+    handle, so owners keep it in a plain [int] field with [-1] for "no
+    timer armed". Scheduling is identical to {!at}: the same sequence
+    number, the same dispatch position. *)
+
+val cancel : t -> int -> unit
+(** Withdraw a pending {!timer}. The event never runs, is not counted
+    in {!events_executed} and is never offered to a [`Controlled]
+    chooser; its callback is dropped at once, so nothing it captured
+    stays reachable through the queue. Every other event keeps its
+    (time, seq) and so its dispatch position. Cancelling a handle whose
+    event already ran or was cancelled, whose slot was since reused, or
+    [-1], does nothing. Both queues keep this contract, so [`Heap] and
+    [`Wheel] still dispatch identically. *)
+
 val delay : t -> Time.ns -> unit
 (** [delay sim d] suspends the calling fiber for [d] nanoseconds of
     virtual time. [d <= 0] is a no-op. Must be called from a fiber. *)

@@ -14,6 +14,16 @@
    slot ever held, and only after a full turn of the top level would
    their total stop growing.
 
+   Cancellation: a free slot's [sq] is [-1], which is how [cancel] tells
+   a queued slot from a freed or reused one. [back] links each bag
+   member to its predecessor, so a cancelled slot in a bag (where a
+   timer waits until its grain is near, unless it lies beyond the top
+   level) is unlinked and freed at once, in O(1). One in [cur] or
+   [ovf] keeps its heap position (removing it
+   would need a position index that every sift keeps up to date):
+   [cancel] swaps its callback for [cancelled], and it is freed when it
+   surfaces, at the top of [cur] or in an overflow migration.
+
    Layout: [levels] wheels of [W = 256] slots each. A level-[l] slot
    spans [grain << (slot_bits * l)] ns, so the whole level-[l] wheel
    spans exactly one level-[l+1] slot. Events land in the lowest level
@@ -58,18 +68,30 @@ type heap = {
 
 let nop () = ()
 
+(* The callback of a cancelled slot left in a heap, until it surfaces.
+   Its own body, so it can never be physically equal to a callback a
+   caller passed in. *)
+let cancelled () = invalid_arg "Wheel: a cancelled slot was dispatched"
+
+(* [back.(s)] of a queued slot: [in_heap] while it waits in [cur] or
+   [ovf]; in a bag, [(p + 1) lsl 2 lor l] for its predecessor [p] ([-1]
+   at the bag's head) and the bag's level [l]. *)
+let in_heap = -1
+let back_of ~pred l = ((pred + 1) lsl 2) lor l
+
 type t = {
   mutable tm : int array;
   mutable sq : int array;
   mutable fn : (unit -> unit) array;
   mutable next : int array;  (* bag or free-list link; -1 ends a list *)
+  mutable back : int array;  (* bag back-link and level, or [in_heap] *)
   mutable free : int;  (* head of the free-slot list *)
   heads : int array;  (* bag heads, [l * wsize + idx] *)
   counts : int array;  (* slots resident per level *)
   mutable base : int;  (* start of the level-0 cursor slot; grain-aligned *)
   cur : heap;  (* near-future heap *)
   ovf : heap;  (* overflow heap *)
-  mutable len : int;
+  mutable len : int;  (* queued slots, cancelled ones excluded *)
 }
 
 let create () =
@@ -78,6 +100,7 @@ let create () =
     sq = [||];
     fn = [||];
     next = [||];
+    back = [||];
     free = -1;
     heads = Array.make (levels * wsize) (-1);
     counts = Array.make levels 0;
@@ -108,17 +131,45 @@ let grow w =
   w.sq <- widen w.sq 0;
   w.fn <- widen w.fn nop;
   w.next <- widen w.next 0;
+  w.back <- widen w.back in_heap;
   for s = cap - 1 downto n do
     w.next.(s) <- w.free;
     w.free <- s
   done
 
+let release w s =
+  w.fn.(s) <- nop;
+  w.sq.(s) <- -1;
+  w.next.(s) <- w.free;
+  w.free <- s
+
 let take w s =
   let f = w.fn.(s) in
-  w.fn.(s) <- nop;
-  w.next.(s) <- w.free;
-  w.free <- s;
+  release w s;
   f
+
+let is_cancelled w s = w.fn.(s) == cancelled
+
+let cancel w s ~seq =
+  if s >= 0 && s < Array.length w.tm && seq >= 0 && w.sq.(s) = seq
+     && not (is_cancelled w s)
+  then begin
+    w.len <- w.len - 1;
+    let k = w.back.(s) in
+    if k = in_heap then w.fn.(s) <- cancelled
+    else begin
+      let l = k land 3 and pred = (k asr 2) - 1 in
+      let n = w.next.(s) in
+      if pred >= 0 then w.next.(pred) <- n
+      else
+        w.heads.((l lsl slot_bits) + ((w.tm.(s) asr shift l) land wmask)) <- n;
+      if n >= 0 then w.back.(n) <- back_of ~pred l;
+      w.counts.(l) <- w.counts.(l) - 1;
+      release w s
+    end;
+    true
+  end
+  else false
 
 (* --- heap ops ----------------------------------------------------------- *)
 
@@ -179,18 +230,27 @@ let heap_pop w h =
    [base]. Shared by [reinsert] and [cascade]; does not touch [len]. *)
 let place w s =
   let t = w.tm.(s) in
-  if t < w.base + grain then heap_push w w.cur s
+  if t < w.base + grain then begin
+    w.back.(s) <- in_heap;
+    heap_push w w.cur s
+  end
   else begin
     let delta = t - w.base in
     let l = ref 0 in
     while !l < levels && delta asr shift (!l + 1) <> 0 do
       incr l
     done;
-    if !l = levels then heap_push w w.ovf s
+    if !l = levels then begin
+      w.back.(s) <- in_heap;
+      heap_push w w.ovf s
+    end
     else begin
       let l = !l in
       let b = (l lsl slot_bits) + ((t asr shift l) land wmask) in
-      w.next.(s) <- w.heads.(b);
+      let head = w.heads.(b) in
+      w.next.(s) <- head;
+      w.back.(s) <- back_of ~pred:(-1) l;
+      if head >= 0 then w.back.(head) <- back_of ~pred:s l;
       w.heads.(b) <- s;
       w.counts.(l) <- w.counts.(l) + 1
     end
@@ -207,7 +267,8 @@ let add w ~time ~seq f =
   w.tm.(s) <- time;
   w.sq.(s) <- seq;
   w.fn.(s) <- f;
-  reinsert w s
+  reinsert w s;
+  s
 
 (* Empty a bag through [place] (level-0 slots land in [cur],
    higher-level slots redistribute downward). *)
@@ -229,7 +290,8 @@ let cascade w l idx =
 let migrate_ovf w =
   let limit = w.base + top_range in
   while w.ovf.n > 0 && w.tm.(w.ovf.a.(0)) < limit do
-    place w (heap_pop w w.ovf)
+    let s = heap_pop w w.ovf in
+    if is_cancelled w s then release w s else place w s
   done
 
 (* Advance [base] until [cur] is non-empty (or the wheel is empty).
@@ -295,31 +357,46 @@ let advance w =
              until the wheel wrapped back around. *)
           let pshift = shift (l + 1) in
           w.base <- ((w.base asr pshift) + 1) lsl pshift;
-          if l + 1 >= levels then migrate_ovf w
-          else
-            (* Down to 0, not l+1: a higher cascade can feed [cur]
-               directly, ending the advance loop before the scan would
-               ever revisit the lower cursor slots — so their wrapped,
-               now-due entries must be cascaded here as well. *)
-            for lv = levels - 1 downto 0 do
-              if w.base land ((1 lsl shift lv) - 1) = 0 then begin
-                if lv = levels - 1 then migrate_ovf w;
-                cascade w lv ((w.base asr shift lv) land wmask)
-              end
-            done
+          (* Down to 0, not l+1: a higher cascade can feed [cur]
+             directly, ending the advance loop before the scan would
+             ever revisit the lower cursor slots — so their wrapped,
+             now-due entries must be cascaded here as well. That holds
+             for a cross out of the top level too (the new base is
+             aligned at every level): the top-level slot it enters may
+             hold events placed a whole turn ago, and if a migrated
+             overflow event sent the cursor into a lower level first,
+             the scan would step past that slot for another turn. *)
+          for lv = levels - 1 downto 0 do
+            if w.base land ((1 lsl shift lv) - 1) = 0 then begin
+              if lv = levels - 1 then migrate_ovf w;
+              cascade w lv ((w.base asr shift lv) land wmask)
+            end
+          done
         end
       end
     done
   end
 
-let peek w =
-  advance w;
-  if w.cur.n = 0 then -1 else w.cur.a.(0)
-
-let pop w =
+(* [advance] only runs while a live slot is queued ([len] counts no
+   cancelled one), and stops at the first non-empty [cur]; cancelled
+   slots at the top of [cur] are freed here, advancing again when that
+   empties it. *)
+let rec peek w =
   advance w;
   if w.cur.n = 0 then -1
-  else begin
+  else
+    let s = w.cur.a.(0) in
+    if is_cancelled w s then begin
+      ignore (heap_pop w w.cur : int);
+      release w s;
+      peek w
+    end
+    else s
+
+let pop w =
+  let s = peek w in
+  if s >= 0 then begin
     w.len <- w.len - 1;
-    heap_pop w w.cur
-  end
+    ignore (heap_pop w w.cur : int)
+  end;
+  s

@@ -31,13 +31,23 @@ type t
 
 val create : unit -> t
 val length : t -> int
-(** Events queued (added or reinserted and not yet popped). *)
+(** Events queued (added or reinserted, and neither popped nor
+    cancelled). *)
 
 val is_empty : t -> bool
 
-val add : t -> time:int -> seq:int -> (unit -> unit) -> unit
-(** [add w ~time ~seq f] takes a free slot for [f] and queues it.
-    [time] must be non-negative. *)
+val add : t -> time:int -> seq:int -> (unit -> unit) -> int
+(** [add w ~time ~seq f] takes a free slot for [f], queues it and
+    returns the slot. [time] and [seq] must be non-negative. *)
+
+val cancel : t -> int -> seq:int -> bool
+(** [cancel w s ~seq] withdraws the queued slot [s] if it still holds
+    the event numbered [seq], and says whether it did. O(1), and the
+    callback is dropped at once, so nothing it captured is retained. A
+    slot waiting in a wheel bag is unlinked and freed at once; one in
+    the near-future or overflow heap is freed when it surfaces. {!peek}
+    and {!pop} never return a cancelled slot. A slot already popped,
+    freed or reused for another [seq] is left alone ([false]). *)
 
 val peek : t -> int
 (** The slot that [pop] would return, without removing it; [-1] when

@@ -34,11 +34,11 @@ type conn = {
   c_id : int;
   c_stream : Api.stream;
   c_react : string -> reaction;
-  c_embryo : conn option ref;
-      (* [Some self] while half-open (accepted, no byte yet): the embryo
-         timer reaches the connection only through this cell, which the
-         first byte and close both clear, so a pending timer never keeps
-         a served or closed connection alive *)
+  mutable c_embryo : int;
+      (* the embryo timer's {!Sim.timer} handle while half-open
+         (accepted, no byte yet), else -1: the first byte and close both
+         cancel it, so no timer outlives the half-open state or keeps a
+         served or closed connection reachable *)
   mutable c_open : bool;
   mutable c_queued : bool;
       (* in the run queue (or being processed by a worker): readiness
@@ -83,10 +83,16 @@ let peak_inflight t = t.peak_inflight
 let accepted t = t.accepted
 let shed t = t.shed
 
+let disarm_embryo t c =
+  if c.c_embryo >= 0 then begin
+    Sim.cancel t.sim c.c_embryo;
+    c.c_embryo <- -1
+  end
+
 let close_conn t c =
   if c.c_open then begin
     c.c_open <- false;
-    c.c_embryo := None;
+    disarm_embryo t c;
     (match c.c_handle with Some h -> Evq.deregister h | None -> ());
     Hashtbl.remove t.conns c.c_id;
     (try c.c_stream.close () with _ -> ());
@@ -101,7 +107,7 @@ let one_chunk t c =
   let data = try c.c_stream.recv chunk with _ -> "" in
   if data = "" then close_conn t c
   else begin
-    c.c_embryo := None;
+    disarm_embryo t c;
     match c.c_react data with
     | exception _ -> close_conn t c
     | r ->
@@ -125,18 +131,14 @@ let update_backlog t =
   t.mh.g_backlog := float_of_int (try t.listener.pending () with _ -> 0)
 
 let arm_embryo_timer t c =
-  let cell = c.c_embryo in
-  cell := Some c;
-  Sim.at t.sim (Sim.now t.sim + t.cfg.embryo_timeout) (fun () ->
-      match !cell with
-      | Some c ->
-        cell := None;
+  c.c_embryo <-
+    Sim.timer t.sim (Sim.now t.sim + t.cfg.embryo_timeout) (fun () ->
+        c.c_embryo <- -1;
         Stats.Counter.incr t.mh.h_embryo_closed;
         Sim.spawn t.sim
           ~name:(Printf.sprintf "sched-embryo-%d.%d" t.node c.c_id)
           ~daemon:true
-          (fun () -> close_conn t c)
-      | None -> ())
+          (fun () -> close_conn t c))
 
 let drain_accepts t =
   let n = ref 0 in
@@ -170,7 +172,7 @@ let drain_accepts t =
             c_id = t.next_id;
             c_stream = stream;
             c_react = t.handler peer;
-            c_embryo = ref None;
+            c_embryo = -1;
             c_open = true;
             c_queued = false;
             c_handle = None;

@@ -332,76 +332,74 @@ let uq_ack_fiber t () =
   (* The fiber owned its ack buffer; nothing posts it again. *)
   Os.unpin os region
 
-let req_fiber t () =
-  let rec loop () =
-    match t.req_slot.sl_current with
-    | None -> ()
-    | Some recv ->
-      let len, _, _ = E.wait_recv t.env.emp recv in
-      if len >= 0 && not t.closed then begin
-        if len < 3 * Codec.int_bytes then
-          Codec.protocol_error
-            "conn %d: rendezvous request from node %d too short (%d B < %d B)"
-            t.id t.peer_node len (3 * Codec.int_bytes);
-        (match Codec.decode_region t.req_slot.sl_region ~off:0 ~count:3 with
-        | [ seq; rid; size ] ->
-          ignore (post_slot t t.req_slot ~tag:(Tags.make Tags.Rdvz_request t.id));
-          Hashtbl.replace t.req_q seq { rq_seq = seq; rq_id = rid; rq_size = size };
-          notify_ready t
-        | _ ->
-          Codec.protocol_error
-            "conn %d: undecodable rendezvous request from node %d" t.id
-            t.peer_node);
-        loop ()
-      end
+(* The rendezvous-request, grant and close descriptors complete rarely
+   (a large write, a peer's close), so no fiber waits on them. Each is
+   posted with a completion hook instead: a real completion (length
+   >= 0, and with [while_open] the connection not closed) spawns a
+   one-shot handler fiber at the point where a parked fiber's wake-up
+   would have been scheduled, so it takes that wake-up's place in the
+   event order. Its first step is [E.wait_recv], which finds the
+   descriptor done and pays the reap charge; then [handle] runs with
+   the length and [repost], which re-arms the slot. *)
+let post_ctrl_slot t slot ~tag ~name ~while_open handle =
+  let rec post () =
+    slot.sl_current <-
+      Some
+        (E.post_recv t.env.emp ~src:t.peer_node ~tag slot.sl_region ~off:0
+           ~len:(Memory.length slot.sl_region) ~on_complete)
+  and on_complete r len =
+    if len >= 0 && not (while_open && t.closed) then
+      Sim.spawn (sim t) ~name ~daemon:true (fun () -> step r)
+  and step r =
+    let len, _, _ = E.wait_recv t.env.emp r in
+    if len >= 0 && not (while_open && t.closed) then handle t len ~repost:post
   in
-  loop ()
+  post ()
 
-let grant_fiber t () =
-  let rec loop () =
-    match t.grant_slot.sl_current with
-    | None -> ()
-    | Some recv ->
-      let len, _, _ = E.wait_recv t.env.emp recv in
-      if len >= 0 && not t.closed then begin
-        if len < Codec.int_bytes then
-          Codec.protocol_error
-            "conn %d: rendezvous grant from node %d too short (%d B)" t.id
-            t.peer_node len;
-        (match Codec.decode_region t.grant_slot.sl_region ~off:0 ~count:1 with
-        | [ rid ] ->
-          ignore (post_slot t t.grant_slot ~tag:(Tags.make Tags.Rdvz_grant t.id));
-          Hashtbl.replace t.granted rid ();
-          Cond.broadcast t.grant_c
-        | _ ->
-          Codec.protocol_error
-            "conn %d: undecodable rendezvous grant from node %d" t.id
-            t.peer_node);
-        loop ()
-      end
-  in
-  loop ()
+let on_rdvz_request t len ~repost =
+  if len < 3 * Codec.int_bytes then
+    Codec.protocol_error
+      "conn %d: rendezvous request from node %d too short (%d B < %d B)" t.id
+      t.peer_node len (3 * Codec.int_bytes);
+  match Codec.decode_region t.req_slot.sl_region ~off:0 ~count:3 with
+  | [ seq; rid; size ] ->
+    repost ();
+    Hashtbl.replace t.req_q seq { rq_seq = seq; rq_id = rid; rq_size = size };
+    notify_ready t
+  | _ ->
+    Codec.protocol_error "conn %d: undecodable rendezvous request from node %d"
+      t.id t.peer_node
 
-let close_watch_fiber t () =
-  match t.close_slot.sl_current with
-  | None -> ()
-  | Some recv ->
-    let len, _, _ = E.wait_recv t.env.emp recv in
-    if len >= 0 then begin
-      if len < Codec.int_bytes then
-        Codec.protocol_error
-          "conn %d: close message from node %d too short (%d B < %d B)" t.id
-          t.peer_node len Codec.int_bytes;
-      (match Codec.decode_region t.close_slot.sl_region ~off:0 ~count:1 with
-      | [ seq ] -> t.close_seq <- seq
-      | _ ->
-        (* Treating this as "close at seq 0" would discard in-flight
-           data still due to the reader. *)
-        Codec.protocol_error "conn %d: undecodable close message from node %d"
-          t.id t.peer_node);
-      t.peer_closed <- true;
-      wake_all t
-    end
+let on_rdvz_grant t len ~repost =
+  if len < Codec.int_bytes then
+    Codec.protocol_error
+      "conn %d: rendezvous grant from node %d too short (%d B)" t.id
+      t.peer_node len;
+  match Codec.decode_region t.grant_slot.sl_region ~off:0 ~count:1 with
+  | [ rid ] ->
+    repost ();
+    Hashtbl.replace t.granted rid ();
+    Cond.broadcast t.grant_c
+  | _ ->
+    Codec.protocol_error "conn %d: undecodable rendezvous grant from node %d"
+      t.id t.peer_node
+
+(* The peer's close is heard even after a local close (it stops
+   [close_notify_fiber]'s retries). Nothing reposts. *)
+let on_peer_close t len ~repost:_ =
+  if len < Codec.int_bytes then
+    Codec.protocol_error
+      "conn %d: close message from node %d too short (%d B < %d B)" t.id
+      t.peer_node len Codec.int_bytes;
+  (match Codec.decode_region t.close_slot.sl_region ~off:0 ~count:1 with
+  | [ seq ] -> t.close_seq <- seq
+  | _ ->
+    (* Treating this as "close at seq 0" would discard in-flight
+       data still due to the reader. *)
+    Codec.protocol_error "conn %d: undecodable close message from node %d"
+      t.id t.peer_node);
+  t.peer_closed <- true;
+  wake_all t
 
 (* --- write ------------------------------------------------------------ *)
 
@@ -1091,15 +1089,18 @@ let create env ~id ~peer_node ~peer_conn ~local_addr ~peer_addr =
       ignore (post_slot t slot ~tag:(Tags.make Tags.Credit_ack t.id));
       Sim.spawn (sim t) ~name:"sub-ack" ~daemon:true (ack_fiber t slot))
     t.ack_slots;
-  ignore (post_slot t t.req_slot ~tag:(Tags.make Tags.Rdvz_request t.id));
-  ignore (post_slot t t.grant_slot ~tag:(Tags.make Tags.Rdvz_grant t.id));
-  ignore (post_slot t t.close_slot ~tag:(Tags.make Tags.Close t.id));
+  post_ctrl_slot t t.req_slot
+    ~tag:(Tags.make Tags.Rdvz_request t.id)
+    ~name:"sub-req" ~while_open:true on_rdvz_request;
+  post_ctrl_slot t t.grant_slot
+    ~tag:(Tags.make Tags.Rdvz_grant t.id)
+    ~name:"sub-grant" ~while_open:true on_rdvz_grant;
+  post_ctrl_slot t t.close_slot
+    ~tag:(Tags.make Tags.Close t.id)
+    ~name:"sub-close" ~while_open:false on_peer_close;
   (* Service fibers park forever once the connection quiesces, so they
      are daemons: only application fibers count for deadlock detection. *)
   Sim.spawn (sim t) ~name:"sub-rx" ~daemon:true (rx_fiber t);
   if opts.Options.unexpected_queue then
     Sim.spawn (sim t) ~name:"sub-uq-ack" ~daemon:true (uq_ack_fiber t);
-  Sim.spawn (sim t) ~name:"sub-req" ~daemon:true (req_fiber t);
-  Sim.spawn (sim t) ~name:"sub-grant" ~daemon:true (grant_fiber t);
-  Sim.spawn (sim t) ~name:"sub-close" ~daemon:true (close_watch_fiber t);
   t

@@ -36,7 +36,10 @@ val create :
   peer_addr:Uls_api.Sockets_api.addr ->
   t
 (** Builds the connection and posts all of its descriptors (the 2N+3
-    provisioning of §6.1); spawns its receive/control fibers.
+    provisioning of §6.1); spawns its receive and credit-ack fibers.
+    The rendezvous-request, grant and close descriptors park no fiber:
+    each message on them spawns a one-shot handler fiber, which
+    reposts the request and grant descriptors.
     [peer_conn] may be [-1] until {!set_peer} (client side). *)
 
 val id : t -> int

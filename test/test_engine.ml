@@ -62,7 +62,7 @@ let prop_heap_sorts =
    the slot's seq as [pri lsl 12 lor seq]: for seq < 4096 that orders
    exactly as the triple does. *)
 let wheel_push w (t, pri, seq) =
-  Wheel.add w ~time:t ~seq:((pri lsl 12) lor seq) ignore
+  ignore (Wheel.add w ~time:t ~seq:((pri lsl 12) lor seq) ignore : int)
 
 let wheel_read w s =
   let k = Wheel.seq w s in
@@ -152,41 +152,74 @@ let test_wheel_coincident_boundary () =
     [ m + 16; m + 100; m + (5 * 65536) ]
     (List.map (fun (t, _, _) -> t) (wheel_drain w))
 
+(* Regression: crossing out of the top level entered a new top-level
+   slot without cascading it. An event placed there a whole turn
+   earlier (its level-3 index equal to the cursor's, one turn ahead)
+   stayed parked when an overflow event migrated below it and pulled
+   the cursor past it: dispatched ~2^40 ns late. *)
+let test_wheel_top_level_cross () =
+  let w = Wheel.create () in
+  let top = 1 lsl 40 in
+  (* beyond the top level from base 0: the overflow heap *)
+  wheel_push w (top + 60_000, 0, 1);
+  (* move the cursor off the top-level slot's start *)
+  wheel_push w (1_200_000, 0, 2);
+  (match wheel_pop w with
+  | Some (t, _, _) when t = 1_200_000 -> ()
+  | _ -> Alcotest.fail "setup pop");
+  (* now within the top level's range, in the cursor's own level-3
+     slot one turn ahead *)
+  wheel_push w (top + 50_000, 0, 3);
+  Alcotest.(check (list int))
+    "the wrapped top-level entry dispatches first"
+    [ top + 50_000; top + 60_000 ]
+    (List.map (fun (t, _, _) -> t) (wheel_drain w))
+
 (* Pinned-seed heap-vs-wheel parity: random schedule/cancel/advance ops
    must yield identical dispatch sequences on both structures, with
-   pri always 0 (the sim's FIFO order) and with random pri. Cancelled
-   elements stay queued (the sim cancels by defusing the closure) and
-   are filtered from the dispatch log on extraction. *)
+   pri always 0 (the sim's FIFO order) and with random pri. The wheel
+   cancels for real ([Wheel.cancel], which unlinks a bag member at once
+   and leaves a heap member to be dropped when it surfaces); the heap
+   oracle drops cancelled elements when they reach its top, as the
+   sim's heap queue does. Cancelling an element already dispatched or
+   cancelled, whose slot may since hold another, must do nothing. *)
 let wheel_heap_parity ~shuffled seed =
   let rng = Rng.create ~seed in
   let h = Heap.create ~cmp:compare in
   let w = Wheel.create () in
   let seqr = ref 0 in
   let nowr = ref 0 in
-  let live = ref [] in
+  let live = ref [] and gone = ref [] in
+  let slots = Hashtbl.create 64 in
   let cancelled = Hashtbl.create 64 in
-  let dispatched_h = ref [] in
-  let dispatched_w = ref [] in
+  let rec heap_top () =
+    match Heap.peek h with
+    | Some (_, _, s) when Hashtbl.mem cancelled s ->
+      ignore (Heap.pop h);
+      heap_top ()
+    | top -> top
+  in
+  let retire s =
+    live := List.filter (fun s' -> s' <> s) !live;
+    gone := s :: !gone
+  in
   let pop_both () =
-    match (Heap.pop h, wheel_pop w) with
+    match (heap_top (), wheel_pop w) with
     | None, None -> ()
     | Some a, Some b ->
+      ignore (Heap.pop h);
       if a <> b then
         Alcotest.failf "seed %d: heap %s vs wheel %s" seed
           (let t, p, s = a in Printf.sprintf "(%d,%d,%d)" t p s)
           (let t, p, s = b in Printf.sprintf "(%d,%d,%d)" t p s);
       let t, _, s = a in
       nowr := t;
-      live := List.filter (fun s' -> s' <> s) !live;
-      if not (Hashtbl.mem cancelled s) then begin
-        dispatched_h := a :: !dispatched_h;
-        dispatched_w := b :: !dispatched_w
-      end
+      retire s
     | _ -> Alcotest.failf "seed %d: one structure drained early" seed
   in
   for _ = 1 to 3000 do
     let op = Rng.int rng 100 in
-    if op < 60 || Heap.length h = 0 then begin
+    if op < 60 || !live = [] then begin
       (* schedule at/after the last dispatch time (the Sim contract),
          spread from same-slot to overflow-level deltas *)
       let delta =
@@ -199,29 +232,41 @@ let wheel_heap_parity ~shuffled seed =
       in
       incr seqr;
       let pri = if shuffled then Rng.int rng 0x4000_0000 else 0 in
-      let e = (!nowr + delta, pri, !seqr) in
-      Heap.push h e;
-      wheel_push w e;
+      let t = !nowr + delta and packed = (pri lsl 12) lor !seqr in
+      Heap.push h (t, pri, !seqr);
+      let slot = Wheel.add w ~time:t ~seq:packed ignore in
+      Hashtbl.replace slots !seqr (slot, packed);
       live := !seqr :: !live
     end
-    else if op < 70 && !live <> [] then
+    else if op < 70 then begin
       (* cancel a random outstanding element *)
       let victim = List.nth !live (Rng.int rng (List.length !live)) in
-      Hashtbl.replace cancelled victim ()
+      Hashtbl.replace cancelled victim ();
+      let slot, packed = Hashtbl.find slots victim in
+      check_bool "cancel withdraws a queued element" true
+        (Wheel.cancel w slot ~seq:packed);
+      retire victim
+    end
+    else if op < 72 && !gone <> [] then begin
+      (* cancel one already dispatched or cancelled *)
+      let stale = List.nth !gone (Rng.int rng (List.length !gone)) in
+      let slot, packed = Hashtbl.find slots stale in
+      check_bool "stale cancel is a no-op" false
+        (Wheel.cancel w slot ~seq:packed)
+    end
     else if op < 75 then begin
       (* peek (advances the wheel cursor) without extracting *)
-      match (Heap.peek h, wheel_peek w) with
+      match (heap_top (), wheel_peek w) with
       | None, None -> ()
       | Some a, Some b when a = b -> ()
       | _ -> Alcotest.failf "seed %d: peek mismatch" seed
     end
     else pop_both ()
   done;
-  while Heap.length h > 0 || not (Wheel.is_empty w) do
+  while !live <> [] do
     pop_both ()
   done;
-  check_bool "identical dispatch sequences" true
-    (!dispatched_h = !dispatched_w);
+  check_bool "both drained" true (heap_top () = None && wheel_pop w = None);
   check_int "lengths agree" 0 (Wheel.length w)
 
 let test_wheel_parity_fifo () =
@@ -307,7 +352,7 @@ let test_sim_slab_release () =
   let w = Wheel.create () in
   let spike () =
     for i = 1 to peak do
-      Wheel.add w ~time:(i * 37 mod 5000) ~seq:i ignore
+      ignore (Wheel.add w ~time:(i * 37 mod 5000) ~seq:i ignore : int)
     done;
     while not (Wheel.is_empty w) do
       let (_ : unit -> unit) = Wheel.take w (Wheel.pop w) in
@@ -883,6 +928,182 @@ let test_sim_sched_parity () =
         `Controlled (fun enabled -> Rng.int rng (Array.length enabled)));
     ]
 
+(* --- Timer cancellation --- *)
+
+let both_scheds f = List.iter f [ `Heap; `Wheel ]
+
+let test_cancel_never_runs () =
+  (* Four events tie at t=10; the second is cancelled. It must not run,
+     not count, and not appear in any tie the chooser is offered. The
+     cancelled far timer must not hold the clock either: the run ends at
+     the last live event. *)
+  both_scheds (fun sched ->
+      let sim = Sim.create ~sched () in
+      let offered = ref [] in
+      Sim.set_tiebreak sim
+        (`Controlled
+          (fun seqs ->
+            offered := Array.to_list seqs :: !offered;
+            0));
+      let log = ref [] in
+      let note s () = log := s :: !log in
+      let _a = Sim.timer sim 10 (note "a") in
+      let b = Sim.timer sim 10 (note "b") in
+      Sim.at sim 10 (note "c");
+      let _d = Sim.timer sim 10 (note "d") in
+      let far = Sim.timer sim (Time.s 2) (note "far") in
+      Sim.cancel sim b;
+      Sim.cancel sim far;
+      (match Sim.run sim with
+      | `Quiescent -> ()
+      | _ -> Alcotest.fail "expected `Quiescent");
+      Alcotest.(check (list string)) "live events in order" [ "a"; "c"; "d" ]
+        (List.rev !log);
+      check_int "cancelled events not counted" 3 (Sim.events_executed sim);
+      check_int "clock at the last live event" 10 (Sim.now sim);
+      Alcotest.(check (list (list int)))
+        "ties offered without the cancelled seq" [ [ 1; 3; 4 ]; [ 3; 4 ] ]
+        (List.rev !offered))
+
+let test_cancel_late_and_stale () =
+  both_scheds (fun sched ->
+      let sim = Sim.create ~sched () in
+      let runs = ref 0 in
+      let h = Sim.timer sim 5 (fun () -> incr runs) in
+      ignore (Sim.run sim);
+      (* after dispatch: a no-op, also when cancelled again *)
+      Sim.cancel sim h;
+      Sim.cancel sim h;
+      Sim.cancel sim (-1);
+      (* the next timer takes the freed slot; the stale handle must not
+         reach it *)
+      let self = ref (-1) in
+      let h2 =
+        Sim.timer sim 20 (fun () ->
+            (* cancelling the running event's own handle: a no-op *)
+            Sim.cancel sim !self;
+            incr runs)
+      in
+      self := h2;
+      Sim.cancel sim h;
+      let h3 = Sim.timer sim 30 (fun () -> incr runs) in
+      ignore (Sim.run sim);
+      check_int "every live timer ran" 3 !runs;
+      check_int "events counted" 3 (Sim.events_executed sim);
+      Sim.cancel sim h3;
+      let h4 = Sim.timer sim 40 (fun () -> incr runs) in
+      Sim.cancel sim h2;
+      Sim.cancel sim h3;
+      ignore (Sim.run sim);
+      check_int "stale handles left the new timer alone" 4 !runs;
+      (* the wheel's handle keeps the slot in its low 30 bits *)
+      let slot h = h land ((1 lsl 30) - 1) in
+      if sched = `Wheel then begin
+        check_int "h2 reused h's slot" (slot h) (slot h2);
+        check_int "h4 reused h3's slot" (slot h3) (slot h4)
+      end)
+
+(* Random timers, cancels (live, already-dispatched and repeated),
+   callbacks that arm and cancel more timers, and a time-limited
+   run/resume: the dispatch log and event count must be identical on
+   both queues, under FIFO and under a seeded controlled walk. *)
+let cancel_parity_run ~sched ~tiebreak =
+  let sim = Sim.create ~sched () in
+  Sim.set_tiebreak sim (tiebreak ());
+  let rng = Rng.create ~seed:7 in
+  let log = Buffer.create 4096 in
+  let handles = Vec.create () in
+  let delta () =
+    match Rng.int rng 6 with
+    | 0 -> 0
+    | 1 | 2 -> Rng.int rng 300
+    | 3 -> Rng.int rng 100_000
+    | 4 -> Rng.int rng (1 lsl 26)
+    | _ -> (1 lsl 40) + Rng.int rng 1_000
+  in
+  let rec arm depth =
+    let id = Vec.length handles in
+    let h =
+      Sim.timer sim (Sim.now sim + delta ()) (fun () ->
+          Buffer.add_string log (Printf.sprintf "%d@%d;" id (Sim.now sim));
+          if depth < 3 then
+            for _ = 1 to Rng.int rng 3 do
+              arm (depth + 1)
+            done;
+          cancel_some ())
+    in
+    Vec.push handles h
+  and cancel_some () =
+    for _ = 1 to Rng.int rng 3 do
+      Sim.cancel sim (Vec.get handles (Rng.int rng (Vec.length handles)))
+    done
+  in
+  for _ = 1 to 400 do
+    arm 0
+  done;
+  cancel_some ();
+  (match Sim.run ~until:50_000 sim with
+  | `Time_limit -> Buffer.add_string log "limit;"
+  | _ -> Alcotest.fail "expected `Time_limit");
+  for _ = 1 to 100 do
+    arm 0
+  done;
+  cancel_some ();
+  ignore (Sim.run sim);
+  (Buffer.contents log, Sim.events_executed sim, Vec.length handles)
+
+let test_cancel_sched_parity () =
+  List.iter
+    (fun tiebreak ->
+      let lh, eh, _ = cancel_parity_run ~sched:`Heap ~tiebreak in
+      let lw, ew, armed = cancel_parity_run ~sched:`Wheel ~tiebreak in
+      Alcotest.(check string) "dispatch log identical" lh lw;
+      check_int "events executed identical" eh ew;
+      check_bool "some timers were cancelled" true (ew < armed))
+    [
+      (fun () -> `Fifo);
+      (fun () ->
+        let rng = Rng.create ~seed:42 in
+        `Controlled (fun enabled -> Rng.int rng (Array.length enabled)));
+    ]
+
+let test_cancel_releases_payload () =
+  (* A cancelled callback's captures are collectable while the sim and
+     the slot the event occupied are still alive: a near timer (the
+     wheel's near-future heap after a peek) and a far one (a wheel bag),
+     on both queues. *)
+  both_scheds (fun sched ->
+      let sim = Sim.create ~sched () in
+      Sim.at sim 1_000 ignore;
+      ignore (Sim.run ~until:10 sim);
+      let arm time =
+        let payload = Bytes.create 64 in
+        let h =
+          Sim.timer sim time (fun () -> ignore (Sys.opaque_identity payload))
+        in
+        Sim.cancel sim h;
+        weak_of payload
+      in
+      let near = arm 20 and far = arm (Time.s 2) in
+      Gc.full_major ();
+      check_bool "near payload released" false (Weak.check near 0);
+      check_bool "far payload released" false (Weak.check far 0);
+      ignore (Sim.run sim);
+      check_int "only the live event ran" 1 (Sim.events_executed sim))
+
+let test_cond_wake_cancels_timeout () =
+  (* A signalled wait_timeout leaves no timer behind: the run ends at
+     the signal, not at the timeout. *)
+  both_scheds (fun sched ->
+      let sim = Sim.create ~sched () in
+      let c = Cond.create sim in
+      Sim.spawn sim (fun () -> ignore (Cond.wait_timeout c 1_000));
+      Sim.spawn sim (fun () ->
+          Sim.delay sim 50;
+          Cond.signal c);
+      ignore (Sim.run sim);
+      check_int "quiescent at the wake" 50 (Sim.now sim))
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let suites =
@@ -906,6 +1127,8 @@ let suites =
           test_wheel_overflow;
         Alcotest.test_case "late insert after peek" `Quick
           test_wheel_late_insert_after_peek;
+        Alcotest.test_case "top-level cross cascades its cursor slot" `Quick
+          test_wheel_top_level_cross;
         Alcotest.test_case "coincident multi-level boundary crossing" `Quick
           test_wheel_coincident_boundary;
         Alcotest.test_case "heap parity (fifo)" `Quick test_wheel_parity_fifo;
@@ -925,6 +1148,14 @@ let suites =
           test_sim_sched_parity;
         Alcotest.test_case "slab released after spike" `Quick
           test_sim_slab_release;
+        Alcotest.test_case "cancelled timer never runs" `Quick
+          test_cancel_never_runs;
+        Alcotest.test_case "late and stale cancel are no-ops" `Quick
+          test_cancel_late_and_stale;
+        Alcotest.test_case "heap/wheel parity under cancels" `Quick
+          test_cancel_sched_parity;
+        Alcotest.test_case "cancel releases the payload" `Quick
+          test_cancel_releases_payload;
       ] );
     ( "engine.cond",
       [
@@ -932,6 +1163,8 @@ let suites =
         Alcotest.test_case "timeout" `Quick test_cond_timeout;
         Alcotest.test_case "signal beats timeout" `Quick
           test_cond_signal_beats_timeout;
+        Alcotest.test_case "wake cancels the timeout" `Quick
+          test_cond_wake_cancels_timeout;
         Alcotest.test_case "timeout waiter not rewoken" `Quick
           test_cond_timeout_not_double_woken;
       ] );

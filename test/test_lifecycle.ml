@@ -5,6 +5,7 @@ open Uls_api.Sockets_api
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let check_string = Alcotest.(check string)
 
 let test_engine_counters () =
   let sim = Sim.create () in
@@ -108,6 +109,112 @@ let test_switch_counters_after_traffic () =
   check_bool "frames forwarded" true (Uls_ether.Switch.frames_forwarded sw > 10);
   check_int "no drops on a clean run" 0 (Uls_ether.Switch.frames_dropped sw)
 
+(* --- nothing a connection owns outlives it (paper 5.3) ------------------ *)
+
+let control_fibers = [ "sub-req"; "sub-grant"; "sub-close" ]
+
+let names_in report =
+  List.map (fun (p : Sim.parked) -> p.Sim.fiber) report
+
+let test_idle_conn_parks_no_control_fibers () =
+  (* The rendezvous-request, grant and close descriptors complete into
+     handler fibers: an idle open connection has none parked on them. *)
+  let c = Uls_bench.Cluster.create ~n:2 () in
+  let api = Uls_bench.Cluster.substrate_api c in
+  let sim = Uls_bench.Cluster.sim c in
+  let parked = ref [] in
+  Sim.spawn sim (fun () ->
+      let l = api.listen ~node:1 ~port:80 ~backlog:1 in
+      let s, _ = l.accept () in
+      ignore (s.recv 16);
+      s.close ());
+  Sim.spawn sim (fun () ->
+      Sim.delay sim (Time.us 10);
+      let s = api.connect ~node:0 { node = 1; port = 80 } in
+      Sim.delay sim (Time.ms 1);
+      parked := names_in (Sim.blocked_report sim);
+      s.close ());
+  ignore (Uls_bench.Cluster.run c);
+  check_bool "both ends' rx fibers parked" true
+    (List.length (List.filter (( = ) "sub-rx") !parked) >= 2);
+  List.iter
+    (fun name ->
+      check_bool (name ^ " not parked") false (List.mem name !parked))
+    control_fibers
+
+let test_cycles_restore_live_fibers () =
+  (* N connect/echo/close cycles leave the fiber count where it was
+     before the first connect, and no per-connection fiber parked (the
+     node's listener and refusal scanner stay). *)
+  let c = Uls_bench.Cluster.create ~n:2 () in
+  let api = Uls_bench.Cluster.substrate_api c in
+  let sim = Uls_bench.Cluster.sim c in
+  let before = ref (-1) and after = ref (-1) and parked = ref [] in
+  Sim.spawn sim ~daemon:true (fun () ->
+      let l = api.listen ~node:1 ~port:80 ~backlog:4 in
+      let rec serve () =
+        let s, _ = l.accept () in
+        s.send (recv_exact s 4);
+        while s.recv 16 <> "" do
+          ()
+        done;
+        s.close ();
+        serve ()
+      in
+      serve ());
+  Sim.spawn sim (fun () ->
+      Sim.delay sim (Time.us 10);
+      before := Sim.live_fibers sim;
+      for _ = 1 to 8 do
+        let s = api.connect ~node:0 { node = 1; port = 80 } in
+        s.send "ping";
+        check_string "echo" "ping" (recv_exact s 4);
+        s.close ();
+        Sim.delay sim (Time.us 200)
+      done;
+      Sim.delay sim (Time.ms 1);
+      after := Sim.live_fibers sim;
+      parked := names_in (Sim.blocked_report sim));
+  ignore (Uls_bench.Cluster.run c);
+  check_int "live fibers back at the pre-connect count" !before !after;
+  List.iter
+    (fun name ->
+      check_bool (name ^ " not parked") false (List.mem name !parked))
+    ([ "sub-rx"; "sub-ack"; "sub-uq-ack"; "sub-close-notify" ] @ control_fibers)
+
+let test_echo_close_quiesces_promptly () =
+  (* One echo through the event-driven server, then close, run to
+     quiescence: the run ends with the last live event. Before timers
+     were cancellable, the server's 2 s embryo timer and the EMP 2 ms
+     retransmission timers of acknowledged sends kept the queue busy
+     that long after the close. *)
+  let c = Uls_bench.Cluster.create ~n:2 () in
+  let sim = Uls_bench.Cluster.sim c in
+  let api =
+    Uls_bench.Cluster.substrate_api ~opts:Uls_substrate.Options.server c
+  in
+  let closed_at = ref (-1) in
+  Sim.spawn sim (fun () ->
+      let l = api.listen ~node:0 ~port:80 ~backlog:8 in
+      ignore
+        (Uls_server.Sched.start sim ~node:0 ~listener:l
+           ~handler:(fun _ data ->
+             { Uls_server.Sched.replies = [ data ]; close = false })
+           ()));
+  Sim.spawn sim (fun () ->
+      Sim.delay sim (Time.us 10);
+      let s = api.connect ~node:1 { node = 0; port = 80 } in
+      s.send "x";
+      check_string "echoed" "x" (recv_exact s 1);
+      s.close ();
+      closed_at := Sim.now sim);
+  (match Uls_bench.Cluster.run c with
+  | `Quiescent -> ()
+  | _ -> Alcotest.fail "expected a quiescent run");
+  check_bool "client closed" true (!closed_at > 0);
+  check_bool "quiescent within 1 ms of the close" true
+    (Sim.now sim - !closed_at < Time.ms 1)
+
 let suites =
   [
     ( "lifecycle",
@@ -121,5 +228,11 @@ let suites =
           test_ip_reassembly_eviction;
         Alcotest.test_case "switch counters" `Quick
           test_switch_counters_after_traffic;
+        Alcotest.test_case "idle conn parks no control fibers" `Quick
+          test_idle_conn_parks_no_control_fibers;
+        Alcotest.test_case "connect/close cycles restore fibers" `Quick
+          test_cycles_restore_live_fibers;
+        Alcotest.test_case "echo then close quiesces promptly" `Quick
+          test_echo_close_quiesces_promptly;
       ] );
   ]
