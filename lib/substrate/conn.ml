@@ -27,6 +27,11 @@ and slot = {
   mutable sl_current : E.recv option;
 }
 
+(* What the rx fiber takes from [rx_handles]: a posted data descriptor,
+   or the wake-up teardown sends when the fiber waits there with no
+   descriptor left to cancel. *)
+and rx_item = Posted of slot * E.recv | Stop
+
 and ready = {
   rd_seq : int;
   rd_slot : slot;
@@ -85,7 +90,8 @@ and t = {
   req_slot : slot;
   grant_slot : slot;
   close_slot : slot;
-  rx_handles : (slot * E.recv) Mailbox.t;
+  rx_handles : rx_item Mailbox.t;
+  mutable rx_idle : bool;  (** the rx fiber waits on [rx_handles] *)
   rx_ready : ready Int_tbl.t;
       (** keyed by sequence number: under loss, EMP messages complete out
           of order (a retransmitted message finishes after its
@@ -234,13 +240,21 @@ let post_slot t slot ~tag =
 
 let repost_data_slot t slot =
   let r = post_slot t slot ~tag:(Tags.make Tags.Data t.id) in
-  Mailbox.send t.rx_handles (slot, r)
+  Mailbox.send t.rx_handles (Posted (slot, r))
 
 (* --- receive fibers --------------------------------------------------- *)
 
 let rx_fiber t () =
   let rec loop () =
-    let slot, recv = Mailbox.recv t.rx_handles in
+    if not (t.closed || t.reset) then begin
+      t.rx_idle <- true;
+      let item = Mailbox.recv t.rx_handles in
+      t.rx_idle <- false;
+      match item with
+      | Stop -> ()
+      | Posted (slot, recv) -> receive slot recv
+    end
+  and receive slot recv =
     let len, _, _ = E.wait_recv t.env.emp recv in
     if len >= 0 && not t.closed then begin
       slot.sl_current <- None;
@@ -800,7 +814,7 @@ let flush_reposts t freed_rev =
     List.iter2
       (fun slot r ->
         slot.sl_current <- Some r;
-        Mailbox.send t.rx_handles (slot, r))
+        Mailbox.send t.rx_handles (Posted (slot, r)))
       slots rs);
   let k = List.length slots in
   if k > 0 && (opts t).Options.scheme <> Options.Comm_thread then begin
@@ -887,13 +901,16 @@ let unpost_everything t =
   (* Descriptors whose completion is already queued for the rx fiber. *)
   let rec drain () =
     match Mailbox.try_recv t.rx_handles with
-    | Some (slot, r) ->
+    | Some (Posted (_, r)) ->
       ignore (E.unpost_recv t.env.emp r);
-      ignore slot;
       drain ()
+    | Some Stop -> drain ()
     | None -> ()
   in
-  drain ()
+  drain ();
+  (* With every buffer holding unread data there is no descriptor whose
+     cancellation would wake the rx fiber: wake it directly. *)
+  if t.rx_idle then Mailbox.send t.rx_handles Stop
 
 (* The "closed" message is load-bearing: if the peer never hears it, the
    peer's 2N+3 descriptors stay posted forever (§5.3's leak). EMP already
@@ -1049,6 +1066,7 @@ let create env ~id ~peer_node ~peer_conn ~local_addr ~peer_addr =
         Mailbox.create
           ~label:(Printf.sprintf "conn:%d rx-handles" id)
           (Node.sim env.node);
+      rx_idle = false;
       rx_ready = Int_tbl.create 64;
       req_q = Hashtbl.create 16;
       expected_seq = 0;

@@ -215,6 +215,34 @@ let test_echo_close_quiesces_promptly () =
   check_bool "quiescent within 1 ms of the close" true
     (Sim.now sim - !closed_at < Time.ms 1)
 
+let test_close_with_full_buffers_ends_rx () =
+  (* The server closes while every credit buffer holds unread data: no
+     receive descriptor is left posted for teardown to cancel, so the
+     rx fiber, idle on its handle queue, must still be woken to exit. *)
+  let c = Uls_bench.Cluster.create ~n:2 () in
+  let api = Uls_bench.Cluster.substrate_api c in
+  let sim = Uls_bench.Cluster.sim c in
+  Sim.spawn sim (fun () ->
+      let l = api.listen ~node:1 ~port:80 ~backlog:1 in
+      let s, _ = l.accept () in
+      Sim.delay sim (Time.ms 1);
+      s.close ();
+      l.close_listener ());
+  Sim.spawn sim (fun () ->
+      Sim.delay sim (Time.us 10);
+      let s = api.connect ~node:0 { node = 1; port = 80 } in
+      (try
+         for _ = 1 to 64 do
+           s.send "x"
+         done
+       with Connection_closed -> ());
+      s.close ());
+  (match Uls_bench.Cluster.run c with
+  | `Quiescent -> ()
+  | _ -> Alcotest.fail "expected a quiescent run");
+  check_bool "no rx fiber parked" false
+    (List.mem "sub-rx" (names_in (Sim.blocked_report sim)))
+
 let suites =
   [
     ( "lifecycle",
@@ -234,5 +262,7 @@ let suites =
           test_cycles_restore_live_fibers;
         Alcotest.test_case "echo then close quiesces promptly" `Quick
           test_echo_close_quiesces_promptly;
+        Alcotest.test_case "close with full buffers ends rx fiber" `Quick
+          test_close_with_full_buffers_ends_rx;
       ] );
   ]
