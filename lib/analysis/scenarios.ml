@@ -44,15 +44,16 @@ type t = {
 
 (* Observables accumulate from concurrently finishing fibers, so their
    arrival order is schedule-dependent even when their contents are not:
-   sort before fingerprinting. *)
-let finish cluster ~conns ~observables stop =
-  let sim = Cluster.sim cluster in
-  let leaks = Sanitizer.scan ~conns:!conns cluster in
+   sort before fingerprinting. A run without a [cluster] is on a bare
+   sim, with no substrate to fingerprint or scan. *)
+let finish ?cluster sim ~conns ~observables stop =
+  let leaks, subs =
+    match cluster with
+    | Some c -> (Sanitizer.scan ~conns c, Cluster.substrates c)
+    | None -> ([], [])
+  in
   let fingerprint =
-    Fingerprint.capture
-      ~observables:(List.sort compare !observables)
-      sim
-      ~subs:(Cluster.substrates cluster)
+    Fingerprint.capture ~observables:(List.sort compare observables) sim ~subs
   in
   {
     fingerprint;
@@ -62,10 +63,40 @@ let finish cluster ~conns ~observables stop =
     stop;
   }
 
-let start ?(n = 2) ?match_engine tiebreak =
+(* Run a cluster workload to quiescence under [tiebreak], monitors on:
+   [setup] spawns its fibers, recording each connection it opens in
+   [conns] and each observable in [obs]. *)
+let cluster_run ?(n = 2) ?match_engine tiebreak setup =
   let cluster = Cluster.create ?match_engine ~tiebreak ~n () in
-  Invariant.enable (Invariant.for_sim (Cluster.sim cluster));
-  cluster
+  let sim = Cluster.sim cluster in
+  Invariant.enable (Invariant.for_sim sim);
+  let conns = ref [] and obs = ref [] in
+  setup cluster sim conns obs;
+  let stop = Cluster.run cluster in
+  finish ~cluster sim ~conns:!conns ~observables:!obs stop
+
+(* Node 0's side of a substrate workload: listen on [port], accept
+   [accepts] connections, record each and hand it to [handle] with its
+   peer's address, then close the listener. *)
+let server sim sub ~conns ~name ~port ~backlog ~accepts handle =
+  Sim.spawn sim ~name (fun () ->
+      let l = Sub.listen sub ~port ~backlog in
+      for _ = 1 to accepts do
+        let conn, peer = Sub.accept sub l in
+        conns := (0, conn) :: !conns;
+        handle conn peer
+      done;
+      Sub.close_listener sub l)
+
+(* A client fiber on [node], started 20 us in: [connect ()] opens a
+   connection to node 0's [port] and records it. *)
+let client sim sub ~conns ~node ~name ~port body =
+  Sim.spawn sim ~name (fun () ->
+      Sim.delay sim (Time.us 20);
+      body (fun () ->
+          let conn = Sub.connect sub { Uls_api.Sockets_api.node = 0; port } in
+          conns := (node, conn) :: !conns;
+          conn))
 
 let read_exact conn need =
   let buf = Buffer.create need in
@@ -86,125 +117,110 @@ let pattern ~client n =
 
 let hex s = Digest.to_hex (Digest.string s)
 
+(* The substrate profile of the mini scale: the object under test is the
+   schedule tree, not bulk payload, and the default 32-credit x 64 KB
+   provisioning makes each of a sweep's hundreds of runs fault megabytes
+   of fresh buffer pages (the whole sweep went from seconds to tens of
+   seconds of kernel time without this). *)
+let mini_opts ~mini =
+  if mini then
+    Some { Opt.data_streaming with Opt.credits = 4; buffer_size = 4_096 }
+  else None
+
 (* --- eager-echo: streaming mode, two clients echoed by one server --- *)
 
-let eager_echo ?match_engine ?opts
-    ?(writes = [ 1_900; 4_096; 512; 9_000; 64; 2_048 ]) tiebreak =
-  let cluster = start ~n:3 ?match_engine tiebreak in
-  let sim = Cluster.sim cluster in
-  let conns = ref [] and obs = ref [] in
-  let server = Cluster.substrate ?opts cluster 0 in
+let eager_echo ?match_engine ~mini tiebreak =
+  let opts = mini_opts ~mini in
+  let writes =
+    if mini then [ 512; 64 ] else [ 1_900; 4_096; 512; 9_000; 64; 2_048 ]
+  in
   let total = List.fold_left ( + ) 0 writes in
-  Sim.spawn sim ~name:"echo-server" (fun () ->
-      let l = Sub.listen server ~port:80 ~backlog:4 in
-      for _ = 1 to 2 do
-        let conn, _ = Sub.accept server l in
-        conns := (0, conn) :: !conns;
-        Sim.spawn sim ~name:"echo-worker" (fun () ->
-            let rec pump () =
-              let chunk = Conn.read conn 8_192 in
-              if chunk <> "" then begin
-                Conn.write conn chunk;
-                pump ()
-              end
-            in
-            pump ();
-            Conn.close conn)
-      done;
-      Sub.close_listener server l);
-  for client = 1 to 2 do
-    let sub = Cluster.substrate ?opts cluster client in
-    Sim.spawn sim ~name:(Printf.sprintf "echo-client-%d" client) (fun () ->
-        Sim.delay sim (Time.us 20);
-        let conn = Sub.connect sub { Uls_api.Sockets_api.node = 0; port = 80 } in
-        conns := (client, conn) :: !conns;
-        List.iter (fun n -> Conn.write conn (pattern ~client n)) writes;
+  cluster_run ~n:3 ?match_engine tiebreak @@ fun cluster sim conns obs ->
+  server sim (Cluster.substrate ?opts cluster 0) ~conns ~name:"echo-server"
+    ~port:80 ~backlog:4 ~accepts:2 (fun conn _ ->
+      Sim.spawn sim ~name:"echo-worker" (fun () ->
+          let rec pump () =
+            let chunk = Conn.read conn 8_192 in
+            if chunk <> "" then begin
+              Conn.write conn chunk;
+              pump ()
+            end
+          in
+          pump ();
+          Conn.close conn));
+  for client_node = 1 to 2 do
+    client sim (Cluster.substrate ?opts cluster client_node) ~conns
+      ~node:client_node ~port:80
+      ~name:(Printf.sprintf "echo-client-%d" client_node) (fun connect ->
+        let conn = connect () in
+        List.iter
+          (fun n -> Conn.write conn (pattern ~client:client_node n))
+          writes;
         let back = read_exact conn total in
         obs :=
-          Printf.sprintf "echo client=%d bytes=%d digest=%s" client
+          Printf.sprintf "echo client=%d bytes=%d digest=%s" client_node
             (String.length back) (hex back)
           :: !obs;
         Conn.close conn)
-  done;
-  let stop = Cluster.run cluster in
-  finish cluster ~conns ~observables:obs stop
+  done
 
 (* --- dg-rendezvous: datagram mode, large writes through the
    substrate's request/grant path from two clients at once (the surface
    of the shared-grant-queue bug this suite's fixture re-introduces) --- *)
 
 let dg_rendezvous tiebreak =
-  let cluster = start ~n:3 tiebreak in
-  let sim = Cluster.sim cluster in
-  let conns = ref [] and obs = ref [] in
   let opts = Opt.datagram in
-  let server = Cluster.substrate ~opts cluster 0 in
   let msg_bytes = 96_000 (* > eager_max: forced onto rendezvous *) in
   let msgs = 3 in
-  Sim.spawn sim ~name:"dg-server" (fun () ->
-      let l = Sub.listen server ~port:90 ~backlog:4 in
-      for _ = 1 to 2 do
-        let conn, peer = Sub.accept server l in
-        conns := (0, conn) :: !conns;
-        Sim.spawn sim ~name:"dg-reader" (fun () ->
-            for k = 1 to msgs do
-              let msg = Conn.read conn msg_bytes in
-              obs :=
-                Printf.sprintf "dg from=%d msg=%d bytes=%d digest=%s"
-                  peer.Uls_api.Sockets_api.node k (String.length msg) (hex msg)
-                :: !obs
-            done;
-            ignore (Conn.read conn 1);
-            Conn.close conn)
-      done;
-      Sub.close_listener server l);
-  for client = 1 to 2 do
-    let sub = Cluster.substrate ~opts cluster client in
-    Sim.spawn sim ~name:(Printf.sprintf "dg-client-%d" client) (fun () ->
-        Sim.delay sim (Time.us 20);
-        let conn = Sub.connect sub { Uls_api.Sockets_api.node = 0; port = 90 } in
-        conns := (client, conn) :: !conns;
+  cluster_run ~n:3 tiebreak @@ fun cluster sim conns obs ->
+  server sim (Cluster.substrate ~opts cluster 0) ~conns ~name:"dg-server"
+    ~port:90 ~backlog:4 ~accepts:2 (fun conn peer ->
+      Sim.spawn sim ~name:"dg-reader" (fun () ->
+          for k = 1 to msgs do
+            let msg = Conn.read conn msg_bytes in
+            obs :=
+              Printf.sprintf "dg from=%d msg=%d bytes=%d digest=%s"
+                peer.Uls_api.Sockets_api.node k (String.length msg) (hex msg)
+              :: !obs
+          done;
+          ignore (Conn.read conn 1);
+          Conn.close conn));
+  for client_node = 1 to 2 do
+    client sim (Cluster.substrate ~opts cluster client_node) ~conns
+      ~node:client_node ~port:90
+      ~name:(Printf.sprintf "dg-client-%d" client_node) (fun connect ->
+        let conn = connect () in
         for k = 1 to msgs do
-          Conn.write conn (pattern ~client:(client * 10 + k) msg_bytes)
+          Conn.write conn (pattern ~client:((client_node * 10) + k) msg_bytes)
         done;
         Conn.close conn)
-  done;
-  let stop = Cluster.run cluster in
-  finish cluster ~conns ~observables:obs stop
+  done
 
 (* --- connect-churn: connection setup/teardown cycles reclaim every
    descriptor (the 2N+3 provisioning of §5.3 against the leak scans) --- *)
 
-let connect_churn ?opts tiebreak =
-  let cluster = start ~n:2 tiebreak in
-  let sim = Cluster.sim cluster in
-  let conns = ref [] and obs = ref [] in
-  let server = Cluster.substrate ?opts cluster 0 in
-  let client = Cluster.substrate ?opts cluster 1 in
+let connect_churn ~mini tiebreak =
+  let opts = mini_opts ~mini in
   let cycles = 4 in
-  Sim.spawn sim ~name:"churn-server" (fun () ->
-      let l = Sub.listen server ~port:70 ~backlog:2 in
-      for _ = 1 to cycles do
-        let conn, _ = Sub.accept server l in
-        conns := (0, conn) :: !conns;
-        let msg = read_exact conn 24 in
-        Conn.write conn (hex msg);
-        ignore (Conn.read conn 1);
-        Conn.close conn
-      done;
-      Sub.close_listener server l);
-  Sim.spawn sim ~name:"churn-client" (fun () ->
-      Sim.delay sim (Time.us 20);
+  cluster_run tiebreak @@ fun cluster sim conns obs ->
+  (* Both substrates exist before the server fiber spawns. *)
+  let server_sub = Cluster.substrate ?opts cluster 0 in
+  let client_sub = Cluster.substrate ?opts cluster 1 in
+  server sim server_sub ~conns ~name:"churn-server" ~port:70 ~backlog:2
+    ~accepts:cycles (fun conn _ ->
+      let msg = read_exact conn 24 in
+      Conn.write conn (hex msg);
+      ignore (Conn.read conn 1);
+      Conn.close conn);
+  client sim client_sub ~conns ~node:1 ~name:"churn-client" ~port:70
+    (fun connect ->
       for k = 1 to cycles do
-        let conn = Sub.connect client { Uls_api.Sockets_api.node = 0; port = 70 } in
-        conns := (1, conn) :: !conns;
+        let conn = connect () in
         Conn.write conn (pattern ~client:k 24);
         let reply = read_exact conn 32 in
         obs := Printf.sprintf "churn cycle=%d reply=%s" k reply :: !obs;
         Conn.close conn
-      done);
-  let stop = Cluster.run cluster in
-  finish cluster ~conns ~observables:obs stop
+      done)
 
 (* --- raw-EMP grant fixture -------------------------------------------
    A miniature rendezvous protocol over bare EMP. Two writer fibers on
@@ -220,15 +236,13 @@ let connect_churn ?opts tiebreak =
    [scenario.grant_routing] invariant and by fingerprint divergence. *)
 
 let grant_fixture ~routed tiebreak =
-  let cluster = start ~n:2 tiebreak in
-  let sim = Cluster.sim cluster in
+  cluster_run tiebreak @@ fun cluster sim _ obs ->
   let inv = Invariant.for_sim sim in
   let e0 = Cluster.emp cluster 0 in
   let e1 = Cluster.emp cluster 1 in
   let req_tag = 900 and grant_tag = 901 and data_tag = 910 in
   let size = 512 in
   let writers = 2 in
-  let obs = ref [] in
   (* Receiver: one handler fiber per expected request. *)
   for i = 0 to writers - 1 do
     Sim.spawn sim ~name:(Printf.sprintf "grant-server-%d" i) (fun () ->
@@ -299,9 +313,7 @@ let grant_fixture ~routed tiebreak =
         let data = Mem.of_string (String.make size (Char.chr (Char.code '0' + c))) in
         E.wait_send e1
           (E.post_send e1 ~dst:0 ~tag:(data_tag + grid) data ~off:0 ~len:size))
-  done;
-  let stop = Cluster.run cluster in
-  finish cluster ~conns:(ref []) ~observables:obs stop
+  done
 
 (* --- fabric-churn: session arrivals over the sharded serving fabric ---
    Unlike the raw-substrate scenarios above, this one drives the whole
@@ -361,10 +373,9 @@ let fabric_churn tiebreak =
    mid-fetch coalesces), so the fingerprint takes only the
    schedule-independent ring facts: submitted and completed. *)
 
-let rings_firehose ?(msgs = 24) ?(batch = 4) tiebreak =
-  let cluster = start ~n:2 tiebreak in
-  let sim = Cluster.sim cluster in
-  let obs = ref [] in
+let rings_firehose ~mini tiebreak =
+  let msgs, batch = if mini then (6, 2) else (24, 4) in
+  cluster_run tiebreak @@ fun cluster sim _ obs ->
   let e0 = Cluster.emp cluster 0 and e1 = Cluster.emp cluster 1 in
   let producers = 2 and size = 96 in
   let payload p i =
@@ -427,9 +438,7 @@ let rings_firehose ?(msgs = 24) ?(batch = 4) tiebreak =
           Printf.sprintf "fire ring submitted=%d completed=%d"
             s.Uls_rings.Ringpair.submitted s.Uls_rings.Ringpair.completed
           :: !obs
-      | None -> ());
-  let stop = Cluster.run cluster in
-  finish cluster ~conns:(ref []) ~observables:obs stop
+      | None -> ())
 
 (* --- lost-signal: a wakeup that only gets lost off the FIFO path ------
    The canonical lost-wakeup: a waiter parks on a condition and a
@@ -454,146 +463,75 @@ let lost_signal tiebreak =
       Cond.signal ready;
       obs := "ls signalled" :: !obs);
   let stop = Sim.run sim in
-  {
-    fingerprint =
-      Fingerprint.capture ~observables:(List.sort compare !obs) sim ~subs:[];
-    violations = Invariant.violations (Invariant.for_sim sim);
-    deadlock = Deadlock.check sim;
-    leaks = [];
-    stop;
-  }
+  finish sim ~conns:[] ~observables:!obs stop
 
 (* --- registry --------------------------------------------------------- *)
 
 (* Sweep bounds. Micro fixtures get an unbounded preemption cap — their
    whole schedule tree fits in the run budget, so the explorer can claim
    exhaustiveness. Protocol scenarios get a preemption-bounded sweep
-   (every schedule within [b_preemptions] deviations of FIFO); where a
-   full-size run is too slow to afford hundreds of schedules, the
-   full-size scenario is walked only and a "-mini" variant of the same
-   workload carries the sweep. *)
+   (every schedule within [b_preemptions] deviations of FIFO). *)
 
-(* Compact substrate profile for the "-mini" variants: the object under
-   test is the schedule tree, not bulk payload, and the default
-   32-credit x 64 KB provisioning makes each of the hundreds of runs
-   fault megabytes of fresh buffer pages (the whole sweep went from
-   seconds to tens of seconds of kernel time without this). *)
-let mini_opts =
-  { Opt.data_streaming with Opt.credits = 4; buffer_size = 4_096 }
+let bounded b_runs b_preemptions = { b_runs; b_preemptions }
 
-let exhaustive runs = Some { b_runs = runs; b_preemptions = max_int }
+let row ?bound ?(buggy = false) sc_name sc_descr sc_run =
+  { sc_name; sc_descr; sc_buggy = buggy; sc_run; sc_bound = bound }
 
-let preemption_bounded ~runs ~preemptions =
-  Some { b_runs = runs; b_preemptions = preemptions }
+(* A workload too slow to afford hundreds of schedules at full size is
+   walked only; its "-mini" row, the same workload at the mini scale,
+   carries the sweep. *)
+let with_mini name descr ~mini run =
+  [
+    row name descr (run ~mini:false);
+    row (name ^ "-mini") (name ^ " with " ^ mini) (run ~mini:true)
+      ~bound:(bounded 160 1);
+  ]
 
 let clean_suite =
-  [
-    {
-      sc_name = "eager-echo";
-      sc_descr = "streaming echo through credit flow control, 2 clients";
-      sc_buggy = false;
-      sc_run = eager_echo ?match_engine:None ?opts:None ?writes:None;
-      sc_bound = None;
-    };
-    {
-      sc_name = "eager-echo-mini";
-      sc_descr = "eager-echo with 4 x 4 KB credits and two short writes";
-      sc_buggy = false;
-      sc_run =
-        eager_echo ?match_engine:None ~opts:mini_opts ~writes:[ 512; 64 ];
-      sc_bound = preemption_bounded ~runs:160 ~preemptions:1;
-    };
-    {
-      sc_name = "hashed-echo";
-      sc_descr = "eager-echo over the hashed match engine: two RSS-steered \
-                  receive queues with concurrent dispatcher fibers";
-      sc_buggy = false;
-      sc_run =
-        eager_echo ~match_engine:Uls_nic.Match_list.Hashed ?opts:None
-          ?writes:None;
-      sc_bound = None;
-    };
-    {
-      sc_name = "hashed-echo-mini";
-      sc_descr = "hashed-echo with 4 x 4 KB credits and two short writes";
-      sc_buggy = false;
-      sc_run =
-        eager_echo ~match_engine:Uls_nic.Match_list.Hashed ~opts:mini_opts
-          ~writes:[ 512; 64 ];
-      sc_bound = preemption_bounded ~runs:160 ~preemptions:1;
-    };
-    {
-      sc_name = "dg-rendezvous";
-      sc_descr = "datagram large messages over the request/grant path";
-      sc_buggy = false;
-      sc_run = dg_rendezvous;
-      sc_bound = None;
-    };
-    {
-      sc_name = "connect-churn";
-      sc_descr = "connect/transfer/close cycles reclaim all descriptors";
-      sc_buggy = false;
-      sc_run = connect_churn ?opts:None;
-      sc_bound = None;
-    };
-    {
-      sc_name = "connect-churn-mini";
-      sc_descr = "connect-churn with 4 x 4 KB credits";
-      sc_buggy = false;
-      sc_run = connect_churn ~opts:mini_opts;
-      sc_bound = preemption_bounded ~runs:160 ~preemptions:1;
-    };
-    {
-      sc_name = "rendezvous-grants";
-      sc_descr = "raw-EMP grant protocol with per-request grant routing";
-      sc_buggy = false;
-      sc_run = grant_fixture ~routed:true;
-      sc_bound = preemption_bounded ~runs:256 ~preemptions:2;
-    };
-    {
-      sc_name = "rings-firehose";
-      sc_descr = "two producers batch-submitting into one shared tx ring, \
-                  one reaper retiring completions";
-      sc_buggy = false;
-      sc_run = rings_firehose ?msgs:None ?batch:None;
-      sc_bound = None;
-    };
-    {
-      sc_name = "rings-firehose-mini";
-      sc_descr = "rings-firehose with 6 messages per producer, batch 2";
-      sc_buggy = false;
-      sc_run = rings_firehose ~msgs:6 ~batch:2;
-      sc_bound = preemption_bounded ~runs:160 ~preemptions:1;
-    };
-    {
-      sc_name = "fabric-churn";
-      sc_descr = "fleet arrivals over the sharded fabric: placement + \
-                  completion counts are schedule-independent";
-      sc_buggy = false;
-      sc_run = fabric_churn;
-      sc_bound = None;
-    };
-  ]
+  List.concat
+    [
+      with_mini "eager-echo"
+        "streaming echo through credit flow control, 2 clients"
+        ~mini:"4 x 4 KB credits and two short writes"
+        (eager_echo ?match_engine:None);
+      with_mini "hashed-echo"
+        "eager-echo over the hashed match engine: two RSS-steered receive \
+         queues with concurrent dispatcher fibers"
+        ~mini:"4 x 4 KB credits and two short writes"
+        (eager_echo ~match_engine:Uls_nic.Match_list.Hashed);
+      [
+        row "dg-rendezvous" "datagram large messages over the request/grant path"
+          dg_rendezvous;
+      ];
+      with_mini "connect-churn"
+        "connect/transfer/close cycles reclaim all descriptors"
+        ~mini:"4 x 4 KB credits" connect_churn;
+      [
+        row "rendezvous-grants"
+          "raw-EMP grant protocol with per-request grant routing"
+          (grant_fixture ~routed:true) ~bound:(bounded 256 2);
+      ];
+      with_mini "rings-firehose"
+        "two producers batch-submitting into one shared tx ring, one reaper \
+         retiring completions"
+        ~mini:"6 messages per producer, batch 2" rings_firehose;
+      [
+        row "fabric-churn"
+          "fleet arrivals over the sharded fabric: placement + completion \
+           counts are schedule-independent"
+          fabric_churn;
+      ];
+    ]
 
 let buggy_suite =
   [
-    {
-      sc_name = "shared-grant-queue";
-      sc_descr =
-        "re-introduced PR 2 bug: grants popped from one shared mailbox";
-      sc_buggy = true;
-      sc_run = grant_fixture ~routed:false;
-      sc_bound = preemption_bounded ~runs:256 ~preemptions:2;
-    };
-    {
-      sc_name = "lost-signal";
-      sc_descr =
-        "lost-wakeup fixture: a signal that fires before its waiter parks \
-         is dropped — deadlock on exactly one of two schedules";
-      sc_buggy = true;
-      sc_run = lost_signal;
-      sc_bound = exhaustive 64;
-    };
+    row ~buggy:true "shared-grant-queue"
+      "re-introduced grant-routing bug: grants popped from one shared mailbox"
+      (grant_fixture ~routed:false) ~bound:(bounded 256 2);
+    row ~buggy:true "lost-signal"
+      "lost-wakeup fixture: a signal that fires before its waiter parks is \
+       dropped — deadlock on exactly one of two schedules"
+      lost_signal ~bound:(bounded 64 max_int);
   ]
 
 let all = clean_suite @ buggy_suite

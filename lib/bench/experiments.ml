@@ -1,6 +1,8 @@
-(** One driver per table/figure of the paper's evaluation (§7), plus the
-    ablation studies called out in DESIGN.md. Every driver returns a
-    {!Table.t}; [all] runs the full evaluation. *)
+(** The paper's evaluation (§7) and the ablations DESIGN.md calls out,
+    one {!Table.t} each. Most tables are sweeps, a row per swept value
+    and a column per stack or knob, and are written as one [sweep]
+    spec; Fig 13, [connect], [abl-cpu], [abl-pincache] and [breakdown]
+    have other shapes and keep their own bodies. [all] runs them all. *)
 
 open Uls_engine
 module Opt = Uls_substrate.Options
@@ -13,6 +15,32 @@ let dg = Opt.datagram
 let emp = `Emp Uls_emp.Endpoint.default_config
 let latency_sizes = [ 4; 16; 64; 256; 1024; 4096 ]
 
+(* One table over a sweep: a row per value of [values] (the quick list
+   under [~quick], else the full one), printed by [show] under header
+   [param], then one cell per named column. *)
+let sweep ~id ~title ~param ~show ~values:(quick_values, full_values)
+    ~columns ~notes ?(quick = false) () =
+  {
+    Table.id;
+    title;
+    header = param :: List.map fst columns;
+    rows =
+      List.map
+        (fun v -> show v :: List.map (fun (_, cell) -> cell ~quick v) columns)
+        (if quick then quick_values else full_values);
+    notes;
+  }
+
+let both values = (values, values)
+let iters ~quick = if quick then 10 else 30
+
+(* A ping-pong latency column: one-way us for a message size. *)
+let latency kind ~quick size =
+  Table.cell_f2 (Microbench.ping_pong ~iters:(iters ~quick) ~kind ~size ())
+
+(* The same at 4 bytes, for a stack built from the swept value. *)
+let latency4 kind_of ~quick v = latency (kind_of v) ~quick 4
+
 (* A stream that hung or delivered wrong bytes has no figure to report:
    fail the driver, as [matmul_run] does on a wrong product. *)
 let verified_stream ~total ~kind =
@@ -23,78 +51,50 @@ let verified_stream ~total ~kind =
     failwith (Cluster.stack_name kind ^ " stream: corrupted data");
   r
 
+let stream_total ~quick = if quick then 4 * 1024 * 1024 else 16 * 1024 * 1024
+
 (* ---------------------------------------------------------------------- *)
 (* Figure 11: substrate latency vs raw EMP, per enhancement              *)
 (* ---------------------------------------------------------------------- *)
 
-let fig11 ?(quick = false) () =
-  let iters = if quick then 10 else 30 in
-  let sizes = if quick then [ 4; 256; 4096 ] else latency_sizes in
-  let kinds =
-    [
-      ("EMP", emp);
-      ("DG", `Sub dg);
-      ("DS", `Sub ds_base);
-      ("DS_DA", `Sub ds_da);
-      ("DS_DA_UQ", `Sub ds_full);
-    ]
-  in
-  let rows =
-    List.map
-      (fun size ->
-        Table.cell_i size
-        :: List.map
-             (fun (_, kind) ->
-               Table.cell_f2 (Microbench.ping_pong ~iters ~kind ~size ()))
-             kinds)
-      sizes
-  in
-  {
-    Table.id = "fig11";
-    title = "Micro-benchmark latency (us, one-way) vs message size";
-    header = "size(B)" :: List.map fst kinds;
-    rows;
-    notes =
+let fig11 =
+  sweep ~id:"fig11"
+    ~title:"Micro-benchmark latency (us, one-way) vs message size"
+    ~param:"size(B)" ~show:Table.cell_i
+    ~values:([ 4; 256; 4096 ], latency_sizes)
+    ~columns:
+      [
+        ("EMP", latency emp);
+        ("DG", latency (`Sub dg));
+        ("DS", latency (`Sub ds_base));
+        ("DS_DA", latency (`Sub ds_da));
+        ("DS_DA_UQ", latency (`Sub ds_full));
+      ]
+    ~notes:
       [
         "paper: EMP ~28us, DG ~28.5us, DS_DA_UQ ~37us at 4 bytes";
         "DS > DS_DA > DS_DA_UQ ordering comes from ack-descriptor tag-match walks";
-      ];
-  }
+      ]
 
 (* ---------------------------------------------------------------------- *)
 (* Figure 12: latency vs credit size under delayed acks                   *)
 (* ---------------------------------------------------------------------- *)
 
-let fig12 ?(quick = false) () =
-  let iters = if quick then 10 else 30 in
-  let credit_sizes = if quick then [ 1; 8; 32 ] else [ 1; 2; 4; 8; 16; 32 ] in
-  let rows =
-    List.map
-      (fun credits ->
-        let without =
-          Microbench.ping_pong ~iters
-            ~kind:(`Sub { ds_base with Opt.credits })
-            ~size:4 ()
-        in
-        let with_da =
-          Microbench.ping_pong ~iters
-            ~kind:(`Sub { ds_da with Opt.credits })
-            ~size:4 ()
-        in
-        [ Table.cell_i credits; Table.cell_f2 without; Table.cell_f2 with_da ])
-      credit_sizes
-  in
-  {
-    Table.id = "fig12";
-    title = "4-byte DS latency (us) vs credit size, delayed acks on/off";
-    header = [ "credits"; "DS"; "DS_DA" ];
-    rows;
-    notes =
+let fig12 =
+  sweep ~id:"fig12"
+    ~title:"4-byte DS latency (us) vs credit size, delayed acks on/off"
+    ~param:"credits" ~show:Table.cell_i
+    ~values:([ 1; 8; 32 ], [ 1; 2; 4; 8; 16; 32 ])
+    ~columns:
+      [
+        ("DS", latency4 (fun credits -> `Sub { ds_base with Opt.credits }));
+        ("DS_DA", latency4 (fun credits -> `Sub { ds_da with Opt.credits }));
+      ]
+    ~notes:
       [
         "paper: latency drops with credit size because acks (and their ~550ns";
         "per-descriptor tag-match walks) amortise over N/2 messages";
-      ];
-  }
+      ]
 
 (* ---------------------------------------------------------------------- *)
 (* Figure 13: latency + bandwidth vs kernel TCP                           *)
@@ -104,7 +104,7 @@ let tcp_default = Uls_tcp.Config.default
 let tcp_tuned = Uls_tcp.Config.(with_buffers default 262_144)
 
 let fig13 ?(quick = false) () =
-  let iters = if quick then 10 else 30 in
+  let iters = iters ~quick in
   let sizes = if quick then [ 4; 1024 ] else latency_sizes in
   let lat_rows =
     List.map
@@ -121,7 +121,7 @@ let fig13 ?(quick = false) () =
         ])
       sizes
   in
-  let total = if quick then 4 * 1024 * 1024 else 16 * 1024 * 1024 in
+  let total = stream_total ~quick in
   let bw_kinds =
     [
       ("bw TCP-16K", `Tcp tcp_default);
@@ -158,6 +158,10 @@ let fig13 ?(quick = false) () =
 let app_stacks : (string * Cluster.stream) list =
   [ ("TCP", `Tcp tcp_default); ("DS", `Sub ds_full); ("DG", `Sub dg) ]
 
+(* One column per application stack, each cell [run stack v]. *)
+let per_stack stacks run =
+  List.map (fun (name, st) -> (name, fun ~quick v -> run ~quick st v)) stacks
+
 let ftp_run stack ~file_size =
   let c = Cluster.create ~n:2 () in
   let api = Cluster.api c stack in
@@ -181,31 +185,21 @@ let ftp_run stack ~file_size =
   ignore (Cluster.run c);
   !result
 
-let fig14 ?(quick = false) () =
-  let sizes =
-    if quick then [ 262_144; 4_194_304 ]
-    else [ 65_536; 262_144; 1_048_576; 4_194_304; 16_777_216 ]
-  in
-  let rows =
-    List.map
-      (fun size ->
-        Table.cell_i size
-        :: List.map
-             (fun (_, st) -> Table.cell_f (ftp_run st ~file_size:size))
-             app_stacks)
-      sizes
-  in
-  {
-    Table.id = "fig14";
-    title = "FTP transfer bandwidth (Mb/s) vs file size (RAM disks)";
-    header = "file(B)" :: List.map fst app_stacks;
-    rows;
-    notes =
+let fig14 =
+  sweep ~id:"fig14"
+    ~title:"FTP transfer bandwidth (Mb/s) vs file size (RAM disks)"
+    ~param:"file(B)" ~show:Table.cell_i
+    ~values:
+      ( [ 262_144; 4_194_304 ],
+        [ 65_536; 262_144; 1_048_576; 4_194_304; 16_777_216 ] )
+    ~columns:
+      (per_stack app_stacks (fun ~quick:_ st file_size ->
+           Table.cell_f (ftp_run st ~file_size)))
+    ~notes:
       [
         "paper: substrate roughly 2x TCP; file-system overhead keeps both";
         "below the raw socket bandwidth";
-      ];
-  }
+      ]
 
 (* ---------------------------------------------------------------------- *)
 (* Figures 15/16: web server response time, HTTP/1.0 and HTTP/1.1        *)
@@ -243,43 +237,32 @@ let web_run stack ~response_size ~requests_per_conn ~connections =
   ignore (Cluster.run c);
   Array.fold_left ( +. ) 0. means /. 3. /. 1_000.
 
-let web_table ~id ~requests_per_conn ?(quick = false) () =
-  let sizes = if quick then [ 4; 1024 ] else [ 4; 64; 256; 1024; 4096; 8192 ] in
-  let connections = if quick then 10 else 40 in
-  let rows =
-    List.map
-      (fun response_size ->
-        Table.cell_i response_size
-        :: List.map
-             (fun (_, st) ->
-               Table.cell_f
-                 (web_run st ~response_size ~requests_per_conn
-                    ~connections))
-             web_stacks)
-      sizes
-  in
-  {
-    Table.id;
-    title =
-      Printf.sprintf
-        "Web server mean response time (us), %d request(s) per connection, 3 clients"
-        requests_per_conn;
-    header = "resp(B)" :: List.map fst web_stacks;
-    rows;
-    notes =
+let web_table ~id ~requests_per_conn =
+  sweep ~id
+    ~title:
+      (Printf.sprintf
+         "Web server mean response time (us), %d request(s) per connection, 3 clients"
+         requests_per_conn)
+    ~param:"resp(B)" ~show:Table.cell_i
+    ~values:([ 4; 1024 ], [ 4; 64; 256; 1024; 4096; 8192 ])
+    ~columns:
+      (per_stack web_stacks (fun ~quick st response_size ->
+           Table.cell_f
+             (web_run st ~response_size ~requests_per_conn
+                ~connections:(if quick then 10 else 40))))
+    ~notes:
       [
         "paper: up to 6x improvement under HTTP/1.0 (connection setup";
         "dominates TCP); HTTP/1.1 (8 req/conn) narrows but keeps the win";
-      ];
-  }
+      ]
 
-let fig15 ?quick () =
+let fig15 =
   web_table ~id:"fig15"
-    ~requests_per_conn:Uls_apps.Http.http10_requests_per_conn ?quick ()
+    ~requests_per_conn:Uls_apps.Http.http10_requests_per_conn
 
-let fig16 ?quick () =
+let fig16 =
   web_table ~id:"fig16"
-    ~requests_per_conn:Uls_apps.Http.http11_requests_per_conn ?quick ()
+    ~requests_per_conn:Uls_apps.Http.http11_requests_per_conn
 
 (* ---------------------------------------------------------------------- *)
 (* Figure 17: matrix multiplication                                       *)
@@ -310,23 +293,15 @@ let matmul_run stack ~n =
     Time.to_ms r.Uls_apps.Matmul.elapsed
   | None -> failwith "matmul: no result"
 
-let fig17 ?(quick = false) () =
-  let ns = if quick then [ 64; 128 ] else [ 64; 128; 256 ] in
-  let rows =
-    List.map
-      (fun n ->
-        Table.cell_i n
-        :: List.map (fun (_, st) -> Table.cell_f2 (matmul_run st ~n)) app_stacks)
-      ns
-  in
-  {
-    Table.id = "fig17";
-    title = "Matrix multiplication time (ms), 4 nodes (select()-based master)";
-    header = "N" :: List.map fst app_stacks;
-    rows;
-    notes =
-      [ "results verified against the sequential reference multiply" ];
-  }
+let fig17 =
+  sweep ~id:"fig17"
+    ~title:"Matrix multiplication time (ms), 4 nodes (select()-based master)"
+    ~param:"N" ~show:Table.cell_i
+    ~values:([ 64; 128 ], [ 64; 128; 256 ])
+    ~columns:
+      (per_stack app_stacks (fun ~quick:_ st n ->
+           Table.cell_f2 (matmul_run st ~n)))
+    ~notes:[ "results verified against the sequential reference multiply" ]
 
 (* ---------------------------------------------------------------------- *)
 (* Text results of §7.2: connection time                                  *)
@@ -358,87 +333,45 @@ let connect_table ?quick:_ () =
 (* Ablations (design choices of 5-6)                                      *)
 (* ---------------------------------------------------------------------- *)
 
-let ablation_unexpected ?(quick = false) () =
-  let iters = if quick then 10 else 30 in
-  let rows =
-    List.map
-      (fun size ->
-        let eager =
-          Microbench.ping_pong ~iters ~kind:(`Sub ds_full) ~size ()
-        in
-        let rdvz =
-          Microbench.ping_pong ~iters
-            ~kind:(`Sub { ds_full with Opt.scheme = Opt.Rendezvous })
-            ~size ()
-        in
-        [ Table.cell_i size; Table.cell_f2 eager; Table.cell_f2 rdvz ])
-      [ 4; 1024; 4096 ]
-  in
-  {
-    Table.id = "abl-unexpected";
-    title = "Unexpected-message scheme: eager+credits vs rendezvous (us)";
-    header = [ "size(B)"; "eager"; "rendezvous" ];
-    rows;
-    notes = [ "5.2: rendezvous adds a request/grant synchronisation to every send" ];
-  }
+(* Eager+credits (the enhanced DS default) against one variant of it,
+   by message size. *)
+let eager_vs ~id ~title ~eager ~variant:(name, opts) ~sizes ~notes =
+  sweep ~id ~title ~param:"size(B)" ~show:Table.cell_i ~values:(both sizes)
+    ~columns:[ (eager, latency (`Sub ds_full)); (name, latency (`Sub opts)) ]
+    ~notes
 
-let ablation_comm_thread ?(quick = false) () =
-  let iters = if quick then 10 else 30 in
-  let rows =
-    List.map
-      (fun size ->
-        let eager =
-          Microbench.ping_pong ~iters ~kind:(`Sub ds_full) ~size ()
-        in
-        let thread =
-          Microbench.ping_pong ~iters
-            ~kind:(`Sub { ds_full with Opt.scheme = Opt.Comm_thread })
-            ~size ()
-        in
-        [ Table.cell_i size; Table.cell_f2 eager; Table.cell_f2 thread ])
-      [ 4; 1024; 4096 ]
-  in
-  {
-    Table.id = "abl-commthread";
-    title = "Separate communication thread vs eager+credits (us)";
-    header = [ "size(B)"; "eager"; "comm thread" ];
-    rows;
-    notes =
+let ablation_unexpected =
+  eager_vs ~id:"abl-unexpected"
+    ~title:"Unexpected-message scheme: eager+credits vs rendezvous (us)"
+    ~eager:"eager"
+    ~variant:("rendezvous", { ds_full with Opt.scheme = Opt.Rendezvous })
+    ~sizes:[ 4; 1024; 4096 ]
+    ~notes:[ "5.2: rendezvous adds a request/grant synchronisation to every send" ]
+
+let ablation_comm_thread =
+  eager_vs ~id:"abl-commthread"
+    ~title:"Separate communication thread vs eager+credits (us)"
+    ~eager:"eager"
+    ~variant:("comm thread", { ds_full with Opt.scheme = Opt.Comm_thread })
+    ~sizes:[ 4; 1024; 4096 ]
+    ~notes:
       [
         "5.2: the polling-thread synchronisation costs ~20us per message,";
         "which is why the paper rejected this alternative";
-      ];
-  }
+      ]
 
-let ablation_block_send ?(quick = false) () =
-  let iters = if quick then 10 else 30 in
-  let rows =
-    List.map
-      (fun size ->
-        let normal =
-          Microbench.ping_pong ~iters ~kind:(`Sub ds_full) ~size ()
-        in
-        let blocking =
-          Microbench.ping_pong ~iters
-            ~kind:(`Sub { ds_full with Opt.block_send = true })
-            ~size ()
-        in
-        [ Table.cell_i size; Table.cell_f2 normal; Table.cell_f2 blocking ])
-      [ 4; 1024 ]
-  in
-  {
-    Table.id = "abl-blocksend";
-    title = "Credit return policy: post-2N vs blocking send (us)";
-    header = [ "size(B)"; "post 2N"; "block send" ];
-    rows;
-    notes =
-      [ "6.1: blocking every write on its ack costs a round trip per send" ];
-  }
+let ablation_block_send =
+  eager_vs ~id:"abl-blocksend"
+    ~title:"Credit return policy: post-2N vs blocking send (us)"
+    ~eager:"post 2N"
+    ~variant:("block send", { ds_full with Opt.block_send = true })
+    ~sizes:[ 4; 1024 ]
+    ~notes:[ "6.1: blocking every write on its ack costs a round trip per send" ]
 
 let ablation_cpu_util ?(quick = false) () =
   (* Host CPU time consumed while streaming (the NIC-driven design's
      selling point: the host does almost nothing). *)
-  let total = if quick then 4 * 1024 * 1024 else 16 * 1024 * 1024 in
+  let total = stream_total ~quick in
   let row name kind =
     let r = verified_stream ~total ~kind in
     [
@@ -465,95 +398,72 @@ let ablation_cpu_util ?(quick = false) () =
       ];
   }
 
-let ablation_udp ?(quick = false) () =
-  let iters = if quick then 10 else 30 in
-  (* Kernel UDP ping-pong vs the substrate's datagram sockets. *)
-  let udp_latency size =
-    let c = Cluster.create ~n:2 () in
-    let stack = Cluster.tcp c in
-    let sim = Cluster.sim c in
-    let k0 = Uls_tcp.Tcp_stack.kernel stack 0
-    and k1 = Uls_tcp.Tcp_stack.kernel stack 1 in
-    let payload = String.make size 'u' in
-    let latency = ref 0. in
-    Sim.spawn sim ~name:"udp-pong" (fun () ->
-        let sock = Uls_tcp.Kernel.udp_bind k1 ~port:53 in
-        for _ = 1 to iters + 3 do
-          let from, data = Uls_tcp.Kernel.udp_recvfrom k1 sock in
-          Uls_tcp.Kernel.udp_sendto k1 sock ~dst:from data
-        done);
-    Sim.spawn sim ~name:"udp-ping" (fun () ->
-        let sock = Uls_tcp.Kernel.udp_bind k0 ~port:1000 in
-        let sum = ref 0 in
-        for i = 1 to iters + 3 do
-          let t0 = Sim.now sim in
-          Uls_tcp.Kernel.udp_sendto k0 sock ~dst:{ node = 1; port = 53 } payload;
-          ignore (Uls_tcp.Kernel.udp_recvfrom k0 sock);
-          if i > 3 then sum := !sum + (Sim.now sim - t0)
-        done;
-        latency := float_of_int !sum /. float_of_int iters /. 2.);
-    ignore (Cluster.run c);
-    !latency /. 1_000.
-  in
-  let rows =
-    List.map
-      (fun size ->
-        let udp = udp_latency size in
-        let dgl = Microbench.ping_pong ~iters ~kind:(`Sub dg) ~size () in
-        [ Table.cell_i size; Table.cell_f2 udp; Table.cell_f2 dgl ])
-      [ 4; 1024 ]
-  in
-  {
-    Table.id = "abl-udp";
-    title = "Kernel UDP vs substrate datagram sockets (us, one-way)";
-    header = [ "size(B)"; "kernel UDP"; "substrate DG" ];
-    rows;
-    notes =
+(* Kernel UDP ping-pong: one-way us for a datagram size. *)
+let udp_latency ~quick size =
+  let iters = iters ~quick in
+  let c = Cluster.create ~n:2 () in
+  let stack = Cluster.tcp c in
+  let sim = Cluster.sim c in
+  let k0 = Uls_tcp.Tcp_stack.kernel stack 0
+  and k1 = Uls_tcp.Tcp_stack.kernel stack 1 in
+  let payload = String.make size 'u' in
+  let one_way = ref 0. in
+  Sim.spawn sim ~name:"udp-pong" (fun () ->
+      let sock = Uls_tcp.Kernel.udp_bind k1 ~port:53 in
+      for _ = 1 to iters + 3 do
+        let from, data = Uls_tcp.Kernel.udp_recvfrom k1 sock in
+        Uls_tcp.Kernel.udp_sendto k1 sock ~dst:from data
+      done);
+  Sim.spawn sim ~name:"udp-ping" (fun () ->
+      let sock = Uls_tcp.Kernel.udp_bind k0 ~port:1000 in
+      let sum = ref 0 in
+      for i = 1 to iters + 3 do
+        let t0 = Sim.now sim in
+        Uls_tcp.Kernel.udp_sendto k0 sock ~dst:{ node = 1; port = 53 } payload;
+        ignore (Uls_tcp.Kernel.udp_recvfrom k0 sock);
+        if i > 3 then sum := !sum + (Sim.now sim - t0)
+      done;
+      one_way := float_of_int !sum /. float_of_int iters /. 2.);
+  ignore (Cluster.run c);
+  !one_way /. 1_000.
+
+let ablation_udp =
+  sweep ~id:"abl-udp"
+    ~title:"Kernel UDP vs substrate datagram sockets (us, one-way)"
+    ~param:"size(B)" ~show:Table.cell_i ~values:(both [ 4; 1024 ])
+    ~columns:
+      [
+        ( "kernel UDP",
+          fun ~quick size -> Table.cell_f2 (udp_latency ~quick size) );
+        ("substrate DG", latency (`Sub dg));
+      ]
+    ~notes:
       [ "even without TCP's connection machinery, the kernel datagram path";
-        "keeps the syscall/interrupt/copy costs the substrate avoids" ];
-  }
+        "keeps the syscall/interrupt/copy costs the substrate avoids" ]
 
-let ablation_piggyback ?(quick = false) () =
-  let iters = if quick then 10 else 30 in
-  let mk piggyback =
-    Microbench.ping_pong ~iters
-      ~kind:(`Sub { ds_base with Opt.piggyback = piggyback })
-      ~size:4 ()
-  in
-  {
-    Table.id = "abl-piggyback";
-    title = "Piggy-backed credit acks, 4B DS ping-pong (us)";
-    header = [ "piggyback"; "us" ];
-    rows = [ [ "off"; Table.cell_f2 (mk false) ]; [ "on"; Table.cell_f2 (mk true) ] ];
-    notes = [ "6.1: reverse-direction data carries the credit return for free" ];
-  }
+let ablation_piggyback =
+  sweep ~id:"abl-piggyback"
+    ~title:"Piggy-backed credit acks, 4B DS ping-pong (us)"
+    ~param:"piggyback"
+    ~show:(fun on -> if on then "on" else "off")
+    ~values:(both [ false; true ])
+    ~columns:
+      [ ("us", latency4 (fun piggyback -> `Sub { ds_base with Opt.piggyback })) ]
+    ~notes:[ "6.1: reverse-direction data carries the credit return for free" ]
 
-let ablation_uq ?(quick = false) () =
-  let iters = if quick then 10 else 30 in
-  let credit_sizes = if quick then [ 4; 32 ] else [ 4; 8; 16; 32 ] in
-  let rows =
-    List.map
-      (fun credits ->
-        let off =
-          Microbench.ping_pong ~iters
-            ~kind:(`Sub { ds_da with Opt.credits }) ~size:4 ()
-        in
-        let on =
-          Microbench.ping_pong ~iters
-            ~kind:
-              (`Sub { ds_da with Opt.credits; unexpected_queue = true })
-            ~size:4 ()
-        in
-        [ Table.cell_i credits; Table.cell_f2 off; Table.cell_f2 on ])
-      credit_sizes
-  in
-  {
-    Table.id = "abl-uq";
-    title = "EMP unexpected queue for ack buffers: 4B DS_DA latency (us)";
-    header = [ "credits"; "UQ off"; "UQ on" ];
-    rows;
-    notes = [ "6.4: ack descriptors out of the match list shorten data walks" ];
-  }
+let ablation_uq =
+  sweep ~id:"abl-uq"
+    ~title:"EMP unexpected queue for ack buffers: 4B DS_DA latency (us)"
+    ~param:"credits" ~show:Table.cell_i
+    ~values:([ 4; 32 ], [ 4; 8; 16; 32 ])
+    ~columns:
+      [
+        ("UQ off", latency4 (fun credits -> `Sub { ds_da with Opt.credits }));
+        ( "UQ on",
+          latency4 (fun credits ->
+              `Sub { ds_da with Opt.credits; unexpected_queue = true }) );
+      ]
+    ~notes:[ "6.4: ack descriptors out of the match list shorten data walks" ]
 
 let ablation_pincache ?quick:_ () =
   (* First message pays translate-and-pin; steady state hits the cache. *)
@@ -593,30 +503,29 @@ let ablation_pincache ?quick:_ () =
     notes = [ "2: descriptor posts bypass the OS once the area is pinned" ];
   }
 
-let ablation_ackwindow ?(quick = false) () =
-  let total = if quick then 4 * 1024 * 1024 else 16 * 1024 * 1024 in
-  let rows =
-    List.map
-      (fun ack_window ->
-        let kind = `Emp { Uls_emp.Endpoint.default_config with ack_window } in
-        let r = verified_stream ~total ~kind in
-        [ Table.cell_i ack_window; Table.cell_f r.Microbench.goodput_mbps ])
-      (if quick then [ 1; 4 ] else [ 1; 2; 4; 8; 16 ])
-  in
-  {
-    Table.id = "abl-ackwindow";
-    title = "EMP reliability ack window vs bandwidth (Mb/s)";
-    header = [ "ack window"; "Mb/s" ];
-    rows;
-    notes = [ "2: EMP acks every 4 frames; smaller windows cost NIC ack work" ];
-  }
+let ablation_ackwindow =
+  sweep ~id:"abl-ackwindow"
+    ~title:"EMP reliability ack window vs bandwidth (Mb/s)"
+    ~param:"ack window" ~show:Table.cell_i
+    ~values:([ 1; 4 ], [ 1; 2; 4; 8; 16 ])
+    ~columns:
+      [
+        ( "Mb/s",
+          fun ~quick ack_window ->
+            let kind =
+              `Emp { Uls_emp.Endpoint.default_config with ack_window }
+            in
+            let r = verified_stream ~total:(stream_total ~quick) ~kind in
+            Table.cell_f r.Microbench.goodput_mbps );
+      ]
+    ~notes:[ "2: EMP acks every 4 frames; smaller windows cost NIC ack work" ]
 
 (* ---------------------------------------------------------------------- *)
 (* Per-layer latency breakdown from the structured trace                  *)
 (* ---------------------------------------------------------------------- *)
 
 let breakdown ?(quick = false) () =
-  let iters = if quick then 10 else 30 in
+  let iters = iters ~quick in
   let kinds =
     [
       ("EMP", emp);
@@ -667,75 +576,57 @@ let breakdown ?(quick = false) () =
 
 module Coll = Uls_collective.Group
 
-let coll_algs =
-  [
-    Coll.Linear; Coll.Binomial_tree; Coll.Recursive_doubling; Coll.Nic_forward;
-  ]
-
-let coll_barrier ?(quick = false) () =
-  let iters = if quick then 4 else 10 in
-  let node_counts = if quick then [ 2; 8 ] else [ 2; 4; 8; 16 ] in
-  let rows =
-    List.map
-      (fun nodes ->
-        Table.cell_i nodes
-        :: List.map
-             (fun alg ->
-               Table.cell_f2 (Microbench.barrier_latency ~iters ~alg ~nodes ()))
-             coll_algs)
-      node_counts
-  in
-  {
-    Table.id = "coll-barrier";
-    title = "Barrier latency (us) vs node count, per algorithm";
-    header = "nodes" :: List.map Coll.algorithm_name coll_algs;
-    rows;
-    notes =
+let coll_barrier =
+  sweep ~id:"coll-barrier"
+    ~title:"Barrier latency (us) vs node count, per algorithm"
+    ~param:"nodes" ~show:Table.cell_i
+    ~values:([ 2; 8 ], [ 2; 4; 8; 16 ])
+    ~columns:
+      (List.map
+         (fun alg ->
+           ( Coll.algorithm_name alg,
+             fun ~quick nodes ->
+               Table.cell_f2
+                 (Microbench.barrier_latency
+                    ~iters:(if quick then 4 else 10)
+                    ~alg ~nodes ()) ))
+         [
+           Coll.Linear; Coll.Binomial_tree; Coll.Recursive_doubling;
+           Coll.Nic_forward;
+         ])
+    ~notes:
       [
         "linear grows O(N); binomial and recursive-doubling grow O(log N)";
         "nic-forward combines arrivals on the Tigon, skipping 2(N-1) host wakeups";
-      ];
-  }
+      ]
 
-let coll_bw ?(quick = false) () =
-  let iters = if quick then 3 else 5 in
+let coll_bw =
   let nodes = 8 in
-  let sizes =
-    if quick then [ 8192; 65_536 ] else [ 1024; 8192; 65_536; 524_288 ]
+  let bw op alg ~quick size =
+    Table.cell_f
+      (Microbench.coll_bandwidth
+         ~iters:(if quick then 3 else 5)
+         ~op ~alg ~nodes ~size ())
   in
-  let cell ~op ~alg size =
-    Table.cell_f (Microbench.coll_bandwidth ~iters ~op ~alg ~nodes ~size ())
-  in
-  let rows =
-    List.map
-      (fun size ->
-        [
-          Table.cell_i size;
-          cell ~op:`Bcast ~alg:Coll.Linear size;
-          cell ~op:`Bcast ~alg:Coll.Binomial_tree size;
-          cell ~op:`Bcast ~alg:Coll.Nic_forward size;
-          cell ~op:`Allreduce ~alg:Coll.Linear size;
-          cell ~op:`Allreduce ~alg:Coll.Recursive_doubling size;
-        ])
-      sizes
-  in
-  {
-    Table.id = "coll-bw";
-    title =
-      Printf.sprintf
-        "Collective bandwidth (Mb/s, %d nodes) vs message size" nodes;
-    header =
+  sweep ~id:"coll-bw"
+    ~title:
+      (Printf.sprintf
+         "Collective bandwidth (Mb/s, %d nodes) vs message size" nodes)
+    ~param:"size(B)" ~show:Table.cell_i
+    ~values:([ 8192; 65_536 ], [ 1024; 8192; 65_536; 524_288 ])
+    ~columns:
       [
-        "size(B)"; "bcast-lin"; "bcast-bin"; "bcast-nic"; "allred-lin";
-        "allred-rd";
-      ];
-    rows;
-    notes =
+        ("bcast-lin", bw `Bcast Coll.Linear);
+        ("bcast-bin", bw `Bcast Coll.Binomial_tree);
+        ("bcast-nic", bw `Bcast Coll.Nic_forward);
+        ("allred-lin", bw `Allreduce Coll.Linear);
+        ("allred-rd", bw `Allreduce Coll.Recursive_doubling);
+      ]
+    ~notes:
       [
         "bcast-nic re-frames on the NIC for single-frame payloads, else falls back to binomial";
         "allred-rd is the MPICH recursive-doubling exchange (reduce-scatter flavoured)";
-      ];
-  }
+      ]
 
 (* ---------------------------------------------------------------------- *)
 

@@ -1,6 +1,8 @@
-(** One driver per table/figure of the paper's evaluation (§7), plus the
-    ablation studies called out in DESIGN.md. Every driver returns a
-    {!Table.t}; [all] runs the full evaluation. *)
+(** The paper's evaluation (§7) and the ablation studies called out in
+    DESIGN.md: one driver per table, each returning a {!Table.t}. Most
+    tables are sweeps (a row per swept value, a column per stack or
+    knob) and share one internal runner; [all] runs the full
+    evaluation. *)
 
 val all : ?quick:bool -> unit -> Table.t list
 (** Run the full evaluation. [quick] shrinks iteration counts and

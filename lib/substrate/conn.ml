@@ -270,9 +270,11 @@ let rx_fiber t () =
              reposts a spare at once — paying the polling-thread
              synchronisation cost the paper measured (§5.2). *)
           Node.compute t.env.node (opts t).Options.comm_thread_sync;
-          match Queue.take_opt t.spare_slots with
-          | Some spare -> repost_data_slot t spare
-          | None -> ()
+          (* A close during that sync has already unposted everything. *)
+          if not (t.closed || t.reset) then
+            match Queue.take_opt t.spare_slots with
+            | Some spare -> repost_data_slot t spare
+            | None -> ()
         end;
         Int_tbl.replace t.rx_ready seq
           { rd_seq = seq; rd_slot = slot;

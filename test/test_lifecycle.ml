@@ -243,6 +243,38 @@ let test_close_with_full_buffers_ends_rx () =
   check_bool "no rx fiber parked" false
     (List.mem "sub-rx" (names_in (Sim.blocked_report sim)))
 
+let test_close_during_comm_thread_sync () =
+  (* The communication thread pays its sync cost before reposting a
+     spare descriptor; a close landing in that window must not leave
+     the spare posted on the dead connection. *)
+  let c = Uls_bench.Cluster.create ~n:2 () in
+  let opts =
+    { Uls_substrate.Options.data_streaming_enhanced with
+      scheme = Uls_substrate.Options.Comm_thread }
+  in
+  let api = Uls_bench.Cluster.substrate_api ~opts c in
+  let sim = Uls_bench.Cluster.sim c in
+  let emp1 = Uls_bench.Cluster.emp c 1 in
+  let before = Uls_emp.Endpoint.posted_descriptors emp1 in
+  Sim.spawn sim (fun () ->
+      let l = api.listen ~node:1 ~port:80 ~backlog:1 in
+      let s, _ = l.accept () in
+      ignore (s.recv 1);
+      s.close ();
+      l.close_listener ());
+  Sim.spawn sim (fun () ->
+      Sim.delay sim (Time.us 10);
+      let s = api.connect ~node:0 { node = 1; port = 80 } in
+      (try
+         s.send "a";
+         s.send "b"
+       with Connection_closed -> ());
+      Sim.delay sim (Time.ms 1);
+      s.close ());
+  ignore (Uls_bench.Cluster.run c);
+  check_int "no descriptor left posted" before
+    (Uls_emp.Endpoint.posted_descriptors emp1)
+
 let suites =
   [
     ( "lifecycle",
@@ -264,5 +296,7 @@ let suites =
           test_echo_close_quiesces_promptly;
         Alcotest.test_case "close with full buffers ends rx fiber" `Quick
           test_close_with_full_buffers_ends_rx;
+        Alcotest.test_case "close during comm-thread sync" `Quick
+          test_close_during_comm_thread_sync;
       ] );
   ]
