@@ -5,7 +5,7 @@
 
    no-assert-false   [assert false] is banned in lib/: protocol and
                      decode paths must fail with a named, typed error
-                     (Codec.protocol_error, failwith with context), not
+                     (Codec.Protocol_error, failwith with context), not
                      a bare assertion that loses the state it died on.
 
    missing-mli       every lib module exposes an interface; the .mli is

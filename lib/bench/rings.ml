@@ -337,20 +337,23 @@ let start_storm env s =
           sent := !sent + List.length batch_slots
         done);
     (* Reaper fiber: wait each reply, recycle the slot, retire completed
-       ring sends in bulk. A reply shorter than a connection id is
-       neither an accept nor a refusal: the probe stays unanswered. *)
+       ring sends in bulk. A reply shorter than a connection id is a
+       protocol error, as it is to [Substrate.connect]. *)
     Sim.spawn sim
       ~name:(Printf.sprintf "storm-reap-%d" sidx)
       (fun () ->
         for _ = 1 to s.probes do
           let slot, reply = Mailbox.recv replies in
-          let len, _, _ = E.wait_recv emp reply in
-          (if len >= Codec.int_bytes then
-             match Codec.decode_region slot.ps_reply ~off:0 ~count:1 with
-             | [ id ] when id >= 0 ->
-               incr accepted;
-               env.complete ~ok:true
-             | _ -> env.complete ~ok:false);
+          let len, src, _ = E.wait_recv emp reply in
+          let id =
+            Codec.decode Tags.Conn_reply ~owner:slot.ps_id ~peer:src ~len
+              (Memory.get_int64_le slot.ps_reply)
+          in
+          if id.(0) >= 0 then begin
+            incr accepted;
+            env.complete ~ok:true
+          end
+          else env.complete ~ok:false;
           Queue.push slot free;
           Cond.broadcast free_c;
           ignore (E.reap_sent emp)

@@ -327,9 +327,18 @@ let tx_fiber ?(ring_fed = false) t st () =
   in
   drive ()
 
-let make_send t ~dst ~tag region ~off ~len =
+(* Every public post checks all its ranges before it charges, pins or
+   posts anything, so a bad spec leaves the endpoint untouched. *)
+let check_range entry region ~off ~len =
   if len < 0 || off < 0 || off + len > Memory.length region then
-    invalid_arg "Endpoint.post_send: bad range";
+    invalid_arg (entry ^ ": bad range")
+
+let check_ranges entry specs =
+  List.iter
+    (fun (_, _, region, off, len) -> check_range entry region ~off ~len)
+    specs
+
+let make_send t ~dst ~tag region ~off ~len =
   t.next_msg_id <- t.next_msg_id + 1;
   let st =
     {
@@ -372,8 +381,7 @@ let make_send t ~dst ~tag region ~off ~len =
   st
 
 let post_send t ~dst ~tag region ~off ~len =
-  if len < 0 || off < 0 || off + len > Memory.length region then
-    invalid_arg "Endpoint.post_send: bad range";
+  check_range "Endpoint.post_send" region ~off ~len;
   let m = model t in
   Sim.delay (sim t) m.Cost_model.emp_host_post;
   Os.pin_region (Node.os t.node) region ~off ~len;
@@ -453,14 +461,13 @@ let post_sendv ?mode t specs =
   | [ (dst, tag, region, off, len) ] ->
     [ post_send t ~dst ~tag region ~off ~len ]
   | _ ->
+    check_ranges "Endpoint.post_sendv" specs;
     let m = model t in
     let rp = get_tx_ring ?mode t in
     Sim.delay (sim t) m.Cost_model.emp_host_post;
     let sts =
       List.map
         (fun (dst, tag, region, off, len) ->
-          if len < 0 || off < 0 || off + len > Memory.length region then
-            invalid_arg "Endpoint.post_sendv: bad range";
           Os.pin_region (Node.os t.node) region ~off ~len;
           let st = make_send t ~dst ~tag region ~off ~len in
           st.s_ring <- true;
@@ -575,8 +582,6 @@ let uq_match t ~src ~tag =
 let no_hook (_ : recv) (_ : int) = ()
 
 let make_recv t region ~off ~len =
-  if len < 0 || off < 0 || off + len > Memory.length region then
-    invalid_arg "Endpoint.post_recv: bad range";
   let r =
     {
       r_region = region;
@@ -596,27 +601,36 @@ let make_recv t region ~off ~len =
   t.st_desc_posted <- t.st_desc_posted + 1;
   r
 
-let post_recv ?on_complete t ~src ~tag region ~off ~len =
-  if len < 0 || off < 0 || off + len > Memory.length region then
-    invalid_arg "Endpoint.post_recv: bad range";
-  let m = model t in
-  Sim.delay (sim t) m.Cost_model.emp_host_post;
+(* The receive queue that will serve a descriptor for [src] (queue 0
+   for wildcard posts — any queue may end up matching it). *)
+let rx_queue t ~src = if src = -1 then 0 else Tigon.steer t.nic ~flow:src
+
+(* Pin and build one descriptor, then attach it: it takes an arrived
+   unexpected-queue message at once (and is [r_matched] on return), or
+   joins the match list. *)
+let attach ?on_complete t ~src ~tag region ~off ~len =
   Os.pin_region (Node.os t.node) region ~off ~len;
   let r = make_recv t region ~off ~len in
   (match on_complete with Some f -> r.r_on_complete <- f | None -> ());
   (match uq_match t ~src ~tag with
   | Some slot -> consume_uq t slot r
-  | None ->
-    r.r_entry <- Match_list.post t.posted ~src ~tag r;
+  | None -> r.r_entry <- Match_list.post t.posted ~src ~tag r);
+  r
+
+let post_recv ?on_complete t ~src ~tag region ~off ~len =
+  check_range "Endpoint.post_recv" region ~off ~len;
+  let m = model t in
+  Sim.delay (sim t) m.Cost_model.emp_host_post;
+  let r = attach ?on_complete t ~src ~tag region ~off ~len in
+  if not r.r_matched then begin
+    (* The doorbell lands on the queue that will serve this peer. *)
     Tigon.doorbell t.nic;
-    (* The doorbell lands on the queue that will serve this peer (queue 0
-       for wildcard posts — any queue may end up matching it). *)
-    let q = if src = -1 then 0 else Tigon.steer t.nic ~flow:src in
     Tigon.count_mailbox_fetch t.nic;
     ignore
       (Resource.completion_after
-         (Tigon.rx_cpu ~queue:q t.nic)
-         m.Cost_model.nic_mailbox_fetch));
+         (Tigon.rx_cpu ~queue:(rx_queue t ~src) t.nic)
+         m.Cost_model.nic_mailbox_fetch)
+  end;
   r
 
 (* Batched descriptor replenish — the fill-ring path. Descriptors become
@@ -633,6 +647,7 @@ let post_recv_batch t specs =
   | [ (src, tag, region, off, len) ] ->
     [ post_recv t ~src ~tag region ~off ~len ]
   | _ ->
+    check_ranges "Endpoint.post_recv_batch" specs;
     let m = model t in
     Sim.delay (sim t) m.Cost_model.emp_host_post;
     let queue_counts = Array.make (Tigon.rx_queues t.nic) 0 in
@@ -640,14 +655,11 @@ let post_recv_batch t specs =
       List.map
         (fun (src, tag, region, off, len) ->
           Sim.delay (sim t) m.Cost_model.ring_slot_post;
-          Os.pin_region (Node.os t.node) region ~off ~len;
-          let r = make_recv t region ~off ~len in
-          (match uq_match t ~src ~tag with
-          | Some slot -> consume_uq t slot r
-          | None ->
-            r.r_entry <- Match_list.post t.posted ~src ~tag r;
-            let q = if src = -1 then 0 else Tigon.steer t.nic ~flow:src in
-            queue_counts.(q) <- queue_counts.(q) + 1);
+          let r = attach t ~src ~tag region ~off ~len in
+          if not r.r_matched then begin
+            let q = rx_queue t ~src in
+            queue_counts.(q) <- queue_counts.(q) + 1
+          end;
           r)
         specs
     in

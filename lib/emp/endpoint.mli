@@ -77,7 +77,9 @@ val post_sendv :
     each descriptor is a cached [ring_slot_post] write, fetched by the
     NIC under a single [nic_doorbell_batch] charge. A singleton list
     degenerates to {!post_send} exactly (the batch=1 ablation is
-    byte-identical to the per-call path). Caller must be a fiber. *)
+    byte-identical to the per-call path). Caller must be a fiber.
+    @raise Invalid_argument if any element's range falls outside its
+    region, before anything is charged, pinned or submitted. *)
 
 val reap_sent : ?max:int -> t -> send list
 (** Drain completed ring sends from the completion ring in bulk
@@ -127,7 +129,9 @@ val post_recv_batch :
     as with {!post_recv}; the batch amortizes the host post, the
     doorbell, and the NIC's descriptor fetch (one [nic_doorbell_batch] +
     k·[nic_ring_slot_fetch] per involved receive queue). A singleton
-    list degenerates to {!post_recv} exactly. *)
+    list degenerates to {!post_recv} exactly.
+    @raise Invalid_argument if any element's range falls outside its
+    region, before anything is charged, pinned or posted. *)
 
 val recv_done : recv -> bool
 val wait_recv : t -> recv -> int * int * int

@@ -4,24 +4,30 @@
 let int_bytes = 8
 
 exception Protocol_error of string
-(** A peer sent a control message the substrate cannot decode (wrong
-    size or shape). Raised instead of asserting so the failure names the
-    connection and message kind. *)
-
-let protocol_error fmt = Printf.ksprintf (fun s -> raise (Protocol_error s)) fmt
 
 let encode ints =
   let b = Bytes.create (int_bytes * List.length ints) in
   List.iteri (fun i v -> Bytes.set_int64_le b (i * int_bytes) (Int64.of_int v)) ints;
   Bytes.to_string b
 
-let decode ?(count = -1) s =
-  let n = String.length s / int_bytes in
-  let n = if count >= 0 then min count n else n in
-  List.init n (fun i ->
-      Int64.to_int (Bytes.get_int64_le (Bytes.of_string s) (i * int_bytes)))
+(* The integers each kind of message leads with. *)
+let fields = function
+  | Tags.Conn_request -> 3  (* client node, client conn id, client port *)
+  | Tags.Rdvz_request -> 3  (* sequence number, rendezvous id, size *)
+  | Tags.Data -> 2  (* sequence number, piggy-backed credits *)
+  | Tags.Conn_reply | Tags.Credit_ack | Tags.Rdvz_grant | Tags.Close -> 1
+  | Tags.Rdvz_data -> 0
 
-let decode_region region ~off ~count =
-  List.init count (fun i ->
-      Int64.to_int
-        (Uls_host.Memory.get_int64_le region (off + (i * int_bytes))))
+let decode kind ~owner ~peer ~len get =
+  let n = fields kind in
+  if len < n * int_bytes then
+    raise
+      (Protocol_error
+         (Printf.sprintf "%s %d: %s message from node %d too short (%d B < %d B)"
+            (if kind = Tags.Conn_request then "listener port" else "conn")
+            owner (Tags.kind_name kind) peer len (n * int_bytes)));
+  let ints = Array.make n 0 in
+  for i = 0 to n - 1 do
+    ints.(i) <- Int64.to_int (get (i * int_bytes))
+  done;
+  ints

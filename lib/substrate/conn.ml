@@ -4,8 +4,11 @@
     credit buffers (eager scheme, §5.2), plus either N pre-posted ack
     descriptors or unexpected-queue ack consumption (§6.4), plus one
     descriptor each for rendezvous requests, rendezvous grants and the
-    "closed" control message (§5.3). Send side: credit-based flow
-    control with delayed and piggy-backed acknowledgments (§6.1–6.3).
+    "closed" control message (§5.3). One receive fiber reaps the data
+    descriptors in posting order; every other posted descriptor
+    completes into a one-shot handler fiber. Send side: credit-based
+    flow control with delayed and piggy-backed acknowledgments
+    (§6.1–6.3).
     Messages carry a per-connection sequence number so eager and
     rendezvous traffic interleave in FIFO order at the reader. *)
 
@@ -85,7 +88,8 @@ and t = {
       asked too few bytes for — served by subsequent reads *)
   (* receive side *)
   data_slots : slot array;
-  spare_slots : slot Queue.t;  (* Comm_thread scheme: repost pool *)
+  spare_slots : slot array;  (* Comm_thread scheme: repost pool *)
+  mutable spares_taken : int;  (* spare slots posted so far, in order *)
   ack_slots : slot array;
   req_slot : slot;
   grant_slot : slot;
@@ -157,11 +161,14 @@ let wake_all t =
 
 (* --- outgoing messages ---------------------------------------------- *)
 
-let post_ctrl t ~tag data =
-  ignore (Sendpool.send t.env.ctrl_pool ~dst:t.peer_node ~tag data)
+let check_open t =
+  if t.reset then raise Reset;
+  if t.closed || t.peer_closed || t.peer_conn < 0 then raise Closed
 
-let post_data t ~tag data =
-  ignore (Sendpool.send t.data_pool ~dst:t.peer_node ~tag data)
+let post_ctrl t kind data =
+  ignore
+    (Sendpool.send t.env.ctrl_pool ~dst:t.peer_node
+       ~tag:(Tags.make kind t.peer_conn) data)
 
 let send_credit_ack t =
   if t.consumed_since_ack > 0 && t.peer_conn >= 0 && not t.peer_closed then begin
@@ -171,7 +178,7 @@ let send_credit_ack t =
     Trace.instant t.trace ~layer:Trace.Substrate ~node:(node_id t) ~conn:t.id
       "sub.credit_ack"
       ~args:[ ("credits", string_of_int count) ];
-    post_ctrl t ~tag:(Tags.make Tags.Credit_ack t.peer_conn) (Codec.encode [ count ])
+    post_ctrl t Tags.Credit_ack (Codec.encode [ count ])
   end
 
 let piggyback_credits t =
@@ -184,8 +191,7 @@ let piggyback_credits t =
 
 let take_credit t =
   let rec wait () =
-    if t.reset then raise Reset;
-    if t.closed || t.peer_closed then raise Closed;
+    check_open t;
     if t.credits = 0 then begin
       Cond.wait t.credits_c;
       wait ()
@@ -230,20 +236,45 @@ let add_credits t n =
 
 (* --- descriptor posting ---------------------------------------------- *)
 
-let post_slot t slot ~tag =
+let alloc_slot node size =
+  let region = Memory.alloc size in
+  (* Receive buffers come from the library's registered pool: pinned
+     once at allocation, so per-connection descriptor posting pays
+     only the post itself (the overhead §7.4 discusses), not a pin
+     system call per buffer. *)
+  Os.prepin (Node.os node) region;
+  { sl_region = region; sl_current = None }
+
+let post_slot ?on_complete emp slot ~src ~tag =
   let r =
-    E.post_recv t.env.emp ~src:t.peer_node ~tag slot.sl_region ~off:0
+    E.post_recv ?on_complete emp ~src ~tag slot.sl_region ~off:0
       ~len:(Memory.length slot.sl_region)
   in
   slot.sl_current <- Some r;
   r
 
+let unpost_slot emp slot =
+  match slot.sl_current with
+  | Some r ->
+    ignore (E.unpost_recv emp r);
+    slot.sl_current <- None
+  | None -> ()
+
+let post t ?on_complete slot kind =
+  post_slot ?on_complete t.env.emp slot ~src:t.peer_node
+    ~tag:(Tags.make kind t.id)
+
 let repost_data_slot t slot =
-  let r = post_slot t slot ~tag:(Tags.make Tags.Data t.id) in
-  Mailbox.send t.rx_handles (Posted (slot, r))
+  Mailbox.send t.rx_handles (Posted (slot, post t slot Tags.Data))
 
-(* --- receive fibers --------------------------------------------------- *)
+let decode t kind slot len =
+  Codec.decode kind ~owner:t.id ~peer:t.peer_node ~len
+    (Memory.get_int64_le slot.sl_region)
 
+(* --- receive paths ----------------------------------------------------- *)
+
+(* The data descriptors keep a fiber: it reaps them in posting order
+   (through [rx_handles]), and that order is modelled behaviour. *)
 let rx_fiber t () =
   let rec loop () =
     if not (t.closed || t.reset) then begin
@@ -258,55 +289,26 @@ let rx_fiber t () =
     let len, _, _ = E.wait_recv t.env.emp recv in
     if len >= 0 && not t.closed then begin
       slot.sl_current <- None;
-      if len < Options.header_bytes then
-        Codec.protocol_error
-          "conn %d: data message from node %d too short for its header (%d B < %d B)"
-          t.id t.peer_node len Options.header_bytes;
-      match Codec.decode_region slot.sl_region ~off:0 ~count:2 with
-      | [ seq; piggy ] ->
-        add_credits t piggy;
-        if (opts t).Options.scheme = Options.Comm_thread then begin
-          (* The communication thread notices the used descriptor and
-             reposts a spare at once — paying the polling-thread
-             synchronisation cost the paper measured (§5.2). *)
-          Node.compute t.env.node (opts t).Options.comm_thread_sync;
-          (* A close during that sync has already unposted everything. *)
-          if not (t.closed || t.reset) then
-            match Queue.take_opt t.spare_slots with
-            | Some spare -> repost_data_slot t spare
-            | None -> ()
-        end;
-        Int_tbl.replace t.rx_ready seq
-          { rd_seq = seq; rd_slot = slot;
-            rd_len = len - Options.header_bytes; rd_off = 0 };
-        notify_ready t;
-        loop ()
-      | _ ->
-        Codec.protocol_error "conn %d: undecodable data header from node %d"
-          t.id t.peer_node
+      let hdr = decode t Tags.Data slot len in
+      add_credits t hdr.(1);
+      if (opts t).Options.scheme = Options.Comm_thread then begin
+        (* The communication thread notices the used descriptor and
+           reposts a spare at once — paying the polling-thread
+           synchronisation cost the paper measured (§5.2). *)
+        Node.compute t.env.node (opts t).Options.comm_thread_sync;
+        (* A close during that sync has already unposted everything. *)
+        if not (t.closed || t.reset) then
+          if t.spares_taken < Array.length t.spare_slots then begin
+            repost_data_slot t t.spare_slots.(t.spares_taken);
+            t.spares_taken <- t.spares_taken + 1
+          end
+      end;
+      Int_tbl.replace t.rx_ready hdr.(0)
+        { rd_seq = hdr.(0); rd_slot = slot;
+          rd_len = len - Options.header_bytes; rd_off = 0 };
+      notify_ready t;
+      loop ()
     end
-  in
-  loop ()
-
-let ack_fiber t slot () =
-  let rec loop () =
-    match slot.sl_current with
-    | None -> ()
-    | Some recv ->
-      let len, _, _ = E.wait_recv t.env.emp recv in
-      if len >= 0 && not t.closed then begin
-        if len < Codec.int_bytes then
-          Codec.protocol_error
-            "conn %d: credit ack from node %d too short (%d B < %d B)" t.id
-            t.peer_node len Codec.int_bytes;
-        (match Codec.decode_region slot.sl_region ~off:0 ~count:1 with
-        | [ count ] -> add_credits t count
-        | _ ->
-          Codec.protocol_error "conn %d: undecodable credit ack from node %d"
-            t.id t.peer_node);
-        ignore (post_slot t slot ~tag:(Tags.make Tags.Credit_ack t.id));
-        loop ()
-      end
   in
   loop ()
 
@@ -315,25 +317,13 @@ let ack_fiber t slot () =
    (walked last), keeping the data-descriptor match walk short. *)
 let uq_ack_fiber t () =
   let tag = Tags.make Tags.Credit_ack t.id in
-  let region = Memory.alloc 16 in
-  let os = Node.os t.env.node in
-  Os.prepin os region;
+  let slot = alloc_slot t.env.node 16 in
   let rec loop () =
     if t.closed || t.reset then ()
     else if E.uq_has_match t.env.emp ~src:t.peer_node ~tag then begin
-      let r = E.post_recv t.env.emp ~src:t.peer_node ~tag region ~off:0 ~len:16 in
-      let len, _, _ = E.wait_recv t.env.emp r in
+      let len, _, _ = E.wait_recv t.env.emp (post t slot Tags.Credit_ack) in
       if len >= 0 then begin
-        if len < Codec.int_bytes then
-          Codec.protocol_error
-            "conn %d: unexpected-queue credit ack from node %d too short (%d B)"
-            t.id t.peer_node len;
-        (match Codec.decode_region region ~off:0 ~count:1 with
-        | [ count ] -> add_credits t count
-        | _ ->
-          Codec.protocol_error
-            "conn %d: undecodable unexpected-queue credit ack from node %d"
-            t.id t.peer_node);
+        add_credits t (decode t Tags.Credit_ack slot len).(0);
         loop ()
       end
     end
@@ -346,74 +336,51 @@ let uq_ack_fiber t () =
   in
   loop ();
   (* The fiber owned its ack buffer; nothing posts it again. *)
-  Os.unpin os region
+  Os.unpin (Node.os t.env.node) slot.sl_region
 
-(* The rendezvous-request, grant and close descriptors complete rarely
-   (a large write, a peer's close), so no fiber waits on them. Each is
-   posted with a completion hook instead: a real completion (length
-   >= 0, and with [while_open] the connection not closed) spawns a
-   one-shot handler fiber at the point where a parked fiber's wake-up
-   would have been scheduled, so it takes that wake-up's place in the
-   event order. Its first step is [E.wait_recv], which finds the
-   descriptor done and pays the reap charge; then [handle] runs with
-   the length and [repost], which re-arms the slot. *)
-let post_ctrl_slot t slot ~tag ~name ~while_open handle =
-  let rec post () =
-    slot.sl_current <-
-      Some
-        (E.post_recv t.env.emp ~src:t.peer_node ~tag slot.sl_region ~off:0
-           ~len:(Memory.length slot.sl_region) ~on_complete)
+(* The credit-ack, rendezvous-request, grant and close descriptors
+   complete into handlers, so no fiber waits on them. Each is posted
+   with a completion hook: a real completion (length >= 0, and with
+   [while_open] the connection not closed) spawns a one-shot handler
+   fiber at the point where a parked fiber's wake-up would have been
+   scheduled, so it takes that wake-up's place in the event order. Its
+   first step is [E.wait_recv], which finds the descriptor done and
+   pays the reap charge; then [handle] runs with the decoded fields
+   and [repost], which re-arms the slot. *)
+let post_ctrl_slot t slot kind ~name ~while_open handle =
+  let rec post_it () = ignore (post t slot kind ~on_complete)
   and on_complete r len =
     if len >= 0 && not (while_open && t.closed) then
       Sim.spawn (sim t) ~name ~daemon:true (fun () -> step r)
   and step r =
     let len, _, _ = E.wait_recv t.env.emp r in
-    if len >= 0 && not (while_open && t.closed) then handle t len ~repost:post
+    if len >= 0 && not (while_open && t.closed) then
+      handle t (decode t kind slot len) ~repost:post_it
   in
-  post ()
+  post_it ()
 
-let on_rdvz_request t len ~repost =
-  if len < 3 * Codec.int_bytes then
-    Codec.protocol_error
-      "conn %d: rendezvous request from node %d too short (%d B < %d B)" t.id
-      t.peer_node len (3 * Codec.int_bytes);
-  match Codec.decode_region t.req_slot.sl_region ~off:0 ~count:3 with
-  | [ seq; rid; size ] ->
-    repost ();
-    Hashtbl.replace t.req_q seq { rq_seq = seq; rq_id = rid; rq_size = size };
-    notify_ready t
-  | _ ->
-    Codec.protocol_error "conn %d: undecodable rendezvous request from node %d"
-      t.id t.peer_node
+let on_credit_ack t fields ~repost =
+  add_credits t fields.(0);
+  repost ()
 
-let on_rdvz_grant t len ~repost =
-  if len < Codec.int_bytes then
-    Codec.protocol_error
-      "conn %d: rendezvous grant from node %d too short (%d B)" t.id
-      t.peer_node len;
-  match Codec.decode_region t.grant_slot.sl_region ~off:0 ~count:1 with
-  | [ rid ] ->
-    repost ();
-    Hashtbl.replace t.granted rid ();
-    Cond.broadcast t.grant_c
-  | _ ->
-    Codec.protocol_error "conn %d: undecodable rendezvous grant from node %d"
-      t.id t.peer_node
+let on_rdvz_request t fields ~repost =
+  repost ();
+  let seq = fields.(0) in
+  Hashtbl.replace t.req_q seq
+    { rq_seq = seq; rq_id = fields.(1); rq_size = fields.(2) };
+  notify_ready t
+
+let on_rdvz_grant t fields ~repost =
+  repost ();
+  Hashtbl.replace t.granted fields.(0) ();
+  Cond.broadcast t.grant_c
 
 (* The peer's close is heard even after a local close (it stops
-   [close_notify_fiber]'s retries). Nothing reposts. *)
-let on_peer_close t len ~repost:_ =
-  if len < Codec.int_bytes then
-    Codec.protocol_error
-      "conn %d: close message from node %d too short (%d B < %d B)" t.id
-      t.peer_node len Codec.int_bytes;
-  (match Codec.decode_region t.close_slot.sl_region ~off:0 ~count:1 with
-  | [ seq ] -> t.close_seq <- seq
-  | _ ->
-    (* Treating this as "close at seq 0" would discard in-flight
-       data still due to the reader. *)
-    Codec.protocol_error "conn %d: undecodable close message from node %d"
-      t.id t.peer_node);
+   [close_notify_fiber]'s retries). Nothing reposts. A close too short
+   for its sequence number never gets here: read as "close at seq 0"
+   it would discard in-flight data still due to the reader. *)
+let on_peer_close t fields ~repost:_ =
+  t.close_seq <- fields.(0);
   t.peer_closed <- true;
   wake_all t
 
@@ -443,9 +410,7 @@ let rendezvous_write t data =
   Trace.instant t.trace ~layer:Trace.Substrate ~node:(node_id t) ~conn:t.id
     ~seq "sub.rdvz_request"
     ~args:[ ("rid", string_of_int rid); ("len", string_of_int (String.length data)) ];
-  post_ctrl t
-    ~tag:(Tags.make Tags.Rdvz_request t.peer_conn)
-    (Codec.encode [ seq; rid; String.length data ]);
+  post_ctrl t Tags.Rdvz_request (Codec.encode [ seq; rid; String.length data ]);
   (* Block until the receiver has synchronised (Figure 6). Grants are
      routed by rid so concurrent writers each claim their own. *)
   let grant_wait =
@@ -472,6 +437,13 @@ let rendezvous_write t data =
   in
   t.rdvz_tx_pending <- Some s
 
+(* The next eager message on the wire: its header (sequence number and
+   the credits it carries back, §6.1) followed by [payload]. *)
+let eager_message t payload =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  Codec.encode [ seq; piggyback_credits t ] ^ payload
+
 let eager_write t data =
   let o = opts t in
   let cap = Options.chunk_capacity o in
@@ -481,12 +453,10 @@ let eager_write t data =
     if off < len then begin
       let n = min cap (len - off) in
       if uses_credits then take_credit t;
-      let seq = t.next_seq in
-      t.next_seq <- seq + 1;
-      let hdr = Codec.encode [ seq; piggyback_credits t ] in
-      post_data t
-        ~tag:(Tags.make Tags.Data t.peer_conn)
-        (hdr ^ String.sub data off n);
+      ignore
+        (Sendpool.send t.data_pool ~dst:t.peer_node
+           ~tag:(Tags.make Tags.Data t.peer_conn)
+           (eager_message t (String.sub data off n)));
       if uses_credits && o.Options.block_send then begin
         (* §6.1 "blocking the send": wait until the receiver has
            acknowledged (credits fully restored) — a round trip per
@@ -494,8 +464,7 @@ let eager_write t data =
         Cond.wait_until t.credits_c (fun () ->
             t.closed || t.peer_closed || t.reset
             || t.credits = o.Options.credits);
-        if t.reset then raise Reset;
-        if t.closed || t.peer_closed then raise Closed
+        check_open t
       end;
       chunks (off + n)
     end
@@ -512,6 +481,15 @@ let uses_rendezvous t len =
       len > (opts t).Options.eager_max || len > Options.chunk_capacity (opts t)
     | Options.Data_streaming -> false)
 
+(* A message rides a write batch when it is one eager chunk that does
+   not block for its ack. *)
+let batchable t len =
+  let o = opts t in
+  o.Options.scheme = Options.Eager
+  && (not o.Options.block_send)
+  && len <= Options.chunk_capacity o
+  && not (uses_rendezvous t len)
+
 (* A public call inside its substrate trace span. Untraced it is the
    bare call: the span's optional arguments are boxed, and [args] built,
    only when tracing is on. *)
@@ -523,87 +501,52 @@ let in_span t name ~args f =
       ~args:(args ()) f
   else f ()
 
+let count_write t len =
+  Stats.Counter.incr t.mh.h_writes;
+  Stats.Counter.add t.mh.h_bytes_written len
+
+(* One message on the per-call path. *)
+let dispatch t data =
+  if uses_rendezvous t (String.length data) then rendezvous_write t data
+  else eager_write t data
+
 let write t data =
-  if t.reset then raise Reset;
-  if t.closed || t.peer_closed then raise Closed;
-  if t.peer_conn < 0 then raise Closed;
+  check_open t;
   if String.length data > 0 then begin
-    Stats.Counter.incr t.mh.h_writes;
-    Stats.Counter.add t.mh.h_bytes_written (String.length data);
+    count_write t (String.length data);
     in_span t "sub.write"
       ~args:(fun () -> [ ("len", string_of_int (String.length data)) ])
       (fun () ->
         Node.compute t.env.node (opts t).Options.write_overhead;
-        if uses_rendezvous t (String.length data) then rendezvous_write t data
-        else eager_write t data)
+        dispatch t data)
   end
-
-(* --- batched write (tx ring) ------------------------------------------ *)
-
-(* Stage one message of a batch: claim a send-pool slot and build the
-   descriptor spec without posting. Only single-chunk eager messages
-   without per-message blocking can ride a batch; anything else makes
-   the caller flush what is staged (preserving FIFO seq order) and take
-   the per-call path. [flush] is invoked before blocking on flow
-   control, so credits the staged-but-unposted messages would earn back
-   can actually arrive. *)
-let stage_for_batch t data ~flush =
-  if t.reset then raise Reset;
-  if t.closed || t.peer_closed then raise Closed;
-  if t.peer_conn < 0 then raise Closed;
-  let o = opts t in
-  let len = String.length data in
-  if len = 0 then `Skip
-  else if
-    o.Options.scheme <> Options.Eager
-    || o.Options.block_send
-    || len > Options.chunk_capacity o
-    || uses_rendezvous t len
-  then `Fallback
-  else begin
-    Stats.Counter.incr t.mh.h_writes;
-    Stats.Counter.add t.mh.h_bytes_written len;
-    if t.credits = 0 then flush ();
-    take_credit t;
-    let seq = t.next_seq in
-    t.next_seq <- seq + 1;
-    let hdr = Codec.encode [ seq; piggyback_credits t ] in
-    `Staged
-      (Sendpool.stage t.data_pool ~dst:t.peer_node
-         ~tag:(Tags.make Tags.Data t.peer_conn)
-         (hdr ^ data))
-  end
-
-let data_pool_slots t = Sendpool.slots t.data_pool
-let data_pool t = t.data_pool
 
 (* Gathered write: stage up to a send-pool's worth of eager messages,
    then post them all through the endpoint's tx ring under a single
    doorbell ([Endpoint.post_sendv]). The substrate bookkeeping
    ([write_overhead]) is paid once per batch — that amortization, plus
    the doorbell batching underneath, is the point. A singleton
-   degenerates to {!write} exactly. *)
+   degenerates to {!write} exactly. A message that cannot ride the
+   batch flushes what is staged (preserving FIFO seq order) and takes
+   the per-call path; a stalled credit wait flushes first too, so the
+   credits the staged messages earn back can arrive. *)
 let writev t datas =
   match datas with
   | [] -> ()
   | [ data ] -> write t data
   | _ ->
-    if t.reset then raise Reset;
-    if t.closed || t.peer_closed then raise Closed;
-    if t.peer_conn < 0 then raise Closed;
+    check_open t;
     in_span t "sub.writev"
       ~args:(fun () -> [ ("msgs", string_of_int (List.length datas)) ])
       (fun () ->
         Node.compute t.env.node (opts t).Options.write_overhead;
         let staged = ref [] and count = ref 0 in
-        let pool_cap = data_pool_slots t in
         let flush () =
           if !count > 0 then begin
-            let l = List.rev !staged in
+            let slots, specs = List.split (List.rev !staged) in
             staged := [];
             count := 0;
-            let sends = E.post_sendv t.env.emp (List.map snd l) in
-            Sendpool.commit (List.map fst l) sends;
+            Sendpool.commit slots (E.post_sendv t.env.emp specs);
             (* Opportunistically retire already-acknowledged ring sends
                so pool-slot reuse doesn't block on them later. *)
             ignore (E.reap_sent t.env.emp)
@@ -613,19 +556,26 @@ let writev t datas =
           (fun data ->
             (* Staging past the pool size would wrap onto a slot staged
                earlier in this very batch. *)
-            if !count >= pool_cap then flush ();
-            match stage_for_batch t data ~flush with
-            | `Skip -> ()
-            | `Staged sl ->
-              staged := sl :: !staged;
-              incr count
-            | `Fallback ->
-              flush ();
-              Stats.Counter.incr t.mh.h_writes;
-              Stats.Counter.add t.mh.h_bytes_written (String.length data);
-              if uses_rendezvous t (String.length data) then
-                rendezvous_write t data
-              else eager_write t data)
+            if !count >= Sendpool.slots t.data_pool then flush ();
+            check_open t;
+            let len = String.length data in
+            if len > 0 then
+              if batchable t len then begin
+                count_write t len;
+                if t.credits = 0 then flush ();
+                take_credit t;
+                staged :=
+                  Sendpool.stage t.data_pool ~dst:t.peer_node
+                    ~tag:(Tags.make Tags.Data t.peer_conn)
+                    (eager_message t data)
+                  :: !staged;
+                incr count
+              end
+              else begin
+                flush ();
+                count_write t len;
+                dispatch t data
+              end)
           datas;
         flush ())
 
@@ -634,10 +584,13 @@ let writev t datas =
 type next_item =
   | Nothing
   | Eof
+  | Leftover  (* the tail of a rendezvous message a short read left *)
   | Eager_msg of ready
   | Rdvz of rdvz_req
 
 let next_item t =
+  if t.rdvz_leftover <> "" then Leftover
+  else
   match Int_tbl.find_opt t.rx_ready t.expected_seq with
   | Some r -> Eager_msg r
   | None -> (
@@ -651,6 +604,16 @@ let next_item t =
         && t.expected_seq >= t.close_seq
       then Eof
       else Nothing)
+
+(* The blocking head-of-line wait: the next in-order item, or EOF. *)
+let rec wait_item t =
+  if t.reset then raise Reset;
+  if t.closed then raise Closed;
+  match next_item t with
+  | Nothing ->
+    Cond.wait t.readable_c;
+    wait_item t
+  | item -> item
 
 (* With piggy-backing on, hold the explicit ack briefly: a reverse-
    direction write inside the holdoff carries the credits for free
@@ -676,19 +639,46 @@ let ack_due t =
   end
   else send_credit_ack t
 
-let message_consumed t r =
-  let slot = r.rd_slot in
-  Int_tbl.remove t.rx_ready r.rd_seq;
-  t.expected_seq <- t.expected_seq + 1;
-  if (opts t).Options.scheme = Options.Comm_thread then
-    (* No credits/acks: the comm thread reposts the freed buffer so a
-       previously overloaded connection can make progress again. *)
-    repost_data_slot t slot
-  else begin
-    repost_data_slot t slot;
-    t.consumed_since_ack <- t.consumed_since_ack + 1;
+(* Credit accounting for [k] consumed messages (§6.1); the
+   comm-thread scheme has no credits. *)
+let acknowledge t k =
+  if k > 0 && (opts t).Options.scheme <> Options.Comm_thread then begin
+    t.consumed_since_ack <- t.consumed_since_ack + k;
     if t.consumed_since_ack >= Options.ack_threshold (opts t) then ack_due t
   end
+
+(* The reader moves past the head message and takes its slot back. *)
+let retire t r =
+  Int_tbl.remove t.rx_ready r.rd_seq;
+  t.expected_seq <- t.expected_seq + 1;
+  r.rd_slot
+
+(* A consumed message's slot goes back to the NIC at once, or, with
+   [freed], is collected so a whole drain's worth of descriptors can go
+   back in one fill-ring batch ([flush_reposts]). *)
+let message_consumed ?freed t r =
+  match freed with
+  | Some l -> l := retire t r :: !l
+  | None ->
+    repost_data_slot t (retire t r);
+    acknowledge t 1
+
+let flush_reposts t freed_rev =
+  let slots = List.rev freed_rev in
+  let tag = Tags.make Tags.Data t.id in
+  let rs =
+    E.post_recv_batch t.env.emp
+      (List.map
+         (fun slot ->
+           (t.peer_node, tag, slot.sl_region, 0, Memory.length slot.sl_region))
+         slots)
+  in
+  List.iter2
+    (fun slot r ->
+      slot.sl_current <- Some r;
+      Mailbox.send t.rx_handles (Posted (slot, r)))
+    slots rs;
+  acknowledge t (List.length slots)
 
 let copy_out t region ~off ~len =
   let s = Memory.sub_string region ~off ~len in
@@ -696,21 +686,17 @@ let copy_out t region ~off ~len =
   Node.compute t.env.node (Cost_model.copy_cost (Node.model t.env.node) len);
   s
 
-let read_eager t r n =
-  match (opts t).Options.mode with
-  | Options.Data_streaming ->
-    let m = min n (r.rd_len - r.rd_off) in
-    let s =
-      copy_out t r.rd_slot.sl_region ~off:(Options.header_bytes + r.rd_off) ~len:m
-    in
-    r.rd_off <- r.rd_off + m;
-    if r.rd_off = r.rd_len then message_consumed t r;
-    s
-  | Options.Datagram ->
-    let m = min n r.rd_len in
-    let s = copy_out t r.rd_slot.sl_region ~off:Options.header_bytes ~len:m in
-    message_consumed t r;
-    s
+(* Up to [n] bytes of the head eager message. A datagram read consumes
+   the message whatever it leaves; a streaming read only once drained. *)
+let read_eager ?freed t r n =
+  let m = min n (r.rd_len - r.rd_off) in
+  let s =
+    copy_out t r.rd_slot.sl_region ~off:(Options.header_bytes + r.rd_off) ~len:m
+  in
+  r.rd_off <- r.rd_off + m;
+  if r.rd_off = r.rd_len || (opts t).Options.mode = Options.Datagram then
+    message_consumed ?freed t r;
+  s
 
 (* Rendezvous receive: post the user buffer directly (zero-copy: the NIC
    DMAs into it), grant, and wait for the data. The reusable rdvz_rx
@@ -735,9 +721,7 @@ let read_rdvz t (q : rdvz_req) n =
   Trace.instant t.trace ~layer:Trace.Substrate ~node:(node_id t) ~conn:t.id
     ~seq:q.rq_seq "sub.rdvz_grant"
     ~args:[ ("rid", string_of_int q.rq_id) ];
-  post_ctrl t
-    ~tag:(Tags.make Tags.Rdvz_grant t.peer_conn)
-    (Codec.encode [ q.rq_id ]);
+  post_ctrl t Tags.Rdvz_grant (Codec.encode [ q.rq_id ]);
   let len, _, _ = E.wait_recv t.env.emp r in
   Trace.instant t.trace ~layer:Trace.Substrate ~node:(node_id t) ~conn:t.id
     ~seq:q.rq_seq "sub.rdvz_data"
@@ -761,145 +745,71 @@ let read_leftover t n =
   Node.compute t.env.node (Cost_model.copy_cost (Node.model t.env.node) m);
   s
 
+(* The eager take: up to [n] bytes of [item]. *)
+let take ?freed t item n =
+  match item with
+  | Leftover -> read_leftover t n
+  | Eager_msg r -> read_eager ?freed t r n
+  | Rdvz q -> read_rdvz t q n
+  | Eof | Nothing -> ""
+
+let count_read t s =
+  Stats.Counter.incr t.mh.h_reads;
+  Stats.Counter.add t.mh.h_bytes_read (String.length s)
+
 let read t n =
   if t.closed then raise Closed;
   if n <= 0 then ""
   else
     in_span t "sub.read" ~args:no_args (fun () ->
         Node.compute t.env.node (opts t).Options.read_overhead;
-        let rec wait () =
-          if t.reset then raise Reset;
-          if t.closed then raise Closed;
-          if t.rdvz_leftover <> "" then read_leftover t n
-          else
-          match next_item t with
-          | Eager_msg r -> read_eager t r n
-          | Rdvz q -> read_rdvz t q n
-          | Eof -> ""
-          | Nothing ->
-            Cond.wait t.readable_c;
-            wait ()
-        in
-        let s = wait () in
-        Stats.Counter.incr t.mh.h_reads;
-        Stats.Counter.add t.mh.h_bytes_read (String.length s);
+        let s = take t (wait_item t) n in
+        count_read t s;
         s)
 
-(* --- batched read (fill ring) ----------------------------------------- *)
-
-(* Deferred variant of [message_consumed]: the slot is collected instead
-   of reposted, so a whole drain's worth of descriptors can go back to
-   the NIC in one fill-ring batch. Credit accounting is settled by
-   [flush_reposts]. *)
-let message_consumed_deferred t r freed =
-  Int_tbl.remove t.rx_ready r.rd_seq;
-  t.expected_seq <- t.expected_seq + 1;
-  freed := r.rd_slot :: !freed
-
-let flush_reposts t freed_rev =
-  let slots = List.rev freed_rev in
-  (match slots with
-  | [] -> ()
-  | [ slot ] -> repost_data_slot t slot
-  | _ ->
-    let specs =
-      List.map
-        (fun slot ->
-          ( t.peer_node,
-            Tags.make Tags.Data t.id,
-            slot.sl_region,
-            0,
-            Memory.length slot.sl_region ))
-        slots
-    in
-    let rs = E.post_recv_batch t.env.emp specs in
-    List.iter2
-      (fun slot r ->
-        slot.sl_current <- Some r;
-        Mailbox.send t.rx_handles (Posted (slot, r)))
-      slots rs);
-  let k = List.length slots in
-  if k > 0 && (opts t).Options.scheme <> Options.Comm_thread then begin
-    t.consumed_since_ack <- t.consumed_since_ack + k;
-    if t.consumed_since_ack >= Options.ack_threshold (opts t) then ack_due t
-  end
-
 (* Batched read: block for the first item, then drain every consecutive
-   ready message (up to [max]) without further blocking. Each returned
-   string is one whole message (datagram) or the remaining bytes of the
-   next message (streaming). With [Options.rx_ring] the consumed data
-   slots are returned to the NIC through the fill ring in one batch;
-   otherwise each is reposted per-call, exactly as {!read} would.
-   Returns [[]] on EOF. *)
+   ready eager message (up to [max]) without further blocking. Each
+   returned string is a whole item, as a read of [max_int] bytes would
+   return it. With [Options.rx_ring] the consumed data slots go back to
+   the NIC through the fill ring in one batch; otherwise each is
+   reposted per-call, exactly as {!read} would. Returns [[]] on EOF. *)
 let readv t ~max:maxn =
   if t.closed then raise Closed;
   if maxn <= 0 then []
   else
     in_span t "sub.readv" ~args:no_args (fun () ->
         Node.compute t.env.node (opts t).Options.read_overhead;
-        let use_ring = (opts t).Options.rx_ring in
-        let acc = ref [] and freed = ref [] and got = ref 0 in
-        let take s =
-          Stats.Counter.incr t.mh.h_reads;
-          Stats.Counter.add t.mh.h_bytes_read (String.length s);
-          acc := s :: !acc;
-          incr got
-        in
-        let take_eager r =
-          let len = r.rd_len - r.rd_off in
-          let s =
-            copy_out t r.rd_slot.sl_region
-              ~off:(Options.header_bytes + r.rd_off)
-              ~len
-          in
-          if use_ring then message_consumed_deferred t r freed
-          else message_consumed t r;
-          take s
-        in
-        let rec first () =
-          if t.reset then raise Reset;
-          if t.closed then raise Closed;
-          if t.rdvz_leftover <> "" then
-            take (read_leftover t max_int)
-          else
-            match next_item t with
-            | Eager_msg r -> take_eager r
-            | Rdvz q -> take (read_rdvz t q max_int)
-            | Eof -> ()
-            | Nothing ->
-              Cond.wait t.readable_c;
-              first ()
-        in
-        first ();
-        (* Non-blocking drain of whatever else is already in order. *)
-        let continue = ref (!got > 0) in
-        while !continue && !got < maxn do
+        let freed = if (opts t).Options.rx_ring then Some (ref []) else None in
+        let rec drain acc got item =
+          let s = take ?freed t item max_int in
+          count_read t s;
           match next_item t with
-          | Eager_msg r -> take_eager r
-          | Rdvz _ | Eof | Nothing -> continue := false
-        done;
-        if use_ring then flush_reposts t !freed;
-        List.rev !acc)
+          | Eager_msg _ as next when got + 1 < maxn ->
+            drain (s :: acc) (got + 1) next
+          | _ -> s :: acc
+        in
+        let acc = match wait_item t with Eof -> [] | item -> drain [] 0 item in
+        Option.iter (fun l -> flush_reposts t !l) freed;
+        List.rev acc)
 
 let readable t =
-  t.closed || t.peer_closed || t.reset || t.rdvz_leftover <> ""
+  t.closed || t.peer_closed || t.reset
   || (match next_item t with Nothing -> false | _ -> true)
 
 (* --- lifecycle ---------------------------------------------------------- *)
 
+(* Every receive slot the connection owns. A spare stays listed once
+   posted, so teardown finds it. *)
+let iter_slots t f =
+  Array.iter f t.data_slots;
+  Array.iter f t.spare_slots;
+  Array.iter f t.ack_slots;
+  f t.req_slot;
+  f t.grant_slot;
+  f t.close_slot
+
 let unpost_everything t =
-  let unpost slot =
-    match slot.sl_current with
-    | Some r ->
-      ignore (E.unpost_recv t.env.emp r);
-      slot.sl_current <- None
-    | None -> ()
-  in
-  Array.iter unpost t.data_slots;
-  Array.iter unpost t.ack_slots;
-  unpost t.req_slot;
-  unpost t.grant_slot;
-  unpost t.close_slot;
+  iter_slots t (unpost_slot t.env.emp);
   (* Descriptors whose completion is already queued for the rx fiber. *)
   let rec drain () =
     match Mailbox.try_recv t.rx_handles with
@@ -941,16 +851,15 @@ let close_notify_fiber t seq () =
   in
   attempt 1 (Time.ms 1)
 
+let data_pool t = t.data_pool
+
 (* Every region the connection registered: receive slots, the send
    pool's ring and the rendezvous buffers. *)
 let regions t =
-  let slot_regions slots = List.map (fun s -> s.sl_region) slots in
-  slot_regions (Array.to_list t.data_slots)
-  @ slot_regions (List.of_seq (Queue.to_seq t.spare_slots))
-  @ slot_regions (Array.to_list t.ack_slots)
-  @ slot_regions [ t.req_slot; t.grant_slot; t.close_slot ]
-  @ Sendpool.regions t.data_pool
-  @ [ t.rdvz_tx; t.rdvz_rx ]
+  let slot_regions = ref [] in
+  iter_slots t (fun s -> slot_regions := s.sl_region :: !slot_regions);
+  List.rev_append !slot_regions
+    (Sendpool.regions t.data_pool @ [ t.rdvz_tx; t.rdvz_rx ])
 
 (* What a dead connection gives back (§5.3): its descriptors, its entry
    in the active-socket table (the substrate keeps its data pool only
@@ -990,20 +899,13 @@ let is_closed t = t.closed
 
 (* Test fixture: re-post one receive slot as if close had missed it —
    the seeded known-bad input for the sanitizer's leak scan. *)
-let debug_leak_slot t =
-  ignore (post_slot t t.data_slots.(0) ~tag:(Tags.make Tags.Data t.id))
+let debug_leak_slot t = ignore (post t t.data_slots.(0) Tags.Data)
 
 (* Receive-slot leak scan (sanitizer): after [close]/[mark_reset] every
    slot's descriptor must have been unposted or consumed. *)
 let leaked_slots t =
   let count = ref 0 in
-  let chk slot = if slot.sl_current <> None then incr count in
-  Array.iter chk t.data_slots;
-  Queue.iter chk t.spare_slots;
-  Array.iter chk t.ack_slots;
-  chk t.req_slot;
-  chk t.grant_slot;
-  chk t.close_slot;
+  iter_slots t (fun s -> if s.sl_current <> None then incr count);
   !count
 
 let create env ~id ~peer_node ~peer_conn ~local_addr ~peer_addr =
@@ -1012,15 +914,7 @@ let create env ~id ~peer_node ~peer_conn ~local_addr ~peer_addr =
   let node_id = Node.id env.node in
   let counter name = Metrics.counter metrics ~node:node_id name in
   let histogram name = Metrics.histogram metrics ~node:node_id name in
-  let mk_slot size =
-    let region = Memory.alloc size in
-    (* Credit buffers come from the library's registered pool: pinned
-       once at allocation, so per-connection descriptor posting pays
-       only the post itself (the overhead §7.4 discusses), not a pin
-       system call per buffer. *)
-    Os.prepin (Node.os env.node) region;
-    { sl_region = region; sl_current = None }
-  in
+  let mk_slot = alloc_slot env.node in
   let n = opts.Options.credits in
   let t =
     {
@@ -1051,12 +945,10 @@ let create env ~id ~peer_node ~peer_conn ~local_addr ~peer_addr =
       rdvz_leftover = "";
       data_slots = Array.init n (fun _ -> mk_slot opts.Options.buffer_size);
       spare_slots =
-        (let q = Queue.create () in
-         if opts.Options.scheme = Options.Comm_thread then
-           for _ = 1 to n do
-             Queue.push (mk_slot opts.Options.buffer_size) q
-           done;
-         q);
+        (if opts.Options.scheme = Options.Comm_thread then
+           Array.init n (fun _ -> mk_slot opts.Options.buffer_size)
+         else [||]);
+      spares_taken = 0;
       ack_slots =
         (if opts.Options.unexpected_queue || opts.Options.scheme = Options.Comm_thread
          then [||]
@@ -1103,23 +995,21 @@ let create env ~id ~peer_node ~peer_conn ~local_addr ~peer_addr =
   in
   (* Post the connection's descriptors: N data (+ N ack unless UQ) plus
      the three control descriptors — the 2N provisioning of §6.1. *)
-  Array.iter (fun slot -> repost_data_slot t slot) t.data_slots;
+  Array.iter (repost_data_slot t) t.data_slots;
   Array.iter
     (fun slot ->
-      ignore (post_slot t slot ~tag:(Tags.make Tags.Credit_ack t.id));
-      Sim.spawn (sim t) ~name:"sub-ack" ~daemon:true (ack_fiber t slot))
+      post_ctrl_slot t slot Tags.Credit_ack ~name:"sub-ack" ~while_open:true
+        on_credit_ack)
     t.ack_slots;
-  post_ctrl_slot t t.req_slot
-    ~tag:(Tags.make Tags.Rdvz_request t.id)
-    ~name:"sub-req" ~while_open:true on_rdvz_request;
-  post_ctrl_slot t t.grant_slot
-    ~tag:(Tags.make Tags.Rdvz_grant t.id)
-    ~name:"sub-grant" ~while_open:true on_rdvz_grant;
-  post_ctrl_slot t t.close_slot
-    ~tag:(Tags.make Tags.Close t.id)
-    ~name:"sub-close" ~while_open:false on_peer_close;
-  (* Service fibers park forever once the connection quiesces, so they
-     are daemons: only application fibers count for deadlock detection. *)
+  post_ctrl_slot t t.req_slot Tags.Rdvz_request ~name:"sub-req"
+    ~while_open:true on_rdvz_request;
+  post_ctrl_slot t t.grant_slot Tags.Rdvz_grant ~name:"sub-grant"
+    ~while_open:true on_rdvz_grant;
+  post_ctrl_slot t t.close_slot Tags.Close ~name:"sub-close"
+    ~while_open:false on_peer_close;
+  (* The receive fiber parks forever once the connection quiesces, so
+     it is a daemon: only application fibers count for deadlock
+     detection. *)
   Sim.spawn (sim t) ~name:"sub-rx" ~daemon:true (rx_fiber t);
   if opts.Options.unexpected_queue then
     Sim.spawn (sim t) ~name:"sub-uq-ack" ~daemon:true (uq_ack_fiber t);

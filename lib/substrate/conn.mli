@@ -1,7 +1,9 @@
 (** One substrate connection: N pre-posted data descriptors over credit
     buffers (eager scheme, §5.2), ack descriptors or unexpected-queue
     ack consumption (§6.4), rendezvous request/grant/data descriptors,
-    and the "closed" control descriptor (§5.3). Send side implements
+    and the "closed" control descriptor (§5.3). A receive fiber reaps
+    the data descriptors in posting order; the ack, request, grant and
+    close descriptors complete into one-shot handler fibers. Send side implements
     credit-based flow control with delayed and piggy-backed
     acknowledgments (§6.1–6.3), plus the paper's rejected alternatives
     (pure rendezvous, separate communication thread, blocking send) for
@@ -27,6 +29,24 @@ and slot = {
 
 and t
 
+val alloc_slot : Uls_host.Node.t -> int -> slot
+(** A slot over a fresh buffer of the given size, pinned once here so
+    that posting it later pays no pin system call. *)
+
+val post_slot :
+  ?on_complete:(Uls_emp.Endpoint.recv -> int -> unit) ->
+  Uls_emp.Endpoint.t ->
+  slot ->
+  src:int ->
+  tag:int ->
+  Uls_emp.Endpoint.recv
+(** Post the slot's whole buffer as one receive descriptor
+    ({!Uls_emp.Endpoint.post_recv}) and record it as the slot's current
+    descriptor. *)
+
+val unpost_slot : Uls_emp.Endpoint.t -> slot -> unit
+(** Cancel the slot's current descriptor, if any. *)
+
 val create :
   env ->
   id:int ->
@@ -36,10 +56,11 @@ val create :
   peer_addr:Uls_api.Sockets_api.addr ->
   t
 (** Builds the connection and posts all of its descriptors (the 2N+3
-    provisioning of §6.1); spawns its receive and credit-ack fibers.
-    The rendezvous-request, grant and close descriptors park no fiber:
-    each message on them spawns a one-shot handler fiber, which
-    reposts the request and grant descriptors.
+    provisioning of §6.1); spawns its receive fiber, plus the
+    unexpected-queue ack fiber under {!Options.t.unexpected_queue}.
+    The credit-ack, rendezvous-request, grant and close descriptors
+    park no fiber: each message on them spawns a one-shot handler
+    fiber, which reposts every one of them but the close descriptor.
     [peer_conn] may be [-1] until {!set_peer} (client side). *)
 
 val id : t -> int

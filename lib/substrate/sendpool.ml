@@ -54,10 +54,8 @@ let busy t =
 let slot_size t = Memory.length t.slots.(0).region
 let slots t = Array.length t.slots
 
-(** Copy [data] into the next ring slot and post the send. Blocks only
-    when the ring wraps onto a send that is still in flight. The blit is
-    free of simulated cost: it models the application reusing its own
-    (already pinned) buffer, not an extra protocol copy. *)
+(* Claim the next ring slot, blocking only when the ring wraps onto a
+   send that is still in flight. *)
 let claim_slot t =
   let slot = t.slots.(t.next) in
   t.next <- (t.next + 1) mod Array.length t.slots;
@@ -70,24 +68,27 @@ let claim_slot t =
   slot.state <- Claimed;
   slot
 
-let send t ~dst ~tag data =
-  let len = String.length data in
-  if len > slot_size t then invalid_arg "Sendpool.send: message too large";
+(* Claim a slot and copy [data] in. The blit is free of simulated cost:
+   it models the application reusing its own (already pinned) buffer,
+   not an extra protocol copy. *)
+let fill ~caller t data =
+  if String.length data > slot_size t then
+    invalid_arg (caller ^ ": message too large");
   let slot = claim_slot t in
   Memory.blit_from_string data slot.region ~off:0;
-  let s = E.post_send t.emp ~dst ~tag slot.region ~off:0 ~len in
-  slot.state <- Sent s;
-  s
+  slot
 
-(** Claim a slot and fill it without posting: the batched path stages
-    several messages, then submits them all through the endpoint's tx
-    ring under one doorbell ([Endpoint.post_sendv]); [commit] records
-    the resulting sends so slot reuse still waits on them. *)
 let stage t ~dst ~tag data =
-  let len = String.length data in
-  if len > slot_size t then invalid_arg "Sendpool.stage: message too large";
-  let slot = claim_slot t in
-  Memory.blit_from_string data slot.region ~off:0;
-  (slot, (dst, tag, slot.region, 0, len))
+  let slot = fill ~caller:"Sendpool.stage" t data in
+  (slot, (dst, tag, slot.region, 0, String.length data))
 
-let commit slots sends = List.iter2 (fun slot s -> slot.state <- Sent s) slots sends
+let record slot s = slot.state <- Sent s
+let commit slots sends = List.iter2 record slots sends
+
+let send t ~dst ~tag data =
+  let slot = fill ~caller:"Sendpool.send" t data in
+  let s =
+    E.post_send t.emp ~dst ~tag slot.region ~off:0 ~len:(String.length data)
+  in
+  record slot s;
+  s

@@ -14,10 +14,11 @@ val slots : t -> int
 (** Number of ring slots (batch staging must flush before wrapping). *)
 
 val send : t -> dst:int -> tag:int -> string -> Uls_emp.Endpoint.send
-(** Copy the payload into the next ring slot and post the send. Blocks
-    only when the ring wraps onto a send that is still in flight. The
-    blit is free of simulated cost: it models the application reusing
-    its own (already pinned) buffer, not an extra protocol copy. *)
+(** {!stage}, {!Uls_emp.Endpoint.post_send} and {!commit} for one
+    message: copy the payload into the next ring slot and post the send.
+    Blocks only when the ring wraps onto a send that is still in flight.
+    The blit is free of simulated cost: it models the application
+    reusing its own (already pinned) buffer, not an extra protocol copy. *)
 
 type slot
 

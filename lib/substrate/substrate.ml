@@ -92,6 +92,14 @@ let on_send_failure t ~dst ~tag ~retries:_ =
     in
     List.iter Conn.mark_reset victims
 
+(* Answer client connection [conn] on [node]: the server-side
+   connection id, or [-1] for a refusal. *)
+let reply t ~node ~conn answer =
+  ignore
+    (Sendpool.send t.ctrl_pool ~dst:node
+       ~tag:(Tags.make Tags.Conn_reply conn)
+       (Codec.encode [ answer ]))
+
 (* With the unexpected queue on, a connection request aimed at a port
    nobody listens on completes into the UQ instead of being dropped —
    scan for those and answer with an explicit refusal ([-1] in the reply)
@@ -104,20 +112,19 @@ let refusal_fiber t () =
   in
   let rec loop () =
     (match E.uq_take t.emp ~pred:orphan with
-    | Some (data, _, _) when String.length data >= 3 * Codec.int_bytes -> (
-      match Codec.decode ~count:3 data with
-      | [ rq_node; rq_conn; _rq_port ] when rq_conn >= 0 && rq_conn <= Tags.max_id
-        ->
+    | Some (data, src, tag) ->
+      let rq =
+        Codec.decode Tags.Conn_request ~owner:(snd (Tags.split tag)) ~peer:src
+          ~len:(String.length data) (String.get_int64_le data)
+      in
+      let rq_node = rq.(0) and rq_conn = rq.(1) in
+      if rq_conn >= 0 && rq_conn <= Tags.max_id then begin
         Stats.Counter.incr t.mh.h_refusals_sent;
         Trace.instant (Trace.for_sim (sim t)) ~layer:Trace.Substrate
           ~node:(node_id t) "sub.refuse"
           ~args:[ ("peer", string_of_int rq_node) ];
-        ignore
-          (Sendpool.send t.ctrl_pool ~dst:rq_node
-             ~tag:(Tags.make Tags.Conn_reply rq_conn)
-             (Codec.encode [ -1 ]))
-      | _ -> ())
-    | Some _ -> ()
+        reply t ~node:rq_node ~conn:rq_conn (-1)
+      end
     | None -> Cond.wait (E.uq_arrival_cond t.emp));
     loop ()
   in
@@ -214,32 +221,30 @@ let conn_env t =
 
 (* --- listen / accept -------------------------------------------------- *)
 
+(* Backlog descriptors take a request from any node. *)
+let post_backlog t l slot =
+  Mailbox.send l.l_handles
+    (slot,
+     Conn.post_slot t.emp slot ~src:(-1)
+       ~tag:(Tags.make Tags.Conn_request l.l_port))
+
+(* Like a connection's receive fiber, the listener reaps its backlog
+   descriptors in posting order. *)
 let listener_fiber t l () =
   let rec loop () =
     let slot, recv = Mailbox.recv l.l_handles in
-    let len, _, _ = E.wait_recv t.emp recv in
+    let len, src, _ = E.wait_recv t.emp recv in
     if len >= 0 && not l.l_closed then begin
-      if len < 3 * Codec.int_bytes then
-        Codec.protocol_error
-          "listener port %d: connection request too short (%d B < %d B)"
-          l.l_port len (3 * Codec.int_bytes);
-      (match Codec.decode_region slot.Conn.sl_region ~off:0 ~count:3 with
-      | [ rq_node; rq_conn; rq_port ] ->
-        (* Repost the backlog descriptor, then queue the request. *)
-        let r =
-          E.post_recv t.emp ~src:(-1)
-            ~tag:(Tags.make Tags.Conn_request l.l_port)
-            slot.Conn.sl_region ~off:0
-            ~len:(Memory.length slot.Conn.sl_region)
-        in
-        slot.Conn.sl_current <- Some r;
-        Mailbox.send l.l_handles (slot, r);
-        Mailbox.send l.l_requests { rq_node; rq_conn; rq_port };
-        Cond.broadcast t.activity;
-        List.iter (fun f -> f ()) l.l_watchers
-      | _ ->
-        Codec.protocol_error
-          "listener port %d: undecodable connection request" l.l_port);
+      let rq =
+        Codec.decode Tags.Conn_request ~owner:l.l_port ~peer:src ~len
+          (Memory.get_int64_le slot.Conn.sl_region)
+      in
+      (* Repost the backlog descriptor, then queue the request. *)
+      post_backlog t l slot;
+      Mailbox.send l.l_requests
+        { rq_node = rq.(0); rq_conn = rq.(1); rq_port = rq.(2) };
+      Cond.broadcast t.activity;
+      List.iter (fun f -> f ()) l.l_watchers;
       loop ()
     end
   in
@@ -257,26 +262,14 @@ let listen t ~port ~backlog =
         Mailbox.create ~label:(Printf.sprintf "listen:%d requests" port) (sim t);
       l_slots =
         Array.init backlog (fun _ ->
-            let region = Memory.alloc t.opts.Options.backlog_request_bytes in
-            Os.prepin (Node.os t.node) region;
-            { Conn.sl_region = region; sl_current = None });
+            Conn.alloc_slot t.node t.opts.Options.backlog_request_bytes);
       l_handles =
         Mailbox.create ~label:(Printf.sprintf "listen:%d handles" port) (sim t);
       l_watchers = [];
       l_closed = false;
     }
   in
-  Array.iter
-    (fun slot ->
-      let r =
-        E.post_recv t.emp ~src:(-1)
-          ~tag:(Tags.make Tags.Conn_request port)
-          slot.Conn.sl_region ~off:0
-          ~len:(Memory.length slot.Conn.sl_region)
-      in
-      slot.Conn.sl_current <- Some r;
-      Mailbox.send l.l_handles (slot, r))
-    l.l_slots;
+  Array.iter (post_backlog t l) l.l_slots;
   Hashtbl.replace t.listeners port l;
   Sim.spawn (sim t) ~name:"sub-listen" ~daemon:true (listener_fiber t l);
   l
@@ -299,10 +292,7 @@ let rec try_accept t l =
     Trace.instant (Trace.for_sim (sim t)) ~layer:Trace.Substrate
       ~node:(node_id t) ~conn:id "sub.accept_dup"
       ~args:[ ("peer", string_of_int rq.rq_node) ];
-    ignore
-      (Sendpool.send t.ctrl_pool ~dst:rq.rq_node
-         ~tag:(Tags.make Tags.Conn_reply rq.rq_conn)
-         (Codec.encode [ id ]));
+    reply t ~node:rq.rq_node ~conn:rq.rq_conn id;
     try_accept t l
   | _ ->
   let id = alloc_id t in
@@ -318,11 +308,7 @@ let rec try_accept t l =
   Trace.instant (Trace.for_sim (sim t)) ~layer:Trace.Substrate
     ~node:(node_id t) ~conn:id "sub.accept"
     ~args:[ ("peer", string_of_int rq.rq_node) ];
-  (* Reply carries the server-side connection id. *)
-  ignore
-    (Sendpool.send t.ctrl_pool ~dst:rq.rq_node
-       ~tag:(Tags.make Tags.Conn_reply rq.rq_conn)
-       (Codec.encode [ id ]));
+  reply t ~node:rq.rq_node ~conn:rq.rq_conn id;
   Some (conn, peer_addr)
 
 let rec accept t l =
@@ -344,11 +330,7 @@ let close_listener t l =
     Hashtbl.remove t.listeners l.l_port;
     Array.iter
       (fun slot ->
-        (match slot.Conn.sl_current with
-        | Some r ->
-          ignore (E.unpost_recv t.emp r);
-          slot.Conn.sl_current <- None
-        | None -> ());
+        Conn.unpost_slot t.emp slot;
         Os.unpin (Node.os t.node) slot.Conn.sl_region)
       l.l_slots;
     (* Wake fibers parked in accept so they observe l_closed. *)
@@ -371,18 +353,16 @@ let connect_blocking t (server : Uls_api.Sockets_api.addr) =
   in
   Hashtbl.replace t.conns id conn;
   (* Pre-post the reply descriptor; it stays posted across retries. *)
-  let reply_region = Memory.alloc 16 in
-  Os.prepin (Node.os t.node) reply_region;
+  let reply_slot = Conn.alloc_slot t.node 16 in
   let reply =
-    E.post_recv t.emp ~src:server.node
+    Conn.post_slot t.emp reply_slot ~src:server.node
       ~tag:(Tags.make Tags.Conn_reply id)
-      reply_region ~off:0 ~len:16
   in
   (* Failure must not leak: the reply descriptor is unposted and the
      half-built connection torn down (removing it from the active-socket
      table) before the exception escapes. *)
   let give_up exn =
-    ignore (E.unpost_recv t.emp reply);
+    Conn.unpost_slot t.emp reply_slot;
     Conn.close conn;
     raise exn
   in
@@ -403,19 +383,16 @@ let connect_blocking t (server : Uls_api.Sockets_api.addr) =
          ~tag:(Tags.make Tags.Conn_request server.port)
          (Codec.encode [ node_id t; id; local.port ]));
     match E.wait_recv_timeout t.emp reply timeout with
-    | Some (len, _, _) when len >= Codec.int_bytes ->
-      (match Codec.decode_region reply_region ~off:0 ~count:1 with
-      | [ server_conn ] when server_conn >= 0 ->
+    | Some (len, src, _) ->
+      let server_conn =
+        (Codec.decode Tags.Conn_reply ~owner:id ~peer:src ~len
+           (Memory.get_int64_le reply_slot.Conn.sl_region)).(0)
+      in
+      if server_conn < 0 then give_up (Refused server)
+      else begin
         Conn.set_peer conn ~conn:server_conn ~addr:server;
         conn
-      | [ _refused ] -> give_up (Refused server)
-      | _ ->
-        Codec.protocol_error
-          "connect to node %d port %d: undecodable accept reply"
-          server.Uls_api.Sockets_api.node server.Uls_api.Sockets_api.port)
-    | Some _ ->
-      Codec.protocol_error "connect to node %d port %d: truncated accept reply"
-        server.Uls_api.Sockets_api.node server.Uls_api.Sockets_api.port
+      end
     | None ->
       if n < attempts then attempt (n + 1) (2 * timeout)
       else give_up (Timed_out server)
@@ -423,7 +400,7 @@ let connect_blocking t (server : Uls_api.Sockets_api.addr) =
   (* The reply buffer serves this handshake only: once it resolves,
      nothing posts it again. *)
   Fun.protect
-    ~finally:(fun () -> Os.unpin (Node.os t.node) reply_region)
+    ~finally:(fun () -> Os.unpin (Node.os t.node) reply_slot.Conn.sl_region)
     (fun () -> attempt 1 t.opts.Options.connect_timeout)
 
 let connect t (server : Uls_api.Sockets_api.addr) =

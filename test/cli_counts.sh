@@ -7,7 +7,8 @@ bin="$1"
 status=0
 for args in "latency --iters 0" "collective --iters 0" "bandwidth --msg 0" \
   "latency --size 0" "figures nosuch" "races --scenario nosuch" \
-  "races --scenario lost-signal --replay-schedule 0.4.1" "check nosuch"; do
+  "races --scenario lost-signal --replay-schedule 0.4.1" "check nosuch" \
+  "trace nosuch" "trace --iters 0"; do
   # shellcheck disable=SC2086
   "$bin" $args >/dev/null 2>&1
   code=$?

@@ -479,6 +479,40 @@ let test_dup_reorder_byte_exact () =
   | None -> Alcotest.fail "spare never posted");
   check_bool "finished table bounded" true ((E.stats e1).E.finished_retained <= 1)
 
+let test_batch_with_bad_spec_posts_nothing () =
+  (* A batch whose second spec is out of range is refused before the
+     first is charged, pinned or posted: nothing is left matchable
+     without a handle, and no virtual time passes. *)
+  let c, e0, e1 = two_nodes () in
+  let sim = Uls_bench.Cluster.sim c in
+  let os0 = Node.os (Uls_bench.Cluster.node c 0) in
+  let os1 = Node.os (Uls_bench.Cluster.node c 1) in
+  let specs =
+    [
+      (0, 1, Memory.alloc 64, 0, 64);
+      (0, 2, Memory.alloc 64, 32, 64);
+      (0, 3, Memory.alloc 64, 0, 64);
+    ]
+  in
+  Sim.spawn sim (fun () ->
+      let posted = E.posted_descriptors e1 and pinned = Os.pinned_regions os1 in
+      let t0 = Sim.now sim in
+      (match E.post_recv_batch e1 specs with
+      | _ -> Alcotest.fail "post_recv_batch accepted a bad range"
+      | exception Invalid_argument _ -> ());
+      check_int "no descriptor posted" posted (E.posted_descriptors e1);
+      check_int "no region pinned" pinned (Os.pinned_regions os1);
+      check_int "no time charged" t0 (Sim.now sim);
+      let sent = (E.stats e0).E.messages_sent
+      and pinned = Os.pinned_regions os0 in
+      (match E.post_sendv e0 (List.map (fun (_, t, r, o, l) -> (1, t, r, o, l)) specs) with
+      | _ -> Alcotest.fail "post_sendv accepted a bad range"
+      | exception Invalid_argument _ -> ());
+      check_int "no send submitted" sent (E.stats e0).E.messages_sent;
+      check_int "no send region pinned" pinned (Os.pinned_regions os0);
+      check_int "no time charged for the sends" t0 (Sim.now sim));
+  run c
+
 let suites =
   [
     ( "emp.delivery",
@@ -518,5 +552,7 @@ let suites =
         Alcotest.test_case "unpost" `Quick test_unpost_recv;
         Alcotest.test_case "reset" `Quick test_reset_clears_descriptors;
         Alcotest.test_case "translation cache" `Quick test_translation_cache_reuse;
+        Alcotest.test_case "batch with a bad spec posts nothing" `Quick
+          test_batch_with_bad_spec_posts_nothing;
       ] );
   ]

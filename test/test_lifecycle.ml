@@ -111,16 +111,26 @@ let test_switch_counters_after_traffic () =
 
 (* --- nothing a connection owns outlives it (paper 5.3) ------------------ *)
 
-let control_fibers = [ "sub-req"; "sub-grant"; "sub-close" ]
+let control_fibers = [ "sub-ack"; "sub-req"; "sub-grant"; "sub-close" ]
 
 let names_in report =
   List.map (fun (p : Sim.parked) -> p.Sim.fiber) report
 
-let test_idle_conn_parks_no_control_fibers () =
-  (* The rendezvous-request, grant and close descriptors complete into
-     handler fibers: an idle open connection has none parked on them. *)
+(* Each lifecycle check runs under the default preset (credit acks
+   through the unexpected queue) and under plain data streaming, whose
+   N credit-ack descriptors per connection are pre-posted. *)
+let presets =
+  [
+    ("", Uls_substrate.Options.data_streaming_enhanced);
+    (" (pre-posted acks)", Uls_substrate.Options.data_streaming);
+  ]
+
+let test_idle_conn_parks_no_control_fibers opts () =
+  (* The credit-ack, rendezvous-request, grant and close descriptors
+     complete into handler fibers: an idle open connection has none
+     parked on them. *)
   let c = Uls_bench.Cluster.create ~n:2 () in
-  let api = Uls_bench.Cluster.substrate_api c in
+  let api = Uls_bench.Cluster.substrate_api ~opts c in
   let sim = Uls_bench.Cluster.sim c in
   let parked = ref [] in
   Sim.spawn sim (fun () ->
@@ -142,12 +152,12 @@ let test_idle_conn_parks_no_control_fibers () =
       check_bool (name ^ " not parked") false (List.mem name !parked))
     control_fibers
 
-let test_cycles_restore_live_fibers () =
+let test_cycles_restore_live_fibers opts () =
   (* N connect/echo/close cycles leave the fiber count where it was
      before the first connect, and no per-connection fiber parked (the
      node's listener and refusal scanner stay). *)
   let c = Uls_bench.Cluster.create ~n:2 () in
-  let api = Uls_bench.Cluster.substrate_api c in
+  let api = Uls_bench.Cluster.substrate_api ~opts c in
   let sim = Uls_bench.Cluster.sim c in
   let before = ref (-1) and after = ref (-1) and parked = ref [] in
   Sim.spawn sim ~daemon:true (fun () ->
@@ -180,7 +190,7 @@ let test_cycles_restore_live_fibers () =
   List.iter
     (fun name ->
       check_bool (name ^ " not parked") false (List.mem name !parked))
-    ([ "sub-rx"; "sub-ack"; "sub-uq-ack"; "sub-close-notify" ] @ control_fibers)
+    ([ "sub-rx"; "sub-uq-ack"; "sub-close-notify" ] @ control_fibers)
 
 let test_echo_close_quiesces_promptly () =
   (* One echo through the event-driven server, then close, run to
@@ -275,6 +285,42 @@ let test_close_during_comm_thread_sync () =
   check_int "no descriptor left posted" before
     (Uls_emp.Endpoint.posted_descriptors emp1)
 
+let test_comm_thread_close_reclaims_spares () =
+  (* Under the comm-thread scheme every arrival posts a spare slot. Once
+     posted, a spare must still be found by close: the one the receive
+     fiber waits on used to stay posted, with the fiber parked on it. *)
+  let c = Uls_bench.Cluster.create ~n:2 () in
+  let opts =
+    { Uls_substrate.Options.data_streaming_enhanced with
+      scheme = Uls_substrate.Options.Comm_thread;
+      credits = 4 }
+  in
+  let api = Uls_bench.Cluster.substrate_api ~opts c in
+  let sim = Uls_bench.Cluster.sim c in
+  let emp1 = Uls_bench.Cluster.emp c 1 in
+  let before = Uls_emp.Endpoint.posted_descriptors emp1 in
+  Sim.spawn sim (fun () ->
+      let l = api.listen ~node:1 ~port:80 ~backlog:1 in
+      let s, _ = l.accept () in
+      ignore (recv_exact s 10);
+      Sim.delay sim (Time.ms 1);
+      s.close ();
+      l.close_listener ());
+  Sim.spawn sim (fun () ->
+      Sim.delay sim (Time.us 10);
+      let s = api.connect ~node:0 { node = 1; port = 80 } in
+      for _ = 1 to 10 do
+        s.send "a";
+        Sim.delay sim (Time.us 50)
+      done;
+      Sim.delay sim (Time.ms 3);
+      s.close ());
+  ignore (Uls_bench.Cluster.run c);
+  check_int "no descriptor left posted" before
+    (Uls_emp.Endpoint.posted_descriptors emp1);
+  check_bool "no sub-rx parked" false
+    (List.mem "sub-rx" (names_in (Sim.blocked_report sim)))
+
 let suites =
   [
     ( "lifecycle",
@@ -288,15 +334,28 @@ let suites =
           test_ip_reassembly_eviction;
         Alcotest.test_case "switch counters" `Quick
           test_switch_counters_after_traffic;
-        Alcotest.test_case "idle conn parks no control fibers" `Quick
-          test_idle_conn_parks_no_control_fibers;
-        Alcotest.test_case "connect/close cycles restore fibers" `Quick
-          test_cycles_restore_live_fibers;
+      ]
+      @ List.concat_map
+          (fun (suffix, opts) ->
+            [
+              Alcotest.test_case
+                ("idle conn parks no control fibers" ^ suffix)
+                `Quick
+                (test_idle_conn_parks_no_control_fibers opts);
+              Alcotest.test_case
+                ("connect/close cycles restore fibers" ^ suffix)
+                `Quick
+                (test_cycles_restore_live_fibers opts);
+            ])
+          presets
+      @ [
         Alcotest.test_case "echo then close quiesces promptly" `Quick
           test_echo_close_quiesces_promptly;
         Alcotest.test_case "close with full buffers ends rx fiber" `Quick
           test_close_with_full_buffers_ends_rx;
         Alcotest.test_case "close during comm-thread sync" `Quick
           test_close_during_comm_thread_sync;
+        Alcotest.test_case "comm-thread close reclaims posted spares" `Quick
+          test_comm_thread_close_reclaims_spares;
       ] );
   ]

@@ -647,12 +647,22 @@ let test_close_listener_wakes_acceptor () =
       ignore (Uls_bench.Cluster.run c);
       check_bool "parked acceptor raised Connection_closed" true !woken)
 
-let test_undecodable_close_is_protocol_error () =
-  (* A close message too short to carry its sequence number must be
-     flagged as a protocol error, not treated as "close at seq 0" (which
-     would discard data still in flight). *)
-  with_cluster ~n:2 (fun c api sim ->
-      let got_error = ref false in
+(* A control message too short for its fields must be flagged as a
+   protocol error naming its kind: a close read as "close at seq 0"
+   would discard data still in flight, and a garbage credit ack would
+   grant credits nobody returned. Credit acks run under plain data
+   streaming, where they land on pre-posted descriptors. *)
+let undecodable_kinds =
+  [
+    (Uls_substrate.Tags.Close, Opt.data_streaming_enhanced);
+    (Uls_substrate.Tags.Rdvz_request, Opt.data_streaming_enhanced);
+    (Uls_substrate.Tags.Rdvz_grant, Opt.data_streaming_enhanced);
+    (Uls_substrate.Tags.Credit_ack, Opt.data_streaming);
+  ]
+
+let test_undecodable_is_protocol_error (kind, opts) () =
+  with_cluster ~opts ~n:2 (fun c api sim ->
+      let got_error = ref "" in
       Sim.spawn sim (fun () ->
           let l = api.listen ~node:1 ~port:80 ~backlog:1 in
           let s, _ = l.accept () in
@@ -663,21 +673,27 @@ let test_undecodable_close_is_protocol_error () =
           let s = api.connect ~node:0 { node = 1; port = 80 } in
           ignore s;
           Sim.delay sim (Time.us 50);
-          (* A buggy peer: 3 bytes of garbage where the 8-byte close
-             sequence number belongs, aimed at the server's conn id. *)
+          (* A buggy peer: 3 bytes of garbage where the message's
+             8-byte fields belong, aimed at the server's conn id. *)
           let e0 = Uls_bench.Cluster.emp c 0 in
           let region = Uls_host.Memory.alloc 3 in
           Uls_host.Memory.blit_from_string "zzz" region ~off:0;
           let snd =
             E.post_send e0 ~dst:1
-              ~tag:Uls_substrate.Tags.(make Close 1)
+              ~tag:(Uls_substrate.Tags.make kind 1)
               region ~off:0 ~len:3
           in
           E.wait_send e0 snd);
       (try ignore (Uls_bench.Cluster.run c) with
-      | Sim.Fiber_failure (_, Uls_substrate.Codec.Protocol_error _) ->
-        got_error := true);
-      check_bool "undecodable close is a protocol error" true !got_error)
+      | Sim.Fiber_failure (_, Uls_substrate.Codec.Protocol_error msg) ->
+        got_error := msg);
+      let name = Uls_substrate.Tags.kind_name kind in
+      Alcotest.(check string)
+        ("undecodable " ^ name ^ " is a protocol error")
+        (Printf.sprintf "conn 1: %s message from node 0 too short (3 B < %d B)"
+           name
+           (if kind = Uls_substrate.Tags.Rdvz_request then 24 else 8))
+        !got_error)
 
 let test_peer_close_wakes_all_rendezvous_writers () =
   (* Two fibers blocked awaiting rendezvous grants on the same
@@ -904,8 +920,16 @@ let suites =
           test_rendezvous_short_read_keeps_tail;
         Alcotest.test_case "close_listener wakes acceptor" `Quick
           test_close_listener_wakes_acceptor;
-        Alcotest.test_case "undecodable close is protocol error" `Quick
-          test_undecodable_close_is_protocol_error;
+      ]
+      @ List.map
+          (fun ((kind, _) as case) ->
+            Alcotest.test_case
+              ("undecodable " ^ Uls_substrate.Tags.kind_name kind
+             ^ " is protocol error")
+              `Quick
+              (test_undecodable_is_protocol_error case))
+          undecodable_kinds
+      @ [
         Alcotest.test_case "peer close wakes all rendezvous writers" `Quick
           test_peer_close_wakes_all_rendezvous_writers;
         Alcotest.test_case "concurrent rendezvous writers" `Quick

@@ -65,20 +65,55 @@ let prop_tags_injective =
 
 (* --- Codec --- *)
 
+let decode_string kind s =
+  Array.to_list
+    (Codec.decode kind ~owner:7 ~peer:1 ~len:(String.length s)
+       (String.get_int64_le s))
+
 let prop_codec_roundtrip =
   QCheck.Test.make ~name:"codec int list roundtrip" ~count:200
-    QCheck.(list_of_size Gen.(0 -- 8) int)
-    (fun ints -> Codec.decode (Codec.encode ints) = ints)
+    QCheck.(triple int int int)
+    (fun (a, b, c) ->
+      decode_string Tags.Rdvz_request (Codec.encode [ a; b; c ]) = [ a; b; c ])
 
 let test_codec_region () =
-  let s = Codec.encode [ 42; -7; max_int ] in
-  let region = Uls_host.Memory.of_string s in
-  Alcotest.(check (list int)) "decode_region" [ 42; -7; max_int ]
-    (Codec.decode_region region ~off:0 ~count:3)
+  let region = Uls_host.Memory.of_string (Codec.encode [ 42; -7; max_int ]) in
+  Alcotest.(check (list int)) "decode from a region" [ 42; -7; max_int ]
+    (Array.to_list
+       (Codec.decode Tags.Conn_request ~owner:80 ~peer:1 ~len:24
+          (Uls_host.Memory.get_int64_le region)))
 
 let test_codec_partial_decode () =
+  (* A message carries more than its kind's leading fields (a data
+     message's payload follows its header): only the fields are read. *)
   let s = Codec.encode [ 1; 2; 3 ] in
-  Alcotest.(check (list int)) "count limits" [ 1; 2 ] (Codec.decode ~count:2 s)
+  Alcotest.(check (list int)) "data header" [ 1; 2 ] (decode_string Tags.Data s);
+  Alcotest.(check (list int)) "close" [ 1 ] (decode_string Tags.Close s)
+
+let test_codec_short_message () =
+  List.iter
+    (fun (kind, what) ->
+      match decode_string kind "zzz" with
+      | _ -> Alcotest.failf "short %s decoded" (Tags.kind_name kind)
+      | exception Codec.Protocol_error msg ->
+        Alcotest.(check string)
+          (Tags.kind_name kind ^ " names owner, kind and peer")
+          (Printf.sprintf "%s 7: %s message from node 1 too short (3 B < %d B)"
+             what (Tags.kind_name kind)
+             (if kind = Tags.Data then 16 else 8))
+          msg)
+    [
+      (Tags.Data, "conn");
+      (Tags.Credit_ack, "conn");
+      (Tags.Close, "conn");
+      (Tags.Conn_reply, "conn");
+    ];
+  match decode_string Tags.Conn_request (Codec.encode [ 1; 2 ]) with
+  | _ -> Alcotest.fail "a two-field connection request decoded"
+  | exception Codec.Protocol_error msg ->
+    Alcotest.(check string) "listener names its port"
+      "listener port 7: conn_request message from node 1 too short (16 B < 24 B)"
+      msg
 
 (* --- Options --- *)
 
@@ -263,6 +298,8 @@ let suites =
     ( "substrate.codec",
       Alcotest.test_case "decode_region" `Quick test_codec_region
       :: Alcotest.test_case "partial decode" `Quick test_codec_partial_decode
+      :: Alcotest.test_case "short message is a protocol error" `Quick
+           test_codec_short_message
       :: qsuite [ prop_codec_roundtrip ] );
     ( "substrate.options",
       [
