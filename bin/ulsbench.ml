@@ -1371,7 +1371,7 @@ let serve_gate () =
     counting_words (fun () -> run "ds/512/hashed" (scale ds L.Echo))
   in
   allocation_ceiling "ds/512/hashed" ~words ~events:hsh.L.events
-    ~ops:hsh.L.sent ~max_words:60.7 ~max_op_words:21_283. ~max_events:368.;
+    ~ops:hsh.L.sent ~max_words:48.1 ~max_op_words:9_384. ~max_events:205.;
   if hsh.L.lat.rps < lin.L.lat.rps *. 0.999 then
     fail "hashed slower than linear at 512 conns (%.0f vs %.0f req/s)"
       hsh.L.lat.rps lin.L.lat.rps;
@@ -1442,7 +1442,7 @@ let fabric_gate () =
   let a = L.run ~on_server_close:sample ~on_metrics:count_survivors cfg in
   let b, words = counting_words (fun () -> L.run cfg) in
   allocation_ceiling "ds/4-cell" ~words ~events:b.L.events ~ops:cfg.conns
-    ~max_words:57.7 ~max_op_words:17_650. ~max_events:322.;
+    ~max_words:57.7 ~max_op_words:16_233. ~max_events:286.;
   clean "determinism" a;
   if a <> b then fail "seeded runs diverged";
   if !sampled = [] || !survivors > 0 then
@@ -1578,18 +1578,16 @@ let chaos_gate () =
       substrate only, since TCP takes the kernel receive path and never
       touches the NIC tag matcher; TCP gets one scale run. The hashed
       512-connection run also carries the allocation ceiling: at most
-      60.7 minor words per dispatched event, 21283 minor words and 368
-      events per request (measured 58.4, 19706 and 337.2 on OCaml
+      48.1 minor words per dispatched event, 9384 minor words and 205
+      events per request (measured 45.4, 8852 and 195.0 on OCaml
       5.1.1). The words-per-event margin, 6%, leaves room for CI's
       OCaml 5.2 to allocate a few words per event differently, and
       stays under the 7% that replacing the pooled task cells with the
-      wheel's slab saved. Removing
-      events that allocate little raises words per event, so words per
-      request carries its own ceiling: 6% over the 20078 measured
-      before cancellable timers replaced the stale timer events and the
-      parked control-descriptor fibers. The event count is a pure
-      function of the seeded run, so its 5% margin only admits a small
-      deliberate change of event structure.
+      wheel's slab saved. Removing events that allocate little raises
+      words per event, so words per request carries its own ceiling,
+      with the same 6% margin. The event count is a pure function of
+      the seeded run, so its 5% margin only admits a small deliberate
+      change of event structure.
     - [fabric]: a cell-count x stack matrix (1/4 cells, substrate/TCP)
       of open-loop fleet runs through the consistent-hash balancer;
       kill-failover on both stacks (cell 1 paused mid-load: the ring
@@ -1598,11 +1596,10 @@ let chaos_gate () =
       connections leave nothing behind: every 64th closed server-side
       stream is held weakly, and none may survive a full major GC while
       the cluster is still alive. Its second run carries the allocation
-      ceiling, with the same margins as [serve]: at most 57.7 minor
-      words per dispatched event, 17650 minor words and 322 events per
-      session (measured 56.8, 15870 and 279.5; the words-per-session
-      ceiling is 6% over the 16651 measured before cancellable
-      timers).
+      ceiling, with the same margins as [serve]: at most 16233 minor
+      words and 286 events per session (measured 15314 and 272.3), and
+      57.7 minor words per dispatched event (measured 56.2; 6% over it
+      would raise the ceiling, which stays where it was).
     - [chaos]: a checksummed payload streamed through the substrate and
       kernel TCP at 0/0.5/2/5% seeded frame loss. No run may hang past
       the virtual-time bound or deliver corrupt bytes; 1 MB per run

@@ -98,7 +98,6 @@ type stats = {
   frames_dropped_no_descriptor : int;
   protocol_acks_sent : int;
   unexpected_queue_hits : int;
-  descriptor_walk_total : int;
   nacks_sent : int;
   finished_retained : int;
 }
@@ -147,20 +146,12 @@ type t = {
      RSS-steered by source node, so each peer's traffic is handled by a
      fixed queue and per-message state stays single-fiber. *)
   rx_queues : Uls_ether.Frame.t Mailbox.t array;
-  uq_arrival : Cond.t;
   (* Batched I/O: one submission/completion ring pair per endpoint (the
      connection group), created on first use. *)
   mutable tx_ring : (send, send) Uls_rings.Ringpair.t option;
   mutable on_send_failure : dst:int -> tag:int -> retries:int -> unit;
-  mutable st_msgs_sent : int;
-  mutable st_msgs_recv : int;
-  mutable st_frames_sent : int;
-  mutable st_retrans : int;
-  mutable st_drops : int;
+  mutable on_unexpected : src:int -> tag:int -> unit;
   mutable st_acks : int;
-  mutable st_uq_hits : int;
-  mutable st_walked : int;
-  mutable st_nacks : int;
   mutable st_desc_posted : int;
   mutable st_desc_completed : int;
 }
@@ -184,16 +175,16 @@ let descriptor_stats t =
   }
 
 let stats t =
+  let count = Stats.Counter.value in
   {
-    messages_sent = t.st_msgs_sent;
-    messages_received = t.st_msgs_recv;
-    frames_sent = t.st_frames_sent;
-    frames_retransmitted = t.st_retrans;
-    frames_dropped_no_descriptor = t.st_drops;
+    messages_sent = count t.mh.h_messages_sent;
+    messages_received = count t.mh.h_messages_received;
+    frames_sent = count t.mh.h_frames_sent;
+    frames_retransmitted = count t.mh.h_frames_retransmitted;
+    frames_dropped_no_descriptor = count t.mh.h_drops_no_descriptor;
     protocol_acks_sent = t.st_acks;
-    unexpected_queue_hits = t.st_uq_hits;
-    descriptor_walk_total = t.st_walked;
-    nacks_sent = t.st_nacks;
+    unexpected_queue_hits = count t.mh.h_uq_hits;
+    nacks_sent = count t.mh.h_nacks_sent;
     finished_retained =
       Hashtbl.fold (fun _ p n -> n + Hashtbl.length p.p_finished) t.rx_peers 0;
   }
@@ -250,7 +241,6 @@ let send_frame t st idx =
     }
   in
   Tigon.transmit t.nic (Wire.data_frame ~src:(node_id t) ~dst:st.s_dst data);
-  t.st_frames_sent <- t.st_frames_sent + 1;
   Stats.Counter.incr t.mh.h_frames_sent
 
 let fail_send t st =
@@ -269,6 +259,12 @@ let fail_send t st =
      connection and resets it) — not every failed send has a fiber
      parked in [wait_send] to observe the failure. *)
   t.on_send_failure ~dst:st.s_dst ~tag:st.s_tag ~retries:st.s_retries
+
+(* Go-back-N: transmit again from frame [idx]. Everything sent from
+   there on counts as retransmitted, whether the RTO or a NACK rewound. *)
+let rewind_to t st idx =
+  Stats.Counter.add t.mh.h_frames_retransmitted (st.s_next - idx);
+  st.s_next <- idx
 
 (* The single transmit fiber of a message: streams frames subject to the
    in-flight window, then waits for full acknowledgment, rewinding to the
@@ -290,11 +286,9 @@ let tx_fiber ?(ring_fed = false) t st () =
   let rewind () =
     st.s_retries <- st.s_retries + 1;
     if not (give_up ()) then begin
-      t.st_retrans <- t.st_retrans + (st.s_next - st.s_acked);
-      Stats.Counter.add t.mh.h_frames_retransmitted (st.s_next - st.s_acked);
       Trace.instant t.trace ~layer:Trace.Emp ~node:(node_id t) "emp.rto_rewind"
         ~args:[ ("frames", string_of_int (st.s_next - st.s_acked)) ];
-      st.s_next <- st.s_acked;
+      rewind_to t st st.s_acked;
       st.s_rto <- min (2 * st.s_rto) t.cfg.max_rto
     end
   in
@@ -376,7 +370,6 @@ let make_send t ~dst ~tag region ~off ~len =
       q
   in
   Queue.push t.next_msg_id order;
-  t.st_msgs_sent <- t.st_msgs_sent + 1;
   Stats.Counter.incr t.mh.h_messages_sent;
   st
 
@@ -429,14 +422,13 @@ let dummy_send t =
     s_cond = Cond.create ~label:"emp:send-dummy" (sim t);
   }
 
-let get_tx_ring ?(mode = Uls_rings.Ringpair.Wakeup) ?(capacity = 1024) t =
+let get_tx_ring ?(mode = Uls_rings.Ringpair.Wakeup) t =
   match t.tx_ring with
   | Some rp -> rp
   | None ->
     let d = dummy_send t in
     let rp =
-      Uls_rings.Ringpair.create ~mode ~sq_capacity:capacity
-        ~cq_capacity:capacity
+      Uls_rings.Ringpair.create ~mode
         ~label:(Printf.sprintf "emp%d-txring" (node_id t))
         ~on_doorbell:(fun () -> Tigon.count_doorbell t.nic)
         ~on_fetch:(fun _n -> Tigon.count_mailbox_fetch t.nic)
@@ -471,7 +463,7 @@ let post_sendv ?mode t specs =
           Os.pin_region (Node.os t.node) region ~off ~len;
           let st = make_send t ~dst ~tag region ~off ~len in
           st.s_ring <- true;
-          ignore (Uls_rings.Ringpair.submit rp st : bool);
+          Uls_rings.Ringpair.submit rp st;
           st)
         specs
     in
@@ -503,18 +495,18 @@ let tx_ring_stats t =
 
 let recv_done r = r.r_done
 
-let wait_recv t r =
-  Cond.wait_until r.r_cond (fun () -> r.r_done);
+let reap t r =
   Sim.delay (sim t) (model t).Cost_model.emp_host_reap;
   (r.r_len, r.r_from, r.r_tag)
+
+let wait_recv t r =
+  Cond.wait_until r.r_cond (fun () -> r.r_done);
+  reap t r
 
 let wait_recv_timeout t r timeout =
   let deadline = Sim.now (sim t) + timeout in
   let rec loop () =
-    if r.r_done then begin
-      Sim.delay (sim t) (model t).Cost_model.emp_host_reap;
-      Some (r.r_len, r.r_from, r.r_tag)
-    end
+    if r.r_done then Some (reap t r)
     else begin
       let remaining = deadline - Sim.now (sim t) in
       if remaining <= 0 then None
@@ -548,7 +540,6 @@ let complete_recv t r ~len ~src ~tag =
    queue: copy into the user buffer (the extra copy the paper accepts
    for UQ traffic), then free the slot. *)
 let consume_uq t slot r =
-  t.st_uq_hits <- t.st_uq_hits + 1;
   Stats.Counter.incr t.mh.h_uq_hits;
   Trace.instant t.trace ~layer:Trace.Emp ~node:(node_id t) "emp.uq_consume";
   let len = min slot.u_len r.r_cap in
@@ -563,7 +554,11 @@ let consume_uq t slot r =
   in
   Sim.spawn (sim t) ~name:"emp-uq-copy" finish
 
-let uq_match t ~src ~tag =
+let any ~src:_ ~tag:_ = true
+
+(* The first arrived unexpected-queue message from [src] with [tag]
+   (either may be [-1], a wildcard) that also satisfies [pred]. *)
+let uq_match ?(pred = any) t ~src ~tag =
   let n = Vec.length t.uq in
   let rec scan i =
     if i >= n then None
@@ -573,6 +568,7 @@ let uq_match t ~src ~tag =
         slot.u_state = `Arrived
         && (src = -1 || slot.u_from = src)
         && (tag = -1 || slot.u_tag = tag)
+        && pred ~src:slot.u_from ~tag:slot.u_tag
       then Some slot
       else scan (i + 1)
     end
@@ -689,27 +685,18 @@ let unpost_recv t r =
   end
 
 let uq_has_match t ~src ~tag = uq_match t ~src ~tag <> None
-let uq_arrival_cond t = t.uq_arrival
 
 let uq_take t ~pred =
-  let n = Vec.length t.uq in
-  let rec scan i =
-    if i >= n then None
-    else begin
-      let slot = Vec.get t.uq i in
-      if slot.u_state = `Arrived && pred ~src:slot.u_from ~tag:slot.u_tag then begin
-        let data = Memory.sub_string slot.u_buf ~off:0 ~len:slot.u_len in
-        let src = slot.u_from and tag = slot.u_tag in
-        slot.u_state <- `Free;
-        slot.u_len <- 0;
-        Some (data, src, tag)
-      end
-      else scan (i + 1)
-    end
-  in
-  scan 0
+  match uq_match ~pred t ~src:(-1) ~tag:(-1) with
+  | None -> None
+  | Some slot ->
+    let data = Memory.sub_string slot.u_buf ~off:0 ~len:slot.u_len in
+    slot.u_state <- `Free;
+    slot.u_len <- 0;
+    Some (data, slot.u_from, slot.u_tag)
 
 let set_send_failure_handler t f = t.on_send_failure <- f
+let set_unexpected_handler t f = t.on_unexpected <- f
 
 let provision_unexpected t ~slots ~size =
   for _ = 1 to slots do
@@ -773,13 +760,9 @@ let free_uq_slot_for t ~total_len =
   in
   scan 0 0
 
-(* Account one descriptor lookup: host stats, the legacy EMP metric, the
-   canonical NIC metrics (both engines), and the firmware-time charge on
-   the handling receive core. *)
-(* Metric side of a descriptor lookup: the legacy emp counter plus the
+(* Metric side of a descriptor lookup: the emp walk histogram plus the
    canonical nic.match_* series (every match, both engines). *)
 let observe_match t (probe : Match_list.probe) =
-  t.st_walked <- t.st_walked + probe.walked;
   Stats.Summary.add t.mh.h_match_walk_descs (float_of_int probe.walked);
   Tigon.observe_match t.nic probe
 
@@ -859,7 +842,6 @@ let finish_record t p key record =
     Hashtbl.replace p.p_finished id record.rec_nframes;
     Queue.push id p.p_order
   end;
-  t.st_msgs_recv <- t.st_msgs_recv + 1;
   Stats.Counter.incr t.mh.h_messages_received;
   if Trace.enabled t.trace then
     Trace.instant t.trace ~layer:Trace.Emp ~node:(node_id t) "emp.msg_complete"
@@ -872,7 +854,7 @@ let finish_record t p key record =
       ~src:record.rec_src ~tag:record.rec_tag
   | To_uq slot -> (
     slot.u_state <- `Arrived;
-    Cond.broadcast t.uq_arrival;
+    t.on_unexpected ~src:slot.u_from ~tag:slot.u_tag;
     (* A descriptor posted while the message was in flight may be
        waiting; deliver to it now. The match time was already paid when
        the message arrived; this re-take is delivery bookkeeping, so it
@@ -915,7 +897,6 @@ let rx_data t ~queue (d : Wire.data) =
       | None -> (
         match match_new_message t ~queue d with
         | None ->
-          t.st_drops <- t.st_drops + 1;
           Stats.Counter.incr t.mh.h_drops_no_descriptor;
           Trace.instant t.trace ~layer:Trace.Emp ~node:(node_id t) "emp.drop";
           None
@@ -971,7 +952,6 @@ let rx_data t ~queue (d : Wire.data) =
         && not record.rec_nacked
       then begin
         record.rec_nacked <- true;
-        t.st_nacks <- t.st_nacks + 1;
         Stats.Counter.incr t.mh.h_nacks_sent;
         Trace.instant t.trace ~layer:Trace.Emp ~node:(node_id t) "emp.nack"
           ~args:[ ("missing", string_of_int record.rec_prefix) ];
@@ -1023,10 +1003,7 @@ let rx_nack t ~queue key next_expected =
     (* A NACK is also cumulative: everything below the named frame has
        been received. *)
     if next_expected > st.s_acked then st.s_acked <- next_expected;
-    if next_expected < st.s_next then begin
-      t.st_retrans <- t.st_retrans + (st.s_next - next_expected);
-      st.s_next <- next_expected
-    end;
+    if next_expected < st.s_next then rewind_to t st next_expected;
     Cond.broadcast st.s_cond
 
 let rx_dispatcher t queue () =
@@ -1095,18 +1072,10 @@ let create ?(config = default_config) node nic =
               else Printf.sprintf "emp:rx-queue%d" i
             in
             Mailbox.create ~label sim);
-      uq_arrival = Cond.create ~label:"emp:uq-arrival" sim;
       tx_ring = None;
       on_send_failure = (fun ~dst:_ ~tag:_ ~retries:_ -> ());
-      st_msgs_sent = 0;
-      st_msgs_recv = 0;
-      st_frames_sent = 0;
-      st_retrans = 0;
-      st_drops = 0;
+      on_unexpected = (fun ~src:_ ~tag:_ -> ());
       st_acks = 0;
-      st_uq_hits = 0;
-      st_walked = 0;
-      st_nacks = 0;
       st_desc_posted = 0;
       st_desc_completed = 0;
     }

@@ -62,10 +62,10 @@ val wait_send : t -> send -> unit
 (** {1 Batched submission (tx ring)} *)
 
 val get_tx_ring :
-  ?mode:Uls_rings.Ringpair.mode -> ?capacity:int -> t -> (send, send) Uls_rings.Ringpair.t
+  ?mode:Uls_rings.Ringpair.mode -> t -> (send, send) Uls_rings.Ringpair.t
 (** The endpoint's submission/completion ring pair, created on first
-    use. [mode] and [capacity] only apply at creation; later calls
-    return the existing ring unchanged. *)
+    use. [mode] only applies at creation; later calls return the
+    existing ring unchanged. *)
 
 val post_sendv :
   ?mode:Uls_rings.Ringpair.mode ->
@@ -159,13 +159,19 @@ val uq_has_match : t -> src:int -> tag:int -> bool
 (** A complete message matching [src]/[tag] sits in the unexpected
     queue (a subsequent {!post_recv} would consume it immediately). *)
 
-val uq_arrival_cond : t -> Uls_engine.Cond.t
-(** Broadcast whenever a message completes into the unexpected queue. *)
+val set_unexpected_handler : t -> (src:int -> tag:int -> unit) -> unit
+(** Called whenever a message completes into the unexpected queue, with
+    its source node and tag, just before a descriptor posted while it
+    was in flight takes it. It runs in the receive dispatcher, outside
+    any application fiber, so it must not block; it may spawn. The
+    substrate routes each arrival to the one connection (or the refusal
+    handler) that owns its tag. One handler per endpoint; default is a
+    no-op. *)
 
 val uq_take : t -> pred:(src:int -> tag:int -> bool) -> (string * int * int) option
 (** Remove the first complete unexpected-queue message satisfying [pred]
     and return [(payload, src, tag)], freeing its slot. The substrate's
-    refusal scanner uses this to answer connection requests aimed at
+    refusal handler uses this to answer connection requests aimed at
     ports nobody listens on. *)
 
 val reset : t -> unit
@@ -177,11 +183,10 @@ type stats = {
   messages_sent : int;
   messages_received : int;
   frames_sent : int;
-  frames_retransmitted : int;
+  frames_retransmitted : int;  (** resent after an RTO or a NACK rewind *)
   frames_dropped_no_descriptor : int;
   protocol_acks_sent : int;
   unexpected_queue_hits : int;
-  descriptor_walk_total : int;  (** descriptors walked by tag matching *)
   nacks_sent : int;
   finished_retained : int;
       (** completed messages still remembered to re-ack duplicates: those

@@ -43,7 +43,6 @@ type t = {
   rx_cpus : Resource.t array;
   dma_engine : Resource.t;
   mutable firmware_rx : Uls_ether.Frame.t -> unit;
-  mutable rx_frames : int;
   (* Forward-on-match engine (NIC-assisted collectives): descriptors the
      host posts so the firmware can combine and propagate collective
      frames down a tree without host involvement. *)
@@ -221,7 +220,6 @@ let create ?(match_engine = Match_list.Linear) sim model net ~node =
             Resource.create sim ~name:(name part));
       dma_engine = Resource.create sim ~name:(name "dma");
       firmware_rx = (fun _ -> ());
-      rx_frames = 0;
       coll_classify = (fun _ -> None);
       fwd_list = Match_list.create ~engine:match_engine ();
       fwd_pending = Vec.create ();
@@ -242,7 +240,6 @@ let create ?(match_engine = Match_list.Linear) sim model net ~node =
              model.Cost_model.nic_rx_classify)
       end
       else begin
-        t.rx_frames <- t.rx_frames + 1;
         Stats.Counter.incr t.mh.h_rx_frames;
         match t.coll_classify frame with
         | Some (src, tag) ->
@@ -311,7 +308,7 @@ let count_mailbox_fetch t = Stats.Counter.incr t.mh.h_mailbox_fetches
 let tx_cpu t = t.tx_cpu
 let rx_cpu ?(queue = 0) t = t.rx_cpus.(queue)
 let dma_engine t = t.dma_engine
-let frames_received t = t.rx_frames
+let frames_received t = Stats.Counter.value t.mh.h_rx_frames
 
 (* --- forward-on-match host interface --------------------------------- *)
 

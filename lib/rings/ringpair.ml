@@ -2,14 +2,12 @@ open Uls_engine
 open Uls_host
 
 type mode = Wakeup | Busy_poll
-type backpressure = Block | Drop
 
 type stats = {
   mutable doorbells : int;
   mutable fetch_batches : int;
   mutable fetched : int;
   mutable submitted : int;
-  mutable sq_drops : int;
   mutable cq_overflows : int;
   mutable completed : int;
   mutable reaped : int;
@@ -21,16 +19,13 @@ type ('s, 'c) t = {
   model : Cost_model.t;
   nic_cpu : Resource.t;
   mode : mode;
-  backpressure : backpressure;
   sq : 's Cursor_ring.t;
   cq : 'c Cursor_ring.t;
   consume : 's -> unit;
   not_full : Cond.t;
   nic_work : Cond.t;
-  cq_ready : Cond.t;
   on_doorbell : unit -> unit;
   on_fetch : int -> unit;
-  on_cq_flush : (int -> unit) option;
   stats : stats;
   mutable armed : bool;
   mutable cq_unflushed : int;
@@ -99,33 +94,28 @@ let cq_flush_loop t flush () =
   in
   loop ()
 
-let create ?(mode = Wakeup) ?(backpressure = Block) ?(sq_capacity = 1024)
-    ?(cq_capacity = 1024) ?(label = "ring") ?(on_doorbell = fun () -> ())
-    ?(on_fetch = fun (_ : int) -> ()) ?on_cq_flush sim ~model ~nic_cpu
-    ~dummy_sub ~dummy_comp ~consume () =
+let create ?(mode = Wakeup) ?(capacity = 1024) ?(label = "ring")
+    ?(on_doorbell = fun () -> ()) ?(on_fetch = fun (_ : int) -> ())
+    ~on_cq_flush sim ~model ~nic_cpu ~dummy_sub ~dummy_comp ~consume () =
   let t =
     {
       sim;
       model;
       nic_cpu;
       mode;
-      backpressure;
-      sq = Cursor_ring.create ~capacity:sq_capacity ~dummy:dummy_sub ();
-      cq = Cursor_ring.create ~capacity:cq_capacity ~dummy:dummy_comp ();
+      sq = Cursor_ring.create ~capacity ~dummy:dummy_sub ();
+      cq = Cursor_ring.create ~capacity ~dummy:dummy_comp ();
       consume;
       not_full = Cond.create ~label:(label ^ " sq-space") sim;
       nic_work = Cond.create ~label:(label ^ " nic-work") sim;
-      cq_ready = Cond.create ~label:(label ^ " cq-ready") sim;
       on_doorbell;
       on_fetch;
-      on_cq_flush;
       stats =
         {
           doorbells = 0;
           fetch_batches = 0;
           fetched = 0;
           submitted = 0;
-          sq_drops = 0;
           cq_overflows = 0;
           completed = 0;
           reaped = 0;
@@ -137,10 +127,8 @@ let create ?(mode = Wakeup) ?(backpressure = Block) ?(sq_capacity = 1024)
     }
   in
   Sim.spawn sim ~name:(label ^ ".fetch") ~daemon:true (fetch_loop t);
-  (match on_cq_flush with
-  | Some flush ->
-    Sim.spawn sim ~name:(label ^ ".cqflush") ~daemon:true (cq_flush_loop t flush)
-  | None -> ());
+  Sim.spawn sim ~name:(label ^ ".cqflush") ~daemon:true
+    (cq_flush_loop t on_cq_flush);
   t
 
 let ring_doorbell t =
@@ -160,27 +148,15 @@ let ring_doorbell t =
 
 let submit t x =
   Sim.delay t.sim t.model.Cost_model.ring_slot_post;
-  if Cursor_ring.is_full t.sq then
-    match t.backpressure with
-    | Drop ->
-        t.stats.sq_drops <- t.stats.sq_drops + 1;
-        false
-    | Block ->
-        (* A full ring with an unrung doorbell would deadlock the
-           producer in wakeup mode: flush first, then wait for space. *)
-        ring_doorbell t;
-        Cond.wait_until t.not_full (fun () ->
-            not (Cursor_ring.is_full t.sq));
-        Cursor_ring.push_exn t.sq x;
-        t.stats.submitted <- t.stats.submitted + 1;
-        if t.mode = Busy_poll then Cond.signal t.nic_work;
-        true
-  else begin
-    Cursor_ring.push_exn t.sq x;
-    t.stats.submitted <- t.stats.submitted + 1;
-    if t.mode = Busy_poll then Cond.signal t.nic_work;
-    true
-  end
+  if Cursor_ring.is_full t.sq then begin
+    (* A full ring with an unrung doorbell would deadlock the producer
+       in wakeup mode: flush first, then wait for space. *)
+    ring_doorbell t;
+    Cond.wait_until t.not_full (fun () -> not (Cursor_ring.is_full t.sq))
+  end;
+  Cursor_ring.push_exn t.sq x;
+  t.stats.submitted <- t.stats.submitted + 1;
+  if t.mode = Busy_poll then Cond.signal t.nic_work
 
 let complete t c =
   if Cursor_ring.is_full t.cq then begin
@@ -189,12 +165,8 @@ let complete t c =
   end;
   Cursor_ring.push_exn t.cq c;
   t.stats.completed <- t.stats.completed + 1;
-  (match t.on_cq_flush with
-  | Some _ ->
-    t.cq_unflushed <- t.cq_unflushed + 1;
-    Cond.signal t.cq_flush_work
-  | None -> ());
-  Cond.broadcast t.cq_ready
+  t.cq_unflushed <- t.cq_unflushed + 1;
+  Cond.signal t.cq_flush_work
 
 let reap t ~max =
   let xs = Cursor_ring.pop_up_to t.cq ~max in

@@ -17,14 +17,12 @@
     never blocks simulation quiescence. *)
 
 type mode = Wakeup | Busy_poll
-type backpressure = Block | Drop
 
 type stats = {
   mutable doorbells : int;
   mutable fetch_batches : int;
   mutable fetched : int;
   mutable submitted : int;
-  mutable sq_drops : int;
   mutable cq_overflows : int;
   mutable completed : int;
   mutable reaped : int;
@@ -37,13 +35,11 @@ type ('s, 'c) t
 
 val create :
   ?mode:mode ->
-  ?backpressure:backpressure ->
-  ?sq_capacity:int ->
-  ?cq_capacity:int ->
+  ?capacity:int ->
   ?label:string ->
   ?on_doorbell:(unit -> unit) ->
   ?on_fetch:(int -> unit) ->
-  ?on_cq_flush:(int -> unit) ->
+  on_cq_flush:(int -> unit) ->
   Uls_engine.Sim.t ->
   model:Uls_host.Cost_model.t ->
   nic_cpu:Uls_engine.Resource.t ->
@@ -56,16 +52,16 @@ val create :
     batch fetch charge; it must not block — spawn a fiber for blocking
     work. [on_doorbell] fires when the host rings (wakeup mode only);
     [on_fetch n] fires when the NIC services a wakeup-mode doorbell
-    covering [n] descriptors. [on_cq_flush k] enables completion-write
-    coalescing (CQ moderation): a dedicated flush fiber calls it with
-    the number of completions accumulated since its last call, instead
-    of one completion write per entry — the callback should charge the
-    single coalesced DMA burst. Capacities must be powers of two. *)
+    covering [n] descriptors. Completion writes are coalesced (CQ
+    moderation): a dedicated flush fiber calls [on_cq_flush k] with the
+    number of completions accumulated since its last call, instead of
+    one completion write per entry — the callback should charge the
+    single coalesced DMA burst. [capacity] (of each ring, default 1024)
+    must be a power of two. *)
 
-val submit : ('s, 'c) t -> 's -> bool
-(** Stage one descriptor. On a full SQ: [Block] flushes (rings the
-    doorbell) and waits for space, always returning [true]; [Drop]
-    returns [false] and counts the drop. *)
+val submit : ('s, 'c) t -> 's -> unit
+(** Stage one descriptor. On a full SQ it flushes (rings the doorbell)
+    and waits for space. *)
 
 val ring_doorbell : ('s, 'c) t -> unit
 (** Notify the NIC of everything staged since the last doorbell. No-op

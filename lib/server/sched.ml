@@ -73,15 +73,13 @@ type t = {
   mutable next_id : int;
   mutable inflight : int;
   mutable peak_inflight : int;
-  mutable accepted : int;
-  mutable shed : int;
   mutable running : bool;
 }
 
 let inflight t = t.inflight
 let peak_inflight t = t.peak_inflight
-let accepted t = t.accepted
-let shed t = t.shed
+let accepted t = Stats.Counter.value t.mh.h_accepts
+let shed t = Stats.Counter.value t.mh.h_shed
 
 let disarm_embryo t c =
   if c.c_embryo >= 0 then begin
@@ -159,13 +157,11 @@ let drain_accepts t =
         | Some bytes -> ( try stream.send bytes with _ -> ())
         | None -> ());
         (try stream.close () with _ -> ());
-        t.shed <- t.shed + 1;
         Stats.Counter.incr t.mh.h_shed
       end
       else begin
         t.inflight <- t.inflight + 1;
         if t.inflight > t.peak_inflight then t.peak_inflight <- t.inflight;
-        t.accepted <- t.accepted + 1;
         Stats.Counter.incr t.mh.h_accepts;
         let c =
           {
@@ -253,8 +249,6 @@ let start sim ~node ?(config = default_config) ~listener ~handler () =
       next_id = 0;
       inflight = 0;
       peak_inflight = 0;
-      accepted = 0;
-      shed = 0;
       running = true;
     }
   in

@@ -78,6 +78,9 @@ val peak_inflight : t -> int
 
 val accepted : t -> int
 val shed : t -> int
+(** Connections accepted and shed on the scheduler's node: the node's
+    [server.sched.accepts] and [server.sched.shed] counters, which every
+    scheduler on the node shares. *)
 
 val stop : t -> unit
 (** Close the listener, stop dispatcher and workers, close every open

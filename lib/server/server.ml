@@ -33,8 +33,9 @@ let shards t = Array.length t.scheds
 let sum f t = Array.fold_left (fun acc s -> acc + f s) 0 t.scheds
 
 let inflight t = sum Sched.inflight t
-let accepted t = sum Sched.accepted t
-let shed t = sum Sched.shed t
+(* Every shard counts into its node's counters. *)
+let accepted t = Sched.accepted (sched t)
+let shed t = Sched.shed (sched t)
 
 (* Sum of per-shard high-water marks: an upper bound on the cell's true
    concurrent peak (shards need not peak at the same instant), which is

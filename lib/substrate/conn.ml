@@ -5,8 +5,9 @@
     descriptors or unexpected-queue ack consumption (§6.4), plus one
     descriptor each for rendezvous requests, rendezvous grants and the
     "closed" control message (§5.3). One receive fiber reaps the data
-    descriptors in posting order; every other posted descriptor
-    completes into a one-shot handler fiber. Send side: credit-based
+    descriptors in posting order; every other posted descriptor, and
+    every credit ack that lands in the unexpected queue, completes into
+    a one-shot handler fiber. Send side: credit-based
     flow control with delayed and piggy-backed acknowledgments
     (§6.1–6.3).
     Messages carry a per-connection sequence number so eager and
@@ -91,6 +92,9 @@ and t = {
   spare_slots : slot array;  (* Comm_thread scheme: repost pool *)
   mutable spares_taken : int;  (* spare slots posted so far, in order *)
   ack_slots : slot array;
+      (** N pre-posted credit-ack slots, or with the unexpected queue
+          the one slot [uq_ack_arrived]'s handler posts per queued ack *)
+  mutable uq_acking : bool;  (** a [sub-uq-ack] handler is running *)
   req_slot : slot;
   grant_slot : slot;
   close_slot : slot;
@@ -314,29 +318,32 @@ let rx_fiber t () =
 
 (* §6.4: with the unexpected-queue option, ack messages carry no
    pre-posted descriptor at all — they land in the EMP unexpected queue
-   (walked last), keeping the data-descriptor match walk short. *)
-let uq_ack_fiber t () =
-  let tag = Tags.make Tags.Credit_ack t.id in
-  let slot = alloc_slot t.env.node 16 in
-  let rec loop () =
-    if t.closed || t.reset then ()
-    else if E.uq_has_match t.env.emp ~src:t.peer_node ~tag then begin
-      let len, _, _ = E.wait_recv t.env.emp (post t slot Tags.Credit_ack) in
-      if len >= 0 then begin
-        add_credits t (decode t Tags.Credit_ack slot len).(0);
-        loop ()
+   (walked last), keeping the data-descriptor match walk short. The
+   substrate routes each such arrival here. One handler at a time
+   consumes the connection's queued acks, oldest first, each through
+   its one ack slot, and exits when none is left; an arrival while it
+   runs is left for its next check. *)
+let uq_ack_arrived t =
+  if not (t.uq_acking || t.closed || t.reset) then begin
+    t.uq_acking <- true;
+    let tag = Tags.make Tags.Credit_ack t.id and slot = t.ack_slots.(0) in
+    let rec consume () =
+      if
+        (not (t.closed || t.reset))
+        && E.uq_has_match t.env.emp ~src:t.peer_node ~tag
+      then begin
+        let len, _, _ = E.wait_recv t.env.emp (post t slot Tags.Credit_ack) in
+        slot.sl_current <- None;
+        if len >= 0 then begin
+          add_credits t (decode t Tags.Credit_ack slot len).(0);
+          consume ()
+        end
       end
-    end
-    else begin
-      (* Event-driven: the endpoint broadcasts on UQ arrivals, and close
-         broadcasts too so this fiber can exit. *)
-      Cond.wait (E.uq_arrival_cond t.env.emp);
-      loop ()
-    end
-  in
-  loop ();
-  (* The fiber owned its ack buffer; nothing posts it again. *)
-  Os.unpin (Node.os t.env.node) slot.sl_region
+    in
+    Sim.spawn (sim t) ~name:"sub-uq-ack" ~daemon:true (fun () ->
+        consume ();
+        t.uq_acking <- false)
+  end
 
 (* The credit-ack, rendezvous-request, grant and close descriptors
    complete into handlers, so no fiber waits on them. Each is posted
@@ -868,8 +875,6 @@ let regions t =
 let teardown t =
   unpost_everything t;
   wake_all t;
-  (* Wake the UQ ack fiber so it observes [closed]/[reset] and exits. *)
-  Cond.broadcast (E.uq_arrival_cond t.env.emp);
   t.env.release t;
   let os = Node.os t.env.node in
   List.iter (Os.unpin os) (regions t)
@@ -950,9 +955,10 @@ let create env ~id ~peer_node ~peer_conn ~local_addr ~peer_addr =
          else [||]);
       spares_taken = 0;
       ack_slots =
-        (if opts.Options.unexpected_queue || opts.Options.scheme = Options.Comm_thread
-         then [||]
+        (if opts.Options.unexpected_queue then [| mk_slot 16 |]
+         else if opts.Options.scheme = Options.Comm_thread then [||]
          else Array.init n (fun _ -> mk_slot 16));
+      uq_acking = false;
       req_slot = mk_slot 64;
       grant_slot = mk_slot 64;
       close_slot = mk_slot 16;
@@ -996,11 +1002,12 @@ let create env ~id ~peer_node ~peer_conn ~local_addr ~peer_addr =
   (* Post the connection's descriptors: N data (+ N ack unless UQ) plus
      the three control descriptors — the 2N provisioning of §6.1. *)
   Array.iter (repost_data_slot t) t.data_slots;
-  Array.iter
-    (fun slot ->
-      post_ctrl_slot t slot Tags.Credit_ack ~name:"sub-ack" ~while_open:true
-        on_credit_ack)
-    t.ack_slots;
+  if not opts.Options.unexpected_queue then
+    Array.iter
+      (fun slot ->
+        post_ctrl_slot t slot Tags.Credit_ack ~name:"sub-ack" ~while_open:true
+          on_credit_ack)
+      t.ack_slots;
   post_ctrl_slot t t.req_slot Tags.Rdvz_request ~name:"sub-req"
     ~while_open:true on_rdvz_request;
   post_ctrl_slot t t.grant_slot Tags.Rdvz_grant ~name:"sub-grant"
@@ -1011,6 +1018,4 @@ let create env ~id ~peer_node ~peer_conn ~local_addr ~peer_addr =
      it is a daemon: only application fibers count for deadlock
      detection. *)
   Sim.spawn (sim t) ~name:"sub-rx" ~daemon:true (rx_fiber t);
-  if opts.Options.unexpected_queue then
-    Sim.spawn (sim t) ~name:"sub-uq-ack" ~daemon:true (uq_ack_fiber t);
   t

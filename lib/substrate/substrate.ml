@@ -56,6 +56,7 @@ type t = {
   mutable draining_len : int;
   mutable draining_sweep_at : int;
   activity : Cond.t;
+  mutable refusing : bool;  (** a [sub-refuse] handler is running *)
   mutable next_id : int;
   mutable next_eport : int;
 }
@@ -101,17 +102,21 @@ let reply t ~node ~conn answer =
        (Codec.encode [ answer ]))
 
 (* With the unexpected queue on, a connection request aimed at a port
-   nobody listens on completes into the UQ instead of being dropped —
-   scan for those and answer with an explicit refusal ([-1] in the reply)
-   so the client fails fast instead of burning its retry budget. *)
-let refusal_fiber t () =
-  let orphan ~src:_ ~tag =
-    match Tags.split tag with
-    | Tags.Conn_request, port -> not (Hashtbl.mem t.listeners port)
-    | _ -> false
-  in
-  let rec loop () =
-    (match E.uq_take t.emp ~pred:orphan with
+   nobody listens on completes into the UQ instead of being dropped. It
+   is answered with an explicit refusal ([-1] in the reply) so the
+   client fails fast instead of burning its retry budget. One handler
+   at a time refuses every such request queued, then exits; it starts
+   when one arrives, or when [close_listener] leaves queued requests
+   without a listener. *)
+let orphan t ~src:_ ~tag =
+  match Tags.split tag with
+  | Tags.Conn_request, port -> not (Hashtbl.mem t.listeners port)
+  | _ -> false
+
+let refuse_orphans t =
+  let rec refuse () =
+    match E.uq_take t.emp ~pred:(orphan t) with
+    | None -> t.refusing <- false
     | Some (data, src, tag) ->
       let rq =
         Codec.decode Tags.Conn_request ~owner:(snd (Tags.split tag)) ~peer:src
@@ -124,11 +129,24 @@ let refusal_fiber t () =
           ~node:(node_id t) "sub.refuse"
           ~args:[ ("peer", string_of_int rq_node) ];
         reply t ~node:rq_node ~conn:rq_conn (-1)
-      end
-    | None -> Cond.wait (E.uq_arrival_cond t.emp));
-    loop ()
+      end;
+      refuse ()
   in
-  loop ()
+  if not t.refusing then begin
+    t.refusing <- true;
+    Sim.spawn (sim t) ~name:"sub-refuse" ~daemon:true refuse
+  end
+
+(* Each message that completes into the unexpected queue goes to its
+   owner alone: a credit ack to its connection, a connection request
+   for a port nobody listens on to the refusal handler. *)
+let on_unexpected t ~src ~tag =
+  match Tags.split tag with
+  | Tags.Credit_ack, id -> (
+    match Hashtbl.find_opt t.conns id with
+    | Some c when Conn.peer_node c = src -> Conn.uq_ack_arrived c
+    | _ -> ())
+  | _ -> if orphan t ~src ~tag then refuse_orphans t
 
 let create ?(opts = Options.data_streaming_enhanced) node emp =
   if opts.Options.unexpected_queue then
@@ -156,13 +174,13 @@ let create ?(opts = Options.data_streaming_enhanced) node emp =
       draining_len = 0;
       draining_sweep_at = 16;
       activity = Cond.create ~label:"sub:activity" (Node.sim node);
+      refusing = false;
       next_id = 0;
       next_eport = 40_000;
     }
   in
   E.set_send_failure_handler emp (on_send_failure t);
-  if opts.Options.unexpected_queue then
-    Sim.spawn (Node.sim node) ~name:"sub-refuse" ~daemon:true (refusal_fiber t);
+  E.set_unexpected_handler emp (on_unexpected t);
   t
 
 let alloc_id t =
@@ -239,8 +257,14 @@ let listener_fiber t l () =
         Codec.decode Tags.Conn_request ~owner:l.l_port ~peer:src ~len
           (Memory.get_int64_le slot.Conn.sl_region)
       in
-      (* Repost the backlog descriptor, then queue the request. *)
+      (* Repost the backlog descriptor, then queue the request. A close
+         during the post has already unposted and unpinned the slots:
+         take the fresh descriptor back too. *)
       post_backlog t l slot;
+      if l.l_closed then begin
+        Conn.unpost_slot t.emp slot;
+        Os.unpin (Node.os t.node) slot.Conn.sl_region
+      end;
       Mailbox.send l.l_requests
         { rq_node = rq.(0); rq_conn = rq.(1); rq_port = rq.(2) };
       Cond.broadcast t.activity;
@@ -335,7 +359,10 @@ let close_listener t l =
       l.l_slots;
     (* Wake fibers parked in accept so they observe l_closed. *)
     Cond.broadcast t.activity;
-    List.iter (fun f -> f ()) l.l_watchers
+    List.iter (fun f -> f ()) l.l_watchers;
+    (* Requests for the port still queued in the UQ are now orphans. *)
+    if E.uq_has_match t.emp ~src:(-1) ~tag:(Tags.make Tags.Conn_request l.l_port)
+    then refuse_orphans t
   end
 
 (* --- connect ----------------------------------------------------------- *)

@@ -30,7 +30,6 @@ type t = {
   arrival : Cond.t;
   reasm : (int * int, partial) Hashtbl.t;
   mutable next_ip_id : int;
-  mutable delivered : int;
   mutable dropped : int;
   mutable rx_frames : int;
 }
@@ -39,7 +38,7 @@ let model t = Node.model t.node
 let sim t = Node.sim t.node
 
 let set_handler t h = t.handler <- h
-let datagrams_delivered t = t.delivered
+let datagrams_delivered t = Stats.Counter.value t.mh.h_rx_datagrams
 let datagrams_dropped t = t.dropped
 let frames_received t = t.rx_frames
 
@@ -103,7 +102,6 @@ let evict_stale t =
   end
 
 let deliver t ~src payload =
-  t.delivered <- t.delivered + 1;
   Stats.Counter.incr t.mh.h_rx_datagrams;
   Trace.instant t.trace ~layer:Trace.Tcpip ~node:(Node.id t.node) "ip.rx"
     ~args:[ ("src", string_of_int src) ];
@@ -216,7 +214,6 @@ let create node nic ~cpu ~config =
           (Node.sim node);
       reasm = Hashtbl.create 16;
       next_ip_id = 0;
-      delivered = 0;
       dropped = 0;
       rx_frames = 0;
     }

@@ -52,7 +52,6 @@ type t = {
   udp_socks : (int, udp_sock) Hashtbl.t;
   activity : Cond.t;
   mutable next_port : int;
-  mutable rsts_sent : int;
 }
 
 let sim t = Node.sim t.node
@@ -60,7 +59,7 @@ let model t = Node.model t.node
 let node_id t = Node.id t.node
 let activity t = t.activity
 let config t = t.config
-let rsts_sent t = t.rsts_sent
+let rsts_sent t = Stats.Counter.value t.mh.h_rsts_sent
 let cpu t = t.cpu
 let ip t = t.ip
 let metrics t = t.metrics
@@ -100,7 +99,6 @@ let env_of t =
   }
 
 let send_rst t ~dst (seg : Segment.tcp_segment) =
-  t.rsts_sent <- t.rsts_sent + 1;
   Stats.Counter.incr t.mh.h_rsts_sent;
   let rst =
     {
@@ -206,7 +204,6 @@ let create node nic ~config =
           ~label:(Printf.sprintf "tcp:%d activity" (Node.id node))
           (Node.sim node);
       next_port = 32_768;
-      rsts_sent = 0;
     }
   in
   Ip.set_handler ip (fun ~src payload ->

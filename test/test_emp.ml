@@ -313,12 +313,22 @@ let nack_recovery_time ~use_nacks =
   Sim.spawn sim (fun () ->
       E.wait_send e0 (send_string e0 ~dst:1 ~tag:2 (String.make size 'n')));
   run c;
-  (!finished, (E.stats e1).E.nacks_sent)
+  let registry =
+    Metrics.counter_value (Metrics.for_sim sim) ~node:0
+      "emp.frames_retransmitted"
+  in
+  (!finished, (E.stats e1).E.nacks_sent,
+   (registry, (E.stats e0).E.frames_retransmitted))
 
 let test_nack_fast_recovery () =
-  let with_nacks, nacks = nack_recovery_time ~use_nacks:true in
-  let without, no_nacks = nack_recovery_time ~use_nacks:false in
+  let with_nacks, nacks, (registry, retransmitted) =
+    nack_recovery_time ~use_nacks:true
+  in
+  let without, no_nacks, _ = nack_recovery_time ~use_nacks:false in
   check_bool "nack was sent" true (nacks >= 1);
+  (* The NACK rewind resends frames; the registry counts them too. *)
+  check_bool "nack rewind retransmitted" true (retransmitted > 0);
+  check_int "registry counts the nack retransmits" retransmitted registry;
   check_int "no nacks when disabled" 0 no_nacks;
   (* RTO is 2 ms; NACK recovery should complete well before that. *)
   check_bool "nack recovers before the RTO horizon" true

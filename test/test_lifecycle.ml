@@ -111,7 +111,8 @@ let test_switch_counters_after_traffic () =
 
 (* --- nothing a connection owns outlives it (paper 5.3) ------------------ *)
 
-let control_fibers = [ "sub-ack"; "sub-req"; "sub-grant"; "sub-close" ]
+let control_fibers =
+  [ "sub-ack"; "sub-uq-ack"; "sub-req"; "sub-grant"; "sub-close"; "sub-refuse" ]
 
 let names_in report =
   List.map (fun (p : Sim.parked) -> p.Sim.fiber) report
@@ -126,9 +127,10 @@ let presets =
   ]
 
 let test_idle_conn_parks_no_control_fibers opts () =
-  (* The credit-ack, rendezvous-request, grant and close descriptors
-     complete into handler fibers: an idle open connection has none
-     parked on them. *)
+  (* The credit-ack, rendezvous-request, grant and close descriptors,
+     and the unexpected queue's credit acks and orphan connection
+     requests, complete into handler fibers: an idle open connection
+     has none parked on them. *)
   let c = Uls_bench.Cluster.create ~n:2 () in
   let api = Uls_bench.Cluster.substrate_api ~opts c in
   let sim = Uls_bench.Cluster.sim c in
@@ -155,7 +157,7 @@ let test_idle_conn_parks_no_control_fibers opts () =
 let test_cycles_restore_live_fibers opts () =
   (* N connect/echo/close cycles leave the fiber count where it was
      before the first connect, and no per-connection fiber parked (the
-     node's listener and refusal scanner stay). *)
+     node's listener stays). *)
   let c = Uls_bench.Cluster.create ~n:2 () in
   let api = Uls_bench.Cluster.substrate_api ~opts c in
   let sim = Uls_bench.Cluster.sim c in
@@ -190,7 +192,7 @@ let test_cycles_restore_live_fibers opts () =
   List.iter
     (fun name ->
       check_bool (name ^ " not parked") false (List.mem name !parked))
-    ([ "sub-rx"; "sub-uq-ack"; "sub-close-notify" ] @ control_fibers)
+    ([ "sub-rx"; "sub-close-notify" ] @ control_fibers)
 
 let test_echo_close_quiesces_promptly () =
   (* One echo through the event-driven server, then close, run to
@@ -321,6 +323,99 @@ let test_comm_thread_close_reclaims_spares () =
   check_bool "no sub-rx parked" false
     (List.mem "sub-rx" (names_in (Sim.blocked_report sim)))
 
+let test_close_cost_independent_of_idle_conns () =
+  (* Closing one connection dispatches the same events however many
+     idle connections stay open on the node: under the default preset
+     their credit acks come through the unexpected queue, and nothing
+     node-wide wakes a per-connection fiber for them. *)
+  let events_for_close idle =
+    let c = Uls_bench.Cluster.create ~n:2 () in
+    let api = Uls_bench.Cluster.substrate_api c in
+    let sim = Uls_bench.Cluster.sim c in
+    let spent = ref (-1) in
+    Sim.spawn sim ~daemon:true (fun () ->
+        let l = api.listen ~node:1 ~port:80 ~backlog:8 in
+        let rec hold () =
+          ignore (l.accept ());
+          hold ()
+        in
+        hold ());
+    Sim.spawn sim (fun () ->
+        Sim.delay sim (Time.us 10);
+        let conns =
+          List.init (idle + 1) (fun _ ->
+              api.connect ~node:0 { node = 1; port = 80 })
+        in
+        Sim.delay sim (Time.ms 1);
+        let before = Sim.events_executed sim in
+        (List.hd conns).close ();
+        Sim.delay sim (Time.ms 1);
+        spent := Sim.events_executed sim - before);
+    ignore (Uls_bench.Cluster.run c);
+    !spent
+  in
+  let small = events_for_close 2 in
+  check_bool "the close dispatched events" true (small > 0);
+  check_int "events of one close, 2 vs 32 idle conns" small
+    (events_for_close 32)
+
+let test_uq_request_refused_on_listener_close () =
+  (* Two requests reach a one-descriptor backlog close together: the
+     second waits in the unexpected queue until the listener reposts.
+     Closing the listener in that window leaves it without a listener,
+     and it is refused at once, not after its client's next retry. The
+     other request was already taken by the backlog descriptor and is
+     never answered; the descriptor the listener was reposting during
+     the close must not take that client's retry, which is refused
+     too. The clients sit on nodes the NIC steers to different receive
+     queues; a scan over the second one's start finds the window. *)
+  let request = Uls_substrate.Tags.make Uls_substrate.Tags.Conn_request 80 in
+  let clients = [ 0; 4 ] in
+  let run skew =
+    let c =
+      Uls_bench.Cluster.create ~match_engine:Uls_nic.Match_list.Hashed ~n:5 ()
+    in
+    let api = Uls_bench.Cluster.substrate_api c in
+    let sim = Uls_bench.Cluster.sim c in
+    let emp1 = Uls_bench.Cluster.emp c 1 in
+    let closed = ref false and refused = ref 0 in
+    Sim.spawn sim (fun () ->
+        let l = api.listen ~node:1 ~port:80 ~backlog:1 in
+        let rec poll () =
+          if Uls_emp.Endpoint.uq_has_match emp1 ~src:(-1) ~tag:request then begin
+            closed := true;
+            l.close_listener ()
+          end
+          else if Sim.now sim < Time.ms 1 then begin
+            Sim.delay sim 100;
+            poll ()
+          end
+        in
+        poll ());
+    List.iteri
+      (fun i node ->
+        Sim.spawn sim (fun () ->
+            Sim.delay sim (Time.us 10 + (i * skew));
+            try ignore (api.connect ~node { node = 1; port = 80 })
+            with Connection_refused _ -> incr refused))
+      clients;
+    ignore (Uls_bench.Cluster.run c);
+    let retries node =
+      Metrics.counter_value (Metrics.for_sim sim) ~node "sub.connect_retries"
+    in
+    if !closed then Some (!refused, List.map retries clients) else None
+  in
+  let rec scan skew =
+    if skew > Time.us 10 then Alcotest.fail "no request waited in the UQ"
+    else match run skew with Some r -> r | None -> scan (skew + 500)
+  in
+  let refused, retries = scan 0 in
+  check_int "both clients refused" 2 refused;
+  check_bool "the queued request refused without a retry" true
+    (List.mem 0 retries);
+  check_bool "the other refused on its first retry" true
+    (List.for_all (fun n -> n <= 1) retries)
+
 let suites =
   [
     ( "lifecycle",
@@ -357,5 +452,9 @@ let suites =
           test_close_during_comm_thread_sync;
         Alcotest.test_case "comm-thread close reclaims posted spares" `Quick
           test_comm_thread_close_reclaims_spares;
+        Alcotest.test_case "close cost independent of idle conns" `Quick
+          test_close_cost_independent_of_idle_conns;
+        Alcotest.test_case "uq request refused on listener close" `Quick
+          test_uq_request_refused_on_listener_close;
       ] );
   ]

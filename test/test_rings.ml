@@ -70,9 +70,9 @@ let test_cursor_overflow () =
 
 let model = Uls_host.Cost_model.paper_testbed
 
-let mk_ring ?mode ?backpressure ?sq_capacity ?(consume = fun _ -> ()) sim =
+let mk_ring ?mode ?capacity ?(consume = fun _ -> ()) sim =
   let nic_cpu = Resource.create sim ~name:"nic" in
-  RP.create ?mode ?backpressure ?sq_capacity ~label:"test-ring" sim ~model
+  RP.create ?mode ?capacity ~label:"test-ring" ~on_cq_flush:ignore sim ~model
     ~nic_cpu ~dummy_sub:(-1) ~dummy_comp:(-1) ~consume ()
 
 let test_doorbell_batching () =
@@ -81,7 +81,7 @@ let test_doorbell_batching () =
   let rp = mk_ring ~consume:(fun x -> consumed := x :: !consumed) sim in
   Sim.spawn sim (fun () ->
       for i = 0 to 31 do
-        ignore (RP.submit rp i : bool)
+        RP.submit rp i
       done;
       RP.ring_doorbell rp;
       (* An empty-SQ doorbell ring must be a free no-op. *)
@@ -99,14 +99,14 @@ let test_doorbell_batching () =
 
 let test_backpressure_block () =
   let sim = Sim.create () in
-  let rp = mk_ring ~sq_capacity:4 ~backpressure:RP.Block sim in
+  let rp = mk_ring ~capacity:4 sim in
   let submitted = ref 0 in
   Sim.spawn sim (fun () ->
       (* 12 submissions through a 4-slot SQ: the producer must block on
          the full ring (flushing the doorbell first, or it would
          deadlock) and still land every descriptor. *)
       for i = 0 to 11 do
-        check_bool "block mode always lands" true (RP.submit rp i);
+        RP.submit rp i;
         incr submitted
       done;
       RP.ring_doorbell rp);
@@ -114,26 +114,7 @@ let test_backpressure_block () =
   let s = RP.stats rp in
   check_int "all submitted" 12 !submitted;
   check_int "all fetched" 12 s.RP.fetched;
-  check_int "no drops in block mode" 0 s.RP.sq_drops;
   check_bool "multiple doorbells forced by blocking" true (s.RP.doorbells > 1)
-
-let test_backpressure_drop () =
-  let sim = Sim.create () in
-  let rp = mk_ring ~sq_capacity:4 ~backpressure:RP.Drop sim in
-  let accepted = ref 0 and dropped = ref 0 in
-  Sim.spawn sim (fun () ->
-      (* No doorbell until the end: the NIC never drains, so pushes
-         past capacity must come back [false] instead of blocking. *)
-      for i = 0 to 9 do
-        if RP.submit rp i then incr accepted else incr dropped
-      done;
-      RP.ring_doorbell rp);
-  ignore (Sim.run sim);
-  let s = RP.stats rp in
-  check_int "ring capacity accepted" 4 !accepted;
-  check_int "overflow dropped" 6 !dropped;
-  check_int "drops counted" 6 s.RP.sq_drops;
-  check_int "fetched only what landed" 4 s.RP.fetched
 
 let test_empty_reap () =
   let sim = Sim.create () in
@@ -179,7 +160,7 @@ let test_busy_poll_parity () =
     in
     Sim.spawn sim (fun () ->
         for i = 0 to 63 do
-          ignore (RP.submit rp i : bool);
+          RP.submit rp i;
           if i mod 16 = 15 then RP.ring_doorbell rp
         done);
     ignore (Sim.run sim);
@@ -297,7 +278,6 @@ let suites =
       [
         Alcotest.test_case "doorbell batching" `Quick test_doorbell_batching;
         Alcotest.test_case "backpressure: block" `Quick test_backpressure_block;
-        Alcotest.test_case "backpressure: drop" `Quick test_backpressure_drop;
         Alcotest.test_case "empty reap" `Quick test_empty_reap;
         Alcotest.test_case "bulk reap charge" `Quick test_reap_batching;
         Alcotest.test_case "busy-poll vs wakeup parity" `Quick
