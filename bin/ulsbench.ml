@@ -1349,8 +1349,8 @@ let serve_gate () =
         r.L.refused r.L.mismatches
         (if r.L.completed_run && r.L.intact then "" else ", hung or corrupt")
   in
-  let run tag c =
-    let r = L.run c in
+  let run ?on_metrics tag c =
+    let r = L.run ?on_metrics c in
     L.print_report Format.std_formatter c r;
     clean tag r;
     r
@@ -1367,11 +1367,29 @@ let serve_gate () =
   twice "ds/echo" (smoke ds L.Echo);
   let linear = Uls_nic.Match_list.Linear in
   let lin = run "ds/512/linear" (scale ~match_engine:linear ds L.Echo) in
+  let server_queues = ref [] in
+  let on_metrics m =
+    server_queues :=
+      List.init 2 (fun q ->
+          Uls_engine.Metrics.counter_value m ~node:0
+            (Printf.sprintf "nic.rx_frames.q%d" q))
+  in
   let hsh, words =
-    counting_words (fun () -> run "ds/512/hashed" (scale ds L.Echo))
+    counting_words (fun () -> run ~on_metrics "ds/512/hashed" (scale ds L.Echo))
   in
   allocation_ceiling "ds/512/hashed" ~words ~events:hsh.L.events
-    ~ops:hsh.L.sent ~max_words:48.1 ~max_op_words:9_384. ~max_events:205.;
+    ~ops:hsh.L.sent ~max_words:46.6 ~max_op_words:5_982. ~max_events:134.7;
+  let frames = List.fold_left ( + ) 0 !server_queues in
+  Printf.printf "ds/512/hashed: server NIC receive queues carry %s of %d frames\n%!"
+    (String.concat " / " (List.map string_of_int !server_queues)) frames;
+  List.iteri
+    (fun q n ->
+      let share = float_of_int n /. float_of_int (max 1 frames) in
+      if share < 0.25 || share > 0.75 then
+        fail "ds/512/hashed: receive queue %d carries %.0f%% of the server \
+              NIC's %d frames (bound 25-75%%)"
+          q (100. *. share) frames)
+    !server_queues;
   if hsh.L.lat.rps < lin.L.lat.rps *. 0.999 then
     fail "hashed slower than linear at 512 conns (%.0f vs %.0f req/s)"
       hsh.L.lat.rps lin.L.lat.rps;
@@ -1442,7 +1460,7 @@ let fabric_gate () =
   let a = L.run ~on_server_close:sample ~on_metrics:count_survivors cfg in
   let b, words = counting_words (fun () -> L.run cfg) in
   allocation_ceiling "ds/4-cell" ~words ~events:b.L.events ~ops:cfg.conns
-    ~max_words:57.7 ~max_op_words:16_233. ~max_events:286.;
+    ~max_words:47.6 ~max_op_words:12_992. ~max_events:286.;
   clean "determinism" a;
   if a <> b then fail "seeded runs diverged";
   if !sampled = [] || !survivors > 0 then
@@ -1577,10 +1595,13 @@ let chaos_gate () =
       byte-identical across a double-run. The ablation runs on the
       substrate only, since TCP takes the kernel receive path and never
       touches the NIC tag matcher; TCP gets one scale run. The hashed
-      512-connection run also carries the allocation ceiling: at most
-      48.1 minor words per dispatched event, 9384 minor words and 205
-      events per request (measured 45.4, 8852 and 195.0 on OCaml
-      5.1.1). The words-per-event margin, 6%, leaves room for CI's
+      512-connection run must spread the server's receive work over
+      both embedded cores: each of the server NIC's two receive queues
+      carries 25-75% of its frames (measured 1850 / 1812). It also
+      carries the allocation ceiling: at most 46.6 minor words per
+      dispatched event, 5982 minor words and 134.7 events per request
+      (measured 44.0, 5643 and 128.3 on OCaml 5.1.1). The
+      words-per-event margin, 6%, leaves room for CI's
       OCaml 5.2 to allocate a few words per event differently, and
       stays under the 7% that replacing the pooled task cells with the
       wheel's slab saved. Removing events that allocate little raises
@@ -1596,10 +1617,11 @@ let chaos_gate () =
       connections leave nothing behind: every 64th closed server-side
       stream is held weakly, and none may survive a full major GC while
       the cluster is still alive. Its second run carries the allocation
-      ceiling, with the same margins as [serve]: at most 16233 minor
-      words and 286 events per session (measured 15314 and 272.3), and
-      57.7 minor words per dispatched event (measured 56.2; 6% over it
-      would raise the ceiling, which stays where it was).
+      ceiling, with the same margins as [serve]: at most 12992 minor
+      words per session and 47.6 minor words per dispatched event
+      (measured 12257 and 44.9), and 286 events per session (measured
+      273.0; 5% over it would raise the ceiling, which stays where it
+      was).
     - [chaos]: a checksummed payload streamed through the substrate and
       kernel TCP at 0/0.5/2/5% seeded frame loss. No run may hang past
       the virtual-time bound or deliver corrupt bytes; 1 MB per run

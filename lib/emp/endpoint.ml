@@ -1080,9 +1080,8 @@ let create ?(config = default_config) node nic =
       st_desc_completed = 0;
     }
   in
-  Tigon.set_firmware_rx nic (fun frame ->
-      let q = Tigon.steer nic ~flow:frame.Uls_ether.Frame.src in
-      Mailbox.send t.rx_queues.(q) frame);
+  Tigon.set_firmware_rx ~rss:true nic (fun ~queue frame ->
+      Mailbox.send t.rx_queues.(queue) frame);
   Array.iteri
     (fun i _ ->
       let name =

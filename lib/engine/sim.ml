@@ -102,6 +102,9 @@ type t = {
   mutable pooled : int;
   timers : (int, task) Hashtbl.t;
       (* heap only: pending {!timer} cells by seq, the heap's handles *)
+  mutable delay_ns : Time.ns;
+      (* the {!delay} being performed: set by [delay], read and cleared
+         by the performing fiber's handler, so the effect is a constant *)
 }
 
 exception Fiber_failure of string * exn
@@ -147,6 +150,7 @@ let create ?(sched = `Wheel) () =
     free = dummy_task;
     pooled = 0;
     timers = Hashtbl.create (match sched with `Heap -> 64 | `Wheel -> 1);
+    delay_ns = 0;
   }
   in
   (match !create_hook with None -> () | Some f -> f t);
@@ -277,14 +281,43 @@ let cancel t h =
           ignore (Wheel.cancel w s ~seq : bool)
       end
 
+(* [Delay] carries nothing: its duration travels in the sim's
+   [delay_ns], so performing it allocates nothing of ours. A fiber that
+   performs it against another sim finds its own [delay_ns] unset and
+   fails. *)
 type _ Effect.t +=
-  | Delay : t * Time.ns -> unit Effect.t
+  | Delay : unit Effect.t
   | Suspend : t * string * ((unit -> unit) -> unit) -> unit Effect.t
 
-let delay t d = if d > 0 then Effect.perform (Delay (t, d))
+let delay t d =
+  if d > 0 then begin
+    t.delay_ns <- d;
+    Effect.perform Delay
+  end
 
 let suspend t ?(label = "suspend") register =
   Effect.perform (Suspend (t, label, register))
+
+(* A fiber's delay cell: the continuation of its pending {!delay}. The
+   cell and the callback that resumes it are allocated once, at spawn,
+   so a delay stores the continuation and schedules the callback without
+   allocating. [placeholder] is the cell's initial value: a continuation
+   captured once and never resumed, which keeps the cell's type exact. *)
+type delay_cell = { mutable k : (unit, unit) Effect.Deep.continuation }
+
+type _ Effect.t += Placeholder : unit Effect.t
+
+let placeholder =
+  let open Effect.Deep in
+  let captured = ref None in
+  let effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option =
+    function
+    | Placeholder ->
+      Some (fun (k : (unit, unit) continuation) -> captured := Some k)
+    | _ -> None
+  in
+  match_with Effect.perform Placeholder { retc = Fun.id; exnc = raise; effc };
+  Option.get !captured
 
 let run_fiber t ~daemon ~fid name f =
   let open Effect.Deep in
@@ -308,16 +341,28 @@ let run_fiber t ~daemon ~fid name f =
        raise (Fiber_failure (name, e)));
     finish ()
   in
+  let cell = { k = placeholder } in
+  let wake () =
+    t.cur_fiber <- name;
+    t.cur_fiber_id <- fid;
+    continue cell.k ()
+  in
+  let on_delay =
+    Some
+      (fun k ->
+        let d = t.delay_ns in
+        if d <= 0 then
+          discontinue k
+            (Invalid_argument "Sim.delay: performed against another sim")
+        else begin
+          t.delay_ns <- 0;
+          cell.k <- k;
+          schedule t ~time:(t.now + d) wake
+        end)
+  in
   let effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option =
     function
-    | Delay (t', d) ->
-      Some
-        (fun k ->
-          assert (t' == t);
-          schedule t ~time:(t.now + d) (fun () ->
-              t.cur_fiber <- name;
-              t.cur_fiber_id <- fid;
-              continue k ()))
+    | Delay -> on_delay
     | Suspend (t', label, register) ->
       Some
         (fun k ->

@@ -82,7 +82,10 @@ val cancel : t -> int -> unit
 
 val delay : t -> Time.ns -> unit
 (** [delay sim d] suspends the calling fiber for [d] nanoseconds of
-    virtual time. [d <= 0] is a no-op. Must be called from a fiber. *)
+    virtual time. [d <= 0] is a no-op. Must be called from a fiber of
+    [sim]: a fiber of another sim fails with {!Fiber_failure}
+    ([Invalid_argument]). A delay allocates nothing beyond the runtime's
+    continuation object. *)
 
 val suspend : t -> ?label:string -> ((unit -> unit) -> unit) -> unit
 (** [suspend sim register] parks the calling fiber and calls

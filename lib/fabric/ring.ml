@@ -1,18 +1,13 @@
 (** Consistent-hash ring with virtual nodes. See the .mli for the
     placement contract. *)
 
-(* SplitMix64 finalizer — every bit of the key reaches every bit of the
+(* SplitMix64's finalizer: every bit of the key reaches every bit of the
    point, deterministically across runs and processes. *)
-let mix64 (z : int64) =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
-  logxor z (shift_right_logical z 31)
-
 let hash2 ~seed a b =
-  let h = mix64 (Int64.of_int seed) in
-  let h = mix64 (Int64.logxor h (Int64.of_int a)) in
-  let h = mix64 (Int64.logxor h (Int64.of_int b)) in
+  let mix = Uls_engine.Rng.mix in
+  let h = mix (Int64.of_int seed) in
+  let h = mix (Int64.logxor h (Int64.of_int a)) in
+  let h = mix (Int64.logxor h (Int64.of_int b)) in
   Int64.to_int h land max_int
 
 type t = {

@@ -26,6 +26,7 @@ type handles = {
   h_fwd_walk_descs : Stats.Summary.t;
   h_rx_crc_drop : Stats.Counter.t;
   h_rx_frames : Stats.Counter.t;
+  h_rx_queue_frames : Stats.Counter.t array;  (* per receive queue *)
   h_tx_frames : Stats.Counter.t;
   h_doorbells : Stats.Counter.t;
   h_mailbox_fetches : Stats.Counter.t;
@@ -41,8 +42,10 @@ type t = {
   net : Uls_ether.Network.t;
   tx_cpu : Resource.t;
   rx_cpus : Resource.t array;
+  rx_shift : int;  (* [steer]'s shift: 62 - log2 (rx queues) *)
   dma_engine : Resource.t;
-  mutable firmware_rx : Uls_ether.Frame.t -> unit;
+  mutable firmware_rx : queue:int -> Uls_ether.Frame.t -> unit;
+  mutable rss : bool;  (* the firmware asked for RSS steering *)
   (* Forward-on-match engine (NIC-assisted collectives): descriptors the
      host posts so the firmware can combine and propagate collective
      frames down a tree without host involvement. *)
@@ -62,18 +65,19 @@ let fwd_pending_limit = 128
 let match_engine t = Match_list.engine t.fwd_list
 let rx_queues t = Array.length t.rx_cpus
 
-(* RSS: shard flows across the Tigon's receive cores with a multiplicative
-   hash (Fibonacci constant), so one queue's match load never serializes
-   behind another's. With a single core (linear firmware) everything lands
-   on queue 0. *)
-let steer t ~flow =
-  let n = Array.length t.rx_cpus in
-  if n = 1 then 0
-  else begin
-    let h = flow * 0x9E3779B1 in
-    let h = h lxor (h lsr 15) in
-    h land (n - 1)
-  end
+(* RSS: shard flows across the Tigon's receive cores by Fibonacci
+   hashing, so one queue's match load never serializes behind another's.
+   The multiplier is the odd value near 2^62/phi, and the top [log2 n]
+   bits of the product's low 62 pick the queue: a multiplicative hash's
+   low bits are its weakest, while its top bits make consecutive node
+   ids alternate queues. With a single core (linear firmware) the shift
+   is 62 and everything lands on queue 0. *)
+let steer t ~flow = ((flow * 0x278DDE6E5FD29F05) land max_int) lsr t.rx_shift
+
+(* The receive queue that serves [frame]: steered by its source node
+   under RSS firmware, queue 0 otherwise. *)
+let rx_queue_of t frame =
+  if t.rss then steer t ~flow:frame.Uls_ether.Frame.src else 0
 
 let match_cost t (p : Match_list.probe) =
   (p.walked * t.model.Cost_model.nic_tag_match_per_desc)
@@ -188,6 +192,7 @@ let create ?(match_engine = Match_list.Linear) sim model net ~node =
      core; the hashed firmware runs a receive queue on each, the original
      linear firmware dedicates a single core to receive. *)
   let n_rx = match match_engine with Match_list.Linear -> 1 | Hashed -> 2 in
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
   let metrics = Metrics.for_sim sim in
   let counter name = Metrics.counter metrics ~node name in
   let histogram name = Metrics.histogram metrics ~node name in
@@ -207,6 +212,9 @@ let create ?(match_engine = Match_list.Linear) sim model net ~node =
           h_fwd_walk_descs = histogram "nic.fwd_walk_descs";
           h_rx_crc_drop = counter "nic.rx_crc_drop";
           h_rx_frames = counter "nic.rx_frames";
+          h_rx_queue_frames =
+            Array.init n_rx (fun q ->
+                counter (Printf.sprintf "nic.rx_frames.q%d" q));
           h_tx_frames = counter "nic.tx_frames";
           h_doorbells = counter "nic.doorbells";
           h_mailbox_fetches = counter "nic.mailbox_fetches";
@@ -218,8 +226,10 @@ let create ?(match_engine = Match_list.Linear) sim model net ~node =
         Array.init n_rx (fun i ->
             let part = if i = 0 then "rxcpu" else Printf.sprintf "rxcpu%d" i in
             Resource.create sim ~name:(name part));
+      rx_shift = 62 - log2 n_rx;
       dma_engine = Resource.create sim ~name:(name "dma");
-      firmware_rx = (fun _ -> ());
+      firmware_rx = (fun ~queue:_ _ -> ());
+      rss = false;
       coll_classify = (fun _ -> None);
       fwd_list = Match_list.create ~engine:match_engine ();
       fwd_pending = Vec.create ();
@@ -234,17 +244,21 @@ let create ?(match_engine = Match_list.Linear) sim model net ~node =
            before the checksum verdict. *)
         Stats.Counter.incr t.mh.h_rx_crc_drop;
         Trace.instant t.trace ~layer:Trace.Nic ~node "nic.rx_crc_drop";
-        let q = steer t ~flow:frame.Uls_ether.Frame.src in
         ignore
-          (Resource.completion_after t.rx_cpus.(q)
+          (Resource.completion_after t.rx_cpus.(rx_queue_of t frame)
              model.Cost_model.nic_rx_classify)
       end
       else begin
         Stats.Counter.incr t.mh.h_rx_frames;
         match t.coll_classify frame with
         | Some (src, tag) ->
+          (* The forward-on-match engine runs on receive core 0. *)
+          Stats.Counter.incr t.mh.h_rx_queue_frames.(0);
           Mailbox.send t.fwd_queue (Fwd_arrive (src, tag, Some frame))
-        | None -> t.firmware_rx frame
+        | None ->
+          let queue = rx_queue_of t frame in
+          Stats.Counter.incr t.mh.h_rx_queue_frames.(queue);
+          t.firmware_rx ~queue frame
       end);
   Sim.spawn sim ~name:(name "fwd") ~daemon:true (fwd_fiber t);
   t
@@ -252,7 +266,9 @@ let create ?(match_engine = Match_list.Linear) sim model net ~node =
 let node_id t = t.node_id
 let sim t = t.sim
 let model t = t.model
-let set_firmware_rx t f = t.firmware_rx <- f
+let set_firmware_rx ?(rss = false) t f =
+  t.rss <- rss;
+  t.firmware_rx <- f
 
 (* The MAC has a small transmit FIFO: when more than ~8 full frames are
    already queued on the wire, the transmitting firmware fiber stalls
@@ -309,6 +325,7 @@ let tx_cpu t = t.tx_cpu
 let rx_cpu ?(queue = 0) t = t.rx_cpus.(queue)
 let dma_engine t = t.dma_engine
 let frames_received t = Stats.Counter.value t.mh.h_rx_frames
+let queue_frames t ~queue = Stats.Counter.value t.mh.h_rx_queue_frames.(queue)
 
 (* --- forward-on-match host interface --------------------------------- *)
 

@@ -27,7 +27,9 @@ val rx_queues : t -> int
 
 val steer : t -> flow:int -> int
 (** RSS steering: which receive queue handles flows hashing from [flow]
-    (callers use the peer node id). Always 0 with a single queue. *)
+    (callers use the peer node id). A pure function of [flow]: Fibonacci
+    hashing that keeps the product's top bits, so consecutive flows
+    alternate queues. Always 0 with a single queue. *)
 
 val match_cost : t -> Match_list.probe -> Uls_engine.Time.ns
 (** Firmware time for one descriptor lookup: walked descriptors at
@@ -40,9 +42,13 @@ val observe_match : t -> Match_list.probe -> unit
 val sim : t -> Uls_engine.Sim.t
 val model : t -> Uls_host.Cost_model.t
 
-val set_firmware_rx : t -> (Uls_ether.Frame.t -> unit) -> unit
+val set_firmware_rx :
+  ?rss:bool -> t -> (queue:int -> Uls_ether.Frame.t -> unit) -> unit
 (** Install the handler invoked (in plain event context) for each frame
-    the MAC delivers to this NIC. *)
+    the MAC delivers to this NIC, with the receive queue that serves it:
+    with [~rss:true] the queue {!steer} picks for the frame's source
+    node, otherwise queue 0 (the default). Each frame is counted on its
+    queue ({!queue_frames}) before the handler runs. *)
 
 val transmit : t -> Uls_ether.Frame.t -> unit
 (** Hand a frame to the MAC for transmission on the station uplink. *)
@@ -81,6 +87,12 @@ val tx_cpu : t -> Uls_engine.Resource.t
 val rx_cpu : ?queue:int -> t -> Uls_engine.Resource.t
 val dma_engine : t -> Uls_engine.Resource.t
 val frames_received : t -> int
+
+val queue_frames : t -> queue:int -> int
+(** Frames delivered to receive queue [queue] (metric
+    [nic.rx_frames.q<queue>]): the firmware's frames on the queue
+    {!set_firmware_rx} handed them to, collective frames on queue 0.
+    Summed over the queues this is {!frames_received}. *)
 
 (** {1 Forward-on-match (NIC-assisted collectives)}
 

@@ -5,17 +5,11 @@
 open Uls_engine
 module Api = Uls_api.Sockets_api
 
-(* SplitMix64 finalizer: the steering hash must depend on every bit of
+(* SplitMix64's finalizer: the steering hash must depend on every bit of
    the peer address (client ephemeral ports are sequential) and be
    stable across runs — Hashtbl.hash guarantees neither. *)
-let mix64 (z : int64) =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
-  logxor z (shift_right_logical z 31)
-
 let default_hash (a : Api.addr) =
-  Int64.to_int (mix64 (Int64.of_int ((a.node * 65_599) + a.port))) land max_int
+  Int64.to_int (Rng.mix (Int64.of_int ((a.node * 65_599) + a.port))) land max_int
 
 type shard = {
   s_queue : (Api.stream * Api.addr) Queue.t;

@@ -56,6 +56,9 @@ type t = {
   mutable draining_len : int;
   mutable draining_sweep_at : int;
   activity : Cond.t;
+  unanswered : request Queue.t;
+      (** requests a closed listener's backlog had taken, waiting for
+          the [sub-refuse] handler *)
   mutable refusing : bool;  (** a [sub-refuse] handler is running *)
   mutable next_id : int;
   mutable next_eport : int;
@@ -101,41 +104,68 @@ let reply t ~node ~conn answer =
        ~tag:(Tags.make Tags.Conn_reply conn)
        (Codec.encode [ answer ]))
 
-(* With the unexpected queue on, a connection request aimed at a port
-   nobody listens on completes into the UQ instead of being dropped. It
-   is answered with an explicit refusal ([-1] in the reply) so the
-   client fails fast instead of burning its retry budget. One handler
-   at a time refuses every such request queued, then exits; it starts
-   when one arrives, or when [close_listener] leaves queued requests
-   without a listener. *)
+(* A request from a client we already accepted (it retried because our
+   reply was lost) is answered again with the connection already built. *)
+let answer_dup t rq =
+  match Hashtbl.find_opt t.accepted (rq.rq_node, rq.rq_conn) with
+  | Some id when Hashtbl.mem t.conns id ->
+    Stats.Counter.incr t.mh.h_accept_dups;
+    Trace.instant (Trace.for_sim (sim t)) ~layer:Trace.Substrate
+      ~node:(node_id t) ~conn:id "sub.accept_dup"
+      ~args:[ ("peer", string_of_int rq.rq_node) ];
+    reply t ~node:rq.rq_node ~conn:rq.rq_conn id;
+    true
+  | _ -> false
+
+let refuse t ~node ~conn =
+  if conn >= 0 && conn <= Tags.max_id then begin
+    Stats.Counter.incr t.mh.h_refusals_sent;
+    Trace.instant (Trace.for_sim (sim t)) ~layer:Trace.Substrate
+      ~node:(node_id t) "sub.refuse"
+      ~args:[ ("peer", string_of_int node) ];
+    reply t ~node ~conn (-1)
+  end
+
+(* Connection requests nobody will accept are answered with an explicit
+   refusal ([-1] in the reply), so the client fails fast instead of
+   burning its retry budget: with the unexpected queue on, a request
+   aimed at a port nobody listens on completes into the UQ; and a
+   closing listener leaves the requests its backlog already took in
+   [unanswered]. One handler at a time refuses every such request, the
+   taken ones first, then exits; it starts when one arrives, or when
+   [close_listener] leaves requests without a listener. A taken request
+   that is a retry from a client already accepted gets its connection
+   again instead. *)
 let orphan t ~src:_ ~tag =
   match Tags.split tag with
   | Tags.Conn_request, port -> not (Hashtbl.mem t.listeners port)
   | _ -> false
 
-let refuse_orphans t =
-  let rec refuse () =
-    match E.uq_take t.emp ~pred:(orphan t) with
-    | None -> t.refusing <- false
-    | Some (data, src, tag) ->
-      let rq =
-        Codec.decode Tags.Conn_request ~owner:(snd (Tags.split tag)) ~peer:src
-          ~len:(String.length data) (String.get_int64_le data)
-      in
-      let rq_node = rq.(0) and rq_conn = rq.(1) in
-      if rq_conn >= 0 && rq_conn <= Tags.max_id then begin
-        Stats.Counter.incr t.mh.h_refusals_sent;
-        Trace.instant (Trace.for_sim (sim t)) ~layer:Trace.Substrate
-          ~node:(node_id t) "sub.refuse"
-          ~args:[ ("peer", string_of_int rq_node) ];
-        reply t ~node:rq_node ~conn:rq_conn (-1)
-      end;
-      refuse ()
+let refuse_pending t =
+  let rec loop () =
+    match Queue.take_opt t.unanswered with
+    | Some rq ->
+      if not (answer_dup t rq) then refuse t ~node:rq.rq_node ~conn:rq.rq_conn;
+      loop ()
+    | None -> (
+      match E.uq_take t.emp ~pred:(orphan t) with
+      | None -> t.refusing <- false
+      | Some (data, src, tag) ->
+        let rq =
+          Codec.decode Tags.Conn_request ~owner:(snd (Tags.split tag))
+            ~peer:src ~len:(String.length data) (String.get_int64_le data)
+        in
+        refuse t ~node:rq.(0) ~conn:rq.(1);
+        loop ())
   in
   if not t.refusing then begin
     t.refusing <- true;
-    Sim.spawn (sim t) ~name:"sub-refuse" ~daemon:true refuse
+    Sim.spawn (sim t) ~name:"sub-refuse" ~daemon:true loop
   end
+
+let refuse_later t rq =
+  Queue.push rq t.unanswered;
+  refuse_pending t
 
 (* Each message that completes into the unexpected queue goes to its
    owner alone: a credit ack to its connection, a connection request
@@ -146,7 +176,7 @@ let on_unexpected t ~src ~tag =
     match Hashtbl.find_opt t.conns id with
     | Some c when Conn.peer_node c = src -> Conn.uq_ack_arrived c
     | _ -> ())
-  | _ -> if orphan t ~src ~tag then refuse_orphans t
+  | _ -> if orphan t ~src ~tag then refuse_pending t
 
 let create ?(opts = Options.data_streaming_enhanced) node emp =
   if opts.Options.unexpected_queue then
@@ -174,6 +204,7 @@ let create ?(opts = Options.data_streaming_enhanced) node emp =
       draining_len = 0;
       draining_sweep_at = 16;
       activity = Cond.create ~label:"sub:activity" (Node.sim node);
+      unanswered = Queue.create ();
       refusing = false;
       next_id = 0;
       next_eport = 40_000;
@@ -247,29 +278,37 @@ let post_backlog t l slot =
        ~tag:(Tags.make Tags.Conn_request l.l_port))
 
 (* Like a connection's receive fiber, the listener reaps its backlog
-   descriptors in posting order. *)
+   descriptors in posting order. A request that landed before the
+   listener closed is refused, as is one that landed while its
+   descriptor was being reposted: a close during the post has already
+   unposted and unpinned the slots, so the fresh descriptor is taken
+   back too. The fiber ends at the first descriptor the close
+   cancelled, or once a closed listener has nothing left to reap. *)
 let listener_fiber t l () =
   let rec loop () =
     let slot, recv = Mailbox.recv l.l_handles in
     let len, src, _ = E.wait_recv t.emp recv in
-    if len >= 0 && not l.l_closed then begin
+    if len >= 0 then begin
       let rq =
         Codec.decode Tags.Conn_request ~owner:l.l_port ~peer:src ~len
           (Memory.get_int64_le slot.Conn.sl_region)
       in
-      (* Repost the backlog descriptor, then queue the request. A close
-         during the post has already unposted and unpinned the slots:
-         take the fresh descriptor back too. *)
-      post_backlog t l slot;
-      if l.l_closed then begin
-        Conn.unpost_slot t.emp slot;
-        Os.unpin (Node.os t.node) slot.Conn.sl_region
+      let rq = { rq_node = rq.(0); rq_conn = rq.(1); rq_port = rq.(2) } in
+      if l.l_closed then refuse_later t rq
+      else begin
+        post_backlog t l slot;
+        if l.l_closed then begin
+          Conn.unpost_slot t.emp slot;
+          Os.unpin (Node.os t.node) slot.Conn.sl_region;
+          refuse_later t rq
+        end
+        else begin
+          Mailbox.send l.l_requests rq;
+          Cond.broadcast t.activity;
+          List.iter (fun f -> f ()) l.l_watchers
+        end
       end;
-      Mailbox.send l.l_requests
-        { rq_node = rq.(0); rq_conn = rq.(1); rq_port = rq.(2) };
-      Cond.broadcast t.activity;
-      List.iter (fun f -> f ()) l.l_watchers;
-      loop ()
+      if not (l.l_closed && Mailbox.is_empty l.l_handles) then loop ()
     end
   in
   loop ()
@@ -307,18 +346,10 @@ let rec try_accept t l =
   if l.l_closed then raise Uls_api.Sockets_api.Connection_closed;
   match Mailbox.try_recv l.l_requests with
   | None -> None
-  | Some rq ->
-  match Hashtbl.find_opt t.accepted (rq.rq_node, rq.rq_conn) with
-  | Some id when Hashtbl.mem t.conns id ->
-    (* The client retried because our reply was lost: resend it for the
-       connection already built, and look for the next fresh request. *)
-    Stats.Counter.incr t.mh.h_accept_dups;
-    Trace.instant (Trace.for_sim (sim t)) ~layer:Trace.Substrate
-      ~node:(node_id t) ~conn:id "sub.accept_dup"
-      ~args:[ ("peer", string_of_int rq.rq_node) ];
-    reply t ~node:rq.rq_node ~conn:rq.rq_conn id;
+  | Some rq when answer_dup t rq ->
+    (* A retry answered again: look for the next fresh request. *)
     try_accept t l
-  | _ ->
+  | Some rq ->
   let id = alloc_id t in
   let peer_addr = { Uls_api.Sockets_api.node = rq.rq_node; port = rq.rq_port } in
   let conn =
@@ -360,9 +391,21 @@ let close_listener t l =
     (* Wake fibers parked in accept so they observe l_closed. *)
     Cond.broadcast t.activity;
     List.iter (fun f -> f ()) l.l_watchers;
-    (* Requests for the port still queued in the UQ are now orphans. *)
-    if E.uq_has_match t.emp ~src:(-1) ~tag:(Tags.make Tags.Conn_request l.l_port)
-    then refuse_orphans t
+    (* Requests the backlog already took are refused, and so are those
+       for the port still queued in the UQ: they are orphans now. *)
+    let rec take () =
+      match Mailbox.try_recv l.l_requests with
+      | Some rq ->
+        Queue.push rq t.unanswered;
+        take ()
+      | None -> ()
+    in
+    take ();
+    if
+      (not (Queue.is_empty t.unanswered))
+      || E.uq_has_match t.emp ~src:(-1)
+           ~tag:(Tags.make Tags.Conn_request l.l_port)
+    then refuse_pending t
   end
 
 (* --- connect ----------------------------------------------------------- *)

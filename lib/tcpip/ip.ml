@@ -219,9 +219,9 @@ let create node nic ~cpu ~config =
     }
   in
   let m = Node.model node in
-  Tigon.set_firmware_rx nic (fun frame ->
+  Tigon.set_firmware_rx nic (fun ~queue frame ->
       Sim.spawn (Node.sim node) ~name:"nic-rx" (fun () ->
-          Tigon.rx_work nic m.Cost_model.nic_rx_per_frame;
+          Tigon.rx_work ~queue nic m.Cost_model.nic_rx_per_frame;
           Tigon.dma nic ~bytes:frame.Uls_ether.Frame.payload_len;
           t.rx_frames <- t.rx_frames + 1;
           Queue.push frame t.pending;

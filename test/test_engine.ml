@@ -431,6 +431,42 @@ let test_sim_fiber_failure () =
      Alcotest.(check string) "fiber name" "boom" name;
      Alcotest.(check string) "payload" "bang" msg)
 
+let test_sim_delay_other_sim_fails () =
+  (* A fiber may only delay on its own sim: performing a delay against
+     another one kills the fiber loudly instead of sleeping on a clock
+     that never drives it. *)
+  let sim = Sim.create () and other = Sim.create () in
+  let resumed = ref false in
+  Sim.spawn sim ~name:"stray" (fun () ->
+      Sim.delay other 10;
+      resumed := true);
+  (try
+     ignore (Sim.run sim);
+     Alcotest.fail "expected Fiber_failure"
+   with Sim.Fiber_failure (name, Invalid_argument _) ->
+     Alcotest.(check string) "fiber name" "stray" name);
+  Alcotest.(check bool) "never resumed" false !resumed;
+  Alcotest.(check int) "accounted dead" 0 (Sim.live_fibers sim)
+
+let test_sim_delay_allocates_nothing () =
+  (* The delay effect is a constant and its continuation goes into the
+     fiber's own cell, so a delay allocates only the runtime's
+     continuation object (2 words on OCaml 5.1; it was 23). *)
+  let sim = Sim.create () in
+  let n = 10_000 in
+  let words = ref 0. in
+  Sim.spawn sim (fun () ->
+      Sim.delay sim 1;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        Sim.delay sim 1
+      done;
+      words := Gc.minor_words () -. w0);
+  ignore (Sim.run sim);
+  let per_delay = !words /. float_of_int n in
+  if per_delay > 4. then
+    Alcotest.failf "%.1f minor words per delay (at most 4)" per_delay
+
 let test_sim_past_scheduling_rejected () =
   let sim = Sim.create () in
   Sim.spawn sim (fun () -> Sim.delay sim 100);
@@ -1142,6 +1178,10 @@ let suites =
         Alcotest.test_case "until" `Quick test_sim_until;
         Alcotest.test_case "stop" `Quick test_sim_stop;
         Alcotest.test_case "fiber failure" `Quick test_sim_fiber_failure;
+        Alcotest.test_case "delay on another sim fails" `Quick
+          test_sim_delay_other_sim_fails;
+        Alcotest.test_case "delay allocates nothing" `Quick
+          test_sim_delay_allocates_nothing;
         Alcotest.test_case "no past scheduling" `Quick
           test_sim_past_scheduling_rejected;
         Alcotest.test_case "heap/wheel dispatch parity" `Quick

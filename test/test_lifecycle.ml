@@ -364,13 +364,25 @@ let test_uq_request_refused_on_listener_close () =
      second waits in the unexpected queue until the listener reposts.
      Closing the listener in that window leaves it without a listener,
      and it is refused at once, not after its client's next retry. The
-     other request was already taken by the backlog descriptor and is
-     never answered; the descriptor the listener was reposting during
-     the close must not take that client's retry, which is refused
-     too. The clients sit on nodes the NIC steers to different receive
-     queues; a scan over the second one's start finds the window. *)
+     other request was already taken by the backlog descriptor; it is
+     refused at the close too, so neither client waits out a connect
+     timeout. The clients sit on nodes the server's NIC steers to
+     different receive queues; a scan over the second one's start finds
+     the window. *)
   let request = Uls_substrate.Tags.make Uls_substrate.Tags.Conn_request 80 in
-  let clients = [ 0; 4 ] in
+  let clients =
+    let c =
+      Uls_bench.Cluster.create ~match_engine:Uls_nic.Match_list.Hashed ~n:5 ()
+    in
+    let queue node =
+      Uls_nic.Tigon.steer (Uls_bench.Cluster.nic c 1) ~flow:node
+    in
+    let on q = List.find (fun node -> queue node = q) [ 0; 2; 3; 4 ] in
+    let clients = [ on 0; on 1 ] in
+    check_bool "clients on different receive queues" true
+      (queue (List.nth clients 0) <> queue (List.nth clients 1));
+    clients
+  in
   let run skew =
     let c =
       Uls_bench.Cluster.create ~match_engine:Uls_nic.Match_list.Hashed ~n:5 ()
@@ -378,12 +390,12 @@ let test_uq_request_refused_on_listener_close () =
     let api = Uls_bench.Cluster.substrate_api c in
     let sim = Uls_bench.Cluster.sim c in
     let emp1 = Uls_bench.Cluster.emp c 1 in
-    let closed = ref false and refused = ref 0 in
+    let closed_at = ref (-1) and refused_at = ref [] in
     Sim.spawn sim (fun () ->
         let l = api.listen ~node:1 ~port:80 ~backlog:1 in
         let rec poll () =
           if Uls_emp.Endpoint.uq_has_match emp1 ~src:(-1) ~tag:request then begin
-            closed := true;
+            closed_at := Sim.now sim;
             l.close_listener ()
           end
           else if Sim.now sim < Time.ms 1 then begin
@@ -397,24 +409,30 @@ let test_uq_request_refused_on_listener_close () =
         Sim.spawn sim (fun () ->
             Sim.delay sim (Time.us 10 + (i * skew));
             try ignore (api.connect ~node { node = 1; port = 80 })
-            with Connection_refused _ -> incr refused))
+            with Connection_refused _ ->
+              refused_at := Sim.now sim :: !refused_at))
       clients;
     ignore (Uls_bench.Cluster.run c);
-    let retries node =
-      Metrics.counter_value (Metrics.for_sim sim) ~node "sub.connect_retries"
-    in
-    if !closed then Some (!refused, List.map retries clients) else None
+    let m = Metrics.for_sim sim in
+    let retries node = Metrics.counter_value m ~node "sub.connect_retries" in
+    if !closed_at >= 0 then
+      Some
+        ( !closed_at,
+          !refused_at,
+          List.map retries clients,
+          Metrics.counter_value m ~node:1 "sub.refusals_sent" )
+    else None
   in
   let rec scan skew =
     if skew > Time.us 10 then Alcotest.fail "no request waited in the UQ"
     else match run skew with Some r -> r | None -> scan (skew + 500)
   in
-  let refused, retries = scan 0 in
-  check_int "both clients refused" 2 refused;
-  check_bool "the queued request refused without a retry" true
-    (List.mem 0 retries);
-  check_bool "the other refused on its first retry" true
-    (List.for_all (fun n -> n <= 1) retries)
+  let closed_at, refused_at, retries, refusals = scan 0 in
+  check_int "both clients refused" 2 (List.length refused_at);
+  check_int "both refusals counted" 2 refusals;
+  check_bool "neither client retried" true (List.for_all (( = ) 0) retries);
+  check_bool "both refused within 100 us of the close" true
+    (List.for_all (fun at -> at - closed_at < Time.us 100) refused_at)
 
 let suites =
   [

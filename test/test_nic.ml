@@ -382,7 +382,7 @@ let test_tigon_rx_dispatch () =
   let sim, nic, net = mk_nic () in
   let nic1 = Tigon.create sim Uls_host.Cost_model.paper_testbed net ~node:1 in
   let got = ref 0 in
-  Tigon.set_firmware_rx nic1 (fun _ -> incr got);
+  Tigon.set_firmware_rx nic1 (fun ~queue:_ _ -> incr got);
   Sim.spawn sim (fun () ->
       Tigon.transmit nic
         (Uls_ether.Frame.make ~src:0 ~dst:1 ~payload_len:64 Uls_ether.Frame.Raw));
@@ -392,8 +392,10 @@ let test_tigon_rx_dispatch () =
 
 let test_tigon_rss_steering () =
   (* Linear firmware: single receive queue, everything steers to 0.
-     Hashed firmware: two queues, both actually used, and steering is a
-     pure function of the flow. *)
+     Hashed firmware: two queues, steering is a pure function of the
+     flow, and the node ids of a small cluster split evenly: clients are
+     numbered from 1, so a hash that keeps a weak low bit can put all of
+     them on one core. *)
   let _, lin, _ = mk_nic () in
   check_int "linear has 1 rx queue" 1 (Tigon.rx_queues lin);
   for flow = 0 to 31 do
@@ -401,14 +403,55 @@ let test_tigon_rss_steering () =
   done;
   let _, hsh, _ = mk_nic ~match_engine:Match_list.Hashed () in
   check_int "hashed has 2 rx queues" 2 (Tigon.rx_queues hsh);
-  let seen = Array.make 2 0 in
   for flow = 0 to 31 do
     let q = Tigon.steer hsh ~flow in
     check_bool "queue in range" true (q = 0 || q = 1);
-    check_int "steering is stable" q (Tigon.steer hsh ~flow);
-    seen.(q) <- seen.(q) + 1
+    check_int "steering is stable" q (Tigon.steer hsh ~flow)
   done;
-  check_bool "both queues used" true (seen.(0) > 0 && seen.(1) > 0)
+  let on_queue_1 n =
+    List.length (List.filter (fun flow -> Tigon.steer hsh ~flow = 1)
+                   (List.init n (fun i -> i + 1)))
+  in
+  check_int "nodes 1..4 split 2/2" 2 (on_queue_1 4);
+  check_int "nodes 1..8 split 4/4" 4 (on_queue_1 8)
+
+let test_tigon_queue_frames () =
+  (* Each delivered frame is counted on the queue that serves it: under
+     RSS firmware the one [steer] picks for its source, otherwise 0. *)
+  let run ~rss =
+    let sim = Sim.create () in
+    let net = Uls_ether.Network.create sim ~stations:5 () in
+    let nics =
+      Array.init 5 (fun node ->
+          Tigon.create ~match_engine:Match_list.Hashed sim
+            Uls_host.Cost_model.paper_testbed net ~node)
+    in
+    let rx = nics.(1) in
+    let handed = Array.make 2 0 in
+    Tigon.set_firmware_rx ~rss rx (fun ~queue _ ->
+        handed.(queue) <- handed.(queue) + 1);
+    for src = 2 to 4 do
+      Sim.spawn sim (fun () ->
+          Tigon.transmit nics.(src)
+            (Uls_ether.Frame.make ~src ~dst:1 ~payload_len:64
+               Uls_ether.Frame.Raw))
+    done;
+    ignore (Sim.run sim);
+    let q0 = Tigon.queue_frames rx ~queue:0
+    and q1 = Tigon.queue_frames rx ~queue:1 in
+    check_int "queues sum to frames received" (Tigon.frames_received rx)
+      (q0 + q1);
+    check_int "queue 0 count is what the firmware saw" handed.(0) q0;
+    check_int "queue 1 count is what the firmware saw" handed.(1) q1;
+    (q0, q1)
+  in
+  (* Sources 2, 3, 4 steer to 0, 1, 0. *)
+  let q0, q1 = run ~rss:true in
+  check_int "rss: queue 0" 2 q0;
+  check_int "rss: queue 1" 1 q1;
+  let q0, q1 = run ~rss:false in
+  check_int "no rss: queue 0" 3 q0;
+  check_int "no rss: queue 1" 0 q1
 
 let engine_cases name f =
   [
@@ -452,5 +495,7 @@ let suites =
         Alcotest.test_case "tx backpressure" `Quick test_tigon_backpressure;
         Alcotest.test_case "rx dispatch" `Quick test_tigon_rx_dispatch;
         Alcotest.test_case "rss steering" `Quick test_tigon_rss_steering;
+        Alcotest.test_case "per-queue frame counts" `Quick
+          test_tigon_queue_frames;
       ] );
   ]
