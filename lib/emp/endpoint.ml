@@ -637,11 +637,11 @@ let post_recv ?on_complete t ~src ~tag region ~off ~len =
    fixed-format [nic_ring_slot_fetch] on the NIC, instead of a
    [pio_write] + [nic_mailbox_fetch] per descriptor. A singleton batch
    takes the classic [post_recv] path byte for byte. *)
-let post_recv_batch t specs =
+let post_recv_batch ?on_complete t specs =
   match specs with
   | [] -> []
   | [ (src, tag, region, off, len) ] ->
-    [ post_recv t ~src ~tag region ~off ~len ]
+    [ post_recv ?on_complete t ~src ~tag region ~off ~len ]
   | _ ->
     check_ranges "Endpoint.post_recv_batch" specs;
     let m = model t in
@@ -651,7 +651,7 @@ let post_recv_batch t specs =
       List.map
         (fun (src, tag, region, off, len) ->
           Sim.delay (sim t) m.Cost_model.ring_slot_post;
-          let r = attach t ~src ~tag region ~off ~len in
+          let r = attach ?on_complete t ~src ~tag region ~off ~len in
           if not r.r_matched then begin
             let q = rx_queue t ~src in
             queue_counts.(q) <- queue_counts.(q) + 1
@@ -684,7 +684,7 @@ let unpost_recv t r =
     removed
   end
 
-let uq_has_match t ~src ~tag = uq_match t ~src ~tag <> None
+let uq_has_match ?pred t ~src ~tag = uq_match ?pred t ~src ~tag <> None
 
 let uq_take t ~pred =
   match uq_match ~pred t ~src:(-1) ~tag:(-1) with

@@ -121,6 +121,7 @@ val post_recv :
     per message instead of keeping one parked per connection. *)
 
 val post_recv_batch :
+  ?on_complete:(recv -> int -> unit) ->
   t ->
   (int * int * Uls_host.Memory.region * int * int) list ->
   recv list
@@ -129,7 +130,8 @@ val post_recv_batch :
     as with {!post_recv}; the batch amortizes the host post, the
     doorbell, and the NIC's descriptor fetch (one [nic_doorbell_batch] +
     k·[nic_ring_slot_fetch] per involved receive queue). A singleton
-    list degenerates to {!post_recv} exactly.
+    list degenerates to {!post_recv} exactly. [on_complete] is every
+    descriptor's completion hook, as in {!post_recv}.
     @raise Invalid_argument if any element's range falls outside its
     region, before anything is charged, pinned or posted. *)
 
@@ -155,9 +157,11 @@ val provision_unexpected : t -> slots:int -> size:int -> unit
 (** Add NIC-managed unexpected-queue descriptors, each backed by a
     temporary host buffer of [size] bytes. Checked last in tag matching. *)
 
-val uq_has_match : t -> src:int -> tag:int -> bool
-(** A complete message matching [src]/[tag] sits in the unexpected
-    queue (a subsequent {!post_recv} would consume it immediately). *)
+val uq_has_match :
+  ?pred:(src:int -> tag:int -> bool) -> t -> src:int -> tag:int -> bool
+(** A complete message matching [src]/[tag] (and [pred], if given) sits
+    in the unexpected queue (a subsequent {!post_recv} would consume it
+    immediately). *)
 
 val set_unexpected_handler : t -> (src:int -> tag:int -> unit) -> unit
 (** Called whenever a message completes into the unexpected queue, with

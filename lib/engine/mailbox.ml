@@ -21,9 +21,6 @@ let try_recv t =
   | Some _ as r ->
     Sim.note_op t.sim Op_mailbox_recv t.uid t.label;
     r
-let peek t = Queue.peek_opt t.queue
-let length t = Queue.length t.queue
-let is_empty t = Queue.is_empty t.queue
 
 (* A waiter woken by [send] may find the queue already drained by another
    fiber that called [recv] in between; both loops re-check. *)

@@ -12,7 +12,3 @@ val recv : 'a t -> 'a
 (** Block the calling fiber until a message is available. *)
 
 val recv_timeout : 'a t -> Time.ns -> 'a option
-val try_recv : 'a t -> 'a option
-val peek : 'a t -> 'a option
-val length : 'a t -> int
-val is_empty : 'a t -> bool

@@ -4,10 +4,12 @@
     credit buffers (eager scheme, §5.2), plus either N pre-posted ack
     descriptors or unexpected-queue ack consumption (§6.4), plus one
     descriptor each for rendezvous requests, rendezvous grants and the
-    "closed" control message (§5.3). One receive fiber reaps the data
-    descriptors in posting order; every other posted descriptor, and
-    every credit ack that lands in the unexpected queue, completes into
-    a one-shot handler fiber. Send side: credit-based
+    "closed" control message (§5.3). No fiber waits on any of them:
+    each completes into a serial handler ({!Serial}) that spawns a
+    fiber only while there is something to reap: an ordered one reaps
+    the data descriptors in posting order, one per control slot reaps
+    that slot, and one consumes the credit acks that land in the
+    unexpected queue. Send side: credit-based
     flow control with delayed and piggy-backed acknowledgments
     (§6.1–6.3).
     Messages carry a per-connection sequence number so eager and
@@ -30,11 +32,6 @@ and slot = {
   sl_region : Memory.region;
   mutable sl_current : E.recv option;
 }
-
-(* What the rx fiber takes from [rx_handles]: a posted data descriptor,
-   or the wake-up teardown sends when the fiber waits there with no
-   descriptor left to cancel. *)
-and rx_item = Posted of slot * E.recv | Stop
 
 and ready = {
   rd_seq : int;
@@ -79,7 +76,14 @@ and t = {
   data_pool : Sendpool.t;
   mutable rdvz_tx : Memory.region;  (* grow-on-demand registered buffer *)
   mutable rdvz_tx_pending : E.send option;
+  mutable rdvz_unsent : int list;
+  (** sequence numbers of rendezvous requests sent whose data is not
+      posted yet: a close in that window names the lowest as the close
+      sequence, so the peer does not wait for data that never comes *)
   mutable rdvz_rx : Memory.region;
+  mutable rdvz_read : (int * E.recv) option;
+  (** the descriptor a rendezvous read waits on, with its sequence
+      number: teardown cancels it, and so does a peer close below it *)
   granted : (int, unit) Hashtbl.t;
   (** rendezvous grants received but not yet claimed, keyed by rid:
       concurrent writers must each pick up their own grant *)
@@ -93,13 +97,15 @@ and t = {
   mutable spares_taken : int;  (* spare slots posted so far, in order *)
   ack_slots : slot array;
       (** N pre-posted credit-ack slots, or with the unexpected queue
-          the one slot [uq_ack_arrived]'s handler posts per queued ack *)
-  mutable uq_acking : bool;  (** a [sub-uq-ack] handler is running *)
+          the one slot [uq_ack]'s handler posts per queued ack *)
+  uq_ack : Serial.t Lazy.t;
   req_slot : slot;
   grant_slot : slot;
   close_slot : slot;
-  rx_handles : rx_item Mailbox.t;
-  mutable rx_idle : bool;  (** the rx fiber waits on [rx_handles] *)
+  rx : (slot * E.recv) Serial.ordered Lazy.t;
+      (** the posted data descriptors, in posting order *)
+  rx_hook : (E.recv -> int -> unit) option;
+      (** every data descriptor's completion hook: kicks [rx] *)
   rx_ready : ready Int_tbl.t;
       (** keyed by sequence number: under loss, EMP messages complete out
           of order (a retransmitted message finishes after its
@@ -169,6 +175,11 @@ let check_open t =
   if t.reset then raise Reset;
   if t.closed || t.peer_closed || t.peer_conn < 0 then raise Closed
 
+(* Messages at or past the peer's close sequence are never delivered:
+   a normal close names the next sequence it would have sent, and a
+   close that abandoned a rendezvous names that message. *)
+let past_close t seq = t.peer_closed && seq >= t.close_seq
+
 let post_ctrl t kind data =
   ignore
     (Sendpool.send t.env.ctrl_pool ~dst:t.peer_node
@@ -193,6 +204,16 @@ let piggyback_credits t =
   end
   else 0
 
+(* A writer's blocking wait, inside its trace span, its duration added
+   to [summary] in microseconds. *)
+let timed_wait t ?seq name summary wait =
+  let t0 = Sim.now (sim t) in
+  let layer = Trace.Substrate and node = node_id t and conn = t.id in
+  let id = Trace.span_begin t.trace ~layer ~node ~conn ?seq name in
+  Fun.protect wait ~finally:(fun () ->
+      Trace.span_end t.trace ~layer ~node ~conn ?seq name id;
+      Stats.Summary.add summary (float_of_int (Sim.now (sim t) - t0) /. 1_000.))
+
 let take_credit t =
   let rec wait () =
     check_open t;
@@ -207,21 +228,9 @@ let take_credit t =
           Printf.sprintf "conn %d: credits went negative (%d)" t.id t.credits)
     end
   in
-  if t.credits = 0 && not (t.closed || t.peer_closed || t.reset) then begin
-    (* Writer stalled on flow control: account how long (§6.1). *)
-    let t0 = Sim.now (sim t) in
-    let id =
-      Trace.span_begin t.trace ~layer:Trace.Substrate ~node:(node_id t)
-        ~conn:t.id "sub.credit_wait"
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        Trace.span_end t.trace ~layer:Trace.Substrate ~node:(node_id t)
-          ~conn:t.id "sub.credit_wait" id;
-        Stats.Summary.add t.mh.h_credit_wait_us
-          (float_of_int (Sim.now (sim t) - t0) /. 1_000.))
-      wait
-  end
+  (* A writer stalled on flow control: account how long (§6.1). *)
+  if t.credits = 0 && not (t.closed || t.peer_closed || t.reset) then
+    timed_wait t "sub.credit_wait" t.mh.h_credit_wait_us wait
   else wait ()
 
 let add_credits t n =
@@ -268,8 +277,20 @@ let post t ?on_complete slot kind =
   post_slot ?on_complete t.env.emp slot ~src:t.peer_node
     ~tag:(Tags.make kind t.id)
 
+(* Post [slot] on a live connection; [true] if it stays posted. A close
+   or reset during the post found nothing to cancel, so the fresh
+   descriptor is taken back. *)
+let post_live t ?on_complete slot kind =
+  (not (t.closed || t.reset))
+  && begin
+    ignore (post t ?on_complete slot kind);
+    if t.closed || t.reset then unpost_slot t.env.emp slot;
+    not (t.closed || t.reset)
+  end
+
 let repost_data_slot t slot =
-  Mailbox.send t.rx_handles (Posted (slot, post t slot Tags.Data))
+  if post_live t ?on_complete:t.rx_hook slot Tags.Data then
+    Serial.push (Lazy.force t.rx) (slot, Option.get slot.sl_current)
 
 let decode t kind slot len =
   Codec.decode kind ~owner:t.id ~peer:t.peer_node ~len
@@ -277,94 +298,76 @@ let decode t kind slot len =
 
 (* --- receive paths ----------------------------------------------------- *)
 
-(* The data descriptors keep a fiber: it reaps them in posting order
-   (through [rx_handles]), and that order is modelled behaviour. *)
-let rx_fiber t () =
-  let rec loop () =
-    if not (t.closed || t.reset) then begin
-      t.rx_idle <- true;
-      let item = Mailbox.recv t.rx_handles in
-      t.rx_idle <- false;
-      match item with
-      | Stop -> ()
-      | Posted (slot, recv) -> receive slot recv
-    end
-  and receive slot recv =
-    let len, _, _ = E.wait_recv t.env.emp recv in
-    if len >= 0 && not t.closed then begin
-      slot.sl_current <- None;
-      let hdr = decode t Tags.Data slot len in
-      add_credits t hdr.(1);
-      if (opts t).Options.scheme = Options.Comm_thread then begin
-        (* The communication thread notices the used descriptor and
-           reposts a spare at once — paying the polling-thread
-           synchronisation cost the paper measured (§5.2). *)
-        Node.compute t.env.node (opts t).Options.comm_thread_sync;
-        (* A close during that sync has already unposted everything. *)
-        if not (t.closed || t.reset) then
-          if t.spares_taken < Array.length t.spare_slots then begin
-            repost_data_slot t t.spare_slots.(t.spares_taken);
-            t.spares_taken <- t.spares_taken + 1
-          end
-      end;
-      Int_tbl.replace t.rx_ready hdr.(0)
-        { rd_seq = hdr.(0); rd_slot = slot;
-          rd_len = len - Options.header_bytes; rd_off = 0 };
-      notify_ready t;
-      loop ()
-    end
-  in
-  loop ()
+let is_done (_, r) = E.recv_done r
+
+(* The data descriptors' handler: the ordered instance [rx] reaps them
+   in posting order (the order the eager scheme reuses its credit
+   buffers in), one fiber per burst, and only once the head completes:
+   under loss EMP completes a retransmitted message after its
+   successors, which wait behind it. *)
+let receive t (slot, recv) =
+  let len, _, _ = E.wait_recv t.env.emp recv in
+  if len >= 0 && not t.closed then begin
+    slot.sl_current <- None;
+    let hdr = decode t Tags.Data slot len in
+    add_credits t hdr.(1);
+    if (opts t).Options.scheme = Options.Comm_thread then begin
+      (* The communication thread notices the used descriptor and
+         reposts a spare at once — paying the polling-thread
+         synchronisation cost the paper measured (§5.2). *)
+      Node.compute t.env.node (opts t).Options.comm_thread_sync;
+      if t.spares_taken < Array.length t.spare_slots then begin
+        repost_data_slot t t.spare_slots.(t.spares_taken);
+        t.spares_taken <- t.spares_taken + 1
+      end
+    end;
+    Int_tbl.replace t.rx_ready hdr.(0)
+      { rd_seq = hdr.(0); rd_slot = slot;
+        rd_len = len - Options.header_bytes; rd_off = 0 };
+    notify_ready t
+  end
 
 (* §6.4: with the unexpected-queue option, ack messages carry no
    pre-posted descriptor at all — they land in the EMP unexpected queue
    (walked last), keeping the data-descriptor match walk short. The
-   substrate routes each such arrival here. One handler at a time
-   consumes the connection's queued acks, oldest first, each through
-   its one ack slot, and exits when none is left; an arrival while it
-   runs is left for its next check. *)
-let uq_ack_arrived t =
-  if not (t.uq_acking || t.closed || t.reset) then begin
-    t.uq_acking <- true;
-    let tag = Tags.make Tags.Credit_ack t.id and slot = t.ack_slots.(0) in
-    let rec consume () =
-      if
-        (not (t.closed || t.reset))
-        && E.uq_has_match t.env.emp ~src:t.peer_node ~tag
-      then begin
-        let len, _, _ = E.wait_recv t.env.emp (post t slot Tags.Credit_ack) in
-        slot.sl_current <- None;
-        if len >= 0 then begin
-          add_credits t (decode t Tags.Credit_ack slot len).(0);
-          consume ()
-        end
-      end
-    in
-    Sim.spawn (sim t) ~name:"sub-uq-ack" ~daemon:true (fun () ->
-        consume ();
-        t.uq_acking <- false)
-  end
+   substrate routes each such arrival here. The [uq_ack] handler
+   consumes the connection's queued acks one at a time, oldest first,
+   each through its one ack slot. *)
+let uq_ack_arrived t = Serial.kick (Lazy.force t.uq_ack)
 
-(* The credit-ack, rendezvous-request, grant and close descriptors
-   complete into handlers, so no fiber waits on them. Each is posted
-   with a completion hook: a real completion (length >= 0, and with
-   [while_open] the connection not closed) spawns a one-shot handler
-   fiber at the point where a parked fiber's wake-up would have been
-   scheduled, so it takes that wake-up's place in the event order. Its
-   first step is [E.wait_recv], which finds the descriptor done and
-   pays the reap charge; then [handle] runs with the decoded fields
-   and [repost], which re-arms the slot. *)
+let uq_ack_pending t =
+  (not (t.closed || t.reset))
+  && E.uq_has_match t.env.emp ~src:t.peer_node
+       ~tag:(Tags.make Tags.Credit_ack t.id)
+
+let consume_uq_ack t =
+  let slot = t.ack_slots.(0) in
+  let len, _, _ = E.wait_recv t.env.emp (post t slot Tags.Credit_ack) in
+  slot.sl_current <- None;
+  if len >= 0 then add_credits t (decode t Tags.Credit_ack slot len).(0)
+
+(* The credit-ack, rendezvous-request, grant and close slots each have
+   a serial handler, so no fiber waits on them. A real completion
+   (length >= 0, and with [while_open] the connection not closed) kicks
+   it where a parked fiber's wake-up would have been scheduled, so its
+   spawn takes that wake-up's place in the event order. It reaps
+   through [E.wait_recv], which pays the reap charge, then runs
+   [handle] with the decoded fields and [repost], which re-arms the
+   slot. *)
 let post_ctrl_slot t slot kind ~name ~while_open handle =
-  let rec post_it () = ignore (post t slot kind ~on_complete)
-  and on_complete r len =
-    if len >= 0 && not (while_open && t.closed) then
-      Sim.spawn (sim t) ~name ~daemon:true (fun () -> step r)
-  and step r =
-    let len, _, _ = E.wait_recv t.env.emp r in
-    if len >= 0 && not (while_open && t.closed) then
-      handle t (decode t kind slot len) ~repost:post_it
+  let live () = not (while_open && t.closed) in
+  let has_work () =
+    live () && match slot.sl_current with Some r -> E.recv_done r | None -> false
   in
-  post_it ()
+  let rec h = lazy (Serial.create (sim t) ~name ~has_work reap)
+  and reap () =
+    let r = Option.get slot.sl_current in
+    slot.sl_current <- None;
+    let len, _, _ = E.wait_recv t.env.emp r in
+    if len >= 0 && live () then handle t (decode t kind slot len) ~repost
+  and repost () = ignore (post_live t slot kind ~on_complete)
+  and on_complete _ len = if len >= 0 then Serial.kick (Lazy.force h) in
+  repost ()
 
 let on_credit_ack t fields ~repost =
   add_credits t fields.(0);
@@ -385,10 +388,15 @@ let on_rdvz_grant t fields ~repost =
 (* The peer's close is heard even after a local close (it stops
    [close_notify_fiber]'s retries). Nothing reposts. A close too short
    for its sequence number never gets here: read as "close at seq 0"
-   it would discard in-flight data still due to the reader. *)
+   it would discard in-flight data still due to the reader. A
+   rendezvous read at or past the close sequence waits for data the
+   peer abandoned: it is cancelled, and the reader sees EOF. *)
 let on_peer_close t fields ~repost:_ =
   t.close_seq <- fields.(0);
   t.peer_closed <- true;
+  (match t.rdvz_read with
+  | Some (seq, r) when past_close t seq -> ignore (E.unpost_recv t.env.emp r)
+  | _ -> ());
   wake_all t
 
 (* --- write ------------------------------------------------------------ *)
@@ -417,24 +425,18 @@ let rendezvous_write t data =
   Trace.instant t.trace ~layer:Trace.Substrate ~node:(node_id t) ~conn:t.id
     ~seq "sub.rdvz_request"
     ~args:[ ("rid", string_of_int rid); ("len", string_of_int (String.length data)) ];
+  t.rdvz_unsent <- seq :: t.rdvz_unsent;
   post_ctrl t Tags.Rdvz_request (Codec.encode [ seq; rid; String.length data ]);
   (* Block until the receiver has synchronised (Figure 6). Grants are
      routed by rid so concurrent writers each claim their own. *)
-  let grant_wait =
-    Trace.span_begin t.trace ~layer:Trace.Substrate ~node:(node_id t)
-      ~conn:t.id ~seq "sub.rdvz_grant_wait"
-  in
-  let t0 = Sim.now (sim t) in
-  Cond.wait_until t.grant_c (fun () ->
-      t.closed || t.peer_closed || t.reset || Hashtbl.mem t.granted rid);
-  Trace.span_end t.trace ~layer:Trace.Substrate ~node:(node_id t) ~conn:t.id
-    ~seq "sub.rdvz_grant_wait" grant_wait;
-  Stats.Summary.add t.mh.h_rdvz_grant_wait_us
-    (float_of_int (Sim.now (sim t) - t0) /. 1_000.);
+  timed_wait t ~seq "sub.rdvz_grant_wait" t.mh.h_rdvz_grant_wait_us (fun () ->
+      Cond.wait_until t.grant_c (fun () ->
+          t.closed || t.peer_closed || t.reset || Hashtbl.mem t.granted rid));
   if t.reset then raise Reset;
   if not (Hashtbl.mem t.granted rid) then raise Closed;
   Hashtbl.remove t.granted rid;
   if t.closed || t.peer_closed then raise Closed;
+  t.rdvz_unsent <- List.filter (( <> ) seq) t.rdvz_unsent;
   let region = rdvz_tx_region t (String.length data) in
   Memory.blit_from_string data region ~off:0;
   let s =
@@ -597,20 +599,14 @@ type next_item =
 
 let next_item t =
   if t.rdvz_leftover <> "" then Leftover
+  else if past_close t t.expected_seq then Eof
   else
   match Int_tbl.find_opt t.rx_ready t.expected_seq with
   | Some r -> Eager_msg r
   | None -> (
     match Hashtbl.find_opt t.req_q t.expected_seq with
     | Some q -> Rdvz q
-    | None ->
-      if
-        Int_tbl.length t.rx_ready = 0
-        && Hashtbl.length t.req_q = 0
-        && t.peer_closed
-        && t.expected_seq >= t.close_seq
-      then Eof
-      else Nothing)
+    | None -> Nothing)
 
 (* The blocking head-of-line wait: the next in-order item, or EOF. *)
 let rec wait_item t =
@@ -673,18 +669,19 @@ let message_consumed ?freed t r =
 let flush_reposts t freed_rev =
   let slots = List.rev freed_rev in
   let tag = Tags.make Tags.Data t.id in
-  let rs =
-    E.post_recv_batch t.env.emp
-      (List.map
-         (fun slot ->
-           (t.peer_node, tag, slot.sl_region, 0, Memory.length slot.sl_region))
-         slots)
-  in
-  List.iter2
-    (fun slot r ->
-      slot.sl_current <- Some r;
-      Mailbox.send t.rx_handles (Posted (slot, r)))
-    slots rs;
+  if not (t.closed || t.reset) then
+    List.iter2
+      (fun slot r ->
+        slot.sl_current <- Some r;
+        (* as in [post_live] *)
+        if t.closed || t.reset then unpost_slot t.env.emp slot
+        else Serial.push (Lazy.force t.rx) (slot, r))
+      slots
+      (E.post_recv_batch ?on_complete:t.rx_hook t.env.emp
+         (List.map
+            (fun slot ->
+              (t.peer_node, tag, slot.sl_region, 0, Memory.length slot.sl_region))
+            slots));
   acknowledge t (List.length slots)
 
 let copy_out t region ~off ~len =
@@ -707,7 +704,10 @@ let read_eager ?freed t r n =
 
 (* Rendezvous receive: post the user buffer directly (zero-copy: the NIC
    DMAs into it), grant, and wait for the data. The reusable rdvz_rx
-   region models the application's own receive buffer. *)
+   region models the application's own receive buffer. A cancelled
+   descriptor is a local close or reset, or the peer's close abandoning
+   this message: the last reads as EOF, and the message stays unread
+   so every later read sees EOF too. *)
 let read_rdvz t (q : rdvz_req) n =
   Hashtbl.remove t.req_q q.rq_seq;
   let streaming = (opts t).Options.mode = Options.Data_streaming in
@@ -725,17 +725,29 @@ let read_rdvz t (q : rdvz_req) n =
       ~tag:(Tags.make Tags.Rdvz_data t.id)
       region ~off:0 ~len:cap
   in
-  Trace.instant t.trace ~layer:Trace.Substrate ~node:(node_id t) ~conn:t.id
-    ~seq:q.rq_seq "sub.rdvz_grant"
-    ~args:[ ("rid", string_of_int q.rq_id) ];
-  post_ctrl t Tags.Rdvz_grant (Codec.encode [ q.rq_id ]);
+  t.rdvz_read <- Some (q.rq_seq, r);
+  (* A close on either side, or a reset, during the post found no read
+     to cancel. *)
+  if t.closed || t.reset || past_close t q.rq_seq then
+    ignore (E.unpost_recv t.env.emp r)
+  else begin
+    Trace.instant t.trace ~layer:Trace.Substrate ~node:(node_id t) ~conn:t.id
+      ~seq:q.rq_seq "sub.rdvz_grant"
+      ~args:[ ("rid", string_of_int q.rq_id) ];
+    post_ctrl t Tags.Rdvz_grant (Codec.encode [ q.rq_id ])
+  end;
   let len, _, _ = E.wait_recv t.env.emp r in
+  t.rdvz_read <- None;
   Trace.instant t.trace ~layer:Trace.Substrate ~node:(node_id t) ~conn:t.id
     ~seq:q.rq_seq "sub.rdvz_data"
     ~args:[ ("len", string_of_int (max 0 len)) ];
-  t.expected_seq <- t.expected_seq + 1;
-  if len < 0 then ""
+  if len < 0 then begin
+    if t.reset then raise Reset;
+    if t.closed then raise Closed;
+    ""
+  end
   else begin
+    t.expected_seq <- t.expected_seq + 1;
     let got = min len cap in
     let m = min n got in
     if streaming && m < got then
@@ -788,12 +800,14 @@ let readv t ~max:maxn =
         Node.compute t.env.node (opts t).Options.read_overhead;
         let freed = if (opts t).Options.rx_ring then Some (ref []) else None in
         let rec drain acc got item =
-          let s = take ?freed t item max_int in
-          count_read t s;
-          match next_item t with
-          | Eager_msg _ as next when got + 1 < maxn ->
-            drain (s :: acc) (got + 1) next
-          | _ -> s :: acc
+          match take ?freed t item max_int with
+          | "" -> acc  (* an abandoned rendezvous: EOF *)
+          | s -> (
+            count_read t s;
+            match next_item t with
+            | Eager_msg _ as next when got + 1 < maxn ->
+              drain (s :: acc) (got + 1) next
+            | _ -> s :: acc)
         in
         let acc = match wait_item t with Eof -> [] | item -> drain [] 0 item in
         Option.iter (fun l -> flush_reposts t !l) freed;
@@ -814,22 +828,6 @@ let iter_slots t f =
   f t.req_slot;
   f t.grant_slot;
   f t.close_slot
-
-let unpost_everything t =
-  iter_slots t (unpost_slot t.env.emp);
-  (* Descriptors whose completion is already queued for the rx fiber. *)
-  let rec drain () =
-    match Mailbox.try_recv t.rx_handles with
-    | Some (Posted (_, r)) ->
-      ignore (E.unpost_recv t.env.emp r);
-      drain ()
-    | Some Stop -> drain ()
-    | None -> ()
-  in
-  drain ();
-  (* With every buffer holding unread data there is no descriptor whose
-     cancellation would wake the rx fiber: wake it directly. *)
-  if t.rx_idle then Mailbox.send t.rx_handles Stop
 
 (* The "closed" message is load-bearing: if the peer never hears it, the
    peer's 2N+3 descriptors stay posted forever (§5.3's leak). EMP already
@@ -873,7 +871,10 @@ let regions t =
    while sends are still in flight) and its regions' pin-table entries —
    free of simulated cost, since a dead region is never pinned again. *)
 let teardown t =
-  unpost_everything t;
+  (* The data queue goes first, so the cancellations kick nothing. *)
+  Serial.retain (Lazy.force t.rx) (fun _ -> false);
+  iter_slots t (unpost_slot t.env.emp);
+  Option.iter (fun (_, r) -> ignore (E.unpost_recv t.env.emp r)) t.rdvz_read;
   wake_all t;
   t.env.release t;
   let os = Node.os t.env.node in
@@ -886,7 +887,7 @@ let close t =
       "sub.close";
     if t.peer_conn >= 0 && not t.peer_closed && not t.reset then
       Sim.spawn (sim t) ~name:"sub-close-notify"
-        (close_notify_fiber t t.next_seq);
+        (close_notify_fiber t (List.fold_left min t.next_seq t.rdvz_unsent));
     teardown t
   end
 
@@ -907,21 +908,24 @@ let is_closed t = t.closed
 let debug_leak_slot t = ignore (post t t.data_slots.(0) Tags.Data)
 
 (* Receive-slot leak scan (sanitizer): after [close]/[mark_reset] every
-   slot's descriptor must have been unposted or consumed. *)
+   slot's descriptor, and a rendezvous read's, must have been unposted
+   or consumed. *)
 let leaked_slots t =
-  let count = ref 0 in
+  let pending = function Some (_, r) -> not (E.recv_done r) | None -> false in
+  let count = ref (if pending t.rdvz_read then 1 else 0) in
   iter_slots t (fun s -> if s.sl_current <> None then incr count);
   !count
 
 let create env ~id ~peer_node ~peer_conn ~local_addr ~peer_addr =
   let opts = env.opts in
-  let metrics = Metrics.for_sim (Node.sim env.node) in
+  let sim = Node.sim env.node in
+  let metrics = Metrics.for_sim sim in
   let node_id = Node.id env.node in
   let counter name = Metrics.counter metrics ~node:node_id name in
   let histogram name = Metrics.histogram metrics ~node:node_id name in
   let mk_slot = alloc_slot env.node in
   let n = opts.Options.credits in
-  let t =
+  let rec t =
     {
       env;
       id;
@@ -930,10 +934,7 @@ let create env ~id ~peer_node ~peer_conn ~local_addr ~peer_addr =
       local_addr;
       peer_addr;
       credits = n;
-      credits_c =
-        Cond.create
-          ~label:(Printf.sprintf "conn:%d credits" id)
-          (Node.sim env.node);
+      credits_c = Cond.create ~label:(Printf.sprintf "conn:%d credits" id) sim;
       next_seq = 0;
       next_rdvz = 0;
       data_pool =
@@ -941,12 +942,11 @@ let create env ~id ~peer_node ~peer_conn ~local_addr ~peer_addr =
           ~size:opts.Options.buffer_size;
       rdvz_tx = Memory.alloc 16;
       rdvz_tx_pending = None;
+      rdvz_unsent = [];
       rdvz_rx = Memory.alloc 16;
+      rdvz_read = None;
       granted = Hashtbl.create 4;
-      grant_c =
-        Cond.create
-          ~label:(Printf.sprintf "conn:%d grant" id)
-          (Node.sim env.node);
+      grant_c = Cond.create ~label:(Printf.sprintf "conn:%d grant" id) sim;
       rdvz_leftover = "";
       data_slots = Array.init n (fun _ -> mk_slot opts.Options.buffer_size);
       spare_slots =
@@ -958,24 +958,23 @@ let create env ~id ~peer_node ~peer_conn ~local_addr ~peer_addr =
         (if opts.Options.unexpected_queue then [| mk_slot 16 |]
          else if opts.Options.scheme = Options.Comm_thread then [||]
          else Array.init n (fun _ -> mk_slot 16));
-      uq_acking = false;
+      uq_ack =
+        lazy
+          (Serial.create sim ~name:"sub-uq-ack"
+             ~has_work:(fun () -> uq_ack_pending t)
+             (fun () -> consume_uq_ack t));
       req_slot = mk_slot 64;
       grant_slot = mk_slot 64;
       close_slot = mk_slot 16;
-      rx_handles =
-        Mailbox.create
-          ~label:(Printf.sprintf "conn:%d rx-handles" id)
-          (Node.sim env.node);
-      rx_idle = false;
+      rx = lazy (Serial.ordered sim ~name:"sub-rx" ~ready:is_done (receive t));
+      rx_hook = Some (fun _ _ -> Serial.kick_ordered (Lazy.force t.rx));
       rx_ready = Int_tbl.create 64;
       req_q = Hashtbl.create 16;
       expected_seq = 0;
       consumed_since_ack = 0;
       ack_holdoff_armed = false;
       readable_c =
-        Cond.create
-          ~label:(Printf.sprintf "conn:%d readable" id)
-          (Node.sim env.node);
+        Cond.create ~label:(Printf.sprintf "conn:%d readable" id) sim;
       watchers = [];
       peer_closed = false;
       close_seq = max_int;
@@ -995,8 +994,8 @@ let create env ~id ~peer_node ~peer_conn ~local_addr ~peer_addr =
           h_close_retries = counter "sub.close_retries";
           h_resets = counter "sub.resets";
         };
-      trace = Trace.for_sim (Node.sim env.node);
-      inv = Invariant.for_sim (Node.sim env.node);
+      trace = Trace.for_sim sim;
+      inv = Invariant.for_sim sim;
     }
   in
   (* Post the connection's descriptors: N data (+ N ack unless UQ) plus
@@ -1014,8 +1013,4 @@ let create env ~id ~peer_node ~peer_conn ~local_addr ~peer_addr =
     ~while_open:true on_rdvz_grant;
   post_ctrl_slot t t.close_slot Tags.Close ~name:"sub-close"
     ~while_open:false on_peer_close;
-  (* The receive fiber parks forever once the connection quiesces, so
-     it is a daemon: only application fibers count for deadlock
-     detection. *)
-  Sim.spawn (sim t) ~name:"sub-rx" ~daemon:true (rx_fiber t);
   t

@@ -1,10 +1,11 @@
 (** One substrate connection: N pre-posted data descriptors over credit
     buffers (eager scheme, §5.2), ack descriptors or unexpected-queue
     ack consumption (§6.4), rendezvous request/grant/data descriptors,
-    and the "closed" control descriptor (§5.3). A receive fiber reaps
-    the data descriptors in posting order; the ack, request, grant and
-    close descriptors, and credit acks arriving in the unexpected queue,
-    complete into one-shot handler fibers. Send side implements
+    and the "closed" control descriptor (§5.3). Every descriptor, and
+    every credit ack arriving in the unexpected queue, completes into a
+    serial handler ({!Uls_engine.Serial}) that holds a fiber only while
+    it reaps: the data descriptors in posting order, the others one
+    slot each. Send side implements
     credit-based flow control with delayed and piggy-backed
     acknowledgments (§6.1–6.3), plus the paper's rejected alternatives
     (pure rendezvous, separate communication thread, blocking send) for
@@ -48,6 +49,10 @@ val post_slot :
 val unpost_slot : Uls_emp.Endpoint.t -> slot -> unit
 (** Cancel the slot's current descriptor, if any. *)
 
+val is_done : slot * Uls_emp.Endpoint.recv -> bool
+(** The descriptor has completed: an ordered handler's readiness test
+    over posted (slot, descriptor) pairs. *)
+
 val create :
   env ->
   id:int ->
@@ -57,20 +62,17 @@ val create :
   peer_addr:Uls_api.Sockets_api.addr ->
   t
 (** Builds the connection and posts all of its descriptors (the 2N+3
-    provisioning of §6.1, N+3 under {!Options.t.unexpected_queue}) and
-    spawns its receive fiber. The credit-ack, rendezvous-request, grant
-    and close descriptors park no fiber: each message on them spawns a
-    one-shot handler fiber, which reposts every one of them but the
-    close descriptor. [peer_conn] may be [-1] until {!set_peer} (client
-    side). *)
+    provisioning of §6.1, N+3 under {!Options.t.unexpected_queue}).
+    No fiber parks on them: a completion kicks its serial handler,
+    which reposts every slot but the close slot. [peer_conn] may be
+    [-1] until {!set_peer} (client side). *)
 
 val uq_ack_arrived : t -> unit
 (** A credit ack for this connection completed into the EMP unexpected
     queue (§6.4). Unless the connection is closed, reset, or already
-    consuming, spawns one [sub-uq-ack] handler fiber that takes every
-    queued ack of the connection in arrival order, then exits. Must not
-    block: the substrate calls it from the endpoint's unexpected-queue
-    hook. *)
+    consuming, kicks its [sub-uq-ack] handler, which takes every queued
+    ack of the connection in arrival order, then exits. Must not block:
+    the substrate calls it from the endpoint's unexpected-queue hook. *)
 
 val id : t -> int
 val local_addr : t -> Uls_api.Sockets_api.addr

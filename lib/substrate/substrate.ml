@@ -18,9 +18,11 @@ type request = {
 
 type listener = {
   l_port : int;
-  l_requests : request Mailbox.t;
+  l_requests : request Queue.t;  (** taken requests, waiting for accept *)
   l_slots : Conn.slot array;
-  l_handles : (Conn.slot * E.recv) Mailbox.t;
+  l_backlog : (Conn.slot * E.recv) Serial.ordered Lazy.t;
+      (** the posted backlog descriptors, in posting order *)
+  l_hook : (E.recv -> int -> unit) option;  (** kicks [l_backlog] *)
   mutable l_watchers : (unit -> unit) list;
       (** accept-readiness watchers: fired when a request is queued and
           when the listener closes (the event engine's accept path) *)
@@ -58,8 +60,8 @@ type t = {
   activity : Cond.t;
   unanswered : request Queue.t;
       (** requests a closed listener's backlog had taken, waiting for
-          the [sub-refuse] handler *)
-  mutable refusing : bool;  (** a [sub-refuse] handler is running *)
+          the [refuser] *)
+  refuser : Serial.t Lazy.t;
   mutable next_id : int;
   mutable next_eport : int;
 }
@@ -131,8 +133,8 @@ let refuse t ~node ~conn =
    burning its retry budget: with the unexpected queue on, a request
    aimed at a port nobody listens on completes into the UQ; and a
    closing listener leaves the requests its backlog already took in
-   [unanswered]. One handler at a time refuses every such request, the
-   taken ones first, then exits; it starts when one arrives, or when
+   [unanswered]. The [refuser] handler refuses them one at a time, the
+   taken ones first; it is kicked when one arrives, or when
    [close_listener] leaves requests without a listener. A taken request
    that is a retry from a client already accepted gets its connection
    again instead. *)
@@ -141,27 +143,25 @@ let orphan t ~src:_ ~tag =
   | Tags.Conn_request, port -> not (Hashtbl.mem t.listeners port)
   | _ -> false
 
-let refuse_pending t =
-  let rec loop () =
-    match Queue.take_opt t.unanswered with
-    | Some rq ->
-      if not (answer_dup t rq) then refuse t ~node:rq.rq_node ~conn:rq.rq_conn;
-      loop ()
-    | None -> (
-      match E.uq_take t.emp ~pred:(orphan t) with
-      | None -> t.refusing <- false
-      | Some (data, src, tag) ->
-        let rq =
-          Codec.decode Tags.Conn_request ~owner:(snd (Tags.split tag))
-            ~peer:src ~len:(String.length data) (String.get_int64_le data)
-        in
-        refuse t ~node:rq.(0) ~conn:rq.(1);
-        loop ())
-  in
-  if not t.refusing then begin
-    t.refusing <- true;
-    Sim.spawn (sim t) ~name:"sub-refuse" ~daemon:true loop
-  end
+let refusals_due t =
+  (not (Queue.is_empty t.unanswered))
+  || E.uq_has_match t.emp ~pred:(orphan t) ~src:(-1) ~tag:(-1)
+
+let refuse_one t =
+  match Queue.take_opt t.unanswered with
+  | Some rq ->
+    if not (answer_dup t rq) then refuse t ~node:rq.rq_node ~conn:rq.rq_conn
+  | None -> (
+    match E.uq_take t.emp ~pred:(orphan t) with
+    | None -> ()
+    | Some (data, src, tag) ->
+      let rq =
+        Codec.decode Tags.Conn_request ~owner:(snd (Tags.split tag))
+          ~peer:src ~len:(String.length data) (String.get_int64_le data)
+      in
+      refuse t ~node:rq.(0) ~conn:rq.(1))
+
+let refuse_pending t = Serial.kick (Lazy.force t.refuser)
 
 let refuse_later t rq =
   Queue.push rq t.unanswered;
@@ -183,7 +183,7 @@ let create ?(opts = Options.data_streaming_enhanced) node emp =
     E.provision_unexpected emp ~slots:((4 * opts.Options.credits) + 32) ~size:64;
   let metrics = Metrics.for_sim (Node.sim node) in
   let counter name = Metrics.counter metrics ~node:(Node.id node) name in
-  let t =
+  let rec t =
     {
       node;
       emp;
@@ -205,7 +205,11 @@ let create ?(opts = Options.data_streaming_enhanced) node emp =
       draining_sweep_at = 16;
       activity = Cond.create ~label:"sub:activity" (Node.sim node);
       unanswered = Queue.create ();
-      refusing = false;
+      refuser =
+        lazy
+          (Serial.create (Node.sim node) ~name:"sub-refuse"
+             ~has_work:(fun () -> refusals_due t)
+             (fun () -> refuse_one t));
       next_id = 0;
       next_eport = 40_000;
     }
@@ -271,70 +275,67 @@ let conn_env t =
 (* --- listen / accept -------------------------------------------------- *)
 
 (* Backlog descriptors take a request from any node. *)
-let post_backlog t l slot =
-  Mailbox.send l.l_handles
-    (slot,
-     Conn.post_slot t.emp slot ~src:(-1)
-       ~tag:(Tags.make Tags.Conn_request l.l_port))
+let post_request_slot t l slot =
+  (slot,
+   Conn.post_slot ?on_complete:l.l_hook t.emp slot ~src:(-1)
+     ~tag:(Tags.make Tags.Conn_request l.l_port))
 
-(* Like a connection's receive fiber, the listener reaps its backlog
-   descriptors in posting order. A request that landed before the
-   listener closed is refused, as is one that landed while its
-   descriptor was being reposted: a close during the post has already
-   unposted and unpinned the slots, so the fresh descriptor is taken
-   back too. The fiber ends at the first descriptor the close
-   cancelled, or once a closed listener has nothing left to reap. *)
-let listener_fiber t l () =
-  let rec loop () =
-    let slot, recv = Mailbox.recv l.l_handles in
-    let len, src, _ = E.wait_recv t.emp recv in
-    if len >= 0 then begin
-      let rq =
-        Codec.decode Tags.Conn_request ~owner:l.l_port ~peer:src ~len
-          (Memory.get_int64_le slot.Conn.sl_region)
-      in
-      let rq = { rq_node = rq.(0); rq_conn = rq.(1); rq_port = rq.(2) } in
-      if l.l_closed then refuse_later t rq
-      else begin
-        post_backlog t l slot;
-        if l.l_closed then begin
-          Conn.unpost_slot t.emp slot;
-          Os.unpin (Node.os t.node) slot.Conn.sl_region;
-          refuse_later t rq
-        end
-        else begin
-          Mailbox.send l.l_requests rq;
-          Cond.broadcast t.activity;
-          List.iter (fun f -> f ()) l.l_watchers
-        end
-      end;
-      if not (l.l_closed && Mailbox.is_empty l.l_handles) then loop ()
+(* Like a connection's data descriptors, the backlog descriptors are
+   reaped in posting order, by an ordered serial handler. A request
+   that landed before the listener closed is refused, as is one that
+   landed while its descriptor was being reposted: a close during the
+   post has already unposted and unpinned the slots, so the fresh
+   descriptor is taken back too (taking back a slot the close already
+   took is a no-op). *)
+let take_request t l (slot, recv) =
+  let len, src, _ = E.wait_recv t.emp recv in
+  if len >= 0 then begin
+    let rq =
+      Codec.decode Tags.Conn_request ~owner:l.l_port ~peer:src ~len
+        (Memory.get_int64_le slot.Conn.sl_region)
+    in
+    let rq = { rq_node = rq.(0); rq_conn = rq.(1); rq_port = rq.(2) } in
+    if not l.l_closed then
+      Serial.push (Lazy.force l.l_backlog) (post_request_slot t l slot);
+    if l.l_closed then begin
+      Conn.unpost_slot t.emp slot;
+      Os.unpin (Node.os t.node) slot.Conn.sl_region;
+      refuse_later t rq
     end
-  in
-  loop ()
+    else begin
+      Queue.push rq l.l_requests;
+      Cond.broadcast t.activity;
+      List.iter (fun f -> f ()) l.l_watchers
+    end
+  end
 
 let listen t ~port ~backlog =
   if port < 0 || port > Tags.max_id then invalid_arg "substrate: port > 4095";
   if Hashtbl.mem t.listeners port then
     raise (Uls_api.Sockets_api.Bind_in_use { node = node_id t; port });
   let backlog = max 1 backlog in
-  let l =
+  let rec l =
     {
       l_port = port;
-      l_requests =
-        Mailbox.create ~label:(Printf.sprintf "listen:%d requests" port) (sim t);
+      l_requests = Queue.create ();
       l_slots =
         Array.init backlog (fun _ ->
             Conn.alloc_slot t.node t.opts.Options.backlog_request_bytes);
-      l_handles =
-        Mailbox.create ~label:(Printf.sprintf "listen:%d handles" port) (sim t);
+      l_backlog =
+        lazy
+          (Serial.ordered (sim t) ~name:"sub-listen" ~ready:Conn.is_done
+             (take_request t l));
+      l_hook = Some (fun _ _ -> Serial.kick_ordered (Lazy.force l.l_backlog));
       l_watchers = [];
       l_closed = false;
     }
   in
-  Array.iter (post_backlog t l) l.l_slots;
+  (* Reaping starts once the whole backlog is posted: requests that
+     complete meanwhile wait for the kick below. *)
+  let posted = Array.map (post_request_slot t l) l.l_slots in
   Hashtbl.replace t.listeners port l;
-  Sim.spawn (sim t) ~name:"sub-listen" ~daemon:true (listener_fiber t l);
+  Array.iter (Serial.push (Lazy.force l.l_backlog)) posted;
+  Serial.kick_ordered (Lazy.force l.l_backlog);
   l
 
 (* Non-blocking: drains duplicate requests (a retried connect whose
@@ -344,7 +345,7 @@ let listen t ~port ~backlog =
    [accept] safe to call. *)
 let rec try_accept t l =
   if l.l_closed then raise Uls_api.Sockets_api.Connection_closed;
-  match Mailbox.try_recv l.l_requests with
+  match Queue.take_opt l.l_requests with
   | None -> None
   | Some rq when answer_dup t rq ->
     (* A retry answered again: look for the next fresh request. *)
@@ -375,14 +376,17 @@ let rec accept t l =
     Cond.wait t.activity;
     accept t l
 
-let acceptable l = not (Mailbox.is_empty l.l_requests)
-let listener_pending l = Mailbox.length l.l_requests
+let acceptable l = not (Queue.is_empty l.l_requests)
+let listener_pending l = Queue.length l.l_requests
 let add_accept_watcher l f = l.l_watchers <- f :: l.l_watchers
 
 let close_listener t l =
   if not l.l_closed then begin
     l.l_closed <- true;
     Hashtbl.remove t.listeners l.l_port;
+    (* Only requests the backlog already took are left to reap, and
+       refuse; the descriptors cancelled below leave the queue first. *)
+    Serial.retain (Lazy.force l.l_backlog) Conn.is_done;
     Array.iter
       (fun slot ->
         Conn.unpost_slot t.emp slot;
@@ -393,19 +397,8 @@ let close_listener t l =
     List.iter (fun f -> f ()) l.l_watchers;
     (* Requests the backlog already took are refused, and so are those
        for the port still queued in the UQ: they are orphans now. *)
-    let rec take () =
-      match Mailbox.try_recv l.l_requests with
-      | Some rq ->
-        Queue.push rq t.unanswered;
-        take ()
-      | None -> ()
-    in
-    take ();
-    if
-      (not (Queue.is_empty t.unanswered))
-      || E.uq_has_match t.emp ~src:(-1)
-           ~tag:(Tags.make Tags.Conn_request l.l_port)
-    then refuse_pending t
+    Queue.transfer l.l_requests t.unanswered;
+    refuse_pending t
   end
 
 (* --- connect ----------------------------------------------------------- *)

@@ -566,6 +566,89 @@ let test_mailbox_timeout_delivery () =
   ignore (Sim.run sim);
   check_bool "delivered before deadline" true (!got = Some 9)
 
+(* --- Serial handlers --- *)
+
+let test_serial_kick_while_running () =
+  (* A kick while the handler runs spawns nothing: the running fiber
+     re-tests after each step and drains what the kick announced. *)
+  let sim = Sim.create () in
+  let work = Queue.create () and done_ = ref [] and spawned = ref 0 in
+  let h =
+    Serial.create sim ~name:"h"
+      ~has_work:(fun () -> not (Queue.is_empty work))
+      (fun () ->
+        let x = Queue.pop work in
+        Sim.delay sim 10;
+        done_ := x :: !done_)
+  in
+  let kick () =
+    let before = Sim.live_fibers sim in
+    Serial.kick h;
+    spawned := !spawned + (Sim.live_fibers sim - before)
+  in
+  Sim.spawn sim (fun () ->
+      Queue.push 1 work;
+      kick ();
+      Sim.delay sim 5;
+      Queue.push 2 work;
+      kick ();
+      Queue.push 3 work;
+      kick ());
+  ignore (Sim.run sim);
+  check_int "one fiber spawned" 1 !spawned;
+  Alcotest.(check (list int))
+    "all drained in order" [ 1; 2; 3 ] (List.rev !done_);
+  check_int "drained by t=30" 30 (Sim.now sim)
+
+let test_serial_kick_without_work () =
+  let sim = Sim.create () in
+  let h = Serial.create sim ~name:"h" ~has_work:(fun () -> false) ignore in
+  Serial.kick h;
+  check_int "nothing spawned" 0 (Sim.live_fibers sim)
+
+let test_serial_ordered_head_first () =
+  (* The tail completes first: nothing runs until the head does, then
+     one fiber reaps every ready item in posting order. *)
+  let sim = Sim.create () in
+  let ready = Array.make 3 false and reaped = ref [] and spawns = ref 0 in
+  let o =
+    Serial.ordered sim ~name:"o" ~ready:(fun i -> ready.(i)) (fun i ->
+        Sim.delay sim 1;
+        reaped := i :: !reaped)
+  in
+  let complete i =
+    ready.(i) <- true;
+    let before = Sim.live_fibers sim in
+    Serial.kick_ordered o;
+    spawns := !spawns + (Sim.live_fibers sim - before)
+  in
+  let base = Sim.live_fibers sim in
+  List.iter (Serial.push o) [ 0; 1; 2 ];
+  Sim.at sim 10 (fun () -> complete 2);
+  Sim.at sim 20 (fun () -> complete 1);
+  Sim.at sim 25 (fun () ->
+      check_int "nothing reaped behind the head" 0 (List.length !reaped);
+      check_int "no fiber behind the head" 0 !spawns);
+  Sim.at sim 30 (fun () -> complete 0);
+  ignore (Sim.run sim);
+  check_int "one fiber for the whole burst" 1 !spawns;
+  Alcotest.(check (list int)) "posting order" [ 0; 1; 2 ] (List.rev !reaped);
+  check_int "fibers back to the earlier count" base (Sim.live_fibers sim);
+  check_int "none parked" 0 (Sim.blocked_fibers sim)
+
+let test_serial_ordered_retain () =
+  let sim = Sim.create () in
+  let reaped = ref [] in
+  let o =
+    Serial.ordered sim ~name:"o" ~ready:(fun _ -> true) (fun i ->
+        reaped := i :: !reaped)
+  in
+  List.iter (Serial.push o) [ 1; 2; 3; 4 ];
+  Serial.retain o (fun i -> i mod 2 = 0);
+  Serial.kick_ordered o;
+  ignore (Sim.run sim);
+  Alcotest.(check (list int)) "kept items, in order" [ 2; 4 ] (List.rev !reaped)
+
 (* --- Resource --- *)
 
 let test_resource_fifo_serialization () =
@@ -1214,6 +1297,16 @@ let suites =
         Alcotest.test_case "recv timeout empty" `Quick test_mailbox_timeout;
         Alcotest.test_case "recv timeout delivery" `Quick
           test_mailbox_timeout_delivery;
+      ] );
+    ( "engine.serial",
+      [
+        Alcotest.test_case "kick while running spawns nothing" `Quick
+          test_serial_kick_while_running;
+        Alcotest.test_case "kick without work spawns nothing" `Quick
+          test_serial_kick_without_work;
+        Alcotest.test_case "ordered: head first, one fiber" `Quick
+          test_serial_ordered_head_first;
+        Alcotest.test_case "ordered: retain" `Quick test_serial_ordered_retain;
       ] );
     ( "engine.resource",
       Alcotest.test_case "fifo serialization" `Quick

@@ -112,7 +112,8 @@ let test_switch_counters_after_traffic () =
 (* --- nothing a connection owns outlives it (paper 5.3) ------------------ *)
 
 let control_fibers =
-  [ "sub-ack"; "sub-uq-ack"; "sub-req"; "sub-grant"; "sub-close"; "sub-refuse" ]
+  [ "sub-rx"; "sub-listen"; "sub-ack"; "sub-uq-ack"; "sub-req"; "sub-grant";
+    "sub-close"; "sub-refuse" ]
 
 let names_in report =
   List.map (fun (p : Sim.parked) -> p.Sim.fiber) report
@@ -127,10 +128,10 @@ let presets =
   ]
 
 let test_idle_conn_parks_no_control_fibers opts () =
-  (* The credit-ack, rendezvous-request, grant and close descriptors,
-     and the unexpected queue's credit acks and orphan connection
-     requests, complete into handler fibers: an idle open connection
-     has none parked on them. *)
+  (* Every descriptor a connection or a listener posts, and the
+     unexpected queue's credit acks and orphan connection requests,
+     completes into a serial handler: an idle open connection and its
+     listener have no fiber parked on them. *)
   let c = Uls_bench.Cluster.create ~n:2 () in
   let api = Uls_bench.Cluster.substrate_api ~opts c in
   let sim = Uls_bench.Cluster.sim c in
@@ -147,8 +148,6 @@ let test_idle_conn_parks_no_control_fibers opts () =
       parked := names_in (Sim.blocked_report sim);
       s.close ());
   ignore (Uls_bench.Cluster.run c);
-  check_bool "both ends' rx fibers parked" true
-    (List.length (List.filter (( = ) "sub-rx") !parked) >= 2);
   List.iter
     (fun name ->
       check_bool (name ^ " not parked") false (List.mem name !parked))
@@ -156,8 +155,8 @@ let test_idle_conn_parks_no_control_fibers opts () =
 
 let test_cycles_restore_live_fibers opts () =
   (* N connect/echo/close cycles leave the fiber count where it was
-     before the first connect, and no per-connection fiber parked (the
-     node's listener stays). *)
+     before the first connect, and no per-connection or listener fiber
+     parked. *)
   let c = Uls_bench.Cluster.create ~n:2 () in
   let api = Uls_bench.Cluster.substrate_api ~opts c in
   let sim = Uls_bench.Cluster.sim c in
@@ -192,7 +191,40 @@ let test_cycles_restore_live_fibers opts () =
   List.iter
     (fun name ->
       check_bool (name ^ " not parked") false (List.mem name !parked))
-    ([ "sub-rx"; "sub-close-notify" ] @ control_fibers)
+    ("sub-close-notify" :: control_fibers)
+
+let test_idle_conns_own_no_fiber () =
+  (* 64 open connections, each idle after one echo, and their listener:
+     once the run is quiescent no substrate fiber is left at all. *)
+  let c = Uls_bench.Cluster.create ~n:2 () in
+  let api = Uls_bench.Cluster.substrate_api c in
+  let sim = Uls_bench.Cluster.sim c in
+  let conns = 64 in
+  let held = ref [] in
+  Sim.spawn sim (fun () ->
+      let l = api.listen ~node:1 ~port:80 ~backlog:8 in
+      for _ = 1 to conns do
+        let s, _ = l.accept () in
+        s.send (recv_exact s 4);
+        held := s :: !held
+      done);
+  Sim.spawn sim (fun () ->
+      Sim.delay sim (Time.us 10);
+      for _ = 1 to conns do
+        let s = api.connect ~node:0 { node = 1; port = 80 } in
+        s.send "ping";
+        check_string "echo" "ping" (recv_exact s 4);
+        held := s :: !held
+      done);
+  (match Uls_bench.Cluster.run c with
+  | `Quiescent -> ()
+  | _ -> Alcotest.fail "expected a quiescent run");
+  check_int "every connection open at both ends" (2 * conns) (List.length !held);
+  let substrate =
+    List.filter (String.starts_with ~prefix:"sub-")
+      (names_in (Sim.blocked_report sim))
+  in
+  Alcotest.(check (list string)) "no sub-* fiber parked" [] substrate
 
 let test_echo_close_quiesces_promptly () =
   (* One echo through the event-driven server, then close, run to
@@ -229,8 +261,8 @@ let test_echo_close_quiesces_promptly () =
 
 let test_close_with_full_buffers_ends_rx () =
   (* The server closes while every credit buffer holds unread data: no
-     receive descriptor is left posted for teardown to cancel, so the
-     rx fiber, idle on its handle queue, must still be woken to exit. *)
+     receive descriptor is left posted for teardown to cancel, and no rx
+     fiber may be left waiting for one. *)
   let c = Uls_bench.Cluster.create ~n:2 () in
   let api = Uls_bench.Cluster.substrate_api c in
   let sim = Uls_bench.Cluster.sim c in
@@ -254,6 +286,111 @@ let test_close_with_full_buffers_ends_rx () =
   | _ -> Alcotest.fail "expected a quiescent run");
   check_bool "no rx fiber parked" false
     (List.mem "sub-rx" (names_in (Sim.blocked_report sim)))
+
+(* A 100 000 B datagram write goes by rendezvous (§5.2): request, grant,
+   then the data straight into the reader's posted buffer. Either side
+   closing in between must end the server's read. *)
+let rdvz_size = 100_000
+
+let rdvz_run ~client ~server =
+  let c = Uls_bench.Cluster.create ~n:2 () in
+  let api =
+    Uls_bench.Cluster.substrate_api ~opts:Uls_substrate.Options.datagram c
+  in
+  let sim = Uls_bench.Cluster.sim c in
+  let emp1 = Uls_bench.Cluster.emp c 1 in
+  let before = Uls_emp.Endpoint.posted_descriptors emp1 in
+  let got = ref "(still reading)" in
+  let read s =
+    got :=
+      try Printf.sprintf "%S" (s.recv rdvz_size) with
+      | Connection_closed -> "Connection_closed"
+      | Connection_reset -> "Connection_reset"
+  in
+  Sim.spawn sim (fun () ->
+      let l = api.listen ~node:1 ~port:80 ~backlog:1 in
+      let s, _ = l.accept () in
+      server sim s read;
+      l.close_listener ());
+  Sim.spawn sim (fun () ->
+      Sim.delay sim (Time.us 10);
+      client sim (api.connect ~node:0 { node = 1; port = 80 }));
+  (match Uls_bench.Cluster.run c with
+  | `Quiescent -> ()
+  | _ -> Alcotest.fail "expected a quiescent run");
+  (!got, Uls_emp.Endpoint.posted_descriptors emp1 - before)
+
+let write_big s =
+  try s.send (String.make rdvz_size 'r')
+  with Connection_closed | Connection_reset -> ()
+
+let test_rdvz_writer_close_ends_read () =
+  (* A second client fiber closes the stream 1 us into the write, so
+     the writer abandons the message before posting its data. The
+     close names that message's sequence number, and the server's
+     read, whether already granted or not, ends in EOF. *)
+  let got, posted =
+    rdvz_run
+      ~client:(fun sim s ->
+        Sim.spawn sim (fun () -> write_big s);
+        Sim.delay sim (Time.us 1);
+        s.close ())
+      ~server:(fun _ s read ->
+        read s;
+        s.close ())
+  in
+  check_string "the read ends in EOF" "\"\"" got;
+  check_int "no descriptor left posted on the server" 0 posted
+
+let test_rdvz_local_close_ends_read () =
+  (* The server closes its own stream 120 us in, after the grant went
+     out: teardown cancels the read's descriptor with the others, and
+     the reader sees the close. *)
+  let got, posted =
+    rdvz_run
+      ~client:(fun _ s ->
+        write_big s;
+        s.close ())
+      ~server:(fun sim s read ->
+        Sim.spawn sim (fun () -> read s);
+        Sim.delay sim (Time.us 120);
+        s.close ())
+  in
+  check_string "the read raises" "Connection_closed" got;
+  check_int "no descriptor left posted on the server" 0 posted
+
+let test_close_during_read_reposts_nothing () =
+  (* A reader that has taken a message pays its copy, then reposts the
+     message's slot. A close from another fiber in that window must not
+     leave the slot posted on the dead connection: the close scan below
+     crosses the copy of one 8000 B message. *)
+  let leaked_at delay =
+    let c = Uls_bench.Cluster.create ~n:2 () in
+    let api = Uls_bench.Cluster.substrate_api c in
+    let sim = Uls_bench.Cluster.sim c in
+    let emp1 = Uls_bench.Cluster.emp c 1 in
+    let before = Uls_emp.Endpoint.posted_descriptors emp1 in
+    Sim.spawn sim (fun () ->
+        let l = api.listen ~node:1 ~port:80 ~backlog:1 in
+        let s, _ = l.accept () in
+        l.close_listener ();
+        Sim.spawn sim (fun () ->
+            try ignore (s.recv 100_000) with Connection_closed -> ());
+        Sim.delay sim delay;
+        s.close ());
+    Sim.spawn sim (fun () ->
+        Sim.delay sim (Time.us 10);
+        let s = api.connect ~node:0 { node = 1; port = 80 } in
+        (try s.send (String.make 8000 'x') with Connection_closed -> ());
+        Sim.delay sim (Time.ms 1);
+        s.close ());
+    ignore (Uls_bench.Cluster.run c);
+    Uls_emp.Endpoint.posted_descriptors emp1 - before
+  in
+  let leaks =
+    List.filter (fun us -> leaked_at (Time.us us) <> 0) (List.init 401 Fun.id)
+  in
+  Alcotest.(check (list int)) "close times that leave a descriptor" [] leaks
 
 let test_close_during_comm_thread_sync () =
   (* The communication thread pays its sync cost before reposting a
@@ -464,8 +601,16 @@ let suites =
       @ [
         Alcotest.test_case "echo then close quiesces promptly" `Quick
           test_echo_close_quiesces_promptly;
+        Alcotest.test_case "64 idle conns own no fiber" `Quick
+          test_idle_conns_own_no_fiber;
         Alcotest.test_case "close with full buffers ends rx fiber" `Quick
           test_close_with_full_buffers_ends_rx;
+        Alcotest.test_case "rendezvous read ends at writer close" `Quick
+          test_rdvz_writer_close_ends_read;
+        Alcotest.test_case "rendezvous read ends at local close" `Quick
+          test_rdvz_local_close_ends_read;
+        Alcotest.test_case "close during a read reposts nothing" `Quick
+          test_close_during_read_reposts_nothing;
         Alcotest.test_case "close during comm-thread sync" `Quick
           test_close_during_comm_thread_sync;
         Alcotest.test_case "comm-thread close reclaims posted spares" `Quick
