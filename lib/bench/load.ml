@@ -107,6 +107,7 @@ type report = {
   evq_wakeups : int;
   evq_spurious : int;
   select_streams_scanned : int;
+  doorbells : int;
 }
 
 (* Patterned echo payload, a function of (connection, sequence, size):
@@ -717,6 +718,11 @@ let run ?on_metrics ?on_server_close ?progress cfg =
     evq_wakeups = servers_counter "server.evq.wakeups";
     evq_spurious = servers_counter "server.evq.spurious";
     select_streams_scanned = servers_counter "api.select_streams_scanned";
+    doorbells =
+      List.fold_left
+        (fun acc node -> acc + Metrics.counter_value m ~node "nic.doorbells")
+        0
+        (List.init (Cluster.size c) Fun.id);
   }
 
 let arrival_name = function

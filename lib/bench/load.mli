@@ -142,6 +142,9 @@ type report = {
   evq_spurious : int;
   select_streams_scanned : int;
       (** the O(n) baseline's counter, for contrast *)
+  doorbells : int;
+      (** NIC doorbells rung on all nodes: host sends, receive posts
+          (one per fill-ring batch and receive queue) and ring batches *)
 }
 
 val run :

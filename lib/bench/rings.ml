@@ -104,9 +104,9 @@ let start_firehose env f =
   let sim = env.sim and batch = env.batch in
   let fault = Cluster.fault ~seed:f.seed env.c in
   if f.loss > 0. then Fault.set_default_plan fault (Fault.uniform_loss f.loss);
-  (* The fill-ring repost path is a property of the receive side, but
-     options are per-node and uniform here: the source never reads data
-     messages, so setting [rx_ring] everywhere only changes sinks.
+  (* The fill ring carries every node's connection set-up and listen
+     backlog, and the sinks' [readv] reposts (the source never reads
+     data messages); options are per-node and uniform here.
      Credits must cover several submission batches or the source
      ping-pongs on the ack round trip in window-sized lockstep — the
      same sizing rule as hardware SQ depth vs completion latency. The
@@ -314,7 +314,8 @@ let start_storm env s =
                      Tags.make Tags.Conn_reply slot.ps_id,
                      slot.ps_reply,
                      0,
-                     16 ))
+                     16,
+                     None ))
                  targets_of)
           in
           let sends =

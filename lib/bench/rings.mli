@@ -8,8 +8,9 @@
       [sinks] sink nodes over substrate connections, one source fiber
       per sink; the sinks check every message byte for byte, in order.
       With [batch > 1] writes are gathered ([Conn.writev]) through the
-      tx ring and sinks repost receive descriptors through the fill ring
-      ([Options.rx_ring]); [loss] makes it the rings chaos leg.
+      tx ring, and connection set-up, listen backlogs and the sinks'
+      receive reposts go through the fill ring ([Options.rx_ring]);
+      [loss] makes it the rings chaos leg.
       [Storm]: ZMap-style scanners (nodes [0..scanners-1]) fire windowed
       connection probes at substrate listeners on [targets] nodes. Each
       scanner is a raw-EMP probe engine: a window of slots, each with a

@@ -636,20 +636,25 @@ let post_recv ?on_complete t ~src ~tag region ~off ~len =
    queue, with each slot a cached [ring_slot_post] write and a cheap
    fixed-format [nic_ring_slot_fetch] on the NIC, instead of a
    [pio_write] + [nic_mailbox_fetch] per descriptor. A singleton batch
-   takes the classic [post_recv] path byte for byte. *)
-let post_recv_batch ?on_complete t specs =
+   takes the classic [post_recv] path byte for byte. Each descriptor
+   carries its own completion hook, so one batch can post a
+   connection's data and control slots together. *)
+let post_recv_batch t specs =
   match specs with
   | [] -> []
-  | [ (src, tag, region, off, len) ] ->
+  | [ (src, tag, region, off, len, on_complete) ] ->
     [ post_recv ?on_complete t ~src ~tag region ~off ~len ]
   | _ ->
-    check_ranges "Endpoint.post_recv_batch" specs;
+    List.iter
+      (fun (_, _, region, off, len, _) ->
+        check_range "Endpoint.post_recv_batch" region ~off ~len)
+      specs;
     let m = model t in
     Sim.delay (sim t) m.Cost_model.emp_host_post;
     let queue_counts = Array.make (Tigon.rx_queues t.nic) 0 in
     let rs =
       List.map
-        (fun (src, tag, region, off, len) ->
+        (fun (src, tag, region, off, len, on_complete) ->
           Sim.delay (sim t) m.Cost_model.ring_slot_post;
           let r = attach ?on_complete t ~src ~tag region ~off ~len in
           if not r.r_matched then begin

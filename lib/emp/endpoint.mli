@@ -121,17 +121,23 @@ val post_recv :
     per message instead of keeping one parked per connection. *)
 
 val post_recv_batch :
-  ?on_complete:(recv -> int -> unit) ->
   t ->
-  (int * int * Uls_host.Memory.region * int * int) list ->
+  (int
+  * int
+  * Uls_host.Memory.region
+  * int
+  * int
+  * (recv -> int -> unit) option)
+  list ->
   recv list
 (** Batched {!post_recv} — the fill-ring path; elements are [(src, tag,
-    region, off, len)]. Descriptors are matchable immediately, exactly
-    as with {!post_recv}; the batch amortizes the host post, the
-    doorbell, and the NIC's descriptor fetch (one [nic_doorbell_batch] +
-    k·[nic_ring_slot_fetch] per involved receive queue). A singleton
-    list degenerates to {!post_recv} exactly. [on_complete] is every
-    descriptor's completion hook, as in {!post_recv}.
+    region, off, len, on_complete)], [on_complete] being that
+    descriptor's completion hook as in {!post_recv}. Descriptors are
+    matchable immediately, exactly as with {!post_recv}; the batch
+    amortizes the host post, the doorbell, and the NIC's descriptor
+    fetch (one [nic_doorbell_batch] + k·[nic_ring_slot_fetch] per
+    involved receive queue). A singleton list degenerates to
+    {!post_recv} exactly.
     @raise Invalid_argument if any element's range falls outside its
     region, before anything is charged, pinned or posted. *)
 

@@ -42,12 +42,14 @@ type t = {
           Each attempt doubles the previous wait (exponential backoff). *)
   backlog_request_bytes : int;
   rx_ring : bool;
-      (** Batched descriptor reposting: [readv] returns consumed data
-          slots to the NIC through the endpoint's fill ring
-          ([Endpoint.post_recv_batch] — one doorbell and one descriptor
-          fetch batch per drain) instead of one [post_recv] per message.
-          Off by default so the per-call path is byte-identical to the
-          pre-ring substrate. *)
+      (** Batched descriptor posting through the endpoint's fill ring
+          ([Endpoint.post_recv_batch]: one host post, one doorbell and
+          one descriptor-fetch batch per receive queue) instead of one
+          [post_recv] per descriptor. It carries a connection's set-up
+          (its 2N+3 descriptors, and on the client the connect reply
+          slot), a listener's backlog, and the data slots a [readv]
+          drain consumed. Off in the paper presets, whose per-call
+          posting is the set-up cost §7.2 and §7.4 measure. *)
 }
 
 let header_bytes = 16
@@ -83,13 +85,17 @@ let data_streaming_enhanced =
     descriptor and memory footprint low (2N+3 descriptors each, §5.3),
     and piggy-backed acks matter more than ever: request/response
     traffic always has a reverse write to carry credits, so explicit
-    ack messages (and their unexpected-queue walks) mostly vanish. *)
+    ack messages (and their unexpected-queue walks) mostly vanish.
+    Connection churn pays set-up on every session, so the fill ring
+    carries set-up, backlog and [readv] reposts: one doorbell per
+    connection side instead of one per descriptor. *)
 let server =
   {
     data_streaming_enhanced with
     credits = 4;
     buffer_size = 2_048;
     piggyback = true;
+    rx_ring = true;
   }
 
 let datagram =

@@ -42,10 +42,13 @@ type t = {
           Each attempt doubles the previous wait (exponential backoff). *)
   backlog_request_bytes : int;
   rx_ring : bool;
-      (** Batched descriptor reposting: [readv] returns consumed data
-          slots through the endpoint's fill ring
+      (** Batched descriptor posting through the endpoint's fill ring
           ([Endpoint.post_recv_batch]) instead of one [post_recv] per
-          message. Off by default (byte-identical per-call path). *)
+          descriptor: a connection's set-up (its 2N+3 descriptors, and
+          on the client the connect reply slot), a listener's backlog,
+          and the data slots a [readv] drain consumed. Off in the paper
+          presets, whose per-call posting is the set-up cost §7.2 and
+          §7.4 measure; on in {!server}. *)
 }
 
 val header_bytes : int
@@ -60,8 +63,10 @@ val data_streaming_enhanced : t
 val server : t
 (** DS_DA_UQ provisioned for thousands of concurrent connections: small
     credit counts and buffers keep the per-connection descriptor and
-    memory footprint low (2N+3 descriptors each, §5.3), and piggy-backed
-    acks ride on request/response traffic. *)
+    memory footprint low (2N+3 descriptors each, §5.3), piggy-backed
+    acks ride on request/response traffic, and the fill ring
+    ([rx_ring]) carries set-up, backlog and [readv] reposts, so a
+    connection side rings one doorbell to post its descriptors. *)
 
 val datagram : t
 (** The paper's DG configuration (§6.2). *)

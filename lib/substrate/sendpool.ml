@@ -33,7 +33,7 @@ let create node emp ~slots ~size =
   in
   { emp; slots = Array.init slots mk; next = 0 }
 
-let regions t = Array.fold_right (fun slot acc -> slot.region :: acc) t.slots []
+let iter_regions t f = Array.iter (fun slot -> f slot.region) t.slots
 
 let slot_in_flight slot =
   match slot.state with

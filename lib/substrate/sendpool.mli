@@ -47,5 +47,5 @@ val in_flight : t -> int
     non-zero count means acknowledgments can no longer arrive — the
     memory-region leak sanitizer flags it. *)
 
-val regions : t -> Uls_host.Memory.region list
-(** The ring buffers, in slot order. *)
+val iter_regions : t -> (Uls_host.Memory.region -> unit) -> unit
+(** Apply to each ring buffer, in slot order. *)

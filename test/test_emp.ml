@@ -499,9 +499,9 @@ let test_batch_with_bad_spec_posts_nothing () =
   let os1 = Node.os (Uls_bench.Cluster.node c 1) in
   let specs =
     [
-      (0, 1, Memory.alloc 64, 0, 64);
-      (0, 2, Memory.alloc 64, 32, 64);
-      (0, 3, Memory.alloc 64, 0, 64);
+      (0, 1, Memory.alloc 64, 0, 64, None);
+      (0, 2, Memory.alloc 64, 32, 64, None);
+      (0, 3, Memory.alloc 64, 0, 64, None);
     ]
   in
   Sim.spawn sim (fun () ->
@@ -515,7 +515,7 @@ let test_batch_with_bad_spec_posts_nothing () =
       check_int "no time charged" t0 (Sim.now sim);
       let sent = (E.stats e0).E.messages_sent
       and pinned = Os.pinned_regions os0 in
-      (match E.post_sendv e0 (List.map (fun (_, t, r, o, l) -> (1, t, r, o, l)) specs) with
+      (match E.post_sendv e0 (List.map (fun (_, t, r, o, l, _) -> (1, t, r, o, l)) specs) with
       | _ -> Alcotest.fail "post_sendv accepted a bad range"
       | exception Invalid_argument _ -> ());
       check_int "no send submitted" sent (E.stats e0).E.messages_sent;
