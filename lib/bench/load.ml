@@ -108,6 +108,7 @@ type report = {
   evq_spurious : int;
   select_streams_scanned : int;
   doorbells : int;
+  server_nic_tx_ns : int;
 }
 
 (* Patterned echo payload, a function of (connection, sequence, size):
@@ -723,6 +724,12 @@ let run ?on_metrics ?on_server_close ?progress cfg =
         (fun acc node -> acc + Metrics.counter_value m ~node "nic.doorbells")
         0
         (List.init (Cluster.size c) Fun.id);
+    server_nic_tx_ns =
+      List.fold_left
+        (fun acc id ->
+          acc + Resource.busy_time (Uls_nic.Tigon.tx_cpu (Cluster.nic c id)))
+        0
+        (List.init cells Fun.id);
   }
 
 let arrival_name = function

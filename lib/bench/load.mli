@@ -145,6 +145,9 @@ type report = {
   doorbells : int;
       (** NIC doorbells rung on all nodes: host sends, receive posts
           (one per fill-ring batch and receive queue) and ring batches *)
+  server_nic_tx_ns : int;
+      (** virtual time the server nodes' NIC transmit cores were busy:
+          descriptor fetch and parse per send, and per-frame work *)
 }
 
 val run :

@@ -266,19 +266,15 @@ let rewind_to t st idx =
   Stats.Counter.add t.mh.h_frames_retransmitted (st.s_next - idx);
   st.s_next <- idx
 
-(* The single transmit fiber of a message: streams frames subject to the
-   in-flight window, then waits for full acknowledgment, rewinding to the
-   cumulative ack (go-back-N) whenever the RTO expires. *)
-let tx_fiber ?(ring_fed = false) t st () =
-  let m = model t in
-  (* Ring-fed sends already paid their descriptor fetch as part of the
-     batched [nic_doorbell_batch] + [nic_ring_slot_fetch] charge in the
-     ring's fetch fiber; the fixed-format slot also subsumes the
-     per-message descriptor parse, so nothing more is charged here. *)
-  if not ring_fed then begin
+(* The single transmit fiber of a message: charges the send core
+   [fetch] for picking up its descriptor (0 when a ring's fetch fiber
+   already did), streams frames subject to the in-flight window, then
+   waits for full acknowledgment, rewinding to the cumulative ack
+   (go-back-N) whenever the RTO expires. *)
+let tx_fiber ~fetch t st () =
+  if fetch > 0 then begin
     Tigon.count_mailbox_fetch t.nic;
-    Tigon.tx_work t.nic
-      (m.Cost_model.nic_mailbox_fetch + m.Cost_model.nic_tx_per_msg)
+    Tigon.tx_work t.nic fetch
   end;
   let give_up () =
     st.s_retries >= t.cfg.max_retries
@@ -373,14 +369,28 @@ let make_send t ~dst ~tag region ~off ~len =
   Stats.Counter.incr t.mh.h_messages_sent;
   st
 
-let post_send t ~dst ~tag region ~off ~len =
+(* A fixed-format ring slot subsumes the firmware's per-message parse
+   of a mailbox descriptor, as in a [post_sendv] batch. The one-slot
+   submission is charged here, at submission, as [post_recv_batch]
+   charges the fill ring: routing it through the ring pair's fetch and
+   completion fibers would add events and leave an unreaped
+   completion. *)
+let post_send ?(ring = false) t ~dst ~tag region ~off ~len =
   check_range "Endpoint.post_send" region ~off ~len;
   let m = model t in
-  Sim.delay (sim t) m.Cost_model.emp_host_post;
+  let host, fetch =
+    if ring then
+      ( m.Cost_model.emp_host_post + m.Cost_model.ring_slot_post,
+        m.Cost_model.nic_doorbell_batch + m.Cost_model.nic_ring_slot_fetch )
+    else
+      ( m.Cost_model.emp_host_post,
+        m.Cost_model.nic_mailbox_fetch + m.Cost_model.nic_tx_per_msg )
+  in
+  Sim.delay (sim t) host;
   Os.pin_region (Node.os t.node) region ~off ~len;
   Tigon.doorbell t.nic;
   let st = make_send t ~dst ~tag region ~off ~len in
-  Sim.spawn (sim t) ~name:"emp-tx" (tx_fiber t st);
+  Sim.spawn (sim t) ~name:"emp-tx" (tx_fiber ~fetch t st);
   st
 
 let send_done st = st.s_done
@@ -437,7 +447,9 @@ let get_tx_ring ?(mode = Uls_rings.Ringpair.Wakeup) t =
         ~nic_cpu:(Tigon.tx_cpu t.nic)
         ~dummy_sub:d ~dummy_comp:d
         ~consume:(fun st ->
-          Sim.spawn (sim t) ~name:"emp-tx" (tx_fiber ~ring_fed:true t st))
+          (* The fetch fiber already paid the batched fetch; the
+             fixed-format slot subsumes the per-message parse. *)
+          Sim.spawn (sim t) ~name:"emp-tx" (tx_fiber ~fetch:0 t st))
         ()
     in
     t.tx_ring <- Some rp;
@@ -445,13 +457,14 @@ let get_tx_ring ?(mode = Uls_rings.Ringpair.Wakeup) t =
 
 (* Batched send: one host-post charge and one doorbell for the whole
    batch; each descriptor is a cached ring-slot write. A singleton batch
-   takes the classic [post_send] path so [--batch 1] reproduces the
-   per-call behaviour byte for byte. *)
-let post_sendv ?mode t specs =
+   takes the classic [post_send] path (with [ring], as a one-slot
+   submission) so [--batch 1] reproduces the per-call behaviour byte for
+   byte. *)
+let post_sendv ?mode ?ring t specs =
   match specs with
   | [] -> []
   | [ (dst, tag, region, off, len) ] ->
-    [ post_send t ~dst ~tag region ~off ~len ]
+    [ post_send ?ring t ~dst ~tag region ~off ~len ]
   | _ ->
     check_ranges "Endpoint.post_sendv" specs;
     let m = model t in

@@ -44,10 +44,21 @@ type send
 exception Send_failed of { dst : int; tag : int; retries : int }
 
 val post_send :
+  ?ring:bool ->
   t -> dst:int -> tag:int -> Uls_host.Memory.region -> off:int -> len:int -> send
 (** Post a transmit descriptor (T1–T2: descriptor build, pin/translate
     via the OS translation cache, doorbell). Returns immediately; the
-    NIC-side transmit proceeds concurrently. Caller must be a fiber. *)
+    NIC-side transmit proceeds concurrently. Caller must be a fiber.
+
+    By default (the paper's path) the descriptor goes through the
+    mailbox: [emp_host_post] on the host, then [nic_mailbox_fetch] +
+    [nic_tx_per_msg] on the NIC's send core. With [~ring:true] it is a
+    one-slot submission of the fixed-format tx ring: [emp_host_post] +
+    [ring_slot_post] on the host, [nic_doorbell_batch] +
+    [nic_ring_slot_fetch] on the send core (the slot format subsumes the
+    per-message descriptor parse). Both ring one doorbell and charge at
+    submission; the send never enters {!get_tx_ring}'s queues, so it
+    leaves no completion to reap. *)
 
 val send_done : send -> bool
 
@@ -69,6 +80,7 @@ val get_tx_ring :
 
 val post_sendv :
   ?mode:Uls_rings.Ringpair.mode ->
+  ?ring:bool ->
   t ->
   (int * int * Uls_host.Memory.region * int * int) list ->
   send list
@@ -76,8 +88,9 @@ val post_sendv :
     len)]. One [emp_host_post] and one doorbell cover the whole batch;
     each descriptor is a cached [ring_slot_post] write, fetched by the
     NIC under a single [nic_doorbell_batch] charge. A singleton list
-    degenerates to {!post_send} exactly (the batch=1 ablation is
-    byte-identical to the per-call path). Caller must be a fiber.
+    degenerates to {!post_send} exactly, with [ring] (the batch=1
+    ablation is byte-identical to the per-call path). Caller must be a
+    fiber.
     @raise Invalid_argument if any element's range falls outside its
     region, before anything is charged, pinned or submitted. *)
 

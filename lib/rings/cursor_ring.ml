@@ -1,6 +1,7 @@
 type 'a t = {
   mask : int;
   slots : 'a array;
+  dummy : 'a;  (* written back into a slot once it is consumed *)
   mutable prod : int;
   mutable cons : int;
 }
@@ -10,8 +11,8 @@ let is_power_of_two n = n > 0 && n land (n - 1) = 0
 let create ?(start = 0) ~capacity ~dummy () =
   if not (is_power_of_two capacity) then
     invalid_arg "Cursor_ring.create: capacity must be a power of two";
-  { mask = capacity - 1; slots = Array.make capacity dummy; prod = start;
-    cons = start }
+  { mask = capacity - 1; slots = Array.make capacity dummy; dummy;
+    prod = start; cons = start }
 
 let capacity t = t.mask + 1
 
@@ -35,13 +36,16 @@ let try_push t x =
 let push_exn t x =
   if not (try_push t x) then failwith "Cursor_ring.push_exn: ring full"
 
-let try_pop t =
-  if is_empty t then None
-  else begin
-    let x = t.slots.(t.cons land t.mask) in
-    t.cons <- t.cons + 1;
-    Some x
-  end
+(* A consumed slot gets the dummy back, so the ring never keeps a
+   popped or dropped element reachable. *)
+let take t =
+  let i = t.cons land t.mask in
+  let x = t.slots.(i) in
+  t.slots.(i) <- t.dummy;
+  t.cons <- t.cons + 1;
+  x
+
+let try_pop t = if is_empty t then None else Some (take t)
 
 let pop_up_to t ~max =
   let n = min max (length t) in
@@ -57,6 +61,6 @@ let pop_up_to t ~max =
 let drop_oldest t =
   if is_empty t then false
   else begin
-    t.cons <- t.cons + 1;
+    ignore (take t);
     true
   end

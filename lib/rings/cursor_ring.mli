@@ -10,7 +10,10 @@ type 'a t
 
 val create : ?start:int -> capacity:int -> dummy:'a -> unit -> 'a t
 (** [capacity] must be a power of two. [dummy] fills unused slots (the
-    descriptor arrays stay unboxed: no option wrapping per slot).
+    descriptor arrays stay unboxed: no option wrapping per slot) and is
+    written back into each slot as it is consumed ({!try_pop},
+    {!pop_up_to}, {!drop_oldest}), so the ring holds nothing it has
+    handed out or dropped.
     [start] sets both cursors' initial value — used by the overflow
     tests to place them near [max_int]. *)
 

@@ -608,10 +608,10 @@ let writev t datas =
         let staged = ref [] and count = ref 0 in
         let flush () =
           if !count > 0 then begin
-            let slots, specs = List.split (List.rev !staged) in
+            let batch = List.rev !staged in
             staged := [];
             count := 0;
-            Sendpool.commit slots (E.post_sendv t.env.emp specs);
+            Sendpool.post t.data_pool batch;
             (* Opportunistically retire already-acknowledged ring sends
                so pool-slot reuse doesn't block on them later. *)
             ignore (E.reap_sent t.env.emp)
@@ -1006,7 +1006,8 @@ let create env ~id ~peer_node ~peer_conn ~local_addr ~peer_addr =
       next_seq = 0;
       next_rdvz = 0;
       data_pool =
-        Sendpool.create env.node env.emp ~slots:(max 2 n)
+        Sendpool.create env.node env.emp ~ring:opts.Options.rx_ring
+          ~slots:(max 2 n)
           ~size:opts.Options.buffer_size;
       rdvz_tx = Memory.alloc 16;
       rdvz_tx_pending = None;

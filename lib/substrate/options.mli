@@ -42,13 +42,21 @@ type t = {
           Each attempt doubles the previous wait (exponential backoff). *)
   backlog_request_bytes : int;
   rx_ring : bool;
-      (** Batched descriptor posting through the endpoint's fill ring
-          ([Endpoint.post_recv_batch]) instead of one [post_recv] per
-          descriptor: a connection's set-up (its 2N+3 descriptors, and
-          on the client the connect reply slot), a listener's backlog,
-          and the data slots a [readv] drain consumed. Off in the paper
-          presets, whose per-call posting is the set-up cost §7.2 and
-          §7.4 measure; on in {!server}. *)
+      (** The rings, in both directions (the name predates the transmit
+          side and stays: the benchmark's firehose sets it by name).
+          Receive: batched descriptor posting through the endpoint's
+          fill ring ([Endpoint.post_recv_batch]) instead of one
+          [post_recv] per descriptor: a connection's set-up (its 2N+3
+          descriptors, and on the client the connect reply slot), a
+          listener's backlog, and the data slots a [readv] drain
+          consumed. Transmit: every send a send pool posts (eager data,
+          credit acks, connect request and reply, close, rendezvous
+          request and grant) is a one-slot tx ring submission
+          ([Endpoint.post_send ~ring:true]) instead of a mailbox post,
+          which skips the NIC's per-message descriptor parse. Off in the
+          paper presets, whose per-call posting is the set-up cost §7.2
+          and §7.4 measure and whose sends keep the paper's mailbox
+          path; on in {!server}. *)
 }
 
 val header_bytes : int
@@ -64,9 +72,10 @@ val server : t
 (** DS_DA_UQ provisioned for thousands of concurrent connections: small
     credit counts and buffers keep the per-connection descriptor and
     memory footprint low (2N+3 descriptors each, §5.3), piggy-backed
-    acks ride on request/response traffic, and the fill ring
-    ([rx_ring]) carries set-up, backlog and [readv] reposts, so a
-    connection side rings one doorbell to post its descriptors. *)
+    acks ride on request/response traffic, and the rings ([rx_ring])
+    carry set-up, backlog and [readv] reposts, so a connection side
+    rings one doorbell to post its descriptors, and every send as one
+    fixed-format tx ring slot. *)
 
 val datagram : t
 (** The paper's DG configuration (§6.2). *)

@@ -7,15 +7,18 @@
 type t
 
 val create :
-  Uls_host.Node.t -> Uls_emp.Endpoint.t -> slots:int -> size:int -> t
-(** Allocate and register [slots] ring buffers of [size] bytes each. *)
+  Uls_host.Node.t -> Uls_emp.Endpoint.t -> ring:bool -> slots:int -> size:int -> t
+(** Allocate and register [slots] ring buffers of [size] bytes each.
+    [ring] picks, once for the pool, how {!send} posts: a one-slot tx
+    ring submission ([true]; {!Uls_emp.Endpoint.post_send}'s [~ring]) or
+    the paper's mailbox post ([false]). *)
 
 val slots : t -> int
 (** Number of ring slots (batch staging must flush before wrapping). *)
 
 val send : t -> dst:int -> tag:int -> string -> Uls_emp.Endpoint.send
-(** {!stage}, {!Uls_emp.Endpoint.post_send} and {!commit} for one
-    message: copy the payload into the next ring slot and post the send.
+(** {!stage} and {!post} for one message: copy the payload into the
+    next ring slot and post the send the way {!create}'s [ring] chose.
     Blocks only when the ring wraps onto a send that is still in flight.
     The blit is free of simulated cost: it models the application
     reusing its own (already pinned) buffer, not an extra protocol copy. *)
@@ -30,13 +33,15 @@ val stage :
   slot * (int * int * Uls_host.Memory.region * int * int)
 (** Claim the next ring slot and copy the payload in without posting,
     returning the slot and the [(dst, tag, region, off, len)] spec for
-    {!Uls_emp.Endpoint.post_sendv}. Blocks like {!send} when the ring
-    wraps onto an in-flight send. Pair with {!commit} once the batch is
-    posted. *)
+    {!post}. Blocks like {!send} when the ring wraps onto an in-flight
+    send. *)
 
-val commit : slot list -> Uls_emp.Endpoint.send list -> unit
-(** Record the posted sends against their staged slots (same order), so
-    later slot reuse waits for them. *)
+val post :
+  t -> (slot * (int * int * Uls_host.Memory.region * int * int)) list -> unit
+(** Post staged messages, in order, as one
+    {!Uls_emp.Endpoint.post_sendv} batch (a lone message the way
+    {!create}'s [ring] chose), and record each send against its slot so
+    later slot reuse waits for it. *)
 
 val busy : t -> bool
 (** A send is in flight, or a slot is claimed and its send not yet

@@ -216,7 +216,9 @@ let create ?(opts = Options.data_streaming_enhanced) node emp =
   let sim = Node.sim node in
   let metrics = Metrics.for_sim sim in
   let counter name = Metrics.counter metrics ~node:(Node.id node) name in
-  let ctrl_pool = Sendpool.create node emp ~slots:64 ~size:256 in
+  let ctrl_pool =
+    Sendpool.create node emp ~ring:opts.Options.rx_ring ~slots:64 ~size:256
+  in
   let rec t =
     {
       node;

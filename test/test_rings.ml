@@ -66,6 +66,31 @@ let test_cursor_overflow () =
   check_bool "post-overflow push" true (CR.try_push r 99);
   Alcotest.(check (option int)) "post-overflow pop" (Some 99) (CR.try_pop r)
 
+let test_consumed_slots_release () =
+  (* Every way out of the ring (pop, bulk pop, overflow drop) hands the
+     slot back to the dummy: a 1024-slot completion ring must not keep
+     up to 1024 finished sends and their buffers reachable. *)
+  let r = CR.create ~capacity:4 ~dummy:(Bytes.create 1) () in
+  let tracked = Weak.create 3 in
+  let push_tracked i =
+    let x = Bytes.make 64 'x' in
+    Weak.set tracked i (Some x);
+    check_bool "push" true (CR.try_push r x)
+  in
+  for i = 0 to 2 do
+    push_tracked i
+  done;
+  ignore (Sys.opaque_identity (CR.try_pop r));
+  ignore (Sys.opaque_identity (CR.pop_up_to r ~max:1));
+  check_bool "drop_oldest" true (CR.drop_oldest r);
+  check_bool "drained" true (CR.is_empty r);
+  Gc.full_major ();
+  for i = 0 to 2 do
+    check_bool (Printf.sprintf "element %d collectable" i) false
+      (Weak.check tracked i)
+  done;
+  ignore (Sys.opaque_identity r)
+
 (* --- Ringpair semantics --- *)
 
 let model = Uls_host.Cost_model.paper_testbed
@@ -273,6 +298,8 @@ let suites =
         Alcotest.test_case "wrap-around FIFO" `Quick test_wrap_around;
         Alcotest.test_case "full/empty edges" `Quick test_full_empty_edges;
         Alcotest.test_case "overflow past 2^62" `Quick test_cursor_overflow;
+        Alcotest.test_case "consumed slots release their element" `Quick
+          test_consumed_slots_release;
       ] );
     ( "rings.pair",
       [

@@ -939,6 +939,53 @@ let test_setup_ring_is_faster () =
     true
     (ring < per_call)
 
+(* --- send posting: mailbox or one ring slot ----------------------------- *)
+
+(* The server NIC's transmit-core time for one 256-byte echo on an
+   established connection, from the request's write until the client
+   has read the reply. *)
+let echo_tx_core opts =
+  let c = Uls_bench.Cluster.create ~n:2 () in
+  let api = Uls_bench.Cluster.substrate_api ~opts c in
+  let sim = Uls_bench.Cluster.sim c in
+  let tx_busy () =
+    Resource.busy_time (Uls_nic.Tigon.tx_cpu (Uls_bench.Cluster.nic c 1))
+  in
+  let spent = ref (-1) in
+  Sim.spawn sim (fun () ->
+      let l = api.listen ~node:1 ~port:80 ~backlog:4 in
+      let s, _ = l.accept () in
+      s.send (recv_exact s 256);
+      check_str "eof" "" (s.recv 1);
+      s.close ();
+      l.close_listener ());
+  Sim.spawn sim (fun () ->
+      Sim.delay sim (Time.us 10);
+      let s = api.connect ~node:0 { node = 1; port = 80 } in
+      Sim.delay sim (Time.ms 1);
+      let before = tx_busy () in
+      let msg = String.make 256 'e' in
+      s.send msg;
+      check_str "echo" msg (recv_exact s 256);
+      spent := tx_busy () - before;
+      s.close ());
+  check_bool "quiescent" true (Uls_bench.Cluster.run c = `Quiescent);
+  !spent
+
+let test_send_charge_ring_vs_mailbox () =
+  (* The server preset posts each send as one fixed-format ring slot:
+     the send core pays the batched fetch of a single slot, whose format
+     subsumes the per-message descriptor parse. The paper preset keeps
+     the mailbox fetch and the parse. Both then pay one frame. *)
+  let m = Uls_host.Cost_model.paper_testbed in
+  let open Uls_host.Cost_model in
+  check_int "server: one ring slot + one frame (4.6 us)"
+    (m.nic_doorbell_batch + m.nic_ring_slot_fetch + m.nic_tx_per_frame)
+    (echo_tx_core Opt.server);
+  check_int "DS_DA_UQ: mailbox fetch + parse + one frame (9.0 us)"
+    (m.nic_mailbox_fetch + m.nic_tx_per_msg + m.nic_tx_per_frame)
+    (echo_tx_core ds)
+
 let suites =
   [
     ( "substrate.connection",
@@ -953,6 +1000,8 @@ let suites =
           test_setup_per_call_under_paper_preset;
         Alcotest.test_case "set-up: fill ring beats per-call" `Quick
           test_setup_ring_is_faster;
+        Alcotest.test_case "send: one ring slot (server) vs mailbox" `Quick
+          test_send_charge_ring_vs_mailbox;
       ] );
     ( "substrate.streaming",
       Alcotest.test_case "partial reads (5+5)" `Quick test_streaming_partial_reads
