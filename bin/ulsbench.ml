@@ -1383,7 +1383,7 @@ let serve_gate () =
     counting_words (fun () -> run ~on_metrics "ds/512/hashed" (scale ds L.Echo))
   in
   allocation_ceiling "ds/512/hashed" ~words ~events:hsh.L.events
-    ~ops:hsh.L.sent ~max_words:46.6 ~max_op_words:5_809. ~max_events:125.3;
+    ~ops:hsh.L.sent ~max_words:46.6 ~max_op_words:5_809. ~max_events:121.3;
   let frames = List.fold_left ( + ) 0 !server_queues in
   Printf.printf "ds/512/hashed: server NIC receive queues carry %s of %d frames\n%!"
     (String.concat " / " (List.map string_of_int !server_queues)) frames;
@@ -1477,7 +1477,7 @@ let fabric_gate () =
   let a = L.run ~on_server_close:sample ~on_metrics:count_survivors cfg in
   let b, words = counting_words (fun () -> L.run cfg) in
   allocation_ceiling "ds/4-cell" ~words ~events:b.L.events ~ops:cfg.conns
-    ~max_words:47.6 ~max_op_words:12_641. ~max_events:265.2;
+    ~max_words:47.6 ~max_op_words:12_641. ~max_events:257.5;
   let doorbells = float_of_int b.L.doorbells /. float_of_int cfg.conns in
   let max_doorbells = 15.3 in
   Printf.printf "ds/4-cell: %.2f NIC doorbells/session (ceiling %.1f)\n%!"
@@ -1623,13 +1623,15 @@ let chaos_gate () =
       both embedded cores: each of the server NIC's two receive queues
       carries 25-75% of its frames (measured 1852 / 1813). It bounds
       the server NIC's transmit-core time per request: at most 7.5 us
-      (measured 7.17: every server send, response or control message,
+      (measured 7.16; 7.17 before the ring firmware's overlap, which
+      charges the send core the same per frame: every server send,
+      response or control message,
       is one fixed-format tx ring slot, 2.6 us of fetch plus 2 us per
       frame; mailbox posting of every send, the paper's path, reads
       14.01), so the one-slot send submission stays measured. It also carries the
       allocation ceiling: at most 46.6 minor words per dispatched
-      event, 5809 minor words and 125.3 events per request (measured
-      46.0, 5484 and 119.3 on OCaml 5.1.1, the compiler CI pins). The
+      event, 5809 minor words and 121.3 events per request (measured
+      45.4, 5240 and 115.5 on OCaml 5.1.1, the compiler CI pins). The
       words-per-request and words-per-event margins are 6%, under the
       7% that replacing the pooled task cells with the wheel's slab
       saved. Removing events that allocate little raises words per
@@ -1644,6 +1646,13 @@ let chaos_gate () =
       5626: the ceiling stays. One-slot send submission moved words
       per request from 5477 to 5484 and events per request not at all
       (the sends are charged at submission, with no fetch fiber).
+      The ring firmware's overlap (header build during the payload
+      DMA, receive completion before the ack build) took one delay
+      per frame, 119.3 to 115.5 events per request, and alone would
+      have raised words per event to 47.5; flat summary accumulators
+      and a receive descriptor's condition created only for a waiter
+      paid for it (45.4, and 5484 to 5240 words per request). The
+      events-per-request ceiling went from 125.3 to 121.3 with it.
       The event count is a pure function of the seeded run, so its 5%
       margin only admits a small deliberate change of event
       structure.
@@ -1656,12 +1665,16 @@ let chaos_gate () =
       stream is held weakly, and none may survive a full major GC while
       the cluster is still alive. Its second run carries the allocation
       ceiling, with the same margins as [serve]: at most 12641 minor
-      words per session and 265.2 events per session (measured 11932
-      and 252.4), and 47.6 minor words per dispatched event (measured
-      47.3: up from 44.9 when the serial handlers took the events of
+      words per session and 257.5 events per session (measured 11442
+      and 245.2), and 47.6 minor words per dispatched event (measured
+      46.7: up from 44.9 when the serial handlers took the events of
       each connection's fiber start and teardown wake-up, and from
       45.9 when fill-ring set-up took one NIC descriptor fetch per
-      descriptor posted; the ceiling stays). The same run bounds the
+      descriptor posted; the ceiling stays). The ring firmware's
+      overlap took 252.4 to 245.2 events per session and alone would
+      have raised words per event to 48.8; the same two allocation
+      cuts as [serve]'s brought it to 46.7, and the events-per-session
+      ceiling went from 265.2 to 257.5. The same run bounds the
       NIC doorbells rung per session, on all nodes: at most 15.3
       (measured 14.58; per-call set-up posting, one doorbell per
       descriptor, reads 30.79), so the set-up batching stays

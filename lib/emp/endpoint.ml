@@ -29,7 +29,11 @@ type send = {
   mutable s_rto : Time.ns;
   mutable s_done : bool;
   mutable s_failed : bool;
-  mutable s_ring : bool;  (* submitted through the tx ring *)
+  mutable s_ring : bool;  (* submitted through the tx ring pair *)
+  s_slot : bool;
+      (* posted in a fixed-format ring slot ([post_send ~ring] or
+         [post_sendv]): the firmware builds each frame's header during
+         the frame's payload DMA *)
   mutable s_reaped : bool;  (* completion charge already paid *)
   s_span : int;  (* trace span: open from post to full acknowledgment *)
   s_cond : Cond.t;
@@ -47,7 +51,10 @@ type recv = {
   mutable r_cancelled : bool;
   mutable r_entry : recv Match_list.handle;
       (* its match-list descriptor while posted: unposting is O(1) *)
-  r_cond : Cond.t;
+  r_slot : bool;
+      (* posted through the fill ring or with [post_recv ~ring]: the
+         firmware completes it before building the protocol ack *)
+  mutable r_cond : Cond.t option;  (* created for its first waiter *)
   mutable r_on_complete : recv -> int -> unit;
       (* [post_recv ~on_complete]: called with the length when the
          descriptor completes, after its waiters' wake-up *)
@@ -226,9 +233,14 @@ let send_frame t st idx =
   let chunk = chunk_of st idx in
   (* Ring-submitted sends are gather-DMA: frames queued behind an
      in-progress transfer ride the burst (no per-frame setup). Mailbox
-     sends keep the one-transaction-per-frame charge. *)
-  Tigon.dma ~pipelined:st.s_ring t.nic ~bytes:(String.length chunk);
-  Tigon.tx_work t.nic (model t).Cost_model.nic_tx_per_frame;
+     sends keep the one-transaction-per-frame charge, and build the
+     header only once the payload is on the NIC. *)
+  let bytes = String.length chunk in
+  if st.s_slot then Tigon.dma_with_header ~pipelined:st.s_ring t.nic ~bytes
+  else begin
+    Tigon.dma t.nic ~bytes;
+    Tigon.tx_work t.nic (model t).Cost_model.nic_tx_per_frame
+  end;
   let data =
     {
       Wire.key = st.s_key;
@@ -328,7 +340,7 @@ let check_ranges entry specs =
     (fun (_, _, region, off, len) -> check_range entry region ~off ~len)
     specs
 
-let make_send t ~dst ~tag region ~off ~len =
+let make_send t ~slot ~dst ~tag region ~off ~len =
   t.next_msg_id <- t.next_msg_id + 1;
   let st =
     {
@@ -346,6 +358,7 @@ let make_send t ~dst ~tag region ~off ~len =
       s_done = false;
       s_failed = false;
       s_ring = false;
+      s_slot = slot;
       s_reaped = false;
       s_span =
         (if Trace.enabled t.trace then
@@ -389,7 +402,7 @@ let post_send ?(ring = false) t ~dst ~tag region ~off ~len =
   Sim.delay (sim t) host;
   Os.pin_region (Node.os t.node) region ~off ~len;
   Tigon.doorbell t.nic;
-  let st = make_send t ~dst ~tag region ~off ~len in
+  let st = make_send t ~slot:ring ~dst ~tag region ~off ~len in
   Sim.spawn (sim t) ~name:"emp-tx" (tx_fiber ~fetch t st);
   st
 
@@ -427,6 +440,7 @@ let dummy_send t =
     s_done = true;
     s_failed = false;
     s_ring = false;
+    s_slot = false;
     s_reaped = true;
     s_span = 0;
     s_cond = Cond.create ~label:"emp:send-dummy" (sim t);
@@ -474,7 +488,7 @@ let post_sendv ?mode ?ring t specs =
       List.map
         (fun (dst, tag, region, off, len) ->
           Os.pin_region (Node.os t.node) region ~off ~len;
-          let st = make_send t ~dst ~tag region ~off ~len in
+          let st = make_send t ~slot:true ~dst ~tag region ~off ~len in
           st.s_ring <- true;
           Uls_rings.Ringpair.submit rp st;
           st)
@@ -512,8 +526,19 @@ let reap t r =
   Sim.delay (sim t) (model t).Cost_model.emp_host_reap;
   (r.r_len, r.r_from, r.r_tag)
 
+(* A descriptor's condition exists only once someone waits on it:
+   serial handlers reap completed descriptors and never wait. *)
+let recv_cond t r =
+  match r.r_cond with
+  | Some c -> c
+  | None ->
+    let c = Cond.create ~label:"emp:recv" (sim t) in
+    r.r_cond <- Some c;
+    c
+
 let wait_recv t r =
-  Cond.wait_until r.r_cond (fun () -> r.r_done);
+  if not r.r_done then
+    Cond.wait_until (recv_cond t r) (fun () -> r.r_done);
   reap t r
 
 let wait_recv_timeout t r timeout =
@@ -524,7 +549,7 @@ let wait_recv_timeout t r timeout =
       let remaining = deadline - Sim.now (sim t) in
       if remaining <= 0 then None
       else begin
-        ignore (Cond.wait_timeout r.r_cond remaining);
+        ignore (Cond.wait_timeout (recv_cond t r) remaining);
         loop ()
       end
     end
@@ -546,7 +571,7 @@ let complete_recv t r ~len ~src ~tag =
     (fun () ->
       Printf.sprintf "node %d: %d descriptors completed but only %d posted"
         (node_id t) t.st_desc_completed t.st_desc_posted);
-  Cond.broadcast r.r_cond;
+  Option.iter Cond.broadcast r.r_cond;
   r.r_on_complete r len
 
 (* Host-side consumption of a message that landed in the unexpected
@@ -590,7 +615,7 @@ let uq_match ?(pred = any) t ~src ~tag =
 
 let no_hook (_ : recv) (_ : int) = ()
 
-let make_recv t region ~off ~len =
+let make_recv t ~ring region ~off ~len =
   let r =
     {
       r_region = region;
@@ -603,7 +628,8 @@ let make_recv t region ~off ~len =
       r_done = false;
       r_cancelled = false;
       r_entry = Match_list.detached;
-      r_cond = Cond.create ~label:"emp:recv" (sim t);
+      r_slot = ring;
+      r_cond = None;
       r_on_complete = no_hook;
     }
   in
@@ -617,20 +643,20 @@ let rx_queue t ~src = if src = -1 then 0 else Tigon.steer t.nic ~flow:src
 (* Pin and build one descriptor, then attach it: it takes an arrived
    unexpected-queue message at once (and is [r_matched] on return), or
    joins the match list. *)
-let attach ?on_complete t ~src ~tag region ~off ~len =
+let attach ?on_complete t ~ring ~src ~tag region ~off ~len =
   Os.pin_region (Node.os t.node) region ~off ~len;
-  let r = make_recv t region ~off ~len in
+  let r = make_recv t ~ring region ~off ~len in
   (match on_complete with Some f -> r.r_on_complete <- f | None -> ());
   (match uq_match t ~src ~tag with
   | Some slot -> consume_uq t slot r
   | None -> r.r_entry <- Match_list.post t.posted ~src ~tag r);
   r
 
-let post_recv ?on_complete t ~src ~tag region ~off ~len =
+let post_recv ?on_complete ?(ring = false) t ~src ~tag region ~off ~len =
   check_range "Endpoint.post_recv" region ~off ~len;
   let m = model t in
   Sim.delay (sim t) m.Cost_model.emp_host_post;
-  let r = attach ?on_complete t ~src ~tag region ~off ~len in
+  let r = attach ?on_complete t ~ring ~src ~tag region ~off ~len in
   if not r.r_matched then begin
     (* The doorbell lands on the queue that will serve this peer. *)
     Tigon.doorbell t.nic;
@@ -648,15 +674,15 @@ let post_recv ?on_complete t ~src ~tag region ~off ~len =
    doorbell + [nic_doorbell_batch] mailbox fetch per involved receive
    queue, with each slot a cached [ring_slot_post] write and a cheap
    fixed-format [nic_ring_slot_fetch] on the NIC, instead of a
-   [pio_write] + [nic_mailbox_fetch] per descriptor. A singleton batch
-   takes the classic [post_recv] path byte for byte. Each descriptor
+   [pio_write] + [nic_mailbox_fetch] per descriptor. Each descriptor
    carries its own completion hook, so one batch can post a
-   connection's data and control slots together. *)
+   connection's data and control slots together. A singleton batch
+   takes [post_recv ~ring:true]'s path. *)
 let post_recv_batch t specs =
   match specs with
   | [] -> []
   | [ (src, tag, region, off, len, on_complete) ] ->
-    [ post_recv ?on_complete t ~src ~tag region ~off ~len ]
+    [ post_recv ?on_complete ~ring:true t ~src ~tag region ~off ~len ]
   | _ ->
     List.iter
       (fun (_, _, region, off, len, _) ->
@@ -669,7 +695,7 @@ let post_recv_batch t specs =
       List.map
         (fun (src, tag, region, off, len, on_complete) ->
           Sim.delay (sim t) m.Cost_model.ring_slot_post;
-          let r = attach ?on_complete t ~src ~tag region ~off ~len in
+          let r = attach ?on_complete t ~ring:true ~src ~tag region ~off ~len in
           if not r.r_matched then begin
             let q = rx_queue t ~src in
             queue_counts.(q) <- queue_counts.(q) + 1
@@ -874,17 +900,19 @@ let finish_record t p key record =
     slot.u_state <- `Arrived;
     t.on_unexpected ~src:slot.u_from ~tag:slot.u_tag;
     (* A descriptor posted while the message was in flight may be
-       waiting; deliver to it now. The match time was already paid when
-       the message arrived; this re-take is delivery bookkeeping, so it
-       is observed (metrics) but not charged against the receive core. *)
-    match
-      Match_list.take t.posted ~src:slot.u_from ~tag:slot.u_tag
-    with
-    | Some r, probe ->
-      observe_match t probe;
-      if r.r_cancelled then ()
-      else consume_uq t slot r
-    | None, probe -> observe_match t probe)
+       waiting; deliver to it now, unless the handler discarded the
+       message. The match time was already paid when the message
+       arrived; this re-take is delivery bookkeeping, so it is observed
+       (metrics) but not charged against the receive core. *)
+    if slot.u_state = `Arrived then
+      match
+        Match_list.take t.posted ~src:slot.u_from ~tag:slot.u_tag
+      with
+      | Some r, probe ->
+        observe_match t probe;
+        if r.r_cancelled then ()
+        else consume_uq t slot r
+      | None, probe -> observe_match t probe)
 
 let rx_data t ~queue (d : Wire.data) =
   let m = model t in
@@ -957,6 +985,15 @@ let rx_data t ~queue (d : Wire.data) =
       Tigon.rx_work ~queue t.nic m.Cost_model.nic_rx_per_frame;
       store_chunk t record d;
       let complete = record.rec_count = record.rec_nframes in
+      (* A ring-path descriptor's completion is posted as soon as the
+         payload has landed, before the ack is built: the ack leaves at
+         the same instant either way. Everything else keeps the paper
+         firmware's order, ack first. *)
+      let early =
+        complete
+        && match record.rec_dst with To_user r -> r.r_slot | To_uq _ -> false
+      in
+      if early then finish_record t p key record;
       (* Cumulative acks carry the contiguous prefix — never the raw
          count, which would overstate progress across a loss hole. *)
       if complete || record.rec_prefix mod t.cfg.ack_window = 0 then
@@ -978,7 +1015,7 @@ let rx_data t ~queue (d : Wire.data) =
           (Wire.nack_frame ~src:(node_id t) ~dst:key.Wire.src_node ~key
              ~next_expected:record.rec_prefix)
       end;
-      if complete then finish_record t p key record
+      if complete && not early then finish_record t p key record
     end
 
 let rx_ack t ~queue key acked =

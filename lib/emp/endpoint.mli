@@ -58,7 +58,13 @@ val post_send :
     [nic_ring_slot_fetch] on the send core (the slot format subsumes the
     per-message descriptor parse). Both ring one doorbell and charge at
     submission; the send never enters {!get_tx_ring}'s queues, so it
-    leaves no completion to reap. *)
+    leaves no completion to reap.
+
+    A ring-slot send ([~ring:true], or any {!post_sendv} batch) also
+    lets the firmware build each frame's header ([nic_tx_per_frame] on
+    the send core) during that frame's payload DMA: the frame goes to
+    the MAC when the later of the two ends ({!Uls_nic.Tigon.dma_with_header}).
+    A mailbox send DMAs the payload first and builds the header after. *)
 
 val send_done : send -> bool
 
@@ -115,6 +121,7 @@ type recv
 
 val post_recv :
   ?on_complete:(recv -> int -> unit) ->
+  ?ring:bool ->
   t ->
   src:int ->
   tag:int ->
@@ -131,7 +138,16 @@ val post_recv :
     any fiber blocked in {!wait_recv} on it has been scheduled to wake.
     It may run outside a fiber, so it must not block; it may spawn. The
     substrate's control descriptors use it to start one handler fiber
-    per message instead of keeping one parked per connection. *)
+    per message instead of keeping one parked per connection.
+
+    [~ring:true] (default [false]) marks a descriptor of the ring path
+    (the substrate passes its [Options.rx_ring]): when the message's
+    last frame has been DMA'd, the firmware completes the descriptor
+    first and then spends [nic_ack_gen] on the EMP ack, so the host sees
+    the completion [nic_ack_gen] sooner while the ack leaves at the same
+    instant. By default the paper firmware's order holds: ack, then
+    completion. The post itself is charged the same either way. A
+    message that lands in the unexpected queue keeps the paper order. *)
 
 val post_recv_batch :
   t ->
@@ -149,8 +165,9 @@ val post_recv_batch :
     matchable immediately, exactly as with {!post_recv}; the batch
     amortizes the host post, the doorbell, and the NIC's descriptor
     fetch (one [nic_doorbell_batch] + k·[nic_ring_slot_fetch] per
-    involved receive queue). A singleton list degenerates to
-    {!post_recv} exactly.
+    involved receive queue). Every descriptor is on the ring path, as
+    with [post_recv ~ring:true]. A singleton list degenerates to
+    [post_recv ~ring:true] exactly.
     @raise Invalid_argument if any element's range falls outside its
     region, before anything is charged, pinned or posted. *)
 
@@ -186,16 +203,19 @@ val set_unexpected_handler : t -> (src:int -> tag:int -> unit) -> unit
 (** Called whenever a message completes into the unexpected queue, with
     its source node and tag, just before a descriptor posted while it
     was in flight takes it. It runs in the receive dispatcher, outside
-    any application fiber, so it must not block; it may spawn. The
-    substrate routes each arrival to the one connection (or the refusal
-    handler) that owns its tag. One handler per endpoint; default is a
+    any application fiber, so it must not block; it may spawn. It may
+    also discard the message ({!uq_take}), which no descriptor then
+    takes. The substrate routes each arrival to the one connection (or
+    the refusal handler) that owns its tag, and discards a close that
+    no connection owns. One handler per endpoint; default is a
     no-op. *)
 
 val uq_take : t -> pred:(src:int -> tag:int -> bool) -> (string * int * int) option
 (** Remove the first complete unexpected-queue message satisfying [pred]
     and return [(payload, src, tag)], freeing its slot. The substrate's
     refusal handler uses this to answer connection requests aimed at
-    ports nobody listens on. *)
+    ports nobody listens on, and its unexpected handler to drop closes
+    for connections that are gone. *)
 
 val reset : t -> unit
 (** EMP state reset (new application): unposts everything. *)

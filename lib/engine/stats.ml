@@ -20,82 +20,101 @@ module Summary = struct
   let cap = 8192
   let reservoir_seed = 0x52455356 (* "RESV" *)
 
-  type t = {
-    samples : float Vec.t;
-    mutable sorted : bool;
-    mutable n : int;  (* total observed, not reservoir size *)
+  (* The running accumulators live in an all-float record, which OCaml
+     stores flat: updating them allocates nothing, where float fields
+     of a mixed record box every new value. *)
+  type acc = {
     mutable total : float;
     mutable mn : float;
     mutable mx : float;
     mutable welford_mean : float;
     mutable m2 : float;
+  }
+
+  type t = {
+    mutable acc : acc;
+    mutable samples : Float.Array.t;  (* grows by doubling up to [cap] *)
+    mutable len : int;  (* reservoir size *)
+    mutable sorted : bool;
+    mutable n : int;  (* total observed, not reservoir size *)
     mutable rng : Rng.t;
   }
 
+  let fresh_acc () =
+    { total = 0.; mn = infinity; mx = neg_infinity; welford_mean = 0.;
+      m2 = 0. }
+
   let create () =
     {
-      samples = Vec.create ();
+      acc = fresh_acc ();
+      samples = Float.Array.create 0;
+      len = 0;
       sorted = true;
       n = 0;
-      total = 0.;
-      mn = infinity;
-      mx = neg_infinity;
-      welford_mean = 0.;
-      m2 = 0.;
       rng = Rng.create ~seed:reservoir_seed;
     }
 
+  let push t x =
+    let size = Float.Array.length t.samples in
+    if t.len = size then begin
+      let grown = Float.Array.create (if size = 0 then 16 else 2 * size) in
+      Float.Array.blit t.samples 0 grown 0 t.len;
+      t.samples <- grown
+    end;
+    Float.Array.set t.samples t.len x;
+    t.len <- t.len + 1
+
   let add t x =
+    let a = t.acc in
     t.n <- t.n + 1;
-    t.total <- t.total +. x;
-    if x < t.mn then t.mn <- x;
-    if x > t.mx then t.mx <- x;
-    let d = x -. t.welford_mean in
-    t.welford_mean <- t.welford_mean +. (d /. float_of_int t.n);
-    t.m2 <- t.m2 +. (d *. (x -. t.welford_mean));
-    if Vec.length t.samples < cap then begin
-      Vec.push t.samples x;
+    a.total <- a.total +. x;
+    if x < a.mn then a.mn <- x;
+    if x > a.mx then a.mx <- x;
+    let d = x -. a.welford_mean in
+    a.welford_mean <- a.welford_mean +. (d /. float_of_int t.n);
+    a.m2 <- a.m2 +. (d *. (x -. a.welford_mean));
+    if t.len < cap then begin
+      push t x;
       t.sorted <- false
     end
     else begin
       let j = Rng.int t.rng t.n in
       if j < cap then begin
-        Vec.set t.samples j x;
+        Float.Array.set t.samples j x;
         t.sorted <- false
       end
     end
 
   let count t = t.n
-  let sum t = t.total
-  let mean t = if t.n = 0 then 0. else t.total /. float_of_int t.n
-  let min t = t.mn
-  let max t = t.mx
+  let sum t = t.acc.total
+  let mean t = if t.n = 0 then 0. else t.acc.total /. float_of_int t.n
+  let min t = t.acc.mn
+  let max t = t.acc.mx
 
   let stddev t =
-    if t.n < 2 then 0. else sqrt (t.m2 /. float_of_int (t.n - 1))
+    if t.n < 2 then 0. else sqrt (t.acc.m2 /. float_of_int (t.n - 1))
 
   let percentile t p =
-    let n = Vec.length t.samples in
+    let n = t.len in
     if n = 0 then 0.
     else begin
       if not t.sorted then begin
-        Vec.sort Float.compare t.samples;
+        let a = Float.Array.sub t.samples 0 n in
+        Float.Array.sort Float.compare a;
+        Float.Array.blit a 0 t.samples 0 n;
         t.sorted <- true
       end;
       let rank = int_of_float (Float.round (p *. float_of_int (n - 1))) in
       let rank = Stdlib.min (n - 1) (Stdlib.max 0 rank) in
-      Vec.get t.samples rank
+      Float.Array.get t.samples rank
     end
 
   let clear t =
-    Vec.clear t.samples;
+    t.acc <- fresh_acc ();
+    t.samples <- Float.Array.create 0;
+    t.len <- 0;
     t.sorted <- true;
     t.n <- 0;
-    t.total <- 0.;
-    t.mn <- infinity;
-    t.mx <- neg_infinity;
-    t.welford_mean <- 0.;
-    t.m2 <- 0.;
     t.rng <- Rng.create ~seed:reservoir_seed
 end
 

@@ -300,13 +300,32 @@ let rx_work ?(queue = 0) t d =
    running burst and skip the per-transaction setup. A transfer that
    finds the engine idle always pays full [dma_cost], so sparse traffic
    (and every non-ring path) is charged exactly as before. *)
+let dma_cost ~pipelined t ~bytes =
+  if pipelined && Resource.free_at t.dma_engine > Sim.now t.sim then
+    Cost_model.dma_stream_cost t.model bytes
+  else Cost_model.dma_cost t.model bytes
+
 let dma ?(pipelined = false) t ~bytes =
-  let cost =
-    if pipelined && Resource.free_at t.dma_engine > Sim.now t.sim then
-      Cost_model.dma_stream_cost t.model bytes
-    else Cost_model.dma_cost t.model bytes
+  Resource.use t.dma_engine (dma_cost ~pipelined t ~bytes)
+
+(* A ring slot holds the frame's header fields in fixed format, so the
+   send core builds the header while the DMA engine moves the payload:
+   both are reserved now, and the frame is ready for the MAC at the
+   later of the two. Each resource is busy exactly as long as in the
+   serial order; the traced span runs until that hand-off, so it covers
+   the header build and whatever of the DMA outlasted it. *)
+let dma_with_header ~pipelined t ~bytes =
+  let moved =
+    Resource.completion_after t.dma_engine (dma_cost ~pipelined t ~bytes)
   in
-  Resource.use t.dma_engine cost
+  let built =
+    Resource.completion_after t.tx_cpu t.model.Cost_model.nic_tx_per_frame
+  in
+  let wait = Int.max moved built - Sim.now t.sim in
+  if Trace.enabled t.trace then
+    Trace.span t.trace ~layer:Trace.Nic ~node:t.node_id "nic.tx_work"
+      (fun () -> Sim.delay t.sim wait)
+  else Sim.delay t.sim wait
 
 (* Host-side doorbell: one MMIO write over PCI, counted so the
    doorbells/mailbox-fetches audit can prove each doorbell is fetched

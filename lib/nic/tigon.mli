@@ -66,6 +66,13 @@ val dma : ?pipelined:bool -> t -> bytes:int -> unit
     it rides the in-progress burst. An idle engine always charges the
     full setup, so sparse traffic is unchanged. *)
 
+val dma_with_header : pipelined:bool -> t -> bytes:int -> unit
+(** A ring-slot frame's payload DMA (as {!dma}) and its
+    [nic_tx_per_frame] header build on the send core, reserved together
+    (fiber): the caller resumes when both are done, at the later of the
+    two, instead of after their sum. Each resource's busy time is the
+    same as {!dma} followed by {!tx_work}. *)
+
 val doorbell : t -> unit
 (** Host doorbell: one [pio_write] charged to the caller (fiber) and one
     [nic.doorbells] count. The firmware pickup charges its own

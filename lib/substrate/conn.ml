@@ -253,9 +253,9 @@ let alloc_slot node size =
   Os.prepin (Node.os node) region;
   { sl_region = region; sl_current = None }
 
-let post_slot ?on_complete emp slot ~src ~tag =
+let post_slot ?on_complete ~ring emp slot ~src ~tag =
   let r =
-    E.post_recv ?on_complete emp ~src ~tag slot.sl_region ~off:0
+    E.post_recv ?on_complete ~ring emp ~src ~tag slot.sl_region ~off:0
       ~len:(Memory.length slot.sl_region)
   in
   slot.sl_current <- Some r;
@@ -278,7 +278,8 @@ let take_back emp slot =
 let live t = not (t.closed || t.reset)
 
 let post t ?on_complete slot kind =
-  post_slot ?on_complete t.env.emp slot ~src:t.peer_node
+  post_slot ?on_complete ~ring:(opts t).Options.rx_ring t.env.emp slot
+    ~src:t.peer_node
     ~tag:(Tags.make kind t.id)
 
 (* Post [slot] on a live connection; [true] if it stays posted. A close
@@ -324,7 +325,9 @@ let post_slots emp ~ring ~live ps =
     List.iter
       (fun p ->
         if live () then
-          settle p (post_slot ?on_complete:p.hook emp p.slot ~src:p.src ~tag:p.tag))
+          settle p
+            (post_slot ?on_complete:p.hook ~ring emp p.slot ~src:p.src
+               ~tag:p.tag))
       ps
 
 (* A posted data descriptor joins [rx] in posting order. One that

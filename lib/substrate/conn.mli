@@ -47,13 +47,15 @@ val alloc_slot : Uls_host.Node.t -> int -> slot
 
 val post_slot :
   ?on_complete:(Uls_emp.Endpoint.recv -> int -> unit) ->
+  ring:bool ->
   Uls_emp.Endpoint.t ->
   slot ->
   src:int ->
   tag:int ->
   Uls_emp.Endpoint.recv
 (** Post the slot's whole buffer as one receive descriptor
-    ({!Uls_emp.Endpoint.post_recv}) and record it as the slot's current
+    ({!Uls_emp.Endpoint.post_recv}, on the ring path when [ring]: the
+    owner's {!Options.t.rx_ring}) and record it as the slot's current
     descriptor. *)
 
 val unpost_slot : Uls_emp.Endpoint.t -> slot -> unit

@@ -53,9 +53,13 @@ type t = {
           slots a [readv] drain consumed. Transmit: every send a send
           pool posts (eager data and the control messages) is a one-slot
           tx ring submission ([Endpoint.post_send ~ring:true]) instead
-          of a mailbox post. Off in the paper presets, whose per-call
-          posting is the set-up cost §7.2 and §7.4 measure and whose
-          mailbox sends are the NIC occupancy §2 describes. *)
+          of a mailbox post. Firmware: on this ring path the NIC builds
+          each frame's header during its payload DMA, and completes a
+          receive descriptor (every one the substrate posts carries
+          [~ring:true]) before it builds the EMP ack. Off in the paper
+          presets, whose per-call posting is the set-up cost §7.2 and
+          §7.4 measure and whose mailbox sends and serial firmware are
+          the NIC occupancy §2 describes. *)
 }
 
 let header_bytes = 16

@@ -53,10 +53,16 @@ type t = {
           credit acks, connect request and reply, close, rendezvous
           request and grant) is a one-slot tx ring submission
           ([Endpoint.post_send ~ring:true]) instead of a mailbox post,
-          which skips the NIC's per-message descriptor parse. Off in the
-          paper presets, whose per-call posting is the set-up cost §7.2
-          and §7.4 measure and whose sends keep the paper's mailbox
-          path; on in {!server}. *)
+          which skips the NIC's per-message descriptor parse. Firmware:
+          on this ring path the NIC overlaps work the paper firmware
+          does in series. It builds each frame's header during the
+          frame's payload DMA, and it completes a receive descriptor
+          (each one the substrate posts is marked
+          [Endpoint.post_recv ~ring:true]) before it builds the EMP ack.
+          Off in the paper presets, whose per-call posting is the
+          set-up cost §7.2 and §7.4 measure and whose sends keep the
+          paper's mailbox path and serial firmware (Fig 11 and §7.2
+          are calibrated on it); on in {!server}. *)
 }
 
 val header_bytes : int

@@ -170,13 +170,24 @@ let refuse_later t rq =
 
 (* Each message that completes into the unexpected queue goes to its
    owner alone: a credit ack to its connection, a connection request
-   for a port nobody listens on to the refusal handler. *)
+   for a port nobody listens on to the refusal handler. A close for a
+   connection that is gone, or whose id now belongs to another peer's,
+   has no owner: both sides of a connection send one, and the later
+   lands after the receiver released its close descriptor. It is
+   dropped at once, or such closes would hold every unexpected-queue
+   slot until they go stale and starve live traffic of the queue. *)
 let on_unexpected t ~src ~tag =
   match Tags.split tag with
   | Tags.Credit_ack, id -> (
     match Hashtbl.find_opt t.conns id with
     | Some c when Conn.peer_node c = src -> Conn.uq_ack_arrived c
     | _ -> ())
+  | Tags.Close, id -> (
+    match Hashtbl.find_opt t.conns id with
+    | Some c when Conn.peer_node c = src -> ()
+    | _ ->
+      ignore
+        (E.uq_take t.emp ~pred:(fun ~src:s ~tag:g -> s = src && g = tag)))
   | _ -> if orphan t ~src ~tag then refuse_pending t
 
 (* A released connection's data pool stays owned only while it may
@@ -286,7 +297,8 @@ let request_tag l = Tags.make Tags.Conn_request l.l_port
 
 let post_request_slot t l slot =
   ( slot,
-    Conn.post_slot ?on_complete:l.l_hook t.emp slot ~src:(-1)
+    Conn.post_slot ?on_complete:l.l_hook ~ring:t.opts.Options.rx_ring t.emp slot
+      ~src:(-1)
       ~tag:(request_tag l) )
 
 (* Like a connection's data descriptors, the backlog descriptors are

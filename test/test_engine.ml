@@ -752,6 +752,96 @@ let test_percentile_edges () =
   Stats.Summary.clear s;
   Alcotest.(check (float 0.)) "cleared summary" 0. (Stats.Summary.percentile s 1.0)
 
+(* The reservoir summary as it was before its accumulators went flat:
+   boxed float fields and a [Vec] reservoir. The flat one must agree
+   with it exactly, past the reservoir's capacity and across percentile
+   queries (a query sorts the reservoir in place, which moves the slot
+   a later replacement lands in). *)
+module Boxed_summary = struct
+  type t = {
+    samples : float Vec.t;
+    mutable sorted : bool;
+    mutable n : int;
+    mutable total : float;
+    mutable mn : float;
+    mutable mx : float;
+    mutable welford_mean : float;
+    mutable m2 : float;
+    rng : Rng.t;
+  }
+
+  let create () =
+    { samples = Vec.create (); sorted = true; n = 0; total = 0.;
+      mn = infinity; mx = neg_infinity; welford_mean = 0.; m2 = 0.;
+      rng = Rng.create ~seed:0x52455356 }
+
+  let add t x =
+    t.n <- t.n + 1;
+    t.total <- t.total +. x;
+    if x < t.mn then t.mn <- x;
+    if x > t.mx then t.mx <- x;
+    let d = x -. t.welford_mean in
+    t.welford_mean <- t.welford_mean +. (d /. float_of_int t.n);
+    t.m2 <- t.m2 +. (d *. (x -. t.welford_mean));
+    if Vec.length t.samples < 8192 then begin
+      Vec.push t.samples x;
+      t.sorted <- false
+    end
+    else begin
+      let j = Rng.int t.rng t.n in
+      if j < 8192 then begin
+        Vec.set t.samples j x;
+        t.sorted <- false
+      end
+    end
+
+  let mean t = if t.n = 0 then 0. else t.total /. float_of_int t.n
+  let stddev t = if t.n < 2 then 0. else sqrt (t.m2 /. float_of_int (t.n - 1))
+
+  let percentile t p =
+    let n = Vec.length t.samples in
+    if n = 0 then 0.
+    else begin
+      if not t.sorted then begin
+        Vec.sort Float.compare t.samples;
+        t.sorted <- true
+      end;
+      let rank = int_of_float (Float.round (p *. float_of_int (n - 1))) in
+      Vec.get t.samples (min (n - 1) (max 0 rank))
+    end
+end
+
+let test_summary_matches_boxed () =
+  let s = Stats.Summary.create () and b = Boxed_summary.create () in
+  let exact name = Alcotest.(check (float 0.)) name in
+  let compare_all at =
+    let name what = Printf.sprintf "%s after %d" what at in
+    check_int (name "count") b.Boxed_summary.n (Stats.Summary.count s);
+    exact (name "sum") b.total (Stats.Summary.sum s);
+    exact (name "mean") (Boxed_summary.mean b) (Stats.Summary.mean s);
+    exact (name "min") b.mn (Stats.Summary.min s);
+    exact (name "max") b.mx (Stats.Summary.max s);
+    exact (name "stddev") (Boxed_summary.stddev b) (Stats.Summary.stddev s);
+    List.iter
+      (fun p ->
+        exact (name (Printf.sprintf "p%g" p)) (Boxed_summary.percentile b p)
+          (Stats.Summary.percentile s p))
+      [ 0.; 0.01; 0.5; 0.9; 0.99; 0.999; 1. ]
+  in
+  (* A fixed stream with ties, negatives and a heavy tail. *)
+  let r = Rng.create ~seed:17 in
+  for i = 1 to 30_000 do
+    let x =
+      match i mod 7 with
+      | 0 -> float_of_int (Rng.int r 50)
+      | 1 -> -.Rng.float r
+      | _ -> Rng.exponential r ~mean:70.
+    in
+    Stats.Summary.add s x;
+    Boxed_summary.add b x;
+    if i = 5000 || i = 8192 || i = 12_345 || i = 30_000 then compare_all i
+  done
+
 let test_counter_reset () =
   let c = Stats.Counter.create () in
   Stats.Counter.incr c;
@@ -1319,6 +1409,8 @@ let suites =
       :: qsuite [ prop_rng_int_bounds; prop_rng_float_unit ] );
     ( "engine.stats",
       Alcotest.test_case "summary basics" `Quick test_summary_basics
+      :: Alcotest.test_case "summary equals the boxed summary past 8192" `Quick
+           test_summary_matches_boxed
       :: Alcotest.test_case "stddev" `Quick test_summary_stddev
       :: Alcotest.test_case "percentile edge cases" `Quick test_percentile_edges
       :: Alcotest.test_case "counter reset" `Quick test_counter_reset

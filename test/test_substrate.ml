@@ -314,6 +314,39 @@ let test_close_message_preserves_tail_data () =
       ignore (Uls_bench.Cluster.run c);
       check_int "all bytes before EOF" 50_000 !got)
 
+(* When both sides of a connection close at once, each sends a close,
+   which lands after its receiver released the close descriptor: in the
+   unexpected queue.
+   No connection owns it any more, so it must not keep its slot: a run
+   that churns connections faster than a slot goes stale (5 ms) would
+   otherwise fill the queue with dead closes and drop live messages. *)
+let test_dead_close_leaves_no_uq_slot () =
+  with_cluster ~n:2 (fun c api sim ->
+      let conns = 3 in
+      Sim.spawn sim (fun () ->
+          let l = api.listen ~node:1 ~port:80 ~backlog:conns in
+          for _ = 1 to conns do
+            let s, _ = l.accept () in
+            s.send "x";
+            s.close ()
+          done;
+          l.close_listener ());
+      Sim.spawn sim (fun () ->
+          Sim.delay sim (Time.us 10);
+          for _ = 1 to conns do
+            let s = api.connect ~node:0 { node = 1; port = 80 } in
+            check_str "reply" "x" (s.recv 1);
+            s.close ();
+            Sim.delay sim (Time.us 200)
+          done);
+      check_bool "quiescent" true (Uls_bench.Cluster.run c = `Quiescent);
+      for node = 0 to 1 do
+        check_bool
+          (Printf.sprintf "node %d: no close held in the unexpected queue" node)
+          false
+          (E.uq_has_match (Uls_bench.Cluster.emp c node) ~src:(-1) ~tag:(-1))
+      done)
+
 let test_send_to_closed_peer_raises () =
   with_cluster ~n:2 (fun c api sim ->
       let raised = ref false in
@@ -941,17 +974,17 @@ let test_setup_ring_is_faster () =
 
 (* --- send posting: mailbox or one ring slot ----------------------------- *)
 
-(* The server NIC's transmit-core time for one 256-byte echo on an
-   established connection, from the request's write until the client
-   has read the reply. *)
-let echo_tx_core opts =
-  let c = Uls_bench.Cluster.create ~n:2 () in
+(* One 256-byte echo on an established connection, from the request's
+   write until the client has read the reply: its latency, and the
+   server NIC's transmit-core time over it. *)
+let echo ?match_engine opts =
+  let c = Uls_bench.Cluster.create ?match_engine ~n:2 () in
   let api = Uls_bench.Cluster.substrate_api ~opts c in
   let sim = Uls_bench.Cluster.sim c in
   let tx_busy () =
     Resource.busy_time (Uls_nic.Tigon.tx_cpu (Uls_bench.Cluster.nic c 1))
   in
-  let spent = ref (-1) in
+  let spent = ref (-1) and latency = ref (-1) in
   Sim.spawn sim (fun () ->
       let l = api.listen ~node:1 ~port:80 ~backlog:4 in
       let s, _ = l.accept () in
@@ -963,14 +996,15 @@ let echo_tx_core opts =
       Sim.delay sim (Time.us 10);
       let s = api.connect ~node:0 { node = 1; port = 80 } in
       Sim.delay sim (Time.ms 1);
-      let before = tx_busy () in
+      let before = tx_busy () and start = Sim.now sim in
       let msg = String.make 256 'e' in
       s.send msg;
       check_str "echo" msg (recv_exact s 256);
       spent := tx_busy () - before;
+      latency := Sim.now sim - start;
       s.close ());
   check_bool "quiescent" true (Uls_bench.Cluster.run c = `Quiescent);
-  !spent
+  (!latency, !spent)
 
 let test_send_charge_ring_vs_mailbox () =
   (* The server preset posts each send as one fixed-format ring slot:
@@ -981,10 +1015,30 @@ let test_send_charge_ring_vs_mailbox () =
   let open Uls_host.Cost_model in
   check_int "server: one ring slot + one frame (4.6 us)"
     (m.nic_doorbell_batch + m.nic_ring_slot_fetch + m.nic_tx_per_frame)
-    (echo_tx_core Opt.server);
+    (snd (echo Opt.server));
   check_int "DS_DA_UQ: mailbox fetch + parse + one frame (9.0 us)"
     (m.nic_mailbox_fetch + m.nic_tx_per_msg + m.nic_tx_per_frame)
-    (echo_tx_core ds)
+    (snd (echo ds))
+
+(* The ring path's firmware overlaps two steps the paper firmware runs
+   in series, once in each direction of the echo: the header build runs
+   during the payload DMA (which, at 2.317 us for 256 bytes, outlasts
+   it), and the receive completion is posted before the ack is built.
+   The send core does the same work either way. *)
+let test_ring_firmware_overlap () =
+  let m = Uls_host.Cost_model.paper_testbed in
+  let open Uls_host.Cost_model in
+  let hashed = Uls_nic.Match_list.Hashed in
+  let latency, tx = echo ~match_engine:hashed Opt.server in
+  check_int "server: 66.978 us (serial) less 2 x (header + ack build)"
+    (66_978 - (2 * (m.nic_tx_per_frame + m.nic_ack_gen)))
+    latency;
+  check_int "server: 59.978 us" 59_978 latency;
+  check_int "server: send core unchanged (4.6 us)"
+    (m.nic_doorbell_batch + m.nic_ring_slot_fetch + m.nic_tx_per_frame)
+    tx;
+  check_int "DS_DA_UQ: serial firmware, unchanged (75.478 us)" 75_478
+    (fst (echo ~match_engine:hashed ds))
 
 let suites =
   [
@@ -1002,6 +1056,8 @@ let suites =
           test_setup_ring_is_faster;
         Alcotest.test_case "send: one ring slot (server) vs mailbox" `Quick
           test_send_charge_ring_vs_mailbox;
+        Alcotest.test_case "ring firmware: header during DMA, completion first"
+          `Quick test_ring_firmware_overlap;
       ] );
     ( "substrate.streaming",
       Alcotest.test_case "partial reads (5+5)" `Quick test_streaming_partial_reads
@@ -1040,6 +1096,8 @@ let suites =
           test_close_message_preserves_tail_data;
         Alcotest.test_case "send to closed peer" `Quick
           test_send_to_closed_peer_raises;
+        Alcotest.test_case "dead close leaves no uq slot" `Quick
+          test_dead_close_leaves_no_uq_slot;
         Alcotest.test_case "select" `Quick test_select_substrate;
         Alcotest.test_case "many interleaved connections" `Quick
           test_many_connections_interleaved;
