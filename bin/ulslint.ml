@@ -1,6 +1,6 @@
 (* Source lint for the repository's own invariants. Stdlib-only text
-   pass over lib/ (dead-export also reads every .ml that could use a
-   lib/ export) — deliberately not a typed AST tool, so it runs before
+   pass over lib/ (dead-export and test-only also read every .ml that
+   could use a lib/ export) — deliberately not a typed AST tool, so it runs before
    anything builds and stays dependency-free. The rules:
 
    no-assert-false   [assert false] is banned in lib/: protocol and
@@ -19,9 +19,8 @@
                      callbacks must only flag-and-signal.
 
    metrics-name-lookup
-                     the by-name Metrics forms (incr/add/observe/
-                     set_gauge/counter_value/gauge_value) hash the
-                     metric name on every call; hot-path modules must
+                     the by-name Metrics read (counter_value) hashes
+                     the metric name on every call; hot-path modules must
                      resolve handles once at construction
                      (Metrics.counter/gauge/histogram) and use the
                      Stats handle per event. Cold end-of-run report
@@ -34,29 +33,51 @@
                      turns "fiber X waiting on conn:3 credits" into
                      "waiting on cond#17".
 
-   dead-export       a [val] in a lib/**/*.mli whose name appears in no
-                     .ml outside its own module (lib/, bin/, perfbench/,
+   dead-export       a [val] in a lib/**/*.mli that no .ml outside its
+                     own module uses (lib/, bin/, perfbench/,
                      examples/, test/): an interface entry nobody else
-                     calls is surface to maintain for nothing. Only
-                     code counts as a use: a name that appears only in
-                     comments, strings or char literals does not.
+                     calls is surface to maintain for nothing.
+
+   test-only         a [val] that only test/ uses: the program does not
+                     need it, so it goes with the tests that check only
+                     it, unless it is an observation or injection point
+                     a test needs; that one is allowlisted by value,
+                     with a comment naming what it observes or injects.
+
+   Both rules resolve a use by module path: [M.v], [Lib.M.v], [X.v]
+   after [module X = M], or a bare [v] while [open M], [let open M in],
+   [M.( ... )] or [include M] is in scope. A same-named value of
+   another module is not a use, and neither is a name that appears only
+   in comments, strings or char literals. A value of a nested module
+   ([Stats.Summary.add]) counts as its top-level module's.
 
    Findings can be suppressed by .ulslint-allow at the repo root
-   ("rule path[:line]" per line, '#' comments); stale allowlist entries
-   are themselves errors, so the file can only shrink. *)
+   ("rule path", "rule path:line" or "rule path:value" per line, '#'
+   comments); stale allowlist entries are themselves errors, so the
+   file can only shrink, and a test-only entry without a comment is
+   one too. *)
 
 let root = ref "."
 
 let rules =
   [
     "no-assert-false"; "missing-mli"; "blocking-watcher";
-    "metrics-name-lookup"; "unlabeled-sync"; "dead-export";
+    "metrics-name-lookup"; "unlabeled-sync"; "dead-export"; "test-only";
   ]
 
-type finding = { rule : string; path : string; line : int; msg : string }
+(* [sym] names the value a dead-export or test-only finding is about. *)
+type finding = {
+  rule : string;
+  path : string;
+  line : int;
+  sym : string;
+  msg : string;
+}
 
 let findings : finding list ref = ref []
-let report rule path line msg = findings := { rule; path; line; msg } :: !findings
+
+let report ?(sym = "") rule path line msg =
+  findings := { rule; path; line; sym; msg } :: !findings
 
 (* --- file walking ------------------------------------------------------ *)
 
@@ -71,7 +92,8 @@ let rec walk ?(suffix = ".ml") dir acc =
   Array.fold_left
     (fun acc entry ->
       let path = Filename.concat dir entry in
-      if Sys.is_directory path then walk ~suffix path acc
+      if entry.[0] = '.' || entry.[0] = '_' then acc
+      else if Sys.is_directory path then walk ~suffix path acc
       else if Filename.check_suffix entry suffix then path :: acc
       else acc)
     acc (Sys.readdir dir)
@@ -189,11 +211,7 @@ let check_blocking_watcher path lines =
 (* The Metrics entry points that do a name lookup per call. Handle
    constructors (Metrics.counter/gauge/histogram) are the fix, not a
    violation — they are expected at module construction time. *)
-let by_name_metrics =
-  [
-    "Metrics.incr"; "Metrics.add"; "Metrics.observe"; "Metrics.set_gauge";
-    "Metrics.counter_value"; "Metrics.gauge_value";
-  ]
+let by_name_metrics = [ "Metrics.counter_value" ]
 
 let check_metrics_lookup path lines =
   List.iteri
@@ -239,21 +257,35 @@ let check_unlabeled_sync path lines =
         sync_constructors)
     arr
 
-(* --- rule: dead-export --------------------------------------------------- *)
+(* --- rules: dead-export, test-only ------------------------------------- *)
 
 let is_ident_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
   || c = '_' || c = '\''
 
-(* Every identifier-shaped token of a file's code: comments (nested,
-   with the string literals OCaml lexes inside them), string literals,
-   quoted strings and char literals are skipped, so a name that appears
-   only in prose or data is not a use. *)
+let is_upper s = s <> "" && s.[0] >= 'A' && s.[0] <= 'Z'
+
+(* A code token: an identifier or dotted path ("Sim.delay",
+   "Uls_engine.Sim", or "Config." where it opens [Config.( ... )]), a
+   bracket, or an operator run. [col0] marks a token that starts its
+   line in column 0: a new top-level item in formatted code. *)
+type tok = { text : string; col0 : bool }
+
+let is_symbol_char c = String.contains "!$%&*+-./:<=>?@^|~#;" c
+
+(* The code tokens of a file, in order: comments (nested, with the
+   string literals OCaml lexes inside them), string literals, quoted
+   strings and char literals are skipped, so a name that appears only in
+   prose or data is not a use. *)
 let tokens lines =
   let src = String.concat "\n" lines in
   let n = String.length src in
-  let acc = Hashtbl.create 256 in
+  let acc = ref [] in
   let at i c = i < n && src.[i] = c in
+  let emit i j =
+    acc := { text = String.sub src i (j - i); col0 = i = 0 || at (i - 1) '\n' }
+           :: !acc
+  in
   (* Index just past the string literal whose opening quote is at [i]. *)
   let rec skip_string i =
     if i >= n then n
@@ -299,26 +331,180 @@ let tokens lines =
       skip_comment depth (Option.value ~default:(i + 1) (char_literal i))
     else skip_comment depth (i + 1)
   in
+  let rec ident_end j =
+    if j < n && is_ident_char src.[j] then ident_end (j + 1) else j
+  in
+  (* A dotted path runs on through ['.'] followed by an identifier; a
+     trailing ['.'] joins it when a bracket follows a module name. *)
+  let rec path_end i j =
+    let j = ident_end j in
+    if at j '.' && j + 1 < n && is_ident_char src.[j + 1] then
+      path_end (j + 1) (j + 1)
+    else if at j '.' && is_upper (String.sub src i (j - i))
+            && (at (j + 1) '(' || at (j + 1) '[' || at (j + 1) '{')
+    then j + 1
+    else j
+  in
   let rec go i =
     if i < n then
       if at i '(' && at (i + 1) '*' then go (skip_comment 1 (i + 2))
       else if at i '"' then go (skip_string (i + 1))
-      else if at i '{' then
-        go (Option.value ~default:(i + 1) (quoted_string i))
       else if at i '\'' then
-        go (Option.value ~default:(i + 1) (char_literal i))
+        match char_literal i with
+        | Some j -> go j
+        | None -> go (ident_end (i + 1)) (* a type variable *)
       else if is_ident_char src.[i] then begin
+        let j = path_end i i in
+        emit i j;
+        go j
+      end
+      else if String.contains "()[]{}" src.[i] then
+        match if at i '{' then quoted_string i else None with
+        | Some j -> go j
+        | None ->
+          emit i (i + 1);
+          go (i + 1)
+      else if is_symbol_char src.[i] then begin
         let j = ref i in
-        while !j < n && is_ident_char src.[!j] do
+        while !j < n && is_symbol_char src.[!j] do
           incr j
         done;
-        Hashtbl.replace acc (String.sub src i (!j - i)) ();
+        emit i !j;
         go !j
       end
       else go (i + 1)
   in
   go 0;
-  acc
+  List.rev !acc
+
+let keywords =
+  [
+    "and"; "as"; "asr"; "assert"; "begin"; "class"; "constraint"; "do";
+    "done"; "downto"; "else"; "end"; "exception"; "external"; "false";
+    "for"; "fun"; "function"; "functor"; "if"; "in"; "include"; "inherit";
+    "initializer"; "land"; "lazy"; "let"; "lor"; "lsl"; "lsr"; "lxor";
+    "match"; "method"; "mod"; "module"; "mutable"; "new"; "nonrec";
+    "object"; "of"; "open"; "or"; "private"; "rec"; "sig"; "struct";
+    "then"; "to"; "true"; "try"; "type"; "val"; "virtual"; "when"; "while";
+    "with";
+  ]
+
+(* What a file's code has in scope at a point: an [open]ed (or
+   [include]d) lib module, by qualified name ("Stats.Summary"), or a
+   module alias [module X = path]. *)
+type binding = Open of string | Alias of string * string list
+
+(* [depth] is the bracket depth the binding lives at: it ends when its
+   enclosing bracket (or begin/struct/sig/object/do ... end/done)
+   closes. A [local] one ([let open M in], [let module X = M in]) also
+   ends at the next top-level item. *)
+type scope = { depth : int; local : bool; binding : binding }
+
+(* The qualified names ("Sim.delay", "Stats.Summary.add") of the lib/
+   exports that one file's code names. [modules] holds every lib module
+   and every module its interface nests, by qualified name. A use
+   resolves by module path: [M.v], [Lib.M.v], [X.v] after
+   [module X = M], or a bare [v] while [open M], [let open M in],
+   [M.( ... )] or [include M] is in scope. *)
+let file_uses ~modules lines =
+  let toks = Array.of_list (tokens lines) in
+  let nt = Array.length toks in
+  let found = Hashtbl.create 64 in
+  let scopes = ref [] and depth = ref 0 in
+  let push ~local ~depth binding =
+    scopes := { depth; local; binding } :: !scopes
+  in
+  let opened () =
+    List.filter_map
+      (fun s -> match s.binding with Open m -> Some m | Alias _ -> None)
+      !scopes
+  in
+  let rec expand n = function
+    | c :: rest as p when n > 0 -> (
+      match
+        List.find_map
+          (fun s ->
+            match s.binding with
+            | Alias (x, target) when x = c -> Some target
+            | _ -> None)
+          !scopes
+      with
+      | Some target -> expand (n - 1) (target @ rest)
+      | None -> p)
+    | p -> p
+  in
+  (* The lib module a module path names: from the first component
+     that is one (after aliases, and past library wrappers such as
+     [Uls_engine]), or from an opened module whose nested module leads
+     the path, through the nested modules that follow. *)
+  let module_of p =
+    let rec extend q = function
+      | c :: rest when Hashtbl.mem modules (q ^ "." ^ c) ->
+        extend (q ^ "." ^ c) rest
+      | _ -> q
+    in
+    let rec find = function
+      | c :: rest when Hashtbl.mem modules c -> Some (extend c rest)
+      | _ :: rest -> find rest
+      | [] -> None
+    in
+    match expand 8 p with
+    | c :: rest as p when find p = None ->
+      List.find_map
+        (fun q ->
+          if Hashtbl.mem modules (q ^ "." ^ c) then
+            Some (extend (q ^ "." ^ c) rest)
+          else None)
+        (opened ())
+    | p -> find p
+  in
+  let path_use = function
+    | [] -> ()
+    | v :: _ when not (is_upper v) ->
+      if not (List.mem v keywords) then
+        List.iter (fun q -> Hashtbl.replace found (q ^ "." ^ v) ()) (opened ())
+    | p ->
+      let rec split mods = function
+        | c :: rest when is_upper c -> split (c :: mods) rest
+        | v :: _ -> (
+          match module_of (List.rev mods) with
+          | Some q -> Hashtbl.replace found (q ^ "." ^ v) ()
+          | None -> ())
+        | [] -> ()
+      in
+      split [] p
+  in
+  let comps s = List.filter (( <> ) "") (String.split_on_char '.' s) in
+  let text k = if k >= 0 && k < nt then toks.(k).text else "" in
+  Array.iteri
+    (fun i t ->
+      if t.col0 then scopes := List.filter (fun s -> not s.local) !scopes;
+      let local = text (i - 1) = "let" in
+      match t.text with
+      | "(" | "[" | "{" | "begin" | "struct" | "sig" | "object" | "do" ->
+        incr depth
+      | ")" | "]" | "}" | "end" | "done" ->
+        decr depth;
+        scopes := List.filter (fun s -> s.depth <= !depth) !scopes
+      | "open" | "include" -> (
+        let target = if text (i + 1) = "!" then text (i + 2) else text (i + 1) in
+        match if is_upper target then module_of (comps target) else None with
+        | Some m -> push ~local ~depth:!depth (Open m)
+        | None -> ())
+      | "module"
+        when is_upper (text (i + 1)) && text (i + 2) = "="
+             && is_upper (text (i + 3)) && text (i + 4) <> "(" ->
+        push ~local ~depth:!depth
+          (Alias (text (i + 1), expand 8 (comps (text (i + 3)))))
+      | s when s.[String.length s - 1] = '.' && is_ident_char s.[0] -> (
+        (* [M.( ... )]: M is open inside the bracket that follows. *)
+        match module_of (comps s) with
+        | Some m -> push ~local:false ~depth:(!depth + 1) (Open m)
+        | None -> ())
+      | s when is_ident_char s.[0] -> path_use (comps s)
+      | _ -> ())
+    toks;
+  found
 
 (* The name of a [val] declared on this line, if any (operators are
    skipped). *)
@@ -335,74 +521,118 @@ let val_name line =
   end
   else None
 
-(* [users] maps each token to the .ml files it appears in. *)
-let check_dead_exports ~users mli =
+let module_name mli =
+  String.capitalize_ascii (Filename.basename (Filename.chop_suffix mli ".mli"))
+
+(* Each line of an interface with the qualified name of the module it
+   sits in: "Stats", or "Stats.Summary" inside [module Summary : sig]. *)
+let scoped_lines mli =
+  let stack = ref [ module_name mli ] in
+  List.map
+    (fun line ->
+      let q = String.concat "." (List.rev !stack) in
+      (match String.split_on_char ' ' (String.trim line) with
+      | "module" :: x :: ":" :: "sig" :: _ -> stack := x :: !stack
+      | [ "end" ] when List.length !stack > 1 -> stack := List.tl !stack
+      | _ -> ());
+      (q, line))
+    (read_lines mli)
+
+(* [uses] maps each qualified value name to the .ml files that use it;
+   a use from the module's own .ml does not count. *)
+let check_exports ~uses ~test_dir mli =
   let own = Filename.chop_suffix mli ".mli" ^ ".ml" in
   List.iteri
-    (fun i line ->
+    (fun i (q, line) ->
       match val_name line with
       | None -> ()
-      | Some name ->
-        let used =
-          List.exists (fun f -> f <> own)
-            (Option.value ~default:[] (Hashtbl.find_opt users name))
+      | Some name -> (
+        let users =
+          List.filter (( <> ) own)
+            (Option.value ~default:[] (Hashtbl.find_opt uses (q ^ "." ^ name)))
         in
-        if not used then
-          report "dead-export" mli (i + 1)
+        let in_tests f = String.starts_with ~prefix:test_dir f in
+        if users = [] then
+          report ~sym:name "dead-export" mli (i + 1)
             (Printf.sprintf
                "%s is exported but no other module uses it; drop it from \
                 the interface (and the code, if nothing inside uses it)"
-               name))
-    (read_lines mli)
+               name)
+        else if List.for_all in_tests users then
+          report ~sym:name "test-only" mli (i + 1)
+            (Printf.sprintf
+               "%s is exported but only tests use it; delete it with the \
+                tests that check only it, or allowlist the observation \
+                point it provides"
+               name)))
+    (scoped_lines mli)
 
 (* --- allowlist --------------------------------------------------------- *)
 
-type allow = { a_rule : string; a_path : string; a_line : int option }
+(* A target is [path], [path:line] or [path:value]; [a_note] says
+   whether a '#' comment explains the entry, inline or in the comment
+   lines that open its block. *)
+type allow = {
+  a_rule : string;
+  a_path : string;
+  a_at : [ `File | `Line of int | `Sym of string ];
+  a_note : bool;
+}
 
 let load_allowlist path =
   if not (Sys.file_exists path) then []
-  else
+  else begin
+    let noted = ref false in
     read_lines path
     |> List.filter_map (fun line ->
-           let line =
+           let code, comment =
              match String.index_opt line '#' with
-             | Some i -> String.sub line 0 i
-             | None -> line
+             | Some i -> (String.sub line 0 i, true)
+             | None -> (line, false)
            in
            match
-             String.split_on_char ' ' (String.trim line)
+             String.split_on_char ' ' (String.trim code)
              |> List.filter (fun s -> s <> "")
            with
-           | [] -> None
+           | [] ->
+             noted := comment;
+             None
            | [ rule; target ] ->
              if not (List.mem rule rules) then begin
                Printf.eprintf "ulslint: unknown rule %S in allowlist\n" rule;
                exit 2
              end;
-             (match String.rindex_opt target ':' with
-             | Some i when i < String.length target - 1
-                        && String.for_all
-                             (fun c -> c >= '0' && c <= '9')
-                             (String.sub target (i + 1)
-                                (String.length target - i - 1)) ->
-               Some
-                 {
-                   a_rule = rule;
-                   a_path = String.sub target 0 i;
-                   a_line =
-                     Some
-                       (int_of_string
-                          (String.sub target (i + 1)
-                             (String.length target - i - 1)));
-                 }
-             | _ -> Some { a_rule = rule; a_path = target; a_line = None })
+             let a_path, a_at =
+               match String.rindex_opt target ':' with
+               | Some i when i < String.length target - 1 ->
+                 let at = String.sub target (i + 1) (String.length target - i - 1) in
+                 ( String.sub target 0 i,
+                   match int_of_string_opt at with
+                   | Some l -> `Line l
+                   | None -> `Sym at )
+               | _ -> (target, `File)
+             in
+             Some { a_rule = rule; a_path; a_at; a_note = comment || !noted }
            | _ ->
              Printf.eprintf "ulslint: malformed allowlist line %S\n" line;
              exit 2)
+  end
 
 let matches a f =
   a.a_rule = f.rule && a.a_path = f.path
-  && match a.a_line with None -> true | Some l -> l = f.line
+  &&
+  match a.a_at with
+  | `File -> true
+  | `Line l -> l = f.line
+  | `Sym s -> s = f.sym
+
+let show_allow a =
+  a.a_rule ^ " " ^ a.a_path
+  ^
+  match a.a_at with
+  | `File -> ""
+  | `Line l -> ":" ^ string_of_int l
+  | `Sym s -> ":" ^ s
 
 (* --- driver ------------------------------------------------------------ *)
 
@@ -428,7 +658,13 @@ let () =
       check_metrics_lookup path lines;
       check_unlabeled_sync path lines)
     files;
-  let users = Hashtbl.create 4096 in
+  let mlis = List.sort compare (walk ~suffix:".mli" lib []) in
+  let modules = Hashtbl.create 128 in
+  List.iter
+    (fun mli ->
+      List.iter (fun (q, _) -> Hashtbl.replace modules q ()) (scoped_lines mli))
+    mlis;
+  let uses = Hashtbl.create 4096 in
   List.iter
     (fun dir ->
       let dir = Filename.concat !root dir in
@@ -436,16 +672,14 @@ let () =
         List.iter
           (fun path ->
             Hashtbl.iter
-              (fun tok () ->
-                let prev =
-                  Option.value ~default:[] (Hashtbl.find_opt users tok)
-                in
-                Hashtbl.replace users tok (path :: prev))
-              (tokens (read_lines path)))
+              (fun key () ->
+                let prev = Option.value ~default:[] (Hashtbl.find_opt uses key) in
+                Hashtbl.replace uses key (path :: prev))
+              (file_uses ~modules (read_lines path)))
           (walk dir []))
     [ "lib"; "bin"; "perfbench"; "examples"; "test" ];
-  List.iter (check_dead_exports ~users)
-    (List.sort compare (walk ~suffix:".mli" lib []));
+  let test_dir = Filename.concat !root "test" ^ "/" in
+  List.iter (check_exports ~uses ~test_dir) mlis;
   let allows = load_allowlist (Filename.concat !root ".ulslint-allow") in
   let relativize f =
     (* Report paths relative to the repo root so allowlist entries are
@@ -460,6 +694,9 @@ let () =
   let stale =
     List.filter (fun a -> not (List.exists (fun f -> matches a f) all)) allows
   in
+  let unexplained =
+    List.filter (fun a -> a.a_rule = "test-only" && not a.a_note) allows
+  in
   let live =
     List.filter (fun f -> not (List.exists (fun a -> matches a f) allows)) all
   in
@@ -470,13 +707,20 @@ let () =
   List.iter
     (fun a ->
       Printf.printf
-        ".ulslint-allow: stale entry \"%s %s%s\" (no such finding — remove it)\n"
-        a.a_rule a.a_path
-        (match a.a_line with None -> "" | Some l -> ":" ^ string_of_int l))
+        ".ulslint-allow: stale entry \"%s\" (no such finding — remove it)\n"
+        (show_allow a))
     stale;
-  if live <> [] || stale <> [] then begin
-    Printf.printf "ulslint: %d finding(s), %d stale allowlist entr(ies)\n"
-      (List.length live) (List.length stale);
+  List.iter
+    (fun a ->
+      Printf.printf
+        ".ulslint-allow: entry \"%s\" needs a comment naming the observation \
+         or injection point it keeps\n"
+        (show_allow a))
+    unexplained;
+  let bad_allows = List.length stale + List.length unexplained in
+  if live <> [] || bad_allows > 0 then begin
+    Printf.printf "ulslint: %d finding(s), %d bad allowlist entr(ies)\n"
+      (List.length live) bad_allows;
     exit 1
   end;
   Printf.printf "ulslint: %d files clean (allowlist: %d entries)\n"

@@ -30,7 +30,6 @@ type t = {
   fp_digest : string;
 }
 
-let lines t = t.fp_lines
 let digest t = t.fp_digest
 
 let capture ?(observables = []) sim ~subs =

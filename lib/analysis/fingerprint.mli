@@ -19,12 +19,9 @@ val capture :
     scenario-level facts (e.g. ["client0 digest=..."]); order is
     preserved, so scenarios should emit them deterministically. *)
 
-val equal : t -> t -> bool
-
 val first_difference : t -> t -> string option
 (** [None] when equal; otherwise a one-line description of the first
     differing fingerprint line (the divergence report). *)
 
-val lines : t -> string list
 val digest : t -> string
 val to_string : t -> string

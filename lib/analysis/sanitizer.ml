@@ -87,12 +87,3 @@ let scan ?(conns = []) cluster =
         (Uls_substrate.Substrate.send_pools sub))
     (Uls_bench.Cluster.substrates cluster);
   List.rev !findings
-
-let render findings =
-  match findings with
-  | [] -> "sanitizers: clean"
-  | fs ->
-    String.concat "\n"
-      (List.map
-         (fun f -> Printf.sprintf "LEAK [%s] node=%d %s" f.f_check f.f_node f.f_detail)
-         fs)

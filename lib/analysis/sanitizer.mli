@@ -27,5 +27,3 @@ val scan :
     [(node, connection)] pairs the scenario tracked — closed connections
     leave the substrate's table, so the caller must hand them over for
     the leak check. *)
-
-val render : finding list -> string

@@ -49,18 +49,3 @@ let recv_exact s n =
     end
   in
   loop n
-
-let send_string s data = s.send data
-
-let recv_line s =
-  let buf = Buffer.create 64 in
-  let rec loop () =
-    let c = s.recv 1 in
-    if c = "" then raise Connection_closed
-    else if c = "\n" then Buffer.contents buf
-    else begin
-      Buffer.add_string buf c;
-      loop ()
-    end
-  in
-  loop ()

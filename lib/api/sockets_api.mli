@@ -89,11 +89,3 @@ val pp_addr : Format.formatter -> addr -> unit
 val recv_exact : stream -> int -> string
 (** Loop [recv] until exactly [n] bytes arrive.
     @raise Connection_closed on premature end of stream. *)
-
-val send_string : stream -> string -> unit
-(** Alias of [stream.send], for symmetry. *)
-
-val recv_line : stream -> string
-(** Read up to and excluding a ['\n'] (for the text protocols: ftp
-    control channel, HTTP). Note: byte-at-a-time; control channel only.
-    @raise Connection_closed on end of stream before a newline. *)

@@ -77,13 +77,3 @@ let close t fd =
   | File f ->
     if f.writable then
       Ramdisk.write_file f.disk ~name:f.name (Buffer.contents f.pending)
-
-let is_socket t fd =
-  match lookup t fd with Socket _ -> true | File _ -> false
-
-let descriptor_count t = Hashtbl.length t.table
-
-let stream_of_fd t fd =
-  match lookup t fd with
-  | Socket s -> s
-  | File _ -> raise (Bad_fd fd)

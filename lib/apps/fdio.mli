@@ -35,9 +35,3 @@ val close : t -> fd -> unit
 (** Files opened [`Create] are flushed to the RAM disk; sockets are
     closed through the substrate (descriptor reclamation, §5.3).
     @raise Bad_fd on double close. *)
-
-val is_socket : t -> fd -> bool
-val descriptor_count : t -> int
-val stream_of_fd : t -> fd -> Uls_api.Sockets_api.stream
-(** The underlying stream of a socket fd (for [select]).
-    @raise Bad_fd if [fd] is not an open socket. *)

@@ -154,13 +154,6 @@ let store sim stack ~node ~server ~file ~disk =
         ignore (expect_ok s);
         { bytes = total; elapsed = Sim.now sim - t0 })
 
-let remote_size stack ~node ~server ~file =
-  with_conn stack ~node ~server (fun s ->
-      send_ctrl s (Printf.sprintf "SIZE %s" file);
-      match (try expect_ok s with Not_found -> []) with
-      | [ n ] -> int_of_string_opt n
-      | _ -> None)
-
 let remote_list stack ~node ~server =
   with_conn stack ~node ~server (fun s ->
       send_ctrl s "LIST";

@@ -40,13 +40,6 @@ val store :
   transfer
 (** Upload [file] from the local RAM disk. *)
 
-val remote_size :
-  Uls_api.Sockets_api.stack ->
-  node:int ->
-  server:Uls_api.Sockets_api.addr ->
-  file:string ->
-  int option
-
 val remote_list :
   Uls_api.Sockets_api.stack ->
   node:int ->

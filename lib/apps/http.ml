@@ -82,7 +82,6 @@ module Framer = struct
   let create ~parse_start ~max_header_bytes =
     { parse_start; max_header_bytes; pending = ""; in_body = None }
 
-  let buffered t = String.length t.pending
 
   let find_crlfcrlf s =
     let n = String.length s in
@@ -173,7 +172,6 @@ module Parser = struct
     |> List.map (fun ((meth, path, version), hdrs, body) ->
            { meth; path; version; req_headers = hdrs; req_body = body })
 
-  let buffered = Framer.buffered
 end
 
 module Response_parser = struct
@@ -201,7 +199,6 @@ module Response_parser = struct
              resp_body = body;
            })
 
-  let buffered = Framer.buffered
 end
 
 (* --- the §7.4 workload ------------------------------------------------ *)

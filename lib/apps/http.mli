@@ -33,9 +33,6 @@ type response = {
   resp_body : string;
 }
 
-val header : (string * string) list -> string -> string option
-(** Case-insensitive header lookup. *)
-
 val keep_alive : request -> bool
 (** HTTP/1.1 defaults to keep-alive unless [Connection: close];
     HTTP/1.0 defaults to close unless [Connection: keep-alive]. *)
@@ -64,9 +61,6 @@ module Parser : sig
   (** Append a fragment; return every request completed by it (zero or
       more — a short read may complete nothing, one read may complete
       several pipelined requests). @raise Bad_request on bad framing. *)
-
-  val buffered : t -> int
-  (** Bytes held for an incomplete message. *)
 end
 
 (** Same machine for the client side. *)
@@ -75,7 +69,6 @@ module Response_parser : sig
 
   val create : ?max_header_bytes:int -> unit -> t
   val feed : t -> string -> response list
-  val buffered : t -> int
 end
 
 (** {1 The §7.4 workload} *)

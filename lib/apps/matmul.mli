@@ -12,11 +12,6 @@ val multiply_seq : matrix -> matrix -> matrix
 
 val matrices_equal : ?eps:float -> matrix -> matrix -> bool
 
-val encode_rows : matrix -> string
-(** Wire encoding of a row block (8-byte little-endian IEEE doubles). *)
-
-val decode_rows : string -> rows:int -> cols:int -> matrix
-
 type result = {
   product : matrix;
   elapsed : Uls_engine.Time.ns;  (** distribute + compute + collect *)

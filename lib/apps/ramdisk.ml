@@ -29,11 +29,6 @@ let exists t name = Hashtbl.mem t.files name
 let size t name = Option.map String.length (Hashtbl.find_opt t.files name)
 let list t = Hashtbl.fold (fun k _ acc -> k :: acc) t.files [] |> List.sort compare
 
-let delete t name =
-  let existed = Hashtbl.mem t.files name in
-  Hashtbl.remove t.files name;
-  existed
-
 let read t ~name ~off ~len =
   match Hashtbl.find_opt t.files name with
   | None -> raise Not_found

@@ -18,7 +18,6 @@ val create_random : t -> name:string -> size:int -> seed:int -> unit
 val exists : t -> string -> bool
 val size : t -> string -> int option
 val list : t -> string list
-val delete : t -> string -> bool
 
 val read : t -> name:string -> off:int -> len:int -> string
 (** Read up to [len] bytes at [off]; shorter at end of file; [""] past

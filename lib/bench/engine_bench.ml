@@ -37,8 +37,6 @@ type row = {
   minor_words_per_event : float;
 }
 
-let sched_name = function `Heap -> "heap" | `Wheel -> "wheel"
-
 (* Per-connection request loop, callbacks only (no fibers, so the
    measurement is queue cost plus dispatch, nothing else). Each cycle
    dispatches one activity event, arms one stale retransmission timer

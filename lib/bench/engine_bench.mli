@@ -47,8 +47,6 @@ type row = {
           ceiling). *)
 }
 
-val sched_name : sched -> string
-
 val run_all : unit -> row list
 (** Every shape under both schedulers, heap first. Each shape runs five
     interleaved heap/wheel pairs and returns the pair with the median

@@ -190,7 +190,7 @@ let run ?on_metrics ?on_server_close ?progress cfg =
     | None -> api
   in
   if cfg.loss > 0. then
-    Fault.set_default_plan
+    Fault.set_plan
       (Cluster.fault ~seed:cfg.seed c)
       (Fault.uniform_loss cfg.loss);
   (* Scheduled chaos: a kill pauses the cell's node (frames dropped both

@@ -266,7 +266,7 @@ let stream ?observe ?(seed = 42) ?(loss = 0.) ?(total = 16 * 1024 * 1024)
     { t0 = 0; t1 = 0; finished = false; ok = false; tx_busy = 0; rx_busy = 0 }
   in
   let fault = Cluster.fault ~seed c in
-  if loss > 0. then Fault.set_default_plan fault (Fault.uniform_loss loss);
+  if loss > 0. then Fault.set_plan fault (Fault.uniform_loss loss);
   (match kind with
   | `Emp config -> emp_stream c ~tr ~busy ~config ~total ~msg p
   | #Cluster.stream as kind -> api_stream c ~tr ~busy ~kind ~total ~msg p);

@@ -103,7 +103,7 @@ let message f ~sink ~index =
 let start_firehose env f =
   let sim = env.sim and batch = env.batch in
   let fault = Cluster.fault ~seed:f.seed env.c in
-  if f.loss > 0. then Fault.set_default_plan fault (Fault.uniform_loss f.loss);
+  if f.loss > 0. then Fault.set_plan fault (Fault.uniform_loss f.loss);
   (* The fill ring carries every node's connection set-up and listen
      backlog, and the sinks' [readv] reposts (the source never reads
      data messages); options are per-node and uniform here.

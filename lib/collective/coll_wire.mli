@@ -7,7 +7,7 @@
       re-emit one from a forward-on-match descriptor without host help;
     - the host-side 16-byte [(tag, length)] framing used both to delimit
       collective messages on a byte stream and to pack per-rank entries
-      into gather/scatter bundles. *)
+      into gather bundles. *)
 
 type Uls_ether.Frame.payload +=
   | Coll of { tag : int; body : string }

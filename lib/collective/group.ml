@@ -48,10 +48,7 @@ type nic_ops = {
 type counters = {
   hc_barrier : Stats.Counter.t;
   hc_bcast : Stats.Counter.t;
-  hc_scatter : Stats.Counter.t;
   hc_gather : Stats.Counter.t;
-  hc_allgather : Stats.Counter.t;
-  hc_reduce : Stats.Counter.t;
   hc_allreduce : Stats.Counter.t;
   hh_rounds : Stats.Summary.t;
 }
@@ -81,10 +78,7 @@ let create ?nic ?sim tr =
           {
             hc_barrier = counter "coll.barrier";
             hc_bcast = counter "coll.bcast";
-            hc_scatter = counter "coll.scatter";
             hc_gather = counter "coll.gather";
-            hc_allgather = counter "coll.allgather";
-            hc_reduce = counter "coll.reduce";
             hc_allreduce = counter "coll.allreduce";
             hh_rounds = Metrics.histogram metrics ~node:tr.rank "coll.rounds";
           })
@@ -93,7 +87,6 @@ let create ?nic ?sim tr =
   }
 
 let rank t = t.tr.rank
-let size t = t.tr.size
 let last_rounds t = t.last_rounds
 
 (* Wrap one collective in a Collective-layer span (when the transport
@@ -161,12 +154,7 @@ module Tree = struct
     let lowbit = if rr = 0 then size else rr land -rr in
     min lowbit (size - rr)
 
-  let subtree_ranks ~root ~size r =
-    let rr = rel ~root ~size r in
-    List.init (span ~size rr) (fun x -> unrel ~root ~size (rr + x))
 end
-
-let is_pow2 n = n > 0 && n land (n - 1) = 0
 
 let floor_pow2 n =
   let p = ref 1 in
@@ -296,61 +284,6 @@ let bcast ?(alg = Binomial_tree) t ~root ~max data =
                 s
             | None -> bcast_binomial t ~seq ~round:0 ~root ~max data))
 
-(* --- scatter ----------------------------------------------------------- *)
-
-let scatter_linear t ~seq ~root ~max parts =
-  let { rank; size; _ } = t.tr in
-  let tag = tag_of ~seq ~round:0 in
-  if rank = root then begin
-    for i = 0 to size - 1 do
-      if i <> root then send t ~dst:i ~tag parts.(i)
-    done;
-    parts.(rank)
-  end
-  else await t (irecv t ~src:root ~tag ~max)
-
-let scatter_binomial t ~seq ~root ~max parts =
-  let { rank; size; _ } = t.tr in
-  let tag = tag_of ~seq ~round:0 in
-  let kids = Tree.children ~root ~size rank in
-  let entries =
-    match Tree.parent ~root ~size rank with
-    | None -> List.init size (fun r -> (r, parts.(r)))
-    | Some p ->
-        let span = Tree.span ~size (Tree.rel ~root ~size rank) in
-        let h = irecv t ~src:p ~tag ~max:(span * entry_max max) in
-        Coll_wire.unpack (await t h)
-  in
-  List.iter
-    (fun c ->
-      let subset = Tree.subtree_ranks ~root ~size c in
-      let bundle =
-        Coll_wire.pack (List.filter (fun (r, _) -> List.mem r subset) entries)
-      in
-      send t ~dst:c ~tag bundle)
-    kids;
-  List.assoc rank entries
-
-let scatter ?(alg = Binomial_tree) t ~root ~max parts =
-  check_root t root;
-  if t.tr.rank = root then begin
-    if Array.length parts <> t.tr.size then
-      invalid_arg "Group.scatter: need one part per rank";
-    Array.iter
-      (fun p ->
-        if String.length p > max then
-          invalid_arg "Group.scatter: part longer than max")
-      parts
-  end;
-  observed t "scatter" alg (fun h -> h.hc_scatter) @@ fun () ->
-  let seq = next_seq t in
-  if t.tr.size = 1 then parts.(0)
-  else
-    match alg with
-    | Linear -> scatter_linear t ~seq ~root ~max parts
-    | Binomial_tree | Recursive_doubling | Nic_forward ->
-        scatter_binomial t ~seq ~root ~max parts
-
 (* --- gather ------------------------------------------------------------ *)
 
 let gather_linear t ~seq ~round ~root ~max data =
@@ -410,63 +343,6 @@ let gather ?(alg = Binomial_tree) t ~root ~max data =
     | Binomial_tree | Recursive_doubling | Nic_forward ->
         gather_binomial t ~seq ~round:0 ~root ~max data
 
-(* --- allgather --------------------------------------------------------- *)
-
-let allgather_rd t ~seq ~max data =
-  let { rank; size; _ } = t.tr in
-  let rounds =
-    let r = ref 0 in
-    while 1 lsl !r < size do incr r done;
-    !r
-  in
-  let hs =
-    Array.init rounds (fun r ->
-        irecv t
-          ~src:(rank lxor (1 lsl r))
-          ~tag:(tag_of ~seq ~round:r)
-          ~max:((1 lsl r) * entry_max max))
-  in
-  let bundle = ref [ (rank, data) ] in
-  for r = 0 to rounds - 1 do
-    let partner = rank lxor (1 lsl r) in
-    send t ~dst:partner ~tag:(tag_of ~seq ~round:r) (Coll_wire.pack !bundle);
-    bundle := !bundle @ Coll_wire.unpack (await t hs.(r))
-  done;
-  let out = Array.make size "" in
-  List.iter (fun (r, s) -> out.(r) <- s) !bundle;
-  out
-
-let allgather_gather_bcast t ~seq ~gather_alg ~bcast_alg ~max data =
-  let size = t.tr.size in
-  let packed =
-    match gather_alg t ~seq ~round:0 ~root:0 ~max data with
-    | Some out ->
-        Coll_wire.pack (Array.to_list (Array.mapi (fun r s -> (r, s)) out))
-    | None -> ""
-  in
-  let bundle =
-    bcast_alg t ~seq ~round:16 ~root:0 ~max:(size * entry_max max) packed
-  in
-  let out = Array.make size "" in
-  List.iter (fun (r, s) -> out.(r) <- s) (Coll_wire.unpack bundle);
-  out
-
-let allgather ?(alg = Binomial_tree) t ~max data =
-  if String.length data > max then
-    invalid_arg "Group.allgather: data longer than max";
-  observed t "allgather" alg (fun h -> h.hc_allgather) @@ fun () ->
-  let seq = next_seq t in
-  if t.tr.size = 1 then [| data |]
-  else
-    match alg with
-    | Linear ->
-        allgather_gather_bcast t ~seq ~gather_alg:gather_linear
-          ~bcast_alg:bcast_linear ~max data
-    | Recursive_doubling when is_pow2 t.tr.size -> allgather_rd t ~seq ~max data
-    | Binomial_tree | Recursive_doubling | Nic_forward ->
-        allgather_gather_bcast t ~seq ~gather_alg:gather_binomial
-          ~bcast_alg:bcast_binomial ~max data
-
 (* --- reduce ------------------------------------------------------------ *)
 
 let reduce_linear t ~seq ~round ~op ~root ~max data =
@@ -507,19 +383,6 @@ let reduce_binomial t ~seq ~round ~op ~root ~max data =
       send t ~dst:p ~tag acc;
       None
   | None -> Some acc
-
-let reduce ?(alg = Binomial_tree) t ~op ~root ~max data =
-  check_root t root;
-  if String.length data > max then
-    invalid_arg "Group.reduce: data longer than max";
-  observed t "reduce" alg (fun h -> h.hc_reduce) @@ fun () ->
-  let seq = next_seq t in
-  if t.tr.size = 1 then Some data
-  else
-    match alg with
-    | Linear -> reduce_linear t ~seq ~round:0 ~op ~root ~max data
-    | Binomial_tree | Recursive_doubling | Nic_forward ->
-        reduce_binomial t ~seq ~round:0 ~op ~root ~max data
 
 (* --- allreduce --------------------------------------------------------- *)
 

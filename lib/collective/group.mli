@@ -71,7 +71,6 @@ val create : ?nic:nic_ops -> ?sim:Uls_engine.Sim.t -> transport -> t
     round counts ({!Uls_engine.Metrics}, {!Uls_engine.Trace}). *)
 
 val rank : t -> int
-val size : t -> int
 
 val last_rounds : t -> int
 (** Sequential communication steps (blocking sends + completed receive
@@ -91,22 +90,9 @@ val bcast : ?alg:algorithm -> t -> root:int -> max:int -> string -> string
 (** Returns the root's [data] on every rank (the argument is ignored on
     non-roots). *)
 
-val scatter :
-  ?alg:algorithm -> t -> root:int -> max:int -> string array -> string
-(** The root supplies one part per rank; each rank returns its own part
-    (the array is ignored on non-roots). *)
-
 val gather :
   ?alg:algorithm -> t -> root:int -> max:int -> string -> string array option
 (** [Some parts] (indexed by rank) at the root, [None] elsewhere. *)
-
-val allgather : ?alg:algorithm -> t -> max:int -> string -> string array
-
-val reduce :
-  ?alg:algorithm -> t -> op:op -> root:int -> max:int -> string ->
-  string option
-(** [Some result] at the root, [None] elsewhere. Contributions must all
-    have the same length. *)
 
 val allreduce : ?alg:algorithm -> t -> op:op -> max:int -> string -> string
 

@@ -1073,20 +1073,6 @@ let rx_dispatcher t queue () =
   in
   loop ()
 
-let reset t =
-  (* Descriptors torn down by a reset count as completed for the
-     posted/completed conservation invariant: they are gone by design,
-     not leaked. *)
-  let unposted = Match_list.unpost_all t.posted in
-  t.st_desc_completed <- t.st_desc_completed + List.length unposted;
-  Hashtbl.reset t.active_rx;
-  Hashtbl.reset t.rx_peers;
-  Vec.iter
-    (fun slot ->
-      slot.u_state <- `Free;
-      slot.u_len <- 0)
-    t.uq
-
 let create ?(config = default_config) node nic =
   let sim = Node.sim node in
   let metrics = Metrics.for_sim sim in

@@ -217,9 +217,6 @@ val uq_take : t -> pred:(src:int -> tag:int -> bool) -> (string * int * int) opt
     ports nobody listens on, and its unexpected handler to drop closes
     for connections that are gone. *)
 
-val reset : t -> unit
-(** EMP state reset (new application): unposts everything. *)
-
 (** {1 Statistics} *)
 
 type stats = {

@@ -28,9 +28,6 @@ type Uls_ether.Frame.payload +=
   | Ack of { key : msg_key; acked : int (** cumulative frames received *) }
   | Nack of { key : msg_key; next_expected : int }
 
-val header_bytes : int
-(** EMP header per frame (sequence/tag/length/low-water-mark fields). *)
-
 val max_data_per_frame : int
 val frames_for : int -> int
 (** Number of frames needed for a message of the given byte length

@@ -19,8 +19,6 @@ type t = {
 let create ?(label = "cond") sim =
   { sim; uid = Sim.new_sync_uid sim; label; queue = Queue.create () }
 
-let label t = t.label
-
 (* Waiters cancelled by timeout stay in the queue ([woken = true]) and are
    discarded lazily by [signal]/[broadcast]. *)
 

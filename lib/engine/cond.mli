@@ -7,8 +7,6 @@ val create : ?label:string -> Sim.t -> t
     ({!Sim.blocked_report}); include the owning object (e.g.
     ["conn:3 credits"]) so a report reads without source access. *)
 
-val label : t -> string
-
 val wait : t -> unit
 (** Block the calling fiber until signalled. *)
 

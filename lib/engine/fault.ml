@@ -50,7 +50,6 @@ let plan_is_clean p =
 
 type link_state = {
   ls_rng : Rng.t;
-  mutable ls_plan : plan option;  (* None: follow the default plan *)
   mutable ls_burst_left : int;
 }
 
@@ -61,11 +60,10 @@ type t = {
   trace : Trace.t;
   links : (string, link_state) Hashtbl.t;
   pauses : (int, (Time.ns * Time.ns) list) Hashtbl.t;
-  tally : (string, int) Hashtbl.t;
   fault_counters : (string, Stats.Counter.t) Hashtbl.t;
       (* key -> handle, memoised so injection skips the registry's name
          lookup *)
-  mutable default_plan : plan;
+  mutable plan : plan;
   mutable injected : int;
   mutable active : bool;
 }
@@ -78,28 +76,15 @@ let create ?(seed = 0) sim =
     trace = Trace.for_sim sim;
     links = Hashtbl.create 16;
     pauses = Hashtbl.create 4;
-    tally = Hashtbl.create 8;
     fault_counters = Hashtbl.create 8;
-    default_plan = clean;
+    plan = clean;
     injected = 0;
     active = false;
   }
 
-let seed t = t.seed
-let active t = t.active
-
 let refresh_active t =
-  let link_active =
-    Hashtbl.fold
-      (fun _ ls acc ->
-        acc
-        || match ls.ls_plan with Some p -> not (plan_is_clean p) | None -> false)
-      t.links false
-  in
   t.active <-
-    link_active
-    || not (plan_is_clean t.default_plan)
-    || Hashtbl.length t.pauses > 0
+    (not (plan_is_clean t.plan)) || Hashtbl.length t.pauses > 0
 
 let link_state t link =
   match Hashtbl.find_opt t.links link with
@@ -110,25 +95,14 @@ let link_state t link =
         (* Seed each link from (engine seed, link name) so streams are
            stable across runs and independent across links. *)
         ls_rng = Rng.create ~seed:(t.seed lxor (Hashtbl.hash link * 0x2545F49));
-        ls_plan = None;
         ls_burst_left = 0;
       }
     in
     Hashtbl.replace t.links link ls;
     ls
 
-let set_default_plan t plan =
-  t.default_plan <- plan;
-  refresh_active t
-
-let set_link_plan t ~link plan =
-  (link_state t link).ls_plan <- Some plan;
-  refresh_active t
-
-let link_down t ~link ~from ~until =
-  let ls = link_state t link in
-  let base = match ls.ls_plan with Some p -> p | None -> t.default_plan in
-  ls.ls_plan <- Some { base with down = (from, until) :: base.down };
+let set_plan t plan =
+  t.plan <- plan;
   refresh_active t
 
 let pause_node t ~node ~from ~until =
@@ -158,8 +132,6 @@ let record t ~link verdict =
   | Deliver -> verdict
   | _ ->
     let key = tally_key verdict in
-    Hashtbl.replace t.tally key
-      (1 + Option.value ~default:0 (Hashtbl.find_opt t.tally key));
     t.injected <- t.injected + 1;
     let c =
       match Hashtbl.find_opt t.fault_counters key with
@@ -182,7 +154,7 @@ let decide t ~link ~src ~dst =
       record t ~link (Drop "pause")
     else begin
       let ls = link_state t link in
-      let plan = match ls.ls_plan with Some p -> p | None -> t.default_plan in
+      let plan = t.plan in
       if plan_is_clean plan && ls.ls_burst_left = 0 then Deliver
       else if in_window now plan.down then record t ~link (Drop "down")
       else if ls.ls_burst_left > 0 then begin
@@ -213,9 +185,5 @@ let decide t ~link ~src ~dst =
       end
     end
   end
-
-let decisions t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tally []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let faults_injected t = t.injected

@@ -27,11 +27,8 @@ type decision =
       (** Deliver late by the given extra delay. Delays larger than the
           inter-frame gap reorder frames on the link. *)
 
-val decision_kind : decision -> string
-(** Short name for accounting: "deliver", "drop", "corrupt",
-    "duplicate", "delay". *)
-
-(** Per-link fault plan. All probabilities are per frame in [0, 1]. *)
+(** Fault plan. Every link follows it, each drawing from its own random
+    stream. All probabilities are per frame in [0, 1]. *)
 type plan = {
   drop_p : float;  (** independent Bernoulli frame loss *)
   burst_p : float;  (** probability a frame starts a loss burst *)
@@ -56,35 +53,18 @@ type t
 val create : ?seed:int -> Sim.t -> t
 (** A fault engine for [sim]. Defaults to seed 0. *)
 
-val seed : t -> int
-
-val set_default_plan : t -> plan -> unit
-(** Plan used by links that have no specific plan installed. *)
-
-val set_link_plan : t -> link:string -> plan -> unit
-(** Override the plan for one named link (e.g. ["uplink-0"]). *)
-
-val link_down : t -> link:string -> from:Time.ns -> until:Time.ns -> unit
-(** Add a scheduled outage window to one link's plan. *)
+val set_plan : t -> plan -> unit
+(** Install the plan every link follows from now on. *)
 
 val pause_node : t -> node:int -> from:Time.ns -> until:Time.ns -> unit
 (** Node outage: every frame to or from [node] inside the window is
     dropped on every hop, as if the host stopped responding. *)
-
-val active : t -> bool
-(** Some plan or pause window is installed ([decide] may return
-    something other than [Deliver]). *)
 
 val decide : t -> link:string -> src:int -> dst:int -> decision
 (** Verdict for one frame crossing [link] now. [src]/[dst] are station
     ids (used only by node pause windows). Counts the verdict per kind
     in {!Metrics} (["fault.drop.<cause>"], ["fault.corrupt"], ...) and
     emits a {!Trace} instant for every non-[Deliver] verdict. *)
-
-val decisions : t -> (string * int) list
-(** Per-kind verdict counts so far, sorted by kind name (e.g.
-    [("corrupt", 3); ("drop.loss", 17); ...]); "deliver" is not
-    tracked. *)
 
 val faults_injected : t -> int
 (** Total non-[Deliver] verdicts. *)

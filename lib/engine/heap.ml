@@ -4,7 +4,6 @@ type 'a t = {
 }
 
 let create ~cmp = { cmp; v = Vec.create () }
-let length h = Vec.length h.v
 let is_empty h = Vec.is_empty h.v
 
 let swap h i j =
@@ -51,5 +50,3 @@ let pop h =
     end;
     Some top
   end
-
-let clear h = Vec.clear h.v

@@ -50,8 +50,6 @@ let enable ?(strict = false) t =
   t.enabled <- true;
   t.strict <- strict
 
-let enabled t = t.enabled
-
 let string_of_violation v =
   Printf.sprintf "[%s] t=%dns fiber=%s: %s" v.v_name v.v_time v.v_fiber
     v.v_detail
@@ -71,5 +69,3 @@ let fail t ~name detail =
 let check t ~name ok detail = if t.enabled && not ok then fail t ~name (detail ())
 
 let violations t = List.rev t.violations
-let count t = List.length t.violations
-let summary t = List.rev_map string_of_violation t.violations

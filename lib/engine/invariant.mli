@@ -23,9 +23,6 @@ type violation = {
 exception Violation of string
 (** Raised by {!check}/{!fail} only under [enable ~strict:true]. *)
 
-val create : Sim.t -> t
-(** A fresh, private monitor (mostly for tests). *)
-
 val for_sim : Sim.t -> t
 (** The simulation's shared monitor, created on first use. Held in an
     ephemeron table: when the sim is collected, its monitor goes too. *)
@@ -39,8 +36,6 @@ val enable : ?strict:bool -> t -> unit
     without it, violations accumulate and the run continues (the race
     detector's mode: the fingerprint includes them). *)
 
-val enabled : t -> bool
-
 val check : t -> name:string -> bool -> (unit -> string) -> unit
 (** [check t ~name ok detail] records a violation when monitoring is on
     and [ok] is false. [detail] is only forced on failure, so checks are
@@ -52,10 +47,5 @@ val fail : t -> name:string -> string -> unit
 
 val violations : t -> violation list
 (** Oldest first. *)
-
-val count : t -> int
-
-val summary : t -> string list
-(** One formatted line per violation, oldest first. *)
 
 val string_of_violation : violation -> string

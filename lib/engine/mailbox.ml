@@ -15,13 +15,6 @@ let send t v =
   Queue.push v t.queue;
   Cond.signal t.nonempty
 
-let try_recv t =
-  match Queue.take_opt t.queue with
-  | None -> None
-  | Some _ as r ->
-    Sim.note_op t.sim Op_mailbox_recv t.uid t.label;
-    r
-
 (* A waiter woken by [send] may find the queue already drained by another
    fiber that called [recv] in between; both loops re-check. *)
 
@@ -33,18 +26,3 @@ let rec recv t =
   | None ->
     Cond.wait t.nonempty;
     recv t
-
-let recv_timeout t timeout =
-  let deadline = Sim.now t.sim + timeout in
-  let rec loop () =
-    match try_recv t with
-    | Some v -> Some v
-    | None ->
-      let remaining = deadline - Sim.now t.sim in
-      if remaining <= 0 then None
-      else
-        match Cond.wait_timeout t.nonempty remaining with
-        | `Timeout -> try_recv t
-        | `Ok -> loop ()
-  in
-  loop ()

@@ -10,5 +10,3 @@ val send : 'a t -> 'a -> unit
 
 val recv : 'a t -> 'a
 (** Block the calling fiber until a message is available. *)
-
-val recv_timeout : 'a t -> Time.ns -> 'a option

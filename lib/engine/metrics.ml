@@ -60,25 +60,13 @@ let find tbl mk k =
 let counter t ?(node = -1) name =
   find t.counters Stats.Counter.create { k_name = name; k_node = node }
 
-let incr t ?node name = Stats.Counter.incr (counter t ?node name)
-let add t ?node name n = Stats.Counter.add (counter t ?node name) n
 let counter_value t ?node name = Stats.Counter.value (counter t ?node name)
 
 let gauge t ?(node = -1) name =
   find t.gauges (fun () -> ref 0.) { k_name = name; k_node = node }
 
-let set_gauge t ?node name v = gauge t ?node name := v
-let gauge_value t ?node name = !(gauge t ?node name)
-
 let histogram t ?(node = -1) name =
   find t.histograms Stats.Summary.create { k_name = name; k_node = node }
-
-let observe t ?node name v = Stats.Summary.add (histogram t ?node name) v
-
-let reset t =
-  Hashtbl.iter (fun _ c -> Stats.Counter.reset c) t.counters;
-  Hashtbl.iter (fun _ g -> g := 0.) t.gauges;
-  Hashtbl.iter (fun _ h -> Stats.Summary.clear h) t.histograms
 
 let counters_snapshot t =
   Hashtbl.fold

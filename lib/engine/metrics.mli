@@ -9,9 +9,6 @@
 
 type t
 
-val create : unit -> t
-(** A fresh, private registry (mostly for tests). *)
-
 val for_sim : Sim.t -> t
 (** The simulation's shared registry, created on first use. Held in an
     ephemeron table: when the sim is collected, its registry goes too. *)
@@ -23,28 +20,18 @@ val registered_sims : unit -> int
 (** {2 Counters} *)
 
 val counter : t -> ?node:int -> string -> Stats.Counter.t
-val incr : t -> ?node:int -> string -> unit
-val add : t -> ?node:int -> string -> int -> unit
 val counter_value : t -> ?node:int -> string -> int
 
 (** {2 Gauges} *)
 
 val gauge : t -> ?node:int -> string -> float ref
-val set_gauge : t -> ?node:int -> string -> float -> unit
-val gauge_value : t -> ?node:int -> string -> float
 
 (** {2 Histograms} *)
 
 val histogram : t -> ?node:int -> string -> Stats.Summary.t
-(** Full sample summary: mean, min/max, stddev, percentiles. *)
-
-val observe : t -> ?node:int -> string -> float -> unit
+(** Full sample summary: count, mean, max, percentiles. *)
 
 (** {2 Registry} *)
-
-val reset : t -> unit
-(** Zero every counter and gauge, clear every histogram (the metrics
-    themselves stay registered). *)
 
 val counters_snapshot : t -> (int * string * int) list
 (** Every registered counter as [(node, name, value)], sorted — a

@@ -28,10 +28,6 @@ let use t d =
   Sim.delay t.sim (finish - Sim.now t.sim)
 
 let free_at t = max t.free_at (Sim.now t.sim)
-let name t = t.name
 let busy_time t = t.busy
 let jobs t = t.jobs
 let queue_delay_total t = t.queue_delay
-
-let utilization t ~now =
-  if now <= 0 then 0. else float_of_int t.busy /. float_of_int now

@@ -18,11 +18,8 @@ val completion_after : t -> Time.ns -> Time.ns
 val free_at : t -> Time.ns
 (** Absolute time at which all currently queued occupancy drains. *)
 
-val name : t -> string
 val busy_time : t -> Time.ns
 val jobs : t -> int
 
 val queue_delay_total : t -> Time.ns
 (** Cumulative time requests spent waiting behind earlier requests. *)
-
-val utilization : t -> now:Time.ns -> float

@@ -28,8 +28,6 @@ let float t =
   let bits53 = Int64.to_int (Int64.shift_right_logical (int64 t) 11) in
   float_of_int bits53 *. (1. /. 9007199254740992.)
 
-let bool t = Int64.logand (int64 t) 1L = 1L
-
 let exponential t ~mean =
   let u = float t in
   -.mean *. log (1. -. u)

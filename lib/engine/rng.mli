@@ -13,13 +13,11 @@ val mix : int64 -> int64
     same in every run and process. The generator's outputs are [mix] of
     its states; hashes that must be stable and well spread use it too. *)
 
-val int64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound > 0]. *)
 
 val float : t -> float
 (** Uniform in [\[0, 1)]. *)
 
-val bool : t -> bool
 val exponential : t -> mean:float -> float
 val shuffle : t -> 'a array -> unit

@@ -164,7 +164,6 @@ let events_executed t = t.executed
 let stop t = t.stopped <- true
 let current_fiber t = t.cur_fiber
 let current_fiber_id t = t.cur_fiber_id
-let sched t = match t.q with Q_heap _ -> `Heap | Q_wheel _ -> `Wheel
 
 type tiebreak_spec = [ `Fifo | `Controlled of (int array -> int) ]
 

@@ -26,9 +26,6 @@ val create : ?sched:[ `Heap | `Wheel ] -> unit -> t
     contract holds on both, so FIFO runs, controlled schedules, and
     determinism fingerprints are scheduler-independent. *)
 
-val sched : t -> [ `Heap | `Wheel ]
-(** Which event queue this sim was created with. *)
-
 val uid : t -> int
 (** Process-unique identifier of this simulation instance, usable as a
     key in side tables (see {!Metrics.for_sim}, {!Trace.for_sim}). *)

@@ -5,15 +5,14 @@ module Counter = struct
   let incr t = t.v <- t.v + 1
   let add t n = t.v <- t.v + n
   let value t = t.v
-  let reset t = t.v <- 0
 end
 
 module Summary = struct
   (* Bounded reservoir: the first [cap] samples are kept exactly (so
      percentiles on experiment-sized runs are unchanged); beyond that,
      Algorithm R replaces a uniformly drawn slot, keeping a uniform
-     subsample of everything observed while count/sum/min/max/stddev
-     stay exact via running accumulators (Welford for the variance).
+     subsample of everything observed while count/sum/max stay exact
+     via running accumulators.
      The replacement PRNG is seeded per-summary with a fixed constant,
      so identical observation streams yield identical reservoirs —
      determinism double-runs stay byte-identical. *)
@@ -25,10 +24,7 @@ module Summary = struct
      of a mixed record box every new value. *)
   type acc = {
     mutable total : float;
-    mutable mn : float;
     mutable mx : float;
-    mutable welford_mean : float;
-    mutable m2 : float;
   }
 
   type t = {
@@ -40,9 +36,7 @@ module Summary = struct
     mutable rng : Rng.t;
   }
 
-  let fresh_acc () =
-    { total = 0.; mn = infinity; mx = neg_infinity; welford_mean = 0.;
-      m2 = 0. }
+  let fresh_acc () = { total = 0.; mx = neg_infinity }
 
   let create () =
     {
@@ -68,11 +62,7 @@ module Summary = struct
     let a = t.acc in
     t.n <- t.n + 1;
     a.total <- a.total +. x;
-    if x < a.mn then a.mn <- x;
     if x > a.mx then a.mx <- x;
-    let d = x -. a.welford_mean in
-    a.welford_mean <- a.welford_mean +. (d /. float_of_int t.n);
-    a.m2 <- a.m2 +. (d *. (x -. a.welford_mean));
     if t.len < cap then begin
       push t x;
       t.sorted <- false
@@ -88,11 +78,7 @@ module Summary = struct
   let count t = t.n
   let sum t = t.acc.total
   let mean t = if t.n = 0 then 0. else t.acc.total /. float_of_int t.n
-  let min t = t.acc.mn
   let max t = t.acc.mx
-
-  let stddev t =
-    if t.n < 2 then 0. else sqrt (t.acc.m2 /. float_of_int (t.n - 1))
 
   let percentile t p =
     let n = t.len in
@@ -109,23 +95,4 @@ module Summary = struct
       Float.Array.get t.samples rank
     end
 
-  let clear t =
-    t.acc <- fresh_acc ();
-    t.samples <- Float.Array.create 0;
-    t.len <- 0;
-    t.sorted <- true;
-    t.n <- 0;
-    t.rng <- Rng.create ~seed:reservoir_seed
-end
-
-module Series = struct
-  type t = {
-    name : string;
-    mutable pts : (float * float) list;
-  }
-
-  let create ~name = { name; pts = [] }
-  let add t ~x ~y = t.pts <- (x, y) :: t.pts
-  let name t = t.name
-  let points t = List.rev t.pts
 end

@@ -7,13 +7,11 @@ module Counter : sig
   val incr : t -> unit
   val add : t -> int -> unit
   val value : t -> int
-  val reset : t -> unit
 end
 
 module Summary : sig
-  (** Bounded-reservoir sample summary. [count]/[sum]/[mean]/[min]/
-      [max]/[stddev] are exact over everything observed (running
-      accumulators); percentiles are exact up to the reservoir capacity
+  (** Bounded-reservoir sample summary. [count]/[sum]/[mean]/[max] are
+      exact over everything observed (running accumulators); percentiles are exact up to the reservoir capacity
       (8192 samples) and computed over a deterministic uniform
       subsample beyond it, so unbounded runs no longer retain every
       sample. Identical observation streams produce identical
@@ -28,25 +26,11 @@ module Summary : sig
   (** Total observations, not the retained-reservoir size. *)
 
   val mean : t -> float
-  val min : t -> float
   val max : t -> float
-  val stddev : t -> float
 
   val percentile : t -> float -> float
   (** [percentile t 0.5] is the median. Nearest-rank on the sorted
       (reservoir) samples. *)
 
   val sum : t -> float
-  val clear : t -> unit
-end
-
-module Series : sig
-  (** (x, y) points accumulated by sweeps, printable as a table column. *)
-
-  type t
-
-  val create : name:string -> t
-  val add : t -> x:float -> y:float -> unit
-  val name : t -> string
-  val points : t -> (float * float) list
 end

@@ -4,8 +4,6 @@ let ns x = x
 let us x = x * 1_000
 let ms x = x * 1_000_000
 let s x = x * 1_000_000_000
-let us_f x = int_of_float (Float.round (x *. 1_000.))
-let to_us t = float_of_int t /. 1_000.
 let to_ms t = float_of_int t /. 1_000_000.
 let to_s t = float_of_int t /. 1_000_000_000.
 

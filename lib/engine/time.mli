@@ -8,10 +8,6 @@ val us : int -> ns
 val ms : int -> ns
 val s : int -> ns
 
-val us_f : float -> ns
-(** Fractional microseconds, rounded to the nearest nanosecond. *)
-
-val to_us : ns -> float
 val to_ms : ns -> float
 val to_s : ns -> float
 

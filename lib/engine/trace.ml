@@ -119,7 +119,6 @@ let span t ~layer ?node ?conn ?seq ?args name f =
   end
 
 let events t = List.rev (Vec.fold (fun acc e -> e :: acc) [] t.events)
-let clear t = Vec.clear t.events
 
 (* --- aggregation -------------------------------------------------------- *)
 

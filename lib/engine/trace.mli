@@ -28,9 +28,6 @@ type event = {
 
 type t
 
-val create : Sim.t -> t
-(** A fresh, private trace (mostly for tests). *)
-
 val for_sim : Sim.t -> t
 (** The simulation's shared trace, created on first use. All stack
     instrumentation records here. Held in an ephemeron table: when the
@@ -90,8 +87,6 @@ val span :
 
 val events : t -> event list
 (** Everything recorded while enabled, oldest first. *)
-
-val clear : t -> unit
 
 val span_totals : t -> (layer * string * int * int) list
 (** Closed spans aggregated by (layer, name): [(layer, name, count,

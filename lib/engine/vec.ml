@@ -41,18 +41,6 @@ let clear v =
   v.data <- [||];
   v.len <- 0
 
-let truncate v n =
-  if n < 0 || n > v.len then invalid_arg "Vec.truncate";
-  if n = 0 then clear v
-  else begin
-    (* Overwrite the vacated tail to avoid retaining the dropped values. *)
-    let filler = v.data.(0) in
-    for i = n to v.len - 1 do
-      v.data.(i) <- filler
-    done;
-    v.len <- n
-  end
-
 let iter f v =
   for i = 0 to v.len - 1 do
     f v.data.(i)
@@ -64,10 +52,3 @@ let fold f acc v =
     acc := f !acc v.data.(i)
   done;
   !acc
-
-let to_array v = Array.sub v.data 0 v.len
-
-let sort cmp v =
-  let a = to_array v in
-  Array.sort cmp a;
-  Array.blit a 0 v.data 0 v.len

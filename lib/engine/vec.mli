@@ -14,11 +14,5 @@ val pop : 'a t -> 'a
 
 val clear : 'a t -> unit
 
-val truncate : 'a t -> int -> unit
-(** Keep the first [n] elements, dropping the rest in place (no
-    reallocation). @raise Invalid_argument if [n] exceeds the length. *)
-
 val iter : ('a -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-val to_array : 'a t -> 'a array
-val sort : ('a -> 'a -> int) -> 'a t -> unit

@@ -111,7 +111,6 @@ let create () =
   }
 
 let length w = w.len
-let is_empty w = w.len = 0
 let capacity w = Array.length w.tm
 let time w s = w.tm.(s)
 let seq w s = w.sq.(s)

@@ -34,8 +34,6 @@ val length : t -> int
 (** Events queued (added or reinserted, and neither popped nor
     cancelled). *)
 
-val is_empty : t -> bool
-
 val add : t -> time:int -> seq:int -> (unit -> unit) -> int
 (** [add w ~time ~seq f] takes a free slot for [f], queues it and
     returns the slot. [time] and [seq] must be non-negative. *)

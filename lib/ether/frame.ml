@@ -25,6 +25,3 @@ let corrupted t = t.corrupted
 let wire_bytes t =
   let framed = max min_frame (t.payload_len + header_bytes) in
   framed + overhead_bytes
-
-let pp fmt t =
-  Format.fprintf fmt "frame %d->%d (%dB)" t.src t.dst t.payload_len

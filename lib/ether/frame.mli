@@ -19,9 +19,6 @@ type t = {
 val mtu : int
 (** Maximum L2 payload: 1500 bytes. *)
 
-val header_bytes : int
-(** MAC header (14) + FCS (4). *)
-
 val make : src:int -> dst:int -> payload_len:int -> payload -> t
 (** @raise Invalid_argument if [payload_len] exceeds {!mtu}. Frames are
     born uncorrupted. *)
@@ -34,5 +31,3 @@ val corrupted : t -> bool
 val wire_bytes : t -> int
 (** Total wire occupancy in bytes, including padding to the 64-byte
     minimum frame, header, FCS, preamble and IFG. *)
-
-val pp : Format.formatter -> t -> unit

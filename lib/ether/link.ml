@@ -26,7 +26,6 @@ let create sim ?(bits_per_ns = 1.0) ?(propagation = 500) ~name () =
     bytes = 0;
   }
 
-let name t = t.name
 let set_receiver t f = t.receiver <- Some f
 let set_fault t fault = t.fault <- Some fault
 

@@ -15,7 +15,6 @@ val create :
 (** Default rate is 1.0 bit/ns (Gigabit Ethernet); default propagation is
     500 ns (cable + PHY + serdes). *)
 
-val name : t -> string
 val set_receiver : t -> (Frame.t -> unit) -> unit
 
 val set_fault : t -> Uls_engine.Fault.t -> unit

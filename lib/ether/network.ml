@@ -21,9 +21,6 @@ let create sim ?bits_per_ns ?propagation ?fwd_latency ?queue_limit ~stations () 
   in
   { sim; n = stations; uplinks = Array.init stations make_uplink; sw }
 
-let stations t = t.n
-let sim t = t.sim
-
 let attach t ~station handler =
   Switch.connect_station t.sw ~port:station ~station handler
 

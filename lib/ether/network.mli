@@ -13,9 +13,6 @@ val create :
   unit ->
   t
 
-val stations : t -> int
-val sim : t -> Uls_engine.Sim.t
-
 val attach : t -> station:int -> (Frame.t -> unit) -> unit
 (** Set the station's receive handler (its NIC rx entry point). *)
 

@@ -267,8 +267,6 @@ let stop t =
       t.cells
   end
 
-let ring t = t.ring
-let cells t = Array.length t.cells
 let cell_state t id = t.cells.(id).state
 let server t id = t.cells.(id).server
 let drain_open t id = t.cells.(id).drain_open

@@ -106,8 +106,6 @@ val drain : t -> int -> unit
 val stop : t -> unit
 (** Stop every cell's server. Idempotent. *)
 
-val ring : t -> Ring.t
-val cells : t -> int
 val cell_state : t -> int -> cell_state
 val server : t -> int -> Uls_server.Server.t
 val drain_open : t -> int -> int

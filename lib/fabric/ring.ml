@@ -24,7 +24,6 @@ let create ?(vnodes = 128) ?(seed = 0) () =
 let members t = t.members
 let size t = List.length t.members
 let mem t cell = List.mem cell t.members
-let vnodes t = t.vnodes
 
 let rebuild t =
   let pts =

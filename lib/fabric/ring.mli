@@ -40,8 +40,6 @@ val members : t -> int list
 (** Current cells, ascending. *)
 
 val size : t -> int
-val mem : t -> int -> bool
-val vnodes : t -> int
 
 val hash2 : seed:int -> int -> int -> int
 (** The ring's non-negative 64-bit mixing hash, exposed for callers

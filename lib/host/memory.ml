@@ -75,7 +75,3 @@ let blit ~src ~src_off ~dst ~dst_off ~len =
   let zero_end = min (dst_off + len) (Bytes.length dst.data) in
   if zero_end > dst_off + avail then
     Bytes.fill dst.data (dst_off + avail) (zero_end - dst_off - avail) '\000'
-
-let copy sim model ~src ~src_off ~dst ~dst_off ~len =
-  blit ~src ~src_off ~dst ~dst_off ~len;
-  Uls_engine.Sim.delay sim (Cost_model.copy_cost model len)

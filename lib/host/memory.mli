@@ -24,15 +24,3 @@ val blit_from_string : ?len:int -> string -> region -> off:int -> unit
 
 val blit : src:region -> src_off:int -> dst:region -> dst_off:int -> len:int -> unit
 (** Pure data movement, no simulated cost. *)
-
-val copy :
-  Uls_engine.Sim.t ->
-  Cost_model.t ->
-  src:region ->
-  src_off:int ->
-  dst:region ->
-  dst_off:int ->
-  len:int ->
-  unit
-(** Costed host memcpy: blits and delays the calling fiber by the
-    model's per-byte copy cost. *)

@@ -23,7 +23,3 @@ let copy t ~src ~src_off ~dst ~dst_off ~len =
   compute t (Cost_model.copy_cost t.model len)
 
 let busy_time t = t.busy
-
-let utilization t =
-  let now = Sim.now t.sim in
-  if now <= 0 then 0. else float_of_int t.busy /. float_of_int now

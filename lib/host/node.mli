@@ -17,4 +17,3 @@ val copy : t -> src:Memory.region -> src_off:int -> dst:Memory.region -> dst_off
 (** Costed memcpy charged as CPU time. *)
 
 val busy_time : t -> Uls_engine.Time.ns
-val utilization : t -> float

@@ -14,9 +14,6 @@ let create sim model =
 let syscall t =
   Sim.delay t.sim t.model.Cost_model.syscall
 
-let interrupt t = Sim.delay t.sim t.model.Cost_model.interrupt
-let context_switch t = Sim.delay t.sim t.model.Cost_model.context_switch
-
 let pin_region t region ~off:_ ~len =
   let key = Memory.id region in
   if Int_tbl.mem t.pinned key then t.cache_hits <- t.cache_hits + 1
@@ -34,6 +31,3 @@ let pinned_regions t = Int_tbl.length t.pinned
 
 let translation_cache_hits t = t.cache_hits
 let translation_cache_misses t = t.cache_misses
-
-let flush_translation_cache t =
-  Int_tbl.reset t.pinned

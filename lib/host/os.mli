@@ -10,11 +10,6 @@ val create : Uls_engine.Sim.t -> Cost_model.t -> t
 val syscall : t -> unit
 (** Trap + return cost, charged to the calling fiber. *)
 
-val interrupt : t -> unit
-(** Interrupt entry/dispatch cost (rx path fibers pay this). *)
-
-val context_switch : t -> unit
-
 val pin_region : t -> Memory.region -> off:int -> len:int -> unit
 (** Translate-and-pin for a descriptor post. First use of a region pays
     the pin system call (per covered page); later uses hit the
@@ -36,4 +31,3 @@ val pinned_regions : t -> int
 
 val translation_cache_hits : t -> int
 val translation_cache_misses : t -> int
-val flush_translation_cache : t -> unit

@@ -260,34 +260,3 @@ let remove_first t pred =
       else go e.next
   in
   go t.first
-
-let unpost_matching t pred =
-  let rec go acc = function
-    | Nil -> List.rev acc
-    | Entry e as cell ->
-      let next = e.next in
-      if pred e.value then begin
-        unlink t cell;
-        go (e.value :: acc) next
-      end
-      else go acc next
-  in
-  go [] t.first
-
-let unpost_all t =
-  let vs = unpost_matching t (fun _ -> true) in
-  (match t.index with
-  | None -> ()
-  | Some idx ->
-    idx.any_src_on <- false;
-    idx.any_tag_on <- false);
-  vs
-
-let iter t f =
-  let rec go = function
-    | Nil -> ()
-    | Entry e ->
-      f e.value;
-      go e.next
-  in
-  go t.first

@@ -68,9 +68,3 @@ val find : 'a t -> src:int -> tag:int -> 'a option * probe
 val remove_first : 'a t -> ('a -> bool) -> 'a option
 (** Remove and return the first live descriptor satisfying the
     predicate, preserving the order of the others. *)
-
-val unpost_all : 'a t -> 'a list
-(** Remove every descriptor (socket close / EMP state reset). *)
-
-val unpost_matching : 'a t -> ('a -> bool) -> 'a list
-val iter : 'a t -> ('a -> unit) -> unit

@@ -263,9 +263,6 @@ let create ?(match_engine = Match_list.Linear) sim model net ~node =
   Sim.spawn sim ~name:(name "fwd") ~daemon:true (fwd_fiber t);
   t
 
-let node_id t = t.node_id
-let sim t = t.sim
-let model t = t.model
 let set_firmware_rx ?(rss = false) t f =
   t.rss <- rss;
   t.firmware_rx <- f

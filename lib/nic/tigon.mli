@@ -19,7 +19,6 @@ val create :
     embedded receive core: frames are RSS-steered across two receive
     queues via {!steer}. *)
 
-val node_id : t -> int
 val match_engine : t -> Match_list.engine
 
 val rx_queues : t -> int
@@ -38,9 +37,6 @@ val match_cost : t -> Match_list.probe -> Uls_engine.Time.ns
 val observe_match : t -> Match_list.probe -> unit
 (** Record [nic.match_walk_descs] (every lookup, both engines) and
     [nic.match_hash_lookups] (hashed probes only). *)
-
-val sim : t -> Uls_engine.Sim.t
-val model : t -> Uls_host.Cost_model.t
 
 val set_firmware_rx :
   ?rss:bool -> t -> (queue:int -> Uls_ether.Frame.t -> unit) -> unit

@@ -23,7 +23,6 @@ let length t = t.prod - t.cons
 
 let is_empty t = t.prod = t.cons
 let is_full t = length t = capacity t
-let prod_cursor t = t.prod
 
 let try_push t x =
   if is_full t then false

@@ -11,25 +11,17 @@ type 'a t
 val create : ?start:int -> capacity:int -> dummy:'a -> unit -> 'a t
 (** [capacity] must be a power of two. [dummy] fills unused slots (the
     descriptor arrays stay unboxed: no option wrapping per slot) and is
-    written back into each slot as it is consumed ({!try_pop},
-    {!pop_up_to}, {!drop_oldest}), so the ring holds nothing it has
+    written back into each slot as it is consumed ({!pop_up_to},
+    {!drop_oldest}), so the ring holds nothing it has
     handed out or dropped.
     [start] sets both cursors' initial value — used by the overflow
     tests to place them near [max_int]. *)
 
-val capacity : 'a t -> int
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 val is_full : 'a t -> bool
 
-val prod_cursor : 'a t -> int
-
-val try_push : 'a t -> 'a -> bool
-(** False iff the ring is full. *)
-
 val push_exn : 'a t -> 'a -> unit
-
-val try_pop : 'a t -> 'a option
 
 val pop_up_to : 'a t -> max:int -> 'a list
 (** Pop at most [max] entries, oldest first. *)

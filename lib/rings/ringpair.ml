@@ -33,7 +33,6 @@ type ('s, 'c) t = {
 }
 
 let stats t = t.stats
-let mode t = t.mode
 
 (* NIC-side fetch fiber. In [Wakeup] mode it services one doorbell at a
    time: everything visible in the SQ when the doorbell is honoured is

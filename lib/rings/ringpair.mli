@@ -76,4 +76,3 @@ val reap : ('s, 'c) t -> max:int -> 'c list
     charging [emp_host_reap] + (k-1)·[ring_reap_slot] when k > 0. *)
 
 val stats : ('s, 'c) t -> stats
-val mode : ('s, 'c) t -> mode

@@ -30,7 +30,7 @@ and 'a handle = {
   h_q : 'a t;
   h_payload : 'a;
   h_readable : unit -> bool;
-  mutable h_mode : trigger;
+  h_mode : trigger;
   mutable h_queued : bool;
   mutable h_registered : bool;
 }
@@ -54,7 +54,6 @@ let create sim ~node =
     n_registered = 0;
   }
 
-let payload h = h.h_payload
 let registered t = t.n_registered
 
 let enqueue t h =
@@ -84,13 +83,6 @@ let register t ?(mode = Level) ~readable ~watch payload =
   watch (fun () -> on_event h);
   if readable () then enqueue t h;
   h
-
-let rearm h =
-  if h.h_registered && not h.h_queued && h.h_readable () then enqueue h.h_q h
-
-let modify h mode =
-  h.h_mode <- mode;
-  if mode = Level then rearm h
 
 let deregister h =
   if h.h_registered then begin

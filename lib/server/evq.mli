@@ -56,21 +56,10 @@ val register :
     callback — so registering the same socket twice doubles its event
     load; don't. *)
 
-val modify : 'a handle -> trigger -> unit
-(** Switch triggering mode. Switching to [Level] re-checks readiness
-    immediately, so buffered data that an edge consumer failed to drain
-    becomes deliverable again. *)
-
-val rearm : 'a handle -> unit
-(** Queue the handle now if it is registered, not already queued, and
-    readable. An explicit re-check for edge consumers that stopped
-    draining early on purpose. *)
-
 val deregister : 'a handle -> unit
 (** Disarm: subsequent events are ignored and a queued-but-undelivered
     handle is silently discarded at the next {!wait}. Idempotent. *)
 
-val payload : 'a handle -> 'a
 val registered : 'a t -> int
 
 val wait : 'a t -> 'a list

@@ -28,8 +28,6 @@ let sched t =
   if Array.length t.scheds = 0 then invalid_arg "Server.sched"
   else t.scheds.(0)
 
-let shards t = Array.length t.scheds
-
 let sum f t = Array.fold_left (fun acc s -> acc + f s) 0 t.scheds
 
 let inflight t = sum Sched.inflight t

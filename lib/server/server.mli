@@ -48,11 +48,6 @@ val http_reject : string
 val requests : t -> int
 (** Requests served (HTTP) or chunks echoed (echo). *)
 
-val sched : t -> Sched.t
-(** The first (or only) shard's scheduler. *)
-
-val shards : t -> int
-
 val inflight : t -> int
 (** Open connections, summed over shards. *)
 

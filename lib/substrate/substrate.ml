@@ -69,8 +69,6 @@ type t = {
 
 let node_id t = Node.id t.node
 let sim t = Node.sim t.node
-let activity t = t.activity
-let emp t = t.emp
 let active_connections t = Hashtbl.length t.conns
 
 let conn_ids t =

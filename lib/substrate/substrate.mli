@@ -19,12 +19,6 @@ val create : ?opts:Options.t -> Uls_host.Node.t -> Uls_emp.Endpoint.t -> t
 (** One substrate instance per node. With the unexpected-queue option on,
     this provisions EMP UQ slots for credit-ack traffic (§6.4). *)
 
-val node_id : t -> int
-val emp : t -> Uls_emp.Endpoint.t
-val activity : t -> Uls_engine.Cond.t
-(** Broadcast whenever any socket of this node becomes ready; the
-    [select] implementation blocks on it. *)
-
 val active_connections : t -> int
 (** Size of the active-socket table (§5.3). *)
 
@@ -51,21 +45,6 @@ val accept : t -> listener -> Conn.t * Uls_api.Sockets_api.addr
 (** Block for the next queued request, build the connection (posting its
     2N+3 descriptors), reply to the client. *)
 
-val try_accept : t -> listener -> (Conn.t * Uls_api.Sockets_api.addr) option
-(** Non-blocking accept. Resolves duplicate connection requests (a
-    retried connect whose reply was lost) by resending the reply, so
-    [None] really means "nothing fresh" — unlike [acceptable], which a
-    queued duplicate makes true without a blocking [accept] being safe. *)
-
-val acceptable : listener -> bool
-
-val listener_pending : listener -> int
-(** Connection requests queued and not yet accepted (backlog occupancy). *)
-
-val add_accept_watcher : listener -> (unit -> unit) -> unit
-(** Register an accept-readiness watcher: fired when a connection
-    request is queued and when the listener closes. *)
-
 val close_listener : t -> listener -> unit
 
 val connect : t -> Uls_api.Sockets_api.addr -> Conn.t
@@ -80,8 +59,6 @@ val connect : t -> Uls_api.Sockets_api.addr -> Conn.t
     @raise Uls_api.Sockets_api.Connection_timeout when every attempt
     went unanswered; on either failure the half-built connection is torn
     down and removed from the active-socket table. *)
-
-val stream_of_conn : Conn.t -> Uls_api.Sockets_api.stream
 
 val api : t array -> Uls_api.Sockets_api.stack
 (** Package one substrate per node as a sockets stack (the array index is

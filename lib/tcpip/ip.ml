@@ -31,7 +31,6 @@ type t = {
   reasm : (int * int, partial) Hashtbl.t;
   mutable next_ip_id : int;
   mutable dropped : int;
-  mutable rx_frames : int;
 }
 
 let model t = Node.model t.node
@@ -40,7 +39,6 @@ let sim t = Node.sim t.node
 let set_handler t h = t.handler <- h
 let datagrams_delivered t = Stats.Counter.value t.mh.h_rx_datagrams
 let datagrams_dropped t = t.dropped
-let frames_received t = t.rx_frames
 
 (* --- transmit ------------------------------------------------------- *)
 
@@ -215,7 +213,6 @@ let create node nic ~cpu ~config =
       reasm = Hashtbl.create 16;
       next_ip_id = 0;
       dropped = 0;
-      rx_frames = 0;
     }
   in
   let m = Node.model node in
@@ -223,7 +220,6 @@ let create node nic ~cpu ~config =
       Sim.spawn (Node.sim node) ~name:"nic-rx" (fun () ->
           Tigon.rx_work ~queue nic m.Cost_model.nic_rx_per_frame;
           Tigon.dma nic ~bytes:frame.Uls_ether.Frame.payload_len;
-          t.rx_frames <- t.rx_frames + 1;
           Queue.push frame t.pending;
           Cond.signal t.arrival));
   Sim.spawn (Node.sim node) ~name:"ip-dispatch" ~daemon:true (dispatcher t);

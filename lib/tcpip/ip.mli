@@ -25,5 +25,3 @@ val send : t -> dst:int -> Segment.ip_payload -> unit
 val datagrams_delivered : t -> int
 val datagrams_dropped : t -> int
 (** Reassembly failures (fragment loss), counted lazily on eviction. *)
-
-val frames_received : t -> int

@@ -58,8 +58,6 @@ let sim t = Node.sim t.node
 let model t = Node.model t.node
 let node_id t = Node.id t.node
 let activity t = t.activity
-let config t = t.config
-let rsts_sent t = Stats.Counter.value t.mh.h_rsts_sent
 let cpu t = t.cpu
 let ip t = t.ip
 let metrics t = t.metrics
@@ -339,10 +337,3 @@ let udp_recvfrom t s =
       wait ()
   in
   wait ()
-
-let udp_close t s =
-  if not s.u_closed then begin
-    s.u_closed <- true;
-    Hashtbl.remove t.udp_socks s.u_port;
-    Cond.broadcast s.u_cond
-  end

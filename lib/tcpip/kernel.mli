@@ -9,9 +9,6 @@ type udp_sock
 
 val create : Uls_host.Node.t -> Uls_nic.Tigon.t -> config:Config.t -> t
 
-val node_id : t -> int
-val config : t -> Config.t
-
 val cpu : t -> Uls_engine.Resource.t
 (** The kernel execution resource: interrupts, protocol processing and
     copies all serialise here (its busy time is the host-CPU cost the
@@ -21,8 +18,6 @@ val ip : t -> Ip.t
 val metrics : t -> Uls_engine.Metrics.t
 val activity : t -> Uls_engine.Cond.t
 (** Broadcast on any socket readiness change; select() blocks on it. *)
-
-val rsts_sent : t -> int
 
 (** {1 TCP socket calls} (blocking; call from fibers) *)
 
@@ -51,5 +46,3 @@ val udp_bind : t -> port:int -> udp_sock
 val udp_sendto : t -> udp_sock -> dst:Uls_api.Sockets_api.addr -> string -> unit
 val udp_recvfrom : t -> udp_sock -> Uls_api.Sockets_api.addr * string
 (** Blocking; datagram boundaries preserved. *)
-
-val udp_close : t -> udp_sock -> unit

@@ -60,10 +60,3 @@ let max_fragment_payload = Uls_ether.Frame.mtu - ip_header_bytes
 
 (** TCP MSS: a full segment exactly fills one Ethernet frame. *)
 let mss = Uls_ether.Frame.mtu - ip_header_bytes - tcp_header_bytes
-
-let pp_flags fmt f =
-  Format.fprintf fmt "%s%s%s%s"
-    (if f.syn then "S" else "")
-    (if f.ack then "A" else "")
-    (if f.fin then "F" else "")
-    (if f.rst then "R" else "")

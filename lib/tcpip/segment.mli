@@ -56,5 +56,3 @@ val max_fragment_payload : int
 
 val mss : int
 (** TCP MSS: a full segment exactly fills one Ethernet frame. *)
-
-val pp_flags : Format.formatter -> flags -> unit

@@ -18,18 +18,6 @@ type state =
   | Time_wait
   | Closed_st
 
-let state_name = function
-  | Syn_sent -> "SYN_SENT"
-  | Syn_rcvd -> "SYN_RCVD"
-  | Established -> "ESTABLISHED"
-  | Fin_wait_1 -> "FIN_WAIT_1"
-  | Fin_wait_2 -> "FIN_WAIT_2"
-  | Close_wait -> "CLOSE_WAIT"
-  | Closing -> "CLOSING"
-  | Last_ack -> "LAST_ACK"
-  | Time_wait -> "TIME_WAIT"
-  | Closed_st -> "CLOSED"
-
 type t = {
   env : env;
   local : Uls_api.Sockets_api.addr;

@@ -15,8 +15,6 @@ type state =
   | Time_wait
   | Closed_st
 
-val state_name : state -> string
-
 type t
 
 type env = {

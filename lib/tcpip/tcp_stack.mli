@@ -12,5 +12,4 @@ val create :
   t
 
 val kernel : t -> int -> Kernel.t
-val stream_of_conn : Tcp_conn.t -> Uls_api.Sockets_api.stream
 val api : t -> Uls_api.Sockets_api.stack

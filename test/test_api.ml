@@ -9,63 +9,44 @@ let check_bool = Alcotest.(check bool)
    (respecting the requested size), then "". *)
 let fake_stream chunks =
   let pending = ref chunks in
-  let sent = Buffer.create 64 in
-  let stream =
-    {
-      send = Buffer.add_string sent;
-      recv =
-        (fun n ->
-          match !pending with
-          | [] -> ""
-          | c :: rest ->
-            if String.length c <= n then begin
-              pending := rest;
-              c
-            end
-            else begin
-              pending := String.sub c n (String.length c - n) :: rest;
-              String.sub c 0 n
-            end);
-      close = (fun () -> ());
-      readable = (fun () -> !pending <> []);
-      watch = (fun _ -> ());
-      peer = (fun () -> { node = 1; port = 2 });
-      local = (fun () -> { node = 0; port = 3 });
-    }
-  in
-  (stream, sent)
+  {
+    send = ignore;
+    recv =
+      (fun n ->
+        match !pending with
+        | [] -> ""
+        | c :: rest ->
+          if String.length c <= n then begin
+            pending := rest;
+            c
+          end
+          else begin
+            pending := String.sub c n (String.length c - n) :: rest;
+            String.sub c 0 n
+          end);
+    close = (fun () -> ());
+    readable = (fun () -> !pending <> []);
+    watch = (fun _ -> ());
+    peer = (fun () -> { node = 1; port = 2 });
+    local = (fun () -> { node = 0; port = 3 });
+  }
 
 let test_recv_exact_across_chunks () =
-  let s, _ = fake_stream [ "ab"; "cd"; "efgh" ] in
+  let s = fake_stream [ "ab"; "cd"; "efgh" ] in
   check_str "spans chunks" "abcde" (recv_exact s 5);
   check_str "remainder" "fgh" (recv_exact s 3)
 
 let test_recv_exact_eof_raises () =
-  let s, _ = fake_stream [ "ab" ] in
+  let s = fake_stream [ "ab" ] in
   Alcotest.check_raises "premature eof" Connection_closed (fun () ->
       ignore (recv_exact s 5))
-
-let test_recv_line () =
-  let s, _ = fake_stream [ "GET /x"; "\n"; "rest\n" ] in
-  check_str "first line" "GET /x" (recv_line s);
-  check_str "second line" "rest" (recv_line s)
-
-let test_recv_line_eof_raises () =
-  let s, _ = fake_stream [ "no newline" ] in
-  Alcotest.check_raises "eof before newline" Connection_closed (fun () ->
-      ignore (recv_line s))
-
-let test_send_string () =
-  let s, sent = fake_stream [] in
-  send_string s "payload";
-  check_str "sent" "payload" (Buffer.contents sent)
 
 let test_pp_addr () =
   check_str "format" "3:1234"
     (Format.asprintf "%a" pp_addr { node = 3; port = 1234 })
 
 let test_recv_exact_zero () =
-  let s, _ = fake_stream [ "abc" ] in
+  let s = fake_stream [ "abc" ] in
   check_str "zero bytes" "" (recv_exact s 0);
   check_bool "stream untouched" true (s.readable ())
 
@@ -77,9 +58,6 @@ let suites =
           test_recv_exact_across_chunks;
         Alcotest.test_case "recv_exact eof" `Quick test_recv_exact_eof_raises;
         Alcotest.test_case "recv_exact zero" `Quick test_recv_exact_zero;
-        Alcotest.test_case "recv_line" `Quick test_recv_line;
-        Alcotest.test_case "recv_line eof" `Quick test_recv_line_eof_raises;
-        Alcotest.test_case "send_string" `Quick test_send_string;
         Alcotest.test_case "pp_addr" `Quick test_pp_addr;
       ] );
   ]

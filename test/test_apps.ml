@@ -47,15 +47,13 @@ let test_ramdisk_costs_time () =
       check_bool "file read costs virtual time" true (Sim.now sim - t0 > 0));
   ignore (Sim.run sim)
 
-let test_ramdisk_delete_list () =
+let test_ramdisk_list () =
   in_sim (fun sim ->
       let d = mk_disk sim in
       Uls_apps.Ramdisk.write_file d ~name:"b" "2";
       Uls_apps.Ramdisk.write_file d ~name:"a" "1";
       Alcotest.(check (list string)) "sorted list" [ "a"; "b" ]
-        (Uls_apps.Ramdisk.list d);
-      check_bool "delete" true (Uls_apps.Ramdisk.delete d "a");
-      check_bool "second delete" false (Uls_apps.Ramdisk.delete d "a"))
+        (Uls_apps.Ramdisk.list d))
 
 (* --- ftp over each stack --- *)
 
@@ -94,8 +92,6 @@ let ftp_roundtrip make_api () =
         (Uls_apps.Ramdisk.read client_disk ~name:"up" ~off:0 ~len:123_457)
         (Uls_apps.Ramdisk.read server_disk ~name:"up" ~off:0 ~len:123_457);
       (* metadata *)
-      Alcotest.(check (option int)) "remote size" (Some 300_000)
-        (Uls_apps.Ftp.remote_size api ~node:0 ~server ~file:"data");
       Alcotest.(check (list string)) "remote list" [ "data"; "up" ]
         (Uls_apps.Ftp.remote_list api ~node:0 ~server);
       ok := true;
@@ -191,18 +187,6 @@ let test_matmul_uneven_partition () =
   ignore (Uls_bench.Cluster.run c);
   check_bool "uneven rows verified" true !ok
 
-let prop_matrix_codec_roundtrip =
-  QCheck.Test.make ~name:"matmul float rows survive encode/decode" ~count:100
-    QCheck.(pair (int_range 1 8) (int_range 1 8))
-    (fun (rows, cols) ->
-      let rng = Rng.create ~seed:(rows + (cols * 31)) in
-      let m =
-        Array.init rows (fun _ -> Array.init cols (fun _ -> Rng.float rng -. 0.5))
-      in
-      let encoded = Uls_apps.Matmul.encode_rows m in
-      let decoded = Uls_apps.Matmul.decode_rows encoded ~rows ~cols in
-      Uls_apps.Matmul.matrices_equal ~eps:0. m decoded)
-
 let per_stack name f =
   List.map
     (fun (sname, make_api) ->
@@ -217,13 +201,12 @@ let suites =
         Alcotest.test_case "write/read" `Quick test_ramdisk_write_read;
         Alcotest.test_case "missing file" `Quick test_ramdisk_missing;
         Alcotest.test_case "costs time" `Quick test_ramdisk_costs_time;
-        Alcotest.test_case "delete/list" `Quick test_ramdisk_delete_list;
+        Alcotest.test_case "list" `Quick test_ramdisk_list;
       ] );
     ("apps.ftp", per_stack "roundtrip" ftp_roundtrip);
     ("apps.web", per_stack "3 clients x 8 reqs" web_roundtrip);
     ( "apps.matmul",
       Alcotest.test_case "sequential reference" `Quick test_matmul_seq_reference
       :: Alcotest.test_case "uneven partition" `Quick test_matmul_uneven_partition
-      :: per_stack "distributed" matmul_distributed
-      @ List.map QCheck_alcotest.to_alcotest [ prop_matrix_codec_roundtrip ] );
+      :: per_stack "distributed" matmul_distributed );
   ]

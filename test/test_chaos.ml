@@ -22,30 +22,28 @@ let ds = Opt.data_streaming_enhanced
 (* --- Fault engine ------------------------------------------------------ *)
 
 let verdicts ?(n = 200) ?(link = "uplink-0") fault =
-  List.init n (fun i ->
-      Fault.decision_kind (Fault.decide fault ~link ~src:0 ~dst:(i mod 3)))
+  List.init n (fun i -> Fault.decide fault ~link ~src:0 ~dst:(i mod 3))
 
 let lossy = { Fault.clean with drop_p = 0.2; dup_p = 0.1; corrupt_p = 0.1 }
 
 let test_fault_deterministic () =
   let run () =
     let f = Fault.create ~seed (Sim.create ()) in
-    Fault.set_default_plan f lossy;
+    Fault.set_plan f lossy;
     verdicts f
   in
-  Alcotest.(check (list string)) "same seed, same verdicts" (run ()) (run ());
+  check_bool "same seed, same verdicts" true (run () = run ());
   let other =
     let f = Fault.create ~seed:(seed + 1) (Sim.create ()) in
-    Fault.set_default_plan f lossy;
+    Fault.set_plan f lossy;
     verdicts f
   in
   check_bool "different seed, different verdicts" false (run () = other)
 
 let test_fault_inactive_is_free () =
   let f = Fault.create ~seed (Sim.create ()) in
-  check_bool "no plan installed" false (Fault.active f);
   List.iter
-    (fun v -> check_str "short-circuits to deliver" "deliver" v)
+    (fun v -> check_bool "short-circuits to deliver" true (v = Fault.Deliver))
     (verdicts f);
   check_int "nothing injected" 0 (Fault.faults_injected f)
 
@@ -54,48 +52,41 @@ let test_fault_links_independent () =
      shift the fault pattern another link sees. *)
   let make () =
     let f = Fault.create ~seed (Sim.create ()) in
-    Fault.set_default_plan f lossy;
+    Fault.set_plan f lossy;
     f
   in
   let quiet = make () in
   let busy = make () in
   ignore (verdicts ~link:"uplink-0" busy);
-  Alcotest.(check (list string))
-    "uplink-1 pattern unaffected by uplink-0 traffic"
-    (verdicts ~link:"uplink-1" quiet)
-    (verdicts ~link:"uplink-1" busy);
+  check_bool "uplink-1 pattern unaffected by uplink-0 traffic" true
+    (verdicts ~link:"uplink-1" quiet = verdicts ~link:"uplink-1" busy);
   check_bool "distinct links, distinct patterns" false
     (verdicts ~link:"uplink-0" quiet = verdicts ~link:"uplink-1" quiet)
 
 let test_fault_link_down_window () =
   let sim = Sim.create () in
   let f = Fault.create ~seed sim in
-  Fault.link_down f ~link:"uplink-0" ~from:(Time.us 10) ~until:(Time.us 20);
+  Fault.set_plan f { Fault.clean with down = [ (Time.us 10, Time.us 20) ] };
   let at t = Sim.spawn_at sim t in
   let got = ref [] in
-  let probe link () =
-    got := Fault.decision_kind (Fault.decide f ~link ~src:0 ~dst:1) :: !got
-  in
-  at (Time.us 5) (probe "uplink-0");
-  at (Time.us 15) (probe "uplink-0");
-  at (Time.us 15) (probe "uplink-1");
-  at (Time.us 25) (probe "uplink-0");
+  let probe () = got := Fault.decide f ~link:"uplink-0" ~src:0 ~dst:1 :: !got in
+  at (Time.us 5) probe;
+  at (Time.us 15) probe;
+  at (Time.us 25) probe;
   ignore (Sim.run sim);
-  Alcotest.(check (list string))
-    "dropped only inside the window, only on that link"
-    [ "deliver"; "drop"; "deliver"; "deliver" ]
-    (List.rev !got);
-  Alcotest.(check (list (pair string int)))
-    "cause accounted" [ ("drop.down", 1) ] (Fault.decisions f)
+  check_bool "dropped only inside the window" true
+    (List.rev !got = [ Fault.Deliver; Fault.Drop "down"; Fault.Deliver ]);
+  check_int "cause accounted" 1
+    (Metrics.counter_value (Metrics.for_sim sim) "fault.drop.down")
 
 let test_fault_node_pause () =
   let sim = Sim.create () in
   let f = Fault.create ~seed sim in
   Fault.pause_node f ~node:2 ~from:0 ~until:(Time.us 10);
-  let d ~src ~dst = Fault.decision_kind (Fault.decide f ~link:"x" ~src ~dst) in
-  check_str "to the paused node" "drop" (d ~src:0 ~dst:2);
-  check_str "from the paused node" "drop" (d ~src:2 ~dst:1);
-  check_str "bystanders unaffected" "deliver" (d ~src:0 ~dst:1)
+  let d ~src ~dst = Fault.decide f ~link:"x" ~src ~dst in
+  check_bool "to the paused node" true (d ~src:0 ~dst:2 = Fault.Drop "pause");
+  check_bool "from the paused node" true (d ~src:2 ~dst:1 = Fault.Drop "pause");
+  check_bool "bystanders unaffected" true (d ~src:0 ~dst:1 = Fault.Deliver)
 
 (* --- Switch drop accounting -------------------------------------------- *)
 
@@ -124,13 +115,12 @@ let test_switch_drop_causes () =
   check_bool "queue_full" true (count "queue_full" > 0);
   (* Injected fault at switch ingress. *)
   let f = Fault.create ~seed sim in
-  Fault.set_default_plan f (Fault.uniform_loss 1.0);
+  Fault.set_plan f (Fault.uniform_loss 1.0);
   Uls_ether.Switch.set_fault (Uls_ether.Network.switch net) f;
   Uls_ether.Network.send net (frame ~src:0 ~dst:1);
   ignore (Sim.run sim);
   check_int "fault" 1 (count "fault");
-  Alcotest.(check (list (pair string int)))
-    "engine agrees" [ ("drop.loss", 1) ] (Fault.decisions f);
+  check_int "engine agrees" 1 (Metrics.counter_value m "fault.drop.loss");
   (* Legacy boolean filter keeps its own cause. *)
   Uls_ether.Network.set_fault_filter net (fun _ -> true);
   Uls_ether.Network.send net (frame ~src:0 ~dst:1);
@@ -209,12 +199,12 @@ let test_ack_loss_rto_rewind () =
   check_bool "acks were lost" true (!dropped >= 2)
 
 let test_duplicates_never_double_count () =
-  (* Every frame from node 0 delivered twice: payloads must arrive once
-     each, and message accounting must not inflate. *)
+  (* Every frame duplicated on every hop, acks included: payloads must
+     arrive once each, and message accounting must not inflate. *)
   let c, e0, e1 = two_nodes () in
   let sim = Cluster.sim c in
   let fault = Fault.create ~seed sim in
-  Fault.set_link_plan fault ~link:"uplink-0" { Fault.clean with dup_p = 1.0 };
+  Fault.set_plan fault { Fault.clean with dup_p = 1.0 };
   Uls_ether.Network.set_fault (Cluster.network c) fault;
   let payloads =
     List.init 3 (fun k -> String.init 10_000 (fun i -> Char.chr ((i + k) mod 256)))
@@ -247,8 +237,7 @@ let test_corruption_crc_dropped_and_recovered () =
   let c, e0, e1 = two_nodes () in
   let sim = Cluster.sim c in
   let fault = Fault.create ~seed sim in
-  Fault.set_link_plan fault ~link:"uplink-0"
-    { Fault.clean with corrupt_p = 0.05 };
+  Fault.set_plan fault { Fault.clean with corrupt_p = 0.05 };
   Uls_ether.Network.set_fault (Cluster.network c) fault;
   let size = 100_000 in
   let payload = String.init size (fun i -> Char.chr (i mod 253)) in
@@ -323,7 +312,7 @@ let test_link_down_resets_connection () =
   let api = Cluster.substrate_api ~opts c in
   let sim = Cluster.sim c in
   let fault = Fault.create ~seed sim in
-  Fault.link_down fault ~link:"uplink-0" ~from:(Time.ms 1) ~until:(Time.s 50);
+  Fault.set_plan fault { Fault.clean with down = [ (Time.ms 1, Time.s 50) ] };
   Uls_ether.Network.set_fault (Cluster.network c) fault;
   let reset = ref false in
   let descriptors_after = ref (-1) in
@@ -400,7 +389,7 @@ let test_pingpong_under_chaos () =
   let api = Cluster.substrate_api ~opts:ds c in
   let sim = Cluster.sim c in
   let fault = Fault.create ~seed sim in
-  Fault.set_default_plan fault
+  Fault.set_plan fault
     {
       Fault.clean with
       drop_p = 0.02;
@@ -442,7 +431,7 @@ let test_datagram_rendezvous_under_loss () =
   let api = Cluster.substrate_api ~opts:Opt.datagram c in
   let sim = Cluster.sim c in
   let fault = Fault.create ~seed sim in
-  Fault.set_default_plan fault (Fault.uniform_loss 0.02);
+  Fault.set_plan fault (Fault.uniform_loss 0.02);
   Uls_ether.Network.set_fault (Cluster.network c) fault;
   let payload k n = String.init n (fun i -> Char.chr ((i + (7 * k)) mod 256)) in
   let bad = ref 0 in
@@ -476,7 +465,7 @@ let test_collectives_under_loss () =
   let c = Cluster.create ~n () in
   let sim = Cluster.sim c in
   let fault = Fault.create ~seed sim in
-  Fault.set_default_plan fault (Fault.uniform_loss 0.02);
+  Fault.set_plan fault (Fault.uniform_loss 0.02);
   Uls_ether.Network.set_fault (Cluster.network c) fault;
   let eps = Array.init n (fun i -> Cluster.emp c i) in
   let sums = Array.make n [] in

@@ -126,17 +126,6 @@ let test_translation_cache () =
   check_int "hits" 1 (Os.translation_cache_hits os);
   check_int "misses" 1 (Os.translation_cache_misses os)
 
-let test_translation_cache_flush () =
-  let sim = Sim.create () in
-  let os = Os.create sim model in
-  let region = Memory.alloc 100 in
-  Sim.spawn sim (fun () ->
-      Os.pin_region os region ~off:0 ~len:100;
-      Os.flush_translation_cache os;
-      Os.pin_region os region ~off:0 ~len:100);
-  ignore (Sim.run sim);
-  check_int "two misses after flush" 2 (Os.translation_cache_misses os)
-
 let test_prepin () =
   let sim = Sim.create () in
   let os = Os.create sim model in
@@ -156,8 +145,7 @@ let test_node_accounting () =
       Node.compute node 250);
   ignore (Sim.run sim);
   check_int "id" 3 (Node.id node);
-  check_int "busy" 750 (Node.busy_time node);
-  Alcotest.(check (float 0.001)) "utilization" 0.6 (Node.utilization node)
+  check_int "busy" 750 (Node.busy_time node)
 
 let test_node_copy_charges () =
   let sim = Sim.create () in
@@ -200,7 +188,6 @@ let suites =
     ( "host.os",
       [
         Alcotest.test_case "translation cache" `Quick test_translation_cache;
-        Alcotest.test_case "cache flush" `Quick test_translation_cache_flush;
         Alcotest.test_case "prepin" `Quick test_prepin;
       ] );
     ( "host.node",

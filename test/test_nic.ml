@@ -116,10 +116,18 @@ let test_unpost engine () =
   for i = 0 to 4 do
     post ml ~src:1 ~tag:i i
   done;
-  let removed = Match_list.unpost_matching ml (fun v -> v mod 2 = 0) in
+  let removed =
+    List.filter_map
+      (fun _ -> Match_list.remove_first ml (fun v -> v mod 2 = 0))
+      [ 0; 2; 4 ]
+  in
   Alcotest.(check (list int)) "evens removed" [ 0; 2; 4 ] removed;
   check_int "two left" 2 (Match_list.length ml);
-  let rest = Match_list.unpost_all ml in
+  let rest =
+    List.filter_map
+      (fun _ -> fst (Match_list.take ml ~src:(-1) ~tag:(-1)))
+      [ 1; 3 ]
+  in
   Alcotest.(check (list int)) "rest in order" [ 1; 3 ] rest;
   check_int "empty" 0 (Match_list.length ml)
 
@@ -129,7 +137,7 @@ let test_unposted_never_matches engine () =
   let ml = Match_list.create ~engine () in
   post ml ~src:1 ~tag:1 "dead";
   post ml ~src:1 ~tag:1 "live";
-  ignore (Match_list.unpost_matching ml (fun v -> v = "dead"));
+  ignore (Match_list.remove_first ml (fun v -> v = "dead"));
   (match Match_list.take ml ~src:1 ~tag:1 with
   | Some "live", _ -> ()
   | _ -> Alcotest.fail "unposted entry leaked");
@@ -140,7 +148,9 @@ let test_removed_not_counted_in_walk () =
   for i = 0 to 9 do
     post ml ~src:1 ~tag:i i
   done;
-  ignore (Match_list.unpost_matching ml (fun v -> v < 9));
+  for i = 0 to 8 do
+    ignore (Match_list.remove_first ml (fun v -> v = i))
+  done;
   match Match_list.take ml ~src:1 ~tag:9 with
   | Some 9, { Match_list.walked; _ } ->
     check_int "removed entries are never walked" 1 walked
@@ -152,12 +162,12 @@ let test_compaction_preserves_order engine () =
     post ml ~src:1 ~tag:i i
   done;
   (* Remove most entries, then check the rest kept post order. *)
-  ignore (Match_list.unpost_matching ml (fun v -> v mod 10 <> 0));
-  let rest = ref [] in
-  Match_list.iter ml (fun v -> rest := v :: !rest);
+  for i = 0 to 99 do
+    if i mod 10 <> 0 then ignore (Match_list.remove_first ml (fun v -> v = i))
+  done;
   Alcotest.(check (list int)) "order kept"
     [ 0; 10; 20; 30; 40; 50; 60; 70; 80; 90 ]
-    (List.rev !rest)
+    (List.init 10 (fun _ -> Option.get (fst (Match_list.take ml ~src:(-1) ~tag:(-1)))))
 
 let test_churn_10k engine () =
   (* Sustained post/take churn across 10k entries: FIFO-per-key order
@@ -299,7 +309,9 @@ let test_removed_values_collectable engine () =
     if i < n then post ml ~src:1 ~tag:7 v else post ml ~src:3 ~tag:(-1) v
   done;
   let key1 = List.init n value in
-  ignore (Match_list.unpost_matching ml (fun v -> List.memq v key1));
+  List.iter
+    (fun v -> ignore (Match_list.remove_first ml (fun v' -> v' == v)))
+    key1;
   for i = n to (2 * n) - 2 do
     let v = value i in
     ignore (Match_list.remove_first ml (fun v' -> v' == v))

@@ -20,10 +20,10 @@ let test_wrap_around () =
      FIFO order must survive every wrap. *)
   let popped = ref [] in
   for i = 0 to 13 do
-    check_bool "push accepted" true (CR.try_push r i);
+    CR.push_exn r i;
     if i mod 2 = 1 then (
-      match (CR.try_pop r, CR.try_pop r) with
-      | Some a, Some b -> popped := b :: a :: !popped
+      match CR.pop_up_to r ~max:2 with
+      | [ a; b ] -> popped := b :: a :: !popped
       | _ -> Alcotest.fail "pop on non-empty ring")
   done;
   Alcotest.(check (list int))
@@ -35,15 +35,16 @@ let test_wrap_around () =
 let test_full_empty_edges () =
   let r = CR.create ~capacity:2 ~dummy:0 () in
   check_bool "fresh ring empty" true (CR.is_empty r);
-  check_bool "push 1" true (CR.try_push r 1);
-  check_bool "push 2" true (CR.try_push r 2);
-  check_bool "full ring rejects" false (CR.try_push r 3);
+  CR.push_exn r 1;
+  CR.push_exn r 2;
+  Alcotest.check_raises "full ring rejects"
+    (Failure "Cursor_ring.push_exn: ring full") (fun () -> CR.push_exn r 3);
   check_bool "full" true (CR.is_full r);
   check_int "length" 2 (CR.length r);
   check_bool "drop_oldest" true (CR.drop_oldest r);
-  Alcotest.(check (option int)) "2 survives the drop" (Some 2) (CR.try_pop r);
+  Alcotest.(check (list int)) "2 survives the drop" [ 2 ] (CR.pop_up_to r ~max:1);
   check_bool "drop on empty" false (CR.drop_oldest r);
-  Alcotest.(check (option int)) "pop on empty" None (CR.try_pop r)
+  Alcotest.(check (list int)) "pop on empty" [] (CR.pop_up_to r ~max:1)
 
 let test_cursor_overflow () =
   (* Cursors are free-running ints; place them within a few pushes of
@@ -53,21 +54,20 @@ let test_cursor_overflow () =
   let r = CR.create ~start:(max_int - 3) ~capacity:8 ~dummy:(-1) () in
   check_bool "starts empty near max_int" true (CR.is_empty r);
   for i = 0 to 7 do
-    check_bool "push across overflow" true (CR.try_push r i)
+    CR.push_exn r i
   done;
   check_bool "full across overflow" true (CR.is_full r);
-  check_bool "cursor wrapped negative" true (CR.prod_cursor r < 0);
   check_int "length across overflow" 8 (CR.length r);
   Alcotest.(check (list int))
     "order across overflow"
     (List.init 8 (fun i -> i))
     (CR.pop_up_to r ~max:8);
   check_bool "empty after overflow drain" true (CR.is_empty r);
-  check_bool "post-overflow push" true (CR.try_push r 99);
-  Alcotest.(check (option int)) "post-overflow pop" (Some 99) (CR.try_pop r)
+  CR.push_exn r 99;
+  Alcotest.(check (list int)) "post-overflow pop" [ 99 ] (CR.pop_up_to r ~max:1)
 
 let test_consumed_slots_release () =
-  (* Every way out of the ring (pop, bulk pop, overflow drop) hands the
+  (* Every way out of the ring (pop, overflow drop) hands the
      slot back to the dummy: a 1024-slot completion ring must not keep
      up to 1024 finished sends and their buffers reachable. *)
   let r = CR.create ~capacity:4 ~dummy:(Bytes.create 1) () in
@@ -75,13 +75,12 @@ let test_consumed_slots_release () =
   let push_tracked i =
     let x = Bytes.make 64 'x' in
     Weak.set tracked i (Some x);
-    check_bool "push" true (CR.try_push r x)
+    CR.push_exn r x
   in
   for i = 0 to 2 do
     push_tracked i
   done;
-  ignore (Sys.opaque_identity (CR.try_pop r));
-  ignore (Sys.opaque_identity (CR.pop_up_to r ~max:1));
+  ignore (Sys.opaque_identity (CR.pop_up_to r ~max:2));
   check_bool "drop_oldest" true (CR.drop_oldest r);
   check_bool "drained" true (CR.is_empty r);
   Gc.full_major ();

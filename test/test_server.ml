@@ -90,39 +90,6 @@ let test_edge_delivers_once () =
   check_bool "one delivery then the kick's empty batch" true
     (!batches = [ []; [ "a" ] ])
 
-let test_edge_rearm_after_partial_drain () =
-  let sim = Sim.create () in
-  let q = Evq.create sim ~node:0 in
-  let f = fake () in
-  let batches = ref [] in
-  Sim.spawn sim (fun () ->
-      let h = register q ~mode:Evq.Edge f "a" in
-      f.f_readable <- true;
-      fire f;
-      batches := Evq.wait q :: !batches;
-      (* The consumer stopped mid-drain (socket still readable) and
-         knows it: rearm recovers the remaining buffered data. *)
-      Evq.rearm h;
-      batches := Evq.wait q :: !batches);
-  ignore (Sim.run sim);
-  check_bool "rearm redelivered" true (!batches = [ [ "a" ]; [ "a" ] ])
-
-let test_modify_edge_to_level_recovers () =
-  let sim = Sim.create () in
-  let q = Evq.create sim ~node:0 in
-  let f = fake () in
-  let batches = ref [] in
-  Sim.spawn sim (fun () ->
-      let h = register q ~mode:Evq.Edge f "a" in
-      f.f_readable <- true;
-      fire f;
-      batches := Evq.wait q :: !batches;
-      Evq.modify h Evq.Level;
-      batches := Evq.wait q :: !batches);
-  ignore (Sim.run sim);
-  check_bool "switch to level re-checks readiness" true
-    (!batches = [ [ "a" ]; [ "a" ] ])
-
 let test_deregister_while_ready () =
   let sim = Sim.create () in
   let q = Evq.create sim ~node:0 in
@@ -437,8 +404,7 @@ let test_parser_byte_by_byte () =
   match !got with
   | [ r ] ->
     check_str "path" "/x" r.Http.path;
-    check_str "body survived short reads" "hello body" r.Http.req_body;
-    check_int "nothing buffered" 0 (Http.Parser.buffered p)
+    check_str "body survived short reads" "hello body" r.Http.req_body
   | rs -> Alcotest.failf "expected 1 request, got %d" (List.length rs)
 
 let test_parser_pipelined_single_feed () =
@@ -515,7 +481,7 @@ let test_response_roundtrip () =
     check_int "status" 200 r.Http.status;
     check_str "body" body r.Http.resp_body;
     check_bool "content-length set" true
-      (Http.header r.Http.resp_headers "content-length" = Some "300")
+      (List.assoc_opt "content-length" r.Http.resp_headers = Some "300")
   | _ -> Alcotest.fail "expected exactly one response"
 
 (* --- end-to-end load runs ---------------------------------------------- *)
@@ -657,10 +623,6 @@ let suites =
         Alcotest.test_case "level redelivers undrained" `Quick
           test_level_redelivers_undrained;
         Alcotest.test_case "edge delivers once" `Quick test_edge_delivers_once;
-        Alcotest.test_case "edge rearm after partial drain" `Quick
-          test_edge_rearm_after_partial_drain;
-        Alcotest.test_case "modify edge->level recovers" `Quick
-          test_modify_edge_to_level_recovers;
         Alcotest.test_case "deregister while ready" `Quick
           test_deregister_while_ready;
         Alcotest.test_case "level spurious counted" `Quick

@@ -329,13 +329,11 @@ let test_udp_roundtrip () =
       for _ = 1 to 2 do
         let from, data = Uls_tcp.Kernel.udp_recvfrom k1 sock in
         got := (from.node, data) :: !got
-      done;
-      Uls_tcp.Kernel.udp_close k1 sock);
+      done);
   Sim.spawn sim (fun () ->
       let sock = Uls_tcp.Kernel.udp_bind k0 ~port:1000 in
       Uls_tcp.Kernel.udp_sendto k0 sock ~dst:{ node = 1; port = 53 } "ping";
-      Uls_tcp.Kernel.udp_sendto k0 sock ~dst:{ node = 1; port = 53 } "pong";
-      Uls_tcp.Kernel.udp_close k0 sock);
+      Uls_tcp.Kernel.udp_sendto k0 sock ~dst:{ node = 1; port = 53 } "pong");
   ignore (Uls_bench.Cluster.run c);
   Alcotest.(check (list (pair int string)))
     "datagrams in order" [ (0, "ping"); (0, "pong") ] (List.rev !got)
@@ -351,12 +349,10 @@ let test_udp_fragmentation () =
   Sim.spawn sim (fun () ->
       let sock = Uls_tcp.Kernel.udp_bind k1 ~port:53 in
       let _, data = Uls_tcp.Kernel.udp_recvfrom k1 sock in
-      got := data;
-      Uls_tcp.Kernel.udp_close k1 sock);
+      got := data);
   Sim.spawn sim (fun () ->
       let sock = Uls_tcp.Kernel.udp_bind k0 ~port:1000 in
-      Uls_tcp.Kernel.udp_sendto k0 sock ~dst:{ node = 1; port = 53 } big;
-      Uls_tcp.Kernel.udp_close k0 sock);
+      Uls_tcp.Kernel.udp_sendto k0 sock ~dst:{ node = 1; port = 53 } big);
   ignore (Uls_bench.Cluster.run c);
   check_bool "9KB datagram reassembled" true (String.equal big !got)
 
@@ -375,15 +371,13 @@ let test_udp_fragment_loss_drops_datagram () =
   Sim.spawn sim (fun () ->
       let sock = Uls_tcp.Kernel.udp_bind k1 ~port:53 in
       let _, data = Uls_tcp.Kernel.udp_recvfrom k1 sock in
-      got := data :: !got;
-      Uls_tcp.Kernel.udp_close k1 sock);
+      got := data :: !got);
   Sim.spawn sim (fun () ->
       let sock = Uls_tcp.Kernel.udp_bind k0 ~port:1000 in
       Uls_tcp.Kernel.udp_sendto k0 sock ~dst:{ node = 1; port = 53 }
         (String.make 4_000 'L');
       Sim.delay sim (Time.ms 1);
-      Uls_tcp.Kernel.udp_sendto k0 sock ~dst:{ node = 1; port = 53 } "survivor";
-      Uls_tcp.Kernel.udp_close k0 sock);
+      Uls_tcp.Kernel.udp_sendto k0 sock ~dst:{ node = 1; port = 53 } "survivor");
   ignore (Uls_bench.Cluster.run c);
   Alcotest.(check (list string))
     "lossy datagram gone, next one delivered" [ "survivor" ] !got

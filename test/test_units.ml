@@ -207,10 +207,6 @@ let test_segment_sizes () =
     (Seg.payload_bytes
        (Seg.Udp { u_src_port = 1; u_dst_port = 2; u_data = "abc" }))
 
-let test_flags_printer () =
-  Alcotest.(check string) "flags" "SA"
-    (Format.asprintf "%a" Seg.pp_flags (Seg.flag ~syn:true ~ack:true ()))
-
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 (* --- bench vocabulary --- *)
@@ -317,7 +313,6 @@ let suites =
     ( "tcp.segment",
       [
         Alcotest.test_case "sizes" `Quick test_segment_sizes;
-        Alcotest.test_case "flags printer" `Quick test_flags_printer;
       ] );
     ( "bench.vocabulary",
       [
