@@ -1619,43 +1619,19 @@ let chaos_gate () =
       byte-identical across a double-run. The ablation runs on the
       substrate only, since TCP takes the kernel receive path and never
       touches the NIC tag matcher; TCP gets one scale run. The hashed
-      512-connection run must spread the server's receive work over
-      both embedded cores: each of the server NIC's two receive queues
-      carries 25-75% of its frames (measured 1852 / 1813). It bounds
-      the server NIC's transmit-core time per request: at most 7.5 us
-      (measured 7.16; 7.17 before the ring firmware's overlap, which
-      charges the send core the same per frame: every server send,
-      response or control message,
-      is one fixed-format tx ring slot, 2.6 us of fetch plus 2 us per
-      frame; mailbox posting of every send, the paper's path, reads
-      14.01), so the one-slot send submission stays measured. It also carries the
-      allocation ceiling: at most 46.6 minor words per dispatched
-      event, 5809 minor words and 121.3 events per request (measured
-      45.4, 5240 and 115.5 on OCaml 5.1.1, the compiler CI pins). The
-      words-per-request and words-per-event margins are 6%, under the
-      7% that replacing the pooled task cells with the wheel's slab
-      saved. Removing events that allocate little raises words per
-      event, so words per request carries its own ceiling:
-      the serial handlers removed 3.0 events per request that
-      allocated next to nothing (each connection's fiber start and
-      teardown wake-ups; this row opens 512 connections for 1024
-      requests), words per event rose from 44.0, and its ceiling
-      stayed where it was. Fill-ring connection set-up removed 6.0
-      more (one NIC descriptor fetch per descriptor posted), and words
-      per event rose from 44.9 although words per request fell from
-      5626: the ceiling stays. One-slot send submission moved words
-      per request from 5477 to 5484 and events per request not at all
-      (the sends are charged at submission, with no fetch fiber).
-      The ring firmware's overlap (header build during the payload
-      DMA, receive completion before the ack build) took one delay
-      per frame, 119.3 to 115.5 events per request, and alone would
-      have raised words per event to 47.5; flat summary accumulators
-      and a receive descriptor's condition created only for a waiter
-      paid for it (45.4, and 5484 to 5240 words per request). The
-      events-per-request ceiling went from 125.3 to 121.3 with it.
-      The event count is a pure function of the seeded run, so its 5%
-      margin only admits a small deliberate change of event
-      structure.
+      512-connection run bounds:
+      - the share of the server NIC's frames on each of its two receive
+        queues, 25-75%, so receive work spreads over both embedded cores;
+      - the server NIC's transmit-core time per request, at most 7.5 us,
+        so every send stays one fixed-format tx ring slot (mailbox
+        posting of every send, the paper's path, costs about twice that);
+      - minor words per dispatched event (46.6) and per request (5809),
+        6% over the measurement on OCaml 5.1.1, the compiler CI pins.
+        Removing events that allocate little raises words per event, so
+        words per request carries its own ceiling;
+      - events per request (121.3). The count is a pure function of the
+        seeded run, so the 5% margin only admits a small deliberate
+        change of event structure.
     - [fabric]: a cell-count x stack matrix (1/4 cells, substrate/TCP)
       of open-loop fleet runs through the consistent-hash balancer;
       kill-failover on both stacks (cell 1 paused mid-load: the ring
@@ -1664,21 +1640,12 @@ let chaos_gate () =
       connections leave nothing behind: every 64th closed server-side
       stream is held weakly, and none may survive a full major GC while
       the cluster is still alive. Its second run carries the allocation
-      ceiling, with the same margins as [serve]: at most 12641 minor
-      words per session and 257.5 events per session (measured 11442
-      and 245.2), and 47.6 minor words per dispatched event (measured
-      46.7: up from 44.9 when the serial handlers took the events of
-      each connection's fiber start and teardown wake-up, and from
-      45.9 when fill-ring set-up took one NIC descriptor fetch per
-      descriptor posted; the ceiling stays). The ring firmware's
-      overlap took 252.4 to 245.2 events per session and alone would
-      have raised words per event to 48.8; the same two allocation
-      cuts as [serve]'s brought it to 46.7, and the events-per-session
-      ceiling went from 265.2 to 257.5. The same run bounds the
-      NIC doorbells rung per session, on all nodes: at most 15.3
-      (measured 14.58; per-call set-up posting, one doorbell per
-      descriptor, reads 30.79), so the set-up batching stays
-      measured.
+      ceilings, with [serve]'s margins and reasons: 47.6 minor words per
+      dispatched event, 12641 per session and 257.5 events per session.
+      The same run bounds the NIC doorbells rung per session, on all
+      nodes, at 15.3, so connection set-up stays batched through the
+      fill ring (per-call posting, one doorbell per descriptor, rings
+      about twice as many).
     - [chaos]: a checksummed payload streamed through the substrate and
       kernel TCP at 0/0.5/2/5% seeded frame loss. No run may hang past
       the virtual-time bound or deliver corrupt bytes; 1 MB per run

@@ -363,6 +363,10 @@ let is_done (_, r) = E.recv_done r
    buffers in), one fiber per burst, and only once the head completes:
    under loss EMP completes a retransmitted message after its
    successors, which wait behind it. *)
+(* The comm-thread scheme's per-message polling-thread synchronisation
+   cost (§5.2: ~20 us). *)
+let comm_thread_sync = Time.us 20
+
 let receive t (slot, recv) =
   let len, _, _ = E.wait_recv t.env.emp recv in
   if len >= 0 && not t.closed then begin
@@ -373,7 +377,7 @@ let receive t (slot, recv) =
       (* The communication thread notices the used descriptor and
          reposts a spare at once — paying the polling-thread
          synchronisation cost the paper measured (§5.2). *)
-      Node.compute t.env.node (opts t).Options.comm_thread_sync;
+      Node.compute t.env.node comm_thread_sync;
       if t.spares_taken < Array.length t.spare_slots then begin
         repost_data_slot t t.spare_slots.(t.spares_taken);
         t.spares_taken <- t.spares_taken + 1

@@ -29,8 +29,6 @@ type t = {
       (** §6.1's (rejected) "blocking the send" alternative: every write
           waits for the receiver's acknowledgment, costing a round trip
           per send but never deadlocking. *)
-  comm_thread_sync : Uls_engine.Time.ns;
-      (** per-message polling-thread synchronisation cost (paper: ~20 us) *)
   eager_max : int;  (** Datagram mode: larger writes use rendezvous *)
   write_overhead : Uls_engine.Time.ns;  (** substrate bookkeeping per write *)
   read_overhead : Uls_engine.Time.ns;
@@ -40,7 +38,6 @@ type t = {
           its reply) can be lost on the wire, and connection setup has
           no EMP descriptor waiting on the server until [listen] ran.
           Each attempt doubles the previous wait (exponential backoff). *)
-  backlog_request_bytes : int;
   rx_ring : bool;
       (** The rings, in both directions (the name predates the transmit
           side and stays: the benchmark's firehose sets it by name).
@@ -57,8 +54,14 @@ type t = {
           on this ring path the NIC overlaps work the paper firmware
           does in series. It builds each frame's header during the
           frame's payload DMA, and it completes a receive descriptor
-          (each one the substrate posts is marked
-          [Endpoint.post_recv ~ring:true]) before it builds the EMP ack.
+          posted with [Endpoint.post_recv ~ring:true] before it builds
+          the EMP ack. The rendezvous path stays off the rings: the
+          reader posts the rendezvous buffer with a mailbox
+          [Endpoint.post_recv] and the writer sends the payload with a
+          mailbox [Endpoint.post_send], so a rendezvous message (every
+          one under [Rendezvous]; in Datagram mode, one larger than
+          [eager_max] or one buffer) keeps the mailbox path and the
+          serial firmware.
           Off in the paper presets, whose per-call posting is the
           set-up cost §7.2 and §7.4 measure and whose sends keep the
           paper's mailbox path and serial firmware (Fig 11 and §7.2
@@ -78,7 +81,9 @@ val server : t
 (** DS_DA_UQ provisioned for thousands of concurrent connections: small
     credit counts and buffers keep the per-connection descriptor and
     memory footprint low (2N+3 descriptors each, §5.3), piggy-backed
-    acks ride on request/response traffic, and the rings ([rx_ring])
+    acks ride on request/response traffic (which always has a reverse
+    write to carry credits, so explicit acks and their unexpected-queue
+    walks mostly vanish), and the rings ([rx_ring])
     carry set-up, backlog and [readv] reposts, so a connection side
     rings one doorbell to post its descriptors, and every send as one
     fixed-format tx ring slot. *)

@@ -327,6 +327,9 @@ let take_request t l (slot, recv) =
     end
   end
 
+(* A backlog slot holds one connection request. *)
+let backlog_request_bytes = 64
+
 let listen t ~port ~backlog =
   if port < 0 || port > Tags.max_id then invalid_arg "substrate: port > 4095";
   if Hashtbl.mem t.listeners port then
@@ -338,7 +341,7 @@ let listen t ~port ~backlog =
       l_requests = Queue.create ();
       l_slots =
         Array.init backlog (fun _ ->
-            Conn.alloc_slot t.node t.opts.Options.backlog_request_bytes);
+            Conn.alloc_slot t.node backlog_request_bytes);
       l_backlog =
         lazy
           (Serial.ordered (sim t) ~name:"sub-listen" ~ready:Conn.is_done
