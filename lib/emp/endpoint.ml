@@ -821,12 +821,13 @@ let match_new_message t ~queue (d : Wire.data) =
   let src = d.key.Wire.src_node in
   match Match_list.take t.posted ~src ~tag:d.tag with
   | Some r, probe ->
+    (* Claim the descriptor before the blocking charge, as the UQ path
+       below claims its slot: an owner's [unpost_recv] in that window
+       then finds it matched, instead of cancelling it under an arrived
+       frame that would be dropped unacked. *)
+    r.r_matched <- true;
     charge_match t ~queue probe;
-    if r.r_cancelled then None
-    else begin
-      r.r_matched <- true;
-      Some (To_user r)
-    end
+    Some (To_user r)
   | None, probe ->
     let slot, uq_walked = free_uq_slot_for t ~total_len:d.total_len in
     (* Claim the slot before any blocking charge: with two receive

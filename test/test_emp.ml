@@ -242,6 +242,46 @@ let test_unpost_recv () =
   run c;
   check_int "waiter unblocked with sentinel" (-1) !cancelled_len
 
+let test_unpost_during_match_charge () =
+  (* The owner unposts a descriptor while the NIC is still charging the
+     match that took it: the descriptor is already claimed, so the unpost
+     must fail and the message be delivered and acked, not dropped and
+     left to the sender's RTO. Decoys ahead of it on the linear match
+     list stretch the charge to ~110 us; the unpost lands 20 us after
+     the frame reaches the NIC, past the 4 us classify. *)
+  let c, e0, e1 = two_nodes () in
+  let sim = Uls_bench.Cluster.sim c in
+  let nic1 = E.nic e1 in
+  let unposted = ref true and got = ref "" and acked = ref false in
+  Sim.spawn sim (fun () ->
+      let decoy = Memory.alloc 16 in
+      for tag = 100 to 299 do
+        ignore (E.post_recv e1 ~src:0 ~tag decoy ~off:0 ~len:16)
+      done;
+      let buf = Memory.alloc 64 in
+      let r = E.post_recv e1 ~src:0 ~tag:7 buf ~off:0 ~len:64 in
+      (* Let the receive core finish fetching the posted descriptors. *)
+      Sim.delay sim (Time.ms 5);
+      let before = Uls_nic.Tigon.frames_received nic1 in
+      Sim.spawn sim (fun () ->
+          try
+            E.wait_send e0 (send_string e0 ~dst:1 ~tag:7 "claimed");
+            acked := true
+          with E.Send_failed _ -> ());
+      while Uls_nic.Tigon.frames_received nic1 = before do
+        Sim.delay sim (Time.us 1)
+      done;
+      Sim.delay sim (Time.us 20);
+      unposted := E.unpost_recv e1 r;
+      let len, _, _ = E.wait_recv e1 r in
+      if len >= 0 then got := Memory.sub_string buf ~off:0 ~len);
+  run c;
+  check_bool "unpost finds the descriptor already matched" false !unposted;
+  check_str "message delivered" "claimed" !got;
+  check_bool "send acked" true !acked;
+  check_int "nothing dropped" 0 (E.stats e1).E.frames_dropped_no_descriptor;
+  check_int "nothing retransmitted" 0 (E.stats e0).E.frames_retransmitted
+
 let test_translation_cache_reuse () =
   let c, e0, e1 = two_nodes () in
   let sim = Uls_bench.Cluster.sim c in
@@ -548,6 +588,8 @@ let suites =
     ( "emp.resources",
       [
         Alcotest.test_case "unpost" `Quick test_unpost_recv;
+        Alcotest.test_case "unpost during the match charge" `Quick
+          test_unpost_during_match_charge;
         Alcotest.test_case "translation cache" `Quick test_translation_cache_reuse;
         Alcotest.test_case "batch with a bad spec posts nothing" `Quick
           test_batch_with_bad_spec_posts_nothing;
