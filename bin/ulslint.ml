@@ -377,18 +377,6 @@ let tokens lines =
   go 0;
   List.rev !acc
 
-let keywords =
-  [
-    "and"; "as"; "asr"; "assert"; "begin"; "class"; "constraint"; "do";
-    "done"; "downto"; "else"; "end"; "exception"; "external"; "false";
-    "for"; "fun"; "function"; "functor"; "if"; "in"; "include"; "inherit";
-    "initializer"; "land"; "lazy"; "let"; "lor"; "lsl"; "lsr"; "lxor";
-    "match"; "method"; "mod"; "module"; "mutable"; "new"; "nonrec";
-    "object"; "of"; "open"; "or"; "private"; "rec"; "sig"; "struct";
-    "then"; "to"; "true"; "try"; "type"; "val"; "virtual"; "when"; "while";
-    "with";
-  ]
-
 (* What a file's code has in scope at a point: an [open]ed (or
    [include]d) lib module, by qualified name ("Stats.Summary"), or a
    module alias [module X = path]. *)
@@ -448,21 +436,23 @@ let file_uses ~modules lines =
       | _ :: rest -> find rest
       | [] -> None
     in
-    match expand 8 p with
-    | c :: rest as p when find p = None ->
+    let p = expand 8 p in
+    match (find p, p) with
+    | Some q, _ -> Some q
+    | None, c :: rest ->
       List.find_map
         (fun q ->
           if Hashtbl.mem modules (q ^ "." ^ c) then
             Some (extend (q ^ "." ^ c) rest)
           else None)
         (opened ())
-    | p -> find p
+    | None, [] -> None
   in
   let path_use = function
     | [] -> ()
     | v :: _ when not (is_upper v) ->
-      if not (List.mem v keywords) then
-        List.iter (fun q -> Hashtbl.replace found (q ^ "." ^ v) ()) (opened ())
+      (* A bare name (keywords included: they match no export). *)
+      List.iter (fun q -> Hashtbl.replace found (q ^ "." ^ v) ()) (opened ())
     | p ->
       let rec split mods = function
         | c :: rest when is_upper c -> split (c :: mods) rest

@@ -5,8 +5,8 @@
     surviving connection tables, recorded invariant violations (without
     their timestamps), and scenario-provided observable strings
     (payload digests). Two runs of a correct program under different
-    same-timestamp orderings must produce {!equal} fingerprints; a
-    difference is a race. *)
+    same-timestamp orderings must produce fingerprints with the same
+    {!digest}; a difference is a race. *)
 
 type t
 

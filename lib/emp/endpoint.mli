@@ -239,8 +239,7 @@ val posted_descriptors : t -> int
 type desc_stats = {
   descs_posted : int;  (** receive descriptors ever posted *)
   descs_completed : int;
-      (** completed deliveries, including the [-1] cancel sentinel and
-          descriptors torn down by {!reset} *)
+      (** completed deliveries, including the [-1] cancel sentinel *)
   descs_live : int;  (** still waiting on the match list *)
 }
 

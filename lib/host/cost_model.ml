@@ -5,7 +5,6 @@ type t = {
   host_copy_ns_per_byte : float;
   syscall : Uls_engine.Time.ns;
   interrupt : Uls_engine.Time.ns;
-  context_switch : Uls_engine.Time.ns;
   sched_wakeup : Uls_engine.Time.ns;
   page_pin_syscall : Uls_engine.Time.ns;
   page_pin_per_page : Uls_engine.Time.ns;
@@ -47,7 +46,6 @@ let paper_testbed =
     host_copy_ns_per_byte = 1.8;
     syscall = 2_500;
     interrupt = 5_000;
-    context_switch = 4_000;
     sched_wakeup = 18_000;
     page_pin_syscall = 15_000;
     page_pin_per_page = 2_000;

@@ -15,7 +15,6 @@ type t = {
   host_copy_ns_per_byte : float;
   syscall : Uls_engine.Time.ns;
   interrupt : Uls_engine.Time.ns;
-  context_switch : Uls_engine.Time.ns;
   sched_wakeup : Uls_engine.Time.ns;  (** blocked process: event -> running *)
   page_pin_syscall : Uls_engine.Time.ns;
   page_pin_per_page : Uls_engine.Time.ns;

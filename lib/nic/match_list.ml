@@ -4,7 +4,7 @@ type probe = { walked : int; lookups : int }
 
 (* Every posted descriptor is one cell on two intrusive doubly-linked
    lists: the global post-order list (authoritative for the linear walk,
-   wildcard queries, iteration and unposting) and, under the hashed
+   wildcard queries and predicate removal) and, under the hashed
    engine, the FIFO of its match key. Removal unlinks the cell from both
    in O(1), so a removed descriptor is unreachable at once — nothing is
    tombstoned and nothing waits to be reaped. *)
@@ -43,10 +43,10 @@ type 'a index = {
   all_wild : 'a keyq;  (* posted src = tag = -1 *)
   mutable any_src_on : bool;
   mutable any_tag_on : bool;
-      (* wildcard-class enable bits: set by the first post of the class,
-         cleared only by [unpost_all] (a reset). A lookup pays the class's
-         hash probe while its bit is set, even when the class has no
-         live key at that moment. *)
+      (* wildcard-class enable bits: set by the first post of the class
+         and never cleared. A lookup pays the class's hash probe once its
+         bit is set, even when the class has no live key at that
+         moment. *)
 }
 
 type 'a t = {

@@ -14,7 +14,7 @@
 
     Every lookup reports a {!probe} so the NIC model can charge walk and
     hash costs explicitly. A wildcard class's hash probe is paid from the
-    first post of that class until {!unpost_all}.
+    first post of that class on.
 
     Removal is physical under both engines: a taken or unposted
     descriptor is unlinked at once (O(1) per descriptor), and a key
