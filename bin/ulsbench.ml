@@ -1383,7 +1383,7 @@ let serve_gate () =
     counting_words (fun () -> run ~on_metrics "ds/512/hashed" (scale ds L.Echo))
   in
   allocation_ceiling "ds/512/hashed" ~words ~events:hsh.L.events
-    ~ops:hsh.L.sent ~max_words:46.6 ~max_op_words:5_809. ~max_events:121.3;
+    ~ops:hsh.L.sent ~max_words:46.6 ~max_op_words:5_809. ~max_events:117.0;
   let frames = List.fold_left ( + ) 0 !server_queues in
   Printf.printf "ds/512/hashed: server NIC receive queues carry %s of %d frames\n%!"
     (String.concat " / " (List.map string_of_int !server_queues)) frames;
@@ -1477,7 +1477,7 @@ let fabric_gate () =
   let a = L.run ~on_server_close:sample ~on_metrics:count_survivors cfg in
   let b, words = counting_words (fun () -> L.run cfg) in
   allocation_ceiling "ds/4-cell" ~words ~events:b.L.events ~ops:cfg.conns
-    ~max_words:47.6 ~max_op_words:12_641. ~max_events:257.5;
+    ~max_words:47.6 ~max_op_words:12_641. ~max_events:249.9;
   let doorbells = float_of_int b.L.doorbells /. float_of_int cfg.conns in
   let max_doorbells = 15.3 in
   Printf.printf "ds/4-cell: %.2f NIC doorbells/session (ceiling %.1f)\n%!"
@@ -1629,7 +1629,7 @@ let chaos_gate () =
         6% over the measurement on OCaml 5.1.1, the compiler CI pins.
         Removing events that allocate little raises words per event, so
         words per request carries its own ceiling;
-      - events per request (121.3). The count is a pure function of the
+      - events per request (117.0). The count is a pure function of the
         seeded run, so the 5% margin only admits a small deliberate
         change of event structure.
     - [fabric]: a cell-count x stack matrix (1/4 cells, substrate/TCP)
@@ -1641,7 +1641,7 @@ let chaos_gate () =
       stream is held weakly, and none may survive a full major GC while
       the cluster is still alive. Its second run carries the allocation
       ceilings, with [serve]'s margins and reasons: 47.6 minor words per
-      dispatched event, 12641 per session and 257.5 events per session.
+      dispatched event, 12641 per session and 249.9 events per session.
       The same run bounds the NIC doorbells rung per session, on all
       nodes, at 15.3, so connection set-up stays batched through the
       fill ring (per-call posting, one doorbell per descriptor, rings

@@ -68,17 +68,11 @@ let serve_conn disk s =
     | [ "STOR"; name; size ] ->
       serve_stor fdio disk s sock_fd name (int_of_string size);
       loop ()
-    | [ "SIZE"; name ] ->
-      (match Ramdisk.size disk name with
-      | Some n -> send_ctrl s (Printf.sprintf "OK %d" n)
-      | None -> send_ctrl s "ERR no such file");
-      loop ()
     | [ "LIST" ] ->
       let files = Ramdisk.list disk in
       send_ctrl s (Printf.sprintf "OK %d" (List.length files));
       List.iter (fun f -> send_ctrl s f) files;
       loop ()
-    | [ "QUIT" ] -> send_ctrl s "OK bye"
     | _ ->
       send_ctrl s "ERR bad command";
       loop ()

@@ -11,8 +11,9 @@ val server :
   unit ->
   unit
 (** Run the ftp server fiber body: accepts connections forever, each
-    served by its own fiber. Supported commands: [RETR f], [STOR f n],
-    [SIZE f], [LIST], [QUIT]. Spawn this inside [Sim.spawn]. *)
+    served by its own fiber until the client closes. Supported commands:
+    [RETR f], [STOR f n], [LIST]; anything else is answered
+    [ERR bad command]. Spawn this inside [Sim.spawn]. *)
 
 type transfer = {
   bytes : int;

@@ -456,7 +456,7 @@ let run ?on_metrics ?on_server_close ?progress cfg =
     match cfg.arrival with
     | Closed ->
       for conn = 0 to cfg.conns - 1 do
-        Sim.spawn sim ~name:(Printf.sprintf "load-conn-%d" conn) (fun () ->
+        Sim.spawn sim ~name:("load-conn-" ^ string_of_int conn) (fun () ->
             (match join connect conn with
             | None -> ()
             | Some sess ->
@@ -491,7 +491,7 @@ let run ?on_metrics ?on_server_close ?progress cfg =
             Mailbox.send jobs None
           done);
       for conn = 0 to cfg.conns - 1 do
-        Sim.spawn sim ~name:(Printf.sprintf "load-conn-%d" conn) (fun () ->
+        Sim.spawn sim ~name:("load-conn-" ^ string_of_int conn) (fun () ->
             (match join connect conn with
             | None -> ()
             | Some sess ->
@@ -520,7 +520,7 @@ let run ?on_metrics ?on_server_close ?progress cfg =
           for conn = 0 to cfg.conns - 1 do
             Sim.delay sim
               (int_of_float (Rng.exponential arrival_rng ~mean:mean_gap));
-            Sim.spawn sim ~name:(Printf.sprintf "load-conn-%d" conn)
+            Sim.spawn sim ~name:("load-conn-" ^ string_of_int conn)
               (session connect conn)
           done)
   in
@@ -772,8 +772,14 @@ let print_report fmt cfg r =
       "  no-route %d  remapped %d  retried-ok %d  peak-open %d  \
        peak-cell-open %d@."
       r.no_route r.remapped r.retried_ok r.peak_open r.peak_cell_open;
+    (* A cell can also be marked down with nothing killed (a connect
+       that failed under load); only a kill makes that a heal. *)
     if r.healed_at_ms >= 0. then
-      Format.fprintf fmt "  ring healed at %.2f ms@." r.healed_at_ms;
+      if Option.is_some f.kill then
+        Format.fprintf fmt "  ring healed at %.2f ms@." r.healed_at_ms
+      else
+        Format.fprintf fmt "  cell marked down at %.2f ms without a kill@."
+          r.healed_at_ms;
     if r.drained_at_ms >= 0. then
       Format.fprintf fmt "  drain completed at %.2f ms (%d conns drained)@."
         r.drained_at_ms r.drain_open;

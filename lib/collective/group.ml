@@ -95,11 +95,11 @@ let last_rounds t = t.last_rounds
 let observed t name alg sel f =
   let r =
     match t.trace with
-    | None -> f ()
-    | Some trace ->
+    | Some trace when Trace.enabled trace ->
       Trace.span trace ~layer:Trace.Collective ~node:t.tr.rank ~seq:t.seq name
         ~args:[ ("alg", algorithm_name alg) ]
         f
+    | _ -> f ()
   in
   (match t.hot with
   | None -> ()

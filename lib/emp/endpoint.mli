@@ -141,13 +141,16 @@ val post_recv :
     per message instead of keeping one parked per connection.
 
     [~ring:true] (default [false]) marks a descriptor of the ring path
-    (the substrate passes its [Options.rx_ring]): when the message's
-    last frame has been DMA'd, the firmware completes the descriptor
+    (the substrate passes its [Options.rx_ring]). Each of the message's
+    frames then has its [nic_rx_per_frame] work on the receive core run
+    during its payload DMA ({!Uls_nic.Tigon.dma_with_rx_work}), and when
+    the last frame has been DMA'd, the firmware completes the descriptor
     first and then spends [nic_ack_gen] on the EMP ack, so the host sees
     the completion [nic_ack_gen] sooner while the ack leaves at the same
-    instant. By default the paper firmware's order holds: ack, then
-    completion. The post itself is charged the same either way. A
-    message that lands in the unexpected queue keeps the paper order. *)
+    instant. By default the paper firmware's order holds: per-frame
+    work, DMA, ack, completion. The post itself is charged the same
+    either way. A message that lands in the unexpected queue keeps the
+    paper order. *)
 
 val post_recv_batch :
   t ->

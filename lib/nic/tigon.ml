@@ -129,8 +129,9 @@ let fwd_match t ~src ~tag frame =
     Stats.Counter.incr t.mh.h_coll_matched;
     Stats.Summary.add t.mh.h_fwd_walk_descs (float_of_int probe.walked);
     observe_match t probe;
-    Trace.instant t.trace ~layer:Trace.Nic ~node:t.node_id "nic.fwd_match"
-      ~args:[ ("walked", string_of_int probe.walked) ];
+    if Trace.enabled t.trace then
+      Trace.instant t.trace ~layer:Trace.Nic ~node:t.node_id "nic.fwd_match"
+        ~args:[ ("walked", string_of_int probe.walked) ];
     fwd.fwd_need <- fwd.fwd_need - 1;
     if fwd.fwd_need <= 0 then fwd_complete t fwd frame
 
@@ -287,7 +288,7 @@ let tx_work t d =
       (fun () -> Resource.use t.tx_cpu d)
   else Resource.use t.tx_cpu d
 
-let rx_work ?(queue = 0) t d =
+let rx_work ~queue t d =
   if Trace.enabled t.trace then
     Trace.span t.trace ~layer:Trace.Nic ~node:t.node_id "nic.rx_work"
       (fun () -> Resource.use t.rx_cpus.(queue) d)
@@ -305,24 +306,35 @@ let dma_cost ~pipelined t ~bytes =
 let dma ?(pipelined = false) t ~bytes =
   Resource.use t.dma_engine (dma_cost ~pipelined t ~bytes)
 
-(* A ring slot holds the frame's header fields in fixed format, so the
-   send core builds the header while the DMA engine moves the payload:
-   both are reserved now, and the frame is ready for the MAC at the
-   later of the two. Each resource is busy exactly as long as in the
-   serial order; the traced span runs until that hand-off, so it covers
-   the header build and whatever of the DMA outlasted it. *)
-let dma_with_header ~pipelined t ~bytes =
-  let moved =
-    Resource.completion_after t.dma_engine (dma_cost ~pipelined t ~bytes)
-  in
-  let built =
-    Resource.completion_after t.tx_cpu t.model.Cost_model.nic_tx_per_frame
-  in
-  let wait = Int.max moved built - Sim.now t.sim in
+(* A ring slot's fixed format lets a core's per-frame work run while the
+   DMA engine moves the payload: both are reserved now, and the caller
+   resumes at the later of the two. Each resource is busy exactly as
+   long as in the serial order; the traced span ([name]) runs until that
+   hand-off, so it covers the core's work and whatever of the DMA
+   outlasted it. *)
+let dma_during t ~dma ~core ~work name =
+  let moved = Resource.completion_after t.dma_engine dma in
+  let worked = Resource.completion_after core work in
+  let wait = Int.max moved worked - Sim.now t.sim in
   if Trace.enabled t.trace then
-    Trace.span t.trace ~layer:Trace.Nic ~node:t.node_id "nic.tx_work"
-      (fun () -> Sim.delay t.sim wait)
+    Trace.span t.trace ~layer:Trace.Nic ~node:t.node_id name (fun () ->
+        Sim.delay t.sim wait)
   else Sim.delay t.sim wait
+
+(* Send: the core builds the frame header, ready for the MAC once the
+   payload is on the NIC. *)
+let dma_with_header ~pipelined t ~bytes =
+  dma_during t
+    ~dma:(dma_cost ~pipelined t ~bytes)
+    ~core:t.tx_cpu ~work:t.model.Cost_model.nic_tx_per_frame "nic.tx_work"
+
+(* Receive: the core updates the message record and its ack prefix
+   while the payload moves to the host. *)
+let dma_with_rx_work ~queue t ~bytes =
+  dma_during t
+    ~dma:(Cost_model.dma_cost t.model bytes)
+    ~core:t.rx_cpus.(queue) ~work:t.model.Cost_model.nic_rx_per_frame
+    "nic.rx_work"
 
 (* Host-side doorbell: one MMIO write over PCI, counted so the
    doorbells/mailbox-fetches audit can prove each doorbell is fetched

@@ -52,8 +52,8 @@ val transmit : t -> Uls_ether.Frame.t -> unit
 val tx_work : t -> Uls_engine.Time.ns -> unit
 (** Occupy the send core for the given processing time (fiber). *)
 
-val rx_work : ?queue:int -> t -> Uls_engine.Time.ns -> unit
-(** Occupy a receive core (default queue 0) for the given time (fiber). *)
+val rx_work : queue:int -> t -> Uls_engine.Time.ns -> unit
+(** Occupy receive core [queue] for the given time (fiber). *)
 
 val dma : ?pipelined:bool -> t -> bytes:int -> unit
 (** One DMA transaction over the PCI bus (fiber): setup + per-byte.
@@ -68,6 +68,12 @@ val dma_with_header : pipelined:bool -> t -> bytes:int -> unit
     (fiber): the caller resumes when both are done, at the later of the
     two, instead of after their sum. Each resource's busy time is the
     same as {!dma} followed by {!tx_work}. *)
+
+val dma_with_rx_work : queue:int -> t -> bytes:int -> unit
+(** A ring-slot receive's payload DMA up to the host (as {!dma}) and its
+    [nic_rx_per_frame] work on receive core [queue], reserved together
+    (fiber): the caller resumes at the later of the two. Each resource's
+    busy time is the same as {!rx_work} followed by {!dma}. *)
 
 val doorbell : t -> unit
 (** Host doorbell: one [pio_write] charged to the caller (fiber) and one

@@ -55,8 +55,9 @@ let echo_handler t _peer data =
   t.served <- t.served + 1;
   Stats.Counter.incr t.mh.h_echo_chunks;
   Stats.Counter.add t.mh.h_echo_bytes (String.length data);
-  Trace.instant t.trace ~layer:Trace.App ~node:t.node "server.echo"
-    ~args:[ ("bytes", string_of_int (String.length data)) ];
+  if Trace.enabled t.trace then
+    Trace.instant t.trace ~layer:Trace.App ~node:t.node "server.echo"
+      ~args:[ ("bytes", string_of_int (String.length data)) ];
   { Sched.replies = [ data ]; close = false }
 
 (* "/b/<n>" asks for an n-byte body; anything else gets the default. *)
@@ -77,29 +78,31 @@ let http_handler t default_size peer =
       List.filter_map
         (fun (req : Http.request) ->
           if !close then None (* nothing pipelined after Connection: close *)
-          else
+          else begin
+            let respond () =
+              t.served <- t.served + 1;
+              Stats.Counter.incr t.mh.h_http_requests;
+              let size = body_size_of_path ~default:default_size req.Http.path in
+              let last = not (Http.keep_alive req) in
+              if last then close := true;
+              Http.format_response
+                {
+                  Http.status = 200;
+                  reason = "OK";
+                  resp_version = "HTTP/1.1";
+                  resp_headers =
+                    [ ("connection", if last then "close" else "keep-alive") ];
+                  resp_body = Http.body_for ~size;
+                }
+            in
             Some
-              (Trace.span t.trace ~layer:Trace.App ~node:t.node
-                 "server.request"
-                 ~args:[ ("peer", Format.asprintf "%a" Api.pp_addr peer) ]
-                 (fun () ->
-                   t.served <- t.served + 1;
-                   Stats.Counter.incr t.mh.h_http_requests;
-                   let size =
-                     body_size_of_path ~default:default_size req.Http.path
-                   in
-                   let last = not (Http.keep_alive req) in
-                   if last then close := true;
-                   Http.format_response
-                     {
-                       Http.status = 200;
-                       reason = "OK";
-                       resp_version = "HTTP/1.1";
-                       resp_headers =
-                         [ ("connection",
-                            if last then "close" else "keep-alive") ];
-                       resp_body = Http.body_for ~size;
-                     })))
+              (if Trace.enabled t.trace then
+                 Trace.span t.trace ~layer:Trace.App ~node:t.node
+                   "server.request"
+                   ~args:[ ("peer", Format.asprintf "%a" Api.pp_addr peer) ]
+                   respond
+               else respond ())
+          end)
         reqs
     in
     { Sched.replies; close = !close }

@@ -185,9 +185,10 @@ let send_credit_ack t =
     let count = t.consumed_since_ack in
     t.consumed_since_ack <- 0;
     Stats.Counter.incr t.env.mh.h_credit_acks_sent;
-    Trace.instant t.env.trace ~layer:Trace.Substrate ~node:(node_id t) ~conn:t.id
-      "sub.credit_ack"
-      ~args:[ ("credits", string_of_int count) ];
+    if Trace.enabled t.env.trace then
+      Trace.instant t.env.trace ~layer:Trace.Substrate ~node:(node_id t)
+        ~conn:t.id "sub.credit_ack"
+        ~args:[ ("credits", string_of_int count) ];
     post_ctrl t Tags.Credit_ack (Codec.encode [ count ])
   end
 
@@ -485,9 +486,11 @@ let rendezvous_write t data =
   t.next_seq <- seq + 1;
   t.next_rdvz <- t.next_rdvz + 1;
   let rid = t.next_rdvz in
-  Trace.instant t.env.trace ~layer:Trace.Substrate ~node:(node_id t) ~conn:t.id
-    ~seq "sub.rdvz_request"
-    ~args:[ ("rid", string_of_int rid); ("len", string_of_int (String.length data)) ];
+  if Trace.enabled t.env.trace then
+    Trace.instant t.env.trace ~layer:Trace.Substrate ~node:(node_id t)
+      ~conn:t.id ~seq "sub.rdvz_request"
+      ~args:
+        [ ("rid", string_of_int rid); ("len", string_of_int (String.length data)) ];
   t.rdvz_unsent <- seq :: t.rdvz_unsent;
   post_ctrl t Tags.Rdvz_request (Codec.encode [ seq; rid; String.length data ]);
   (* Block until the receiver has synchronised (Figure 6). Grants are
@@ -691,8 +694,9 @@ let ack_due t =
     if not t.ack_holdoff_armed then begin
       t.ack_holdoff_armed <- true;
       Stats.Counter.incr t.env.mh.h_ack_holdoffs_armed;
-      Trace.instant t.env.trace ~layer:Trace.Substrate ~node:(node_id t)
-        ~conn:t.id "sub.ack_holdoff";
+      if Trace.enabled t.env.trace then
+        Trace.instant t.env.trace ~layer:Trace.Substrate ~node:(node_id t)
+          ~conn:t.id "sub.ack_holdoff";
       Sim.at (sim t)
         (Sim.now (sim t) + piggyback_holdoff)
         (fun () ->
@@ -781,16 +785,18 @@ let read_rdvz t (q : rdvz_req) n =
   if t.closed || t.reset || past_close t q.rq_seq then
     ignore (E.unpost_recv t.env.emp r)
   else begin
-    Trace.instant t.env.trace ~layer:Trace.Substrate ~node:(node_id t) ~conn:t.id
-      ~seq:q.rq_seq "sub.rdvz_grant"
-      ~args:[ ("rid", string_of_int q.rq_id) ];
+    if Trace.enabled t.env.trace then
+      Trace.instant t.env.trace ~layer:Trace.Substrate ~node:(node_id t)
+        ~conn:t.id ~seq:q.rq_seq "sub.rdvz_grant"
+        ~args:[ ("rid", string_of_int q.rq_id) ];
     post_ctrl t Tags.Rdvz_grant (Codec.encode [ q.rq_id ])
   end;
   let len, _, _ = E.wait_recv t.env.emp r in
   t.rdvz_read <- None;
-  Trace.instant t.env.trace ~layer:Trace.Substrate ~node:(node_id t) ~conn:t.id
-    ~seq:q.rq_seq "sub.rdvz_data"
-    ~args:[ ("len", string_of_int (max 0 len)) ];
+  if Trace.enabled t.env.trace then
+    Trace.instant t.env.trace ~layer:Trace.Substrate ~node:(node_id t)
+      ~conn:t.id ~seq:q.rq_seq "sub.rdvz_data"
+      ~args:[ ("len", string_of_int (max 0 len)) ];
   if len < 0 then begin
     if t.reset then raise Reset;
     if t.closed then raise Closed;
@@ -946,8 +952,9 @@ let teardown t =
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    Trace.instant t.env.trace ~layer:Trace.Substrate ~node:(node_id t) ~conn:t.id
-      "sub.close";
+    if Trace.enabled t.env.trace then
+      Trace.instant t.env.trace ~layer:Trace.Substrate ~node:(node_id t)
+        ~conn:t.id "sub.close";
     notify_close t;
     teardown t
   end

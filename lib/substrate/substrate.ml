@@ -506,8 +506,10 @@ let connect t (server : Uls_api.Sockets_api.addr) =
   if server.port < 0 || server.port > Tags.max_id then
     invalid_arg "substrate: port > 4095";
   Stats.Counter.incr t.mh.h_connects;
-  Trace.span t.env.Conn.trace ~layer:Trace.Substrate ~node:(node_id t)
-    "sub.connect" (fun () -> connect_blocking t server)
+  if Trace.enabled t.env.Conn.trace then
+    Trace.span t.env.Conn.trace ~layer:Trace.Substrate ~node:(node_id t)
+      "sub.connect" (fun () -> connect_blocking t server)
+  else connect_blocking t server
 
 (* --- stack-agnostic API ------------------------------------------------ *)
 

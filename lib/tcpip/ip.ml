@@ -57,8 +57,9 @@ let send t ~dst payload =
   let id = t.next_ip_id in
   let per = Segment.max_fragment_payload in
   Stats.Counter.incr t.mh.h_tx_datagrams;
-  Trace.instant t.trace ~layer:Trace.Tcpip ~node:me ~seq:id "ip.tx"
-    ~args:[ ("bytes", string_of_int total); ("dst", string_of_int dst) ];
+  if Trace.enabled t.trace then
+    Trace.instant t.trace ~layer:Trace.Tcpip ~node:me ~seq:id "ip.tx"
+      ~args:[ ("bytes", string_of_int total); ("dst", string_of_int dst) ];
   let rec emit off first =
     let remaining = total - off in
     if remaining > 0 || first then begin
@@ -101,8 +102,9 @@ let evict_stale t =
 
 let deliver t ~src payload =
   Stats.Counter.incr t.mh.h_rx_datagrams;
-  Trace.instant t.trace ~layer:Trace.Tcpip ~node:(Node.id t.node) "ip.rx"
-    ~args:[ ("src", string_of_int src) ];
+  if Trace.enabled t.trace then
+    Trace.instant t.trace ~layer:Trace.Tcpip ~node:(Node.id t.node) "ip.rx"
+      ~args:[ ("src", string_of_int src) ];
   t.handler ~src payload
 
 let ip_input t (frame : Uls_ether.Frame.t) =
@@ -164,9 +166,11 @@ let dispatcher t () =
         (float_of_int (Queue.length t.pending));
       Resource.use t.cpu m.Cost_model.interrupt;
       let sp =
-        Trace.span_begin t.trace ~layer:Trace.Tcpip ~node:(Node.id t.node)
-          "ip.rx_batch"
-          ~args:[ ("frames", string_of_int (Queue.length t.pending)) ]
+        if Trace.enabled t.trace then
+          Trace.span_begin t.trace ~layer:Trace.Tcpip ~node:(Node.id t.node)
+            "ip.rx_batch"
+            ~args:[ ("frames", string_of_int (Queue.length t.pending)) ]
+        else 0
       in
       let rec drain () =
         match Queue.take_opt t.pending with
@@ -177,8 +181,9 @@ let dispatcher t () =
           drain ()
       in
       drain ();
-      Trace.span_end t.trace ~layer:Trace.Tcpip ~node:(Node.id t.node)
-        "ip.rx_batch" sp;
+      if sp > 0 then
+        Trace.span_end t.trace ~layer:Trace.Tcpip ~node:(Node.id t.node)
+          "ip.rx_batch" sp;
       loop ()
     end
   in

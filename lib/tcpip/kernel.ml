@@ -69,8 +69,9 @@ let conn_key ~local_port ~remote:(r : addr) = (local_port, r.node, r.port)
    substrate is the paper's central claim. *)
 let syscall t name =
   Stats.Counter.incr t.mh.h_syscalls;
-  Trace.instant t.trace ~layer:Trace.Tcpip ~node:(node_id t) "os.syscall"
-    ~args:[ ("call", name) ];
+  if Trace.enabled t.trace then
+    Trace.instant t.trace ~layer:Trace.Tcpip ~node:(node_id t) "os.syscall"
+      ~args:[ ("call", name) ];
   Os.syscall (Node.os t.node)
 
 let env_of t =
@@ -140,10 +141,11 @@ let handle_syn t ~src (seg : Segment.tcp_segment) =
 
 let tcp_input t ~src (seg : Segment.tcp_segment) =
   Stats.Counter.incr t.mh.h_rx_segments;
-  Trace.instant t.trace ~layer:Trace.Tcpip ~node:(node_id t)
-    ~seq:seg.Segment.seq "tcp.rx_segment"
-    ~args:[ ("src", string_of_int src);
-            ("bytes", string_of_int (String.length seg.Segment.data)) ];
+  if Trace.enabled t.trace then
+    Trace.instant t.trace ~layer:Trace.Tcpip ~node:(node_id t)
+      ~seq:seg.Segment.seq "tcp.rx_segment"
+      ~args:[ ("src", string_of_int src);
+              ("bytes", string_of_int (String.length seg.Segment.data)) ];
   Resource.use t.cpu (model t).Cost_model.tcp_rx_per_segment;
   let key = (seg.Segment.dst_port, src, seg.Segment.src_port) in
   match Hashtbl.find_opt t.conns key with

@@ -13,6 +13,11 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
 
+let contains ~affix s =
+  let n = String.length affix and l = String.length s in
+  let rec go i = i + n <= l && (String.sub s i n = affix || go (i + 1)) in
+  go 0
+
 (* --- consistent-hash ring --------------------------------------------- *)
 
 let keys n = List.init n (fun i -> i)
@@ -221,10 +226,41 @@ let test_fleet_kill_failover_tcp () =
     (Load.run (kill_cfg (`Tcp Uls_tcp.Config.default)))
     ~killed:1
 
+let report_text cfg r =
+  Format.asprintf "%a" (fun fmt r -> Load.print_report fmt cfg r) r
+
 let test_fleet_kill_failover_substrate () =
-  check_failover "kill/sub"
-    (Load.run (kill_cfg (`Sub Uls_substrate.Options.server)))
-    ~killed:1
+  let cfg = kill_cfg (`Sub Uls_substrate.Options.server) in
+  let r = Load.run cfg in
+  check_failover "kill/sub" r ~killed:1;
+  check_bool "report: ring healed" true
+    (contains ~affix:"ring healed at" (report_text cfg r))
+
+(* Kernel TCP's single cell at 8000 sessions/s fails a connect under
+   load and is marked down with nothing killed: the report says so
+   instead of calling it a heal. *)
+let test_report_down_without_kill () =
+  let cfg =
+    {
+      Load.default with
+      kind = `Tcp Uls_tcp.Config.default;
+      topology =
+        Load.Fabric { Load.fabric with cells = 1; shards = 2; vnodes = 64 };
+      arrival = Load.Sessions 8_000.;
+      conns = 256;
+      requests_per_conn = 2;
+      size = 128;
+      client_nodes = 4;
+      backlog = 128;
+    }
+  in
+  let r = Load.run cfg in
+  check_bool "a cell was marked down" true (r.Load.healed_at_ms >= 0.);
+  let text = report_text cfg r in
+  check_bool "no heal reported" false (contains ~affix:"ring healed" text);
+  check_bool "down without a kill reported" true
+    (contains ~affix:"cell marked down at" text
+    && contains ~affix:"without a kill" text)
 
 let test_fleet_drain () =
   let cfg =
@@ -331,6 +367,8 @@ let suites =
         Alcotest.test_case "kill failover (substrate)" `Quick
           test_fleet_kill_failover_substrate;
         Alcotest.test_case "drain mid-load" `Quick test_fleet_drain;
+        Alcotest.test_case "report: cell down without a kill" `Quick
+          test_report_down_without_kill;
         Alcotest.test_case "schedule-independent report" `Quick
           test_fleet_schedule_independent;
         Alcotest.test_case "http over a 2-cell fabric" `Quick test_fleet_http;

@@ -974,10 +974,10 @@ let test_setup_ring_is_faster () =
 
 (* --- send posting: mailbox or one ring slot ----------------------------- *)
 
-(* One 256-byte echo on an established connection, from the request's
-   write until the client has read the reply: its latency, and the
-   server NIC's transmit-core time over it. *)
-let echo ?match_engine opts =
+(* One echo (256 bytes by default) on an established connection, from
+   the request's write until the client has read the reply: its latency,
+   and the server NIC's transmit-core time over it. *)
+let echo ?match_engine ?(size = 256) opts =
   let c = Uls_bench.Cluster.create ?match_engine ~n:2 () in
   let api = Uls_bench.Cluster.substrate_api ~opts c in
   let sim = Uls_bench.Cluster.sim c in
@@ -988,7 +988,7 @@ let echo ?match_engine opts =
   Sim.spawn sim (fun () ->
       let l = api.listen ~node:1 ~port:80 ~backlog:4 in
       let s, _ = l.accept () in
-      s.send (recv_exact s 256);
+      s.send (recv_exact s size);
       check_str "eof" "" (s.recv 1);
       s.close ();
       l.close_listener ());
@@ -997,9 +997,9 @@ let echo ?match_engine opts =
       let s = api.connect ~node:0 { node = 1; port = 80 } in
       Sim.delay sim (Time.ms 1);
       let before = tx_busy () and start = Sim.now sim in
-      let msg = String.make 256 'e' in
+      let msg = String.make size 'e' in
       s.send msg;
-      check_str "echo" msg (recv_exact s 256);
+      check_str "echo" msg (recv_exact s size);
       spent := tx_busy () - before;
       latency := Sim.now sim - start;
       s.close ());
@@ -1020,20 +1020,39 @@ let test_send_charge_ring_vs_mailbox () =
     (m.nic_mailbox_fetch + m.nic_tx_per_msg + m.nic_tx_per_frame)
     (snd (echo ds))
 
-(* The ring path's firmware overlaps two steps the paper firmware runs
+(* The ring path's firmware overlaps three steps the paper firmware runs
    in series, once in each direction of the echo: the header build runs
    during the payload DMA (which, at 2.317 us for 256 bytes, outlasts
-   it), and the receive completion is posted before the ack is built.
-   The send core does the same work either way. *)
+   it), the receive core's per-frame work runs during the payload DMA
+   to the host, and the receive completion is posted before the ack is
+   built. Each saves the shorter of the two steps it overlaps. The
+   cores do the same work either way. *)
 let test_ring_firmware_overlap () =
   let m = Uls_host.Cost_model.paper_testbed in
   let open Uls_host.Cost_model in
   let hashed = Uls_nic.Match_list.Hashed in
+  (* A frame's chunk is the payload behind the 16-byte data header
+     (sequence number and piggybacked credits). *)
+  let dma bytes = dma_cost m (bytes + 16) in
+  let rx_saved bytes = min m.nic_rx_per_frame (dma bytes) in
   let latency, tx = echo ~match_engine:hashed Opt.server in
-  check_int "server: 66.978 us (serial) less 2 x (header + ack build)"
-    (66_978 - (2 * (m.nic_tx_per_frame + m.nic_ack_gen)))
+  check_int
+    "server 256 B: 66.978 us (serial) less 2 x (header + ack build + \
+     per-frame rx work, which the DMA outlasts)"
+    (66_978
+    - (2 * (m.nic_tx_per_frame + m.nic_ack_gen))
+    - (2 * m.nic_rx_per_frame))
     latency;
-  check_int "server: 59.978 us" 59_978 latency;
+  check_int "server 256 B: 55.978 us" 55_978 latency;
+  check_int "server 256 B: saves 2 x min (rx work, DMA)"
+    (59_978 - (2 * rx_saved 256))
+    latency;
+  (* At 64 bytes the DMA (1.952 us) is the shorter step. *)
+  let small = fst (echo ~match_engine:hashed ~size:64 Opt.server) in
+  check_int "server 64 B: 51.778 us less 2 x the 1.952 us DMA"
+    (51_778 - (2 * rx_saved 64))
+    small;
+  check_int "server 64 B: 47.874 us" 47_874 small;
   check_int "server: send core unchanged (4.6 us)"
     (m.nic_doorbell_batch + m.nic_ring_slot_fetch + m.nic_tx_per_frame)
     tx;
@@ -1056,7 +1075,9 @@ let suites =
           test_setup_ring_is_faster;
         Alcotest.test_case "send: one ring slot (server) vs mailbox" `Quick
           test_send_charge_ring_vs_mailbox;
-        Alcotest.test_case "ring firmware: header during DMA, completion first"
+        Alcotest.test_case
+          "ring firmware: header during DMA, rx work during DMA, completion \
+           first"
           `Quick test_ring_firmware_overlap;
       ] );
     ( "substrate.streaming",
