@@ -56,11 +56,11 @@ let size t = Array.length t.nodes
 let node t i = t.nodes.(i)
 let nic t i = t.nics.(i)
 
-let emp ?config t i =
+let emp ?config ?firmware t i =
   match t.emps.(i) with
   | Some e -> e
   | None ->
-    let e = Uls_emp.Endpoint.create ?config t.nodes.(i) t.nics.(i) in
+    let e = Uls_emp.Endpoint.create ?config ?firmware t.nodes.(i) t.nics.(i) in
     t.emps.(i) <- Some e;
     e
 
@@ -68,7 +68,10 @@ let substrate ?opts t i =
   match t.subs.(i) with
   | Some s -> s
   | None ->
-    let s = Uls_substrate.Substrate.create ?opts t.nodes.(i) (emp t i) in
+    let firmware = Option.map Uls_substrate.Options.firmware opts in
+    let s =
+      Uls_substrate.Substrate.create ?opts t.nodes.(i) (emp ?firmware t i)
+    in
     t.subs.(i) <- Some s;
     s
 

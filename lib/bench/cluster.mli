@@ -39,9 +39,14 @@ val size : t -> int
 val node : t -> int -> Uls_host.Node.t
 val nic : t -> int -> Uls_nic.Tigon.t
 
-val emp : ?config:Uls_emp.Endpoint.config -> t -> int -> Uls_emp.Endpoint.t
+val emp :
+  ?config:Uls_emp.Endpoint.config ->
+  ?firmware:Uls_emp.Endpoint.firmware ->
+  t ->
+  int ->
+  Uls_emp.Endpoint.t
 (** Create (and cache) the EMP endpoint of node [i]. The optional config
-    applies only to the first call for that node. *)
+    and firmware mode apply only to the first call for that node. *)
 
 val tcp : ?config:Uls_tcp.Config.t -> t -> Uls_tcp.Tcp_stack.t
 (** Create (and cache) kernel TCP stacks on every node of the cluster.
@@ -52,7 +57,9 @@ val tcp_api : ?config:Uls_tcp.Config.t -> t -> Uls_api.Sockets_api.stack
 
 val substrate : ?opts:Uls_substrate.Options.t -> t -> int -> Uls_substrate.Substrate.t
 (** Create (and cache) the substrate instance of node [i] (implies its
-    EMP endpoint). The optional opts apply to the first call per node. *)
+    EMP endpoint, created in the firmware mode [opts] names,
+    {!Uls_substrate.Options.firmware}). The optional opts apply to the
+    first call per node. *)
 
 val substrate_api : ?opts:Uls_substrate.Options.t -> t -> Uls_api.Sockets_api.stack
 (** Substrate instances on every node, as a sockets stack. *)

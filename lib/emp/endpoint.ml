@@ -2,6 +2,8 @@ open Uls_engine
 open Uls_host
 open Uls_nic
 
+type firmware = Paper | Ring
+
 type config = {
   ack_window : int;
   tx_window : int;
@@ -30,10 +32,6 @@ type send = {
   mutable s_done : bool;
   mutable s_failed : bool;
   mutable s_ring : bool;  (* submitted through the tx ring pair *)
-  s_slot : bool;
-      (* posted in a fixed-format ring slot ([post_send ~ring] or
-         [post_sendv]): the firmware builds each frame's header during
-         the frame's payload DMA *)
   mutable s_reaped : bool;  (* completion charge already paid *)
   s_span : int;  (* trace span: open from post to full acknowledgment *)
   s_cond : Cond.t;
@@ -52,8 +50,8 @@ type recv = {
   mutable r_entry : recv Match_list.handle;
       (* its match-list descriptor while posted: unposting is O(1) *)
   r_slot : bool;
-      (* posted through the fill ring or with [post_recv ~ring]: the
-         firmware completes it before building the protocol ack *)
+      (* a ring-format descriptor (fill ring, or a [Ring] endpoint's):
+         the firmware completes it before building the protocol ack *)
   mutable r_cond : Cond.t option;  (* created for its first waiter *)
   mutable r_on_complete : recv -> int -> unit;
       (* [post_recv ~on_complete]: called with the length when the
@@ -134,6 +132,7 @@ type t = {
   node : Node.t;
   nic : Tigon.t;
   cfg : config;
+  firmware : firmware;
   metrics : Metrics.t;
   mh : handles;
   trace : Trace.t;
@@ -170,6 +169,7 @@ let nic t = t.nic
 let node_id t = Node.id t.node
 let sim t = Node.sim t.node
 let config t = t.cfg
+let firmware t = t.firmware
 let model t = Node.model t.node
 
 let posted_descriptors t = Match_list.length t.posted
@@ -231,12 +231,14 @@ let chunk_of st idx =
 
 let send_frame t st idx =
   let chunk = chunk_of st idx in
-  (* Ring-submitted sends are gather-DMA: frames queued behind an
+  (* A ring-slot send builds its header during the payload DMA; a
+     ring-pair one is also gather-DMA: frames queued behind an
      in-progress transfer ride the burst (no per-frame setup). Mailbox
      sends keep the one-transaction-per-frame charge, and build the
      header only once the payload is on the NIC. *)
   let bytes = String.length chunk in
-  if st.s_slot then Tigon.dma_with_header ~pipelined:st.s_ring t.nic ~bytes
+  if st.s_ring || t.firmware = Ring then
+    Tigon.dma_with_header ~pipelined:st.s_ring t.nic ~bytes
   else begin
     Tigon.dma t.nic ~bytes;
     Tigon.tx_work t.nic (model t).Cost_model.nic_tx_per_frame
@@ -340,7 +342,7 @@ let check_ranges entry specs =
     (fun (_, _, region, off, len) -> check_range entry region ~off ~len)
     specs
 
-let make_send t ~slot ~dst ~tag region ~off ~len =
+let make_send t ~dst ~tag region ~off ~len =
   t.next_msg_id <- t.next_msg_id + 1;
   let st =
     {
@@ -358,7 +360,6 @@ let make_send t ~slot ~dst ~tag region ~off ~len =
       s_done = false;
       s_failed = false;
       s_ring = false;
-      s_slot = slot;
       s_reaped = false;
       s_span =
         (if Trace.enabled t.trace then
@@ -382,17 +383,15 @@ let make_send t ~slot ~dst ~tag region ~off ~len =
   Stats.Counter.incr t.mh.h_messages_sent;
   st
 
-(* A fixed-format ring slot subsumes the firmware's per-message parse
-   of a mailbox descriptor, as in a [post_sendv] batch. The one-slot
-   submission is charged here, at submission, as [post_recv_batch]
-   charges the fill ring: routing it through the ring pair's fetch and
-   completion fibers would add events and leave an unreaped
-   completion. *)
-let post_send ?(ring = false) t ~dst ~tag region ~off ~len =
+(* A [Ring] endpoint's send is one fixed-format slot, whose format
+   subsumes the per-message parse, charged here as [post_recv_batch]
+   charges the fill ring: the ring pair's fetch and completion fibers
+   would add events and leave an unreaped completion. *)
+let post_send t ~dst ~tag region ~off ~len =
   check_range "Endpoint.post_send" region ~off ~len;
   let m = model t in
   let host, fetch =
-    if ring then
+    if t.firmware = Ring then
       ( m.Cost_model.emp_host_post + m.Cost_model.ring_slot_post,
         m.Cost_model.nic_doorbell_batch + m.Cost_model.nic_ring_slot_fetch )
     else
@@ -402,7 +401,7 @@ let post_send ?(ring = false) t ~dst ~tag region ~off ~len =
   Sim.delay (sim t) host;
   Os.pin_region (Node.os t.node) region ~off ~len;
   Tigon.doorbell t.nic;
-  let st = make_send t ~slot:ring ~dst ~tag region ~off ~len in
+  let st = make_send t ~dst ~tag region ~off ~len in
   Sim.spawn (sim t) ~name:"emp-tx" (tx_fiber ~fetch t st);
   st
 
@@ -440,7 +439,6 @@ let dummy_send t =
     s_done = true;
     s_failed = false;
     s_ring = false;
-    s_slot = false;
     s_reaped = true;
     s_span = 0;
     s_cond = Cond.create ~label:"emp:send-dummy" (sim t);
@@ -471,24 +469,23 @@ let get_tx_ring ?(mode = Uls_rings.Ringpair.Wakeup) t =
 
 (* Batched send: one host-post charge and one doorbell for the whole
    batch; each descriptor is a cached ring-slot write. A singleton batch
-   takes the classic [post_send] path (with [ring], as a one-slot
-   submission) so [--batch 1] reproduces the per-call behaviour byte for
-   byte. *)
-let post_sendv ?mode ?ring t specs =
+   takes the classic [post_send] path (in the endpoint's firmware mode)
+   so [--batch 1] reproduces the per-call behaviour byte for byte. *)
+let post_sendv t specs =
   match specs with
   | [] -> []
   | [ (dst, tag, region, off, len) ] ->
-    [ post_send ?ring t ~dst ~tag region ~off ~len ]
+    [ post_send t ~dst ~tag region ~off ~len ]
   | _ ->
     check_ranges "Endpoint.post_sendv" specs;
     let m = model t in
-    let rp = get_tx_ring ?mode t in
+    let rp = get_tx_ring t in
     Sim.delay (sim t) m.Cost_model.emp_host_post;
     let sts =
       List.map
         (fun (dst, tag, region, off, len) ->
           Os.pin_region (Node.os t.node) region ~off ~len;
-          let st = make_send t ~slot:true ~dst ~tag region ~off ~len in
+          let st = make_send t ~dst ~tag region ~off ~len in
           st.s_ring <- true;
           Uls_rings.Ringpair.submit rp st;
           st)
@@ -616,7 +613,7 @@ let uq_match ?(pred = any) t ~src ~tag =
 
 let no_hook (_ : recv) (_ : int) = ()
 
-let make_recv t ~ring region ~off ~len =
+let make_recv t ~slot region ~off ~len =
   let r =
     {
       r_region = region;
@@ -629,7 +626,7 @@ let make_recv t ~ring region ~off ~len =
       r_done = false;
       r_cancelled = false;
       r_entry = Match_list.detached;
-      r_slot = ring;
+      r_slot = slot;
       r_cond = None;
       r_on_complete = no_hook;
     }
@@ -644,20 +641,22 @@ let rx_queue t ~src = if src = -1 then 0 else Tigon.steer t.nic ~flow:src
 (* Pin and build one descriptor, then attach it: it takes an arrived
    unexpected-queue message at once (and is [r_matched] on return), or
    joins the match list. *)
-let attach ?on_complete t ~ring ~src ~tag region ~off ~len =
+let attach ?on_complete t ~slot ~src ~tag region ~off ~len =
   Os.pin_region (Node.os t.node) region ~off ~len;
-  let r = make_recv t ~ring region ~off ~len in
+  let r = make_recv t ~slot region ~off ~len in
   (match on_complete with Some f -> r.r_on_complete <- f | None -> ());
   (match uq_match t ~src ~tag with
   | Some slot -> consume_uq t slot r
   | None -> r.r_entry <- Match_list.post t.posted ~src ~tag r);
   r
 
-let post_recv ?on_complete ?(ring = false) t ~src ~tag region ~off ~len =
+(* One mailbox-posted descriptor, charged the same on either firmware;
+   [slot] picks the receive firmware's order for its frames. *)
+let post_one ?on_complete ~slot t ~src ~tag region ~off ~len =
   check_range "Endpoint.post_recv" region ~off ~len;
   let m = model t in
   Sim.delay (sim t) m.Cost_model.emp_host_post;
-  let r = attach ?on_complete t ~ring ~src ~tag region ~off ~len in
+  let r = attach ?on_complete t ~slot ~src ~tag region ~off ~len in
   if not r.r_matched then begin
     (* The doorbell lands on the queue that will serve this peer. *)
     Tigon.doorbell t.nic;
@@ -669,6 +668,9 @@ let post_recv ?on_complete ?(ring = false) t ~src ~tag region ~off ~len =
   end;
   r
 
+let post_recv ?on_complete t ~src ~tag region ~off ~len =
+  post_one ?on_complete ~slot:(t.firmware = Ring) t ~src ~tag region ~off ~len
+
 (* Batched descriptor replenish — the fill-ring path. Descriptors become
    matchable immediately (same visibility contract as [post_recv]); what
    batching changes is the cost shape: one host-post charge and one
@@ -678,12 +680,12 @@ let post_recv ?on_complete ?(ring = false) t ~src ~tag region ~off ~len =
    [pio_write] + [nic_mailbox_fetch] per descriptor. Each descriptor
    carries its own completion hook, so one batch can post a
    connection's data and control slots together. A singleton batch
-   takes [post_recv ~ring:true]'s path. *)
+   takes a [Ring] endpoint's [post_recv] path, in either mode. *)
 let post_recv_batch t specs =
   match specs with
   | [] -> []
   | [ (src, tag, region, off, len, on_complete) ] ->
-    [ post_recv ?on_complete ~ring:true t ~src ~tag region ~off ~len ]
+    [ post_one ?on_complete ~slot:true t ~src ~tag region ~off ~len ]
   | _ ->
     List.iter
       (fun (_, _, region, off, len, _) ->
@@ -696,7 +698,7 @@ let post_recv_batch t specs =
       List.map
         (fun (src, tag, region, off, len, on_complete) ->
           Sim.delay (sim t) m.Cost_model.ring_slot_post;
-          let r = attach ?on_complete t ~ring:true ~src ~tag region ~off ~len in
+          let r = attach ?on_complete t ~slot:true ~src ~tag region ~off ~len in
           if not r.r_matched then begin
             let q = rx_queue t ~src in
             queue_counts.(q) <- queue_counts.(q) + 1
@@ -1081,7 +1083,7 @@ let rx_dispatcher t queue () =
   in
   loop ()
 
-let create ?(config = default_config) node nic =
+let create ?(config = default_config) ?(firmware = Paper) node nic =
   let sim = Node.sim node in
   let metrics = Metrics.for_sim sim in
   let node_id = Node.id node in
@@ -1091,6 +1093,7 @@ let create ?(config = default_config) node nic =
       node;
       nic;
       cfg = config;
+      firmware;
       metrics;
       mh =
         {

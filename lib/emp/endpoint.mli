@@ -30,12 +30,21 @@ type config = {
 
 val default_config : config
 
-val create : ?config:config -> Uls_host.Node.t -> Uls_nic.Tigon.t -> t
+(** How {!post_send} and {!post_recv} reach the NIC, fixed at {!create}
+    (default [Paper]): the paper's mailbox and serial firmware, or the
+    fixed-format rings and the firmware that overlaps per-frame work
+    with the payload DMA. {!post_sendv} of two or more and
+    {!post_recv_batch} use the rings in either mode. *)
+type firmware = Paper | Ring
+
+val create :
+  ?config:config -> ?firmware:firmware -> Uls_host.Node.t -> Uls_nic.Tigon.t -> t
 val node : t -> Uls_host.Node.t
 val nic : t -> Uls_nic.Tigon.t
 val node_id : t -> int
 val sim : t -> Uls_engine.Sim.t
 val config : t -> config
+val firmware : t -> firmware
 
 (** {1 Sending} *)
 
@@ -44,27 +53,22 @@ type send
 exception Send_failed of { dst : int; tag : int; retries : int }
 
 val post_send :
-  ?ring:bool ->
   t -> dst:int -> tag:int -> Uls_host.Memory.region -> off:int -> len:int -> send
 (** Post a transmit descriptor (T1–T2: descriptor build, pin/translate
     via the OS translation cache, doorbell). Returns immediately; the
     NIC-side transmit proceeds concurrently. Caller must be a fiber.
 
-    By default (the paper's path) the descriptor goes through the
-    mailbox: [emp_host_post] on the host, then [nic_mailbox_fetch] +
-    [nic_tx_per_msg] on the NIC's send core. With [~ring:true] it is a
-    one-slot submission of the fixed-format tx ring: [emp_host_post] +
-    [ring_slot_post] on the host, [nic_doorbell_batch] +
-    [nic_ring_slot_fetch] on the send core (the slot format subsumes the
-    per-message descriptor parse). Both ring one doorbell and charge at
-    submission; the send never enters {!get_tx_ring}'s queues, so it
-    leaves no completion to reap.
-
-    A ring-slot send ([~ring:true], or any {!post_sendv} batch) also
-    lets the firmware build each frame's header ([nic_tx_per_frame] on
-    the send core) during that frame's payload DMA: the frame goes to
-    the MAC when the later of the two ends ({!Uls_nic.Tigon.dma_with_header}).
-    A mailbox send DMAs the payload first and builds the header after. *)
+    [Paper]: a mailbox descriptor, [emp_host_post] on the host and
+    [nic_mailbox_fetch] + [nic_tx_per_msg] on the NIC's send core; each
+    frame's payload is DMA'd, then its header built. [Ring]: a one-slot
+    tx ring submission, [emp_host_post] + [ring_slot_post] on the host
+    and [nic_doorbell_batch] + [nic_ring_slot_fetch] on the send core
+    (the slot format subsumes the per-message parse); as in a
+    {!post_sendv} batch, each frame's header ([nic_tx_per_frame]) is
+    built during its payload DMA and the frame leaves when the later
+    ends ({!Uls_nic.Tigon.dma_with_header}). Either way the post rings
+    one doorbell, charges at submission and leaves no completion to
+    reap (it never enters {!get_tx_ring}'s queues). *)
 
 val send_done : send -> bool
 
@@ -85,18 +89,14 @@ val get_tx_ring :
     existing ring unchanged. *)
 
 val post_sendv :
-  ?mode:Uls_rings.Ringpair.mode ->
-  ?ring:bool ->
-  t ->
-  (int * int * Uls_host.Memory.region * int * int) list ->
-  send list
+  t -> (int * int * Uls_host.Memory.region * int * int) list -> send list
 (** Batched {!post_send}: each element is [(dst, tag, region, off,
     len)]. One [emp_host_post] and one doorbell cover the whole batch;
     each descriptor is a cached [ring_slot_post] write, fetched by the
     NIC under a single [nic_doorbell_batch] charge. A singleton list
-    degenerates to {!post_send} exactly, with [ring] (the batch=1
-    ablation is byte-identical to the per-call path). Caller must be a
-    fiber.
+    degenerates to {!post_send} exactly, in the endpoint's firmware mode
+    (the batch=1 ablation is byte-identical to the per-call path).
+    Caller must be a fiber.
     @raise Invalid_argument if any element's range falls outside its
     region, before anything is charged, pinned or submitted. *)
 
@@ -121,7 +121,6 @@ type recv
 
 val post_recv :
   ?on_complete:(recv -> int -> unit) ->
-  ?ring:bool ->
   t ->
   src:int ->
   tag:int ->
@@ -140,17 +139,14 @@ val post_recv :
     substrate's control descriptors use it to start one handler fiber
     per message instead of keeping one parked per connection.
 
-    [~ring:true] (default [false]) marks a descriptor of the ring path
-    (the substrate passes its [Options.rx_ring]). Each of the message's
-    frames then has its [nic_rx_per_frame] work on the receive core run
-    during its payload DMA ({!Uls_nic.Tigon.dma_with_rx_work}), and when
-    the last frame has been DMA'd, the firmware completes the descriptor
-    first and then spends [nic_ack_gen] on the EMP ack, so the host sees
-    the completion [nic_ack_gen] sooner while the ack leaves at the same
-    instant. By default the paper firmware's order holds: per-frame
-    work, DMA, ack, completion. The post itself is charged the same
-    either way. A message that lands in the unexpected queue keeps the
-    paper order. *)
+    The post is charged the same in either mode. [Paper] keeps the
+    paper firmware's order: per-frame work, DMA, ack, completion.
+    [Ring] runs each frame's [nic_rx_per_frame] receive-core work during
+    its payload DMA ({!Uls_nic.Tigon.dma_with_rx_work}), and completes
+    the descriptor before it spends [nic_ack_gen] on the EMP ack: the
+    host sees the completion [nic_ack_gen] sooner, the ack leaves at
+    the same instant. A message that lands in the unexpected queue
+    keeps the paper order. *)
 
 val post_recv_batch :
   t ->
@@ -168,9 +164,9 @@ val post_recv_batch :
     matchable immediately, exactly as with {!post_recv}; the batch
     amortizes the host post, the doorbell, and the NIC's descriptor
     fetch (one [nic_doorbell_batch] + k·[nic_ring_slot_fetch] per
-    involved receive queue). Every descriptor is on the ring path, as
-    with [post_recv ~ring:true]. A singleton list degenerates to
-    [post_recv ~ring:true] exactly.
+    involved receive queue). Every descriptor is on the ring path, in
+    either firmware mode. A singleton list degenerates exactly to a
+    [Ring] endpoint's {!post_recv}.
     @raise Invalid_argument if any element's range falls outside its
     region, before anything is charged, pinned or posted. *)
 

@@ -200,34 +200,41 @@ let piggyback_credits t =
   end
   else 0
 
-(* A writer's blocking wait, inside its trace span, its duration added
-   to [summary] in microseconds. *)
-let timed_wait t ?seq name summary wait =
-  let t0 = Sim.now (sim t) in
-  let layer = Trace.Substrate and node = node_id t and conn = t.id in
-  let id = Trace.span_begin t.env.trace ~layer ~node ~conn ?seq name in
-  Fun.protect wait ~finally:(fun () ->
-      Trace.span_end t.env.trace ~layer ~node ~conn ?seq name id;
-      Stats.Summary.add summary (float_of_int (Sim.now (sim t) - t0) /. 1_000.))
+(* A writer's blocking [wait t], its duration added to [summary] in
+   microseconds even when it raises ([Closed], [Reset]), inside a trace
+   span ([seq] -1 for none) only when tracing is on: tracing off, it
+   builds no closure and boxes no argument. *)
+let timed_wait t ~seq name summary wait =
+  let t0 = Sim.now (sim t) and tr = t.env.trace and layer = Trace.Substrate in
+  let node = node_id t and conn = t.id in
+  let span =
+    if Trace.enabled tr then Trace.span_begin tr ~layer ~node ~conn ~seq name
+    else 0
+  in
+  let raised = match wait t with () -> None | exception e -> Some e in
+  if span > 0 then Trace.span_end tr ~layer ~node ~conn ~seq name span;
+  Stats.Summary.add summary (float_of_int (Sim.now (sim t) - t0) /. 1_000.);
+  Option.iter raise raised
+
+let rec wait_credit t =
+  check_open t;
+  if t.credits = 0 then begin
+    Cond.wait t.credits_c;
+    wait_credit t
+  end
+  else begin
+    t.credits <- t.credits - 1;
+    Invariant.check t.env.inv ~name:"sub.credit_range" (t.credits >= 0)
+      (fun () ->
+        Printf.sprintf "conn %d: credits went negative (%d)" t.id t.credits)
+  end
 
 let take_credit t =
-  let rec wait () =
-    check_open t;
-    if t.credits = 0 then begin
-      Cond.wait t.credits_c;
-      wait ()
-    end
-    else begin
-      t.credits <- t.credits - 1;
-      Invariant.check t.env.inv ~name:"sub.credit_range" (t.credits >= 0)
-        (fun () ->
-          Printf.sprintf "conn %d: credits went negative (%d)" t.id t.credits)
-    end
-  in
   (* A writer stalled on flow control: account how long (§6.1). *)
   if t.credits = 0 && not (t.closed || t.peer_closed || t.reset) then
-    timed_wait t "sub.credit_wait" t.env.mh.h_credit_wait_us wait
-  else wait ()
+    timed_wait t ~seq:(-1) "sub.credit_wait" t.env.mh.h_credit_wait_us
+      wait_credit
+  else wait_credit t
 
 let add_credits t n =
   if n > 0 then begin
@@ -254,9 +261,9 @@ let alloc_slot node size =
   Os.prepin (Node.os node) region;
   { sl_region = region; sl_current = None }
 
-let post_slot ?on_complete ~ring emp slot ~src ~tag =
+let post_slot ?on_complete emp slot ~src ~tag =
   let r =
-    E.post_recv ?on_complete ~ring emp ~src ~tag slot.sl_region ~off:0
+    E.post_recv ?on_complete emp ~src ~tag slot.sl_region ~off:0
       ~len:(Memory.length slot.sl_region)
   in
   slot.sl_current <- Some r;
@@ -279,8 +286,7 @@ let take_back emp slot =
 let live t = not (t.closed || t.reset)
 
 let post t ?on_complete slot kind =
-  post_slot ?on_complete ~ring:(opts t).Options.rx_ring t.env.emp slot
-    ~src:t.peer_node
+  post_slot ?on_complete t.env.emp slot ~src:t.peer_node
     ~tag:(Tags.make kind t.id)
 
 (* Post [slot] on a live connection; [true] if it stays posted. A close
@@ -301,18 +307,18 @@ type posting = {
   posted : slot -> E.recv -> unit;
 }
 
-(* Post [ps] for an owner alive while [live ()] holds, in order: with
-   [ring] through the fill ring in one batch ([E.post_recv_batch]: one
-   host post, and one doorbell per involved receive queue), otherwise
-   one [E.post_recv] each. Each descriptor runs its [posted] once it
-   stays posted; one posted after the owner died is taken back, as in
-   [post_live]. *)
-let post_slots emp ~ring ~live ps =
+(* Post [ps] for an owner alive while [live ()] holds, in order: on a
+   [Ring] endpoint through the fill ring in one batch
+   ([E.post_recv_batch]: one host post, and one doorbell per involved
+   receive queue), otherwise one [E.post_recv] each. Each descriptor
+   runs its [posted] once it stays posted; one posted after the owner
+   died is taken back, as in [post_live]. *)
+let post_slots emp ~live ps =
   let settle p r =
     p.slot.sl_current <- Some r;
     if live () then p.posted p.slot r else take_back emp p.slot
   in
-  if ring then begin
+  if E.firmware emp = E.Ring then begin
     if live () then
       List.iter2 settle ps
         (E.post_recv_batch emp
@@ -327,8 +333,7 @@ let post_slots emp ~ring ~live ps =
       (fun p ->
         if live () then
           settle p
-            (post_slot ?on_complete:p.hook ~ring emp p.slot ~src:p.src
-               ~tag:p.tag))
+            (post_slot ?on_complete:p.hook emp p.slot ~src:p.src ~tag:p.tag))
       ps
 
 (* A posted data descriptor joins [rx] in posting order. One that
@@ -495,7 +500,7 @@ let rendezvous_write t data =
   post_ctrl t Tags.Rdvz_request (Codec.encode [ seq; rid; String.length data ]);
   (* Block until the receiver has synchronised (Figure 6). Grants are
      routed by rid so concurrent writers each claim their own. *)
-  timed_wait t ~seq "sub.rdvz_grant_wait" t.env.mh.h_rdvz_grant_wait_us (fun () ->
+  timed_wait t ~seq "sub.rdvz_grant_wait" t.env.mh.h_rdvz_grant_wait_us (fun t ->
       Cond.wait_until t.grant_c (fun () ->
           t.closed || t.peer_closed || t.reset || Hashtbl.mem t.granted rid));
   if t.reset then raise Reset;
@@ -734,7 +739,7 @@ let message_consumed ?freed t r =
     acknowledge t 1
 
 let flush_reposts t freed_rev =
-  post_slots t.env.emp ~ring:true ~live:(fun () -> live t)
+  post_slots t.env.emp ~live:(fun () -> live t)
     (data_postings t (List.rev freed_rev) []);
   acknowledge t (List.length freed_rev)
 
@@ -1020,8 +1025,7 @@ let create env ~id ~peer_node ~peer_conn ~local_addr ~peer_addr =
       next_seq = 0;
       next_rdvz = 0;
       data_pool =
-        Sendpool.create env.node env.emp ~ring:opts.Options.rx_ring
-          ~slots:(max 2 n)
+        Sendpool.create env.node env.emp ~slots:(max 2 n)
           ~size:opts.Options.buffer_size;
       rdvz_tx = Memory.alloc 16;
       rdvz_tx_pending = None;
@@ -1094,6 +1098,5 @@ let provision ?reply t =
         (fun slot ps -> ctrl slot Tags.Credit_ack "sub-ack" on_credit_ack :: ps)
         t.ack_slots ctrls
   in
-  post_slots t.env.emp ~ring:(opts t).Options.rx_ring
-    ~live:(fun () -> live t)
+  post_slots t.env.emp ~live:(fun () -> live t)
     (data_postings t (Array.to_list t.data_slots) ctrls)

@@ -47,15 +47,9 @@ val alloc_slot : Uls_host.Node.t -> int -> slot
 
 val post_slot :
   ?on_complete:(Uls_emp.Endpoint.recv -> int -> unit) ->
-  ring:bool ->
-  Uls_emp.Endpoint.t ->
-  slot ->
-  src:int ->
-  tag:int ->
-  Uls_emp.Endpoint.recv
+  Uls_emp.Endpoint.t -> slot -> src:int -> tag:int -> Uls_emp.Endpoint.recv
 (** Post the slot's whole buffer as one receive descriptor
-    ({!Uls_emp.Endpoint.post_recv}, on the ring path when [ring]: the
-    owner's {!Options.t.rx_ring}) and record it as the slot's current
+    ({!Uls_emp.Endpoint.post_recv}) and record it as the slot's current
     descriptor. *)
 
 val unpost_slot : Uls_emp.Endpoint.t -> slot -> unit
@@ -78,10 +72,10 @@ type posting = {
 (** One receive slot to post. *)
 
 val post_slots :
-  Uls_emp.Endpoint.t -> ring:bool -> live:(unit -> bool) -> posting list -> unit
+  Uls_emp.Endpoint.t -> live:(unit -> bool) -> posting list -> unit
 (** Post each slot's whole buffer for an owner alive while [live ()]
-    holds, in order. With [ring] the descriptors go through the
-    endpoint's fill ring in one batch ({!Uls_emp.Endpoint.post_recv_batch}:
+    holds, in order. On a [Ring] endpoint the descriptors go through
+    its fill ring in one batch ({!Uls_emp.Endpoint.post_recv_batch}:
     one host post, and one doorbell per involved receive queue);
     otherwise one {!Uls_emp.Endpoint.post_recv} each, skipped once the
     owner has died. A descriptor posted after its owner died is taken

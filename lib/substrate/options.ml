@@ -71,5 +71,8 @@ let ack_threshold t =
   else if t.delayed_acks then max 1 (t.credits / 2)
   else 1
 
+let firmware t =
+  if t.rx_ring then Uls_emp.Endpoint.Ring else Uls_emp.Endpoint.Paper
+
 let mode_name t =
   match t.mode with Data_streaming -> "DS" | Datagram -> "DG"

@@ -40,28 +40,22 @@ type t = {
           Each attempt doubles the previous wait (exponential backoff). *)
   rx_ring : bool;
       (** The rings, in both directions (the name predates the transmit
-          side and stays: the benchmark's firehose sets it by name).
-          Receive: batched descriptor posting through the endpoint's
-          fill ring ([Endpoint.post_recv_batch]) instead of one
-          [post_recv] per descriptor: a connection's set-up (its 2N+3
-          descriptors, and on the client the connect reply slot), a
-          listener's backlog, and the data slots a [readv] drain
-          consumed. Transmit: every send a send pool posts (eager data,
+          side and stays: the benchmark's firehose sets it by name): the
+          node's endpoint runs the [Ring] firmware ({!firmware}), and
+          every post follows it. Receive: batched descriptor posting
+          through the endpoint's fill ring ([Endpoint.post_recv_batch])
+          instead of one [post_recv] per descriptor: a connection's
+          set-up (its 2N+3 descriptors, and on the client the connect
+          reply slot), a listener's backlog, and the data slots a
+          [readv] drain consumed. Transmit: every send (eager data,
           credit acks, connect request and reply, close, rendezvous
-          request and grant) is a one-slot tx ring submission
-          ([Endpoint.post_send ~ring:true]) instead of a mailbox post,
-          which skips the NIC's per-message descriptor parse. Firmware:
-          on this ring path the NIC overlaps work the paper firmware
-          does in series. It builds each frame's header during the
-          frame's payload DMA, and it completes a receive descriptor
-          posted with [Endpoint.post_recv ~ring:true] before it builds
-          the EMP ack. The rendezvous path stays off the rings: the
-          reader posts the rendezvous buffer with a mailbox
-          [Endpoint.post_recv] and the writer sends the payload with a
-          mailbox [Endpoint.post_send], so a rendezvous message (every
-          one under [Rendezvous]; in Datagram mode, one larger than
-          [eager_max] or one buffer) keeps the mailbox path and the
-          serial firmware.
+          request, grant and payload) is a one-slot tx ring submission
+          instead of a mailbox post, which skips the NIC's per-message
+          descriptor parse. Firmware: on this ring path the NIC overlaps
+          work the paper firmware does in series. It builds each frame's
+          header during the frame's payload DMA, and it completes every
+          receive descriptor, the rendezvous buffer's included, before
+          it builds the EMP ack.
           Off in the paper presets, whose per-call posting is the
           set-up cost §7.2 and §7.4 measure and whose sends keep the
           paper's mailbox path and serial firmware (Fig 11 and §7.2
@@ -97,5 +91,9 @@ val chunk_capacity : t -> int
 val ack_threshold : t -> int
 (** Consumed messages before a credit ack is due (1, or N/2 with
     delayed acks). *)
+
+val firmware : t -> Uls_emp.Endpoint.firmware
+(** The endpoint firmware mode [rx_ring] names: [Ring] when set, else
+    [Paper]. A substrate's endpoint is created in it. *)
 
 val mode_name : t -> string

@@ -19,12 +19,11 @@ type slot = {
 
 type t = {
   emp : E.t;
-  ring : bool;  (* [Endpoint.post_send ~ring]: one-slot ring submissions *)
   slots : slot array;
   mutable next : int;
 }
 
-let create node emp ~ring ~slots ~size =
+let create node emp ~slots ~size =
   let mk _ =
     let region = Memory.alloc size in
     (* Ring buffers are registered at pool-creation (connection setup)
@@ -32,7 +31,7 @@ let create node emp ~ring ~slots ~size =
     Os.prepin (Node.os node) region;
     { region; state = Idle }
   in
-  { emp; ring; slots = Array.init slots mk; next = 0 }
+  { emp; slots = Array.init slots mk; next = 0 }
 
 let iter_regions t f = Array.iter (fun slot -> f slot.region) t.slots
 
@@ -87,12 +86,12 @@ let record slot s = slot.state <- Sent s
 
 let post t staged =
   let slots, specs = List.split staged in
-  List.iter2 record slots (E.post_sendv ~ring:t.ring t.emp specs)
+  List.iter2 record slots (E.post_sendv t.emp specs)
 
 let send t ~dst ~tag data =
   let slot = fill ~caller:"Sendpool.send" t data in
   let s =
-    E.post_send ~ring:t.ring t.emp ~dst ~tag slot.region ~off:0
+    E.post_send t.emp ~dst ~tag slot.region ~off:0
       ~len:(String.length data)
   in
   record slot s;

@@ -6,19 +6,17 @@
 
 type t
 
-val create :
-  Uls_host.Node.t -> Uls_emp.Endpoint.t -> ring:bool -> slots:int -> size:int -> t
+val create : Uls_host.Node.t -> Uls_emp.Endpoint.t -> slots:int -> size:int -> t
 (** Allocate and register [slots] ring buffers of [size] bytes each.
-    [ring] picks, once for the pool, how {!send} posts: a one-slot tx
-    ring submission ([true]; {!Uls_emp.Endpoint.post_send}'s [~ring]) or
-    the paper's mailbox post ([false]). *)
+    Sends post in the endpoint's firmware mode
+    ({!Uls_emp.Endpoint.post_send}). *)
 
 val slots : t -> int
 (** Number of ring slots (batch staging must flush before wrapping). *)
 
 val send : t -> dst:int -> tag:int -> string -> Uls_emp.Endpoint.send
 (** {!stage} and {!post} for one message: copy the payload into the
-    next ring slot and post the send the way {!create}'s [ring] chose.
+    next ring slot and post the send ({!Uls_emp.Endpoint.post_send}).
     Blocks only when the ring wraps onto a send that is still in flight.
     The blit is free of simulated cost: it models the application
     reusing its own (already pinned) buffer, not an extra protocol copy. *)
@@ -39,8 +37,8 @@ val stage :
 val post :
   t -> (slot * (int * int * Uls_host.Memory.region * int * int)) list -> unit
 (** Post staged messages, in order, as one
-    {!Uls_emp.Endpoint.post_sendv} batch (a lone message the way
-    {!create}'s [ring] chose), and record each send against its slot so
+    {!Uls_emp.Endpoint.post_sendv} batch (a lone message as {!send}
+    posts it), and record each send against its slot so
     later slot reuse waits for it. *)
 
 val busy : t -> bool

@@ -220,14 +220,15 @@ let release t c =
   | _ -> ()
 
 let create ?(opts = Options.data_streaming_enhanced) node emp =
+  if E.firmware emp <> Options.firmware opts then
+    Printf.ksprintf invalid_arg "Substrate.create: a %s endpoint under rx_ring = %b"
+      (if opts.Options.rx_ring then "Paper" else "Ring") opts.Options.rx_ring;
   if opts.Options.unexpected_queue then
     E.provision_unexpected emp ~slots:((4 * opts.Options.credits) + 32) ~size:64;
   let sim = Node.sim node in
   let metrics = Metrics.for_sim sim in
   let counter name = Metrics.counter metrics ~node:(Node.id node) name in
-  let ctrl_pool =
-    Sendpool.create node emp ~ring:opts.Options.rx_ring ~slots:64 ~size:256
-  in
+  let ctrl_pool = Sendpool.create node emp ~slots:64 ~size:256 in
   let rec t =
     {
       node;
@@ -295,8 +296,7 @@ let request_tag l = Tags.make Tags.Conn_request l.l_port
 
 let post_request_slot t l slot =
   ( slot,
-    Conn.post_slot ?on_complete:l.l_hook ~ring:t.opts.Options.rx_ring t.emp slot
-      ~src:(-1)
+    Conn.post_slot ?on_complete:l.l_hook t.emp slot ~src:(-1)
       ~tag:(request_tag l) )
 
 (* Like a connection's data descriptors, the backlog descriptors are
@@ -356,8 +356,7 @@ let listen t ~port ~backlog =
      requests that complete meanwhile wait for the kick below. *)
   let posted = ref [] in
   let add slot r = posted := (slot, r) :: !posted in
-  Conn.post_slots t.emp ~ring:t.opts.Options.rx_ring
-    ~live:(fun () -> not l.l_closed)
+  Conn.post_slots t.emp ~live:(fun () -> not l.l_closed)
     (Array.fold_right
        (fun slot ps ->
          { Conn.slot; src = -1; tag = request_tag l; hook = l.l_hook;

@@ -17,7 +17,9 @@ type request
 
 val create : ?opts:Options.t -> Uls_host.Node.t -> Uls_emp.Endpoint.t -> t
 (** One substrate instance per node. With the unexpected-queue option on,
-    this provisions EMP UQ slots for credit-ack traffic (§6.4). *)
+    this provisions EMP UQ slots for credit-ack traffic (§6.4).
+    @raise Invalid_argument if the endpoint's firmware is not the one
+    [opts] names ({!Options.firmware}): a substrate never mixes modes. *)
 
 val active_connections : t -> int
 (** Size of the active-socket table (§5.3). *)

@@ -284,14 +284,18 @@ let test_close_with_full_buffers_ends_rx () =
 
 (* A 100 000 B datagram write goes by rendezvous (§5.2): request, grant,
    then the data straight into the reader's posted buffer. Either side
-   closing in between must end the server's read. *)
+   closing in between, or a reset, must end the server's read. Each
+   case runs under the paper DG preset and on the ring firmware, where
+   the read's descriptor is a ring-path one. *)
 let rdvz_size = 100_000
 
-let rdvz_run ~client ~server =
+let rdvz_presets =
+  let dg = Uls_substrate.Options.datagram in
+  [ ("", dg); (" (ring)", { dg with Uls_substrate.Options.rx_ring = true }) ]
+
+let rdvz_run opts ~client ~server =
   let c = Uls_bench.Cluster.create ~n:2 () in
-  let api =
-    Uls_bench.Cluster.substrate_api ~opts:Uls_substrate.Options.datagram c
-  in
+  let api = Uls_bench.Cluster.substrate_api ~opts c in
   let sim = Uls_bench.Cluster.sim c in
   let emp1 = Uls_bench.Cluster.emp c 1 in
   let before = Uls_emp.Endpoint.posted_descriptors emp1 in
@@ -305,11 +309,11 @@ let rdvz_run ~client ~server =
   Sim.spawn sim (fun () ->
       let l = api.listen ~node:1 ~port:80 ~backlog:1 in
       let s, _ = l.accept () in
-      server sim s read;
+      server c s read;
       l.close_listener ());
   Sim.spawn sim (fun () ->
       Sim.delay sim (Time.us 10);
-      client sim (api.connect ~node:0 { node = 1; port = 80 }));
+      client c (api.connect ~node:0 { node = 1; port = 80 }));
   (match Uls_bench.Cluster.run c with
   | `Quiescent -> ()
   | _ -> Alcotest.fail "expected a quiescent run");
@@ -319,14 +323,15 @@ let write_big s =
   try s.send (String.make rdvz_size 'r')
   with Connection_closed | Connection_reset -> ()
 
-let test_rdvz_writer_close_ends_read () =
+let test_rdvz_writer_close_ends_read opts () =
   (* A second client fiber closes the stream 1 us into the write, so
      the writer abandons the message before posting its data. The
      close names that message's sequence number, and the server's
      read, whether already granted or not, ends in EOF. *)
   let got, posted =
-    rdvz_run
-      ~client:(fun sim s ->
+    rdvz_run opts
+      ~client:(fun c s ->
+        let sim = Uls_bench.Cluster.sim c in
         Sim.spawn sim (fun () -> write_big s);
         Sim.delay sim (Time.us 1);
         s.close ())
@@ -337,21 +342,42 @@ let test_rdvz_writer_close_ends_read () =
   check_string "the read ends in EOF" "\"\"" got;
   check_int "no descriptor left posted on the server" 0 posted
 
-let test_rdvz_local_close_ends_read () =
+let test_rdvz_local_close_ends_read opts () =
   (* The server closes its own stream 120 us in, after the grant went
      out: teardown cancels the read's descriptor with the others, and
      the reader sees the close. *)
   let got, posted =
-    rdvz_run
+    rdvz_run opts
       ~client:(fun _ s ->
         write_big s;
         s.close ())
-      ~server:(fun sim s read ->
+      ~server:(fun c s read ->
+        let sim = Uls_bench.Cluster.sim c in
         Sim.spawn sim (fun () -> read s);
         Sim.delay sim (Time.us 120);
         s.close ())
   in
   check_string "the read raises" "Connection_closed" got;
+  check_int "no descriptor left posted on the server" 0 posted
+
+let test_rdvz_reset_ends_read opts () =
+  (* The transport gives up on the server's connection 120 us in, after
+     the grant went out: the reset cancels the read's descriptor with
+     the others, and the reader sees the reset. *)
+  let got, posted =
+    rdvz_run opts
+      ~client:(fun _ s ->
+        write_big s;
+        s.close ())
+      ~server:(fun c s read ->
+        let sim = Uls_bench.Cluster.sim c in
+        Sim.spawn sim (fun () -> read s);
+        Sim.delay sim (Time.us 120);
+        List.iter Uls_substrate.Conn.mark_reset
+          (Uls_substrate.Substrate.conns (Uls_bench.Cluster.substrate c 1));
+        s.close ())
+  in
+  check_string "the read raises" "Connection_reset" got;
   check_int "no descriptor left posted on the server" 0 posted
 
 let test_close_during_read_reposts_nothing () =
@@ -784,10 +810,25 @@ let suites =
           test_idle_conns_own_no_fiber;
         Alcotest.test_case "close with full buffers ends rx fiber" `Quick
           test_close_with_full_buffers_ends_rx;
-        Alcotest.test_case "rendezvous read ends at writer close" `Quick
-          test_rdvz_writer_close_ends_read;
-        Alcotest.test_case "rendezvous read ends at local close" `Quick
-          test_rdvz_local_close_ends_read;
+      ]
+      @ List.concat_map
+          (fun (suffix, opts) ->
+            [
+              Alcotest.test_case
+                ("rendezvous read ends at writer close" ^ suffix)
+                `Quick
+                (test_rdvz_writer_close_ends_read opts);
+              Alcotest.test_case
+                ("rendezvous read ends at local close" ^ suffix)
+                `Quick
+                (test_rdvz_local_close_ends_read opts);
+              Alcotest.test_case
+                ("rendezvous read ends at a reset" ^ suffix)
+                `Quick
+                (test_rdvz_reset_ends_read opts);
+            ])
+          rdvz_presets
+      @ [
         Alcotest.test_case "close during a read reposts nothing" `Quick
           test_close_during_read_reposts_nothing;
         Alcotest.test_case "close during comm-thread sync" `Quick

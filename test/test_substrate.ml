@@ -15,6 +15,16 @@ let check_str = Alcotest.(check string)
 let ds = Opt.data_streaming_enhanced
 let dg = Opt.datagram
 
+(* A preset on the ring firmware ([rx_ring]): the rendezvous tests run
+   under each preset as given and under this. *)
+let on_rings opts = { opts with Opt.rx_ring = true }
+
+let rendezvous_cases name test opts =
+  [
+    Alcotest.test_case name `Quick (test opts);
+    Alcotest.test_case (name ^ " (ring)") `Quick (test (on_rings opts));
+  ]
+
 let with_cluster ?(opts = ds) ~n f =
   let c = Uls_bench.Cluster.create ~n () in
   let api = Uls_bench.Cluster.substrate_api ~opts c in
@@ -156,8 +166,8 @@ let test_large_transfer_integrity_ds () =
       check_bool "1MB stream intact" true
         (String.equal payload (Buffer.contents received)))
 
-let test_rendezvous_large_datagram () =
-  with_cluster ~opts:dg ~n:2 (fun c api sim ->
+let test_rendezvous_large_datagram opts () =
+  with_cluster ~opts ~n:2 (fun c api sim ->
       (* Over eager_max: travels via the rendezvous zero-copy path. *)
       let size = 100_000 in
       let payload = String.init size (fun i -> Char.chr ((i * 3) mod 256)) in
@@ -243,8 +253,7 @@ let test_eager_tolerates_crossing_writes () =
       ignore (Uls_bench.Cluster.run c);
       check_int "both sides completed" 2 !completed)
 
-let test_rendezvous_deadlock_figure7 () =
-  let opts = { ds with Opt.scheme = Opt.Rendezvous } in
+let test_rendezvous_deadlock_figure7 opts () =
   with_cluster ~opts ~n:2 (fun c api sim ->
       let completed = ref 0 in
       let payload = String.make 4_096 'x' in
@@ -644,11 +653,11 @@ let test_substrate_loss_recovery () =
 
 let rz = { ds with Opt.scheme = Opt.Rendezvous }
 
-let test_rendezvous_short_read_keeps_tail () =
+let test_rendezvous_short_read_keeps_tail opts () =
   (* A rendezvous message read with a smaller buffer must not lose its
      tail in Data_streaming mode: the remainder is served by later
      reads, exactly like the eager path. *)
-  with_cluster ~opts:rz ~n:2 (fun c api sim ->
+  with_cluster ~opts ~n:2 (fun c api sim ->
       let parts = ref [] in
       Sim.spawn sim (fun () ->
           let l = api.listen ~node:1 ~port:80 ~backlog:1 in
@@ -728,12 +737,12 @@ let test_undecodable_is_protocol_error (kind, opts) () =
            (if kind = Uls_substrate.Tags.Rdvz_request then 24 else 8))
         !got_error)
 
-let test_peer_close_wakes_all_rendezvous_writers () =
+let test_peer_close_wakes_all_rendezvous_writers opts () =
   (* Two fibers blocked awaiting rendezvous grants on the same
      connection: the peer closing must wake both (the shared grant
      mailbox delivered its -1 sentinel to only one, starving the
      other forever). *)
-  with_cluster ~opts:rz ~n:2 (fun c api sim ->
+  with_cluster ~opts ~n:2 (fun c api sim ->
       let closed = ref 0 in
       Sim.spawn sim (fun () ->
           let l = api.listen ~node:1 ~port:80 ~backlog:1 in
@@ -753,11 +762,11 @@ let test_peer_close_wakes_all_rendezvous_writers () =
       ignore (Uls_bench.Cluster.run c);
       check_int "both parked writers raised Closed" 2 !closed)
 
-let test_concurrent_rendezvous_writers_deliver_all () =
+let test_concurrent_rendezvous_writers_deliver_all opts () =
   (* Two fibers writing concurrently through the rendezvous path: each
      must receive its own grant (routed by rid) and every byte must
      reach the reader. *)
-  with_cluster ~opts:rz ~n:2 (fun c api sim ->
+  with_cluster ~opts ~n:2 (fun c api sim ->
       let per_write = 8_192 and writes_each = 4 in
       let expect = 2 * writes_each * per_write in
       let failures = ref 0 and wrote = ref 0 and got = ref 0 in
@@ -1059,6 +1068,43 @@ let test_ring_firmware_overlap () =
   check_int "DS_DA_UQ: serial firmware, unchanged (75.478 us)" 75_478
     (fst (echo ~match_engine:hashed ds))
 
+(* A 64 KB datagram is a rendezvous message, and on the ring firmware
+   it takes the rings like every other send: the server's grant, its
+   reply's rendezvous request and the reply's payload are each one
+   tx ring slot, so its send core pays no mailbox fetch or parse at
+   all. The paper DG preset keeps three mailbox posts. *)
+let test_rendezvous_on_the_rings () =
+  let m = Uls_host.Cost_model.paper_testbed in
+  let open Uls_host.Cost_model in
+  let size = 65_536 in
+  (* The payload's frames and the two control frames. *)
+  let frames = Uls_emp.Wire.frames_for size + 2 in
+  let send_core post = (3 * post) + (frames * m.nic_tx_per_frame) in
+  let ring_latency, ring_tx = echo ~size (on_rings dg) in
+  check_int "DG ring 64 KB: three ring slots (101.8 us)"
+    (send_core (m.nic_doorbell_batch + m.nic_ring_slot_fetch))
+    ring_tx;
+  check_int "DG ring 64 KB echo: 1519.116 us" 1_519_116 ring_latency;
+  let latency, tx = echo ~size dg in
+  check_int "DG 64 KB: three mailbox posts (115.0 us)"
+    (send_core (m.nic_mailbox_fetch + m.nic_tx_per_msg))
+    tx;
+  check_int "DG 64 KB echo: unchanged (1580.260 us)" 1_580_260 latency
+
+let test_firmware_mismatch_refused () =
+  (* A substrate never mixes firmware modes: options naming the other
+     mode than its endpoint's are refused at creation, naming both. *)
+  let c = Uls_bench.Cluster.create ~n:2 () in
+  let node = Uls_bench.Cluster.node c in
+  let paper = Uls_bench.Cluster.emp c 0
+  and ring = Uls_bench.Cluster.emp ~firmware:E.Ring c 1 in
+  Alcotest.check_raises "server preset over a Paper endpoint"
+    (Invalid_argument "Substrate.create: a Paper endpoint under rx_ring = true")
+    (fun () -> ignore (Sub.create ~opts:Opt.server (node 0) paper));
+  Alcotest.check_raises "DS_DA_UQ over a Ring endpoint"
+    (Invalid_argument "Substrate.create: a Ring endpoint under rx_ring = false")
+    (fun () -> ignore (Sub.create ~opts:ds (node 1) ring))
+
 let suites =
   [
     ( "substrate.connection",
@@ -1079,6 +1125,10 @@ let suites =
           "ring firmware: header during DMA, rx work during DMA, completion \
            first"
           `Quick test_ring_firmware_overlap;
+        Alcotest.test_case "rendezvous on the rings: 64 KB DG echo" `Quick
+          test_rendezvous_on_the_rings;
+        Alcotest.test_case "firmware mismatch is Invalid_argument" `Quick
+          test_firmware_mismatch_refused;
       ] );
     ( "substrate.streaming",
       Alcotest.test_case "partial reads (5+5)" `Quick test_streaming_partial_reads
@@ -1088,9 +1138,9 @@ let suites =
     ( "substrate.datagram",
       Alcotest.test_case "boundaries" `Quick test_datagram_boundaries
       :: Alcotest.test_case "truncation" `Quick test_datagram_truncation
-      :: Alcotest.test_case "rendezvous large" `Quick test_rendezvous_large_datagram
-      :: Alcotest.test_case "eager/rendezvous order" `Quick
-           test_rendezvous_interleaves_with_eager_in_order
+      :: rendezvous_cases "rendezvous large" test_rendezvous_large_datagram dg
+      @ Alcotest.test_case "eager/rendezvous order" `Quick
+          test_rendezvous_interleaves_with_eager_in_order
       :: List.map QCheck_alcotest.to_alcotest [ prop_dg_message_count ] );
     ( "substrate.flow_control",
       [
@@ -1098,8 +1148,10 @@ let suites =
           test_credit_exhaustion_blocks_writer;
         Alcotest.test_case "crossing writes (eager)" `Quick
           test_eager_tolerates_crossing_writes;
-        Alcotest.test_case "Figure 7 deadlock (rendezvous)" `Quick
-          test_rendezvous_deadlock_figure7;
+      ]
+      @ rendezvous_cases "Figure 7 deadlock (rendezvous)"
+          test_rendezvous_deadlock_figure7 rz
+      @ [
         Alcotest.test_case "UQ absorbs acks" `Quick
           test_uq_option_uses_unexpected_queue;
         Alcotest.test_case "piggyback" `Quick test_piggyback_reduces_messages;
@@ -1125,9 +1177,9 @@ let suites =
         Alcotest.test_case "loss recovery" `Quick test_substrate_loss_recovery;
       ] );
     ( "substrate.regressions",
-      [
-        Alcotest.test_case "short rendezvous read keeps tail" `Quick
-          test_rendezvous_short_read_keeps_tail;
+      rendezvous_cases "short rendezvous read keeps tail"
+        test_rendezvous_short_read_keeps_tail rz
+      @ [
         Alcotest.test_case "close_listener wakes acceptor" `Quick
           test_close_listener_wakes_acceptor;
       ]
@@ -1139,11 +1191,11 @@ let suites =
               `Quick
               (test_undecodable_is_protocol_error case))
           undecodable_kinds
+      @ rendezvous_cases "peer close wakes all rendezvous writers"
+          test_peer_close_wakes_all_rendezvous_writers rz
+      @ rendezvous_cases "concurrent rendezvous writers"
+          test_concurrent_rendezvous_writers_deliver_all rz
       @ [
-        Alcotest.test_case "peer close wakes all rendezvous writers" `Quick
-          test_peer_close_wakes_all_rendezvous_writers;
-        Alcotest.test_case "concurrent rendezvous writers" `Quick
-          test_concurrent_rendezvous_writers_deliver_all;
         Alcotest.test_case "closed conns collectable (linear)" `Quick
           (test_closed_conns_collectable Uls_nic.Match_list.Linear);
         Alcotest.test_case "closed conns collectable (hashed)" `Quick

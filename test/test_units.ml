@@ -143,7 +143,7 @@ let test_sendpool_reuses_slots () =
   let e0 = Uls_bench.Cluster.emp c 0 and e1 = Uls_bench.Cluster.emp c 1 in
   let sim = Uls_bench.Cluster.sim c in
   let pool =
-    Uls_substrate.Sendpool.create (Uls_bench.Cluster.node c 0) e0 ~ring:false
+    Uls_substrate.Sendpool.create (Uls_bench.Cluster.node c 0) e0
       ~slots:2 ~size:64
   in
   let received = ref [] in
@@ -174,7 +174,7 @@ let test_sendpool_size_limit () =
   let c = Uls_bench.Cluster.create ~n:2 () in
   let e0 = Uls_bench.Cluster.emp c 0 in
   let pool =
-    Uls_substrate.Sendpool.create (Uls_bench.Cluster.node c 0) e0 ~ring:false
+    Uls_substrate.Sendpool.create (Uls_bench.Cluster.node c 0) e0
       ~slots:2 ~size:8
   in
   let sim = Uls_bench.Cluster.sim c in
