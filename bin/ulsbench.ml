@@ -116,12 +116,41 @@ let metrics_flag =
 
 let dump_metrics m = Uls_engine.Metrics.dump m Format.std_formatter
 
-(* [--metrics] for the microbenchmarks: the observer keeps the run's
-   registry, and [dump] prints it after the result line. *)
-let metrics_observer metrics =
-  let kept = ref None in
-  let observe = if metrics then Some (fun _ m -> kept := Some m) else None in
-  (observe, fun () -> Option.iter dump_metrics !kept)
+(* [--metrics] and [--trace FILE] for the microbenchmarks: the observer
+   keeps the run's sim, enabling its trace when a file is named, and
+   [report] prints the registry and writes the trace after the result
+   line. Without either flag the run is not observed at all. *)
+let observer =
+  let trace =
+    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
+           ~doc:"Record a structured trace of the run and write it to FILE \
+                 as Chrome-trace JSON (chrome://tracing, Perfetto).")
+  in
+  let make metrics trace =
+    let kept = ref None in
+    let observe sim =
+      if trace <> None then Uls_engine.Trace.enable (Uls_engine.Trace.for_sim sim);
+      kept := Some sim
+    in
+    let report () =
+      Option.iter
+        (fun sim ->
+          (match trace with
+          | None -> ()
+          | Some file ->
+            let tr = Uls_engine.Trace.for_sim sim in
+            let oc = open_out file in
+            output_string oc (Uls_engine.Trace.to_chrome_json tr);
+            close_out oc;
+            Printf.printf "trace: %d events -> %s\n"
+              (List.length (Uls_engine.Trace.events tr))
+              file);
+          if metrics then dump_metrics (Uls_engine.Metrics.for_sim sim))
+        !kept
+    in
+    ((if metrics || trace <> None then Some observe else None), report)
+  in
+  Term.(const make $ metrics_flag $ trace)
 
 (* Machine-tracked perf records: one JSON object per run, appended to a
    BENCH_*.json file (created on first use) so the trajectory
@@ -258,18 +287,17 @@ let latency_cmd =
   let iters =
     Arg.(value & opt pos_int 30 & info [ "iters" ] ~doc:"Iterations.")
   in
-  let run stack size iters metrics =
-    let observe, dump = metrics_observer metrics in
+  let run stack size iters (observe, report) =
     let us =
       Uls_bench.Microbench.ping_pong ?observe ~iters ~kind:(kind_of_stack stack)
         ~size ()
     in
     Printf.printf "%d-byte one-way latency: %.2f us\n" size us;
-    dump ()
+    report ()
   in
   Cmd.v
     (Cmd.info "latency" ~doc:"Ping-pong one-way latency on a 2-node cluster")
-    Term.(const run $ stack_flag ~doc:any_stack $ size $ iters $ metrics_flag)
+    Term.(const run $ stack_flag ~doc:any_stack $ size $ iters $ observer)
 
 let bandwidth_cmd =
   let msg =
@@ -280,8 +308,7 @@ let bandwidth_cmd =
     Arg.(value & opt pos_int (16 * 1024 * 1024) & info [ "total" ]
            ~docv:"BYTES" ~doc:"Total bytes to stream.")
   in
-  let run stack msg total metrics =
-    let observe, dump = metrics_observer metrics in
+  let run stack msg total (observe, report) =
     let r =
       Uls_bench.Microbench.stream ?observe ~total ~kind:(kind_of_stack stack)
         ~msg ()
@@ -293,11 +320,11 @@ let bandwidth_cmd =
     | Some bad ->
       Printf.printf "stream bandwidth (%d-byte messages): %s\n" msg bad;
       exit 1);
-    dump ()
+    report ()
   in
   Cmd.v
     (Cmd.info "bandwidth" ~doc:"Unidirectional stream bandwidth")
-    Term.(const run $ stack_flag ~doc:any_stack $ msg $ total $ metrics_flag)
+    Term.(const run $ stack_flag ~doc:any_stack $ msg $ total $ observer)
 
 (* --- chaos -------------------------------------------------------------- *)
 
@@ -658,87 +685,6 @@ let fabric_cmd =
       }
     Term.(const own $ cells $ shards $ vnodes $ kill $ drain)
 
-(* --- trace -------------------------------------------------------------- *)
-
-let trace_cmd =
-  let experiment =
-    Arg.(value & pos 0 string "pingpong" & info [] ~docv:"EXPERIMENT"
-           ~doc:"pingpong | bandwidth | barrier")
-  in
-  let size =
-    Arg.(value & opt pos_int 4 & info [ "size" ] ~docv:"BYTES"
-           ~doc:"Message size (pingpong).")
-  in
-  let msg =
-    Arg.(value & opt pos_int 65_536 & info [ "msg" ] ~docv:"BYTES"
-           ~doc:"Message size (bandwidth).")
-  in
-  let nodes =
-    Arg.(value & opt pos_int 8 & info [ "nodes" ] ~docv:"N"
-           ~doc:"Group size (barrier).")
-  in
-  let iters =
-    Arg.(value & opt pos_int 10 & info [ "iters" ] ~doc:"Iterations.")
-  in
-  let out =
-    Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE"
-           ~doc:"Write the Chrome-trace JSON here instead of stdout.")
-  in
-  let run experiment stack size msg nodes iters out metrics =
-    let kind = kind_of_stack stack in
-    let observed = ref None in
-    let observe tr m = observed := Some (tr, m) in
-    let summary =
-      match experiment with
-      | "pingpong" ->
-        let us = Uls_bench.Microbench.ping_pong ~observe ~iters ~kind ~size () in
-        Printf.sprintf "%d-byte one-way latency: %.2f us" size us
-      | "bandwidth" -> (
-        let r =
-          Uls_bench.Microbench.stream ~observe ~total:(4 * 1024 * 1024) ~kind
-            ~msg ()
-        in
-        match verdict r with
-        | None -> Printf.sprintf "stream bandwidth: %.1f Mb/s" r.goodput_mbps
-        | Some bad ->
-          Printf.eprintf "ulsbench trace: stream %s\n" bad;
-          exit 1)
-      | "barrier" ->
-        let us =
-          Uls_bench.Microbench.barrier_latency ~observe ~iters
-            ~alg:Uls_collective.Group.Binomial_tree ~nodes ()
-        in
-        Printf.sprintf "%d-node barrier: %.2f us" nodes us
-      | other ->
-        Printf.eprintf "ulsbench trace: unknown experiment %S\n" other;
-        exit 124
-    in
-    let tr, m = Option.get !observed in
-    let json = Uls_engine.Trace.to_chrome_json tr in
-    (* Keep stdout pure JSON when no --out was given, so the output can
-       be piped straight into a validator or chrome://tracing. *)
-    (match out with
-    | None ->
-      print_string json;
-      Printf.eprintf "%s (%d trace events)\n" summary
-        (List.length (Uls_engine.Trace.events tr))
-    | Some file ->
-      let oc = open_out file in
-      output_string oc json;
-      close_out oc;
-      Printf.printf "%s (%d trace events -> %s)\n" summary
-        (List.length (Uls_engine.Trace.events tr))
-        file);
-    if metrics then dump_metrics m
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Run a benchmark with structured tracing enabled and emit \
-          Chrome-trace JSON (load in chrome://tracing or Perfetto)")
-    Term.(const run $ experiment $ stack_flag ~doc:any_stack $ size $ msg
-          $ nodes $ iters $ out $ metrics_flag)
-
 (* --- collectives -------------------------------------------------------- *)
 
 let alg_conv =
@@ -790,8 +736,7 @@ let collective_cmd =
   let iters =
     Arg.(value & opt pos_int 10 & info [ "iters" ] ~doc:"Iterations.")
   in
-  let run op alg nodes size iters metrics =
-    let observe, dump = metrics_observer metrics in
+  let run op alg nodes size iters (observe, report) =
     let alg_name = Uls_collective.Group.algorithm_name alg in
     (match op with
     | `Barrier ->
@@ -809,12 +754,12 @@ let collective_cmd =
       in
       Printf.printf "%d-node %s %s (%d B): %.1f Mb/s\n" nodes alg_name
         op_name size mbps);
-    dump ()
+    report ()
   in
   Cmd.v
     (Cmd.info "collective"
        ~doc:"Collective latency/bandwidth over an EMP group")
-    Term.(const run $ op $ alg $ nodes $ size $ iters $ metrics_flag)
+    Term.(const run $ op $ alg $ nodes $ size $ iters $ observer)
 
 (* --- engine ------------------------------------------------------------ *)
 
@@ -1719,7 +1664,6 @@ let () =
             storm_cmd;
             serve_cmd;
             fabric_cmd;
-            trace_cmd;
             races_cmd;
             check_cmd;
           ]))

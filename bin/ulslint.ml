@@ -165,6 +165,10 @@ let find_sub hay needle =
 
 let contains ~needle hay = find_sub hay needle <> None
 
+let is_ident_char c =
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+  || c = '_' || c = '\''
+
 (* Extract the inline [(fun ... -> ...)] starting at or after [start] in
    the flattened source, by balanced-parenthesis matching. *)
 let extract_lambda src start =
@@ -276,13 +280,28 @@ let check_unlabeled_sync path lines =
 
 (* --- rule: trace-args-unguarded ------------------------------------------ *)
 
-(* Like unlabeled-sync, a short window: [~args] may sit up to two lines
-   below the call, and the guard up to three lines above it (an [if
+(* Like unlabeled-sync, a short window: [~args] may sit up to four lines
+   below the call (a [Trace.span] whose trace, labels and event name
+   each take a line), and the guard up to three lines above it (an [if
    Trace.enabled t.trace then begin] opening a small block). The window
-   stops at the line that ends the call's statement. A finding's [sym]
-   is the event name, the window's first string literal. *)
+   stops at the line that ends the call's statement and before a line
+   that opens the span's body. A finding's [sym] is the event name, the
+   window's first string literal. *)
 let trace_calls =
-  [ "Trace.instant"; "Trace.span_begin"; "Trace.span_end"; "Trace.span " ]
+  [ "Trace.instant"; "Trace.span_begin"; "Trace.span_end"; "Trace.span" ]
+
+(* Where [call] occurs in [line] as a whole name, not as the prefix of
+   a longer one ("Trace.span" in "Trace.span_end"). *)
+let find_call line call =
+  let n = String.length call and h = String.length line in
+  let rec go i =
+    if i + n > h then None
+    else if
+      String.sub line i n = call && (i + n = h || not (is_ident_char line.[i + n]))
+    then Some i
+    else go (i + 1)
+  in
+  go 0
 
 let first_literal s =
   match String.index_opt s '"' with
@@ -299,9 +318,13 @@ let check_trace_args path lines =
     let l = String.trim line in
     l <> "" && (l.[String.length l - 1] = ';' || l = "in")
   in
+  let opens_body line =
+    let l = String.trim line in
+    String.length l >= 4 && String.sub l 0 4 = "(fun"
+  in
   Array.iteri
     (fun i line ->
-      let found c = Option.map (fun at -> (c, at)) (find_sub line c) in
+      let found c = Option.map (fun at -> (c, at)) (find_call line c) in
       match List.find_map found trace_calls with
       | None -> ()
       | Some (call, at) ->
@@ -309,7 +332,11 @@ let check_trace_args path lines =
         Buffer.add_string window
           (String.sub line at (String.length line - at));
         let j = ref i in
-        while (not (ends_statement arr.(!j))) && !j < min (i + 2) (n - 1) do
+        while
+          (not (ends_statement arr.(!j)))
+          && !j < min (i + 4) (n - 1)
+          && not (opens_body arr.(!j + 1))
+        do
           incr j;
           Buffer.add_char window '\n';
           Buffer.add_string window arr.(!j)
@@ -330,10 +357,6 @@ let check_trace_args path lines =
     arr
 
 (* --- rules: dead-export, test-only ------------------------------------- *)
-
-let is_ident_char c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-  || c = '_' || c = '\''
 
 let is_upper s = s <> "" && s.[0] >= 'A' && s.[0] <= 'Z'
 

@@ -134,17 +134,11 @@ type decision = {
 
 (* Run the scenario once, taking [pick i n] (an index below [n]) at
    decision point [i]. Returns the outcome, the decisions actually
-   encountered (oldest first) and, when [track], the attached
-   happens-before tracker. Uses the global sim creation hook, so
-   explorations cannot nest. *)
+   encountered (oldest first) and, when [track], the happens-before
+   tracker, attached by the tie-break to the sim the scenario controls. *)
 let run_once ?(track = true) (sc : Scenarios.t) pick =
   let hb = ref None in
-  if track then
-    Sim.set_create_hook
-      (Some
-         (fun sim ->
-           (* first sim created inside the run function is the scenario's *)
-           if !hb = None then hb := Some (Hb.attach sim)));
+  let attach sim = if track && !hb = None then hb := Some (Hb.attach sim) in
   let decisions = ref [] in
   let depth = ref 0 in
   let choose enabled =
@@ -154,11 +148,7 @@ let run_once ?(track = true) (sc : Scenarios.t) pick =
     decisions := { d_enabled = enabled; d_chosen = c; d_pos = pos } :: !decisions;
     c
   in
-  let outcome =
-    Fun.protect
-      ~finally:(fun () -> Sim.set_create_hook None)
-      (fun () -> sc.Scenarios.sc_run (`Controlled choose))
-  in
+  let outcome = sc.Scenarios.sc_run (`Controlled (choose, attach)) in
   (outcome, List.rev !decisions, !hb)
 
 let prefix_pick prefix i _ = if i < Array.length prefix then prefix.(i) else 0

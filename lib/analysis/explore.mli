@@ -73,8 +73,9 @@ val explore :
   verdict
 (** Explore one scenario: the FIFO baseline, the depth-first sweep if
     the scenario has a bound (budget and cap default to it), then
-    [seeds] walks (default 16, seeds [0 .. seeds-1]). Uses the global
-    sim creation hook, so explorations must not nest. *)
+    [seeds] walks (default 16, seeds [0 .. seeds-1]). The happens-before
+    tracker rides in the [`Controlled] tie-break the scenario sets on
+    its sim, so explorations keep no global state and may nest. *)
 
 val clean : verdict -> bool
 val flagged : verdict -> bool

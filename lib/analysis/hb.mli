@@ -26,8 +26,9 @@ type t
 
 val attach : Uls_engine.Sim.t -> t
 (** Install tracking hooks on [sim]. Call before the workload spawns
-    (the analysis drivers use {!Uls_engine.Sim.set_create_hook} to
-    attach at sim creation). *)
+    (the explorer passes it inside its [`Controlled] tie-break, which
+    {!Uls_engine.Sim.set_tiebreak} runs as soon as the scenario's sim
+    exists). *)
 
 val detach : t -> unit
 (** Remove the hooks; the sim returns to zero-overhead operation. *)

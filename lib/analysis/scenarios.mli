@@ -9,8 +9,9 @@
     deliberately) that the explorer must keep catching. *)
 
 type tiebreak = Uls_engine.Sim.tiebreak_spec
-(** [`Fifo] or [`Controlled choose] (the explorer's instrument — see
-    {!Uls_engine.Sim.set_tiebreak}). *)
+(** [`Fifo] or [`Controlled (choose, attach)] (the explorer's
+    instrument — see {!Uls_engine.Sim.set_tiebreak}). A scenario sets it
+    on its sim before any fiber exists. *)
 
 type outcome = {
   fingerprint : Fingerprint.t;

@@ -35,6 +35,32 @@ type stack = {
   select : node:int -> stream list -> stream list;
 }
 
+(* A node's handles are resolved at its first select, so a stack that
+   never selects registers no select counters. *)
+let select ~nodes ~activity ~metrics =
+  let handles =
+    Array.init nodes (fun node ->
+        lazy
+          (let m = metrics node in
+           ( activity node,
+             Uls_engine.Metrics.counter m ~node "api.select_scans",
+             Uls_engine.Metrics.counter m ~node "api.select_streams_scanned" )))
+  in
+  fun ~node streams ->
+    let activity, scans, scanned = Lazy.force handles.(node) in
+    (* The O(registered) scan the event engine exists to avoid; the
+       counters let experiments compare it against evq wakeups. *)
+    let rec wait () =
+      Uls_engine.Stats.Counter.incr scans;
+      Uls_engine.Stats.Counter.add scanned (List.length streams);
+      match List.filter (fun st -> st.readable ()) streams with
+      | _ :: _ as r -> r
+      | [] ->
+        Uls_engine.Cond.wait activity;
+        wait ()
+    in
+    wait ()
+
 let pp_addr fmt a = Format.fprintf fmt "%d:%d" a.node a.port
 
 let recv_exact s n =

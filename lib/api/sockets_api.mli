@@ -84,6 +84,21 @@ type stack = {
       returns the ready subset (the paper's matmul server uses this). *)
 }
 
+val select :
+  nodes:int ->
+  activity:(int -> Uls_engine.Cond.t) ->
+  metrics:(int -> Uls_engine.Metrics.t) ->
+  node:int ->
+  stream list ->
+  stream list
+(** [select ~nodes ~activity ~metrics] is a stack's {!stack.select}
+    over nodes [0 .. nodes - 1]: scan the set for readable streams and,
+    while none is, park on the node's [activity] condition (which the
+    stack broadcasts on any change) and scan again. Each scan counts in
+    the node's ["api.select_scans"] and ["api.select_streams_scanned"]
+    counters of [metrics node]; a node's condition and counters are
+    resolved at its first select and reused. *)
+
 val pp_addr : Format.formatter -> addr -> unit
 
 val recv_exact : stream -> int -> string

@@ -536,13 +536,18 @@ let breakdown ?(quick = false) () =
   let rows =
     List.concat_map
       (fun (name, kind) ->
-        let totals = ref [] in
+        let trace = ref None in
         let lat =
           Microbench.ping_pong ~iters ~kind ~size:4 ()
-            ~observe:(fun tr _ -> totals := Trace.span_totals tr)
+            ~observe:(fun sim ->
+              let tr = Trace.for_sim sim in
+              Trace.enable tr;
+              trace := Some tr)
         in
         let totals =
-          List.sort (fun (_, _, _, a) (_, _, _, b) -> compare b a) !totals
+          List.sort
+            (fun (_, _, _, a) (_, _, _, b) -> compare b a)
+            (Trace.span_totals (Option.get !trace))
         in
         List.filteri (fun i _ -> i < 5) totals
         |> List.mapi (fun i (layer, sname, count, total_ns) ->

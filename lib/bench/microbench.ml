@@ -6,21 +6,16 @@
 open Uls_engine
 open Uls_host
 
-type observe = Trace.t -> Metrics.t -> unit
+type observe = Sim.t -> unit
 
-(* Benchmarks double as the observability demo: with [observe] set they
-   enable the cluster simulation's shared trace before any traffic and
-   wrap the timed application loops in App-layer spans, so an exported
-   trace shows the full stack from app call down to NIC work. *)
+(* Benchmarks double as the observability demo: [observe] sees the
+   cluster's simulation before any traffic (where a caller enables its
+   trace), and the timed application loops run in App-layer spans, so
+   an exported trace shows the full stack from app call down to NIC
+   work. *)
 let observed_trace sim observe =
-  let tr = Trace.for_sim sim in
-  if Option.is_some observe then Trace.enable tr;
-  tr
-
-(* Hand the finished run's trace and metrics to [observe], if set. *)
-let hand_off ?(observe : observe option) (v, sim) =
-  Option.iter (fun f -> f (Trace.for_sim sim) (Metrics.for_sim sim)) observe;
-  v
+  Option.iter (fun f -> f sim) observe;
+  Trace.for_sim sim
 
 (* The payload every stream and ping-pong carries: a pure function of
    the byte's offset, so loss, reordering or truncation anywhere shows up
@@ -70,7 +65,7 @@ let emp_ping_pong ~observe ~config ~size ~iters ~warmup =
       done;
       latency := float_of_int !sum /. float_of_int iters /. 2.);
   ignore (Cluster.run c);
-  (!latency /. 1_000., sim)
+  !latency /. 1_000.
 
 (* Every reply is compared with its request, iteration [i] carrying
    the pattern at offset [i * size]; a mismatch fails the run. *)
@@ -110,14 +105,12 @@ let api_ping_pong ~observe ~kind ~size ~iters ~warmup =
     failwith
       (Printf.sprintf "ping_pong over %s: %d echo(es) differ from the request"
          (Cluster.stack_name kind) !mismatches);
-  (!latency /. 1_000., sim)
+  !latency /. 1_000.
 
 let ping_pong ?observe ?(iters = 30) ?(warmup = 5) ~kind ~size () =
-  hand_off ?observe
-    (match kind with
-    | `Emp config -> emp_ping_pong ~observe ~config ~size ~iters ~warmup
-    | #Cluster.stream as kind ->
-      api_ping_pong ~observe ~kind ~size ~iters ~warmup)
+  match kind with
+  | `Emp config -> emp_ping_pong ~observe ~config ~size ~iters ~warmup
+  | #Cluster.stream as kind -> api_ping_pong ~observe ~kind ~size ~iters ~warmup
 
 (* --- the two-node stream ---------------------------------------------- *)
 
@@ -278,26 +271,24 @@ let stream ?observe ?(seed = 42) ?(loss = 0.) ?(total = 16 * 1024 * 1024)
   in
   let completed = outcome = `Quiescent && p.finished in
   let elapsed = max 1 (p.t1 - p.t0) in
-  hand_off ?observe
-    ( {
-        goodput_mbps =
-          (if completed then Time.mbps ~bytes_transferred:total ~elapsed
-           else 0.);
-        elapsed_ms = float_of_int elapsed /. 1_000_000.;
-        faults_injected = Fault.faults_injected fault;
-        retransmits =
-          both
-            (match kind with
-            | `Tcp _ -> "tcp.retransmits"
-            | `Sub _ | `Emp _ -> "emp.frames_retransmitted");
-        nacks =
-          (match kind with `Tcp _ -> 0 | `Sub _ | `Emp _ -> both "emp.nacks_sent");
-        tx_busy_ms = Time.to_ms p.tx_busy;
-        rx_busy_ms = Time.to_ms p.rx_busy;
-        intact = p.ok;
-        completed;
-      },
-      sim )
+  {
+    goodput_mbps =
+      (if completed then Time.mbps ~bytes_transferred:total ~elapsed
+       else 0.);
+    elapsed_ms = float_of_int elapsed /. 1_000_000.;
+    faults_injected = Fault.faults_injected fault;
+    retransmits =
+      both
+        (match kind with
+        | `Tcp _ -> "tcp.retransmits"
+        | `Sub _ | `Emp _ -> "emp.frames_retransmitted");
+    nacks =
+      (match kind with `Tcp _ -> 0 | `Sub _ | `Emp _ -> both "emp.nacks_sent");
+    tx_busy_ms = Time.to_ms p.tx_busy;
+    rx_busy_ms = Time.to_ms p.rx_busy;
+    intact = p.ok;
+    completed;
+  }
 
 (* --- collectives ------------------------------------------------------ *)
 
@@ -329,13 +320,13 @@ let coll_span ~observe ~nodes ~iters f =
   (match Cluster.run c with
   | `Quiescent -> ()
   | _ -> failwith "collective benchmark: cluster did not quiesce");
-  (Array.fold_left max 0 finish - Array.fold_left min max_int start, sim)
+  Array.fold_left max 0 finish - Array.fold_left min max_int start
 
 let barrier_latency ?observe ?(iters = 10) ~alg ~nodes () =
-  let span, sim =
+  let span =
     coll_span ~observe ~nodes ~iters (fun g ~rank:_ -> Coll.barrier ~alg g)
   in
-  hand_off ?observe (float_of_int span /. float_of_int iters /. 1_000., sim)
+  float_of_int span /. float_of_int iters /. 1_000.
 
 let coll_bandwidth ?observe ?(iters = 5) ~op ~alg ~nodes ~size () =
   (* float_sum combines 8-byte lanes, so keep allreduce payloads aligned. *)
@@ -352,9 +343,8 @@ let coll_bandwidth ?observe ?(iters = 5) ~op ~alg ~nodes ~size () =
     | `Allreduce ->
       ignore (Coll.allreduce ~alg g ~op:Coll.float_sum ~max:size payload)
   in
-  let span, sim = coll_span ~observe ~nodes ~iters f in
-  hand_off ?observe
-    (Time.mbps ~bytes_transferred:(size * iters) ~elapsed:span, sim)
+  let span = coll_span ~observe ~nodes ~iters f in
+  Time.mbps ~bytes_transferred:(size * iters) ~elapsed:span
 
 let connect_time ~kind () =
   (* Mean time for connect() alone, over a fresh cluster. *)

@@ -3,13 +3,13 @@
     kernel TCP, or the substrate. Every run builds a fresh cluster, so
     experiments are independent and bit-deterministic. *)
 
-type observe = Uls_engine.Trace.t -> Uls_engine.Metrics.t -> unit
-(** With [?observe], a run enables the cluster simulation's shared
-    {!Uls_engine.Trace} before any traffic and wraps its timed
-    application loops in [App]-layer spans; once the run ends the
-    callback receives the trace (span/instant events from every
-    instrumented layer: nic, emp, substrate or tcpip, app) and the
-    per-node metrics registry. *)
+type observe = Uls_engine.Sim.t -> unit
+(** With [?observe], a run hands the cluster's simulation to the
+    callback before any traffic. A caller that enables the sim's
+    {!Uls_engine.Trace} there records every instrumented layer (nic,
+    emp, substrate or tcpip) and the [App]-layer spans the timed
+    application loops run in; keeping the sim lets it read that trace
+    and the per-node {!Uls_engine.Metrics} once the run returns. *)
 
 val ping_pong :
   ?observe:observe ->

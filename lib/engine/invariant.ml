@@ -1,8 +1,9 @@
 (* Per-simulation invariant monitor ("sanitizer") registry. Protocol
    layers call [check] at state transitions; the call is a field read
    and a branch when monitoring is disabled, so the hooks stay in
-   production paths permanently. One registry per simulation (via the
-   Sim uid, like Metrics/Trace) so layers need no handle threading. *)
+   production paths permanently. One registry per simulation (a slot
+   of the sim's observer store, like Metrics/Trace) so layers need no
+   handle threading. *)
 
 type violation = {
   v_name : string;
@@ -22,29 +23,8 @@ exception Violation of string
 
 let create sim = { sim; enabled = false; strict = false; violations = [] }
 
-(* Ephemeron-keyed like Metrics/Trace: a collected sim evicts its
-   monitor (the monitor references the sim, so a plain weak key would
-   never die). *)
-module Sim_tbl = Ephemeron.K1.Make (struct
-  type nonrec t = Sim.t
-
-  let equal = ( == )
-  let hash = Sim.uid
-end)
-
-let registry : t Sim_tbl.t = Sim_tbl.create 8
-
-let for_sim sim =
-  match Sim_tbl.find_opt registry sim with
-  | Some t -> t
-  | None ->
-    let t = create sim in
-    Sim_tbl.replace registry sim t;
-    t
-
-let registered_sims () =
-  Sim_tbl.clean registry;
-  Sim_tbl.length registry
+let slot = Sim.key create
+let for_sim sim = Sim.get sim slot
 
 let enable ?(strict = false) t =
   t.enabled <- true;

@@ -8,8 +8,8 @@
     enables them for sanitized runs and reads back {!violations}.
 
     Like {!Metrics} and {!Trace}, one registry exists per simulation
-    ({!for_sim}, keyed by {!Sim.uid}), so no handle is threaded through
-    constructors. *)
+    ({!for_sim}, held in the sim's observer store), so no handle is
+    threaded through constructors. *)
 
 type t
 
@@ -24,11 +24,8 @@ exception Violation of string
 (** Raised by {!check}/{!fail} only under [enable ~strict:true]. *)
 
 val for_sim : Sim.t -> t
-(** The simulation's shared monitor, created on first use. Held in an
-    ephemeron table: when the sim is collected, its monitor goes too. *)
-
-val registered_sims : unit -> int
-(** Number of live sims with a monitor (dead entries swept first). *)
+(** The simulation's shared monitor, created on first use. The sim
+    holds it, so it lives exactly as long as the sim. *)
 
 val enable : ?strict:bool -> t -> unit
 (** Turn monitoring on. With [strict], the first violation raises

@@ -1,7 +1,7 @@
 (* Named counters / gauges / histograms, optionally per node. One
-   registry per simulation (via the Sim uid, like Trace) so the layers
-   of the stack can account events without threading a handle through
-   every constructor. Naming convention: "<layer>.<event>" with a unit
+   registry per simulation (a slot of the sim's observer store, like
+   Trace) so the layers of the stack can account events without
+   threading a handle through every constructor. Naming convention: "<layer>.<event>" with a unit
    suffix where one applies ("emp.match_walk_descs",
    "sub.credit_wait_us"). *)
 
@@ -23,31 +23,8 @@ let create () =
     histograms = Hashtbl.create 32;
   }
 
-(* Ephemeron-keyed on the sim itself: when a simulation becomes
-   unreachable its metrics registry is collected with it, so sweeps
-   that build thousands of sims (races, chaos, benches) don't grow
-   without bound. An ephemeron (not a plain weak key) is required
-   because registry values may reference their sim. *)
-module Sim_tbl = Ephemeron.K1.Make (struct
-  type nonrec t = Sim.t
-
-  let equal = ( == )
-  let hash = Sim.uid
-end)
-
-let registry : t Sim_tbl.t = Sim_tbl.create 8
-
-let for_sim sim =
-  match Sim_tbl.find_opt registry sim with
-  | Some m -> m
-  | None ->
-    let m = create () in
-    Sim_tbl.replace registry sim m;
-    m
-
-let registered_sims () =
-  Sim_tbl.clean registry;
-  Sim_tbl.length registry
+let slot = Sim.key (fun _ -> create ())
+let for_sim sim = Sim.get sim slot
 
 let find tbl mk k =
   match Hashtbl.find_opt tbl k with

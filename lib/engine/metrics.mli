@@ -1,7 +1,7 @@
 (** Named counters, gauges and histograms, optionally per node.
 
-    One registry per simulation ({!for_sim}, keyed by {!Sim.uid}) so any
-    layer can account events without a handle threaded through every
+    One registry per simulation ({!for_sim}, held in the sim's observer
+    store, {!Sim.get}) so any layer can account events without a handle threaded through every
     constructor. Metric names follow ["<layer>.<event>"] with a unit
     suffix where one applies (e.g. ["emp.match_walk_descs"],
     ["sub.credit_wait_us"]). Unlike {!Trace}, metrics are always on:
@@ -10,12 +10,8 @@
 type t
 
 val for_sim : Sim.t -> t
-(** The simulation's shared registry, created on first use. Held in an
-    ephemeron table: when the sim is collected, its registry goes too. *)
-
-val registered_sims : unit -> int
-(** Number of live sims with a registry (dead entries swept first) —
-    lets tests assert the registry does not leak across sims. *)
+(** The simulation's shared registry, created on first use. The sim
+    holds it, so it lives exactly as long as the sim. *)
 
 (** {2 Counters} *)
 

@@ -82,8 +82,11 @@ type queue =
   | Q_heap of task Heap.t
   | Q_wheel of Wheel.t
 
+(* One filled slot of a sim's observer store: a value and the type
+   identifier of its {!key}. *)
+type binding = Binding : 'a Type.Id.t * 'a -> binding
+
 type t = {
-  uid : int;  (* process-unique: lets side tables key off a simulation *)
   q : queue;
   mutable now : Time.ns;
   mutable seq : int;
@@ -105,6 +108,7 @@ type t = {
   mutable delay_ns : Time.ns;
       (* the {!delay} being performed: set by [delay], read and cleared
          by the performing fiber's handler, so the effect is a constant *)
+  mutable store : binding list;  (* the observers {!get} filled so far *)
 }
 
 exception Fiber_failure of string * exn
@@ -113,18 +117,8 @@ let compare_task a b =
   let c = compare a.time b.time in
   if c <> 0 then c else compare a.seq b.seq
 
-let next_uid = ref 0
-
-(* Module-level creation hook: the analysis layer attaches happens-before
-   tracking to sims it cannot construct itself (scenarios build their own
-   clusters deep inside [sc_run]). Unset in normal operation. *)
-let create_hook : (t -> unit) option ref = ref None
-let set_create_hook h = create_hook := h
-
 let create ?(sched = `Wheel) () =
-  incr next_uid;
-  let t = {
-    uid = !next_uid;
+  {
     q =
       (match sched with
       | `Heap -> Q_heap (Heap.create ~cmp:compare_task)
@@ -151,12 +145,9 @@ let create ?(sched = `Wheel) () =
     pooled = 0;
     timers = Hashtbl.create (match sched with `Heap -> 64 | `Wheel -> 1);
     delay_ns = 0;
+    store = [];
   }
-  in
-  (match !create_hook with None -> () | Some f -> f t);
-  t
 
-let uid t = t.uid
 let now t = t.now
 let blocked_fibers t = t.blocked
 let live_fibers t = t.live
@@ -165,11 +156,33 @@ let stop t = t.stopped <- true
 let current_fiber t = t.cur_fiber
 let current_fiber_id t = t.cur_fiber_id
 
-type tiebreak_spec = [ `Fifo | `Controlled of (int array -> int) ]
+type tiebreak_spec = [ `Fifo | `Controlled of (int array -> int) * (t -> unit) ]
 
 let set_tiebreak t = function
   | `Fifo -> t.tiebreak <- Fifo
-  | `Controlled choose -> t.tiebreak <- Controlled choose
+  | `Controlled (choose, attach) ->
+    attach t;
+    t.tiebreak <- Controlled choose
+
+(* Observer store: a key is a type identifier and the function that
+   fills its slot. A sim holds a handful of observers, so a list walk
+   finds one faster than a hash would. *)
+type 'a key = { k_id : 'a Type.Id.t; k_init : t -> 'a }
+
+let key init = { k_id = Type.Id.make (); k_init = init }
+
+let rec find : type a. t -> a key -> binding list -> a =
+ fun t k -> function
+  | [] ->
+    let v = k.k_init t in
+    t.store <- Binding (k.k_id, v) :: t.store;
+    v
+  | Binding (id, v) :: rest -> (
+    match Type.Id.provably_equal k.k_id id with
+    | Some Type.Equal -> v
+    | None -> find t k rest)
+
+let get t k = find t k t.store
 
 let set_hooks t h = t.hooks <- h
 

@@ -26,19 +26,18 @@ val create : ?sched:[ `Heap | `Wheel ] -> unit -> t
     contract holds on both, so FIFO runs, controlled schedules, and
     determinism fingerprints are scheduler-independent. *)
 
-val uid : t -> int
-(** Process-unique identifier of this simulation instance, usable as a
-    key in side tables (see {!Metrics.for_sim}, {!Trace.for_sim}). *)
-
 val now : t -> Time.ns
 
-type tiebreak_spec = [ `Fifo | `Controlled of (int array -> int) ]
+type tiebreak_spec = [ `Fifo | `Controlled of (int array -> int) * (t -> unit) ]
 
 val set_tiebreak : t -> tiebreak_spec -> unit
 (** Dispatch policy for same-timestamp tasks. [`Fifo] (the default)
     runs them in scheduling order.
 
-    [`Controlled choose] is the schedule explorer's instrument: each
+    [`Controlled (choose, attach)] is the schedule explorer's
+    instrument. [set_tiebreak] first runs [attach] on the sim: the
+    explorer's way to install its {!hooks} on a sim a scenario builds
+    itself, so set the tie-break before any fiber exists. Then each
     time two or more tasks are due at the same instant, the whole tie is
     handed to [choose] as an array of task sequence numbers in FIFO
     order, and the returned index picks which runs next (out-of-range
@@ -174,9 +173,18 @@ val new_sync_uid : t -> int
 (** Fresh deterministic identity for a sync object ({!Cond},
     {!Mailbox}, {!Resource}) within this sim. *)
 
-val set_create_hook : (t -> unit) option -> unit
-(** Module-level: called on every subsequently created sim. Lets the
-    analysis layer attach {!hooks} to simulators it cannot construct
-    itself (scenarios build their own clusters inside their run
-    function). Unset it ([None]) as soon as the target sim exists; not
-    for use outside the analysis layer. *)
+(** {1 Observer store}
+
+    Each simulation carries one lazily filled slot per key, so the
+    observers of a run ({!Metrics}, {!Trace}, {!Invariant}) live and die
+    with the sim and no layer threads a handle through its
+    constructors. *)
+
+type 'a key
+
+val key : (t -> 'a) -> 'a key
+(** A new slot kind whose value {!get} makes with the given function
+    the first time a sim is asked for it. *)
+
+val get : t -> 'a key -> 'a
+(** The sim's value for the key, made and kept on first use. *)

@@ -50,29 +50,9 @@ type t = {
 let create sim = { sim; on = false; events = Vec.create (); next_span = 0 }
 
 (* One shared trace per simulation, created on demand: instrumentation
-   deep inside the stack reaches it through the sim it already holds.
-   Ephemeron-keyed so a collected sim takes its trace with it — an
-   ephemeron rather than a weak key because the trace holds the sim. *)
-module Sim_tbl = Ephemeron.K1.Make (struct
-  type nonrec t = Sim.t
-
-  let equal = ( == )
-  let hash = Sim.uid
-end)
-
-let registry : t Sim_tbl.t = Sim_tbl.create 8
-
-let for_sim sim =
-  match Sim_tbl.find_opt registry sim with
-  | Some t -> t
-  | None ->
-    let t = create sim in
-    Sim_tbl.replace registry sim t;
-    t
-
-let registered_sims () =
-  Sim_tbl.clean registry;
-  Sim_tbl.length registry
+   deep inside the stack reaches it through the sim it already holds. *)
+let slot = Sim.key create
+let for_sim sim = Sim.get sim slot
 
 let enable t = t.on <- true
 let enabled t = t.on

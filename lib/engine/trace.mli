@@ -30,11 +30,8 @@ type t
 
 val for_sim : Sim.t -> t
 (** The simulation's shared trace, created on first use. All stack
-    instrumentation records here. Held in an ephemeron table: when the
-    sim is collected, its trace goes too. *)
-
-val registered_sims : unit -> int
-(** Number of live sims with a trace (dead entries swept first). *)
+    instrumentation records here. The sim holds it, so it lives exactly
+    as long as the sim. *)
 
 val enable : t -> unit
 val enabled : t -> bool

@@ -548,25 +548,9 @@ let api (subs : t array) : Uls_api.Sockets_api.stack =
     }
   in
   let connect ~node addr = stream_of_conn (connect subs.(node) addr) in
-  let select ~node streams =
-    let s = subs.(node) in
-    let m = Metrics.for_sim (sim s) in
-    let h_scans = Metrics.counter m ~node "api.select_scans" in
-    let h_scanned = Metrics.counter m ~node "api.select_streams_scanned" in
-    let ready () =
-      (* The O(registered) scan the event engine exists to avoid; the
-         counters let experiments compare it against evq wakeups. *)
-      Stats.Counter.incr h_scans;
-      Stats.Counter.add h_scanned (List.length streams);
-      List.filter (fun (st : Uls_api.Sockets_api.stream) -> st.readable ()) streams
-    in
-    let rec wait () =
-      match ready () with
-      | _ :: _ as r -> r
-      | [] ->
-        Cond.wait s.activity;
-        wait ()
-    in
-    wait ()
+  let select =
+    Uls_api.Sockets_api.select ~nodes:(Array.length subs)
+      ~activity:(fun i -> subs.(i).activity)
+      ~metrics:(fun i -> Metrics.for_sim (sim subs.(i)))
   in
   { Uls_api.Sockets_api.stack_name = name; listen; connect; select }

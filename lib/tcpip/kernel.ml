@@ -92,6 +92,7 @@ let env_of t =
         | Some c' when c' == c -> Hashtbl.remove t.conns key
         | _ -> ()));
     notify = (fun () -> Cond.broadcast t.activity);
+    trace = t.trace;
     h_retransmits = t.mh.h_tcp_retransmits;
     h_aborts = t.mh.h_tcp_aborts;
     h_syscalls = t.mh.h_syscalls;

@@ -73,6 +73,7 @@ and env = {
   ip_send : dst:int -> Segment.tcp_segment -> unit;
   unregister : t -> unit;
   notify : unit -> unit;  (* select() activity hook *)
+  trace : Trace.t;
   (* node-wide metric handles, resolved once by the kernel *)
   h_retransmits : Stats.Counter.t;
   h_aborts : Stats.Counter.t;
@@ -519,11 +520,12 @@ let app_send t data =
       end
     end
   in
-  Trace.span
-    (Trace.for_sim (sim t))
-    ~layer:Trace.Tcpip ~node:(Node.id t.env.node) "tcp.send"
-    ~args:[ ("len", string_of_int len) ]
-    (fun () -> push 0)
+  if Trace.enabled t.env.trace then
+    Trace.span t.env.trace ~layer:Trace.Tcpip ~node:(Node.id t.env.node)
+      "tcp.send"
+      ~args:[ ("len", string_of_int len) ]
+      (fun () -> push 0)
+  else push 0
 
 let maybe_window_update t =
   let wnd = advertised_window t in
@@ -554,10 +556,10 @@ let app_recv t n =
     end
   in
   if n <= 0 then ""
-  else
-    Trace.span
-      (Trace.for_sim (sim t))
-      ~layer:Trace.Tcpip ~node:(Node.id t.env.node) "tcp.recv" pull
+  else if Trace.enabled t.env.trace then
+    Trace.span t.env.trace ~layer:Trace.Tcpip ~node:(Node.id t.env.node)
+      "tcp.recv" pull
+  else pull ()
 
 let app_readable t =
   Bytebuf.available t.rcv_buf > 0 || t.fin_rcvd || t.rst_rcvd

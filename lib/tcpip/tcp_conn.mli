@@ -24,6 +24,7 @@ type env = {
   ip_send : dst:int -> Segment.tcp_segment -> unit;
   unregister : t -> unit;  (** drop from the kernel's connection table *)
   notify : unit -> unit;  (** select() activity hook *)
+  trace : Uls_engine.Trace.t;  (** the node's trace, resolved once *)
   h_retransmits : Uls_engine.Stats.Counter.t;
       (** node-wide metric handles, resolved once by the kernel *)
   h_aborts : Uls_engine.Stats.Counter.t;

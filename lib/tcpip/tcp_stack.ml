@@ -1,8 +1,6 @@
 (** Assemble the kernel TCP implementation of the stack-agnostic sockets
     API ({!Uls_api.Sockets_api.stack}) over one kernel per node. *)
 
-open Uls_engine
-
 type t = {
   kernels : Kernel.t array;
 }
@@ -53,25 +51,9 @@ let api t : Uls_api.Sockets_api.stack =
     }
   in
   let connect ~node addr = stream_of_conn (Kernel.connect (kernel node) addr) in
-  let select ~node streams =
-    let k = kernel node in
-    let m = Kernel.metrics k in
-    let h_scans = Metrics.counter m ~node "api.select_scans" in
-    let h_scanned = Metrics.counter m ~node "api.select_streams_scanned" in
-    let ready () =
-      (* Same O(registered) scan counters as the substrate select, so
-         evq-vs-select comparisons work on either stack. *)
-      Stats.Counter.incr h_scans;
-      Stats.Counter.add h_scanned (List.length streams);
-      List.filter (fun (s : Uls_api.Sockets_api.stream) -> s.readable ()) streams
-    in
-    let rec wait () =
-      match ready () with
-      | _ :: _ as r -> r
-      | [] ->
-        Cond.wait (Kernel.activity k);
-        wait ()
-    in
-    wait ()
+  let select =
+    Uls_api.Sockets_api.select ~nodes:(Array.length t.kernels)
+      ~activity:(fun i -> Kernel.activity (kernel i))
+      ~metrics:(fun i -> Kernel.metrics (kernel i))
   in
   { Uls_api.Sockets_api.stack_name = "kernel-tcp"; listen; connect; select }

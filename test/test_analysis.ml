@@ -417,6 +417,28 @@ let test_explore_controlled_fifo_parity () =
     (An.Fingerprint.digest plain.An.Scenarios.fingerprint)
     (An.Fingerprint.digest v.An.Explore.e_baseline.An.Scenarios.fingerprint)
 
+(* The tracker rides on the controlled tie-break, so it lands on the
+   sim the scenario controls even when the run builds another sim
+   first, not on whichever sim happens to be created first. *)
+let test_explore_tracks_the_controlled_sim () =
+  let sc = scenario "shared-grant-queue" in
+  let sc =
+    {
+      sc with
+      An.Scenarios.sc_run =
+        (fun tiebreak ->
+          ignore (Sim.create ());
+          sc.An.Scenarios.sc_run tiebreak);
+    }
+  in
+  match An.Explore.replay sc ~schedule:"fifo" with
+  | Ok (_, pairs) ->
+    check_bool "racing pair seen on the controlled sim" true
+      (List.exists
+         (fun (p : An.Hb.pair) -> p.An.Hb.p_label = "shared-grant-queue")
+         pairs)
+  | Error e -> Alcotest.fail (An.Explore.string_of_replay_error e)
+
 let suites =
   [
     ( "analysis",
@@ -455,6 +477,8 @@ let suites =
           test_explore_catches_shared_grant_queue;
         Alcotest.test_case "explore: clean scenario converges" `Quick
           test_explore_clean_scenario;
+        Alcotest.test_case "explore: tracker on the controlled sim" `Quick
+          test_explore_tracks_the_controlled_sim;
         Alcotest.test_case "explore: controlled fifo parity" `Quick
           test_explore_controlled_fifo_parity;
       ] );

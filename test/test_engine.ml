@@ -898,15 +898,18 @@ let test_trace_chrome_json_shape () =
   check_bool "args survive" true (contains {|"len":"4"|});
   check_bool "quotes escaped" true (contains {|\"quoted\"|})
 
-(* The export [ulsbench trace pingpong] writes, over a real substrate
-   ping-pong: one JSON event per line, each with the keys
+(* The export [ulsbench latency --trace FILE] writes, over a real
+   substrate ping-pong: one JSON event per line, each with the keys
    chrome://tracing needs, spans carrying ids, and every layer of the
    sockets path present. *)
 let test_trace_pingpong_export () =
   let tr = ref None in
   ignore
     (Uls_bench.Microbench.ping_pong
-       ~observe:(fun t _ -> tr := Some t)
+       ~observe:(fun sim ->
+         let t = Trace.for_sim sim in
+         Trace.enable t;
+         tr := Some t)
        ~iters:10
        ~kind:(`Sub Uls_substrate.Options.data_streaming_enhanced)
        ~size:4 ());
@@ -982,26 +985,28 @@ let test_time_mbps () =
 
 (* --- Per-sim registry eviction --- *)
 
-(* In its own function so the sim is unreachable when it returns. *)
-let make_dead_sim () =
+(* In its own function so the sim is unreachable when it returns; the
+   weak slots [i] see whether its observers went with it. *)
+let[@inline never] make_dead_sim wm wt wi i =
   let sim = Sim.create () in
-  Stats.Counter.incr (Metrics.counter (Metrics.for_sim sim) "dead.counter");
-  ignore (Trace.for_sim sim);
-  ignore (Invariant.for_sim sim)
+  let m = Metrics.for_sim sim in
+  Stats.Counter.incr (Metrics.counter m "dead.counter");
+  Weak.set wm i (Some m);
+  Weak.set wt i (Some (Trace.for_sim sim));
+  Weak.set wi i (Some (Invariant.for_sim sim))
 
 let test_registry_eviction () =
-  Gc.full_major ();
-  let bm = Metrics.registered_sims () in
-  let bt = Trace.registered_sims () in
-  let bi = Invariant.registered_sims () in
-  for _ = 1 to 32 do
-    make_dead_sim ()
+  let n = 32 in
+  let wm = Weak.create n and wt = Weak.create n and wi = Weak.create n in
+  for i = 0 to n - 1 do
+    make_dead_sim wm wt wi i
   done;
   Gc.full_major ();
   Gc.full_major ();
-  check_int "metrics entries evicted" bm (Metrics.registered_sims ());
-  check_int "trace entries evicted" bt (Trace.registered_sims ());
-  check_int "invariant entries evicted" bi (Invariant.registered_sims ());
+  let live w = List.length (List.filter (Weak.check w) (List.init n Fun.id)) in
+  check_int "metrics entries evicted" 0 (live wm);
+  check_int "trace entries evicted" 0 (live wt);
+  check_int "invariant entries evicted" 0 (live wi);
   (* while a sim is live its registry must survive collection *)
   let sim = Sim.create () in
   Stats.Counter.incr (Metrics.counter (Metrics.for_sim sim) "keep");
@@ -1051,7 +1056,7 @@ let test_sim_sched_parity () =
       (fun () -> `Fifo);
       (fun () ->
         let rng = Rng.create ~seed:42 in
-        `Controlled (fun enabled -> Rng.int rng (Array.length enabled)));
+        `Controlled ((fun enabled -> Rng.int rng (Array.length enabled)), ignore));
     ]
 
 (* --- Timer cancellation --- *)
@@ -1068,9 +1073,10 @@ let test_cancel_never_runs () =
       let offered = ref [] in
       Sim.set_tiebreak sim
         (`Controlled
-          (fun seqs ->
-            offered := Array.to_list seqs :: !offered;
-            0));
+          ( (fun seqs ->
+              offered := Array.to_list seqs :: !offered;
+              0),
+            ignore ));
       let log = ref [] in
       let note s () = log := s :: !log in
       let _a = Sim.timer sim 10 (note "a") in
@@ -1190,7 +1196,7 @@ let test_cancel_sched_parity () =
       (fun () -> `Fifo);
       (fun () ->
         let rng = Rng.create ~seed:42 in
-        `Controlled (fun enabled -> Rng.int rng (Array.length enabled)));
+        `Controlled ((fun enabled -> Rng.int rng (Array.length enabled)), ignore));
     ]
 
 let test_cancel_releases_payload () =

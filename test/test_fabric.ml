@@ -299,7 +299,7 @@ let test_fleet_schedule_independent () =
   for s = 0 to 2 do
     let rng = Rng.create ~seed:s in
     let walk enabled = Rng.int rng (Array.length enabled) in
-    let p = facts (Load.run { base with tiebreak = Some (`Controlled walk) }) in
+    let p = facts (Load.run { base with tiebreak = Some (`Controlled (walk, ignore)) }) in
     check_bool (Printf.sprintf "walk seed %d matches fifo" s) true
       (p = fifo)
   done
