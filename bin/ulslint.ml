@@ -42,6 +42,10 @@
                      Cold paths (failure, recovery, once-per-run) are
                      allowlisted by event name, each with a comment.
 
+   The rules above but missing-mli read each file with its comments
+   blanked (line numbers kept), so prose that names a call is not
+   reported.
+
    dead-export       a [val] in a lib/**/*.mli that no .ml outside its
                      own module uses (lib/, bin/, perfbench/,
                      examples/, test/): an interface entry nobody else
@@ -109,14 +113,100 @@ let rec walk ?(suffix = ".ml") dir acc =
       else acc)
     acc (Sys.readdir dir)
 
+(* --- lexing: comments, strings and char literals ------------------------- *)
+
+let at src i c = i < String.length src && src.[i] = c
+
+let is_ident_char c =
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+  || c = '_' || c = '\''
+
+let rec ident_end src j =
+  if j < String.length src && is_ident_char src.[j] then ident_end src (j + 1)
+  else j
+
+(* Index just past the string literal whose opening quote is at [i]. *)
+let rec skip_string src i =
+  if i >= String.length src then String.length src
+  else if src.[i] = '\\' then skip_string src (i + 2)
+  else if src.[i] = '"' then i + 1
+  else skip_string src (i + 1)
+
+(* [{id|...|id}] starting at [i]: index past it, or [None] if [i] does
+   not open one. *)
+let quoted_string src i =
+  let n = String.length src in
+  let j = ref (i + 1) in
+  while !j < n && ((src.[!j] >= 'a' && src.[!j] <= 'z') || src.[!j] = '_') do
+    incr j
+  done;
+  if not (at src !j '|') then None
+  else begin
+    let close = "|" ^ String.sub src (i + 1) (!j - i - 1) ^ "}" in
+    let cl = String.length close in
+    let k = ref (!j + 1) in
+    while !k + cl <= n && String.sub src !k cl <> close do
+      incr k
+    done;
+    Some (min n (!k + cl))
+  end
+
+(* A char literal at [i] (['x'], ['\n'], ['\''], ['\123']): index
+   past it, or [None] for a type variable such as ['a]. Comments lex
+   them too, so a ['"'] there opens no string. *)
+let char_literal src i =
+  if at src (i + 1) '\\' then
+    match String.index_from_opt src (i + 3) '\'' with
+    | Some j -> Some (j + 1)
+    | None -> Some (String.length src)
+  else if at src (i + 2) '\'' then Some (i + 3)
+  else None
+
+(* Index just past the comment whose body starts at [i], [depth] deep:
+   nested comments, and the string and char literals OCaml lexes inside
+   them, included. *)
+let rec skip_comment src depth i =
+  if i >= String.length src || depth = 0 then i
+  else if at src i '(' && at src (i + 1) '*' then skip_comment src (depth + 1) (i + 2)
+  else if at src i '*' && at src (i + 1) ')' then skip_comment src (depth - 1) (i + 2)
+  else if at src i '"' then skip_comment src depth (skip_string src (i + 1))
+  else if at src i '\'' then
+    skip_comment src depth (Option.value ~default:(i + 1) (char_literal src i))
+  else skip_comment src depth (i + 1)
+
+(* [lines] with every comment blanked to spaces, its newlines kept: the
+   line-window rules below read code and literals only, and report the
+   same line numbers. *)
+let code_lines lines =
+  let src = String.concat "\n" lines in
+  let n = String.length src in
+  let code = Bytes.of_string src in
+  let rec go i =
+    if i < n then
+      if at src i '(' && at src (i + 1) '*' then begin
+        let j = skip_comment src 1 (i + 2) in
+        for k = i to j - 1 do
+          if src.[k] <> '\n' then Bytes.set code k ' '
+        done;
+        go j
+      end
+      else if at src i '"' then go (skip_string src (i + 1))
+      else if at src i '\'' then
+        go (Option.value ~default:(i + 1) (char_literal src i))
+      else if is_ident_char src.[i] then go (ident_end src i)
+      else if at src i '{' then
+        go (Option.value ~default:(i + 1) (quoted_string src i))
+      else go (i + 1)
+  in
+  go 0;
+  String.split_on_char '\n' (Bytes.to_string code)
+
 (* --- rule: no-assert-false -------------------------------------------- *)
 
 let check_assert_false path lines =
   List.iteri
     (fun i line ->
-      (* Cheap token scan: "assert" followed by "false" on one line.
-         Comments mentioning the phrase trip it too — that is fine, the
-         phrase should not appear at all. *)
+      (* Cheap token scan: "assert" followed by "false" on one line. *)
       let rec scan from =
         match String.index_from_opt line from 'a' with
         | None -> ()
@@ -164,10 +254,6 @@ let find_sub hay needle =
   go 0
 
 let contains ~needle hay = find_sub hay needle <> None
-
-let is_ident_char c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-  || c = '_' || c = '\''
 
 (* Extract the inline [(fun ... -> ...)] starting at or after [start] in
    the flattened source, by balanced-parenthesis matching. *)
@@ -376,58 +462,15 @@ let tokens lines =
   let src = String.concat "\n" lines in
   let n = String.length src in
   let acc = ref [] in
-  let at i c = i < n && src.[i] = c in
+  let at = at src in
+  let skip_string = skip_string src
+  and quoted_string = quoted_string src
+  and char_literal = char_literal src
+  and skip_comment = skip_comment src
+  and ident_end = ident_end src in
   let emit i j =
     acc := { text = String.sub src i (j - i); col0 = i = 0 || at (i - 1) '\n' }
            :: !acc
-  in
-  (* Index just past the string literal whose opening quote is at [i]. *)
-  let rec skip_string i =
-    if i >= n then n
-    else if src.[i] = '\\' then skip_string (i + 2)
-    else if src.[i] = '"' then i + 1
-    else skip_string (i + 1)
-  in
-  (* [{id|...|id}] starting at [i]: index past it, or [None] if [i] does
-     not open one. *)
-  let quoted_string i =
-    let j = ref (i + 1) in
-    while !j < n && ((src.[!j] >= 'a' && src.[!j] <= 'z') || src.[!j] = '_') do
-      incr j
-    done;
-    if not (at !j '|') then None
-    else begin
-      let close = "|" ^ String.sub src (i + 1) (!j - i - 1) ^ "}" in
-      let cl = String.length close in
-      let k = ref (!j + 1) in
-      while !k + cl <= n && String.sub src !k cl <> close do
-        incr k
-      done;
-      Some (min n (!k + cl))
-    end
-  in
-  (* A char literal at [i] (['x'], ['\n'], ['\''], ['\123']): index
-     past it, or [None] for a type variable such as ['a]. Comments lex
-     them too, so a ['"'] there opens no string. *)
-  let char_literal i =
-    if at (i + 1) '\\' then
-      match String.index_from_opt src (i + 3) '\'' with
-      | Some j -> Some (j + 1)
-      | None -> Some n
-    else if at (i + 2) '\'' then Some (i + 3)
-    else None
-  in
-  let rec skip_comment depth i =
-    if i >= n || depth = 0 then i
-    else if at i '(' && at (i + 1) '*' then skip_comment (depth + 1) (i + 2)
-    else if at i '*' && at (i + 1) ')' then skip_comment (depth - 1) (i + 2)
-    else if at i '"' then skip_comment depth (skip_string (i + 1))
-    else if at i '\'' then
-      skip_comment depth (Option.value ~default:(i + 1) (char_literal i))
-    else skip_comment depth (i + 1)
-  in
-  let rec ident_end j =
-    if j < n && is_ident_char src.[j] then ident_end (j + 1) else j
   in
   (* A dotted path runs on through ['.'] followed by an identifier; a
      trailing ['.'] joins it when a bracket follows a module name. *)
@@ -736,7 +779,7 @@ let () =
   let files = List.sort compare (walk lib []) in
   List.iter
     (fun path ->
-      let lines = read_lines path in
+      let lines = code_lines (read_lines path) in
       check_assert_false path lines;
       check_mli path;
       check_blocking_watcher path lines;

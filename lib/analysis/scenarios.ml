@@ -223,6 +223,41 @@ let connect_churn ?opts tiebreak =
         Conn.close conn
       done)
 
+(* --- echo-ring: request/reply under the serving preset. Each read
+   leaves its consumed slot on the connection's stash, and the next
+   write reposts it after the send's doorbell; the client closes right
+   after its last read, dropping a stash that is never posted. --- *)
+
+let echo_ring tiebreak =
+  let opts = Opt.server and rounds = 3 and size = 200 in
+  cluster_run ~match_engine:Uls_nic.Match_list.Hashed tiebreak
+  @@ fun cluster sim conns obs ->
+  let server_sub = Cluster.substrate ~opts cluster 0 in
+  let client_sub = Cluster.substrate ~opts cluster 1 in
+  server sim server_sub ~conns ~name:"ring-echo-server" ~port:60 ~backlog:1
+    ~accepts:1 (fun conn _ ->
+      let rec pump () =
+        let chunk = Conn.read conn size in
+        if chunk <> "" then begin
+          Conn.write conn chunk;
+          pump ()
+        end
+      in
+      pump ();
+      Conn.close conn);
+  client sim client_sub ~conns ~node:1 ~name:"ring-echo-client" ~port:60
+    (fun connect ->
+      let conn = connect () in
+      for k = 1 to rounds do
+        let msg = pattern ~client:k size in
+        Conn.write conn msg;
+        obs :=
+          Printf.sprintf "ring-echo round=%d echoed=%b" k
+            (read_exact conn size = msg)
+          :: !obs
+      done;
+      Conn.close conn)
+
 (* --- raw-EMP grant fixture -------------------------------------------
    A miniature rendezvous protocol over bare EMP. Two writer fibers on
    node 1 each request a transfer; the receiver on node 0 posts a
@@ -514,6 +549,10 @@ let clean_suite =
           "connect-churn under the serving preset (4 x 2 KB credits): set-up \
            and backlog posted through the fill ring"
           (connect_churn ~opts:Opt.server) ~bound:(bounded 160 1);
+        row "echo-ring"
+          "request/reply under the serving preset: consumed slots reposted \
+           after each reply, the client's last dropped at its close"
+          echo_ring ~bound:(bounded 160 1);
         row "rendezvous-grants"
           "raw-EMP grant protocol with per-request grant routing"
           (grant_fixture ~routed:true) ~bound:(bounded 256 2);

@@ -45,7 +45,9 @@ type t = {
 val all : t list
 (** The clean suite, then the seeded regressions. Clean scenarios must
     stay schedule-independent: streaming echo under credit flow control,
-    datagram rendezvous from concurrent clients, connection churn, the
+    datagram rendezvous from concurrent clients, connection churn, a
+    serving-preset echo whose consumed slots are reposted after each
+    reply (its client closing right after its last read), the
     raw-EMP grant protocol with per-request routing, and fleet arrivals
     over the sharded serving fabric (ring placement + completion counts
     fingerprinted from the fleet report). Workloads too large to sweep

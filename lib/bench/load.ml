@@ -162,7 +162,7 @@ let observe_server_closes (api : Api.stack) f =
         });
   }
 
-let run ?on_metrics ?on_server_close ?progress cfg =
+let run ?observe ?on_metrics ?on_server_close ?progress cfg =
   let rpc = cfg.requests_per_conn in
   (* Node layout: the servers (cells, then the prober), then the
      clients. The virtual-time hang bound scales with fleet size (the
@@ -183,6 +183,7 @@ let run ?on_metrics ?on_server_close ?progress cfg =
       ~n:(first_client + cfg.client_nodes) ()
   in
   let sim = Cluster.sim c in
+  Option.iter (fun f -> f sim) observe;
   let api = Cluster.api c cfg.kind in
   let api =
     match on_server_close with

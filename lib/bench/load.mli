@@ -151,13 +151,16 @@ type report = {
 }
 
 val run :
+  ?observe:(Uls_engine.Sim.t -> unit) ->
   ?on_metrics:(Uls_engine.Metrics.t -> unit) ->
   ?on_server_close:(Uls_api.Sockets_api.stream -> unit) ->
   ?progress:int * (unit -> unit) ->
   config ->
   report
 (** Build the cluster, start the servers, drive the arrival process,
-    quiesce, and report. [on_metrics] sees the simulation's metrics
+    quiesce, and report. [observe] sees the cluster's simulation before
+    any traffic (the gates enable its {!Uls_engine.Invariant} monitor
+    there). [on_metrics] sees the simulation's metrics
     registry after the run, while the cluster is still alive.
     [on_server_close] receives every server-side stream right after the
     server closed it (a leak check can hold them weakly). [progress =

@@ -365,7 +365,7 @@ let start_storm env s =
 
 (* --- the envelope ----------------------------------------------------- *)
 
-let run ?on_metrics ?progress (cfg : config) =
+let run ?observe ?on_metrics ?progress (cfg : config) =
   if cfg.batch < 1 then invalid_arg "Rings.run: batch < 1";
   (* lanes, operations per lane, payload bytes per operation, cluster
      size, and the submitting nodes [0 .. submitters-1] *)
@@ -383,6 +383,7 @@ let run ?on_metrics ?progress (cfg : config) =
   in
   let c = Cluster.create ~match_engine:cfg.match_engine ~n () in
   let sim = Cluster.sim c in
+  Option.iter (fun f -> f sim) observe;
   let completed = ref 0 and failed = ref 0 in
   let complete ~ok =
     if not ok then incr failed;

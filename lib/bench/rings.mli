@@ -91,11 +91,13 @@ type report = {
 }
 
 val run :
+  ?observe:(Uls_engine.Sim.t -> unit) ->
   ?on_metrics:(Uls_engine.Metrics.t -> unit) ->
   ?progress:int * (unit -> unit) ->
   config ->
   report
-(** One run on a fresh cluster. [on_metrics] sees the metrics registry
+(** One run on a fresh cluster. [observe] sees its simulation before
+    any traffic, as in {!Load.run}. [on_metrics] sees the metrics registry
     after the run, with the cluster still alive. [progress = (n, f)]
     calls [f] from inside the run after every [n]th completed
     operation, with the whole cluster live (the soak gate's sampling

@@ -116,6 +116,15 @@ and t = {
           a FIFO head-peek would deadlock on the first reordering *)
   req_q : (int, rdvz_req) Hashtbl.t;  (** same, for rendezvous requests *)
   mutable expected_seq : int;
+  stash : slot array;
+      (** [rx_ring] only: consumed data slots not yet reposted, the
+          first [stashed] of them in retirement order *)
+  mutable stashed : int;
+  mutable posted_data : int;
+      (** data descriptors posted and not yet reaped *)
+  mutable credits_out : int;
+      (** credits granted to the peer and not yet spent on an arrival:
+          held by it, or on the wire in either direction *)
   mutable consumed_since_ack : int;
   mutable ack_holdoff_armed : bool;
   readable_c : Cond.t;
@@ -224,9 +233,9 @@ let rec wait_credit t =
   end
   else begin
     t.credits <- t.credits - 1;
-    Invariant.check t.env.inv ~name:"sub.credit_range" (t.credits >= 0)
-      (fun () ->
-        Printf.sprintf "conn %d: credits went negative (%d)" t.id t.credits)
+    if t.credits < 0 then
+      Invariant.check t.env.inv ~name:"sub.credit_range" false (fun () ->
+          Printf.sprintf "conn %d: credits went negative (%d)" t.id t.credits)
   end
 
 let take_credit t =
@@ -241,12 +250,12 @@ let add_credits t n =
     t.credits <- t.credits + n;
     (* Conservation (§6.1): the receiver acks exactly what it consumed,
        so restored credits can never exceed the provisioned window — a
-       double-granted ack shows up here. *)
-    Invariant.check t.env.inv ~name:"sub.credit_range"
-      (t.credits <= (opts t).Options.credits)
-      (fun () ->
-        Printf.sprintf "conn %d: credits %d exceed window %d (double grant?)"
-          t.id t.credits (opts t).Options.credits);
+       double-granted ack shows up here. Each monitor builds its report
+       only on failure, so a clean credit path allocates nothing. *)
+    if t.credits > (opts t).Options.credits then
+      Invariant.check t.env.inv ~name:"sub.credit_range" false (fun () ->
+          Printf.sprintf "conn %d: credits %d exceed window %d (double grant?)"
+            t.id t.credits (opts t).Options.credits);
     Cond.broadcast t.credits_c
   end
 
@@ -340,6 +349,7 @@ let post_slots emp ~live ps =
    completed while its post was still running (a batch's later slots,
    or the doorbell after it) found no queued item to kick. *)
 let data_posted t slot r =
+  t.posted_data <- t.posted_data + 1;
   let rx = Lazy.force t.rx in
   Serial.push rx (slot, r);
   if E.recv_done r then Serial.kick_ordered rx
@@ -377,6 +387,8 @@ let receive t (slot, recv) =
   let len, _, _ = E.wait_recv t.env.emp recv in
   if len >= 0 && not t.closed then begin
     slot.sl_current <- None;
+    t.posted_data <- t.posted_data - 1;
+    t.credits_out <- t.credits_out - 1;
     let hdr = decode t Tags.Data slot len in
     add_credits t hdr.(1);
     if (opts t).Options.scheme = Options.Comm_thread then begin
@@ -467,6 +479,87 @@ let on_peer_close t fields ~repost:_ =
   | Some (seq, r) when past_close t seq -> ignore (E.unpost_recv t.env.emp r)
   | _ -> ());
   wake_all t
+
+(* --- consumed slots --------------------------------------------------- *)
+
+(* With piggy-backing on, hold the explicit ack briefly: a reverse-
+   direction write inside the holdoff carries the credits for free
+   (§6.1); otherwise the timer sends the explicit ack. The timer also
+   returns a stash the reader left behind. *)
+let piggyback_holdoff = Time.us 15
+
+let rec ack_due t =
+  if (opts t).Options.piggyback then begin
+    if not t.ack_holdoff_armed then begin
+      t.ack_holdoff_armed <- true;
+      Stats.Counter.incr t.env.mh.h_ack_holdoffs_armed;
+      if Trace.enabled t.env.trace then
+        Trace.instant t.env.trace ~layer:Trace.Substrate ~node:(node_id t)
+          ~conn:t.id "sub.ack_holdoff";
+      Sim.at (sim t)
+        (Sim.now (sim t) + piggyback_holdoff)
+        (fun () ->
+          t.ack_holdoff_armed <- false;
+          if
+            (t.stashed > 0
+            || t.consumed_since_ack >= Options.ack_threshold (opts t))
+            && not t.closed
+          then
+            Sim.spawn (sim t) ~name:"sub-ack-timer" (fun () ->
+                flush_stash t;
+                send_credit_ack t))
+    end
+  end
+  else send_credit_ack t
+
+(* Credit accounting for [k] consumed messages whose slots are posted
+   again (§6.1); the comm-thread scheme has no credits. A credit counts
+   only for a reposted slot, so the peer never sends into a slot that
+   is not posted ([sub.credit_posted]). *)
+and acknowledge t k =
+  if k > 0 && (opts t).Options.scheme <> Options.Comm_thread then begin
+    t.credits_out <- t.credits_out + k;
+    if live t && t.credits_out > t.posted_data then
+      Invariant.check t.env.inv ~name:"sub.credit_posted" false (fun () ->
+          Printf.sprintf "conn %d: %d credits granted over %d posted data slots"
+            t.id t.credits_out t.posted_data);
+    t.consumed_since_ack <- t.consumed_since_ack + k;
+    if t.consumed_since_ack >= Options.ack_threshold (opts t) then ack_due t
+  end
+
+(* Return the stash: one slot through its direct post, more through
+   the fill ring in one batch, then their credits. *)
+and flush_stash t =
+  let k = t.stashed in
+  if k > 0 then begin
+    t.stashed <- 0;
+    if k = 1 then repost_data_slot t t.stash.(0)
+    else
+      post_slots t.env.emp ~live:(fun () -> live t)
+        (data_postings t (List.init k (Array.get t.stash)) []);
+    acknowledge t k
+  end
+
+(* The reader moves past the head message and takes its slot back. *)
+let retire t r =
+  Int_tbl.remove t.rx_ready r.rd_seq;
+  t.expected_seq <- t.expected_seq + 1;
+  r.rd_slot
+
+(* A consumed message's slot goes back to the NIC at once, or, under
+   [rx_ring], onto the stash: the connection's next write returns it
+   after the send's doorbell, so a reply leaves first; so does a reader
+   about to block, a batched read at its end, or the holdoff timer. *)
+let message_consumed t r =
+  let slot = retire t r in
+  if (opts t).Options.rx_ring then begin
+    t.stash.(t.stashed) <- slot;
+    t.stashed <- t.stashed + 1
+  end
+  else begin
+    repost_data_slot t slot;
+    acknowledge t 1
+  end
 
 (* --- write ------------------------------------------------------------ *)
 
@@ -598,7 +691,8 @@ let write t data =
       ~args:(fun () -> [ ("len", string_of_int (String.length data)) ])
       (fun () ->
         Node.compute t.env.node (opts t).Options.write_overhead;
-        dispatch t data)
+        dispatch t data;
+        flush_stash t)
   end
 
 (* Gathered write: stage up to a send-pool's worth of eager messages,
@@ -657,7 +751,8 @@ let writev t datas =
                 dispatch t data
               end)
           datas;
-        flush ())
+        flush ();
+        flush_stash t)
 
 (* --- read -------------------------------------------------------------- *)
 
@@ -679,69 +774,20 @@ let next_item t =
     | Some q -> Rdvz q
     | None -> Nothing)
 
-(* The blocking head-of-line wait: the next in-order item, or EOF. *)
+(* The blocking head-of-line wait: the next in-order item, or EOF. A
+   reader about to block returns its stash first: the host is idle
+   then. *)
 let rec wait_item t =
   if t.reset then raise Reset;
   if t.closed then raise Closed;
   match next_item t with
+  | Nothing when t.stashed > 0 ->
+    flush_stash t;
+    wait_item t
   | Nothing ->
     Cond.wait t.readable_c;
     wait_item t
   | item -> item
-
-(* With piggy-backing on, hold the explicit ack briefly: a reverse-
-   direction write inside the holdoff carries the credits for free
-   (§6.1); otherwise the timer sends the explicit ack. *)
-let piggyback_holdoff = Time.us 15
-
-let ack_due t =
-  if (opts t).Options.piggyback then begin
-    if not t.ack_holdoff_armed then begin
-      t.ack_holdoff_armed <- true;
-      Stats.Counter.incr t.env.mh.h_ack_holdoffs_armed;
-      if Trace.enabled t.env.trace then
-        Trace.instant t.env.trace ~layer:Trace.Substrate ~node:(node_id t)
-          ~conn:t.id "sub.ack_holdoff";
-      Sim.at (sim t)
-        (Sim.now (sim t) + piggyback_holdoff)
-        (fun () ->
-          t.ack_holdoff_armed <- false;
-          if
-            t.consumed_since_ack >= Options.ack_threshold (opts t)
-            && not t.closed
-          then Sim.spawn (sim t) ~name:"sub-ack-timer" (fun () -> send_credit_ack t))
-    end
-  end
-  else send_credit_ack t
-
-(* Credit accounting for [k] consumed messages (§6.1); the
-   comm-thread scheme has no credits. *)
-let acknowledge t k =
-  if k > 0 && (opts t).Options.scheme <> Options.Comm_thread then begin
-    t.consumed_since_ack <- t.consumed_since_ack + k;
-    if t.consumed_since_ack >= Options.ack_threshold (opts t) then ack_due t
-  end
-
-(* The reader moves past the head message and takes its slot back. *)
-let retire t r =
-  Int_tbl.remove t.rx_ready r.rd_seq;
-  t.expected_seq <- t.expected_seq + 1;
-  r.rd_slot
-
-(* A consumed message's slot goes back to the NIC at once, or, with
-   [freed], is collected so a whole drain's worth of descriptors can go
-   back in one fill-ring batch ([flush_reposts]). *)
-let message_consumed ?freed t r =
-  match freed with
-  | Some l -> l := retire t r :: !l
-  | None ->
-    repost_data_slot t (retire t r);
-    acknowledge t 1
-
-let flush_reposts t freed_rev =
-  post_slots t.env.emp ~live:(fun () -> live t)
-    (data_postings t (List.rev freed_rev) []);
-  acknowledge t (List.length freed_rev)
 
 let copy_out t region ~off ~len =
   let s = Memory.sub_string region ~off ~len in
@@ -751,14 +797,14 @@ let copy_out t region ~off ~len =
 
 (* Up to [n] bytes of the head eager message. A datagram read consumes
    the message whatever it leaves; a streaming read only once drained. *)
-let read_eager ?freed t r n =
+let read_eager t r n =
   let m = min n (r.rd_len - r.rd_off) in
   let s =
     copy_out t r.rd_slot.sl_region ~off:(Options.header_bytes + r.rd_off) ~len:m
   in
   r.rd_off <- r.rd_off + m;
   if r.rd_off = r.rd_len || (opts t).Options.mode = Options.Datagram then
-    message_consumed ?freed t r;
+    message_consumed t r;
   s
 
 (* Rendezvous receive: post the user buffer directly (zero-copy: the NIC
@@ -826,10 +872,10 @@ let read_leftover t n =
   s
 
 (* The eager take: up to [n] bytes of [item]. *)
-let take ?freed t item n =
+let take t item n =
   match item with
   | Leftover -> read_leftover t n
-  | Eager_msg r -> read_eager ?freed t r n
+  | Eager_msg r -> read_eager t r n
   | Rdvz q -> read_rdvz t q n
   | Eof | Nothing -> ""
 
@@ -844,24 +890,28 @@ let read t n =
     in_span t "sub.read" ~args:no_args (fun () ->
         Node.compute t.env.node (opts t).Options.read_overhead;
         let s = take t (wait_item t) n in
+        (* A reader that neither writes nor blocks (one woken by a
+           watcher) still returns its stash before an ack falls due:
+           the peer keeps credits for what it has yet to send. *)
+        if t.stashed >= Options.ack_threshold (opts t) then flush_stash t;
         count_read t s;
         s)
 
 (* Batched read: block for the first item, then drain every consecutive
    ready eager message (up to [max]) without further blocking. Each
    returned string is a whole item, as a read of [max_int] bytes would
-   return it. With [Options.rx_ring] the consumed data slots go back to
-   the NIC through the fill ring in one batch; otherwise each is
-   reposted per-call, exactly as {!read} would. Returns [[]] on EOF. *)
+   return it. With [Options.rx_ring] the consumed data slots gather on
+   the stash and go back to the NIC at the end, through the fill ring
+   in one batch; otherwise each is reposted per-call, exactly as
+   {!read} would. Returns [[]] on EOF. *)
 let readv t ~max:maxn =
   if t.closed then raise Closed;
   if maxn <= 0 then []
   else
     in_span t "sub.readv" ~args:no_args (fun () ->
         Node.compute t.env.node (opts t).Options.read_overhead;
-        let freed = if (opts t).Options.rx_ring then Some (ref []) else None in
         let rec drain acc got item =
-          match take ?freed t item max_int with
+          match take t item max_int with
           | "" -> acc  (* an abandoned rendezvous: EOF *)
           | s -> (
             count_read t s;
@@ -871,7 +921,7 @@ let readv t ~max:maxn =
             | _ -> s :: acc)
         in
         let acc = match wait_item t with Eof -> [] | item -> drain [] 0 item in
-        Option.iter (fun l -> flush_reposts t !l) freed;
+        flush_stash t;
         List.rev acc)
 
 let readable t =
@@ -944,8 +994,10 @@ let iter_regions t f =
 (* What a dead connection gives back (§5.3): its descriptors, its entry
    in the active-socket table (the substrate keeps its data pool only
    while sends are still in flight) and its regions' pin-table entries —
-   free of simulated cost, since a dead region is never pinned again. *)
+   free of simulated cost, since a dead region is never pinned again.
+   The stash is dropped: its slots are not posted, and never will be. *)
 let teardown t =
+  t.stashed <- 0;
   (* The data queue goes first, so the cancellations kick nothing. *)
   Serial.retain (Lazy.force t.rx) (fun _ -> false);
   iter_slots t (unpost_slot t.env.emp);
@@ -1012,6 +1064,12 @@ let create env ~id ~peer_node ~peer_conn ~local_addr ~peer_addr =
   let mk_slot = alloc_slot env.node in
   let n = opts.Options.credits in
   let label = ( ^ ) ("conn:" ^ string_of_int id) in
+  let data_slots = Array.init n (fun _ -> mk_slot opts.Options.buffer_size) in
+  let spare_slots =
+    if opts.Options.scheme = Options.Comm_thread then
+      Array.init n (fun _ -> mk_slot opts.Options.buffer_size)
+    else [||]
+  in
   let rec t =
     {
       env;
@@ -1035,11 +1093,8 @@ let create env ~id ~peer_node ~peer_conn ~local_addr ~peer_addr =
       granted = Hashtbl.create 4;
       grant_c = Cond.create ~label:(label " grant") sim;
       rdvz_leftover = "";
-      data_slots = Array.init n (fun _ -> mk_slot opts.Options.buffer_size);
-      spare_slots =
-        (if opts.Options.scheme = Options.Comm_thread then
-           Array.init n (fun _ -> mk_slot opts.Options.buffer_size)
-         else [||]);
+      data_slots;
+      spare_slots;
       spares_taken = 0;
       ack_slots =
         (if opts.Options.unexpected_queue then [| mk_slot 16 |]
@@ -1058,6 +1113,12 @@ let create env ~id ~peer_node ~peer_conn ~local_addr ~peer_addr =
       rx_ready = Int_tbl.create n;
       req_q = Hashtbl.create 16;
       expected_seq = 0;
+      stash =
+        (if opts.Options.rx_ring then Array.append data_slots spare_slots
+         else [||]);
+      stashed = 0;
+      posted_data = 0;
+      credits_out = n;
       consumed_since_ack = 0;
       ack_holdoff_armed = false;
       readable_c = Cond.create ~label:(label " readable") sim;

@@ -80,8 +80,8 @@ val post_slots :
     otherwise one {!Uls_emp.Endpoint.post_recv} each, skipped once the
     owner has died. A descriptor posted after its owner died is taken
     back ({!take_back}) instead of running [posted]. Connection set-up,
-    the listener's backlog and {!readv}'s reposts all post through
-    here. *)
+    the listener's backlog and a stash of two or more consumed slots
+    ({!read}) all post through here. *)
 
 val is_done : slot * Uls_emp.Endpoint.recv -> bool
 (** The descriptor has completed: an ordered handler's readiness test
@@ -131,11 +131,19 @@ val set_peer : t -> conn:int -> addr:Uls_api.Sockets_api.addr -> unit
 
 val write : t -> string -> unit
 (** Blocking send honouring the configured scheme (eager+credits,
-    rendezvous, or comm-thread). @raise Uls_api.Sockets_api.Connection_closed *)
+    rendezvous, or comm-thread). Under [Options.rx_ring] it then
+    returns the connection's stash (below), after the send's doorbell.
+    @raise Uls_api.Sockets_api.Connection_closed *)
 
 val read : t -> int -> string
 (** Blocking receive: byte-stream semantics in data-streaming mode,
-    whole-message semantics in datagram mode; [""] at end of stream. *)
+    whole-message semantics in datagram mode; [""] at end of stream.
+    Under [Options.rx_ring] a consumed message's slot is not reposted
+    inside the read: it joins the connection's stash, which goes back
+    to the NIC (then its credits to the peer) at the next {!write} or
+    {!writev}, before a read blocks, once it reaches the ack threshold,
+    or when the piggyback holdoff fires. {!close} and {!mark_reset}
+    drop it unposted. Paper presets repost inside the read. *)
 
 val writev : t -> string list -> unit
 (** Gathered write: stages up to a send-pool's worth of single-chunk
@@ -144,14 +152,16 @@ val writev : t -> string list -> unit
     bookkeeping ([write_overhead]) is paid once per call. Messages that
     cannot ride a batch (rendezvous-sized, blocking-send or comm-thread
     schemes) flush what is staged — preserving FIFO order — and take the
-    per-call path. [writev t [m]] is byte-identical to [write t m]. *)
+    per-call path. [writev t [m]] is byte-identical to [write t m];
+    like it, it returns the stash ({!read}) after its last doorbell. *)
 
 val readv : t -> max:int -> string list
 (** Batched read: blocks for the first available item, then drains every
     consecutive ready message (up to [max]) without further blocking.
     Each element is one whole message (datagram) or the remaining bytes
-    of the next message (streaming). With [Options.rx_ring] set, all
-    consumed data slots are reposted through the fill ring in one batch
+    of the next message (streaming). With [Options.rx_ring] set, the
+    consumed data slots gather on the stash ({!read}) and are reposted
+    at the end of the call, through the fill ring in one batch
     ({!Uls_emp.Endpoint.post_recv_batch}); otherwise reposting is
     per-message, exactly as {!read}. [[]] means end of stream. *)
 

@@ -9,8 +9,9 @@ let guarded t n =
     Trace.instant t ~layer:Trace.App "fixture.guarded"
       ~args:[ ("n", string_of_int n) ]
 
-(* A span call that ends its line, its argument list three lines
-   below: reported too. *)
+(* A [Trace.span] that ends its line, its [~args] three lines below:
+   reported too. This comment names both on one line and is not: the
+   rule reads code, not comments. *)
 let unguarded_span t n f =
   Trace.span
     t

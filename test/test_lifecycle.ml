@@ -776,6 +776,108 @@ let test_connects_racing_batched_listen () =
   check_bool "some request was taken by the backlog" true
     (List.mem "connected" outcomes)
 
+(* --- the server preset's stash of consumed receive slots --------------- *)
+
+let test_read_only_consumer_drains ~watched () =
+  (* Under the server preset a read leaves its consumed slot on the
+     connection's stash. A reader that never writes returns it when it
+     is about to block, or, woken by a readiness watcher and reading
+     only what is ready ([watched]), once the stash reaches the ack
+     threshold. Either way a writer streaming 64 messages one way never
+     waits for a credit longer than a round trip, and no message finds
+     its slot unposted. *)
+  let c = Uls_bench.Cluster.create ~n:2 () in
+  let sim = Uls_bench.Cluster.sim c in
+  let sub i = Uls_bench.Cluster.substrate ~opts:Uls_substrate.Options.server c i in
+  let writer = sub 0 and reader = sub 1 in
+  let count = 64 and size = 200 in
+  let msg i = String.make size (Char.chr (Char.code 'a' + (i mod 26))) in
+  let got = ref 0 and in_order = ref true and longest_write = ref 0 in
+  Sim.spawn sim (fun () ->
+      let l = Sub.listen reader ~port:80 ~backlog:1 in
+      let conn, _ = Sub.accept reader l in
+      let woken = Mailbox.create ~label:"test:readable" sim in
+      if watched then Conn.add_watcher conn (fun () -> Mailbox.send woken ());
+      while !got < count do
+        if watched && not (Conn.readable conn) then Mailbox.recv woken
+        else begin
+          if Conn.read conn size <> msg !got then in_order := false;
+          incr got
+        end
+      done;
+      check_string "end of stream" "" (Conn.read conn 1);
+      Conn.close conn;
+      Sub.close_listener reader l);
+  Sim.spawn sim (fun () ->
+      Sim.delay sim (Time.us 10);
+      let conn = Sub.connect writer { node = 1; port = 80 } in
+      for i = 0 to count - 1 do
+        let t0 = Sim.now sim in
+        Conn.write conn (msg i);
+        longest_write := max !longest_write (Sim.now sim - t0)
+      done;
+      Conn.close conn);
+  check_bool "quiescent" true (Uls_bench.Cluster.run c = `Quiescent);
+  check_int "every message read" count !got;
+  check_bool "in order" true !in_order;
+  let m = Metrics.for_sim sim in
+  List.iter
+    (fun node ->
+      check_int
+        (Printf.sprintf "node %d: no frame found its slot unposted" node)
+        0
+        (Metrics.counter_value m ~node "emp.drops_no_descriptor"))
+    [ 0; 1 ];
+  (* A credit comes back within about one message round trip (~60 us);
+     an unreturned stash would stall the writer for good, a frame sent
+     into an unposted slot for a 2 ms retransmission timeout. *)
+  check_bool
+    (Printf.sprintf "longest write %d ns under 150 us" !longest_write)
+    true
+    (!longest_write < Time.us 150)
+
+let test_close_or_reset_drops_the_stash () =
+  (* A read under the server preset leaves its consumed slot unposted
+     until the connection writes, blocks or acks: one fewer descriptor
+     posted right after the read. A close or reset then drops the stash
+     without posting it: nothing is left posted or pinned, and the slot
+     is never reposted. *)
+  List.iter
+    (fun (name, kill) ->
+      let c = Uls_bench.Cluster.create ~n:2 () in
+      let sim = Uls_bench.Cluster.sim c in
+      let sub i =
+        Uls_bench.Cluster.substrate ~opts:Uls_substrate.Options.server c i
+      in
+      let client = sub 0 and server = sub 1 in
+      let before = node_state c [ 0; 1 ] in
+      let posted () = Uls_emp.Endpoint.posted_descriptors (Uls_bench.Cluster.emp c 1) in
+      let killed = ref None in
+      Sim.spawn sim (fun () ->
+          let l = Sub.listen server ~port:80 ~backlog:1 in
+          let conn, _ = Sub.accept server l in
+          killed := Some conn;
+          let idle = posted () in
+          Conn.read conn 3 |> check_string (name ^ ": read") "one";
+          check_int (name ^ ": the consumed slot waits on the stash") (idle - 1)
+            (posted ());
+          kill conn;
+          Sub.close_listener server l);
+      Sim.spawn sim (fun () ->
+          Sim.delay sim (Time.us 10);
+          let conn = Sub.connect client { node = 1; port = 80 } in
+          Conn.write conn "one";
+          Sim.delay sim (Time.us 300);
+          Conn.close conn);
+      check_bool (name ^ ": quiescent") true
+        (Uls_bench.Cluster.run c = `Quiescent);
+      Option.iter
+        (fun conn -> check_int (name ^ ": leaked slots") 0 (Conn.leaked_slots conn))
+        !killed;
+      check_bool (name ^ ": descriptors and pins back") true
+        (node_state c [ 0; 1 ] = before))
+    [ ("close", Conn.close); ("reset", Conn.mark_reset) ]
+
 let suites =
   [
     ( "lifecycle",
@@ -845,5 +947,13 @@ let suites =
           test_close_before_connect_reply;
         Alcotest.test_case "connects racing a batched listen" `Quick
           test_connects_racing_batched_listen;
+        Alcotest.test_case "stash: a blocking read-only consumer drains"
+          `Quick
+          (test_read_only_consumer_drains ~watched:false);
+        Alcotest.test_case "stash: a watcher-driven read-only consumer drains"
+          `Quick
+          (test_read_only_consumer_drains ~watched:true);
+        Alcotest.test_case "stash: close or reset drops it" `Quick
+          test_close_or_reset_drops_the_stash;
       ] );
   ]
