@@ -38,7 +38,7 @@ let kind_of_stack ?(serving = false) stack : Uls_bench.Cluster.stack =
   match stack with
   | `Emp -> `Emp Uls_emp.Endpoint.default_config
   | `Tcp -> `Tcp Uls_tcp.Config.default
-  | `Tcp_tuned -> `Tcp Uls_tcp.Config.(with_buffers default 262_144)
+  | `Tcp_tuned -> `Tcp (Uls_tcp.Config.with_buffers 262_144)
   | `Ds -> `Sub (if serving then O.server else O.data_streaming_enhanced)
   | `Ds_base -> `Sub O.data_streaming
   | `Dg -> `Sub O.datagram

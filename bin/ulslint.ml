@@ -1,7 +1,8 @@
 (* Source lint for the repository's own invariants. Stdlib-only text
-   pass over lib/ (dead-export and test-only also read every .ml that
-   could use a lib/ export) — deliberately not a typed AST tool, so it runs before
-   anything builds and stays dependency-free. The rules:
+   pass over lib/ (dead-export, test-only and unset-optional also read
+   every .ml that could use a lib/ export) — deliberately not a typed
+   AST tool, so it runs before anything builds and stays
+   dependency-free. The rules:
 
    no-assert-false   [assert false] is banned in lib/: protocol and
                      decode paths must fail with a named, typed error
@@ -64,11 +65,21 @@
    in comments, strings or char literals. A value of a nested module
    ([Stats.Summary.add]) counts as its top-level module's.
 
+   unset-optional    a [?label:] of a [val] in a lib/**/*.mli that no
+                     .ml outside test/ and the defining module passes
+                     (as [~label] or [?label], anywhere in its code):
+                     with one value in use, the option is a constant
+                     in disguise. One only test/ passes is reported as
+                     test-only. Any [~label] or [?label] counts, whoever
+                     it goes to, so the rule can miss an unused option
+                     but never reports a passed one.
+
    Findings can be suppressed by .ulslint-allow at the repo root
    ("rule path", "rule path:line" or "rule path:value" per line, '#'
-   comments); stale allowlist entries are themselves errors, so the
-   file can only shrink, and a test-only or trace-args-unguarded entry
-   without a comment is one too. *)
+   comments; an unset-optional value is "val?label"); stale allowlist
+   entries are themselves errors, so the file can only shrink, and a
+   test-only, unset-optional or trace-args-unguarded entry without a
+   comment is one too. *)
 
 let root = ref "."
 
@@ -76,11 +87,12 @@ let rules =
   [
     "no-assert-false"; "missing-mli"; "blocking-watcher";
     "metrics-name-lookup"; "unlabeled-sync"; "trace-args-unguarded";
-    "dead-export"; "test-only";
+    "dead-export"; "test-only"; "unset-optional";
   ]
 
 (* [sym] names the value a dead-export or test-only finding is about,
-   or the event of a trace-args-unguarded one. *)
+   the "val?label" of an unset-optional one, or the event of a
+   trace-args-unguarded one. *)
 type finding = {
   rule : string;
   path : string;
@@ -695,6 +707,94 @@ let check_exports ~uses ~test_dir mli =
                name)))
     (scoped_lines mli)
 
+(* --- rule: unset-optional ------------------------------------------------ *)
+
+(* The labels one file's code passes or binds: a lower-case name
+   after a [~] or [?] (code tokens only, so not in comments or
+   literals). *)
+let passed_labels lines =
+  let found = Hashtbl.create 16 in
+  let rec go = function
+    | op :: l :: rest
+      when (String.ends_with ~suffix:"~" op.text
+           || String.ends_with ~suffix:"?" op.text)
+           && l.text.[0] >= 'a' && l.text.[0] <= 'z' ->
+      Hashtbl.replace found (List.hd (String.split_on_char '.' l.text)) ();
+      go rest
+    | _ :: rest -> go rest
+    | [] -> ()
+  in
+  go (tokens lines);
+  found
+
+(* The [?label:]s of each [val] in an interface, with their lines and
+   the val's name inside the interface ("create", "Parser.create"). A
+   val's signature runs to the next item of the interface; comments are
+   blanked first, so a label named in prose is not one. *)
+let optional_labels mli =
+  let item_starts =
+    [ "val "; "type "; "module "; "end"; "exception "; "include ";
+      "external "; "open " ]
+  in
+  let starts_item l =
+    let t = String.trim l in
+    List.exists (fun p -> String.starts_with ~prefix:p t) item_starts
+  in
+  let top = module_name mli in
+  let current = ref None and acc = ref [] in
+  List.iteri
+    (fun i ((q, _), line) ->
+      (match val_name line with
+      | Some v ->
+        (* [q] minus the interface's own module: "Http.Parser" -> "Parser". *)
+        let inner = String.length q - String.length top in
+        current :=
+          Some
+            (if inner = 0 then v
+             else String.sub q (String.length top + 1) (inner - 1) ^ "." ^ v)
+      | None -> if starts_item line then current := None);
+      match !current with
+      | None -> ()
+      | Some name ->
+        let n = String.length line in
+        let rec scan k =
+          match String.index_from_opt line k '?' with
+          | None -> ()
+          | Some q ->
+            let j = ident_end line (q + 1) in
+            if j > q + 1 && j < n && line.[j] = ':' then
+              acc := (name, String.sub line (q + 1) (j - q - 1), i + 1) :: !acc;
+            scan (max j (q + 1))
+        in
+        scan 0)
+    (List.combine (scoped_lines mli) (code_lines (read_lines mli)));
+  List.rev !acc
+
+(* [passers] maps each label to the .ml files that pass it. *)
+let check_optionals ~passers ~test_dir mli =
+  let own = Filename.chop_suffix mli ".mli" ^ ".ml" in
+  List.iter
+    (fun (name, label, line) ->
+      let users =
+        List.filter (( <> ) own)
+          (Option.value ~default:[] (Hashtbl.find_opt passers label))
+      in
+      let in_tests f = String.starts_with ~prefix:test_dir f in
+      let sym = name ^ "?" ^ label in
+      if users = [] then
+        report ~sym "unset-optional" mli line
+          (Printf.sprintf
+             "?%s of %s is never passed outside its module; make it a \
+              constant where it is read"
+             label name)
+      else if List.for_all in_tests users then
+        report ~sym "unset-optional" mli line
+          (Printf.sprintf
+             "?%s of %s is passed only by tests; make it a constant where it \
+              is read, or allowlist what its test injects"
+             label name))
+    (optional_labels mli)
+
 (* --- allowlist --------------------------------------------------------- *)
 
 (* A target is [path], [path:line] or [path:value]; [a_note] says
@@ -793,22 +893,25 @@ let () =
     (fun mli ->
       List.iter (fun (q, _) -> Hashtbl.replace modules q ()) (scoped_lines mli))
     mlis;
-  let uses = Hashtbl.create 4096 in
+  let uses = Hashtbl.create 4096 and passers = Hashtbl.create 512 in
+  let add tbl path key () =
+    let prev = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
+    Hashtbl.replace tbl key (path :: prev)
+  in
   List.iter
     (fun dir ->
       let dir = Filename.concat !root dir in
       if Sys.file_exists dir then
         List.iter
           (fun path ->
-            Hashtbl.iter
-              (fun key () ->
-                let prev = Option.value ~default:[] (Hashtbl.find_opt uses key) in
-                Hashtbl.replace uses key (path :: prev))
-              (file_uses ~modules (read_lines path)))
+            let lines = read_lines path in
+            Hashtbl.iter (add uses path) (file_uses ~modules lines);
+            Hashtbl.iter (add passers path) (passed_labels lines))
           (walk dir []))
     [ "lib"; "bin"; "perfbench"; "examples"; "test" ];
   let test_dir = Filename.concat !root "test" ^ "/" in
   List.iter (check_exports ~uses ~test_dir) mlis;
+  List.iter (check_optionals ~passers ~test_dir) mlis;
   let allows = load_allowlist (Filename.concat !root ".ulslint-allow") in
   let relativize f =
     (* Report paths relative to the repo root so allowlist entries are
@@ -826,7 +929,8 @@ let () =
   let unexplained =
     List.filter
       (fun a ->
-        (a.a_rule = "test-only" || a.a_rule = "trace-args-unguarded")
+        List.mem a.a_rule
+          [ "test-only"; "unset-optional"; "trace-args-unguarded" ]
         && not a.a_note)
       allows
   in
@@ -849,6 +953,8 @@ let () =
         (show_allow a)
         (if a.a_rule = "test-only" then
            "the observation or injection point it keeps"
+         else if a.a_rule = "unset-optional" then
+           "what its test injects, and for which test"
          else "why the path is cold"))
     unexplained;
   let bad_allows = List.length stale + List.length unexplained in

@@ -185,8 +185,7 @@ module Response_parser = struct
       | None -> raise (Bad_request ("bad status line: " ^ line)))
     | _ -> raise (Bad_request ("bad status line: " ^ line))
 
-  let create ?(max_header_bytes = default_max_header) () =
-    Framer.create ~parse_start ~max_header_bytes
+  let create () = Framer.create ~parse_start ~max_header_bytes:default_max_header
 
   let feed t data =
     Framer.feed t data

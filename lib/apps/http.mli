@@ -67,7 +67,10 @@ end
 module Response_parser : sig
   type t
 
-  val create : ?max_header_bytes:int -> unit -> t
+  val create : unit -> t
+  (** Caps the status line + header block at 8192 bytes, like
+      {!Parser.create}'s default. *)
+
   val feed : t -> string -> response list
 end
 

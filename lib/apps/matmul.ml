@@ -61,78 +61,24 @@ let read_header s =
   let line = String.trim (recv_exact s header_bytes) in
   List.map int_of_string (String.split_on_char ' ' line)
 
-(* --- collective-mode plumbing ----------------------------------------- *)
-
-module Group = Uls_collective.Group
-module Sockets_group = Uls_collective.Sockets_group
-
-(* First header in collective mode: [magic; rank; nranks; base_port],
-   followed by the packed node-id list. Legacy masters send the worker's
-   row-block header first instead, and row_start is never negative, so
-   the magic also versions the protocol. *)
-let coll_magic = -7
-
-let encode_nodes nodes =
-  let b = Bytes.create (8 * Array.length nodes) in
-  Array.iteri (fun i v -> Bytes.set_int64_le b (i * 8) (Int64.of_int v)) nodes;
-  Bytes.to_string b
-
-let decode_nodes s ~count =
-  Array.init count (fun i ->
-      Int64.to_int (String.get_int64_le s (i * 8)))
-
-(* Upper bound on any gather contribution, computable by every rank. *)
-let gather_max ~n ~workers = (n + workers - 1) / workers * n * 8
-
 (* --- worker ----------------------------------------------------------- *)
 
 (* Naive triple loop on a ~700 MHz Pentium III: ~140 Mflop/s. *)
-let default_ns_per_flop = 7.0
+let ns_per_flop = 7.0
 
-let compute_block sim ~ns_per_flop ~rows ~n a_block b =
-  let product = if rows = 0 then [||] else multiply_seq a_block b in
-  (* Charge the sequential compute time of the block. *)
-  let flops = 2. *. float_of_int (rows * n * n) in
-  Sim.delay sim (int_of_float (flops *. ns_per_flop));
-  product
-
-(* Collective-mode worker: B arrives by group broadcast and the product
-   rows leave by group gather; only the prelude and the A block use the
-   master's stream. *)
-let worker_collective ~ns_per_flop sim stack s ~rank ~nranks ~base_port =
-  let nodes = decode_nodes (recv_exact s (nranks * 8)) ~count:nranks in
-  let g = Sockets_group.connect_mesh sim stack ~nodes ~rank ~base_port in
-  (match read_header s with
-  | [ _row_start; rows; n ] ->
-    let a_block =
-      if rows = 0 then [||]
-      else decode_rows (recv_exact s (rows * n * 8)) ~rows ~cols:n
-    in
-    let b =
-      decode_rows (Group.bcast g ~root:0 ~max:(n * n * 8) "") ~rows:n ~cols:n
-    in
-    let product = compute_block sim ~ns_per_flop ~rows ~n a_block b in
-    (* Linear gather: every worker returns its block straight to the
-       master, like the select() loop it replaces — a tree would add a
-       store-and-forward hop to half the blocks. *)
-    ignore
-      (Group.gather ~alg:Group.Linear g ~root:0
-         ~max:(gather_max ~n ~workers:(nranks - 1))
-         (encode_rows product))
-  | _ -> failwith "matmul worker: bad collective header")
-
-let worker ?(ns_per_flop = default_ns_per_flop) sim stack ~node ~master () =
+let worker sim stack ~node ~master () =
   let s = stack.connect ~node master in
   (match read_header s with
-  | [ magic; rank; nranks; base_port ] when magic = coll_magic ->
-    worker_collective ~ns_per_flop sim stack s ~rank ~nranks ~base_port
   | [ row_start; rows; n ] ->
     let a_block =
       if rows = 0 then [||]
       else decode_rows (recv_exact s (rows * n * 8)) ~rows ~cols:n
     in
     let b = decode_rows (recv_exact s (n * n * 8)) ~rows:n ~cols:n in
-    let product = compute_block sim ~ns_per_flop ~rows ~n a_block b in
+    let product = if rows = 0 then [||] else multiply_seq a_block b in
+    (* Charge the sequential compute time of the block. *)
+    let flops = 2. *. float_of_int (rows * n * n) in
+    Sim.delay sim (int_of_float (flops *. ns_per_flop));
     s.send (header [ row_start; rows ]);
     if rows > 0 then s.send (encode_rows product)
   | _ -> failwith "matmul worker: bad header");
@@ -145,70 +91,10 @@ type result = {
   elapsed : Uls_engine.Time.ns;
 }
 
-(* Collective-mode master: rank 0 of a mesh spanning itself and the
-   workers (in accept order). Row-block headers and A blocks stay
-   point-to-point on the accept streams; B goes out as one binomial
-   broadcast and results come back as one binomial gather. *)
-let master_collective sim stack ~node ~base_port ~streams ~peers ~a ~b =
-  let n = Array.length a in
-  let workers = Array.length streams in
-  let nranks = workers + 1 in
-  let nodes = Array.append [| node |] peers in
-  Array.iteri
-    (fun w s ->
-      s.send (header [ coll_magic; w + 1; nranks; base_port ]);
-      s.send (encode_nodes nodes))
-    streams;
-  let g = Sockets_group.connect_mesh sim stack ~nodes ~rank:0 ~base_port in
-  (* Mesh establishment is connection setup, like accept(): the timed
-     phase is distribute + compute + collect. *)
-  let t0 = Sim.now sim in
-  let base = n / workers and extra = n mod workers in
-  let row_start = ref 0 in
-  let blocks =
-    Array.mapi
-      (fun w s ->
-        let rows = base + (if w < extra then 1 else 0) in
-        let start = !row_start in
-        s.send (header [ start; rows; n ]);
-        if rows > 0 then s.send (encode_rows (Array.sub a start rows));
-        row_start := start + rows;
-        (start, rows))
-      streams
-  in
-  ignore (Group.bcast g ~root:0 ~max:(n * n * 8) (encode_rows b));
-  let parts =
-    match Group.gather ~alg:Group.Linear g ~root:0 ~max:(gather_max ~n ~workers) "" with
-    | Some parts -> parts
-    | None ->
-      failwith
-        "Matmul.master: gather returned no parts at rank 0, the gather root \
-         (Group.gather must return Some at the root)"
-  in
-  let product = Array.make n [||] in
-  Array.iteri
-    (fun w (start, rows) ->
-      if rows > 0 then
-        Array.blit (decode_rows parts.(w + 1) ~rows ~cols:n) 0 product start rows)
-    blocks;
-  let elapsed = Sim.now sim - t0 in
-  Array.iter (fun s -> s.close ()) streams;
-  { product; elapsed }
-
-let master ?(use_collectives = false) ?coll_base_port sim stack ~node ~port
-    ~workers ~a ~b =
+let master sim stack ~node ~port ~workers ~a ~b =
   let n = Array.length a in
   let l = stack.listen ~node ~port ~backlog:workers in
-  let accepted = Array.init workers (fun _ -> l.accept ()) in
-  let streams = Array.map fst accepted in
-  if use_collectives then begin
-    let base_port = Option.value coll_base_port ~default:(port + 100) in
-    let peers = Array.map (fun (_, addr) -> addr.node) accepted in
-    let result = master_collective sim stack ~node ~base_port ~streams ~peers ~a ~b in
-    l.close_listener ();
-    result
-  end
-  else begin
+  let streams = Array.init workers (fun _ -> fst (l.accept ())) in
   let t0 = Sim.now sim in
   (* Distribute row blocks and B. *)
   let base = n / workers and extra = n mod workers in
@@ -243,4 +129,3 @@ let master ?(use_collectives = false) ?coll_base_port sim stack ~node ~port
   done;
   l.close_listener ();
   { product; elapsed = Sim.now sim - t0 }
-  end

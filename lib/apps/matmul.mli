@@ -18,7 +18,6 @@ type result = {
 }
 
 val worker :
-  ?ns_per_flop:float ->
   Uls_engine.Sim.t ->
   Uls_api.Sockets_api.stack ->
   node:int ->
@@ -29,8 +28,6 @@ val worker :
     compute (charging virtual compute time), return the product rows. *)
 
 val master :
-  ?use_collectives:bool ->
-  ?coll_base_port:int ->
   Uls_engine.Sim.t ->
   Uls_api.Sockets_api.stack ->
   node:int ->
@@ -40,13 +37,4 @@ val master :
   b:matrix ->
   result
 (** Run the master (in the calling fiber): accept [workers] connections,
-    distribute, select() over result sockets, assemble the product.
-
-    With [~use_collectives:true] the master instead forms a
-    {!Uls_collective.Group} spanning itself (rank 0) and the workers in
-    accept order: B is broadcast down a binomial tree and the product
-    rows return through one gather, replacing the per-worker B sends and
-    the select() collect loop. Workers detect the mode from the protocol
-    prelude, so the same {!worker} serves both. [coll_base_port]
-    (default [port + 100]) is the first of [workers + 1] ports the mesh
-    claims. *)
+    distribute, select() over result sockets, assemble the product. *)

@@ -101,7 +101,7 @@ let fig12 =
 (* ---------------------------------------------------------------------- *)
 
 let tcp_default = Uls_tcp.Config.default
-let tcp_tuned = Uls_tcp.Config.(with_buffers default 262_144)
+let tcp_tuned = Uls_tcp.Config.with_buffers 262_144
 
 let fig13 ?(quick = false) () =
   let iters = iters ~quick in

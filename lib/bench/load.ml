@@ -600,8 +600,7 @@ let run ?observe ?on_metrics ?on_server_close ?progress cfg =
           Fabric.create sim api
             ~nodes:(List.init f.cells (fun i -> i))
             {
-              Fabric.default_config with
-              port;
+              Fabric.port;
               backlog = cfg.backlog;
               shards = f.shards;
               sched;

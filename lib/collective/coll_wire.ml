@@ -22,38 +22,3 @@ let body frame =
   match frame.Frame.payload with
   | Coll c -> c.body
   | _ -> invalid_arg "Coll_wire.body: not a collective frame"
-
-let encode_header ~tag ~len =
-  let b = Bytes.create header_bytes in
-  Bytes.set_int64_le b 0 (Int64.of_int tag);
-  Bytes.set_int64_le b 8 (Int64.of_int len);
-  Bytes.to_string b
-
-let decode_header_at s off =
-  if String.length s < off + header_bytes then
-    invalid_arg "Coll_wire.decode_header: truncated";
-  ( Int64.to_int (String.get_int64_le s off),
-    Int64.to_int (String.get_int64_le s (off + 8)) )
-
-let decode_header s = decode_header_at s 0
-
-let pack entries =
-  String.concat ""
-    (List.map
-       (fun (rank, data) ->
-         encode_header ~tag:rank ~len:(String.length data) ^ data)
-       entries)
-
-let unpack s =
-  let n = String.length s in
-  let rec loop off acc =
-    if off >= n then List.rev acc
-    else begin
-      let rank, len = decode_header_at s off in
-      let off = off + header_bytes in
-      if len < 0 || off + len > n then
-        invalid_arg "Coll_wire.unpack: malformed bundle";
-      loop (off + len) ((rank, String.sub s off len) :: acc)
-    end
-  in
-  loop 0 []

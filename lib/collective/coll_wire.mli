@@ -1,13 +1,7 @@
-(** Wire format shared by every collective transport.
-
-    Two layers live here:
-
-    - a dedicated {!Uls_ether.Frame.payload} constructor for NIC-forwarded
-      collective frames ([Coll]), small enough that the firmware can
-      re-emit one from a forward-on-match descriptor without host help;
-    - the host-side 16-byte [(tag, length)] framing used both to delimit
-      collective messages on a byte stream and to pack per-rank entries
-      into gather bundles. *)
+(** Wire format of NIC-forwarded collective frames: a dedicated
+    {!Uls_ether.Frame.payload} constructor ([Coll]), small enough that
+    the firmware can re-emit one from a forward-on-match descriptor
+    without host help. *)
 
 type Uls_ether.Frame.payload +=
   | Coll of { tag : int; body : string }
@@ -15,12 +9,10 @@ type Uls_ether.Frame.payload +=
             operation instances; [body] is the (possibly empty) payload
             carried down the tree. *)
 
-val header_bytes : int
-(** Size of the [(tag, length)] header: 16 bytes. *)
-
 val max_body : int
-(** Largest body a single [Coll] frame can carry (MTU minus header).
-    NIC-forwarded broadcast falls back to a host algorithm above this. *)
+(** Largest body a single [Coll] frame can carry (MTU minus a 16-byte
+    header). NIC-forwarded broadcast falls back to a host algorithm
+    above this. *)
 
 val frame :
   src:int -> dst:int -> tag:int -> string -> Uls_ether.Frame.t
@@ -33,14 +25,3 @@ val classify : Uls_ether.Frame.t -> (int * int) option
 
 val body : Uls_ether.Frame.t -> string
 (** Payload of a [Coll] frame. *)
-
-(** {1 Host-side framing} *)
-
-val encode_header : tag:int -> len:int -> string
-val decode_header : string -> int * int
-
-val pack : (int * string) list -> string
-(** Pack [(rank, data)] entries into one bundle string. *)
-
-val unpack : string -> (int * string) list
-(** Inverse of {!pack}. @raise Invalid_argument on a malformed bundle. *)

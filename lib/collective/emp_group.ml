@@ -158,7 +158,12 @@ let make_nic_ops t =
   in
   { Group.nic_barrier; nic_bcast }
 
-let create ?(uq_slots = 16) ?(uq_size = 4096) ?(nic = true) eps ~rank =
+(* Each rank's unexpected queue: 16 slots of 4096 B absorb the
+   cross-rank races at operation entry. *)
+let uq_slots = 16
+let uq_size = 4096
+
+let create ?(nic = true) eps ~rank =
   if Array.length eps = 0 then invalid_arg "Emp_group.create: no endpoints";
   if rank < 0 || rank >= Array.length eps then
     invalid_arg "Emp_group.create: rank";
@@ -172,7 +177,7 @@ let create ?(uq_slots = 16) ?(uq_size = 4096) ?(nic = true) eps ~rank =
       pool = Hashtbl.create 8;
     }
   in
-  if uq_slots > 0 then Endpoint.provision_unexpected ep ~slots:uq_slots ~size:uq_size;
+  Endpoint.provision_unexpected ep ~slots:uq_slots ~size:uq_size;
   let tr =
     {
       Group.rank;

@@ -13,12 +13,10 @@
     the NIC DMAs the completion up. *)
 
 val create :
-  ?uq_slots:int ->
-  ?uq_size:int ->
   ?nic:bool ->
   Uls_emp.Endpoint.t array ->
   rank:int ->
   Group.t
-(** [uq_slots]/[uq_size] (default 16 x 4096 B) provision this rank's
-    unexpected queue. [nic:false] builds a host-only group (Nic_forward
-    then falls back to the binomial tree). *)
+(** Provisions this rank's unexpected queue with 16 slots of 4096 B.
+    [nic:false] builds a host-only group (Nic_forward then falls back to
+    the binomial tree). *)

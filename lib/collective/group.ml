@@ -48,7 +48,6 @@ type nic_ops = {
 type counters = {
   hc_barrier : Stats.Counter.t;
   hc_bcast : Stats.Counter.t;
-  hc_gather : Stats.Counter.t;
   hc_allreduce : Stats.Counter.t;
   hh_rounds : Stats.Summary.t;
 }
@@ -78,7 +77,6 @@ let create ?nic ?sim tr =
           {
             hc_barrier = counter "coll.barrier";
             hc_bcast = counter "coll.bcast";
-            hc_gather = counter "coll.gather";
             hc_allreduce = counter "coll.allreduce";
             hh_rounds = Metrics.histogram metrics ~node:tr.rank "coll.rounds";
           })
@@ -149,11 +147,6 @@ module Tree = struct
       else collect (j + 1) (unrel ~root ~size (rr + step) :: acc)
     in
     collect 0 []
-
-  let span ~size rr =
-    let lowbit = if rr = 0 then size else rr land -rr in
-    min lowbit (size - rr)
-
 end
 
 let floor_pow2 n =
@@ -163,8 +156,6 @@ let floor_pow2 n =
 
 let check_root t root =
   if root < 0 || root >= t.tr.size then invalid_arg "Group: root out of range"
-
-let entry_max max = Coll_wire.header_bytes + max
 
 (* --- barrier ----------------------------------------------------------- *)
 
@@ -283,65 +274,6 @@ let bcast ?(alg = Binomial_tree) t ~root ~max data =
                 t.last_rounds <- 2;
                 s
             | None -> bcast_binomial t ~seq ~round:0 ~root ~max data))
-
-(* --- gather ------------------------------------------------------------ *)
-
-let gather_linear t ~seq ~round ~root ~max data =
-  let { rank; size; _ } = t.tr in
-  let tag = tag_of ~seq ~round in
-  if rank = root then begin
-    let hs =
-      Array.init size (fun i ->
-          if i = root then None else Some (irecv t ~src:i ~tag ~max))
-    in
-    let out = Array.make size "" in
-    out.(root) <- data;
-    Array.iteri
-      (fun i h -> match h with None -> () | Some h -> out.(i) <- await t h)
-      hs;
-    Some out
-  end
-  else begin
-    send t ~dst:root ~tag data;
-    None
-  end
-
-let gather_binomial t ~seq ~round ~root ~max data =
-  let { rank; size; _ } = t.tr in
-  let tag = tag_of ~seq ~round in
-  let kids = Tree.children ~root ~size rank in
-  let kid_hs =
-    List.map
-      (fun c ->
-        let span = Tree.span ~size (Tree.rel ~root ~size c) in
-        irecv t ~src:c ~tag ~max:(span * entry_max max))
-      kids
-  in
-  let entries =
-    (rank, data)
-    :: List.concat_map (fun h -> Coll_wire.unpack (await t h)) kid_hs
-  in
-  match Tree.parent ~root ~size rank with
-  | Some p ->
-      send t ~dst:p ~tag (Coll_wire.pack entries);
-      None
-  | None ->
-      let out = Array.make size "" in
-      List.iter (fun (r, s) -> out.(r) <- s) entries;
-      Some out
-
-let gather ?(alg = Binomial_tree) t ~root ~max data =
-  check_root t root;
-  if String.length data > max then
-    invalid_arg "Group.gather: data longer than max";
-  observed t "gather" alg (fun h -> h.hc_gather) @@ fun () ->
-  let seq = next_seq t in
-  if t.tr.size = 1 then Some [| data |]
-  else
-    match alg with
-    | Linear -> gather_linear t ~seq ~round:0 ~root ~max data
-    | Binomial_tree | Recursive_doubling | Nic_forward ->
-        gather_binomial t ~seq ~round:0 ~root ~max data
 
 (* --- reduce ------------------------------------------------------------ *)
 

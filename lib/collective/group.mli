@@ -1,10 +1,10 @@
 (** Collective communication over a group of simulated processes.
 
     A {!t} is one member's view of a communicator: [size] ranks that all
-    call the same collectives in the same order (SPMD). The group sits on
-    a {!transport} — blocking sends and posted receives — so the same
-    algorithms run over EMP endpoints ({!Emp_group}) or the user-level
-    sockets stacks ({!Sockets_group}).
+    call the same collectives in the same order (SPMD): barrier,
+    broadcast and allreduce. The group sits on a {!transport} — blocking
+    sends and posted receives — which {!Emp_group} provides over EMP
+    endpoints.
 
     Three host algorithm families are provided ([Linear],
     [Binomial_tree], [Recursive_doubling]) plus [Nic_forward], which
@@ -89,10 +89,6 @@ val barrier : ?alg:algorithm -> t -> unit
 val bcast : ?alg:algorithm -> t -> root:int -> max:int -> string -> string
 (** Returns the root's [data] on every rank (the argument is ignored on
     non-roots). *)
-
-val gather :
-  ?alg:algorithm -> t -> root:int -> max:int -> string -> string array option
-(** [Some parts] (indexed by rank) at the root, [None] elsewhere. *)
 
 val allreduce : ?alg:algorithm -> t -> op:op -> max:int -> string -> string
 

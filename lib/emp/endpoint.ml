@@ -6,16 +6,23 @@ type firmware = Paper | Ring
 
 type config = {
   ack_window : int;
-  tx_window : int;
   rto : Time.ns;
-  max_rto : Time.ns;
   max_retries : int;
   use_nacks : bool;  (* gap-triggered NACK frames for fast loss recovery *)
 }
 
 let default_config =
-  { ack_window = 4; tx_window = 64; rto = Time.ms 2; max_rto = Time.ms 200;
-    max_retries = 20; use_nacks = true }
+  { ack_window = 4; rto = Time.ms 2; max_retries = 20; use_nacks = true }
+
+(* Max unacked frames in flight per message. *)
+let tx_window = 64
+
+(* Backoff ceiling for the doubling RTO. It must cover the worst-case
+   receive-side queueing delay: under incast (many senders, one
+   receiver) the receiving NIC serializes tag-match walks, and a ceiling
+   below that delay turns congestion into spurious retransmission storms
+   and eventually [Send_failed]. *)
+let max_rto = Time.ms 200
 
 type send = {
   s_key : Wire.msg_key;
@@ -299,14 +306,14 @@ let tx_fiber ~fetch t st () =
       Trace.instant t.trace ~layer:Trace.Emp ~node:(node_id t) "emp.rto_rewind"
         ~args:[ ("frames", string_of_int (st.s_next - st.s_acked)) ];
       rewind_to t st st.s_acked;
-      st.s_rto <- min (2 * st.s_rto) t.cfg.max_rto
+      st.s_rto <- min (2 * st.s_rto) max_rto
     end
   in
   let rec drive () =
     if st.s_failed || st.s_done then ()
     else if give_up () then fail_send t st
     else if st.s_next < st.s_nframes then
-      if st.s_next - st.s_acked >= t.cfg.tx_window then begin
+      if st.s_next - st.s_acked >= tx_window then begin
         (* Window full: wait for ack progress. *)
         let before = st.s_acked in
         (match Cond.wait_timeout st.s_cond st.s_rto with
@@ -553,21 +560,22 @@ let wait_recv_timeout t r timeout =
   in
   loop ()
 
+(* Each monitor builds its report only on failure, so a clean completion
+   allocates no closure. *)
 let complete_recv t r ~len ~src ~tag =
-  Invariant.check t.inv ~name:"emp.desc_double_complete" (not r.r_done)
-    (fun () ->
-      Printf.sprintf "node %d: descriptor completed twice (src=%d tag=%d)"
-        (node_id t) src tag);
+  if r.r_done then
+    Invariant.check t.inv ~name:"emp.desc_double_complete" false (fun () ->
+        Printf.sprintf "node %d: descriptor completed twice (src=%d tag=%d)"
+          (node_id t) src tag);
   r.r_len <- len;
   r.r_from <- src;
   r.r_tag <- tag;
   r.r_done <- true;
   t.st_desc_completed <- t.st_desc_completed + 1;
-  Invariant.check t.inv ~name:"emp.desc_conservation"
-    (t.st_desc_completed <= t.st_desc_posted)
-    (fun () ->
-      Printf.sprintf "node %d: %d descriptors completed but only %d posted"
-        (node_id t) t.st_desc_completed t.st_desc_posted);
+  if t.st_desc_completed > t.st_desc_posted then
+    Invariant.check t.inv ~name:"emp.desc_conservation" false (fun () ->
+        Printf.sprintf "node %d: %d descriptors completed but only %d posted"
+          (node_id t) t.st_desc_completed t.st_desc_posted);
   Option.iter Cond.broadcast r.r_cond;
   r.r_on_complete r len
 

@@ -14,14 +14,10 @@ type t
 
 type config = {
   ack_window : int;  (** frames per protocol ack (paper: 4) *)
-  tx_window : int;  (** max unacked frames in flight per message *)
-  rto : Uls_engine.Time.ns;  (** initial retransmission timeout *)
-  max_rto : Uls_engine.Time.ns;
-      (** backoff ceiling for the doubling RTO. Must cover the worst-case
-          receive-side queueing delay: under incast (many senders, one
-          receiver) the receiving NIC serializes tag-match walks, and a
-          ceiling below that delay turns congestion into spurious
-          retransmission storms and eventually [Send_failed]. *)
+  rto : Uls_engine.Time.ns;
+      (** initial retransmission timeout; it doubles per rewind up to
+          200 ms, a ceiling that covers the receive-side queueing delay
+          of an incast *)
   max_retries : int;
   use_nacks : bool;
       (** send a NACK frame when a receive gap is detected, so the

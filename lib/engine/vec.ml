@@ -37,10 +37,6 @@ let pop v =
   else v.data.(v.len) <- v.data.(v.len - 1);
   x
 
-let clear v =
-  v.data <- [||];
-  v.len <- 0
-
 let iter f v =
   for i = 0 to v.len - 1 do
     f v.data.(i)

@@ -12,7 +12,5 @@ val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a
 (** Remove and return the last element. @raise Invalid_argument if empty. *)
 
-val clear : 'a t -> unit
-
 val iter : ('a -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc

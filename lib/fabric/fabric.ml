@@ -30,9 +30,6 @@ type config = {
   vnodes : int;
   ring_seed : int;
   probe_node : int option;
-  probe_period : Time.ns;
-  fail_threshold : int;
-  rejoin_threshold : int;
 }
 
 let default_config =
@@ -47,14 +44,16 @@ let default_config =
     vnodes = 128;
     ring_seed = 0;
     probe_node = None;
-    probe_period = Time.ms 5;
-    fail_threshold = 2;
-    (* Auto-rejoin matters under overload: a cell that sheds connects
-       while saturated is alive, and probes prove it the moment the
-       burst passes. A truly dead (paused) cell keeps failing probes,
-       so it never accumulates the successes needed to rejoin. *)
-    rejoin_threshold = 2;
   }
+
+let probe_period = Time.ms 5
+let fail_threshold = 2
+
+(* Auto-rejoin matters under overload: a cell that sheds connects while
+   saturated is alive, and probes prove it the moment the burst passes.
+   A truly dead (paused) cell keeps failing probes, so it never
+   accumulates the successes needed to rejoin. *)
+let rejoin_threshold = 2
 
 type cell = {
   id : int;
@@ -123,15 +122,14 @@ let note_failure t cell ~cause =
   cell.oks <- 0;
   if cell.state = Up then begin
     cell.fails <- cell.fails + 1;
-    if cell.fails >= t.cfg.fail_threshold then mark_down t cell ~cause
+    if cell.fails >= fail_threshold then mark_down t cell ~cause
   end
 
 let note_success t cell =
   cell.fails <- 0;
   if cell.state = Down then begin
     cell.oks <- cell.oks + 1;
-    if t.cfg.rejoin_threshold > 0 && cell.oks >= t.cfg.rejoin_threshold then
-      rejoin t cell ~cause:"probe-recovered"
+    if cell.oks >= rejoin_threshold then rejoin t cell ~cause:"probe-recovered"
   end
 
 let flow_key ~client_node ~flow ~port =
@@ -163,7 +161,7 @@ let prober t cell () =
   let probe_node = Option.get t.cfg.probe_node in
   Sim.delay t.sim (Time.us (97 * (cell.id + 1)));
   while t.running do
-    Sim.delay t.sim t.cfg.probe_period;
+    Sim.delay t.sim probe_period;
     if t.running then begin
       match cell.state with
       | Draining | Drained -> ()
@@ -195,7 +193,7 @@ let drain t id =
       ~daemon:true
       (fun () ->
         let rec watch () =
-          Sim.delay t.sim t.cfg.probe_period;
+          Sim.delay t.sim probe_period;
           if t.running && cell.state = Draining then
             if Server.inflight cell.server = 0 then begin
               Server.stop cell.server;

@@ -13,16 +13,16 @@
     Health has two signal paths feeding one per-cell failure counter:
 
     - {e active}: a prober fiber per cell (from [probe_node]) does a
-      full connect+close through the stack under test every
-      [probe_period];
+      full connect+close through the stack under test every 5 ms;
     - {e passive}: {!connect} feeds the same counter with every
       data-path connect failure, usually the earlier signal.
 
-    [fail_threshold] consecutive failures take the cell out of the ring
-    (state [Down]) — the "heal": subsequent flows remap to the
-    surviving cells, touching only the dead cell's key range. If
-    [rejoin_threshold] > 0, that many consecutive probe successes put a
-    [Down] cell back.
+    Two consecutive failures take the cell out of the ring (state
+    [Down]) — the "heal": subsequent flows remap to the surviving cells,
+    touching only the dead cell's key range. Two consecutive probe
+    successes put a [Down] cell back: a cell marked down by a transient
+    overload burst returns once probes succeed again, while a dead cell
+    keeps failing probes, so it stays out.
 
     {!drain} removes a cell from the ring {e without} killing it: no
     new flows arrive, existing connections run to completion, and the
@@ -60,20 +60,13 @@ type config = {
   vnodes : int;  (** ring virtual nodes per cell *)
   ring_seed : int;
   probe_node : int option;  (** health-probe origin; [None] = passive only *)
-  probe_period : Uls_engine.Time.ns;
-  fail_threshold : int;  (** consecutive failures before [Down] *)
-  rejoin_threshold : int;  (** probe successes before a [Down] cell
-                               rejoins; 0 = never auto-rejoin *)
 }
 
 val default_config : config
-(** port 80, backlog 128, 4 shards, echo, 128 vnodes, 5 ms probes,
-    2 failures to go down, 2 probe successes to rejoin. Auto-rejoin is
-    on by default so a cell marked down by a transient overload burst
-    returns once probes succeed again; a dead cell keeps failing
-    probes, so it stays out. The backlog is deliberately modest: every
-    posted backlog descriptor sits in the cell NIC's linear match
-    list, so each RX frame pays O(backlog) walk cost. *)
+(** port 80, backlog 128, 4 shards, echo, 128 vnodes, no prober. The
+    backlog is deliberately modest: every posted backlog descriptor
+    sits in the cell NIC's linear match list, so each RX frame pays
+    O(backlog) walk cost. *)
 
 type t
 

@@ -62,6 +62,14 @@ type t = {
    this stays a cold path). *)
 let fwd_pending_limit = 128
 
+(* Remove pending entry [i], keeping the rest in arrival order. *)
+let remove_pending t i =
+  let v = t.fwd_pending in
+  for j = i to Vec.length v - 2 do
+    Vec.set v j (Vec.get v (j + 1))
+  done;
+  ignore (Vec.pop v)
+
 let match_engine t = Match_list.engine t.fwd_list
 let rx_queues t = Array.length t.rx_cpus
 
@@ -116,13 +124,8 @@ let fwd_complete t fwd completing =
 let fwd_match t ~src ~tag frame =
   match Match_list.find t.fwd_list ~src ~tag with
   | None, _ ->
-    if Vec.length t.fwd_pending >= fwd_pending_limit then begin
-      (* Shift out the oldest entry. *)
-      let keep = ref [] in
-      Vec.iter (fun e -> keep := e :: !keep) t.fwd_pending;
-      Vec.clear t.fwd_pending;
-      List.iter (Vec.push t.fwd_pending) (List.tl (List.rev !keep))
-    end;
+    (* Shift out the oldest entry. *)
+    if Vec.length t.fwd_pending >= fwd_pending_limit then remove_pending t 0;
     Vec.push t.fwd_pending (src, tag, frame)
   | Some fwd, probe ->
     Resource.use t.rx_cpus.(0) (match_cost t probe);
@@ -167,13 +170,7 @@ let fwd_fiber t () =
           match !matched with
           | None -> ()
           | Some (idx, (src, tag, frame)) ->
-            (* Preserve arrival order of the remaining entries. *)
-            let keep = ref [] in
-            Vec.iter (fun e -> keep := e :: !keep) t.fwd_pending;
-            Vec.clear t.fwd_pending;
-            List.iteri
-              (fun j e -> if j <> idx then Vec.push t.fwd_pending e)
-              (List.rev !keep);
+            remove_pending t idx;
             (* No classify charge here: each pending entry already paid
                its arrival cost (classify or mailbox fetch) when it was
                queued — re-charging it at drain time double-billed

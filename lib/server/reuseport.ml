@@ -8,7 +8,7 @@ module Api = Uls_api.Sockets_api
 (* SplitMix64's finalizer: the steering hash must depend on every bit of
    the peer address (client ephemeral ports are sequential) and be
    stable across runs — Hashtbl.hash guarantees neither. *)
-let default_hash (a : Api.addr) =
+let hash (a : Api.addr) =
   Int64.to_int (Rng.mix (Int64.of_int ((a.node * 65_599) + a.port))) land max_int
 
 type shard = {
@@ -23,7 +23,6 @@ type t = {
   node : int;
   under : Api.listener;
   shards : shard array;
-  hash : Api.addr -> int;
   metrics : Metrics.t;
   h_steered : Stats.Counter.t;
   mutable open_shards : int;
@@ -34,7 +33,7 @@ type t = {
 let fire shard = List.iter (fun f -> f ()) shard.s_watchers
 
 let deliver t (stream, peer) =
-  let i = t.hash peer mod Array.length t.shards in
+  let i = hash peer mod Array.length t.shards in
   let shard = t.shards.(i) in
   if shard.s_closed then (try stream.Api.close () with _ -> ())
   else begin
@@ -101,7 +100,7 @@ let shard_listener t i =
         end);
   }
 
-let listeners sim ~node ?(hash = default_hash) ~shards under =
+let listeners sim ~node ~shards under =
   if shards < 1 then invalid_arg "Reuseport.listeners: shards < 1";
   let metrics = Metrics.for_sim sim in
   let t =
@@ -120,7 +119,6 @@ let listeners sim ~node ?(hash = default_hash) ~shards under =
                   ~label:(Printf.sprintf "reuseport:%d shard %d" node i)
                   sim;
             });
-      hash;
       metrics;
       h_steered = Metrics.counter metrics ~node "server.reuseport.steered";
       open_shards = shards;

@@ -26,14 +26,12 @@
 val listeners :
   Uls_engine.Sim.t ->
   node:int ->
-  ?hash:(Uls_api.Sockets_api.addr -> int) ->
   shards:int ->
   Uls_api.Sockets_api.listener ->
   Uls_api.Sockets_api.listener array
 (** [listeners sim ~node ~shards under] returns [shards] synthetic
-    listeners fed from [under]. [hash] overrides the steering hash
-    (must be non-negative). *)
+    listeners fed from [under], steering each connection by {!hash}. *)
 
-val default_hash : Uls_api.Sockets_api.addr -> int
-(** The built-in steering hash (SplitMix64 finalizer over the peer
-    address). *)
+val hash : Uls_api.Sockets_api.addr -> int
+(** The steering hash (SplitMix64 finalizer over the peer address,
+    non-negative). *)

@@ -13,7 +13,6 @@ type handler = Api.addr -> string -> reaction
 
 type config = {
   workers : int;
-  accept_batch : int;
   max_inflight : int;
   reject : string option;
   embryo_timeout : int;
@@ -22,13 +21,15 @@ type config = {
 let default_config =
   {
     workers = 4;
-    accept_batch = 16;
     max_inflight = max_int;
     reject = None;
     embryo_timeout = Time.s 2;
   }
 
 let chunk = 65_536
+
+(* Max accepts drained per readiness event. *)
+let accept_batch = 16
 
 type conn = {
   c_id : int;
@@ -144,7 +145,7 @@ let drain_accepts t =
   (* try_accept, never accept: a blocking accept would wedge the
      dispatcher fiber — and the whole event loop — on a queue entry the
      stack resolves internally (e.g. a duplicate connect request). *)
-  while t.running && not !stop && !n < t.cfg.accept_batch do
+  while t.running && not !stop && !n < accept_batch do
     incr n;
     match t.listener.try_accept () with
     | exception _ -> stop := true

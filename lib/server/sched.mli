@@ -39,7 +39,6 @@ type handler = Uls_api.Sockets_api.addr -> string -> reaction
 
 type config = {
   workers : int;
-  accept_batch : int;  (** max accepts drained per readiness event *)
   max_inflight : int;  (** admission limit: open connections *)
   reject : string option;  (** sent (best-effort) before a shed close *)
   embryo_timeout : int;
@@ -53,8 +52,8 @@ type config = {
 }
 
 val default_config : config
-(** 4 workers, accept batches of 16, unlimited inflight, silent shed,
-    2 s embryo timeout. *)
+(** 4 workers, unlimited inflight, silent shed, 2 s embryo timeout. The
+    dispatcher drains at most 16 accepts per readiness event. *)
 
 type t
 

@@ -1,49 +1,26 @@
-(** Tunables of the kernel stack. [default] models the stock Linux
-    2.4.18 setup of the paper (16 KB socket buffers); §7.2 tunes the
-    buffers upward, which experiments do via [with_buffers]. *)
+(** The kernel stack's socket buffers, and the constants of the stock
+    Linux 2.4.18 TCP of the paper. [default] is its 16 KB buffers; §7.2
+    tunes them upward, which experiments do via [with_buffers]. *)
 
 type t = {
   sndbuf : int;
   rcvbuf : int;
-  min_rto : Uls_engine.Time.ns;
-  delack_timeout : Uls_engine.Time.ns;
-  ack_every : int;  (** ack after this many full segments *)
-  persist_interval : Uls_engine.Time.ns;  (** zero-window probe period *)
-  time_wait : Uls_engine.Time.ns;
-  congestion_control : bool;  (** slow start + congestion avoidance *)
-  initial_cwnd_segments : int;  (** Linux 2.4: 2 *)
-  rx_coalesce : Uls_engine.Time.ns;  (** NIC interrupt coalescing delay *)
-  rx_coalesce_frames : int;  (** ... or after this many frames *)
-  accept_backlog_default : int;
-  dead_rto_abort : Uls_engine.Time.ns;
-      (** unbroken retransmission silence with zero cumulative-ack
-          progress before the connection aborts with a typed reset (the
-          tcp_retries2 analogue; 0 = retransmit forever) *)
-  synack_retries : int;
-      (** SYN|ACK retransmissions (exponential backoff) before dropping a
-          half-open connection (tcp_synack_retries) *)
 }
 
-let default =
-  {
-    sndbuf = 16_384;
-    rcvbuf = 16_384;
-    min_rto = Uls_engine.Time.ms 1;
-    delack_timeout = Uls_engine.Time.us 200;
-    ack_every = 2;
-    persist_interval = Uls_engine.Time.ms 5;
-    time_wait = Uls_engine.Time.ms 1;
-    congestion_control = true;
-    initial_cwnd_segments = 2;
-    rx_coalesce = Uls_engine.Time.us 60;
-    rx_coalesce_frames = 8;
-    accept_backlog_default = 8;
-    (* 2 s of unbroken silence is ~10 cap-level RTOs — far past the
-       queueing delay a saturated-but-alive peer produces, but finite,
-       so a dead peer yields Connection_reset, not a hung run. The
-       SYN|ACK budget backs off 1 ms -> 200 ms, ~1 s total. *)
-    dead_rto_abort = Uls_engine.Time.s 2;
-    synack_retries = 12;
-  }
+let default = { sndbuf = 16_384; rcvbuf = 16_384 }
+let with_buffers bytes = { sndbuf = bytes; rcvbuf = bytes }
+let min_rto = Uls_engine.Time.ms 1
+let delack_timeout = Uls_engine.Time.us 200
+let ack_every = 2
+let persist_interval = Uls_engine.Time.ms 5
+let time_wait = Uls_engine.Time.ms 1
+let initial_cwnd_segments = 2
+let rx_coalesce = Uls_engine.Time.us 60
+let rx_coalesce_frames = 8
 
-let with_buffers t bytes = { t with sndbuf = bytes; rcvbuf = bytes }
+(* 2 s of unbroken silence is ~10 cap-level RTOs — far past the
+   queueing delay a saturated-but-alive peer produces, but finite, so a
+   dead peer yields Connection_reset, not a hung run. The SYN|ACK budget
+   backs off 1 ms -> 200 ms, ~1 s total. *)
+let dead_rto_abort = Uls_engine.Time.s 2
+let synack_retries = 12

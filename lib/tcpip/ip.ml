@@ -21,7 +21,6 @@ type t = {
   node : Node.t;
   nic : Tigon.t;
   cpu : Resource.t;
-  config : Config.t;
   metrics : Metrics.t;
   mh : handles;
   trace : Trace.t;
@@ -149,12 +148,10 @@ let dispatcher t () =
       loop ()
     end
     else begin
-      let deadline = Sim.now (sim t) + t.config.Config.rx_coalesce in
+      let deadline = Sim.now (sim t) + Config.rx_coalesce in
       let rec coalesce () =
         let remaining = deadline - Sim.now (sim t) in
-        if
-          Queue.length t.pending < t.config.Config.rx_coalesce_frames
-          && remaining > 0
+        if Queue.length t.pending < Config.rx_coalesce_frames && remaining > 0
         then
           match Cond.wait_timeout t.arrival remaining with
           | `Ok -> coalesce ()
@@ -189,7 +186,7 @@ let dispatcher t () =
   in
   loop ()
 
-let create node nic ~cpu ~config =
+let create node nic ~cpu =
   let metrics = Metrics.for_sim (Node.sim node) in
   let counter name = Metrics.counter metrics ~node:(Node.id node) name in
   let histogram name = Metrics.histogram metrics ~node:(Node.id node) name in
@@ -198,7 +195,6 @@ let create node nic ~cpu ~config =
       node;
       nic;
       cpu;
-      config;
       metrics;
       mh =
         {

@@ -10,7 +10,6 @@ val create :
   Uls_host.Node.t ->
   Uls_nic.Tigon.t ->
   cpu:Uls_engine.Resource.t ->
-  config:Config.t ->
   t
 
 val set_handler : t -> (src:int -> Segment.ip_payload -> unit) -> unit

@@ -177,7 +177,7 @@ let create node nic ~config =
   let cpu = Resource.create (Node.sim node) ~name:(Printf.sprintf "kcpu-%d" (Node.id node)) in
   let metrics = Metrics.for_sim (Node.sim node) in
   let counter name = Metrics.counter metrics ~node:(Node.id node) name in
-  let ip = Ip.create node nic ~cpu ~config in
+  let ip = Ip.create node nic ~cpu in
   let t =
     {
       node;
@@ -284,7 +284,7 @@ let connect t (remote : addr) =
     | Tcp_conn.Closed_st -> raise (Refused remote)
     | _ ->
       if tries > 6 then raise (Refused remote);
-      (match Cond.wait_timeout (Tcp_conn.state_cond c) t.config.Config.min_rto with
+      (match Cond.wait_timeout (Tcp_conn.state_cond c) Config.min_rto with
       | `Ok -> ()
       | `Timeout -> Tcp_conn.resend_syn c);
       await (tries + 1)

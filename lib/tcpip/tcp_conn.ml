@@ -39,7 +39,7 @@ type t = {
   mutable rto : Time.ns;
   mutable dead_since : Time.ns;
       (* start of the current run of silent RTOs with no cumulative-ack
-         progress (-1 = none); config.dead_rto_abort of unbroken silence
+         progress (-1 = none); Config.dead_rto_abort of unbroken silence
          aborts the connection *)
   mutable synack_tries : int;
   mutable aborted : bool;
@@ -92,12 +92,10 @@ let unsent_bytes t = Bytebuf.available t.snd_buf - in_flight t
 
 (* Effective send window: peer's advertised window clamped by the
    congestion window (slow start / congestion avoidance). *)
-let send_window t =
-  if t.env.config.Config.congestion_control then min t.snd_wnd t.cwnd
-  else t.snd_wnd
+let send_window t = min t.snd_wnd t.cwnd
 
 let on_ack_progress t ~data_bytes =
-  if t.env.config.Config.congestion_control && data_bytes > 0 then begin
+  if data_bytes > 0 then begin
     if t.cwnd < t.ssthresh then
       (* slow start: exponential per-ack growth *)
       t.cwnd <- t.cwnd + min data_bytes Segment.mss
@@ -107,10 +105,8 @@ let on_ack_progress t ~data_bytes =
   end
 
 let on_loss t =
-  if t.env.config.Config.congestion_control then begin
-    t.ssthresh <- max (2 * Segment.mss) (in_flight t / 2);
-    t.cwnd <- max (2 * Segment.mss) t.ssthresh
-  end
+  t.ssthresh <- max (2 * Segment.mss) (in_flight t / 2);
+  t.cwnd <- max (2 * Segment.mss) t.ssthresh
 
 let add_watcher t f = t.watchers <- f :: t.watchers
 let fire_watchers t = List.iter (fun f -> f ()) t.watchers
@@ -142,7 +138,7 @@ let set_state t s =
 let enter_time_wait t =
   set_state t Time_wait;
   Sim.at (sim t)
-    (Sim.now (sim t) + t.env.config.Config.time_wait)
+    (Sim.now (sim t) + Config.time_wait)
     (fun () -> if t.state = Time_wait then set_state t Closed_st)
 
 (* --- segment emission ----------------------------------------------- *)
@@ -183,7 +179,7 @@ let maybe_arm_delack t =
   if not t.delack_armed then begin
     t.delack_armed <- true;
     Sim.at (sim t)
-      (Sim.now (sim t) + t.env.config.Config.delack_timeout)
+      (Sim.now (sim t) + Config.delack_timeout)
       (fun () ->
         t.delack_armed <- false;
         if t.pending_ack > 0 && alive t then
@@ -198,7 +194,6 @@ let seg_flags_for_data t =
   Segment.flag ~ack:true ()
 
 let send_data_segment t ~probe =
-  let cfg = t.env.config in
   let offset = in_flight t in
   let window_room = max 0 (send_window t - offset) in
   let len =
@@ -211,7 +206,6 @@ let send_data_segment t ~probe =
     t.snd_nxt <- t.snd_nxt + len;
     t.snd_max <- max t.snd_max t.snd_nxt;
     emit t ~data ~flags:(seg_flags_for_data t) ~seq ();
-    ignore cfg;
     true
   end
   else false
@@ -262,7 +256,6 @@ let abort t =
   end
 
 let sender_fiber t () =
-  let cfg = t.env.config in
   let rec loop () =
     if t.state = Closed_st || t.rst_rcvd then ()
     else if t.state = Syn_sent then begin
@@ -279,9 +272,7 @@ let sender_fiber t () =
       | `Timeout ->
         if t.state = Syn_rcvd then begin
           t.synack_tries <- t.synack_tries + 1;
-          if cfg.Config.synack_retries > 0
-             && t.synack_tries > cfg.Config.synack_retries
-          then set_state t Closed_st
+          if t.synack_tries > Config.synack_retries then set_state t Closed_st
           else begin
             (* Back off like the data path: at a flat min_rto the whole
                budget is a few ms, and a handshake ACK queued behind a
@@ -309,16 +300,14 @@ let sender_fiber t () =
         if t.snd_una = una && in_flight t > 0 then begin
           let now = Sim.now (sim t) in
           if t.dead_since < 0 then t.dead_since <- now;
-          if cfg.Config.dead_rto_abort > 0
-             && now - t.dead_since >= cfg.Config.dead_rto_abort
-          then abort t
+          if now - t.dead_since >= Config.dead_rto_abort then abort t
           else rewind t
         end);
       loop ()
     end
     else if unsent_bytes t > 0 && t.snd_wnd = 0 then begin
       (* Zero-window persist probe. *)
-      match Cond.wait_timeout t.send_c cfg.Config.persist_interval with
+      match Cond.wait_timeout t.send_c Config.persist_interval with
       | `Ok -> loop ()
       | `Timeout ->
         if t.snd_wnd = 0 && unsent_bytes t > 0 then
@@ -367,7 +356,7 @@ let process_ack t (seg : Segment.tcp_segment) =
       if t.snd_nxt < new_una then t.snd_nxt <- new_una;
       t.dup_acks <- 0;
       t.dead_since <- -1;
-      t.rto <- t.env.config.Config.min_rto;
+      t.rto <- Config.min_rto;
       on_ack_progress t ~data_bytes;
       Cond.broadcast t.writable_c;
       Cond.broadcast t.send_c;
@@ -388,7 +377,7 @@ let process_ack t (seg : Segment.tcp_segment) =
         (* Fast retransmit. *)
         t.dup_acks <- 0;
         rewind t;
-        t.rto <- t.env.config.Config.min_rto;
+        t.rto <- Config.min_rto;
         Cond.broadcast t.send_c
       end
     end;
@@ -410,7 +399,7 @@ let process_data t (seg : Segment.tcp_segment) =
       Cond.broadcast t.readable_c;
       t.env.notify ();
       fire_watchers t;
-      if t.pending_ack >= t.env.config.Config.ack_every then send_pure_ack t
+      if t.pending_ack >= Config.ack_every then send_pure_ack t
       else maybe_arm_delack t
     end
     else if seg.seq > t.rcv_nxt then begin
@@ -597,9 +586,9 @@ let make env ~local ~remote ~state =
       fin_pending = false;
       fin_sent = false;
       dup_acks = 0;
-      cwnd = cfg.Config.initial_cwnd_segments * Segment.mss;
+      cwnd = Config.initial_cwnd_segments * Segment.mss;
       ssthresh = max_int / 4;
-      rto = cfg.Config.min_rto;
+      rto = Config.min_rto;
       dead_since = -1;
       synack_tries = 0;
       aborted = false;

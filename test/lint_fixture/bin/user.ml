@@ -29,3 +29,8 @@ let let_open =
   let open Fixture in
   via_let_open
 let later = after_let_open
+
+(* Optional arguments: passed directly and forwarded count; one named
+   only in this comment (~in_comment) does not. *)
+let opts = Fixture.with_options ~passed:1 ()
+let forward ?forwarded () = Fixture.with_options ?forwarded ()

@@ -21,3 +21,11 @@ end
 let used_by_test = 17
 let allowed_test_only = 18
 let uncommented_test_only = 19
+
+let with_options ?(passed = 0) ?(forwarded = 0) ?(only_tested = 0) ?(never = 0)
+    ?(in_comment = 0) ?(allowed_opt = 0) ?(uncommented_opt = 0) () =
+  passed + forwarded + only_tested + never + in_comment + allowed_opt
+  + uncommented_opt
+
+(* The defining module's own call passes no label. *)
+let own = with_options ~never:1 ()

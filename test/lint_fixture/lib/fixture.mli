@@ -21,3 +21,15 @@ end
 val used_by_test : int
 val allowed_test_only : int
 val uncommented_test_only : int
+
+val with_options :
+  ?passed:int ->
+  ?forwarded:int ->
+  ?only_tested:int ->
+  ?never:int ->
+  ?in_comment:int ->
+  ?allowed_opt:int ->
+  ?uncommented_opt:int ->
+  unit ->
+  int
+(** Prose naming [?in_prose:int] declares no label. *)

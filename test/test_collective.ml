@@ -1,13 +1,11 @@
-(* Collective subsystem: correctness of every operation over every
-   transport/algorithm combination, round-count complexity, and the
-   latency advantage of the NIC-forwarded barrier. *)
+(* Collective subsystem: correctness of every operation under every
+   algorithm over EMP, round-count complexity, and the latency advantage
+   of the NIC-forwarded barrier. *)
 
 open Uls_engine
 module Group = Uls_collective.Group
 module Emp_group = Uls_collective.Emp_group
-module Sockets_group = Uls_collective.Sockets_group
 module Cluster = Uls_bench.Cluster
-module Options = Uls_substrate.Options
 
 (* --- harness ----------------------------------------------------------- *)
 
@@ -37,18 +35,6 @@ let emp_make ?nic () c =
   let eps = Array.init (Cluster.size c) (fun i -> Cluster.emp c i) in
   fun ~rank -> Emp_group.create ?nic eps ~rank
 
-let sockets_make ~opts c =
-  let stack = Cluster.substrate_api ~opts c in
-  let nodes =
-    Array.init (Cluster.size c) (fun i -> Uls_host.Node.id (Cluster.node c i))
-  in
-  fun ~rank ->
-    Sockets_group.connect_mesh (Cluster.sim c) stack ~nodes ~rank
-      ~base_port:2000
-
-let eager_opts = Options.data_streaming_enhanced
-let rendezvous_opts = { Options.data_streaming_enhanced with scheme = Rendezvous }
-
 (* --- data helpers ------------------------------------------------------ *)
 
 let pack_floats fs =
@@ -60,7 +46,6 @@ let unpack_floats s =
   Array.init (String.length s / 8) (fun i ->
       Int64.float_of_bits (String.get_int64_le s (i * 8)))
 
-let part_of i = Printf.sprintf "part-%04d!" i
 let check_str = Alcotest.(check string)
 
 (* Exercise every collective once under [alg]; assertions run inside the
@@ -74,13 +59,6 @@ let exercise ~alg ~n g rank =
   let payload = "broadcast-payload" in
   let got = Group.bcast ~alg g ~root ~max:64 (if rank = root then payload else "") in
   check_str (where "bcast") payload got;
-  (* gather *)
-  let gathered = Group.gather ~alg g ~root ~max:16 (part_of rank) in
-  (match gathered, rank = root with
-  | Some parts, true ->
-    Array.iteri (fun i p -> check_str (where "gather") (part_of i) p) parts
-  | None, false -> ()
-  | _ -> Alcotest.fail (where "gather: wrong side returned the array"));
   (* allreduce: integer-valued doubles, so any combine order is exact *)
   let contrib = pack_floats [| float_of_int (rank + 1); float_of_int (2 * (rank + 1)) |] in
   let expect = [| float_of_int (n * (n + 1) / 2); float_of_int (n * (n + 1)) |] in
@@ -167,50 +145,9 @@ let nic_barrier_test () =
       "NIC-forwarded barrier (%d ns) not faster than host linear barrier (%d ns) at N=8"
       nic host
 
-(* --- collectives-backed matmul ----------------------------------------- *)
-
-let matmul_run ~use_collectives =
-  let n = 64 in
-  let c = Cluster.create ~n:4 () in
-  let api = Cluster.substrate_api ~opts:eager_opts c in
-  let sim = Cluster.sim c in
-  let a = Uls_apps.Matmul.random_matrix ~seed:21 ~n in
-  let b = Uls_apps.Matmul.random_matrix ~seed:22 ~n in
-  for w = 1 to 3 do
-    Sim.spawn sim (fun () ->
-        Uls_apps.Matmul.worker sim api ~node:w ~master:{ node = 0; port = 90 } ())
-  done;
-  let result = ref None in
-  Sim.spawn sim (fun () ->
-      let r =
-        Uls_apps.Matmul.master ~use_collectives sim api ~node:0 ~port:90
-          ~workers:3 ~a ~b
-      in
-      result := Some r;
-      Sim.stop sim);
-  ignore (Cluster.run c);
-  match !result with
-  | Some r ->
-    Alcotest.(check bool)
-      "distributed product = sequential" true
-      (Uls_apps.Matmul.matrices_equal ~eps:1e-6
-         (Uls_apps.Matmul.multiply_seq a b)
-         r.Uls_apps.Matmul.product);
-    r.Uls_apps.Matmul.elapsed
-  | None -> Alcotest.fail "matmul did not finish"
-
-let matmul_test () =
-  let p2p = matmul_run ~use_collectives:false in
-  let coll = matmul_run ~use_collectives:true in
-  if coll > p2p then
-    Alcotest.failf
-      "collectives-backed matmul slower than point-to-point (%d ns > %d ns)"
-      coll p2p
-
 (* --- suites ------------------------------------------------------------ *)
 
 let sizes_emp = [ 2; 3; 4; 5; 8; 13; 16 ]
-let sizes_sockets = [ 2; 3; 5; 8 ]
 
 let suites =
   [
@@ -218,10 +155,6 @@ let suites =
       [
         correctness_case "emp all ops/algs" (emp_make ()) sizes_emp;
         correctness_case "emp no-nic fallback" (emp_make ~nic:false ()) [ 4 ];
-        correctness_case "sockets eager all ops/algs"
-          (sockets_make ~opts:eager_opts) sizes_sockets;
-        correctness_case "sockets rendezvous all ops/algs"
-          (sockets_make ~opts:rendezvous_opts) sizes_sockets;
       ] );
     ( "collective.complexity",
       [
@@ -231,10 +164,5 @@ let suites =
           timestamps_test;
         Alcotest.test_case "NIC barrier beats host linear at N=8" `Quick
           nic_barrier_test;
-      ] );
-    ( "collective.matmul",
-      [
-        Alcotest.test_case "matmul over collectives: correct and no slower"
-          `Slow matmul_test;
       ] );
   ]

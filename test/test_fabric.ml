@@ -121,9 +121,9 @@ let test_steering_hash_spread_and_affinity () =
   let counts = Array.make shards 0 in
   for node = 0 to 1023 do
     let addr = { Uls_api.Sockets_api.node; port = 1_000 + (node mod 7) } in
-    let s = Reuseport.default_hash addr mod shards in
+    let s = Reuseport.hash addr mod shards in
     (* Flow affinity: the same peer address always steers the same way. *)
-    check_int "deterministic steering" s (Reuseport.default_hash addr mod shards);
+    check_int "deterministic steering" s (Reuseport.hash addr mod shards);
     counts.(s) <- counts.(s) + 1
   done;
   Array.iteri

@@ -15,7 +15,7 @@ let bw kind =
   r.Mb.goodput_mbps
 
 let tcp = `Tcp Uls_tcp.Config.default
-let tcp_tuned = `Tcp Uls_tcp.Config.(with_buffers default 262_144)
+let tcp_tuned = `Tcp (Uls_tcp.Config.with_buffers 262_144)
 let ds_full = `Sub Opt.data_streaming_enhanced
 let ds_base = `Sub Opt.data_streaming
 let dg = `Sub Opt.datagram

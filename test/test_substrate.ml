@@ -794,6 +794,55 @@ let test_concurrent_rendezvous_writers_deliver_all opts () =
       check_int "every write completed" (2 * writes_each) !wrote;
       check_int "reader drained every byte" expect !got)
 
+let test_mesh_exchange_reader_per_conn opts () =
+  (* Every pair of four nodes exchanges 8 KB both ways at once, each
+     node writing to its peers in turn while a reader fiber per
+     connection drains it: the Figure 7 exchange across several peers,
+     which completes because every write's reader is already posted. *)
+  let n = 4 and size = 8_192 in
+  with_cluster ~opts ~n (fun c api sim ->
+      let payload ~src ~dst =
+        String.init size (fun i -> Char.chr (((i * 13) + (src * 41) + dst) mod 256))
+      in
+      let got = Array.make_matrix n n "" in
+      let node r =
+        let streams = Array.make n None in
+        let l = api.listen ~node:r ~port:80 ~backlog:n in
+        Sim.delay sim (Time.us 10);
+        for i = 0 to r - 1 do
+          let s = api.connect ~node:r { node = i; port = 80 } in
+          s.send (string_of_int r);
+          streams.(i) <- Some s
+        done;
+        for _ = r + 1 to n - 1 do
+          let s, _ = l.accept () in
+          streams.(int_of_string (recv_exact s 1)) <- Some s
+        done;
+        Array.iteri
+          (fun peer s ->
+            Option.iter
+              (fun s ->
+                Sim.spawn sim (fun () -> got.(peer).(r) <- recv_exact s size))
+              s)
+          streams;
+        Array.iteri
+          (fun peer s -> Option.iter (fun s -> s.send (payload ~src:r ~dst:peer)) s)
+          streams
+      in
+      for r = 0 to n - 1 do
+        Sim.spawn sim (fun () -> node r)
+      done;
+      ignore (Uls_bench.Cluster.run ~until:(Time.ms 200) c);
+      for src = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          if src <> dst then
+            check_bool
+              (Printf.sprintf "%d -> %d delivered intact" src dst)
+              true
+              (String.equal got.(src).(dst) (payload ~src ~dst))
+        done
+      done)
+
 let prop_ds_stream_integrity =
   QCheck.Test.make ~name:"substrate DS preserves random byte streams" ~count:15
     QCheck.(pair (int_range 1 120_000) (int_range 1 30_000))
@@ -1201,6 +1250,8 @@ let suites =
           test_peer_close_wakes_all_rendezvous_writers rz
       @ rendezvous_cases "concurrent rendezvous writers"
           test_concurrent_rendezvous_writers_deliver_all rz
+      @ rendezvous_cases "mesh exchange, reader per connection"
+          test_mesh_exchange_reader_per_conn rz
       @ [
         Alcotest.test_case "closed conns collectable (linear)" `Quick
           (test_closed_conns_collectable Uls_nic.Match_list.Linear);
