@@ -465,6 +465,50 @@ let test_tigon_queue_frames () =
   check_int "no rss: queue 0" 3 q0;
   check_int "no rss: queue 1" 0 q1
 
+let test_tigon_fwd_pending_order () =
+  (* Collective frames that arrive before their forward descriptor wait
+     in a bounded pending queue: on overflow the oldest is dropped, and a
+     descriptor drains the oldest matching entry, leaving the rest in
+     arrival order. The frame's length stands in for its tag. *)
+  let sim, nic0, net = mk_nic () in
+  let nic1 = Tigon.create sim Uls_host.Cost_model.paper_testbed net ~node:1 in
+  Tigon.set_coll_classifier nic1 (fun f ->
+      Some (f.Uls_ether.Frame.src, f.Uls_ether.Frame.payload_len));
+  let sent = 130 and base = 64 in
+  let delivered = ref [] in
+  let deliver = function
+    | Some f -> delivered := f.Uls_ether.Frame.payload_len :: !delivered
+    | None -> Alcotest.fail "host signal delivered to a frame descriptor"
+  in
+  let post ~tag =
+    Tigon.post_forward nic1 ~src:(-1) ~tag ~need:1 ~deliver
+      ~emit:(fun _ -> []) ()
+  in
+  Sim.spawn sim (fun () ->
+      for i = 0 to sent - 1 do
+        Tigon.transmit nic0
+          (Uls_ether.Frame.make ~src:0 ~dst:1 ~payload_len:(base + i)
+             Uls_ether.Frame.Raw)
+      done);
+  Sim.spawn sim (fun () ->
+      Sim.delay sim (Time.ms 10);
+      (* Take one entry out of the middle, then drain the rest in order. *)
+      post ~tag:(base + 70);
+      for _ = 1 to sent - 3 do
+        post ~tag:(-1)
+      done;
+      (* The two oldest frames were shifted out by the overflow. *)
+      post ~tag:base;
+      post ~tag:(base + 1));
+  ignore (Sim.run sim);
+  check_int "every frame arrived" sent (Tigon.frames_received nic1);
+  let kept =
+    List.filter (fun l -> l <> base + 70) (List.init (sent - 2) (fun i -> base + 2 + i))
+  in
+  Alcotest.(check (list int))
+    "middle entry first, then the rest in arrival order"
+    ((base + 70) :: kept) (List.rev !delivered)
+
 let engine_cases name f =
   [
     Alcotest.test_case (name ^ " (linear)") `Quick (f Match_list.Linear);
@@ -509,5 +553,7 @@ let suites =
         Alcotest.test_case "rss steering" `Quick test_tigon_rss_steering;
         Alcotest.test_case "per-queue frame counts" `Quick
           test_tigon_queue_frames;
+        Alcotest.test_case "forward pending queue order" `Quick
+          test_tigon_fwd_pending_order;
       ] );
   ]
