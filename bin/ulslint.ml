@@ -678,27 +678,38 @@ let scoped_lines mli =
       (q, line))
     (read_lines mli)
 
-(* [uses] maps each qualified value name to the .ml files that use it;
-   a use from the module's own .ml does not count. *)
-let check_exports ~uses ~test_dir mli =
+(* Who uses a name of [mli], from a table mapping names to the .ml
+   files that use them; a use from the module's own .ml does not
+   count. *)
+type reach = Unused | Test_only | Used
+
+let reach ~test_dir mli table key =
   let own = Filename.chop_suffix mli ".mli" ^ ".ml" in
+  let users =
+    List.filter (( <> ) own)
+      (Option.value ~default:[] (Hashtbl.find_opt table key))
+  in
+  if users = [] then Unused
+  else if List.for_all (String.starts_with ~prefix:test_dir) users then
+    Test_only
+  else Used
+
+(* [uses] maps each qualified value name to the .ml files that use it. *)
+let check_exports ~uses ~test_dir mli =
   List.iteri
     (fun i (q, line) ->
       match val_name line with
       | None -> ()
       | Some name -> (
-        let users =
-          List.filter (( <> ) own)
-            (Option.value ~default:[] (Hashtbl.find_opt uses (q ^ "." ^ name)))
-        in
-        let in_tests f = String.starts_with ~prefix:test_dir f in
-        if users = [] then
+        match reach ~test_dir mli uses (q ^ "." ^ name) with
+        | Used -> ()
+        | Unused ->
           report ~sym:name "dead-export" mli (i + 1)
             (Printf.sprintf
                "%s is exported but no other module uses it; drop it from \
                 the interface (and the code, if nothing inside uses it)"
                name)
-        else if List.for_all in_tests users then
+        | Test_only ->
           report ~sym:name "test-only" mli (i + 1)
             (Printf.sprintf
                "%s is exported but only tests use it; delete it with the \
@@ -772,22 +783,18 @@ let optional_labels mli =
 
 (* [passers] maps each label to the .ml files that pass it. *)
 let check_optionals ~passers ~test_dir mli =
-  let own = Filename.chop_suffix mli ".mli" ^ ".ml" in
   List.iter
     (fun (name, label, line) ->
-      let users =
-        List.filter (( <> ) own)
-          (Option.value ~default:[] (Hashtbl.find_opt passers label))
-      in
-      let in_tests f = String.starts_with ~prefix:test_dir f in
       let sym = name ^ "?" ^ label in
-      if users = [] then
+      match reach ~test_dir mli passers label with
+      | Used -> ()
+      | Unused ->
         report ~sym "unset-optional" mli line
           (Printf.sprintf
              "?%s of %s is never passed outside its module; make it a \
               constant where it is read"
              label name)
-      else if List.for_all in_tests users then
+      | Test_only ->
         report ~sym "unset-optional" mli line
           (Printf.sprintf
              "?%s of %s is passed only by tests; make it a constant where it \

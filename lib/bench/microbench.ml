@@ -33,7 +33,11 @@ let matches_pattern ~off chunk =
 
 (* --- ping-pong -------------------------------------------------------- *)
 
-let emp_ping_pong ~observe ~config ~size ~iters ~warmup =
+(* Round trips run and discarded before timing starts, so start-up
+   transients stay out of the mean. *)
+let warmup = 5
+
+let emp_ping_pong ~observe ~config ~size ~iters =
   let c = Cluster.create ~n:2 () in
   let e0 = Cluster.emp ~config c 0 and e1 = Cluster.emp ~config c 1 in
   let sim = Cluster.sim c in
@@ -69,7 +73,7 @@ let emp_ping_pong ~observe ~config ~size ~iters ~warmup =
 
 (* Every reply is compared with its request, iteration [i] carrying
    the pattern at offset [i * size]; a mismatch fails the run. *)
-let api_ping_pong ~observe ~kind ~size ~iters ~warmup =
+let api_ping_pong ~observe ~kind ~size ~iters =
   let c = Cluster.create ~n:2 () in
   let api = Cluster.api c kind in
   let sim = Cluster.sim c in
@@ -107,10 +111,10 @@ let api_ping_pong ~observe ~kind ~size ~iters ~warmup =
          (Cluster.stack_name kind) !mismatches);
   !latency /. 1_000.
 
-let ping_pong ?observe ?(iters = 30) ?(warmup = 5) ~kind ~size () =
+let ping_pong ?observe ?(iters = 30) ~kind ~size () =
   match kind with
-  | `Emp config -> emp_ping_pong ~observe ~config ~size ~iters ~warmup
-  | #Cluster.stream as kind -> api_ping_pong ~observe ~kind ~size ~iters ~warmup
+  | `Emp config -> emp_ping_pong ~observe ~config ~size ~iters
+  | #Cluster.stream as kind -> api_ping_pong ~observe ~kind ~size ~iters
 
 (* --- the two-node stream ---------------------------------------------- *)
 

@@ -14,13 +14,12 @@ type observe = Uls_engine.Sim.t -> unit
 val ping_pong :
   ?observe:observe ->
   ?iters:int ->
-  ?warmup:int ->
   kind:[< Cluster.stack ] ->
   size:int ->
   unit ->
   float
 (** One-way latency in microseconds (half the mean round trip over
-    [iters] timed iterations after [warmup] discarded ones). Over a
+    [iters] timed iterations after 5 discarded ones). Over a
     sockets stack every echo is compared with its request, and a
     mismatch fails the run ([Failure]). *)
 

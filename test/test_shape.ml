@@ -6,7 +6,7 @@ module Opt = Uls_substrate.Options
 
 let check_bool = Alcotest.(check bool)
 
-let lat kind = Mb.ping_pong ~iters:8 ~warmup:3 ~kind ~size:4 ()
+let lat kind = Mb.ping_pong ~iters:8 ~kind ~size:4 ()
 let bw kind =
   let r = Mb.stream ~total:(2 * 1024 * 1024) ~kind ~msg:65536 () in
   let name = Uls_bench.Cluster.stack_name kind in
@@ -35,7 +35,7 @@ let test_latency_ordering () =
 let test_latency_enhancement_chain () =
   (* DS > DS_DA > DS_DA_UQ, the Figure 11 ordering. The UQ gap is widest
      at moderate credit counts (more ack descriptors in the walk). *)
-  let at opts = Mb.ping_pong ~iters:12 ~warmup:4 ~kind:(`Sub opts) ~size:4 () in
+  let at opts = Mb.ping_pong ~iters:12 ~kind:(`Sub opts) ~size:4 () in
   let ds = at { Opt.data_streaming with credits = 8 } in
   let ds_da = at { Opt.data_streaming with credits = 8; delayed_acks = true } in
   let ds_da_uq =
@@ -46,7 +46,7 @@ let test_latency_enhancement_chain () =
 
 let test_fig12_credits_trend () =
   let at credits =
-    Mb.ping_pong ~iters:8 ~warmup:3
+    Mb.ping_pong ~iters:8
       ~kind:(`Sub { Opt.data_streaming with delayed_acks = true; credits })
       ~size:4 ()
   in
@@ -70,8 +70,8 @@ let test_connect_ordering () =
 let test_determinism () =
   (* Identical experiments on fresh simulators produce identical virtual
      results — the whole stack is deterministic. *)
-  let a = Mb.ping_pong ~iters:5 ~warmup:2 ~kind:ds_full ~size:256 () in
-  let b = Mb.ping_pong ~iters:5 ~warmup:2 ~kind:ds_full ~size:256 () in
+  let a = Mb.ping_pong ~iters:5 ~kind:ds_full ~size:256 () in
+  let b = Mb.ping_pong ~iters:5 ~kind:ds_full ~size:256 () in
   Alcotest.(check (float 0.)) "bit-identical latencies" a b;
   let x = bw tcp in
   let y = bw tcp in
