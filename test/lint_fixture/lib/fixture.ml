@@ -29,3 +29,5 @@ let with_options ?(passed = 0) ?(forwarded = 0) ?(only_tested = 0) ?(never = 0)
 
 (* The defining module's own call passes no label. *)
 let own = with_options ~never:1 ()
+
+let shadowed ?(depth = 0) () = depth

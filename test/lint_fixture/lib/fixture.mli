@@ -33,3 +33,5 @@ val with_options :
   unit ->
   int
 (** Prose naming [?in_prose:int] declares no label. *)
+
+val shadowed : ?depth:int -> unit -> int

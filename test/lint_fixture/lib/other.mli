@@ -1,1 +1,2 @@
 val same_name : int
+val with_depth : ?depth:int -> unit -> int

@@ -18,3 +18,22 @@ let unguarded_span t n f =
     ~layer:Trace.App ~node:0 "fixture.span"
     ~args:[ ("n", string_of_int n) ]
     (fun () -> f n)
+
+(* A call five lines into an [if Trace.enabled ... begin ... end] block
+   is guarded: not reported. *)
+let guarded_block t n =
+  if Trace.enabled t then begin
+    let a = n + 1 in
+    let b = a + 1 in
+    let c = b + 1 in
+    let d = c + 1 in
+    Trace.instant t ~layer:Trace.App "fixture.deep"
+      ~args:[ ("d", string_of_int d) ]
+  end
+
+(* A guard ends with its own branch: the call on the next line is
+   reported. *)
+let after_guard t n f =
+  if Trace.enabled t then f ();
+  Trace.instant t ~layer:Trace.App "fixture.after_guard"
+    ~args:[ ("n", string_of_int n) ]
