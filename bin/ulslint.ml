@@ -1,8 +1,14 @@
-(* Source lint for the repository's own invariants. Stdlib-only text
-   pass over lib/ (dead-export, test-only and unset-optional also read
-   every .ml that could use a lib/ export) — deliberately not a typed
-   AST tool, so it runs before anything builds and stays
-   dependency-free. The rules:
+(* Lint for the repository's own invariants, over the typed trees dune
+   writes (a .cmt per .ml, a .cmti per .mli), read with compiler-libs: a
+   call, a label or a guard is what the compiler saw, comments and
+   literals are not code, and names resolve through open, include and
+   module aliases. A scanned .ml without its .cmt, or a lib/ .mli without
+   its .cmti, exits 2, so a partial build cannot lint clean.
+
+   [ulslint [ROOT]] lints ROOT (default "."), which holds lib/ and
+   .ulslint-allow. The typed trees come from ROOT/_build/default when it
+   exists (the repo root, after [dune build @check]), else from ROOT
+   itself (a dune rule running inside _build). The rules:
 
    no-assert-false   [assert false] is banned in lib/: protocol and
                      decode paths must fail with a named, typed error
@@ -16,8 +22,9 @@
                      Conn.add_watcher, add_accept_watcher) run inside
                      whatever fiber made the socket ready; a blocking
                      call there (read/write/accept/Cond.wait/...)
-                     wedges that fiber, not the watcher's owner. Inline
-                     callbacks must only flag-and-signal.
+                     wedges that fiber, not the watcher's owner. An
+                     inline callback, the [fun] passed as the watcher,
+                     must only flag-and-signal.
 
    metrics-name-lookup
                      the by-name Metrics read (counter_value) hashes
@@ -36,16 +43,14 @@
 
    trace-args-unguarded
                      a Trace.instant / span_begin / span_end / span call
-                     that passes ~args outside an [if Trace.enabled]
-                     guard: the argument list (and the strings in it)
-                     is built on every call even while tracing is off,
-                     so observability stops being free when disabled.
-                     Cold paths (failure, recovery, once-per-run) are
-                     allowlisted by event name, each with a comment.
-
-   The rules above but missing-mli read each file with its comments
-   blanked (line numbers kept), so prose that names a call is not
-   reported.
+                     that passes ~args outside the then-branch of an
+                     [if Trace.enabled ...] (or a match case guarded
+                     [when Trace.enabled ...]): the argument list (and
+                     the strings in it) is built on every call even
+                     while tracing is off, so observability stops being
+                     free when disabled. Cold paths (failure, recovery,
+                     once-per-run) are allowlisted by event name, each
+                     with a comment.
 
    dead-export       a [val] in a lib/**/*.mli that no .ml outside its
                      own module uses (lib/, bin/, perfbench/,
@@ -58,21 +63,12 @@
                      a test needs; that one is allowlisted by value,
                      with a comment naming what it observes or injects.
 
-   Both rules resolve a use by module path: [M.v], [Lib.M.v], [X.v]
-   after [module X = M], or a bare [v] while [open M], [let open M in],
-   [M.( ... )] or [include M] is in scope. A same-named value of
-   another module is not a use, and neither is a name that appears only
-   in comments, strings or char literals. A value of a nested module
-   ([Stats.Summary.add]) counts as its top-level module's.
-
    unset-optional    a [?label:] of a [val] in a lib/**/*.mli that no
-                     .ml outside test/ and the defining module passes
-                     (as [~label] or [?label], anywhere in its code):
-                     with one value in use, the option is a constant
-                     in disguise. One only test/ passes is reported as
-                     test-only. Any [~label] or [?label] counts, whoever
-                     it goes to, so the rule can miss an unused option
-                     but never reports a passed one.
+                     .ml outside test/ and the defining module passes to
+                     that val: with one value in use, the option is a
+                     constant in disguise. One only test/ passes is
+                     reported as test-only. A label passed to another
+                     function, even one of the same name, does not count.
 
    Findings can be suppressed by .ulslint-allow at the repo root
    ("rule path", "rule path:line" or "rule path:value" per line, '#'
@@ -81,7 +77,7 @@
    test-only, unset-optional or trace-args-unguarded entry without a
    comment is one too. *)
 
-let root = ref "."
+open Typedtree
 
 let rules =
   [
@@ -106,701 +102,349 @@ let findings : finding list ref = ref []
 let report ?(sym = "") rule path line msg =
   findings := { rule; path; line; sym; msg } :: !findings
 
-(* --- file walking ------------------------------------------------------ *)
+let line (loc : Location.t) = loc.loc_start.pos_lnum
+
+(* --- files ----------------------------------------------------------- *)
 
 let read_lines path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  String.split_on_char '\n' s
+  String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all)
 
-let rec walk ?(suffix = ".ml") dir acc =
+(* The files under [root]/[rel] that [keep], as paths relative to
+   [root]. Directories starting with '.' or '_' are skipped unless
+   [hidden] (dune's object directories are hidden). *)
+let rec walk ~hidden ~keep root rel acc =
   Array.fold_left
     (fun acc entry ->
-      let path = Filename.concat dir entry in
-      if entry.[0] = '.' || entry.[0] = '_' then acc
-      else if Sys.is_directory path then walk ~suffix path acc
-      else if Filename.check_suffix entry suffix then path :: acc
+      let rel = if rel = "" then entry else rel ^ "/" ^ entry in
+      if Sys.is_directory (Filename.concat root rel) then
+        if (entry.[0] = '.' || entry.[0] = '_') && not hidden then acc
+        else walk ~hidden ~keep root rel acc
+      else if keep entry then rel :: acc
       else acc)
-    acc (Sys.readdir dir)
+    acc
+    (Sys.readdir (Filename.concat root rel))
 
-(* --- lexing: comments, strings and char literals ------------------------- *)
+(* --- names ----------------------------------------------------------- *)
 
-let at src i c = i < String.length src && src.[i] = c
-
-let is_ident_char c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-  || c = '_' || c = '\''
-
-let rec ident_end src j =
-  if j < String.length src && is_ident_char src.[j] then ident_end src (j + 1)
-  else j
-
-(* Index just past the string literal whose opening quote is at [i]. *)
-let rec skip_string src i =
-  if i >= String.length src then String.length src
-  else if src.[i] = '\\' then skip_string src (i + 2)
-  else if src.[i] = '"' then i + 1
-  else skip_string src (i + 1)
-
-(* [{id|...|id}] starting at [i]: index past it, or [None] if [i] does
-   not open one. *)
-let quoted_string src i =
-  let n = String.length src in
-  let j = ref (i + 1) in
-  while !j < n && ((src.[!j] >= 'a' && src.[!j] <= 'z') || src.[!j] = '_') do
-    incr j
-  done;
-  if not (at src !j '|') then None
-  else begin
-    let close = "|" ^ String.sub src (i + 1) (!j - i - 1) ^ "}" in
-    let cl = String.length close in
-    let k = ref (!j + 1) in
-    while !k + cl <= n && String.sub src !k cl <> close do
-      incr k
-    done;
-    Some (min n (!k + cl))
-  end
-
-(* A char literal at [i] (['x'], ['\n'], ['\''], ['\123']): index
-   past it, or [None] for a type variable such as ['a]. Comments lex
-   them too, so a ['"'] there opens no string. *)
-let char_literal src i =
-  if at src (i + 1) '\\' then
-    match String.index_from_opt src (i + 3) '\'' with
-    | Some j -> Some (j + 1)
-    | None -> Some (String.length src)
-  else if at src (i + 2) '\'' then Some (i + 3)
-  else None
-
-(* Index just past the comment whose body starts at [i], [depth] deep:
-   nested comments, and the string and char literals OCaml lexes inside
-   them, included. *)
-let rec skip_comment src depth i =
-  if i >= String.length src || depth = 0 then i
-  else if at src i '(' && at src (i + 1) '*' then skip_comment src (depth + 1) (i + 2)
-  else if at src i '*' && at src (i + 1) ')' then skip_comment src (depth - 1) (i + 2)
-  else if at src i '"' then skip_comment src depth (skip_string src (i + 1))
-  else if at src i '\'' then
-    skip_comment src depth (Option.value ~default:(i + 1) (char_literal src i))
-  else skip_comment src depth (i + 1)
-
-(* [lines] with every comment blanked to spaces, its newlines kept: the
-   line-window rules below read code and literals only, and report the
-   same line numbers. *)
-let code_lines lines =
-  let src = String.concat "\n" lines in
-  let n = String.length src in
-  let code = Bytes.of_string src in
-  let rec go i =
-    if i < n then
-      if at src i '(' && at src (i + 1) '*' then begin
-        let j = skip_comment src 1 (i + 2) in
-        for k = i to j - 1 do
-          if src.[k] <> '\n' then Bytes.set code k ' '
-        done;
-        go j
-      end
-      else if at src i '"' then go (skip_string src (i + 1))
-      else if at src i '\'' then
-        go (Option.value ~default:(i + 1) (char_literal src i))
-      else if is_ident_char src.[i] then go (ident_end src i)
-      else if at src i '{' then
-        go (Option.value ~default:(i + 1) (quoted_string src i))
-      else go (i + 1)
+(* A compilation unit "Uls_nic__Tigon" splits into the dune library
+   wrapper "Uls_nic" and the module "Tigon"; executables use the
+   wrapper "Dune__exe". *)
+let split_unit name =
+  let rec last i =
+    if i < 0 then None
+    else if name.[i] = '_' && name.[i + 1] = '_' then Some i
+    else last (i - 1)
   in
-  go 0;
-  String.split_on_char '\n' (Bytes.to_string code)
+  Option.map
+    (fun i ->
+      (String.sub name 0 i, String.sub name (i + 2) (String.length name - i - 2)))
+    (last (String.length name - 2))
 
-(* --- rule: no-assert-false -------------------------------------------- *)
+let wrappers : (string, unit) Hashtbl.t = Hashtbl.create 32
 
-let check_assert_false path lines =
-  List.iteri
-    (fun i line ->
-      (* Cheap token scan: "assert" followed by "false" on one line. *)
-      let rec scan from =
-        match String.index_from_opt line from 'a' with
-        | None -> ()
-        | Some j ->
-          if
-            j + 6 <= String.length line
-            && String.sub line j 6 = "assert"
-            && (let rest = String.sub line (j + 6) (String.length line - j - 6) in
-                let rest = String.trim rest in
-                String.length rest >= 5 && String.sub rest 0 5 = "false")
-          then report "no-assert-false" path (i + 1)
-            "assert false loses the state it died on; raise a named error"
-          else scan (j + 1)
-      in
-      scan 0)
-    lines
+(* What the module idents of the file being scanned stand for: [module
+   X = M] and [let module X = M in] bind X to M, and [include M] binds
+   each value and module it copies to M's. Idents are unique within a
+   file, so each maps back from its own binding. *)
+let aliases : (Ident.t, Path.t) Hashtbl.t = Hashtbl.create 64
 
-(* --- rule: missing-mli ------------------------------------------------- *)
+let rec components = function
+  | Path.Pident id -> (
+    match Hashtbl.find_opt aliases id with
+    | Some p -> components p
+    | None -> if Ident.global id then Some [ Ident.name id ] else None)
+  | Pdot (p, s) -> Option.map (fun c -> c @ [ s ]) (components p)
+  | _ -> None
 
-let check_mli path =
-  if not (Sys.file_exists (path ^ "i")) then
-    report "missing-mli" path 1 "library module has no interface file"
-
-(* --- rule: blocking-watcher -------------------------------------------- *)
-
-(* Watcher registration points whose callback runs in the event
-   producer's fiber. *)
-let watcher_markers = [ "add_watcher"; "add_accept_watcher"; "~watch:" ]
-
-(* Calls that suspend the running fiber. *)
-let blocking_calls =
-  [
-    ".read "; ".write "; ".accept "; ".recv "; ".send ";
-    "Cond.wait"; "Mailbox.recv"; "Resource.use"; "Sim.delay";
-    "wait_recv"; "wait_send";
-  ]
-
-let find_sub hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i =
-    if i + nl > hl then None
-    else if String.sub hay i nl = needle then Some i
-    else go (i + 1)
+(* The wrapper-free name a path reaches ("Sim.delay", "Stats.Summary.add"),
+   or [None] when it starts at a local value or module. *)
+let key path =
+  let rec unwrap = function
+    | c :: rest when Hashtbl.mem wrappers c -> unwrap rest
+    | c :: rest -> (
+      match split_unit c with
+      | Some (_, "") -> rest
+      | Some (_, m) -> m :: rest
+      | None -> c :: rest)
+    | [] -> []
   in
-  go 0
+  Option.map (fun c -> String.concat "." (unwrap c)) (components path)
 
-let contains ~needle hay = find_sub hay needle <> None
+let rec module_path me =
+  match me.mod_desc with
+  | Tmod_ident (p, _) -> Some p
+  | Tmod_constraint (me, _, _, _) -> module_path me
+  | _ -> None
 
-(* Extract the inline [(fun ... -> ...)] starting at or after [start] in
-   the flattened source, by balanced-parenthesis matching. *)
-let extract_lambda src start =
-  match String.index_from_opt src start '(' with
-  | None -> None
-  | Some lp ->
-    let after = String.sub src (lp + 1) (min 8 (String.length src - lp - 1)) in
-    if not (String.length (String.trim after) >= 3
-            && String.sub (String.trim after) 0 3 = "fun")
-    then None
-    else begin
-      let depth = ref 0 and close = ref (-1) and i = ref lp in
-      let n = String.length src in
-      while !close < 0 && !i < n do
-        (match src.[!i] with
-        | '(' -> incr depth
-        | ')' ->
-          decr depth;
-          if !depth = 0 then close := !i
-        | _ -> ());
-        incr i
-      done;
-      if !close < 0 then None else Some (String.sub src lp (!close - lp + 1))
-    end
+let bind_alias id me =
+  Option.iter (Hashtbl.replace aliases id) (module_path me)
 
-let check_blocking_watcher path lines =
-  let src = String.concat "\n" lines in
-  let line_of off =
-    let count = ref 1 in
-    String.iteri (fun i c -> if i < off && c = '\n' then incr count) src;
-    !count
-  in
-  List.iter
-    (fun marker ->
-      let ml = String.length marker in
-      let rec scan from =
-        if from + ml <= String.length src then
-          if String.sub src from ml = marker then begin
-            (match extract_lambda src (from + ml) with
-            | None -> () (* named callback: assumed audited at definition *)
-            | Some body ->
-              List.iter
-                (fun call ->
-                  if contains ~needle:call body then
-                    report "blocking-watcher" path (line_of from)
-                      (Printf.sprintf
-                         "watcher callback registered via %s calls blocking %s"
-                         (if marker = "~watch:" then "Evq.register ~watch"
-                          else marker)
-                         (String.trim call)))
-                blocking_calls);
-            scan (from + ml)
-          end
-          else scan (from + 1)
-      in
-      scan 0)
-    watcher_markers
-
-(* --- rule: metrics-name-lookup ----------------------------------------- *)
-
-(* The Metrics entry points that do a name lookup per call. Handle
-   constructors (Metrics.counter/gauge/histogram) are the fix, not a
-   violation — they are expected at module construction time. *)
-let by_name_metrics = [ "Metrics.counter_value" ]
-
-let check_metrics_lookup path lines =
-  List.iteri
-    (fun i line ->
+let bind_include (incl : include_declaration) =
+  Option.iter
+    (fun p ->
       List.iter
-        (fun form ->
-          if contains ~needle:form line then
-            report "metrics-name-lookup" path (i + 1)
-              (Printf.sprintf
-                 "%s hashes the metric name per call; cache a handle \
-                  (Metrics.counter/gauge/histogram) at construction"
-                 form))
-        by_name_metrics)
-    lines
+        (function
+          | Types.Sig_value (id, _, _) | Sig_module (id, _, _, _, _) ->
+            Hashtbl.replace aliases id (Path.Pdot (p, Ident.name id))
+          | _ -> ())
+        incl.incl_type)
+    (module_path incl.incl_mod)
 
-(* --- rule: unlabeled-sync ---------------------------------------------- *)
+(* What [pick] finds in each sub-expression of [es], in pre-order. *)
+let collect pick es =
+  let acc = ref [] in
+  let expr sub e =
+    Option.iter (fun x -> acc := x :: !acc) (pick e);
+    Tast_iterator.default_iterator.expr sub e
+  in
+  let it = { Tast_iterator.default_iterator with expr } in
+  List.iter (it.expr it) es;
+  List.rev !acc
 
-(* [~label] may sit on the line after the constructor (ocamlformat
-   splits long calls), so the check joins a short lookahead window
-   before deciding the call is unlabeled. *)
-let sync_constructors = [ "Cond.create"; "Mailbox.create" ]
+(* The keys of every value an expression names. *)
+let names e =
+  collect (fun e -> match e.exp_desc with Texp_ident (p, _, _) -> key p | _ -> None) [ e ]
 
-let check_unlabeled_sync path lines =
-  let arr = Array.of_list lines in
-  Array.iteri
-    (fun i line ->
-      List.iter
-        (fun ctor ->
-          if contains ~needle:ctor line then begin
-            let window = Buffer.create 256 in
-            Buffer.add_string window line;
-            for j = i + 1 to min (i + 2) (Array.length arr - 1) do
-              Buffer.add_char window '\n';
-              Buffer.add_string window arr.(j)
-            done;
-            if not (contains ~needle:"~label" (Buffer.contents window)) then
-              report "unlabeled-sync" path (i + 1)
-                (Printf.sprintf
-                   "%s without ~label: deadlock wait-for edges and \
-                    racing-pair reports need a name for this object"
-                   ctor)
-          end)
-        sync_constructors)
-    arr
+(* The first string literal in [es]: a trace call's event name. *)
+let first_literal es =
+  let literal e =
+    match e.exp_desc with Texp_constant (Const_string (s, _, _)) -> Some s | _ -> None
+  in
+  Option.value ~default:"" (List.nth_opt (collect literal es) 0)
 
-(* --- rule: trace-args-unguarded ------------------------------------------ *)
+(* The labels an application passes. The typer fills in each omitted
+   optional argument itself, with a ghost location. *)
+let passed args =
+  List.filter_map
+    (function
+      | (Asttypes.Labelled l | Optional l), Some e when not e.exp_loc.loc_ghost -> Some l
+      | _ -> None)
+    args
 
-(* Like unlabeled-sync, a short window: [~args] may sit up to four lines
-   below the call (a [Trace.span] whose trace, labels and event name
-   each take a line), and the guard up to three lines above it (an [if
-   Trace.enabled t.trace then begin] opening a small block). The window
-   stops at the line that ends the call's statement and before a line
-   that opens the span's body. A finding's [sym] is the event name, the
-   window's first string literal. *)
+(* --- per-file rules ---------------------------------------------------- *)
+
 let trace_calls =
   [ "Trace.instant"; "Trace.span_begin"; "Trace.span_end"; "Trace.span" ]
 
-(* Where [call] occurs in [line] as a whole name, not as the prefix of
-   a longer one ("Trace.span" in "Trace.span_end"). *)
-let find_call line call =
-  let n = String.length call and h = String.length line in
-  let rec go i =
-    if i + n > h then None
-    else if
-      String.sub line i n = call && (i + n = h || not (is_ident_char line.[i + n]))
-    then Some i
-    else go (i + 1)
+let sync_constructors = [ "Cond.create"; "Mailbox.create" ]
+
+(* Calls that suspend the running fiber: a socket's read, write,
+   accept, recv or send, and the engine's waits. *)
+let blocks k =
+  match List.rev (String.split_on_char '.' k) with
+  | ("read" | "write" | "accept" | "recv" | "send" | "wait_recv" | "wait_send")
+    :: _ :: _ ->
+    true
+  | _ ->
+    List.mem k
+      [ "Cond.wait"; "Cond.wait_timeout"; "Cond.wait_until"; "Mailbox.recv";
+        "Resource.use"; "Sim.delay" ]
+
+(* The inline watcher callbacks of one application of [callee] (a
+   value's own name), with the registration they go through: a [fun]
+   passed to add_watcher or add_accept_watcher, or as a [~watch]
+   argument. *)
+let watchers callee args =
+  List.filter_map
+    (function
+      | label, Some ({ exp_desc = Texp_function _; _ } as e) -> (
+        match (callee, label) with
+        | ("add_watcher" | "add_accept_watcher"), _ -> Some (callee, e)
+        | _, Asttypes.Labelled "watch" -> Some ("Evq.register ~watch", e)
+        | _ -> None)
+      | _ -> None)
+    args
+
+(* Each use of a value in one file ([uses]: its key), each label passed
+   to a value ([passes]: "key?label") and, for a [lib] file, the
+   per-file rules' findings in [report] order. *)
+let scan ~lib path str =
+  Hashtbl.reset aliases;
+  let uses = ref [] and passes = ref [] and found = ref [] in
+  let find rule ?(sym = "") loc msg =
+    if lib then found := { rule; path; line = line loc; sym; msg } :: !found
   in
-  go 0
-
-let first_literal s =
-  match String.index_opt s '"' with
-  | None -> ""
-  | Some a -> (
-    match String.index_from_opt s (a + 1) '"' with
-    | None -> ""
-    | Some b -> String.sub s (a + 1) (b - a - 1))
-
-let check_trace_args path lines =
-  let arr = Array.of_list lines in
-  let n = Array.length arr in
-  let ends_statement line =
-    let l = String.trim line in
-    l <> "" && (l.[String.length l - 1] = ';' || l = "in")
+  (* How many [if Trace.enabled] branches enclose the current node. *)
+  let guarded = ref 0 in
+  let guarding cond f =
+    if List.mem "Trace.enabled" (names cond) then begin
+      incr guarded;
+      f ();
+      decr guarded
+    end
+    else f ()
   in
-  let opens_body line =
-    let l = String.trim line in
-    String.length l >= 4 && String.sub l 0 4 = "(fun"
+  let apply (f : expression) args =
+    match f.exp_desc with
+    | Texp_ident (p, _, _) ->
+      List.iter
+        (fun (via, (body : expression)) ->
+          List.iter
+            (fun call ->
+              find "blocking-watcher"
+                (if via = "Evq.register ~watch" then body.exp_loc else f.exp_loc)
+                ("watcher callback registered via " ^ via ^ " calls blocking " ^ call))
+            (List.sort_uniq compare (List.filter blocks (names body))))
+        (watchers (Path.last p) args);
+      Option.iter
+        (fun k ->
+          let labels = passed args in
+          List.iter (fun l -> passes := (k ^ "?" ^ l) :: !passes) labels;
+          if List.mem k trace_calls && List.mem "args" labels && !guarded = 0 then
+            find "trace-args-unguarded" f.exp_loc
+              ~sym:
+                (first_literal
+                   (List.filter_map (function Asttypes.Nolabel, e -> e | _ -> None) args))
+              (k
+             ^ " builds its ~args list even with tracing off; wrap it in [if \
+                Trace.enabled ... then]");
+          if List.mem k sync_constructors && not (List.mem "label" labels) then
+            find "unlabeled-sync" f.exp_loc
+              (k
+             ^ " without ~label: deadlock wait-for edges and racing-pair reports \
+                need a name for this object"))
+        (key p)
+    | _ -> ()
   in
-  Array.iteri
-    (fun i line ->
-      let found c = Option.map (fun at -> (c, at)) (find_call line c) in
-      match List.find_map found trace_calls with
-      | None -> ()
-      | Some (call, at) ->
-        let window = Buffer.create 256 in
-        Buffer.add_string window
-          (String.sub line at (String.length line - at));
-        let j = ref i in
-        while
-          (not (ends_statement arr.(!j)))
-          && !j < min (i + 4) (n - 1)
-          && not (opens_body arr.(!j + 1))
-        do
-          incr j;
-          Buffer.add_char window '\n';
-          Buffer.add_string window arr.(!j)
-        done;
-        let window = Buffer.contents window in
-        let guarded =
-          contains ~needle:"Trace.enabled" (String.sub line 0 at)
-          || List.exists
-               (fun k -> k >= 0 && contains ~needle:"Trace.enabled" arr.(k))
-               [ i - 1; i - 2; i - 3 ]
-        in
-        if contains ~needle:"~args" window && not guarded then
-          report ~sym:(first_literal window) "trace-args-unguarded" path (i + 1)
-            (Printf.sprintf
-               "%s builds its ~args list even with tracing off; wrap it in \
-                [if Trace.enabled ... then]"
-               (String.trim call)))
-    arr
-
-(* --- rules: dead-export, test-only ------------------------------------- *)
-
-let is_upper s = s <> "" && s.[0] >= 'A' && s.[0] <= 'Z'
-
-(* A code token: an identifier or dotted path ("Sim.delay",
-   "Uls_engine.Sim", or "Config." where it opens [Config.( ... )]), a
-   bracket, or an operator run. [col0] marks a token that starts its
-   line in column 0: a new top-level item in formatted code. *)
-type tok = { text : string; col0 : bool }
-
-let is_symbol_char c = String.contains "!$%&*+-./:<=>?@^|~#;" c
-
-(* The code tokens of a file, in order: comments (nested, with the
-   string literals OCaml lexes inside them), string literals, quoted
-   strings and char literals are skipped, so a name that appears only in
-   prose or data is not a use. *)
-let tokens lines =
-  let src = String.concat "\n" lines in
-  let n = String.length src in
-  let acc = ref [] in
-  let at = at src in
-  let skip_string = skip_string src
-  and quoted_string = quoted_string src
-  and char_literal = char_literal src
-  and skip_comment = skip_comment src
-  and ident_end = ident_end src in
-  let emit i j =
-    acc := { text = String.sub src i (j - i); col0 = i = 0 || at (i - 1) '\n' }
-           :: !acc
+  let expr sub e =
+    (match e.exp_desc with
+    | Texp_ident (p, _, _) ->
+      Option.iter
+        (fun k ->
+          uses := k :: !uses;
+          if k = "Metrics.counter_value" then
+            find "metrics-name-lookup" e.exp_loc
+              (k
+             ^ " hashes the metric name per call; cache a handle \
+                (Metrics.counter/gauge/histogram) at construction"))
+        (key p)
+    | Texp_apply (f, args) -> apply f args
+    | Texp_assert ({ exp_desc = Texp_construct (_, { cstr_name = "false"; _ }, []); _ }, _)
+      ->
+      find "no-assert-false" e.exp_loc
+        "assert false loses the state it died on; raise a named error"
+    | Texp_letmodule (Some id, _, _, me, _) -> bind_alias id me
+    | _ -> ());
+    match e.exp_desc with
+    | Texp_ifthenelse (c, yes, no) ->
+      sub.Tast_iterator.expr sub c;
+      guarding c (fun () -> sub.expr sub yes);
+      Option.iter (sub.expr sub) no
+    | _ -> Tast_iterator.default_iterator.expr sub e
   in
-  (* A dotted path runs on through ['.'] followed by an identifier; a
-     trailing ['.'] joins it when a bracket follows a module name. *)
-  let rec path_end i j =
-    let j = ident_end j in
-    if at j '.' && j + 1 < n && is_ident_char src.[j + 1] then
-      path_end (j + 1) (j + 1)
-    else if at j '.' && is_upper (String.sub src i (j - i))
-            && (at (j + 1) '(' || at (j + 1) '[' || at (j + 1) '{')
-    then j + 1
-    else j
+  let case : 'k. Tast_iterator.iterator -> 'k case -> unit =
+   fun sub c ->
+    match c.c_guard with
+    | Some g ->
+      sub.pat sub c.c_lhs;
+      sub.expr sub g;
+      guarding g (fun () -> sub.expr sub c.c_rhs)
+    | None -> Tast_iterator.default_iterator.case sub c
   in
-  let rec go i =
-    if i < n then
-      if at i '(' && at (i + 1) '*' then go (skip_comment 1 (i + 2))
-      else if at i '"' then go (skip_string (i + 1))
-      else if at i '\'' then
-        match char_literal i with
-        | Some j -> go j
-        | None -> go (ident_end (i + 1)) (* a type variable *)
-      else if is_ident_char src.[i] then begin
-        let j = path_end i i in
-        emit i j;
-        go j
-      end
-      else if String.contains "()[]{}" src.[i] then
-        match if at i '{' then quoted_string i else None with
-        | Some j -> go j
-        | None ->
-          emit i (i + 1);
-          go (i + 1)
-      else if is_symbol_char src.[i] then begin
-        let j = ref i in
-        while !j < n && is_symbol_char src.[!j] do
-          incr j
-        done;
-        emit i !j;
-        go !j
-      end
-      else go (i + 1)
+  let module_binding sub mb =
+    Option.iter (fun id -> bind_alias id mb.mb_expr) mb.mb_id;
+    Tast_iterator.default_iterator.module_binding sub mb
   in
-  go 0;
-  List.rev !acc
+  let structure_item sub si =
+    (match si.str_desc with Tstr_include incl -> bind_include incl | _ -> ());
+    Tast_iterator.default_iterator.structure_item sub si
+  in
+  let it =
+    { Tast_iterator.default_iterator with expr; case; module_binding; structure_item }
+  in
+  it.structure it str;
+  let rank f = (List.find_index (( = ) f.rule) rules, f.line, f.msg) in
+  let ordered = List.sort_uniq (fun a b -> compare (rank a) (rank b)) !found in
+  findings := List.rev_append ordered !findings;
+  (!uses, !passes)
 
-(* What a file's code has in scope at a point: an [open]ed (or
-   [include]d) lib module, by qualified name ("Stats.Summary"), or a
-   module alias [module X = path]. *)
-type binding = Open of string | Alias of string * string list
+(* --- interface rules: dead-export, test-only, unset-optional ---------- *)
 
-(* [depth] is the bracket depth the binding lives at: it ends when its
-   enclosing bracket (or begin/struct/sig/object/do ... end/done)
-   closes. A [local] one ([let open M in], [let module X = M in]) also
-   ends at the next top-level item. *)
-type scope = { depth : int; local : bool; binding : binding }
-
-(* The qualified names ("Sim.delay", "Stats.Summary.add") of the lib/
-   exports that one file's code names. [modules] holds every lib module
-   and every module its interface nests, by qualified name. A use
-   resolves by module path: [M.v], [Lib.M.v], [X.v] after
-   [module X = M], or a bare [v] while [open M], [let open M in],
-   [M.( ... )] or [include M] is in scope. *)
-let file_uses ~modules lines =
-  let toks = Array.of_list (tokens lines) in
-  let nt = Array.length toks in
-  let found = Hashtbl.create 64 in
-  let scopes = ref [] and depth = ref 0 in
-  let push ~local ~depth binding =
-    scopes := { depth; local; binding } :: !scopes
+(* Each [val] of an interface: its name inside the interface ("create",
+   "Parser.create"), its line, and its [?label:]s with their lines.
+   Operators and externals are left out. *)
+let vals (sg : signature) =
+  let rec optionals ct =
+    match ct.ctyp_desc with
+    | Ttyp_arrow (Optional l, _, rest) -> (l, line ct.ctyp_loc) :: optionals rest
+    | Ttyp_arrow (_, _, rest) | Ttyp_poly (_, rest) -> optionals rest
+    | _ -> []
   in
-  let opened () =
-    List.filter_map
-      (fun s -> match s.binding with Open m -> Some m | Alias _ -> None)
-      !scopes
+  let rec items prefix =
+    List.concat_map (fun item ->
+        match item.sig_desc with
+        | Tsig_value vd
+          when vd.val_prim = []
+               && (match vd.val_name.txt.[0] with
+                  | 'a' .. 'z' | '_' -> true
+                  | _ -> false) ->
+          [ (prefix ^ vd.val_name.txt, line vd.val_loc, optionals vd.val_desc) ]
+        | Tsig_module
+            { md_name = { txt = Some m; _ };
+              md_type = { mty_desc = Tmty_signature s; _ }; _ } ->
+          items (prefix ^ m ^ ".") s.sig_items
+        | _ -> [])
   in
-  let rec expand n = function
-    | c :: rest as p when n > 0 -> (
-      match
-        List.find_map
-          (fun s ->
-            match s.binding with
-            | Alias (x, target) when x = c -> Some target
-            | _ -> None)
-          !scopes
-      with
-      | Some target -> expand (n - 1) (target @ rest)
-      | None -> p)
-    | p -> p
-  in
-  (* The lib module a module path names: from the first component
-     that is one (after aliases, and past library wrappers such as
-     [Uls_engine]), or from an opened module whose nested module leads
-     the path, through the nested modules that follow. *)
-  let module_of p =
-    let rec extend q = function
-      | c :: rest when Hashtbl.mem modules (q ^ "." ^ c) ->
-        extend (q ^ "." ^ c) rest
-      | _ -> q
-    in
-    let rec find = function
-      | c :: rest when Hashtbl.mem modules c -> Some (extend c rest)
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    let p = expand 8 p in
-    match (find p, p) with
-    | Some q, _ -> Some q
-    | None, c :: rest ->
-      List.find_map
-        (fun q ->
-          if Hashtbl.mem modules (q ^ "." ^ c) then
-            Some (extend (q ^ "." ^ c) rest)
-          else None)
-        (opened ())
-    | None, [] -> None
-  in
-  let path_use = function
-    | [] -> ()
-    | v :: _ when not (is_upper v) ->
-      (* A bare name (keywords included: they match no export). *)
-      List.iter (fun q -> Hashtbl.replace found (q ^ "." ^ v) ()) (opened ())
-    | p ->
-      let rec split mods = function
-        | c :: rest when is_upper c -> split (c :: mods) rest
-        | v :: _ -> (
-          match module_of (List.rev mods) with
-          | Some q -> Hashtbl.replace found (q ^ "." ^ v) ()
-          | None -> ())
-        | [] -> ()
-      in
-      split [] p
-  in
-  let comps s = List.filter (( <> ) "") (String.split_on_char '.' s) in
-  let text k = if k >= 0 && k < nt then toks.(k).text else "" in
-  Array.iteri
-    (fun i t ->
-      if t.col0 then scopes := List.filter (fun s -> not s.local) !scopes;
-      let local = text (i - 1) = "let" in
-      match t.text with
-      | "(" | "[" | "{" | "begin" | "struct" | "sig" | "object" | "do" ->
-        incr depth
-      | ")" | "]" | "}" | "end" | "done" ->
-        decr depth;
-        scopes := List.filter (fun s -> s.depth <= !depth) !scopes
-      | "open" | "include" -> (
-        let target = if text (i + 1) = "!" then text (i + 2) else text (i + 1) in
-        match if is_upper target then module_of (comps target) else None with
-        | Some m -> push ~local ~depth:!depth (Open m)
-        | None -> ())
-      | "module"
-        when is_upper (text (i + 1)) && text (i + 2) = "="
-             && is_upper (text (i + 3)) && text (i + 4) <> "(" ->
-        push ~local ~depth:!depth
-          (Alias (text (i + 1), expand 8 (comps (text (i + 3)))))
-      | s when s.[String.length s - 1] = '.' && is_ident_char s.[0] -> (
-        (* [M.( ... )]: M is open inside the bracket that follows. *)
-        match module_of (comps s) with
-        | Some m -> push ~local:false ~depth:(!depth + 1) (Open m)
-        | None -> ())
-      | s when is_ident_char s.[0] -> path_use (comps s)
-      | _ -> ())
-    toks;
-  found
-
-(* The name of a [val] declared on this line, if any (operators are
-   skipped). *)
-let val_name line =
-  let t = String.trim line in
-  if String.length t > 4 && String.sub t 0 4 = "val " then begin
-    let rest = String.trim (String.sub t 4 (String.length t - 4)) in
-    let n = String.length rest in
-    let j = ref 0 in
-    while !j < n && is_ident_char rest.[!j] do
-      incr j
-    done;
-    if !j > 0 then Some (String.sub rest 0 !j) else None
-  end
-  else None
-
-let module_name mli =
-  String.capitalize_ascii (Filename.basename (Filename.chop_suffix mli ".mli"))
-
-(* Each line of an interface with the qualified name of the module it
-   sits in: "Stats", or "Stats.Summary" inside [module Summary : sig]. *)
-let scoped_lines mli =
-  let stack = ref [ module_name mli ] in
-  List.map
-    (fun line ->
-      let q = String.concat "." (List.rev !stack) in
-      (match String.split_on_char ' ' (String.trim line) with
-      | "module" :: x :: ":" :: "sig" :: _ -> stack := x :: !stack
-      | [ "end" ] when List.length !stack > 1 -> stack := List.tl !stack
-      | _ -> ());
-      (q, line))
-    (read_lines mli)
+  items "" sg.sig_items
 
 (* Who uses a name of [mli], from a table mapping names to the .ml
    files that use them; a use from the module's own .ml does not
    count. *)
 type reach = Unused | Test_only | Used
 
-let reach ~test_dir mli table key =
+let reach mli table key =
   let own = Filename.chop_suffix mli ".mli" ^ ".ml" in
   let users =
-    List.filter (( <> ) own)
-      (Option.value ~default:[] (Hashtbl.find_opt table key))
+    List.filter (( <> ) own) (Option.value ~default:[] (Hashtbl.find_opt table key))
   in
   if users = [] then Unused
-  else if List.for_all (String.starts_with ~prefix:test_dir) users then
-    Test_only
+  else if List.for_all (String.starts_with ~prefix:"test/") users then Test_only
   else Used
 
-(* [uses] maps each qualified value name to the .ml files that use it. *)
-let check_exports ~uses ~test_dir mli =
-  List.iteri
-    (fun i (q, line) ->
-      match val_name line with
-      | None -> ()
-      | Some name -> (
-        match reach ~test_dir mli uses (q ^ "." ^ name) with
-        | Used -> ()
-        | Unused ->
-          report ~sym:name "dead-export" mli (i + 1)
-            (Printf.sprintf
-               "%s is exported but no other module uses it; drop it from \
-                the interface (and the code, if nothing inside uses it)"
-               name)
-        | Test_only ->
-          report ~sym:name "test-only" mli (i + 1)
-            (Printf.sprintf
-               "%s is exported but only tests use it; delete it with the \
-                tests that check only it, or allowlist the observation \
-                point it provides"
-               name)))
-    (scoped_lines mli)
+let top_module mli =
+  String.capitalize_ascii (Filename.basename (Filename.chop_suffix mli ".mli"))
 
-(* --- rule: unset-optional ------------------------------------------------ *)
-
-(* The labels one file's code passes or binds: a lower-case name
-   after a [~] or [?] (code tokens only, so not in comments or
-   literals). *)
-let passed_labels lines =
-  let found = Hashtbl.create 16 in
-  let rec go = function
-    | op :: l :: rest
-      when (String.ends_with ~suffix:"~" op.text
-           || String.ends_with ~suffix:"?" op.text)
-           && l.text.[0] >= 'a' && l.text.[0] <= 'z' ->
-      Hashtbl.replace found (List.hd (String.split_on_char '.' l.text)) ();
-      go rest
-    | _ :: rest -> go rest
-    | [] -> ()
-  in
-  go (tokens lines);
-  found
-
-(* The [?label:]s of each [val] in an interface, with their lines and
-   the val's name inside the interface ("create", "Parser.create"). A
-   val's signature runs to the next item of the interface; comments are
-   blanked first, so a label named in prose is not one. *)
-let optional_labels mli =
-  let item_starts =
-    [ "val "; "type "; "module "; "end"; "exception "; "include ";
-      "external "; "open " ]
-  in
-  let starts_item l =
-    let t = String.trim l in
-    List.exists (fun p -> String.starts_with ~prefix:p t) item_starts
-  in
-  let top = module_name mli in
-  let current = ref None and acc = ref [] in
-  List.iteri
-    (fun i ((q, _), line) ->
-      (match val_name line with
-      | Some v ->
-        (* [q] minus the interface's own module: "Http.Parser" -> "Parser". *)
-        let inner = String.length q - String.length top in
-        current :=
-          Some
-            (if inner = 0 then v
-             else String.sub q (String.length top + 1) (inner - 1) ^ "." ^ v)
-      | None -> if starts_item line then current := None);
-      match !current with
-      | None -> ()
-      | Some name ->
-        let n = String.length line in
-        let rec scan k =
-          match String.index_from_opt line k '?' with
-          | None -> ()
-          | Some q ->
-            let j = ident_end line (q + 1) in
-            if j > q + 1 && j < n && line.[j] = ':' then
-              acc := (name, String.sub line (q + 1) (j - q - 1), i + 1) :: !acc;
-            scan (max j (q + 1))
-        in
-        scan 0)
-    (List.combine (scoped_lines mli) (code_lines (read_lines mli)));
-  List.rev !acc
-
-(* [passers] maps each label to the .ml files that pass it. *)
-let check_optionals ~passers ~test_dir mli =
+(* [uses] maps each value's key to the .ml files that name it. *)
+let check_exports ~uses mli sg =
   List.iter
-    (fun (name, label, line) ->
-      let sym = name ^ "?" ^ label in
-      match reach ~test_dir mli passers label with
+    (fun (name, l, _) ->
+      let v = List.hd (List.rev (String.split_on_char '.' name)) in
+      match reach mli uses (top_module mli ^ "." ^ name) with
       | Used -> ()
       | Unused ->
-        report ~sym "unset-optional" mli line
-          (Printf.sprintf
-             "?%s of %s is never passed outside its module; make it a \
-              constant where it is read"
-             label name)
+        report ~sym:v "dead-export" mli l
+          (v
+         ^ " is exported but no other module uses it; drop it from the \
+            interface (and the code, if nothing inside uses it)")
       | Test_only ->
-        report ~sym "unset-optional" mli line
-          (Printf.sprintf
-             "?%s of %s is passed only by tests; make it a constant where it \
-              is read, or allowlist what its test injects"
-             label name))
-    (optional_labels mli)
+        report ~sym:v "test-only" mli l
+          (v
+         ^ " is exported but only tests use it; delete it with the tests that \
+            check only it, or allowlist the observation point it provides"))
+    (vals sg)
+
+(* [passes] maps each "key?label" to the .ml files that pass it. *)
+let check_optionals ~passes mli sg =
+  List.iter
+    (fun (name, _, labels) ->
+      List.iter
+        (fun (label, l) ->
+          let sym = name ^ "?" ^ label in
+          let opt = "?" ^ label ^ " of " ^ name in
+          match reach mli passes (top_module mli ^ "." ^ sym) with
+          | Used -> ()
+          | Unused ->
+            report ~sym "unset-optional" mli l
+              (opt
+             ^ " is never passed outside its module; make it a constant where \
+                it is read")
+          | Test_only ->
+            report ~sym "unset-optional" mli l
+              (opt
+             ^ " is passed only by tests; make it a constant where it is read, \
+                or allowlist what its test injects"))
+        labels)
+    (vals sg)
 
 (* --- allowlist --------------------------------------------------------- *)
 
@@ -872,64 +516,86 @@ let show_allow a =
 (* --- driver ------------------------------------------------------------ *)
 
 let () =
-  (match Sys.argv with
-  | [| _ |] -> ()
-  | [| _; dir |] -> root := dir
-  | _ ->
-    prerr_endline "usage: ulslint [REPO_ROOT]";
-    exit 2);
-  let lib = Filename.concat !root "lib" in
-  if not (Sys.file_exists lib) then begin
-    Printf.eprintf "ulslint: no lib/ under %s\n" !root;
+  let root =
+    match Sys.argv with
+    | [| _ |] -> "."
+    | [| _; dir |] -> dir
+    | _ ->
+      prerr_endline "usage: ulslint [ROOT]";
+      exit 2
+  in
+  if not (Sys.file_exists (Filename.concat root "lib")) then begin
+    Printf.eprintf "ulslint: no lib/ under %s\n" root;
     exit 2
   end;
-  let files = List.sort compare (walk lib []) in
+  let build =
+    let b = Filename.concat root "_build/default" in
+    if Sys.file_exists b then b else root
+  in
+  (* Every typed tree, by the source file it was compiled from; dune
+     keeps them two levels below it, in <dir>/.<name>.objs/byte/. *)
+  let units = Hashtbl.create 256 in
+  List.iter
+    (fun cmt ->
+      let info = Cmt_format.read_cmt (Filename.concat build cmt) in
+      List.iter
+        (fun (unit, _) ->
+          Option.iter (fun (w, _) -> Hashtbl.replace wrappers w ()) (split_unit unit))
+        ((info.cmt_modname, None) :: info.cmt_imports);
+      match (info.cmt_sourcefile, info.cmt_annots) with
+      | Some src, ((Implementation _ | Interface _) as annots) ->
+        let dir = Filename.(dirname (dirname (dirname cmt))) in
+        Hashtbl.replace units (Filename.concat dir (Filename.basename src)) annots
+      | _ -> ())
+    (walk ~hidden:true build ""
+       ~keep:(fun f ->
+         Filename.check_suffix f ".cmt" || Filename.check_suffix f ".cmti")
+       []);
+  let sources ~suffix dir =
+    if Sys.file_exists (Filename.concat root dir) then
+      List.sort compare
+        (walk ~hidden:false root dir ~keep:(fun f -> Filename.check_suffix f suffix) [])
+    else []
+  in
+  let dirs = [ "lib"; "bin"; "perfbench"; "examples"; "test" ] in
+  let mls = List.concat_map (sources ~suffix:".ml") dirs in
+  let mlis = sources ~suffix:".mli" "lib" in
+  let typed = Hashtbl.find_opt units in
+  let unbuilt = List.filter (fun p -> not (Hashtbl.mem units p)) (mls @ mlis) in
+  if unbuilt <> [] then begin
+    List.iter
+      (fun p ->
+        Printf.eprintf "ulslint: %s has no %s; build first (dune build @check)\n"
+          p (if Filename.check_suffix p ".mli" then ".cmti" else ".cmt"))
+      unbuilt;
+    exit 2
+  end;
+  let uses = Hashtbl.create 4096 and passes = Hashtbl.create 512 in
+  let add tbl path key =
+    let prev = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
+    if not (List.mem path prev) then Hashtbl.replace tbl key (path :: prev)
+  in
   List.iter
     (fun path ->
-      let lines = code_lines (read_lines path) in
-      check_assert_false path lines;
-      check_mli path;
-      check_blocking_watcher path lines;
-      check_metrics_lookup path lines;
-      check_unlabeled_sync path lines;
-      check_trace_args path lines)
-    files;
-  let mlis = List.sort compare (walk ~suffix:".mli" lib []) in
-  let modules = Hashtbl.create 128 in
-  List.iter
-    (fun mli ->
-      List.iter (fun (q, _) -> Hashtbl.replace modules q ()) (scoped_lines mli))
-    mlis;
-  let uses = Hashtbl.create 4096 and passers = Hashtbl.create 512 in
-  let add tbl path key () =
-    let prev = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
-    Hashtbl.replace tbl key (path :: prev)
+      match typed path with
+      | Some (Cmt_format.Implementation str) ->
+        let lib = String.starts_with ~prefix:"lib/" path in
+        if lib && typed (path ^ "i") = None then
+          report "missing-mli" path 1 "library module has no interface file";
+        let u, p = scan ~lib path str in
+        List.iter (add uses path) u;
+        List.iter (add passes path) p
+      | _ -> ())
+    mls;
+  let interfaces =
+    List.filter_map
+      (fun mli -> match typed mli with Some (Interface sg) -> Some (mli, sg) | _ -> None)
+      mlis
   in
-  List.iter
-    (fun dir ->
-      let dir = Filename.concat !root dir in
-      if Sys.file_exists dir then
-        List.iter
-          (fun path ->
-            let lines = read_lines path in
-            Hashtbl.iter (add uses path) (file_uses ~modules lines);
-            Hashtbl.iter (add passers path) (passed_labels lines))
-          (walk dir []))
-    [ "lib"; "bin"; "perfbench"; "examples"; "test" ];
-  let test_dir = Filename.concat !root "test" ^ "/" in
-  List.iter (check_exports ~uses ~test_dir) mlis;
-  List.iter (check_optionals ~passers ~test_dir) mlis;
-  let allows = load_allowlist (Filename.concat !root ".ulslint-allow") in
-  let relativize f =
-    (* Report paths relative to the repo root so allowlist entries are
-       machine-independent. *)
-    let prefix = !root ^ "/" in
-    let pl = String.length prefix in
-    if String.length f.path > pl && String.sub f.path 0 pl = prefix then
-      { f with path = String.sub f.path pl (String.length f.path - pl) }
-    else f
-  in
-  let all = List.rev_map relativize !findings in
+  List.iter (fun (mli, sg) -> check_exports ~uses mli sg) interfaces;
+  List.iter (fun (mli, sg) -> check_optionals ~passes mli sg) interfaces;
+  let allows = load_allowlist (Filename.concat root ".ulslint-allow") in
+  let all = List.rev !findings in
   let stale =
     List.filter (fun a -> not (List.exists (fun f -> matches a f) all)) allows
   in
@@ -971,4 +637,5 @@ let () =
     exit 1
   end;
   Printf.printf "ulslint: %d files clean (allowlist: %d entries)\n"
-    (List.length files) (List.length allows)
+    (List.length (List.filter (String.starts_with ~prefix:"lib/") mls))
+    (List.length allows)

@@ -1,7 +1,7 @@
 (* Fixture.named_in_comment (* nested "*)" '"' *) is named only here. *)
 
-(* A naive string skip opens a string at this char literal, hides the
-   next use, and reads the next string's contents as code. *)
+(* A char literal, a string and a quoted string are data: the names in
+   them are no uses. *)
 let quote = '"'
 let used = Fixture.named_in_code
 let label = "Fixture.named_in_string"
@@ -22,13 +22,11 @@ let aliased = F.via_alias
 (* A nested module's value is not its parent's same-named one. *)
 let nested = Fixture.Inner.in_both
 
-(* A local open reaches only into its bracket, and a let-open only to
-   the end of its item. *)
-let local = Fixture.(via_local_open) + after_local_open
+(* Through a local open and a let-open. *)
+let local = Fixture.(via_local_open)
 let let_open =
   let open Fixture in
   via_let_open
-let later = after_let_open
 
 (* Optional arguments: passed directly and forwarded count; one named
    only in this comment (~in_comment) does not. *)
