@@ -79,18 +79,19 @@ let substrate_api ?opts t =
   Uls_substrate.Substrate.api
     (Array.init (size t) (fun i -> substrate ?opts t i))
 
-let tcp ?config t =
+let tcp_with config t =
   match t.tcp with
   | Some stack -> stack
   | None ->
-    let stack = Uls_tcp.Tcp_stack.create ?config ~nodes:t.nodes ~nics:t.nics () in
+    let stack = Uls_tcp.Tcp_stack.create ~config ~nodes:t.nodes ~nics:t.nics () in
     t.tcp <- Some stack;
     stack
 
-let tcp_api ?config t = Uls_tcp.Tcp_stack.api (tcp ?config t)
+let tcp t = tcp_with Uls_tcp.Config.default t
+let tcp_api t = Uls_tcp.Tcp_stack.api (tcp t)
 
 let api t = function
-  | `Tcp config -> tcp_api ~config t
+  | `Tcp config -> Uls_tcp.Tcp_stack.api (tcp_with config t)
   | `Sub opts -> substrate_api ~opts t
 
 let fault ?seed t =

@@ -48,12 +48,13 @@ val emp :
 (** Create (and cache) the EMP endpoint of node [i]. The optional config
     and firmware mode apply only to the first call for that node. *)
 
-val tcp : ?config:Uls_tcp.Config.t -> t -> Uls_tcp.Tcp_stack.t
-(** Create (and cache) kernel TCP stacks on every node of the cluster.
+val tcp : t -> Uls_tcp.Tcp_stack.t
+(** Create (and cache) kernel TCP stacks on every node of the cluster,
+    with the default config unless {!api} created them first.
     Mutually exclusive with {!emp} on the same node: both claim the
-    NIC's receive path. The optional config applies to the first call. *)
+    NIC's receive path. *)
 
-val tcp_api : ?config:Uls_tcp.Config.t -> t -> Uls_api.Sockets_api.stack
+val tcp_api : t -> Uls_api.Sockets_api.stack
 
 val substrate : ?opts:Uls_substrate.Options.t -> t -> int -> Uls_substrate.Substrate.t
 (** Create (and cache) the substrate instance of node [i] (implies its

@@ -62,6 +62,7 @@ type report = {
   mailbox_fetches : int;
   ring_submitted : int;
   ring_doorbells : int;
+  ring_coalesced : int;
   faults : int;
   retransmits : int;
   intact : bool;
@@ -448,6 +449,7 @@ let run ?observe ?on_metrics ?progress (cfg : config) =
     mailbox_fetches = counter submitters "nic.mailbox_fetches";
     ring_submitted = ring (fun st -> st.Uls_rings.Ringpair.submitted);
     ring_doorbells = ring (fun st -> st.Uls_rings.Ringpair.doorbells);
+    ring_coalesced = ring (fun st -> st.Uls_rings.Ringpair.coalesced);
     (* Cached: a firehose attached it at setup; a storm never loses a
        frame, and attaching one after the run changes nothing. *)
     faults = Fault.faults_injected (Cluster.fault c);
@@ -461,8 +463,9 @@ let print_report fmt (cfg : config) (r : report) =
   let audit who =
     Format.fprintf fmt
       "  %s: %d doorbells, %d mailbox fetches; tx ring: %d submitted, %d \
-       doorbells@."
+       doorbells, %d coalesced@."
       who r.doorbells r.mailbox_fetches r.ring_submitted r.ring_doorbells
+      r.ring_coalesced
   in
   let ok, corrupt =
     match cfg.workload with

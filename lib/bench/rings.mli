@@ -81,6 +81,9 @@ type report = {
   mailbox_fetches : int;  (** [nic.mailbox_fetches], same nodes *)
   ring_submitted : int;  (** descriptors through their tx rings *)
   ring_doorbells : int;  (** doorbells those rings rang *)
+  ring_coalesced : int;
+      (** of those, the ones that joined a fetch already due or running:
+          [doorbells = mailbox_fetches + ring_coalesced] *)
   faults : int;  (** frames the fault engine did not deliver *)
   retransmits : int;  (** EMP frame retransmissions, all nodes *)
   intact : bool;

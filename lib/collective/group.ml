@@ -84,7 +84,6 @@ let create ?nic ?sim tr =
     trace = Option.map Trace.for_sim sim;
   }
 
-let rank t = t.tr.rank
 let last_rounds t = t.last_rounds
 
 (* Wrap one collective in a Collective-layer span (when the transport

@@ -70,8 +70,6 @@ val create : ?nic:nic_ops -> ?sim:Uls_engine.Sim.t -> transport -> t
     collective records a [Collective]-layer span plus per-rank op and
     round counts ({!Uls_engine.Metrics}, {!Uls_engine.Trace}). *)
 
-val rank : t -> int
-
 val last_rounds : t -> int
 (** Sequential communication steps (blocking sends + completed receive
     waits) this rank executed in its most recent collective. A linear

@@ -71,7 +71,8 @@ type uq_slot = {
   mutable u_len : int;
   mutable u_from : int;
   mutable u_tag : int;
-  mutable u_state : [ `Free | `Filling | `Arrived ];
+  mutable u_state : [ `Free | `Filling | `Arrived | `Claimed ];
+      (* [`Claimed]: a descriptor took it and the host copy is running *)
   mutable u_born : Time.ns;
 }
 
@@ -147,6 +148,7 @@ type t = {
   mutable next_msg_id : int;
   posted : recv Match_list.t;
   uq : uq_slot Vec.t;
+  mutable uq_arrived : int;  (* slots in [`Arrived]: nothing to walk at 0 *)
   active_rx : (Wire.msg_key, rx_record) Hashtbl.t;
   rx_peers : (int, peer) Hashtbl.t;  (* by source node *)
   active_tx : (Wire.msg_key, send) Hashtbl.t;
@@ -159,6 +161,11 @@ type t = {
      RSS-steered by source node, so each peer's traffic is handled by a
      fixed queue and per-message state stays single-fiber. *)
   rx_queues : Uls_ether.Frame.t Mailbox.t array;
+  (* Per receive queue: frames queued or in service (the queue is busy
+     while this is above 0), and fill-ring slots posted to it while busy,
+     which its dispatcher fetches between frames. *)
+  rx_load : int array;
+  rx_pending : int array;
   (* Batched I/O: one submission/completion ring pair per endpoint (the
      connection group), created on first use. *)
   mutable tx_ring : (send, send) Uls_rings.Ringpair.t option;
@@ -501,11 +508,11 @@ let post_sendv t specs =
     Uls_rings.Ringpair.ring_doorbell rp;
     sts
 
-let reap_sent ?(max = max_int) t =
+let reap_sent t =
   match t.tx_ring with
   | None -> []
   | Some rp ->
-    let popped = Uls_rings.Ringpair.reap rp ~max in
+    let popped = Uls_rings.Ringpair.reap rp ~max:max_int in
     List.filter
       (fun st ->
         if st.s_reaped then false
@@ -579,21 +586,38 @@ let complete_recv t r ~len ~src ~tag =
   Option.iter Cond.broadcast r.r_cond;
   r.r_on_complete r len
 
+(* Every unexpected-queue state change goes through here, so
+   [uq_arrived] always counts the slots a descriptor could take. *)
+let set_uq_state t slot state =
+  (match slot.u_state with
+  | `Arrived -> t.uq_arrived <- t.uq_arrived - 1
+  | `Free | `Filling | `Claimed -> ());
+  (match state with
+  | `Arrived -> t.uq_arrived <- t.uq_arrived + 1
+  | `Free | `Filling | `Claimed -> ());
+  slot.u_state <- state
+
+let free_uq_slot t slot =
+  set_uq_state t slot `Free;
+  slot.u_len <- 0
+
 (* Host-side consumption of a message that landed in the unexpected
    queue: copy into the user buffer (the extra copy the paper accepts
-   for UQ traffic), then free the slot. *)
+   for UQ traffic), then free the slot. The slot is claimed before the
+   copy, so no descriptor posted (and no [uq_take]) while it runs takes
+   the same message again. *)
 let consume_uq t slot r =
   Stats.Counter.incr t.mh.h_uq_hits;
   if Trace.enabled t.trace then
     Trace.instant t.trace ~layer:Trace.Emp ~node:(node_id t) "emp.uq_consume";
   let len = min slot.u_len r.r_cap in
   r.r_matched <- true;
+  set_uq_state t slot `Claimed;
   let finish () =
     Node.copy t.node ~src:slot.u_buf ~src_off:0 ~dst:r.r_region ~dst_off:r.r_off
       ~len;
     let src = slot.u_from and tag = slot.u_tag in
-    slot.u_state <- `Free;
-    slot.u_len <- 0;
+    free_uq_slot t slot;
     complete_recv t r ~len ~src ~tag
   in
   Sim.spawn (sim t) ~name:"emp-uq-copy" finish
@@ -601,9 +625,10 @@ let consume_uq t slot r =
 let any ~src:_ ~tag:_ = true
 
 (* The first arrived unexpected-queue message from [src] with [tag]
-   (either may be [-1], a wildcard) that also satisfies [pred]. *)
+   (either may be [-1], a wildcard) that also satisfies [pred]. A
+   message is rarely waiting, so most posts skip the walk. *)
 let uq_match ?(pred = any) t ~src ~tag =
-  let n = Vec.length t.uq in
+  let n = if t.uq_arrived = 0 then 0 else Vec.length t.uq in
   let rec scan i =
     if i >= n then None
     else begin
@@ -658,22 +683,32 @@ let attach ?on_complete t ~slot ~src ~tag region ~off ~len =
   | None -> r.r_entry <- Match_list.post t.posted ~src ~tag r);
   r
 
-(* One mailbox-posted descriptor, charged the same on either firmware;
-   [slot] picks the receive firmware's order for its frames. *)
+(* Tell receive queue [queue] about [slots] new descriptors. A [Ring]
+   endpoint's busy queue (a frame in service or queued) takes them from
+   the fill ring itself between frames, as an AF_XDP device does while
+   it needs no wake-up: no doorbell, and no fetch reserved now, so none
+   lands between a frame's steps. An idle queue, and every [Paper]
+   post, gets a doorbell and its [fetch] booked on the receive core. *)
+let notify_rx t ~queue ~slots fetch =
+  if t.firmware = Ring && t.rx_load.(queue) > 0 then
+    t.rx_pending.(queue) <- t.rx_pending.(queue) + slots
+  else begin
+    Tigon.doorbell t.nic;
+    Tigon.count_mailbox_fetch t.nic;
+    ignore (Resource.completion_after (Tigon.rx_cpu ~queue t.nic) fetch)
+  end
+
+(* One mailbox-posted descriptor, charged the same on either firmware
+   when its queue is idle; [slot] picks the receive firmware's order for
+   its frames. *)
 let post_one ?on_complete ~slot t ~src ~tag region ~off ~len =
   check_range "Endpoint.post_recv" region ~off ~len;
   let m = model t in
   Sim.delay (sim t) m.Cost_model.emp_host_post;
   let r = attach ?on_complete t ~slot ~src ~tag region ~off ~len in
-  if not r.r_matched then begin
-    (* The doorbell lands on the queue that will serve this peer. *)
-    Tigon.doorbell t.nic;
-    Tigon.count_mailbox_fetch t.nic;
-    ignore
-      (Resource.completion_after
-         (Tigon.rx_cpu ~queue:(rx_queue t ~src) t.nic)
-         m.Cost_model.nic_mailbox_fetch)
-  end;
+  (* The doorbell lands on the queue that will serve this peer. *)
+  if not r.r_matched then
+    notify_rx t ~queue:(rx_queue t ~src) ~slots:1 m.Cost_model.nic_mailbox_fetch;
   r
 
 let post_recv ?on_complete t ~src ~tag region ~off ~len =
@@ -682,11 +717,11 @@ let post_recv ?on_complete t ~src ~tag region ~off ~len =
 (* Batched descriptor replenish — the fill-ring path. Descriptors become
    matchable immediately (same visibility contract as [post_recv]); what
    batching changes is the cost shape: one host-post charge and one
-   doorbell + [nic_doorbell_batch] mailbox fetch per involved receive
-   queue, with each slot a cached [ring_slot_post] write and a cheap
-   fixed-format [nic_ring_slot_fetch] on the NIC, instead of a
-   [pio_write] + [nic_mailbox_fetch] per descriptor. Each descriptor
-   carries its own completion hook, so one batch can post a
+   doorbell + [nic_doorbell_batch] mailbox fetch per involved idle
+   receive queue ([notify_rx]), with each slot a cached [ring_slot_post]
+   write and a cheap fixed-format [nic_ring_slot_fetch] on the NIC,
+   instead of a [pio_write] + [nic_mailbox_fetch] per descriptor. Each
+   descriptor carries its own completion hook, so one batch can post a
    connection's data and control slots together. A singleton batch
    takes a [Ring] endpoint's [post_recv] path, in either mode. *)
 let post_recv_batch t specs =
@@ -715,16 +750,11 @@ let post_recv_batch t specs =
         specs
     in
     Array.iteri
-      (fun q k ->
-        if k > 0 then begin
-          Tigon.doorbell t.nic;
-          Tigon.count_mailbox_fetch t.nic;
-          ignore
-            (Resource.completion_after
-               (Tigon.rx_cpu ~queue:q t.nic)
-               (m.Cost_model.nic_doorbell_batch
-               + (k * m.Cost_model.nic_ring_slot_fetch)))
-        end)
+      (fun queue k ->
+        if k > 0 then
+          notify_rx t ~queue ~slots:k
+            (m.Cost_model.nic_doorbell_batch
+            + (k * m.Cost_model.nic_ring_slot_fetch)))
       queue_counts;
     rs
 
@@ -746,8 +776,7 @@ let uq_take t ~pred =
   | None -> None
   | Some slot ->
     let data = Memory.sub_string slot.u_buf ~off:0 ~len:slot.u_len in
-    slot.u_state <- `Free;
-    slot.u_len <- 0;
+    free_uq_slot t slot;
     Some (data, slot.u_from, slot.u_tag)
 
 let set_send_failure_handler t f = t.on_send_failure <- f
@@ -798,8 +827,7 @@ let evict_stale_uq t ~total_len =
     t.uq;
   match !best with
   | Some slot ->
-    slot.u_state <- `Free;
-    slot.u_len <- 0;
+    free_uq_slot t slot;
     Some slot
   | None -> None
 
@@ -846,7 +874,7 @@ let match_new_message t ~queue (d : Wire.data) =
        free slot while this one waits for its core. *)
     (match slot with
     | Some slot ->
-      slot.u_state <- `Filling;
+      set_uq_state t slot `Filling;
       slot.u_from <- src;
       slot.u_tag <- d.tag;
       slot.u_len <- d.total_len;
@@ -908,7 +936,7 @@ let finish_record t p key record =
       ~len:(min record.rec_total r.r_cap)
       ~src:record.rec_src ~tag:record.rec_tag
   | To_uq slot -> (
-    slot.u_state <- `Arrived;
+    set_uq_state t slot `Arrived;
     t.on_unexpected ~src:slot.u_from ~tag:slot.u_tag;
     (* A descriptor posted while the message was in flight may be
        waiting; deliver to it now, unless the handler discarded the
@@ -1079,6 +1107,16 @@ let rx_nack t ~queue key next_expected =
     if next_expected < st.s_next then rewind_to t st next_expected;
     Cond.broadcast st.s_cond
 
+(* Slots posted while the queue was busy ([notify_rx]), fetched from
+   the fill ring once its frame is done: before the next frame, or before
+   the dispatcher parks. *)
+let fetch_pending t queue =
+  let k = t.rx_pending.(queue) in
+  if k > 0 then begin
+    t.rx_pending.(queue) <- 0;
+    Tigon.rx_work ~queue t.nic (k * (model t).Cost_model.nic_ring_slot_fetch)
+  end
+
 let rx_dispatcher t queue () =
   let rec loop () =
     let frame = Mailbox.recv t.rx_queues.(queue) in
@@ -1087,6 +1125,8 @@ let rx_dispatcher t queue () =
     | Wire.Ack { key; acked } -> rx_ack t ~queue key acked
     | Wire.Nack { key; next_expected } -> rx_nack t ~queue key next_expected
     | _ -> ());
+    t.rx_load.(queue) <- t.rx_load.(queue) - 1;
+    fetch_pending t queue;
     loop ()
   in
   loop ()
@@ -1121,6 +1161,7 @@ let create ?(config = default_config) ?(firmware = Paper) node nic =
       next_msg_id = 0;
       posted = Match_list.create ~engine:(Tigon.match_engine nic) ();
       uq = Vec.create ();
+      uq_arrived = 0;
       active_rx = Hashtbl.create 64;
       rx_peers = Hashtbl.create 16;
       active_tx = Hashtbl.create 64;
@@ -1132,6 +1173,8 @@ let create ?(config = default_config) ?(firmware = Paper) node nic =
               else Printf.sprintf "emp:rx-queue%d" i
             in
             Mailbox.create ~label sim);
+      rx_load = Array.make (Tigon.rx_queues nic) 0;
+      rx_pending = Array.make (Tigon.rx_queues nic) 0;
       tx_ring = None;
       on_send_failure = (fun ~dst:_ ~tag:_ ~retries:_ -> ());
       on_unexpected = (fun ~src:_ ~tag:_ -> ());
@@ -1141,6 +1184,7 @@ let create ?(config = default_config) ?(firmware = Paper) node nic =
     }
   in
   Tigon.set_firmware_rx ~rss:true nic (fun ~queue frame ->
+      t.rx_load.(queue) <- t.rx_load.(queue) + 1;
       Mailbox.send t.rx_queues.(queue) frame);
   Array.iteri
     (fun i _ ->

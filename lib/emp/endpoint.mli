@@ -96,7 +96,7 @@ val post_sendv :
     @raise Invalid_argument if any element's range falls outside its
     region, before anything is charged, pinned or submitted. *)
 
-val reap_sent : ?max:int -> t -> send list
+val reap_sent : t -> send list
 (** Drain completed ring sends from the completion ring in bulk
     ([emp_host_reap] for the first + [ring_reap_slot] each additional),
     non-blocking. Sends already accounted by {!wait_send} are filtered

@@ -417,7 +417,7 @@ let run_fiber t ~daemon ~fid name f =
   in
   match_with body () { retc = Fun.id; exnc = raise; effc }
 
-let spawn_at t ?(name = "fiber") ?(daemon = false) time f =
+let spawn_fiber t ~name ~daemon time f =
   t.live <- t.live + 1;
   t.next_fiber_id <- t.next_fiber_id + 1;
   let fid = t.next_fiber_id in
@@ -426,7 +426,10 @@ let spawn_at t ?(name = "fiber") ?(daemon = false) time f =
   | Some h -> h.on_spawn ~parent:t.cur_fiber_id ~child:fid ~name);
   schedule t ~time (fun () -> run_fiber t ~daemon ~fid name f)
 
-let spawn t ?name ?daemon f = spawn_at t ?name ?daemon t.now f
+let spawn_at t ?(name = "fiber") time f = spawn_fiber t ~name ~daemon:false time f
+
+let spawn t ?(name = "fiber") ?(daemon = false) f =
+  spawn_fiber t ~name ~daemon t.now f
 
 let dispatched t ~time ~seq =
   t.now <- time;

@@ -53,7 +53,7 @@ val spawn : t -> ?name:string -> ?daemon:bool -> (unit -> unit) -> unit
     loops, protocol service fibers); deadlock diagnosis reports
     non-daemon parked fibers only. *)
 
-val spawn_at : t -> ?name:string -> ?daemon:bool -> Time.ns -> (unit -> unit) -> unit
+val spawn_at : t -> ?name:string -> Time.ns -> (unit -> unit) -> unit
 
 val at : t -> Time.ns -> (unit -> unit) -> unit
 (** Schedule a plain (non-fiber) callback at an absolute time. The

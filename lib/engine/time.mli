@@ -3,7 +3,6 @@
 
 type ns = int
 
-val ns : int -> ns
 val us : int -> ns
 val ms : int -> ns
 val s : int -> ns

@@ -5,6 +5,7 @@ type mode = Wakeup | Busy_poll
 
 type stats = {
   mutable doorbells : int;
+  mutable coalesced : int;
   mutable fetch_batches : int;
   mutable fetched : int;
   mutable submitted : int;
@@ -28,6 +29,7 @@ type ('s, 'c) t = {
   on_fetch : int -> unit;
   stats : stats;
   mutable armed : bool;
+  mutable rung : int;  (* doorbells since the fetch fiber last disarmed *)
   mutable cq_unflushed : int;
   cq_flush_work : Cond.t;
 }
@@ -38,7 +40,10 @@ let stats t = t.stats
    time: everything visible in the SQ when the doorbell is honoured is
    fetched under a single [nic_doorbell_batch] mailbox-word charge plus
    one [nic_ring_slot_fetch] per descriptor. Entries submitted after the
-   snapshot wait for the next doorbell. In [Busy_poll] mode there is no
+   snapshot wait for the next doorbell. Every doorbell is fetched once
+   or coalesced once: one rung before the fetch fiber got to it joins
+   the next fetch with the others, and one rung during a fetch that took
+   all it announced joins that fetch. In [Busy_poll] mode there is no
    mailbox at all: the poller discovers the ring tail after a [poll_gap]
    delay and pays only the per-slot fetches. *)
 let fetch_loop t () =
@@ -50,6 +55,8 @@ let fetch_loop t () =
     (match t.mode with
     | Wakeup ->
         t.armed <- false;
+        t.stats.coalesced <- t.stats.coalesced + t.rung - 1;
+        t.rung <- 0;
         let n = Cursor_ring.length t.sq in
         Resource.use t.nic_cpu
           (m.Cost_model.nic_doorbell_batch
@@ -58,6 +65,11 @@ let fetch_loop t () =
         t.stats.fetch_batches <- t.stats.fetch_batches + 1;
         t.stats.fetched <- t.stats.fetched + n;
         let ds = Cursor_ring.pop_up_to t.sq ~max:n in
+        if t.armed && Cursor_ring.is_empty t.sq then begin
+          t.stats.coalesced <- t.stats.coalesced + t.rung;
+          t.rung <- 0;
+          t.armed <- false
+        end;
         Cond.broadcast t.not_full;
         List.iter t.consume ds
     | Busy_poll ->
@@ -112,6 +124,7 @@ let create ?(mode = Wakeup) ?(capacity = 1024) ?(label = "ring")
       stats =
         {
           doorbells = 0;
+          coalesced = 0;
           fetch_batches = 0;
           fetched = 0;
           submitted = 0;
@@ -121,6 +134,7 @@ let create ?(mode = Wakeup) ?(capacity = 1024) ?(label = "ring")
           cq_flushes = 0;
         };
       armed = false;
+      rung = 0;
       cq_unflushed = 0;
       cq_flush_work = Cond.create ~label:(label ^ " cq-flush") sim;
     }
@@ -142,6 +156,7 @@ let ring_doorbell t =
         t.stats.doorbells <- t.stats.doorbells + 1;
         t.on_doorbell ();
         t.armed <- true;
+        t.rung <- t.rung + 1;
         Cond.signal t.nic_work
       end
 

@@ -20,6 +20,10 @@ type mode = Wakeup | Busy_poll
 
 type stats = {
   mutable doorbells : int;
+  mutable coalesced : int;
+      (** doorbells that joined a fetch already due or running, so
+          [doorbells = fetch_batches + coalesced] in [Wakeup] mode once
+          the fetch fiber is idle *)
   mutable fetch_batches : int;
   mutable fetched : int;
   mutable submitted : int;

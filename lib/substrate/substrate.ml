@@ -299,13 +299,29 @@ let post_request_slot t l slot =
     Conn.post_slot ?on_complete:l.l_hook t.emp slot ~src:(-1)
       ~tag:(request_tag l) )
 
+(* A request the backlog took goes to the acceptor, or is refused once
+   the listener has closed. *)
+let deliver_request t l rq =
+  if l.l_closed then refuse_later t rq
+  else begin
+    Queue.push rq l.l_requests;
+    Cond.broadcast t.activity;
+    List.iter (fun f -> f ()) l.l_watchers
+  end
+
+(* A close during the repost has already unposted and unpinned the
+   slots, so the fresh descriptor is taken back too (taking back a slot
+   the close already took is a no-op). *)
+let repost_request_slot t l slot =
+  if not l.l_closed then
+    Serial.push (Lazy.force l.l_backlog) (post_request_slot t l slot);
+  if l.l_closed then Conn.take_back t.emp slot
+
 (* Like a connection's data descriptors, the backlog descriptors are
-   reaped in posting order, by an ordered serial handler. A request
-   that landed before the listener closed is refused, as is one that
-   landed while its descriptor was being reposted: a close during the
-   post has already unposted and unpinned the slots, so the fresh
-   descriptor is taken back too (taking back a slot the close already
-   took is a no-op). *)
+   reaped in posting order, by an ordered serial handler. Under
+   [rx_ring] the acceptor is woken before the slot goes back, as a
+   read's slot goes back after the reply; the paper presets repost
+   first, so a request that lands during the repost is refused. *)
 let take_request t l (slot, recv) =
   let len, src, _ = E.wait_recv t.emp recv in
   if len >= 0 then begin
@@ -314,16 +330,13 @@ let take_request t l (slot, recv) =
         (Memory.get_int64_le slot.Conn.sl_region)
     in
     let rq = { rq_node = rq.(0); rq_conn = rq.(1); rq_port = rq.(2) } in
-    if not l.l_closed then
-      Serial.push (Lazy.force l.l_backlog) (post_request_slot t l slot);
-    if l.l_closed then begin
-      Conn.take_back t.emp slot;
-      refuse_later t rq
+    if t.opts.Options.rx_ring then begin
+      deliver_request t l rq;
+      repost_request_slot t l slot
     end
     else begin
-      Queue.push rq l.l_requests;
-      Cond.broadcast t.activity;
-      List.iter (fun f -> f ()) l.l_watchers
+      repost_request_slot t l slot;
+      deliver_request t l rq
     end
   end
 

@@ -551,6 +551,169 @@ let test_batch_with_bad_spec_posts_nothing () =
       check_int "no time charged for the sends" t0 (Sim.now sim));
   run c
 
+(* --- the fill ring: busy queues need no doorbell ---------------------- *)
+
+(* What node 1 saw in one run: when each of its two messages completed
+   (tags 1 and 2, sent back to back by node 0), its NIC's doorbell and
+   mailbox-fetch counts, and its receive core's busy time. Decoys ahead
+   of both descriptors on the linear match list stretch each frame's
+   match to ~110 us, so the second frame queues behind the first.
+   [post], when given, runs on node 1 once the first frame has reached
+   the NIC, while the receive queue serves it; [idle_post] runs 1 ms
+   before any traffic. Both post after the descriptors for tags 1 and
+   2, so no frame walks past what they post. *)
+type fill_run = {
+  done_at : (int * Time.ns) list;
+  doorbells : int;
+  fetches : int;
+  rx_busy : Time.ns;
+}
+
+let fill_ring_run ?post ?idle_post firmware =
+  let c = Uls_bench.Cluster.create ~n:2 () in
+  let e0 = Uls_bench.Cluster.emp c 0
+  and e1 = Uls_bench.Cluster.emp ~firmware c 1 in
+  let sim = Uls_bench.Cluster.sim c in
+  let nic1 = E.nic e1 in
+  let done_at = ref [] in
+  Sim.spawn sim (fun () ->
+      let decoy = Memory.alloc 16 in
+      for tag = 1000 to 1199 do
+        ignore (E.post_recv e1 ~src:0 ~tag decoy ~off:0 ~len:16)
+      done;
+      List.iter
+        (fun tag ->
+          ignore
+            (E.post_recv e1 ~src:0 ~tag
+               ~on_complete:(fun _ _ -> done_at := (tag, Sim.now sim) :: !done_at)
+               (Memory.alloc 64) ~off:0 ~len:64))
+        [ 1; 2 ];
+      Option.iter (fun f -> f e1) idle_post;
+      Sim.delay sim (Time.ms 1);
+      let before = Uls_nic.Tigon.frames_received nic1 in
+      ignore (send_string e0 ~dst:1 ~tag:1 "first");
+      ignore (send_string e0 ~dst:1 ~tag:2 "second");
+      match post with
+      | None -> ()
+      | Some f ->
+        while Uls_nic.Tigon.frames_received nic1 = before do
+          Sim.delay sim 100
+        done;
+        f e1);
+  run c;
+  let m = Metrics.for_sim sim in
+  {
+    done_at = List.sort compare !done_at;
+    doorbells = Metrics.counter_value m ~node:1 "nic.doorbells";
+    fetches = Metrics.counter_value m ~node:1 "nic.mailbox_fetches";
+    rx_busy = Resource.busy_time (Uls_nic.Tigon.rx_cpu nic1);
+  }
+
+(* Descriptors for tags the run never sends, their regions pinned
+   beforehand so a post charges only the post itself. *)
+let spare_region e =
+  let region = Memory.alloc 64 in
+  Os.pin_region (Node.os (E.node e)) region ~off:0 ~len:64;
+  region
+
+let post_spare e =
+  ignore (E.post_recv e ~src:0 ~tag:100 (spare_region e) ~off:0 ~len:64)
+
+let post_spare_batch e =
+  ignore
+    (E.post_recv_batch e
+       (List.map (fun tag -> (0, tag, spare_region e, 0, 64, None)) [ 100; 101; 102 ]))
+
+let model = Cost_model.paper_testbed
+
+let test_busy_queue_takes_posts_without_doorbell () =
+  (* A [Ring] endpoint's post to a queue serving a frame rings no
+     doorbell and reserves nothing: the frame in service completes when
+     it would have without the post, and the slot's fetch runs after
+     it, ahead of the frame queued behind, which completes exactly one
+     [nic_ring_slot_fetch] later. *)
+  let base = fill_ring_run E.Ring in
+  let one = fill_ring_run ~post:post_spare E.Ring in
+  let first run = List.assoc 1 run.done_at
+  and second run = List.assoc 2 run.done_at in
+  check_int "no doorbell" base.doorbells one.doorbells;
+  check_int "no mailbox fetch" base.fetches one.fetches;
+  check_int "one slot fetch of receive-core time" model.Cost_model.nic_ring_slot_fetch
+    (one.rx_busy - base.rx_busy);
+  check_int "the frame in service is not delayed" (first base) (first one);
+  check_int "the fetch runs before the queued frame"
+    (second base + model.Cost_model.nic_ring_slot_fetch)
+    (second one);
+  let three = fill_ring_run ~post:post_spare_batch E.Ring in
+  check_int "batch: no doorbell" base.doorbells three.doorbells;
+  check_int "batch: no mailbox fetch" base.fetches three.fetches;
+  check_int "batch: k slot fetches, no batch doorbell fetch"
+    (3 * model.Cost_model.nic_ring_slot_fetch)
+    (three.rx_busy - base.rx_busy);
+  check_int "batch: the frame in service is not delayed" (first base)
+    (first three);
+  check_int "batch: the queued frame waits for the three fetches"
+    (second base + (3 * model.Cost_model.nic_ring_slot_fetch))
+    (second three)
+
+let test_idle_queue_rings_as_before () =
+  (* An idle queue is woken exactly as the per-call path always did: a
+     doorbell, a mailbox fetch and its charge on the receive core (the
+     descriptor's own for one post, the batch doorbell's plus one slot
+     fetch each for a batch). A [Paper] endpoint rings even a busy
+     queue's doorbell. *)
+  let base = fill_ring_run E.Ring in
+  let check_woken what run charge =
+    check_int (what ^ ": one doorbell") (base.doorbells + 1) run.doorbells;
+    check_int (what ^ ": one mailbox fetch") (base.fetches + 1) run.fetches;
+    check_int (what ^ ": receive-core charge") charge (run.rx_busy - base.rx_busy)
+  in
+  check_woken "idle post"
+    (fill_ring_run ~idle_post:post_spare E.Ring)
+    model.Cost_model.nic_mailbox_fetch;
+  check_woken "idle batch"
+    (fill_ring_run ~idle_post:post_spare_batch E.Ring)
+    (model.Cost_model.nic_doorbell_batch + (3 * model.Cost_model.nic_ring_slot_fetch));
+  let paper = fill_ring_run E.Paper in
+  let busy_paper = fill_ring_run ~post:post_spare E.Paper in
+  check_int "paper: busy post rings" (paper.doorbells + 1) busy_paper.doorbells;
+  check_int "paper: and is fetched" (paper.fetches + 1) busy_paper.fetches;
+  check_int "paper: mailbox fetch charge" model.Cost_model.nic_mailbox_fetch
+    (busy_paper.rx_busy - paper.rx_busy)
+
+let test_uq_message_delivered_once () =
+  (* One 4096-byte unexpected message, whose host copy takes 7.4 us,
+     and two descriptors for it posted 800 ns apart (their regions
+     pinned beforehand, so each post charges only [emp_host_post]): the
+     first takes the message, and the second must find the slot
+     claimed, not take the same message while the copy runs. *)
+  let c, e0, e1 = two_nodes () in
+  let sim = Uls_bench.Cluster.sim c in
+  E.provision_unexpected e1 ~slots:4 ~size:4096;
+  let payload = String.init 4096 (fun i -> Char.chr (i mod 251)) in
+  let got = ref "" and second = ref None in
+  Sim.spawn sim (fun () -> E.wait_send e0 (send_string e0 ~dst:1 ~tag:6 payload));
+  Sim.spawn sim (fun () ->
+      let os = Node.os (Uls_bench.Cluster.node c 1) in
+      let a = Memory.alloc 4096 and b = Memory.alloc 4096 in
+      Os.pin_region os a ~off:0 ~len:4096;
+      Os.pin_region os b ~off:0 ~len:4096;
+      Sim.delay sim (Time.ms 1);
+      check_bool "the message waits in the unexpected queue" true
+        (E.uq_has_match e1 ~src:0 ~tag:6);
+      let ra = E.post_recv e1 ~src:0 ~tag:6 a ~off:0 ~len:4096 in
+      let rb = E.post_recv e1 ~src:0 ~tag:6 b ~off:0 ~len:4096 in
+      second := Some rb;
+      let len, _, _ = E.wait_recv e1 ra in
+      got := Memory.sub_string a ~off:0 ~len);
+  run c;
+  check_bool "payload copied out" true (String.equal payload !got);
+  check_bool "second descriptor still posted" false
+    (E.recv_done (Option.get !second));
+  check_int "one uq hit" 1 (E.stats e1).E.unexpected_queue_hits;
+  check_bool "the message is gone from the unexpected queue" false
+    (E.uq_has_match e1 ~src:0 ~tag:6)
+
 let suites =
   [
     ( "emp.delivery",
@@ -584,6 +747,15 @@ let suites =
         Alcotest.test_case "uq hit" `Quick test_unexpected_queue_hit;
         Alcotest.test_case "uq size limit" `Quick test_unexpected_queue_size_limit;
         Alcotest.test_case "uq evicts stale" `Quick test_uq_evicts_stale_arrivals;
+        Alcotest.test_case "uq message delivered once" `Quick
+          test_uq_message_delivered_once;
+      ] );
+    ( "emp.fill_ring",
+      [
+        Alcotest.test_case "busy queue: no doorbell, fetched between frames"
+          `Quick test_busy_queue_takes_posts_without_doorbell;
+        Alcotest.test_case "idle queue and paper firmware: as before" `Quick
+          test_idle_queue_rings_as_before;
       ] );
     ( "emp.resources",
       [

@@ -121,6 +121,30 @@ let test_doorbell_batching () =
     (List.init 32 (fun i -> i))
     (List.rev !consumed)
 
+let test_coalesced_doorbells () =
+  (* Every doorbell is fetched once or coalesced once. The first fetch
+     (one slot) runs 2.6 us; two slots and two doorbells arrive during
+     it, and the second doorbell joins the fetch the first made due. A
+     doorbell rung during that second fetch, for slots it already took,
+     joins it too. *)
+  let sim = Sim.create () in
+  let rp = mk_ring sim in
+  Sim.spawn sim (fun () ->
+      RP.submit rp 0;
+      RP.ring_doorbell rp;
+      RP.submit rp 1;
+      RP.ring_doorbell rp;
+      RP.submit rp 2;
+      RP.ring_doorbell rp;
+      Sim.delay sim 1_500;
+      RP.ring_doorbell rp);
+  ignore (Sim.run sim);
+  let s = RP.stats rp in
+  check_int "doorbells" 4 s.RP.doorbells;
+  check_int "fetches" 2 s.RP.fetch_batches;
+  check_int "coalesced" 2 s.RP.coalesced;
+  check_int "all fetched" 3 s.RP.fetched
+
 let test_backpressure_block () =
   let sim = Sim.create () in
   let rp = mk_ring ~capacity:4 sim in
@@ -238,13 +262,10 @@ let test_doorbell_audit_pair () =
   let r = Rings.run { quick with batch = 32 } in
   check_bool "completed" true r.completed_run;
   check_bool "batched run uses the ring" true (r.ring_submitted > 0);
-  (* Every fetch is explained by a doorbell; a doorbell rung while the
-     firmware is mid-fetch may coalesce, so doorbells can lead by a
-     handful but never trail. *)
-  check_bool "fetches never exceed doorbells" true
-    (r.mailbox_fetches <= r.doorbells);
-  check_bool "coalescing gap stays small" true
-    (r.doorbells - r.mailbox_fetches <= 16)
+  (* Every doorbell is fetched once, or coalesced once into a tx-ring
+     fetch already due or running. *)
+  check_int "doorbells = fetches + coalesced" r.doorbells
+    (r.mailbox_fetches + r.ring_coalesced)
 
 let test_chaos_soak () =
   (* 2% seeded frame loss: the reliability layer must re-deliver every
@@ -303,6 +324,7 @@ let suites =
     ( "rings.pair",
       [
         Alcotest.test_case "doorbell batching" `Quick test_doorbell_batching;
+        Alcotest.test_case "coalesced doorbells" `Quick test_coalesced_doorbells;
         Alcotest.test_case "backpressure: block" `Quick test_backpressure_block;
         Alcotest.test_case "empty reap" `Quick test_empty_reap;
         Alcotest.test_case "bulk reap charge" `Quick test_reap_batching;

@@ -60,9 +60,9 @@ let prop_bytebuf_model =
 
 (* --- stack-level helpers --- *)
 
-let with_cluster ?config ~n f =
+let with_cluster ~n f =
   let c = Uls_bench.Cluster.create ~n () in
-  let api = Uls_bench.Cluster.tcp_api ?config c in
+  let api = Uls_bench.Cluster.tcp_api c in
   f c api (Uls_bench.Cluster.sim c)
 
 let test_connect_and_exchange () =
