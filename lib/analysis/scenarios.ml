@@ -226,14 +226,27 @@ let connect_churn ?opts tiebreak =
 (* --- echo-ring: request/reply under the serving preset. Each read
    leaves its consumed slot on the connection's stash, and the next
    write reposts it after the send's doorbell; the client closes right
-   after its last read, dropping a stash that is never posted. --- *)
+   after its last read, dropping a stash that is never posted. Each
+   reply carries its request's EMP ack. The [lossy] variant drops the
+   first data frame that carries an ack: the sender of the message it
+   acked resends it after its RTO, the receiver re-acks the duplicate
+   at once, and the dropped frame's own sender resends it too. --- *)
 
-let echo_ring tiebreak =
+let echo_ring ~lossy tiebreak =
   let opts = Opt.server and rounds = 3 and size = 200 in
   cluster_run ~match_engine:Uls_nic.Match_list.Hashed tiebreak
   @@ fun cluster sim conns obs ->
   let server_sub = Cluster.substrate ~opts cluster 0 in
   let client_sub = Cluster.substrate ~opts cluster 1 in
+  (if lossy then
+     let dropped = ref false in
+     Uls_ether.Network.set_fault_filter (Cluster.network cluster) (fun frame ->
+         match frame.Uls_ether.Frame.payload with
+         | Uls_emp.Wire.Data { acks = _ :: _; _ } when not !dropped ->
+           dropped := true;
+           obs := "ring-echo dropped a frame carrying an ack" :: !obs;
+           true
+         | _ -> false));
   server sim server_sub ~conns ~name:"ring-echo-server" ~port:60 ~backlog:1
     ~accepts:1 (fun conn _ ->
       let rec pump () =
@@ -552,7 +565,11 @@ let clean_suite =
         row "echo-ring"
           "request/reply under the serving preset: consumed slots reposted \
            after each reply, the client's last dropped at its close"
-          echo_ring ~bound:(bounded 160 1);
+          (echo_ring ~lossy:false) ~bound:(bounded 160 1);
+        row "echo-ring-lossy"
+          "echo-ring with the first frame carrying a held ack dropped: RTO \
+           resend and duplicate re-ack recover both messages"
+          (echo_ring ~lossy:true) ~bound:(bounded 160 1);
         row "rendezvous-grants"
           "raw-EMP grant protocol with per-request grant routing"
           (grant_fixture ~routed:true) ~bound:(bounded 256 2);

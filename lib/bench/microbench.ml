@@ -308,7 +308,7 @@ let coll_span ~observe ~nodes ~iters f =
   let sim = Cluster.sim c in
   ignore (observed_trace sim observe);
   let start = Array.make nodes max_int in
-  let finish = Array.make nodes 0 in
+  let finish = Array.make nodes (-1) in
   for r = 0 to nodes - 1 do
     Sim.spawn sim
       ~name:(Printf.sprintf "rank%d" r)
@@ -324,6 +324,15 @@ let coll_span ~observe ~nodes ~iters f =
   (match Cluster.run c with
   | `Quiescent -> ()
   | _ -> failwith "collective benchmark: cluster did not quiesce");
+  (* A collective that wedges leaves its ranks parked and the cluster
+     quiescent: its span would be a number, and a wrong one. *)
+  (match List.filter (fun r -> finish.(r) < 0) (List.init nodes Fun.id) with
+  | [] -> ()
+  | stuck ->
+    failwith
+      (Printf.sprintf "collective benchmark: rank%s %s never finished"
+         (if List.length stuck = 1 then "" else "s")
+         (String.concat ", " (List.map string_of_int stuck))));
   Array.fold_left max 0 finish - Array.fold_left min max_int start
 
 let barrier_latency ?observe ?(iters = 10) ~alg ~nodes () =

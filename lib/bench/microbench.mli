@@ -68,6 +68,19 @@ val loss_rates : float list
 val connect_time : kind:[< Cluster.stream ] -> unit -> float
 (** Mean time of [connect()] alone, in microseconds. *)
 
+val coll_span :
+  observe:observe option ->
+  nodes:int ->
+  iters:int ->
+  (Uls_collective.Group.t -> rank:int -> unit) ->
+  Uls_engine.Time.ns
+(** The collective runner behind {!barrier_latency} and
+    {!coll_bandwidth}: each of [nodes] ranks of an EMP group runs [f]
+    once to warm up, then [iters] times; the result is the span from the
+    earliest rank's start to the latest rank's finish.
+    @raise Failure naming the ranks that never finished, when the
+    cluster quiesces with a collective wedged. *)
+
 val barrier_latency :
   ?observe:observe ->
   ?iters:int ->

@@ -98,9 +98,21 @@ type rx_record = {
    forgotten, so the table is bounded by the sender's outstanding
    messages rather than by its history. *)
 type peer = {
+  p_node : int;
   mutable p_lwm : int;
   p_finished : (int, int) Hashtbl.t;  (* msg id -> nframes *)
   p_order : int Queue.t;  (* finished ids, oldest first *)
+  (* A [Ring] endpoint's held acks toward this node, oldest first: the
+     final ack of each message from it that completed here and has not
+     left yet. [p_held_at] is when the oldest was held, [p_timer] the
+     flush armed for it ([-1]: none). *)
+  p_held : Wire.ack Queue.t;
+  mutable p_held_at : Time.ns;
+  mutable p_timer : int;
+  (* Messages from this node completed here, and final acks sent for
+     them: every completed message's is held or sent, exactly once. *)
+  mutable p_completed : int;
+  mutable p_final_acks : int;
 }
 
 type stats = {
@@ -109,7 +121,8 @@ type stats = {
   frames_sent : int;
   frames_retransmitted : int;
   frames_dropped_no_descriptor : int;
-  protocol_acks_sent : int;
+  ack_frames_sent : int;
+  acks_piggybacked : int;
   unexpected_queue_hits : int;
   nacks_sent : int;
   finished_retained : int;
@@ -134,6 +147,8 @@ type handles = {
   h_messages_received : Stats.Counter.t;
   h_drops_no_descriptor : Stats.Counter.t;
   h_nacks_sent : Stats.Counter.t;
+  h_ack_frames : Stats.Counter.t;
+  h_acks_piggybacked : Stats.Counter.t;
 }
 
 type t = {
@@ -171,7 +186,6 @@ type t = {
   mutable tx_ring : (send, send) Uls_rings.Ringpair.t option;
   mutable on_send_failure : dst:int -> tag:int -> retries:int -> unit;
   mutable on_unexpected : src:int -> tag:int -> unit;
-  mutable st_acks : int;
   mutable st_desc_posted : int;
   mutable st_desc_completed : int;
 }
@@ -203,12 +217,95 @@ let stats t =
     frames_sent = count t.mh.h_frames_sent;
     frames_retransmitted = count t.mh.h_frames_retransmitted;
     frames_dropped_no_descriptor = count t.mh.h_drops_no_descriptor;
-    protocol_acks_sent = t.st_acks;
+    ack_frames_sent = count t.mh.h_ack_frames;
+    acks_piggybacked = count t.mh.h_acks_piggybacked;
     unexpected_queue_hits = count t.mh.h_uq_hits;
     nacks_sent = count t.mh.h_nacks_sent;
     finished_retained =
       Hashtbl.fold (fun _ p n -> n + Hashtbl.length p.p_finished) t.rx_peers 0;
   }
+
+(* ------------------------------------------------------------------ *)
+(* Protocol acks: sent, held, carried                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* How long a [Ring] endpoint's NIC holds the ack that completes a
+   message, waiting for a data frame to its sender to carry it, before
+   one ack frame takes it and every other ack then held for that node
+   (DESIGN §16). It covers the server preset's request-to-reply
+   turnaround at the server NIC: 9.7 us in an unloaded 256 B echo, at
+   most 34.4 us in a 256-connection echo at 140k req/s, past serve's
+   knee. So every reply carries its request's ack, and the hold stays
+   1/50 of the 2 ms RTO. *)
+let ack_holdoff = Time.us 40
+
+(* One ack frame to [dst], built on the core of the receive queue that
+   serves [dst]: one [nic_ack_gen] however many acks it holds. *)
+let send_ack_frame t ~queue ~dst acks =
+  Tigon.rx_work ~queue t.nic (model t).Cost_model.nic_ack_gen;
+  Stats.Counter.incr t.mh.h_ack_frames;
+  Tigon.transmit t.nic (Wire.ack_frame ~src:(node_id t) ~dst acks)
+
+(* Ack conservation toward one node, checked once each completed
+   message's final ack is decided: it is held or it was sent, once. *)
+let check_final_acks t p =
+  let held = Queue.length p.p_held in
+  if p.p_completed <> p.p_final_acks + held then
+    Invariant.check t.inv ~name:"emp.final_ack_once" false (fun () ->
+        Printf.sprintf
+          "node %d: %d messages from node %d completed, %d final acks sent \
+           and %d held"
+          (node_id t) p.p_completed p.p_node p.p_final_acks held)
+
+(* Up to [n] of the acks held for [p], oldest first, which leave now.
+   Taking the last one disarms the flush. *)
+let take_held t p n =
+  let age = Sim.now (sim t) - p.p_held_at in
+  if age > ack_holdoff then
+    Invariant.check t.inv ~name:"emp.ack_holdoff" false (fun () ->
+        Printf.sprintf "node %d: an ack for node %d held %d ns, past the %d ns \
+                        holdoff"
+          (node_id t) p.p_node age ack_holdoff);
+  let rec take k acc =
+    if k = n || Queue.is_empty p.p_held then (k, List.rev acc)
+    else take (k + 1) (Queue.pop p.p_held :: acc)
+  in
+  let k, acks = take 0 [] in
+  p.p_final_acks <- p.p_final_acks + k;
+  if Queue.is_empty p.p_held then begin
+    Sim.cancel (sim t) p.p_timer;
+    p.p_timer <- -1
+  end;
+  (k, acks)
+
+(* The holdoff ran out with no data frame toward [p]: one ack frame
+   takes every held ack (a frame's worth at a time). *)
+let rec flush_held t p () =
+  p.p_timer <- -1;
+  let _, acks = take_held t p Wire.max_acks_per_frame in
+  if not (Queue.is_empty p.p_held) then
+    p.p_timer <- Sim.timer (sim t) (Sim.now (sim t)) (flush_held t p);
+  Sim.spawn (sim t) ~name:"emp-ack-flush" (fun () ->
+      send_ack_frame t ~queue:(Tigon.steer t.nic ~flow:p.p_node) ~dst:p.p_node
+        acks)
+
+let hold_ack t p ack =
+  if Queue.is_empty p.p_held then begin
+    let now = Sim.now (sim t) in
+    p.p_held_at <- now;
+    p.p_timer <- Sim.timer (sim t) (now + ack_holdoff) (flush_held t p)
+  end;
+  Queue.push ack p.p_held
+
+(* The held acks a data frame to [dst] with a [chunk]-byte payload has
+   room for. *)
+let piggyback t ~dst ~chunk =
+  match Hashtbl.find_opt t.rx_peers dst with
+  | Some p when not (Queue.is_empty p.p_held) ->
+    let k, acks = take_held t p (Wire.acks_that_fit ~chunk) in
+    Stats.Counter.add t.mh.h_acks_piggybacked k;
+    acks
+  | Some _ | None -> []
 
 (* ------------------------------------------------------------------ *)
 (* Transmit side                                                       *)
@@ -265,6 +362,9 @@ let send_frame t st idx =
       nframes = st.s_nframes;
       total_len = st.s_len;
       lwm = low_water t st.s_dst;
+      acks =
+        (if t.firmware = Ring then piggyback t ~dst:st.s_dst ~chunk:bytes
+         else []);
       chunk;
     }
   in
@@ -667,9 +767,21 @@ let make_recv t ~slot region ~off ~len =
   t.st_desc_posted <- t.st_desc_posted + 1;
   r
 
-(* The receive queue that will serve a descriptor for [src] (queue 0
-   for wildcard posts — any queue may end up matching it). *)
-let rx_queue t ~src = if src = -1 then 0 else Tigon.steer t.nic ~flow:src
+(* The receive queue that fetches a descriptor for [src]: the one that
+   serves the peer. A wildcard descriptor sits on the fill ring every
+   queue reads, so a [Ring] endpoint lets the first busy queue take it
+   between frames, and wakes queue 0 only when every queue is idle; a
+   [Paper] post always goes to queue 0's mailbox. *)
+let rx_queue t ~src =
+  if src <> -1 then Tigon.steer t.nic ~flow:src
+  else if t.firmware = Paper then 0
+  else begin
+    let n = Array.length t.rx_load in
+    let rec busy q =
+      if q >= n then 0 else if t.rx_load.(q) > 0 then q else busy (q + 1)
+    in
+    busy 0
+  end
 
 (* Pin and build one descriptor, then attach it: it takes an arrived
    unexpected-queue message at once (and is [r_matched] on return), or
@@ -737,18 +849,25 @@ let post_recv_batch t specs =
     let m = model t in
     Sim.delay (sim t) m.Cost_model.emp_host_post;
     let queue_counts = Array.make (Tigon.rx_queues t.nic) 0 in
+    let wildcards = ref 0 in
     let rs =
       List.map
         (fun (src, tag, region, off, len, on_complete) ->
           Sim.delay (sim t) m.Cost_model.ring_slot_post;
           let r = attach ?on_complete t ~slot:true ~src ~tag region ~off ~len in
-          if not r.r_matched then begin
-            let q = rx_queue t ~src in
-            queue_counts.(q) <- queue_counts.(q) + 1
-          end;
+          if not r.r_matched then
+            if src = -1 then incr wildcards
+            else begin
+              let q = rx_queue t ~src in
+              queue_counts.(q) <- queue_counts.(q) + 1
+            end;
           r)
         specs
     in
+    (* Wildcards join the queue that takes them once the batch is on
+       the ring, not the one that was busy when each slot was written. *)
+    (let q = rx_queue t ~src:(-1) in
+     queue_counts.(q) <- queue_counts.(q) + !wildcards);
     Array.iteri
       (fun queue k ->
         if k > 0 then
@@ -799,10 +918,7 @@ let provision_unexpected t ~slots ~size =
 (* --- NIC receive firmware ------------------------------------------ *)
 
 let send_protocol_ack t ~queue ~dst ~key ~acked =
-  let m = model t in
-  Tigon.rx_work ~queue t.nic m.Cost_model.nic_ack_gen;
-  t.st_acks <- t.st_acks + 1;
-  Tigon.transmit t.nic (Wire.ack_frame ~src:(node_id t) ~dst ~key ~acked)
+  send_ack_frame t ~queue ~dst [ { Wire.key; acked } ]
 
 (* The unexpected queue is a finite resource: arrived messages that
    nobody ever posts a receive for (e.g. a credit ack that raced a
@@ -903,7 +1019,17 @@ let peer t src =
   | Some p -> p
   | None ->
     let p =
-      { p_lwm = 0; p_finished = Hashtbl.create 16; p_order = Queue.create () }
+      {
+        p_node = src;
+        p_lwm = 0;
+        p_finished = Hashtbl.create 16;
+        p_order = Queue.create ();
+        p_held = Queue.create ();
+        p_held_at = 0;
+        p_timer = -1;
+        p_completed = 0;
+        p_final_acks = 0;
+      }
     in
     Hashtbl.replace t.rx_peers src p;
     p
@@ -920,6 +1046,7 @@ let advance_lwm p lwm =
 
 let finish_record t p key record =
   Hashtbl.remove t.active_rx key;
+  p.p_completed <- p.p_completed + 1;
   let id = key.Wire.msg_id in
   if id >= p.p_lwm then begin
     Hashtbl.replace p.p_finished id record.rec_nframes;
@@ -953,7 +1080,76 @@ let finish_record t p key record =
         else consume_uq t slot r
       | None, probe -> observe_match t probe)
 
-let rx_data t ~queue (d : Wire.data) =
+(* The send-table side of a cumulative ack for [st]: its progress, and
+   whether it completed the send. It does not block. *)
+let apply_ack t st (a : Wire.ack) =
+  let acked = a.Wire.acked in
+  if acked > st.s_acked then begin
+    st.s_acked <- acked;
+    (* An ack may cover frames sent before a go-back-N rewind: skip
+       retransmitting what the receiver already holds. *)
+    if st.s_next < acked then st.s_next <- acked;
+    st.s_rto <- t.cfg.rto;
+    st.s_retries <- 0
+  end;
+  if st.s_acked >= st.s_nframes && not st.s_done then begin
+    st.s_done <- true;
+    settle t st;
+    if Trace.enabled t.trace then
+      Trace.span_end t.trace ~layer:Trace.Emp ~node:(node_id t) "emp.send"
+        st.s_span;
+    true
+  end
+  else false
+
+(* Every ack one frame brings: each is applied to its send as the
+   frame's header is read, then the receive core spends [lookups]
+   send-table lookups, the host hears of the completed sends, and their
+   waiters wake. A [Ring] endpoint's sends are slots, so the
+   completions of one frame are consecutive entries, one DMA; a
+   mailbox send's is its own. A ring-submitted send posts to the CQ
+   instead, whose flush fiber coalesces many completion writes into one
+   DMA burst (CQ moderation: at high completion rates the per-message
+   [dma_setup] vanishes). *)
+let settle_acks t ~queue ~lookups acks =
+  let settled =
+    List.filter_map
+      (fun a ->
+        Option.map
+          (fun st -> (st, apply_ack t st a))
+          (Hashtbl.find_opt t.active_tx a.Wire.key))
+      acks
+  in
+  if lookups > 0 then
+    Tigon.rx_work ~queue t.nic (lookups * (model t).Cost_model.nic_hash_lookup);
+  let notified =
+    List.fold_left
+      (fun n (st, completed) ->
+        if not completed then n
+        else
+          match (st.s_ring, t.tx_ring) with
+          | true, Some rp ->
+            Uls_rings.Ringpair.complete rp st;
+            n
+          | _ -> n + 1)
+      0 settled
+  in
+  if notified > 0 then
+    if t.firmware = Ring then Tigon.dma t.nic ~bytes:(8 * notified)
+    else
+      for _ = 1 to notified do
+        Tigon.dma t.nic ~bytes:8
+      done;
+  List.iter (fun (st, _) -> Cond.broadcast st.s_cond) settled
+
+(* An ack frame's classify covers its first ack, as the paper
+   firmware's one-ack frame; each further ack is one lookup in the send
+   table. *)
+let rx_ack t ~queue acks =
+  Tigon.rx_work ~queue t.nic (model t).Cost_model.nic_rx_classify;
+  settle_acks t ~queue ~lookups:(List.length acks - 1) acks
+
+let rx_payload t ~queue (d : Wire.data) =
   let m = model t in
   Tigon.rx_work ~queue t.nic m.Cost_model.nic_rx_classify;
   let key = d.key in
@@ -1040,8 +1236,20 @@ let rx_data t ~queue (d : Wire.data) =
       let early = complete && slot in
       if early then finish_record t p key record;
       (* Cumulative acks carry the contiguous prefix — never the raw
-         count, which would overstate progress across a loss hole. *)
-      if complete || record.rec_prefix mod t.cfg.ack_window = 0 then
+         count, which would overstate progress across a loss hole. The
+         ack that completes a message waits on a [Ring] endpoint for a
+         data frame to carry it; a window ack keeps the transfer moving,
+         so it leaves at once. *)
+      if complete then begin
+        if t.firmware = Ring then
+          hold_ack t p { Wire.key; acked = record.rec_prefix }
+        else begin
+          send_protocol_ack t ~queue ~dst:key.Wire.src_node ~key
+            ~acked:record.rec_prefix;
+          p.p_final_acks <- p.p_final_acks + 1
+        end
+      end
+      else if record.rec_prefix mod t.cfg.ack_window = 0 then
         send_protocol_ack t ~queue ~dst:key.Wire.src_node ~key
           ~acked:record.rec_prefix;
       (* Gap detected (a frame beyond the prefix): NACK once so the
@@ -1060,38 +1268,23 @@ let rx_data t ~queue (d : Wire.data) =
           (Wire.nack_frame ~src:(node_id t) ~dst:key.Wire.src_node ~key
              ~next_expected:record.rec_prefix)
       end;
-      if complete && not early then finish_record t p key record
+      if complete then begin
+        if not early then finish_record t p key record;
+        check_final_acks t p
+      end
     end
 
-let rx_ack t ~queue key acked =
-  let m = model t in
-  Tigon.rx_work ~queue t.nic m.Cost_model.nic_rx_classify;
-  match Hashtbl.find_opt t.active_tx key with
-  | None -> ()
-  | Some st ->
-    if acked > st.s_acked then begin
-      st.s_acked <- acked;
-      (* An ack may cover frames sent before a go-back-N rewind: skip
-         retransmitting what the receiver already holds. *)
-      if st.s_next < acked then st.s_next <- acked;
-      st.s_rto <- t.cfg.rto;
-      st.s_retries <- 0
-    end;
-    if st.s_acked >= st.s_nframes && not st.s_done then begin
-      st.s_done <- true;
-      settle t st;
-      if Trace.enabled t.trace then
-        Trace.span_end t.trace ~layer:Trace.Emp ~node:(node_id t) "emp.send"
-          st.s_span;
-      (* Completion notification DMA'd to the host. Ring-submitted
-         sends post to the CQ instead, whose flush fiber coalesces many
-         completion writes into one DMA burst (CQ moderation) — at high
-         completion rates the per-message [dma_setup] vanishes. *)
-      (match (st.s_ring, t.tx_ring) with
-      | true, Some rp -> Uls_rings.Ringpair.complete rp st
-      | _ -> Tigon.dma t.nic ~bytes:8)
-    end;
-    Cond.broadcast st.s_cond
+(* The acks a data frame carries are settled once its payload is
+   handled, so they never delay a delivery: one send-table lookup each,
+   inside the frame's classify. Their sends learn of them before the
+   core spends that time, as the frame that delivered the payload, so
+   no host fiber the payload woke sees a send this frame completes still
+   in flight. *)
+let rx_data t ~queue (d : Wire.data) =
+  rx_payload t ~queue d;
+  match d.Wire.acks with
+  | [] -> ()
+  | acks -> settle_acks t ~queue ~lookups:(List.length acks) acks
 
 (* A NACK names the first missing frame: rewind the transmit point to it
    at once (selective go-back-N) without waiting for the RTO. *)
@@ -1122,7 +1315,7 @@ let rx_dispatcher t queue () =
     let frame = Mailbox.recv t.rx_queues.(queue) in
     (match frame.Uls_ether.Frame.payload with
     | Wire.Data d -> rx_data t ~queue d
-    | Wire.Ack { key; acked } -> rx_ack t ~queue key acked
+    | Wire.Ack acks -> rx_ack t ~queue acks
     | Wire.Nack { key; next_expected } -> rx_nack t ~queue key next_expected
     | _ -> ());
     t.rx_load.(queue) <- t.rx_load.(queue) - 1;
@@ -1155,6 +1348,8 @@ let create ?(config = default_config) ?(firmware = Paper) node nic =
           h_messages_received = counter "emp.messages_received";
           h_drops_no_descriptor = counter "emp.drops_no_descriptor";
           h_nacks_sent = counter "emp.nacks_sent";
+          h_ack_frames = counter "emp.ack_frames_sent";
+          h_acks_piggybacked = counter "emp.acks_piggybacked";
         };
       trace = Trace.for_sim sim;
       inv = Invariant.for_sim sim;
@@ -1178,7 +1373,6 @@ let create ?(config = default_config) ?(firmware = Paper) node nic =
       tx_ring = None;
       on_send_failure = (fun ~dst:_ ~tag:_ ~retries:_ -> ());
       on_unexpected = (fun ~src:_ ~tag:_ -> ());
-      st_acks = 0;
       st_desc_posted = 0;
       st_desc_completed = 0;
     }

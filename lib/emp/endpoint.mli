@@ -138,11 +138,15 @@ val post_recv :
     The post is charged the same in either mode. [Paper] keeps the
     paper firmware's order: per-frame work, DMA, ack, completion.
     [Ring] runs each frame's [nic_rx_per_frame] receive-core work during
-    its payload DMA ({!Uls_nic.Tigon.dma_with_rx_work}), and completes
-    the descriptor before it spends [nic_ack_gen] on the EMP ack: the
-    host sees the completion [nic_ack_gen] sooner, the ack leaves at
-    the same instant. A message that lands in the unexpected queue
-    keeps the paper order. *)
+    its payload DMA ({!Uls_nic.Tigon.dma_with_rx_work}) and completes
+    the descriptor as soon as the payload has landed. A message that
+    lands in the unexpected queue keeps the paper order.
+
+    On a [Ring] endpoint the ack that completes any message is held
+    rather than built at once: the next data frame to its sender
+    carries it (8 bytes, one [nic_hash_lookup] at the sender), or after
+    a 40 us holdoff one ack frame takes every ack then held for that
+    sender. Window acks, duplicate re-acks and NACKs leave at once. *)
 
 val post_recv_batch :
   t ->
@@ -220,7 +224,11 @@ type stats = {
   frames_sent : int;
   frames_retransmitted : int;  (** resent after an RTO or a NACK rewind *)
   frames_dropped_no_descriptor : int;
-  protocol_acks_sent : int;
+  ack_frames_sent : int;
+      (** protocol ack frames, each holding one ack or (a [Ring]
+          endpoint's holdoff flush) several *)
+  acks_piggybacked : int;
+      (** acks a [Ring] endpoint's data frames carried instead *)
   unexpected_queue_hits : int;
   nacks_sent : int;
   finished_retained : int;

@@ -149,6 +149,18 @@ let nic_barrier_test () =
 
 let sizes_emp = [ 2; 3; 4; 5; 8; 13; 16 ]
 
+let wedged_span_test () =
+  (* Rank 2 skips its barriers: the other ranks park in theirs and the
+     cluster quiesces. The runner must say so, not divide a span whose
+     finish times were never written. *)
+  Alcotest.check_raises "ranks 0, 1 and 3 wedged"
+    (Failure "collective benchmark: ranks 0, 1, 3 never finished")
+    (fun () ->
+      ignore
+        (Uls_bench.Microbench.coll_span ~observe:None ~nodes:4 ~iters:3
+           (fun g ~rank ->
+             if rank <> 2 then Group.barrier ~alg:Group.Binomial_tree g)))
+
 let suites =
   [
     ( "collective.correct",
@@ -164,5 +176,7 @@ let suites =
           timestamps_test;
         Alcotest.test_case "NIC barrier beats host linear at N=8" `Quick
           nic_barrier_test;
+        Alcotest.test_case "a wedged collective raises, naming its ranks"
+          `Quick wedged_span_test;
       ] );
   ]

@@ -313,7 +313,7 @@ let test_protocol_ack_window () =
       E.wait_send e0 (send_string e0 ~dst:1 ~tag:2 (String.make size 'q')));
   run c;
   (* 30 frames, ack window 4: acks at 4,8,...,28 and at completion. *)
-  check_int "acks per window" 8 (E.stats e1).E.protocol_acks_sent
+  check_int "acks per window" 8 (E.stats e1).E.ack_frames_sent
 
 let nack_recovery_time ~use_nacks =
   let config = { E.default_config with use_nacks } in
@@ -469,8 +469,8 @@ let test_stale_duplicate_below_mark () =
   let after = E.stats e1 in
   check_bool "a frame of message 1 was captured" true (!captured <> None);
   check_int "message 1 already forgotten" 1 !before.E.finished_retained;
-  check_int "stale copy re-acked" (!before.E.protocol_acks_sent + 1)
-    after.E.protocol_acks_sent;
+  check_int "stale copy re-acked" (!before.E.ack_frames_sent + 1)
+    after.E.ack_frames_sent;
   check_int "no message delivered twice" 2 after.E.messages_received;
   check_int "nothing dropped" 0 after.E.frames_dropped_no_descriptor;
   (match !spare with
@@ -681,6 +681,202 @@ let test_idle_queue_rings_as_before () =
   check_int "paper: mailbox fetch charge" model.Cost_model.nic_mailbox_fetch
     (busy_paper.rx_busy - paper.rx_busy)
 
+(* --- wildcard posts: any busy queue takes them ------------------------ *)
+
+(* Under the hashed engine node 1's frames land on receive queue 1 of
+   node 0's NIC, as a listener's backlog requests do from a client that
+   RSS steers there. What node 0, a [Ring] endpoint with one wildcard
+   descriptor already posted (a standing backlog slot, so every run's
+   match pays the wildcard class's hash probe), saw while node 1 sent
+   it one message: its doorbell and mailbox-fetch counts, and each
+   receive core's busy time. [post], when given, runs on node 0 once
+   the frame has reached the NIC, while queue 1 serves it; [idle_post]
+   runs before any traffic. Each gets three regions pinned beforehand,
+   so a post charges only the post itself. *)
+type queue_run = {
+  q_doorbells : int;
+  q_fetches : int;
+  q_busy : Time.ns array;
+}
+
+let wildcard_run ?post ?idle_post () =
+  let c =
+    Uls_bench.Cluster.create ~match_engine:Uls_nic.Match_list.Hashed ~n:2 ()
+  in
+  let e0 = Uls_bench.Cluster.emp ~firmware:E.Ring c 0
+  and e1 = Uls_bench.Cluster.emp c 1 in
+  let sim = Uls_bench.Cluster.sim c in
+  let nic0 = E.nic e0 in
+  check_int "node 1 is steered to queue 1" 1 (Uls_nic.Tigon.steer nic0 ~flow:1);
+  Sim.spawn sim (fun () ->
+      let regions = List.init 3 (fun _ -> spare_region e0) in
+      ignore (E.post_recv e0 ~src:(-1) ~tag:99 (spare_region e0) ~off:0 ~len:64);
+      ignore (E.post_recv e0 ~src:1 ~tag:1 (Memory.alloc 64) ~off:0 ~len:64);
+      Option.iter (fun f -> f e0 regions) idle_post;
+      Sim.delay sim (Time.ms 1);
+      let before = Uls_nic.Tigon.frames_received nic0 in
+      ignore (send_string e1 ~dst:0 ~tag:1 "request");
+      match post with
+      | None -> ()
+      | Some f ->
+        while Uls_nic.Tigon.frames_received nic0 = before do
+          Sim.delay sim 100
+        done;
+        f e0 regions);
+  run c;
+  let m = Metrics.for_sim sim in
+  {
+    q_doorbells = Metrics.counter_value m ~node:0 "nic.doorbells";
+    q_fetches = Metrics.counter_value m ~node:0 "nic.mailbox_fetches";
+    q_busy =
+      Array.init 2 (fun queue ->
+          Resource.busy_time (Uls_nic.Tigon.rx_cpu ~queue nic0));
+  }
+
+let post_wildcard e regions =
+  ignore (E.post_recv e ~src:(-1) ~tag:100 (List.hd regions) ~off:0 ~len:64)
+
+let post_wildcard_batch e regions =
+  ignore
+    (E.post_recv_batch e
+       (List.mapi (fun i region -> (-1, 100 + i, region, 0, 64, None)) regions))
+
+let test_wildcard_post_joins_busy_queue () =
+  (* A wildcard descriptor, such as a listener's backlog slot, sits on
+     the fill ring that every receive queue reads. Posted while queue 1
+     serves a frame and queue 0 idles, it rings no doorbell: queue 1
+     fetches it between frames, and queue 0's core does nothing. *)
+  let base = wildcard_run () in
+  let check what run slots =
+    check_int (what ^ ": no doorbell") base.q_doorbells run.q_doorbells;
+    check_int (what ^ ": no mailbox fetch") base.q_fetches run.q_fetches;
+    check_int (what ^ ": queue 0 untouched") base.q_busy.(0) run.q_busy.(0);
+    check_int (what ^ ": queue 1 fetches the slots")
+      (slots * model.Cost_model.nic_ring_slot_fetch)
+      (run.q_busy.(1) - base.q_busy.(1))
+  in
+  check "one post" (wildcard_run ~post:post_wildcard ()) 1;
+  check "a batch of three" (wildcard_run ~post:post_wildcard_batch ()) 3
+
+let test_wildcard_post_idle_rings_queue0 () =
+  (* With every queue idle, queue 0 is woken exactly as before. *)
+  let base = wildcard_run () in
+  let run = wildcard_run ~idle_post:post_wildcard () in
+  check_int "one doorbell" (base.q_doorbells + 1) run.q_doorbells;
+  check_int "one mailbox fetch" (base.q_fetches + 1) run.q_fetches;
+  check_int "queue 0 fetches the mailbox" model.Cost_model.nic_mailbox_fetch
+    (run.q_busy.(0) - base.q_busy.(0));
+  check_int "queue 1 untouched" base.q_busy.(1) run.q_busy.(1)
+
+(* --- held acks: the ring firmware's delayed, piggybacked EMP acks ------ *)
+
+(* The holdoff the ring firmware holds a completing ack for (DESIGN
+   §16). *)
+let holdoff = Time.us 40
+
+(* Node 0 sends [msgs] one-frame messages back to back to node 1, whose
+   endpoint runs [firmware]; [reply], when given, has node 1 send one
+   message back, from a region pinned beforehand, that long after the
+   first has arrived. Returns the ack frames that
+   reached the switch from node 1 (their arrival time and the acks each
+   held), each message's completion time at node 1, when node 0's first
+   send completed, and node 1's stats. *)
+let ack_run ?reply ~msgs firmware =
+  let c = Uls_bench.Cluster.create ~n:2 () in
+  let e0 = Uls_bench.Cluster.emp c 0
+  and e1 = Uls_bench.Cluster.emp ~firmware c 1 in
+  let sim = Uls_bench.Cluster.sim c in
+  let ack_frames = ref [] and completed = ref [] and first_sent = ref 0 in
+  Uls_ether.Network.set_fault_filter (Uls_bench.Cluster.network c) (fun f ->
+      (match f.Uls_ether.Frame.payload with
+      | Uls_emp.Wire.Ack acks when f.Uls_ether.Frame.src = 1 ->
+        ack_frames := (Sim.now sim, List.length acks) :: !ack_frames
+      | _ -> ());
+      false);
+  Sim.spawn sim (fun () ->
+      for tag = 1 to msgs do
+        ignore
+          (E.post_recv e1 ~src:0 ~tag
+             ~on_complete:(fun _ _ -> completed := Sim.now sim :: !completed)
+             (Memory.alloc 64) ~off:0 ~len:64)
+      done;
+      ignore (E.post_recv e0 ~src:1 ~tag:9 (Memory.alloc 64) ~off:0 ~len:64);
+      let region = spare_region e1 in
+      match reply with
+      | None -> ()
+      | Some after ->
+        while !completed = [] do
+          Sim.delay sim 100
+        done;
+        Sim.delay sim after;
+        ignore (E.post_send e1 ~dst:0 ~tag:9 region ~off:0 ~len:5));
+  Sim.spawn sim (fun () ->
+      Sim.delay sim (Time.us 100);
+      let sends =
+        List.init msgs (fun i -> send_string e0 ~dst:1 ~tag:(i + 1) "request")
+      in
+      E.wait_send e0 (List.hd sends);
+      first_sent := Sim.now sim;
+      List.iter (E.wait_send e0) sends);
+  run c;
+  (List.rev !ack_frames, List.rev !completed, !first_sent, E.stats e1)
+
+let test_paper_acks_each_message () =
+  (* The paper firmware acks every message in its own frame, at once. *)
+  let frames, _, _, st = ack_run ~msgs:2 E.Paper in
+  check_int "two ack frames" 2 st.E.ack_frames_sent;
+  check_int "none carried" 0 st.E.acks_piggybacked;
+  Alcotest.(check (list int)) "one ack each" [ 1; 1 ] (List.map snd frames)
+
+let test_ring_coalesces_at_holdoff () =
+  (* With no frame back to node 0, the ring firmware holds both acks and
+     sends them in one frame when the first has waited the holdoff:
+     built on the receive core ([nic_ack_gen]), its 84 wire bytes (64 B
+     minimum frame, preamble and gap) then cross the uplink. *)
+  let frames, completed, sent, st = ack_run ~msgs:2 E.Ring in
+  check_int "one ack frame" 1 st.E.ack_frames_sent;
+  check_int "none carried" 0 st.E.acks_piggybacked;
+  let first = List.hd completed in
+  let m = model in
+  let wire = int_of_float (float_of_int (84 * 8) /. m.Cost_model.link_bits_per_ns) in
+  Alcotest.(check (list (pair int int)))
+    "both acks, at the holdoff after the first completion"
+    [ (first + holdoff + m.Cost_model.nic_ack_gen + wire
+       + m.Cost_model.link_propagation, 2) ]
+    frames;
+  check_bool "the sender completes after the holdoff" true (sent > first + holdoff)
+
+let test_ring_piggybacks_on_reverse_data () =
+  (* A message back to node 0 inside the holdoff carries the held ack:
+     no ack frame leaves node 1, and node 0's send completes once that
+     message has arrived. *)
+  let frames, completed, sent, st =
+    ack_run ~reply:(Time.us 10) ~msgs:1 E.Ring
+  in
+  check_int "no ack frame" 0 st.E.ack_frames_sent;
+  check_int "one ack carried" 1 st.E.acks_piggybacked;
+  check_int "nothing on the wire as an ack" 0 (List.length frames);
+  check_bool "the sender completes inside the holdoff" true
+    (sent < List.hd completed + holdoff)
+
+let test_ring_window_acks_stay_immediate () =
+  (* A 30-frame message to a ring endpoint: the window acks (every 4
+     frames) keep the transfer moving and leave at once; only the one
+     that completes it is held, then flushed at the holdoff. *)
+  let c = Uls_bench.Cluster.create ~n:2 () in
+  let e0 = Uls_bench.Cluster.emp c 0
+  and e1 = Uls_bench.Cluster.emp ~firmware:E.Ring c 1 in
+  let sim = Uls_bench.Cluster.sim c in
+  let size = 30 * Uls_emp.Wire.max_data_per_frame in
+  Sim.spawn sim (fun () ->
+      let r = E.post_recv e1 ~src:0 ~tag:2 (Memory.alloc size) ~off:0 ~len:size in
+      ignore (E.wait_recv e1 r));
+  Sim.spawn sim (fun () ->
+      E.wait_send e0 (send_string e0 ~dst:1 ~tag:2 (String.make size 'q')));
+  run c;
+  check_int "seven window acks and one flush" 8 (E.stats e1).E.ack_frames_sent;
+  check_int "no retransmission" 0 (E.stats e0).E.frames_retransmitted
+
 let test_uq_message_delivered_once () =
   (* One 4096-byte unexpected message, whose host copy takes 7.4 us,
      and two descriptors for it posted 800 ns apart (their regions
@@ -756,6 +952,21 @@ let suites =
           `Quick test_busy_queue_takes_posts_without_doorbell;
         Alcotest.test_case "idle queue and paper firmware: as before" `Quick
           test_idle_queue_rings_as_before;
+        Alcotest.test_case "wildcard post: a busy queue 1 takes it, no doorbell"
+          `Quick test_wildcard_post_joins_busy_queue;
+        Alcotest.test_case "wildcard post: every queue idle, queue 0 rings"
+          `Quick test_wildcard_post_idle_rings_queue0;
+      ] );
+    ( "emp.held_acks",
+      [
+        Alcotest.test_case "paper: one ack frame per message" `Quick
+          test_paper_acks_each_message;
+        Alcotest.test_case "ring: one coalesced frame at the holdoff" `Quick
+          test_ring_coalesces_at_holdoff;
+        Alcotest.test_case "ring: reverse data carries the ack" `Quick
+          test_ring_piggybacks_on_reverse_data;
+        Alcotest.test_case "ring: window acks stay immediate" `Quick
+          test_ring_window_acks_stay_immediate;
       ] );
     ( "emp.resources",
       [

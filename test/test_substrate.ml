@@ -1083,6 +1083,13 @@ let test_send_charge_ring_vs_mailbox () =
     (m.nic_mailbox_fetch + m.nic_tx_per_msg + m.nic_tx_per_frame)
     (snd (echo ds))
 
+(* The ring firmware holds the ack that completes a message and lets a
+   data frame back carry it (DESIGN §16): the 8 bytes it adds to the
+   reply cross two 1 Gb/s hops, the client's uplink-side switch port and
+   its downlink, so an echo's reply arrives 2 x 64 ns later. *)
+let carried_ack_us (m : Uls_host.Cost_model.t) =
+  2 * int_of_float (float_of_int (8 * 8) /. m.Uls_host.Cost_model.link_bits_per_ns)
+
 (* The ring path's firmware overlaps three steps the paper firmware runs
    in series, once in each direction of the echo: the header build runs
    during the payload DMA (which, at 2.317 us for 256 bytes, outlasts
@@ -1095,6 +1102,7 @@ let test_send_charge_ring_vs_mailbox () =
    reposts' host post and PIO write. *)
 let test_ring_firmware_overlap () =
   let m = Uls_host.Cost_model.paper_testbed in
+  let carried_ack = carried_ack_us m in
   let open Uls_host.Cost_model in
   let hashed = Uls_nic.Match_list.Hashed in
   (* A frame's chunk is the payload behind the 16-byte data header
@@ -1105,28 +1113,111 @@ let test_ring_firmware_overlap () =
   let latency, tx = echo ~match_engine:hashed Opt.server in
   check_int
     "server 256 B: 66.978 us (serial) less 2 x (header + ack build + \
-     per-frame rx work, which the DMA outlasts) and 2 reposts"
+     per-frame rx work, which the DMA outlasts) and 2 reposts, plus the \
+     request's ack on the reply"
     (66_978
     - (2 * (m.nic_tx_per_frame + m.nic_ack_gen))
     - (2 * m.nic_rx_per_frame)
-    - replenish)
+    - replenish + carried_ack)
     latency;
-  check_int "server 256 B: 55.978 us less 2 x (800 + 700) ns = 52.978 us"
-    52_978 latency;
+  check_int
+    "server 256 B: 55.978 us less 2 x (800 + 700) ns, plus 128 ns = \
+     53.106 us"
+    53_106 latency;
   check_int "server 256 B: saves 2 x min (rx work, DMA) and 2 reposts"
-    (59_978 - (2 * rx_saved 256) - replenish)
+    (59_978 - (2 * rx_saved 256) - replenish + carried_ack)
     latency;
   (* At 64 bytes the DMA (1.952 us) is the shorter step. *)
   let small = fst (echo ~match_engine:hashed ~size:64 Opt.server) in
   check_int "server 64 B: 51.778 us less 2 x the 1.952 us DMA and 2 reposts"
-    (51_778 - (2 * rx_saved 64) - replenish)
+    (51_778 - (2 * rx_saved 64) - replenish + carried_ack)
     small;
-  check_int "server 64 B: 47.874 us less 3.0 us = 44.874 us" 44_874 small;
+  check_int "server 64 B: 47.874 us less 3.0 us, plus 128 ns = 45.002 us"
+    45_002 small;
   check_int "server: send core unchanged (4.6 us)"
     (m.nic_doorbell_batch + m.nic_ring_slot_fetch + m.nic_tx_per_frame)
     tx;
   check_int "DS_DA_UQ: serial firmware, unchanged (75.478 us)" 75_478
     (fst (echo ~match_engine:hashed ds))
+
+(* The server preset's 256 B echo seen on the wire and on the NICs'
+   receive cores, from the request's write until the client has read
+   the reply: the acks that crossed (each frame's sender, whether it
+   was an ack frame, and the acks it held) and each node's receive-core
+   time. *)
+let echo_acks () =
+  let c =
+    Uls_bench.Cluster.create ~match_engine:Uls_nic.Match_list.Hashed ~n:2 ()
+  in
+  let api = Uls_bench.Cluster.substrate_api ~opts:Opt.server c in
+  let sim = Uls_bench.Cluster.sim c in
+  let rx_busy node =
+    let nic = Uls_bench.Cluster.nic c node in
+    Resource.busy_time (Uls_nic.Tigon.rx_cpu ~queue:0 nic)
+    + Resource.busy_time (Uls_nic.Tigon.rx_cpu ~queue:1 nic)
+  in
+  let watching = ref false and frames = ref [] and busy = ref [] in
+  Uls_ether.Network.set_fault_filter (Uls_bench.Cluster.network c) (fun f ->
+      (if !watching then
+         match f.Uls_ether.Frame.payload with
+         | Uls_emp.Wire.Data d ->
+           frames := (f.Uls_ether.Frame.src, false, d.Uls_emp.Wire.acks) :: !frames
+         | Uls_emp.Wire.Ack acks ->
+           frames := (f.Uls_ether.Frame.src, true, acks) :: !frames
+         | _ -> ());
+      false);
+  Sim.spawn sim (fun () ->
+      let l = api.listen ~node:1 ~port:80 ~backlog:4 in
+      let s, _ = l.accept () in
+      s.send (recv_exact s 256);
+      check_str "eof" "" (s.recv 1);
+      s.close ();
+      l.close_listener ());
+  Sim.spawn sim (fun () ->
+      Sim.delay sim (Time.us 10);
+      let s = api.connect ~node:0 { node = 1; port = 80 } in
+      Sim.delay sim (Time.ms 1);
+      let before = List.map rx_busy [ 0; 1 ] in
+      watching := true;
+      let msg = String.make 256 'e' in
+      s.send msg;
+      check_str "echo" msg (recv_exact s 256);
+      watching := false;
+      busy := List.map2 ( - ) (List.map rx_busy [ 0; 1 ]) before;
+      s.close ());
+  check_bool "quiescent" true (Uls_bench.Cluster.run c = `Quiescent);
+  (List.rev !frames, !busy)
+
+let test_reply_carries_request_ack () =
+  (* The server NIC holds the request's ack, and the reply, 9.7 us
+     later, carries it: the request and the reply are the only frames
+     of the echo. The server's receive core saves the ack's build; the
+     client's skips a standalone ack's classify and, holding the reply's
+     own ack for the client's next frame, its build too, and spends one
+     send-table lookup on the carried ack instead. *)
+  let m = Uls_host.Cost_model.paper_testbed in
+  let open Uls_host.Cost_model in
+  let frames, busy = echo_acks () in
+  let acked (acks : Uls_emp.Wire.ack list) =
+    List.map
+      (fun ({ key; acked } : Uls_emp.Wire.ack) ->
+        (key.Uls_emp.Wire.src_node, acked))
+      acks
+  in
+  Alcotest.(check (list (triple int bool (list (pair int int)))))
+    "the request, then the reply carrying one ack of the client's one frame"
+    [ (0, false, []); (1, false, [ (0, 1) ]) ]
+    (List.map (fun (src, is_ack, acks) -> (src, is_ack, acked acks)) frames);
+  match busy with
+  | [ client; server ] ->
+    check_int "server receive core: 11.45 us less one ack build" (11_450 - m.nic_ack_gen)
+      server;
+    check_int
+      "client receive core: 12.75 us less an ack frame's classify and an \
+       ack build, plus one lookup"
+      (12_750 - m.nic_rx_classify - m.nic_ack_gen + m.nic_hash_lookup)
+      client
+  | _ -> assert false
 
 (* A 64 KB datagram is a rendezvous message, and on the ring firmware
    it takes the rings like every other send: the server's grant, its
@@ -1144,7 +1235,11 @@ let test_rendezvous_on_the_rings () =
   check_int "DG ring 64 KB: three ring slots (101.8 us)"
     (send_core (m.nic_doorbell_batch + m.nic_ring_slot_fetch))
     ring_tx;
-  check_int "DG ring 64 KB echo: 1519.116 us" 1_519_116 ring_latency;
+  (* The server NIC holds the ack that completes the request's payload,
+     and the reply's rendezvous request carries it: the client's NIC
+     classifies no ack frame and posts no completion DMA of its own
+     ahead of that request, and its grant leaves 0.572 us sooner. *)
+  check_int "DG ring 64 KB echo: 1518.544 us" 1_518_544 ring_latency;
   let latency, tx = echo ~size dg in
   check_int "DG 64 KB: three mailbox posts (115.0 us)"
     (send_core (m.nic_mailbox_fetch + m.nic_tx_per_msg))
@@ -1185,6 +1280,8 @@ let suites =
           "ring firmware: header during DMA, rx work during DMA, completion \
            first"
           `Quick test_ring_firmware_overlap;
+        Alcotest.test_case "held acks: the reply carries the request's ack"
+          `Quick test_reply_carries_request_ack;
         Alcotest.test_case "rendezvous on the rings: 64 KB DG echo" `Quick
           test_rendezvous_on_the_rings;
         Alcotest.test_case "firmware mismatch is Invalid_argument" `Quick
