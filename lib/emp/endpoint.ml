@@ -1102,15 +1102,13 @@ let apply_ack t st (a : Wire.ack) =
   end
   else false
 
-(* Every ack one frame brings: each is applied to its send as the
-   frame's header is read, then the receive core spends [lookups]
-   send-table lookups, the host hears of the completed sends, and their
-   waiters wake. A [Ring] endpoint's sends are slots, so the
-   completions of one frame are consecutive entries, one DMA; a
-   mailbox send's is its own. A ring-submitted send posts to the CQ
-   instead, whose flush fiber coalesces many completion writes into one
-   DMA burst (CQ moderation: at high completion rates the per-message
-   [dma_setup] vanishes). *)
+(* Every ack one frame brings: each is applied to its send at once,
+   with no yield before it, then the receive core spends [lookups]
+   send-table lookups, the host hears of the completed sends in one
+   completion DMA for the frame, and their waiters wake. A
+   ring-submitted send posts to the CQ instead, whose flush fiber
+   coalesces many completion writes into one DMA burst (CQ moderation:
+   at high completion rates the per-message [dma_setup] vanishes). *)
 let settle_acks t ~queue ~lookups acks =
   let settled =
     List.filter_map
@@ -1134,12 +1132,7 @@ let settle_acks t ~queue ~lookups acks =
           | _ -> n + 1)
       0 settled
   in
-  if notified > 0 then
-    if t.firmware = Ring then Tigon.dma t.nic ~bytes:(8 * notified)
-    else
-      for _ = 1 to notified do
-        Tigon.dma t.nic ~bytes:8
-      done;
+  if notified > 0 then Tigon.dma t.nic ~bytes:(8 * notified);
   List.iter (fun (st, _) -> Cond.broadcast st.s_cond) settled
 
 (* An ack frame's classify covers its first ack, as the paper
@@ -1276,10 +1269,11 @@ let rx_payload t ~queue (d : Wire.data) =
 
 (* The acks a data frame carries are settled once its payload is
    handled, so they never delay a delivery: one send-table lookup each,
-   inside the frame's classify. Their sends learn of them before the
-   core spends that time, as the frame that delivered the payload, so
-   no host fiber the payload woke sees a send this frame completes still
-   in flight. *)
+   inside the frame's classify. They are applied to their sends right
+   after the payload's completion and before the core spends that time,
+   with no yield in between, so no host fiber the payload woke sees a
+   send this frame completes still in flight. Moving a yield (a
+   [rx_work], a DMA) between the two would break that. *)
 let rx_data t ~queue (d : Wire.data) =
   rx_payload t ~queue d;
   match d.Wire.acks with
