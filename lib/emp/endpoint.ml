@@ -1135,16 +1135,8 @@ let settle_acks t ~queue ~lookups acks =
   if notified > 0 then Tigon.dma t.nic ~bytes:(8 * notified);
   List.iter (fun (st, _) -> Cond.broadcast st.s_cond) settled
 
-(* An ack frame's classify covers its first ack, as the paper
-   firmware's one-ack frame; each further ack is one lookup in the send
-   table. *)
-let rx_ack t ~queue acks =
-  Tigon.rx_work ~queue t.nic (model t).Cost_model.nic_rx_classify;
-  settle_acks t ~queue ~lookups:(List.length acks - 1) acks
-
 let rx_payload t ~queue (d : Wire.data) =
   let m = model t in
-  Tigon.rx_work ~queue t.nic m.Cost_model.nic_rx_classify;
   let key = d.key in
   let p = peer t key.Wire.src_node in
   advance_lwm p d.lwm;
@@ -1282,9 +1274,7 @@ let rx_data t ~queue (d : Wire.data) =
 
 (* A NACK names the first missing frame: rewind the transmit point to it
    at once (selective go-back-N) without waiting for the RTO. *)
-let rx_nack t ~queue key next_expected =
-  let m = model t in
-  Tigon.rx_work ~queue t.nic m.Cost_model.nic_rx_classify;
+let rx_nack t key next_expected =
   match Hashtbl.find_opt t.active_tx key with
   | None -> ()
   | Some st ->
@@ -1304,13 +1294,53 @@ let fetch_pending t queue =
     Tigon.rx_work ~queue t.nic (k * (model t).Cost_model.nic_ring_slot_fetch)
   end
 
+(* A frame's classify reads only the Ethernet header and EMP's fixed
+   header. The paper firmware starts it at the frame's last byte; the
+   ring firmware starts it once those headers are in (DESIGN §17), but
+   not before [idle], when the dispatcher finished its previous frame,
+   nor inside the core's last reservation. The core is charged the same
+   [nic_rx_classify] either way, and the dispatcher resumes at the later
+   of the last byte and the classify's end, so everything that changes
+   EMP state still waits for the whole frame and the MAC's FCS check.
+   [now] is the frame's delivery when the dispatcher was waiting for it;
+   a frame that queued was delivered before [idle], where its header
+   bound cannot bind. *)
+let classify t ~queue ~idle frame =
+  let d = (model t).Cost_model.nic_rx_classify in
+  match t.firmware with
+  | Paper -> Tigon.rx_work ~queue t.nic d
+  | Ring ->
+    let now = Sim.now (sim t) in
+    let header =
+      Tigon.header_arrival t.nic frame ~delivered:now
+        ~header_bytes:Wire.header_bytes
+    in
+    let core_free = Resource.reserved_until (Tigon.rx_cpu ~queue t.nic) in
+    let finish =
+      Tigon.rx_work_from ~queue t.nic ~start:(Int.max header idle) d
+    in
+    let start = finish - d in
+    if start < header || start < idle || start < core_free then
+      Invariant.check t.inv ~name:"emp.early_classify" false (fun () ->
+          Printf.sprintf
+            "node %d queue %d: classify at %d ns, before its header (%d), \
+             its dispatcher's previous frame (%d) or its core (%d)"
+            (node_id t) queue start header idle core_free);
+    if finish > now then Sim.delay (sim t) (finish - now)
+
 let rx_dispatcher t queue () =
   let rec loop () =
+    let idle = Sim.now (sim t) in
     let frame = Mailbox.recv t.rx_queues.(queue) in
+    classify t ~queue ~idle frame;
     (match frame.Uls_ether.Frame.payload with
     | Wire.Data d -> rx_data t ~queue d
-    | Wire.Ack acks -> rx_ack t ~queue acks
-    | Wire.Nack { key; next_expected } -> rx_nack t ~queue key next_expected
+    | Wire.Ack acks ->
+      (* The classify covers an ack frame's first ack, as the paper
+         firmware's one-ack frame; each further ack is one lookup in
+         the send table. *)
+      settle_acks t ~queue ~lookups:(List.length acks - 1) acks
+    | Wire.Nack { key; next_expected } -> rx_nack t key next_expected
     | _ -> ());
     t.rx_load.(queue) <- t.rx_load.(queue) - 1;
     fetch_pending t queue;

@@ -44,6 +44,10 @@ type Uls_ether.Frame.payload +=
           further one adds 8 bytes *)
   | Nack of { key : msg_key; next_expected : int }
 
+val header_bytes : int
+(** EMP's fixed frame header: 24 bytes, ahead of any carried acks and
+    the payload. *)
+
 val max_data_per_frame : int
 val frames_for : int -> int
 (** Number of frames needed for a message of the given byte length

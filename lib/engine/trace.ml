@@ -57,10 +57,10 @@ let for_sim sim = Sim.get sim slot
 let enable t = t.on <- true
 let enabled t = t.on
 
-let record t ~layer ~node ~conn ~seq ~args name kind =
+let record_at t time ~layer ~node ~conn ~seq ~args name kind =
   Vec.push t.events
     {
-      ev_time = Sim.now t.sim;
+      ev_time = time;
       ev_layer = layer;
       ev_name = name;
       ev_kind = kind;
@@ -69,6 +69,8 @@ let record t ~layer ~node ~conn ~seq ~args name kind =
       ev_seq = seq;
       ev_args = args;
     }
+
+let record t = record_at t (Sim.now t.sim)
 
 let instant t ~layer ?(node = -1) ?(conn = -1) ?(seq = -1) ?(args = []) name =
   if t.on then record t ~layer ~node ~conn ~seq ~args name Instant
@@ -85,6 +87,16 @@ let span_begin t ~layer ?(node = -1) ?(conn = -1) ?(seq = -1) ?(args = []) name
 let span_end t ~layer ?(node = -1) ?(conn = -1) ?(seq = -1) ?(args = []) name
     id =
   if t.on && id > 0 then record t ~layer ~node ~conn ~seq ~args name (Span_end id)
+
+let interval t ~layer ?(node = -1) name ~start ~stop =
+  if t.on then begin
+    t.next_span <- t.next_span + 1;
+    let id = t.next_span in
+    record_at t start ~layer ~node ~conn:(-1) ~seq:(-1) ~args:[] name
+      (Span_begin id);
+    record_at t stop ~layer ~node ~conn:(-1) ~seq:(-1) ~args:[] name
+      (Span_end id)
+  end
 
 (* Disabled, a span is just the call: no protect closure, no record.
    Hot callers also test [enabled] themselves so that the optional

@@ -82,6 +82,15 @@ val span :
 (** [span t ~layer name f] wraps [f] in a begin/end pair (the end is
     recorded even if [f] raises). *)
 
+val interval :
+  t -> layer:layer -> ?node:int -> string -> start:Time.ns -> stop:Time.ns ->
+  unit
+(** [interval t ~layer name ~start ~stop] records a closed span over
+    [\[start, stop\]] at once, for work that was booked rather than
+    waited through: either end may lie before or after now (a NIC
+    core's classify that began while its frame was still arriving).
+    Its two events are stamped with those times, not with now. *)
+
 val events : t -> event list
 (** Everything recorded while enabled, oldest first. *)
 

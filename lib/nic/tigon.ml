@@ -290,6 +290,30 @@ let rx_work ~queue t d =
     Trace.span t.trace ~layer:Trace.Nic ~node:t.node_id "nic.rx_work"
       (fun () -> Resource.use t.rx_cpus.(queue) d)
   else Resource.use t.rx_cpus.(queue) d
+
+(* Cut-through receive (DESIGN §17): the MAC hands the firmware a
+   frame's first bytes as they arrive. The preamble and the Ethernet
+   header come first, then the protocol's [header_bytes]; every later
+   byte of the frame's wire occupancy (payload, pad, FCS, the gap
+   behind it) is still on the wire for its wire time at the link's
+   rate, rounded as the link rounds. *)
+let header_arrival t frame ~delivered ~header_bytes =
+  let tail = Uls_ether.Frame.wire_bytes frame - (8 + 14 + header_bytes) in
+  let bits = float_of_int (tail * 8) in
+  delivered
+  - int_of_float (Float.round (bits /. t.model.Cost_model.link_bits_per_ns))
+
+(* Receive-core work booked from [start], which may lie before now: it
+   begins at the later of [start] and the core's last reservation, and
+   its traced span covers exactly that interval. The caller resumes at
+   the later of now and the returned end. *)
+let rx_work_from ~queue t ~start d =
+  let finish = Resource.completion_from t.rx_cpus.(queue) ~start d in
+  if Trace.enabled t.trace then
+    Trace.interval t.trace ~layer:Trace.Nic ~node:t.node_id "nic.rx_work"
+      ~start:(finish - d) ~stop:finish;
+  finish
+
 (* [pipelined] models the gather-DMA behaviour of a descriptor-ring
    engine: transfers queued while the engine is already busy ride the
    running burst and skip the per-transaction setup. A transfer that

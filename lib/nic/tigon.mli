@@ -55,6 +55,27 @@ val tx_work : t -> Uls_engine.Time.ns -> unit
 val rx_work : queue:int -> t -> Uls_engine.Time.ns -> unit
 (** Occupy receive core [queue] for the given time (fiber). *)
 
+val header_arrival :
+  t ->
+  Uls_ether.Frame.t ->
+  delivered:Uls_engine.Time.ns ->
+  header_bytes:int ->
+  Uls_engine.Time.ns
+(** When the MAC had received [frame] up to the end of its protocol
+    header, given that its last byte was delivered at [delivered]: the
+    preamble, the 14-byte Ethernet header and [header_bytes] arrive
+    first, and the rest of {!Uls_ether.Frame.wire_bytes} follows at the
+    link rate. *)
+
+val rx_work_from :
+  queue:int -> t -> start:Uls_engine.Time.ns -> Uls_engine.Time.ns ->
+  Uls_engine.Time.ns
+(** [rx_work_from ~queue t ~start d] books [d] ns on receive core
+    [queue] from [start] at the earliest, which may lie before now
+    ({!Uls_engine.Resource.completion_from}), and returns when the work
+    ends; it does not block. Traced, its [nic.rx_work] span covers the
+    work's own interval. *)
+
 val dma : ?pipelined:bool -> t -> bytes:int -> unit
 (** One DMA transaction over the PCI bus (fiber): setup + per-byte.
     With [~pipelined:true] (ring-fed gather-DMA), a transfer that finds

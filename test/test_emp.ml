@@ -877,6 +877,171 @@ let test_ring_window_acks_stay_immediate () =
   check_int "seven window acks and one flush" 8 (E.stats e1).E.ack_frames_sent;
   check_int "no retransmission" 0 (E.stats e0).E.frames_retransmitted
 
+(* --- cut-through receive: the ring firmware's early classify ---------- *)
+
+(* The wire time of [frame]'s bytes behind EMP's fixed header (DESIGN
+   §17): the preamble, the Ethernet header and EMP's 24 bytes arrive
+   first. *)
+let tail_ns (frame : Uls_ether.Frame.t) =
+  let bytes =
+    Uls_ether.Frame.wire_bytes frame - (8 + 14 + Uls_emp.Wire.header_bytes)
+  in
+  int_of_float (float_of_int (bytes * 8) /. model.Cost_model.link_bits_per_ns)
+
+(* Node 0 sends node 1, whose endpoint runs [firmware], one message per
+   entry of [payloads], back to back, each to its own descriptor; with
+   [decoys] node 1 first posts 200 descriptors for other tags, which the
+   linear match walks for each frame (~110 us), so the second frame
+   queues behind the first. Monitors on. Returns each frame node 1
+   received (the frame and its delivery: its switch ingress plus
+   forwarding, its serialization on the idle egress and propagation),
+   node 1's classify spans (its [nic.rx_work] spans of one
+   [nic_rx_classify]), when each message completed there, node 1's
+   receive-core busy time and the monitors' violations. *)
+type cut_run = {
+  frames : (Uls_ether.Frame.t * Time.ns) list;
+  classify : (Time.ns * Time.ns) list;
+  completed : Time.ns list;
+  busy : Time.ns;
+  violations : Invariant.violation list;
+}
+
+let cut_run ?(decoys = false) ~payloads firmware =
+  let c = Uls_bench.Cluster.create ~n:2 () in
+  let e0 = Uls_bench.Cluster.emp c 0
+  and e1 = Uls_bench.Cluster.emp ~firmware c 1 in
+  let sim = Uls_bench.Cluster.sim c in
+  let m = model in
+  let tr = Trace.for_sim sim and inv = Invariant.for_sim sim in
+  Trace.enable tr;
+  Invariant.enable inv;
+  let frames = ref [] and completed = ref [] in
+  Uls_ether.Network.set_fault_filter (Uls_bench.Cluster.network c) (fun f ->
+      if f.Uls_ether.Frame.dst = 1 then begin
+        let wire =
+          int_of_float
+            (float_of_int (Uls_ether.Frame.wire_bytes f * 8)
+            /. m.Cost_model.link_bits_per_ns)
+        in
+        let delivered =
+          Sim.now sim + m.Cost_model.switch_fwd_latency + wire
+          + m.Cost_model.link_propagation
+        in
+        frames := (f, delivered) :: !frames
+      end;
+      false);
+  Sim.spawn sim (fun () ->
+      if decoys then begin
+        let decoy = Memory.alloc 16 in
+        for tag = 1000 to 1199 do
+          ignore (E.post_recv e1 ~src:0 ~tag decoy ~off:0 ~len:16)
+        done
+      end;
+      List.iteri
+        (fun i p ->
+          ignore
+            (E.post_recv e1 ~src:0 ~tag:(i + 1)
+               ~on_complete:(fun _ _ -> completed := Sim.now sim :: !completed)
+               (Memory.alloc (String.length p)) ~off:0 ~len:(String.length p)))
+        payloads;
+      Sim.delay sim (Time.ms 1);
+      List.iteri (fun i p -> ignore (send_string e0 ~dst:1 ~tag:(i + 1) p)) payloads);
+  run c;
+  let opened = Hashtbl.create 8 and classify = ref [] in
+  List.iter
+    (fun (e : Trace.event) ->
+      if e.ev_node = 1 && e.ev_name = "nic.rx_work" then
+        match e.ev_kind with
+        | Trace.Span_begin id -> Hashtbl.replace opened id e.ev_time
+        | Trace.Span_end id ->
+          let start = Hashtbl.find opened id in
+          if e.ev_time - start = m.Cost_model.nic_rx_classify then
+            classify := (start, e.ev_time) :: !classify
+        | Trace.Instant -> ())
+    (Trace.events tr);
+  {
+    frames = List.rev !frames;
+    classify = List.sort compare !classify;
+    completed = List.rev !completed;
+    busy = Resource.busy_time (Uls_nic.Tigon.rx_cpu (E.nic e1));
+    violations = Invariant.violations inv;
+  }
+
+let test_classify_from_the_header () =
+  (* To an idle queue and core, a ring endpoint's classify starts when
+     EMP's header has arrived: 38 wire bytes (304 ns) before the last
+     byte of a minimum-size frame. The paper firmware's starts at the
+     last byte. *)
+  let classify = model.Cost_model.nic_rx_classify in
+  let ring = cut_run ~payloads:[ "first" ] E.Ring in
+  let frame, delivered = List.hd ring.frames in
+  check_int "a minimum frame's tail: 38 bytes" 304 (tail_ns frame);
+  Alcotest.(check (list (pair int int)))
+    "ring: from the header" [ (delivered - 304, delivered - 304 + classify) ]
+    ring.classify;
+  let paper = cut_run ~payloads:[ "first" ] E.Paper in
+  Alcotest.(check (list (pair int int)))
+    "paper: from the last byte" [ (delivered, delivered + classify) ]
+    paper.classify;
+  check_bool "monitors clean" true (ring.violations = [])
+
+let test_tail_outlasts_classify () =
+  (* A 1 KB frame's tail (8.3 us) outlasts the 4 us classify, which ends
+     while the payload still arrives: the dispatcher resumes at the
+     frame's last byte, no event needed (test_substrate's 1 KB echo
+     saves a whole classify each way). *)
+  let classify = model.Cost_model.nic_rx_classify in
+  let payload = String.make 1024 'k' in
+  let ring = cut_run ~payloads:[ payload ] E.Ring in
+  let frame, delivered = List.hd ring.frames in
+  let tail = tail_ns frame in
+  check_int "1 KB: 1040 bytes behind the header" (1040 * 8) tail;
+  Alcotest.(check (list (pair int int)))
+    "hidden under the tail" [ (delivered - tail, delivered - tail + classify) ]
+    ring.classify;
+  check_bool "over before the last byte" true (delivered - tail + classify < delivered);
+  check_bool "monitors clean" true (ring.violations = [])
+
+let test_queued_frame_starts_late () =
+  (* The second frame arrives while the first walks 200 decoys: its
+     header came long before, but its classify starts only when the
+     dispatcher returns from the first frame, the instant that frame's
+     message completed. The first's 256 B payload DMA (2.286 us)
+     outlasts the core's 2 us of per-frame work, so the core is free
+     286 ns before that: the dispatcher, not the core, holds the
+     classify back. *)
+  let classify = model.Cost_model.nic_rx_classify in
+  let ring =
+    cut_run ~decoys:true ~payloads:[ String.make 256 'f'; "second" ] E.Ring
+  in
+  let core_done =
+    Cost_model.dma_cost model 256 - model.Cost_model.nic_rx_per_frame
+  in
+  match (ring.frames, ring.completed, ring.classify) with
+  | [ (f1, d1); (_, d2) ], [ done1; _ ], [ c1; c2 ] ->
+    Alcotest.(check (pair int int))
+      "the first: from its header" (d1 - tail_ns f1, d1 - tail_ns f1 + classify) c1;
+    check_bool "the second arrived while the first was served" true
+      (d2 < done1);
+    check_int "the core idles 286 ns before the dispatcher returns" 286
+      core_done;
+    Alcotest.(check (pair int int))
+      "the second: when the dispatcher returns" (done1, done1 + classify) c2;
+    check_bool "monitors clean" true (ring.violations = [])
+  | _ -> Alcotest.fail "two frames, two completions, two classifies"
+
+let test_classify_busy_unchanged () =
+  (* The core is charged the whole classify whenever it starts: a ring
+     endpoint's receive core is as busy as a paper one's over the same
+     two messages, less the one ack build its held acks save (one ack
+     frame for both at the holdoff, DESIGN §16). *)
+  let payloads = [ "first"; String.make 1024 'k' ] in
+  let ring = cut_run ~payloads E.Ring and paper = cut_run ~payloads E.Paper in
+  check_int "two classifies each" 2 (List.length ring.classify);
+  check_int "paper less one ack build"
+    (paper.busy - model.Cost_model.nic_ack_gen)
+    ring.busy
+
 let test_uq_message_delivered_once () =
   (* One 4096-byte unexpected message, whose host copy takes 7.4 us,
      and two descriptors for it posted 800 ns apart (their regions
@@ -956,6 +1121,17 @@ let suites =
           `Quick test_wildcard_post_joins_busy_queue;
         Alcotest.test_case "wildcard post: every queue idle, queue 0 rings"
           `Quick test_wildcard_post_idle_rings_queue0;
+      ] );
+    ( "emp.cut_through",
+      [
+        Alcotest.test_case "idle queue: classify from the header" `Quick
+          test_classify_from_the_header;
+        Alcotest.test_case "1 KB: the tail hides the classify" `Quick
+          test_tail_outlasts_classify;
+        Alcotest.test_case "queued frame: no early start" `Quick
+          test_queued_frame_starts_late;
+        Alcotest.test_case "core busy time unchanged" `Quick
+          test_classify_busy_unchanged;
       ] );
     ( "emp.held_acks",
       [

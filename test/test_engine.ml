@@ -634,6 +634,59 @@ let test_resource_idle_gap () =
   check_int "no queueing across idle gap" 0 (Resource.queue_delay_total r);
   check_int "finish time" 120 (Sim.now sim)
 
+let test_resource_completion_from () =
+  (* Work booked from an earlier start: on a resource idle since 500 it
+     begins at that start, never inside the last reservation, and counts
+     busy time and jobs as [use] does; its queueing runs from the start
+     it asked for to the one it got. *)
+  let sim = Sim.create () in
+  let r = Resource.create sim ~name:"core" in
+  let got = ref [] in
+  Sim.spawn sim (fun () ->
+      Resource.use r 500;
+      Sim.delay sim 500;
+      check_int "the reservation ended at 500" 500 (Resource.reserved_until r);
+      check_int "free_at is never before now" 1000 (Resource.free_at r);
+      let early = Resource.completion_from r ~start:700 100 in
+      let behind = Resource.completion_from r ~start:650 100 in
+      let clipped = Resource.completion_from r ~start:0 50 in
+      got := [ early; behind; clipped ];
+      Resource.use r 10);
+  ignore (Sim.run sim);
+  Alcotest.(check (list int))
+    "from its start; then behind the last reservation, twice"
+    [ 800; 900; 950 ] !got;
+  check_int "busy: every job's duration" (500 + 100 + 100 + 50 + 10)
+    (Resource.busy_time r);
+  check_int "jobs" 5 (Resource.jobs r);
+  check_int "queue delay: 800 - 650, then 900 - 0" (150 + 900)
+    (Resource.queue_delay_total r);
+  check_int "a use after them starts now, not in the past" 1010 (Sim.now sim)
+
+let prop_resource_completion_from =
+  QCheck.Test.make
+    ~name:"booked work never overlaps and never begins before its start"
+    ~count:100
+    QCheck.(list_of_size Gen.(1 -- 20) (pair (int_range 0 2000) (int_range 1 500)))
+    (fun jobs ->
+      let sim = Sim.create () in
+      let r = Resource.create sim ~name:"x" in
+      let ok = ref true in
+      Sim.spawn sim (fun () ->
+          Sim.delay sim 1000;
+          List.iter
+            (fun (start, d) ->
+              let last = Resource.reserved_until r in
+              let finish = Resource.completion_from r ~start d in
+              let begun = finish - d in
+              if begun < start || begun < last || begun > max start last then
+                ok := false)
+            jobs);
+      ignore (Sim.run sim);
+      !ok
+      && Resource.busy_time r = List.fold_left (fun n (_, d) -> n + d) 0 jobs
+      && Resource.jobs r = List.length jobs)
+
 let prop_resource_fifo =
   QCheck.Test.make ~name:"resource completions are FIFO and disjoint" ~count:100
     QCheck.(list_of_size Gen.(1 -- 20) (int_range 1 1000))
@@ -872,6 +925,26 @@ let test_trace_span_totals () =
     check_int "count" 3 count;
     check_int "total" 150 total_ns
   | l -> Alcotest.failf "expected 1 aggregate, got %d" (List.length l)
+
+let test_trace_interval () =
+  (* A booked span is stamped with its own ends, which may lie before
+     now, and aggregates like any other. *)
+  let sim = Sim.create () in
+  let tr = Trace.for_sim sim in
+  Trace.enable tr;
+  Sim.spawn sim (fun () ->
+      Sim.delay sim 1_000;
+      Trace.interval tr ~layer:Trace.Nic ~node:1 "nic.rx_work" ~start:400
+        ~stop:1_200);
+  ignore (Sim.run sim);
+  Alcotest.(check (list int)) "stamped at its ends" [ 400; 1_200 ]
+    (List.map (fun e -> e.Trace.ev_time) (Trace.events tr));
+  (match Trace.span_totals tr with
+  | [ (_, "nic.rx_work", 1, 800) ] -> ()
+  | _ -> Alcotest.fail "one 800 ns nic.rx_work span");
+  let off = Trace.for_sim (Sim.create ()) in
+  Trace.interval off ~layer:Trace.Nic "nic.rx_work" ~start:0 ~stop:1;
+  check_int "disabled: nothing" 0 (List.length (Trace.events off))
 
 let test_trace_chrome_json_shape () =
   let sim = Sim.create () in
@@ -1319,7 +1392,9 @@ let suites =
       Alcotest.test_case "fifo serialization" `Quick
         test_resource_fifo_serialization
       :: Alcotest.test_case "idle gap" `Quick test_resource_idle_gap
-      :: qsuite [ prop_resource_fifo ] );
+      :: Alcotest.test_case "completion from an earlier start" `Quick
+           test_resource_completion_from
+      :: qsuite [ prop_resource_fifo; prop_resource_completion_from ] );
     ( "engine.rng",
       Alcotest.test_case "deterministic" `Quick test_rng_deterministic
       :: Alcotest.test_case "seeds differ" `Quick test_rng_seeds_differ
@@ -1346,6 +1421,7 @@ let suites =
         Alcotest.test_case "disabled records nothing" `Quick
           test_trace_disabled_records_nothing;
         Alcotest.test_case "span totals" `Quick test_trace_span_totals;
+        Alcotest.test_case "booked interval" `Quick test_trace_interval;
         Alcotest.test_case "chrome json shape" `Quick
           test_trace_chrome_json_shape;
         Alcotest.test_case "pingpong export shape" `Quick

@@ -19,6 +19,27 @@ let dg = Opt.datagram
    under each preset as given and under this. *)
 let on_rings opts = { opts with Opt.rx_ring = true }
 
+(* What cut-through receive (DESIGN §17) saves on a frame of
+   [payload_len] bytes to an idle queue and core: the wire time of the
+   bytes behind EMP's fixed header (after the preamble and the Ethernet
+   header), up to the whole classify. *)
+let cut_through (m : Uls_host.Cost_model.t) ~payload_len =
+  let frame =
+    Uls_ether.Frame.make ~src:0 ~dst:1 ~payload_len Uls_ether.Frame.Raw
+  in
+  let tail =
+    Uls_ether.Frame.wire_bytes frame - (8 + 14 + Uls_emp.Wire.header_bytes)
+  in
+  min m.Uls_host.Cost_model.nic_rx_classify
+    (int_of_float (float_of_int (tail * 8) /. m.Uls_host.Cost_model.link_bits_per_ns))
+
+(* An echo's request and reply frames: EMP's header, the substrate's
+   16-byte data header and the payload; the reply also carries the
+   request's 8-byte ack. *)
+let echo_frames size =
+  let request = Uls_emp.Wire.header_bytes + 16 + size in
+  (request, request + 8)
+
 let rendezvous_cases name test opts =
   [
     Alcotest.test_case name `Quick (test opts);
@@ -1032,8 +1053,18 @@ let test_setup_ring_is_faster () =
   (* Under the server preset the listener wakes the acceptor before it
      reposts the backlog slot the request took: the connect no longer
      waits on that post's host charge and PIO write (800 + 700 ns), so
-     it is 1.5 us below the 50.92 us of a repost first. *)
-  check_str "server preset connect (us)" "49.42" (Printf.sprintf "%.2f" ring)
+     it is 1.5 us below the 50.92 us of a repost first, 49.42 us. The
+     ring firmware's cut-through receive then classifies the request
+     (24 bytes behind EMP's header) and the reply (8 bytes and the
+     request's carried ack) from their headers. *)
+  let m = Uls_host.Cost_model.paper_testbed in
+  let hdr = Uls_emp.Wire.header_bytes in
+  check_int "server preset connect: 49.42 us less two minimum frames' tails"
+    (49_420
+    - cut_through m ~payload_len:(hdr + 24)
+    - cut_through m ~payload_len:(hdr + 8 + 8))
+    (int_of_float (Float.round (ring *. 1000.)));
+  check_str "server preset connect (us)" "48.80" (Printf.sprintf "%.2f" ring)
 
 (* --- send posting: mailbox or one ring slot ----------------------------- *)
 
@@ -1099,7 +1130,9 @@ let carried_ack_us (m : Uls_host.Cost_model.t) =
    cores do the same work either way. Neither read reposts its slot
    either: the server's returns after its reply's doorbell, the
    client's is dropped at close, so the echo no longer pays two
-   reposts' host post and PIO write. *)
+   reposts' host post and PIO write. Cut-through receive then starts
+   each frame's classify at its header (DESIGN §17), which saves its
+   tail's wire time on each: 2.304 and 2.368 us at 256 bytes. *)
 let test_ring_firmware_overlap () =
   let m = Uls_host.Cost_model.paper_testbed in
   let carried_ack = carried_ack_us m in
@@ -1110,6 +1143,11 @@ let test_ring_firmware_overlap () =
   let dma bytes = dma_cost m (bytes + 16) in
   let rx_saved bytes = min m.nic_rx_per_frame (dma bytes) in
   let replenish = 2 * (m.emp_host_post + m.pio_write) in
+  let tails size =
+    let request, reply = echo_frames size in
+    cut_through m ~payload_len:request + cut_through m ~payload_len:reply
+  in
+  check_int "256 B: the request's tail and the reply's" (2_304 + 2_368) (tails 256);
   let latency, tx = echo ~match_engine:hashed Opt.server in
   check_int
     "server 256 B: 66.978 us (serial) less 2 x (header + ack build + \
@@ -1118,22 +1156,32 @@ let test_ring_firmware_overlap () =
     (66_978
     - (2 * (m.nic_tx_per_frame + m.nic_ack_gen))
     - (2 * m.nic_rx_per_frame)
-    - replenish + carried_ack)
+    - replenish + carried_ack - tails 256)
     latency;
   check_int
-    "server 256 B: 55.978 us less 2 x (800 + 700) ns, plus 128 ns = \
-     53.106 us"
-    53_106 latency;
-  check_int "server 256 B: saves 2 x min (rx work, DMA) and 2 reposts"
-    (59_978 - (2 * rx_saved 256) - replenish + carried_ack)
+    "server 256 B: 55.978 us less 2 x (800 + 700) ns, plus 128 ns, less \
+     the two tails = 48.434 us"
+    48_434 latency;
+  check_int "server 256 B: saves 2 x min (rx work, DMA), 2 reposts and 2 tails"
+    (59_978 - (2 * rx_saved 256) - replenish + carried_ack - tails 256)
     latency;
   (* At 64 bytes the DMA (1.952 us) is the shorter step. *)
   let small = fst (echo ~match_engine:hashed ~size:64 Opt.server) in
-  check_int "server 64 B: 51.778 us less 2 x the 1.952 us DMA and 2 reposts"
-    (51_778 - (2 * rx_saved 64) - replenish + carried_ack)
+  check_int
+    "server 64 B: 51.778 us less 2 x the 1.952 us DMA, 2 reposts and 2 tails"
+    (51_778 - (2 * rx_saved 64) - replenish + carried_ack - tails 64)
     small;
-  check_int "server 64 B: 47.874 us less 3.0 us, plus 128 ns = 45.002 us"
-    45_002 small;
+  check_int
+    "server 64 B: 47.874 us less 3.0 us, plus 128 ns, less 0.768 + 0.832 us \
+     = 43.402 us"
+    43_402 small;
+  (* At 1 KB each frame's tail (8.3 us) outlasts the classify, which the
+     payload's arrival then hides whole: 86.282 us before cut-through. *)
+  check_int "1 KB: both tails outlast the classify" (2 * m.nic_rx_classify)
+    (tails 1024);
+  check_int "server 1 KB: 86.282 us less 2 whole classifies = 78.282 us"
+    (86_282 - (2 * m.nic_rx_classify))
+    (fst (echo ~match_engine:hashed ~size:1024 Opt.server));
   check_int "server: send core unchanged (4.6 us)"
     (m.nic_doorbell_batch + m.nic_ring_slot_fetch + m.nic_tx_per_frame)
     tx;
@@ -1238,8 +1286,23 @@ let test_rendezvous_on_the_rings () =
   (* The server NIC holds the ack that completes the request's payload,
      and the reply's rendezvous request carries it: the client's NIC
      classifies no ack frame and posts no completion DMA of its own
-     ahead of that request, and its grant leaves 0.572 us sooner. *)
-  check_int "DG ring 64 KB echo: 1518.544 us" 1_518_544 ring_latency;
+     ahead of that request, and its grant leaves 0.572 us sooner
+     (1518.544 us). Cut-through receive (DESIGN §17) then saves, in
+     each direction, the tails of the rendezvous request (24 bytes
+     behind EMP's header; the reply's also carries that ack) and of the
+     grant (8 bytes), and a whole classify on the payload's next-to-last
+     full frame, whose 11.9 us tail hides it: the last frame queues
+     behind that one and is classified when the dispatcher returns, now
+     4 us sooner. The payload frames before them queue too. *)
+  let m_ct payload_len = cut_through m ~payload_len in
+  let hdr = Uls_emp.Wire.header_bytes in
+  let saved =
+    m_ct (hdr + 24) + m_ct (hdr + 8) + m_ct Uls_ether.Frame.mtu
+    + m_ct (hdr + 8 + 24) + m_ct (hdr + 8) + m_ct Uls_ether.Frame.mtu
+  in
+  check_int "DG ring 64 KB echo: 1518.544 us less 9.312 us" (1_518_544 - saved)
+    ring_latency;
+  check_int "DG ring 64 KB echo: 1509.232 us" 1_509_232 ring_latency;
   let latency, tx = echo ~size dg in
   check_int "DG 64 KB: three mailbox posts (115.0 us)"
     (send_core (m.nic_mailbox_fetch + m.nic_tx_per_msg))
