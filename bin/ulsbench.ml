@@ -1292,6 +1292,25 @@ let allocation_ceiling tag ~words ~events ~ops ~max_words ~max_op_words
   if per_op > max_events then
     fail "%s: %.1f events/op exceeds the %.1f ceiling" tag per_op max_events
 
+(* A zero-loss run drops no EMP frame for want of a posted descriptor: a
+   descriptor posted after the frame that needs it fails the gate here
+   instead of hiding behind EMP's 2 ms RTO. [runs] are a gate's
+   zero-loss runs, tagged; the fleet-wide total is printed. *)
+let no_descriptor_drops gate runs =
+  let drops (_, r) = r.Uls_bench.Load.drops_no_descriptor in
+  Printf.printf
+    "%s: %d EMP frames dropped for want of a descriptor over %d zero-loss \
+     runs (ceiling 0)\n%!"
+    gate
+    (List.fold_left (fun acc run -> acc + drops run) 0 runs)
+    (List.length runs);
+  List.iter
+    (fun ((tag, _) as run) ->
+      if drops run > 0 then
+        fail "%s: %d EMP frames dropped for want of a descriptor at zero loss"
+          tag (drops run))
+    runs
+
 (* The substrate's server preset and default kernel TCP: what
    [--stack ds] and [--stack tcp] select for serving. *)
 let ds = `Sub Uls_substrate.Options.server
@@ -1329,16 +1348,19 @@ let serve_gate () =
         r.L.refused r.L.mismatches
         (if r.L.completed_run && r.L.intact then "" else ", hung or corrupt")
   in
+  let zero_loss = ref [] in
   let run ?on_metrics tag c =
     let r = monitored tag (fun observe -> L.run ~observe ?on_metrics c) in
     L.print_report Format.std_formatter c r;
     clean tag r;
+    zero_loss := (tag, r) :: !zero_loss;
     r
   in
   let twice tag c =
     let a = monitored tag (fun observe -> L.run ~observe c)
     and b = monitored tag (fun observe -> L.run ~observe c) in
     clean tag a;
+    zero_loss := (tag, b) :: (tag, a) :: !zero_loss;
     if a <> b then fail "%s: seeded runs diverged" tag
   in
   List.iter
@@ -1420,7 +1442,8 @@ let serve_gate () =
     fail "hashed slower than linear at 512 conns (%.0f vs %.0f req/s)"
       hsh.L.lat.rps lin.L.lat.rps;
   ignore (run "tcp/512" (scale tcp L.Echo));
-  twice "ds/512/hashed" (scale ds L.Echo)
+  twice "ds/512/hashed" (scale ds L.Echo);
+  no_descriptor_drops "serve" (List.rev !zero_loss)
 
 let fabric_gate () =
   let module L = Uls_bench.Load in
@@ -1453,13 +1476,17 @@ let fabric_gate () =
     L.print_report Format.std_formatter cfg r;
     r
   in
-  List.iter
-    (fun (st, cells) ->
-      let tag =
-        Printf.sprintf "%s/%d-cell" (Uls_bench.Cluster.stack_name st) cells
-      in
-      clean tag (run (Printf.sprintf "cells=%d" cells) (base st cells)))
-    [ (ds, 1); (ds, 4); (tcp, 1); (tcp, 4) ];
+  let matrix =
+    List.map
+      (fun (st, cells) ->
+        let tag =
+          Printf.sprintf "%s/%d-cell" (Uls_bench.Cluster.stack_name st) cells
+        in
+        let r = run (Printf.sprintf "cells=%d" cells) (base st cells) in
+        clean tag r;
+        (tag, r))
+      [ (ds, 1); (ds, 4); (tcp, 1); (tcp, 4) ]
+  in
   List.iter
     (fun st ->
       let tag = Uls_bench.Cluster.stack_name st ^ "/kill" in
@@ -1502,6 +1529,8 @@ let fabric_gate () =
       doorbells max_doorbells;
   clean "determinism" a;
   if a <> b then fail "seeded runs diverged";
+  (* The kill smokes lose a cell's frames on purpose. *)
+  no_descriptor_drops "fabric" (matrix @ [ ("ds/4-cell", a); ("ds/4-cell", b) ]);
   if !sampled = [] || !survivors > 0 then
     fail "%d of %d sampled closed server streams still reachable" !survivors
       (List.length !sampled)
@@ -1664,6 +1693,11 @@ let chaos_gate () =
         message's completing ack keeps riding a data frame back or a
         coalesced frame; and no retransmitted frame, as before the acks
         were held.
+      Every run of the gate is at zero loss, and none may drop an EMP
+      frame for want of a posted descriptor (the fleet-wide total is
+      printed): a descriptor posted after the frame that needs it, such
+      as a connection's batch posted after its handshake frame left,
+      fails here instead of hiding behind EMP's 2 ms RTO.
     - [fabric]: a cell-count x stack matrix (1/4 cells, substrate/TCP)
       of open-loop fleet runs through the consistent-hash balancer;
       kill-failover on both stacks (cell 1 paused mid-load: the ring
@@ -1681,7 +1715,9 @@ let chaos_gate () =
       batched through the fill ring and replenishing off the read
       (per-call posting, one doorbell per descriptor, rings about
       twice as many; a read that reposts inline adds one per
-      session).
+      session). The matrix and the two determinism runs drop no EMP
+      frame for want of a posted descriptor, as in [serve]; the kill
+      smokes, which lose a cell's frames, are exempt.
     - [chaos]: a checksummed payload streamed through the substrate and
       kernel TCP at 0/0.5/2/5% seeded frame loss. No run may hang past
       the virtual-time bound or deliver corrupt bytes; 1 MB per run

@@ -271,6 +271,70 @@ let echo_ring ~lossy tiebreak =
       done;
       Conn.close conn)
 
+(* --- connect-ring-lossy: the first connect reply is dropped between
+   two serving-preset endpoints. Each side's connection joined its
+   active-socket table before its handshake frame left, so the client's
+   retry (its connect timeout, 500 us, runs out before EMP's 2 ms RTO)
+   is answered from the server's [accepted] table with the connection
+   already built: one accept, one duplicate answer, and data then flows
+   over that connection. EMP's own resend of the dropped reply reaches
+   the client after the retry's answer and waits, unclaimed, in its
+   unexpected queue. --- *)
+
+let connect_ring_lossy tiebreak =
+  let opts = { Opt.server with Opt.connect_timeout = Time.us 500 }
+  and size = 64 in
+  cluster_run tiebreak @@ fun cluster sim conns obs ->
+  let server_sub = Cluster.substrate ~opts cluster 0 in
+  let client_sub = Cluster.substrate ~opts cluster 1 in
+  let dropped = ref false in
+  Uls_ether.Network.set_fault_filter (Cluster.network cluster) (fun frame ->
+      match frame.Uls_ether.Frame.payload with
+      | Uls_emp.Wire.Data { tag; _ }
+        when (not !dropped)
+             && fst (Uls_substrate.Tags.split tag) = Uls_substrate.Tags.Conn_reply
+        ->
+        dropped := true;
+        obs := "ring-connect dropped the first connect reply" :: !obs;
+        true
+      | _ -> false);
+  let counter node name =
+    let c = Metrics.counter (Metrics.for_sim sim) ~node name in
+    fun () -> Stats.Counter.value c
+  in
+  let accepts = counter 0 "sub.accepts"
+  and dups = counter 0 "sub.accept_dups"
+  and retries = counter 1 "sub.connect_retries" in
+  Sim.spawn sim ~name:"ring-connect-server" (fun () ->
+      let l = Sub.listen server_sub ~port:50 ~backlog:2 in
+      let conn, _ = Sub.accept server_sub l in
+      conns := (0, conn) :: !conns;
+      Sim.spawn sim ~name:"ring-connect-worker" (fun () ->
+          Conn.write conn (read_exact conn size);
+          ignore (Conn.read conn 1);
+          Conn.close conn;
+          obs :=
+            Printf.sprintf "ring-connect server accepts=%d dups=%d"
+              (accepts ()) (dups ())
+            :: !obs;
+          Sub.close_listener server_sub l);
+      (* This accept answers the retry again and returns only a second
+         connection, which must never be built. *)
+      match Sub.accept server_sub l with
+      | _ -> obs := "ring-connect accepted a second connection" :: !obs
+      | exception Uls_api.Sockets_api.Connection_closed -> ());
+  client sim client_sub ~conns ~node:1 ~name:"ring-connect-client" ~port:50
+    (fun connect ->
+      let conn = connect () in
+      let msg = pattern ~client:1 size in
+      Conn.write conn msg;
+      obs :=
+        Printf.sprintf "ring-connect retries=%d echoed=%b"
+          (retries ())
+          (read_exact conn size = msg)
+        :: !obs;
+      Conn.close conn)
+
 (* --- raw-EMP grant fixture -------------------------------------------
    A miniature rendezvous protocol over bare EMP. Two writer fibers on
    node 1 each request a transfer; the receiver on node 0 posts a
@@ -570,6 +634,10 @@ let clean_suite =
           "echo-ring with the first frame carrying a held ack dropped: RTO \
            resend and duplicate re-ack recover both messages"
           (echo_ring ~lossy:true) ~bound:(bounded 160 1);
+        row "connect-ring-lossy"
+          "serving-preset connect with the first reply dropped: the retry \
+           is answered with the connection already built, and data flows"
+          connect_ring_lossy ~bound:(bounded 160 1);
         row "rendezvous-grants"
           "raw-EMP grant protocol with per-request grant routing"
           (grant_fixture ~routed:true) ~bound:(bounded 256 2);

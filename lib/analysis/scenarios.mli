@@ -47,7 +47,9 @@ val all : t list
     stay schedule-independent: streaming echo under credit flow control,
     datagram rendezvous from concurrent clients, connection churn, a
     serving-preset echo whose consumed slots are reposted after each
-    reply (its client closing right after its last read), the
+    reply (its client closing right after its last read), a
+    serving-preset connect whose first reply is lost (the retry is
+    answered with the connection already built), the
     raw-EMP grant protocol with per-request routing, and fleet arrivals
     over the sharded serving fabric (ring placement + completion counts
     fingerprinted from the fleet report). Workloads too large to sweep

@@ -109,6 +109,7 @@ type report = {
   select_streams_scanned : int;
   doorbells : int;
   server_nic_tx_ns : int;
+  drops_no_descriptor : int;
 }
 
 (* Patterned echo payload, a function of (connection, sequence, size):
@@ -651,13 +652,14 @@ let run ?observe ?on_metrics ?on_server_close ?progress cfg =
         })
   in
   let sum f = Array.fold_left (fun acc r -> acc + f r) 0 per_cell in
-  let servers_counter name =
+  let sum_nodes n name =
     let rec go id acc =
-      if id = cells then acc
+      if id = n then acc
       else go (id + 1) (acc + Metrics.counter_value m ~node:id name)
     in
     go 0 0
   in
+  let servers_counter = sum_nodes cells and fleet = sum_nodes (Cluster.size c) in
   let transitions =
     match !fab_ref with
     | None -> []
@@ -719,11 +721,8 @@ let run ?observe ?on_metrics ?on_server_close ?progress cfg =
     evq_wakeups = servers_counter "server.evq.wakeups";
     evq_spurious = servers_counter "server.evq.spurious";
     select_streams_scanned = servers_counter "api.select_streams_scanned";
-    doorbells =
-      List.fold_left
-        (fun acc node -> acc + Metrics.counter_value m ~node "nic.doorbells")
-        0
-        (List.init (Cluster.size c) Fun.id);
+    doorbells = fleet "nic.doorbells";
+    drops_no_descriptor = fleet "emp.drops_no_descriptor";
     server_nic_tx_ns =
       List.fold_left
         (fun acc id ->

@@ -148,6 +148,9 @@ type report = {
   server_nic_tx_ns : int;
       (** virtual time the server nodes' NIC transmit cores were busy:
           descriptor fetch and parse per send, and per-frame work *)
+  drops_no_descriptor : int;
+      (** EMP frames dropped on all nodes because no receive descriptor
+          (and no unexpected-queue slot) took them *)
 }
 
 val run :

@@ -340,16 +340,17 @@ let chunk_of st idx =
     Memory.sub_string st.s_region ~off:(st.s_off + start) ~len
   end
 
-let send_frame t st idx =
+let send_frame ~fetch t st idx =
   let chunk = chunk_of st idx in
   (* A ring-slot send builds its header during the payload DMA; a
      ring-pair one is also gather-DMA: frames queued behind an
      in-progress transfer ride the burst (no per-frame setup). Mailbox
      sends keep the one-transaction-per-frame charge, and build the
-     header only once the payload is on the NIC. *)
+     header only once the payload is on the NIC. A nonzero [fetch] is a
+     one-slot send's descriptor fetch, booked with this header build. *)
   let bytes = String.length chunk in
   if st.s_ring || t.firmware = Ring then
-    Tigon.dma_with_header ~pipelined:st.s_ring t.nic ~bytes
+    Tigon.dma_with_header ~fetch ~pipelined:st.s_ring t.nic ~bytes
   else begin
     Tigon.dma t.nic ~bytes;
     Tigon.tx_work t.nic (model t).Cost_model.nic_tx_per_frame
@@ -398,11 +399,16 @@ let rewind_to t st idx =
    [fetch] for picking up its descriptor (0 when a ring's fetch fiber
    already did), streams frames subject to the in-flight window, then
    waits for full acknowledgment, rewinding to the cumulative ack
-   (go-back-N) whenever the RTO expires. *)
+   (go-back-N) whenever the RTO expires. A [Ring] one-slot send's fetch
+   and its first frame's header build are one job on the send core. *)
 let tx_fiber ~fetch t st () =
   if fetch > 0 then begin
     Tigon.count_mailbox_fetch t.nic;
-    Tigon.tx_work t.nic fetch
+    if t.firmware = Ring then begin
+      st.s_next <- 1;
+      send_frame ~fetch t st 0
+    end
+    else Tigon.tx_work t.nic fetch
   end;
   let give_up () =
     st.s_retries >= t.cfg.max_retries
@@ -431,7 +437,7 @@ let tx_fiber ~fetch t st () =
       else begin
         let idx = st.s_next in
         st.s_next <- idx + 1;
-        send_frame t st idx;
+        send_frame ~fetch:0 t st idx;
         drive ()
       end
     else begin

@@ -59,7 +59,8 @@ val post_send :
     frame's payload is DMA'd, then its header built. [Ring]: a one-slot
     tx ring submission, [emp_host_post] + [ring_slot_post] on the host
     and [nic_doorbell_batch] + [nic_ring_slot_fetch] on the send core
-    (the slot format subsumes the per-message parse); as in a
+    (the slot format subsumes the per-message parse), booked with the
+    first frame's header build as one job; as in a
     {!post_sendv} batch, each frame's header ([nic_tx_per_frame]) is
     built during its payload DMA and the frame leaves when the later
     ends ({!Uls_nic.Tigon.dma_with_header}). Either way the post rings

@@ -343,11 +343,31 @@ let dma_during t ~dma ~core ~work name =
   else Sim.delay t.sim wait
 
 (* Send: the core builds the frame header, ready for the MAC once the
-   payload is on the NIC. *)
-let dma_with_header ~pipelined t ~bytes =
-  dma_during t
-    ~dma:(dma_cost ~pipelined t ~bytes)
-    ~core:t.tx_cpu ~work:t.model.Cost_model.nic_tx_per_frame "nic.tx_work"
+   payload is on the NIC. A one-slot send's descriptor [fetch] and its
+   first header build are one job on the core, so no later post's fetch
+   is booked between them; the payload DMA starts once the descriptor
+   is fetched. *)
+let dma_with_header ~fetch ~pipelined t ~bytes =
+  let header = t.model.Cost_model.nic_tx_per_frame in
+  if fetch = 0 then
+    dma_during t ~dma:(dma_cost ~pipelined t ~bytes) ~core:t.tx_cpu
+      ~work:header "nic.tx_work"
+  else begin
+    let built = Resource.completion_after t.tx_cpu (fetch + header) in
+    let traced = Trace.enabled t.trace in
+    let span =
+      if traced then
+        Trace.span_begin t.trace ~layer:Trace.Nic ~node:t.node_id "nic.tx_work"
+      else 0
+    in
+    Sim.delay t.sim (built - header - Sim.now t.sim);
+    let moved =
+      Resource.completion_after t.dma_engine (dma_cost ~pipelined t ~bytes)
+    in
+    Sim.delay t.sim (Int.max moved built - Sim.now t.sim);
+    if traced then
+      Trace.span_end t.trace ~layer:Trace.Nic ~node:t.node_id "nic.tx_work" span
+  end
 
 (* Receive: the core updates the message record and its ack prefix
    while the payload moves to the host. *)

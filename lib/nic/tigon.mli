@@ -83,12 +83,17 @@ val dma : ?pipelined:bool -> t -> bytes:int -> unit
     it rides the in-progress burst. An idle engine always charges the
     full setup, so sparse traffic is unchanged. *)
 
-val dma_with_header : pipelined:bool -> t -> bytes:int -> unit
+val dma_with_header :
+  fetch:Uls_engine.Time.ns -> pipelined:bool -> t -> bytes:int -> unit
 (** A ring-slot frame's payload DMA (as {!dma}) and its
     [nic_tx_per_frame] header build on the send core, reserved together
     (fiber): the caller resumes when both are done, at the later of the
     two, instead of after their sum. Each resource's busy time is the
-    same as {!dma} followed by {!tx_work}. *)
+    same as {!dma} followed by {!tx_work}. With [fetch] > 0 (a one-slot
+    send's first frame) the send core books the descriptor fetch and the
+    header build as one job, and the DMA starts when the fetch ends: on
+    idle resources the frame is ready [fetch] + max(header, DMA) after
+    the call. *)
 
 val dma_with_rx_work : queue:int -> t -> bytes:int -> unit
 (** A ring-slot receive's payload DMA up to the host (as {!dma}) and its

@@ -401,9 +401,8 @@ let rec try_accept t l =
       ~local_addr:{ Uls_api.Sockets_api.node = node_id t; port = l.l_port }
       ~peer_addr
   in
-  (* The connection joins the active-socket table only once its
-     descriptors are posted: nothing can close or reset it before. *)
-  Conn.provision conn;
+  (* The connection joins the active-socket table before its reply
+     leaves, so a retried request is answered as a duplicate. *)
   Hashtbl.replace t.conns id conn;
   Hashtbl.replace t.accepted (rq.rq_node, rq.rq_conn) id;
   Stats.Counter.incr t.mh.h_accepts;
@@ -411,7 +410,17 @@ let rec try_accept t l =
     Trace.instant t.env.Conn.trace ~layer:Trace.Substrate ~node:(node_id t)
       ~conn:id "sub.accept"
       ~args:[ ("peer", string_of_int rq.rq_node) ];
-  reply t ~node:rq.rq_node ~conn:rq.rq_conn id;
+  (* Under [rx_ring] the reply leaves before the descriptors are posted
+     (DESIGN §18): the client can send nothing before it holds the
+     reply. The paper presets post first. *)
+  if t.opts.Options.rx_ring then begin
+    reply t ~node:rq.rq_node ~conn:rq.rq_conn id;
+    Conn.provision conn
+  end
+  else begin
+    Conn.provision conn;
+    reply t ~node:rq.rq_node ~conn:rq.rq_conn id
+  end;
   Some (conn, peer_addr)
 
 let rec accept t l =
@@ -457,13 +466,11 @@ let connect_blocking t (server : Uls_api.Sockets_api.addr) =
     Conn.create t.env ~id ~peer_node:server.node ~peer_conn:(-1)
       ~local_addr:local ~peer_addr:server
   in
-  (* Pre-post the reply descriptor with the connection's own; it stays
-     posted across retries. As on accept, the connection joins the
-     active-socket table once they are all posted. *)
-  let reply_slot = Conn.alloc_slot t.node 16 in
-  Conn.provision ~reply:reply_slot conn;
-  let reply = Option.get reply_slot.Conn.sl_current in
+  (* The connection joins the active-socket table before its request
+     leaves, so a close or credit ack that lands in the unexpected queue
+     has an owner. *)
   Hashtbl.replace t.conns id conn;
+  let reply_slot = Conn.alloc_slot t.node 16 in
   (* Failure must not leak: the reply descriptor is unposted and the
      half-built connection torn down (removing it from the active-socket
      table) before the exception escapes. *)
@@ -472,22 +479,38 @@ let connect_blocking t (server : Uls_api.Sockets_api.addr) =
     Conn.close conn;
     raise exn
   in
+  let request () =
+    ignore
+      (Sendpool.send t.ctrl_pool ~dst:server.node
+         ~tag:(Tags.make Tags.Conn_request server.port)
+         (Codec.encode [ node_id t; id; local.port ]))
+  in
+  (* The reply descriptor is posted with the connection's own and stays
+     posted across retries. Under [rx_ring] the first request leaves
+     before them (DESIGN §18): no reply can come back within the
+     batch's few µs, and one that did would wait in the unexpected
+     queue for its descriptor. The paper presets post first. *)
+  if t.opts.Options.rx_ring then begin
+    request ();
+    Conn.provision ~reply:reply_slot conn
+  end
+  else begin
+    Conn.provision ~reply:reply_slot conn;
+    request ()
+  end;
   let attempts = max 1 t.opts.Options.connect_attempts in
   (* The request (or its reply) can be lost: resend with exponential
      backoff. A reply of [-1] is an explicit refusal — final, no retry;
      exhausting the attempts without any reply is a timeout — the caller
      may retry later (the server may simply not have listened yet). *)
-  let rec attempt n timeout =
+  let rec attempt n reply timeout =
     if n > 1 then begin
       Stats.Counter.incr t.mh.h_connect_retries;
       Trace.instant t.env.Conn.trace ~layer:Trace.Substrate
         ~node:(node_id t) ~conn:id "sub.connect_retry"
-        ~args:[ ("attempt", string_of_int n) ]
+        ~args:[ ("attempt", string_of_int n) ];
+      request ()
     end;
-    ignore
-      (Sendpool.send t.ctrl_pool ~dst:server.node
-         ~tag:(Tags.make Tags.Conn_request server.port)
-         (Codec.encode [ node_id t; id; local.port ]));
     match E.wait_recv_timeout t.emp reply timeout with
     | Some (len, src, _) ->
       let server_conn =
@@ -505,14 +528,21 @@ let connect_blocking t (server : Uls_api.Sockets_api.addr) =
         conn
       end
     | None ->
-      if n < attempts then attempt (n + 1) (2 * timeout)
+      if n < attempts then attempt (n + 1) reply (2 * timeout)
       else give_up (Timed_out server)
   in
   (* The reply buffer serves this handshake only: once it resolves,
      nothing posts it again. *)
   Fun.protect
     ~finally:(fun () -> Os.unpin (Node.os t.node) reply_slot.Conn.sl_region)
-    (fun () -> attempt 1 t.opts.Options.connect_timeout)
+    (fun () ->
+      match reply_slot.Conn.sl_current with
+      | Some reply -> attempt 1 reply t.opts.Options.connect_timeout
+      | None ->
+        (* A close or reset during the posting took the batch back. *)
+        give_up
+          (if Conn.is_reset conn then Uls_api.Sockets_api.Connection_reset
+           else Uls_api.Sockets_api.Connection_closed))
 
 let connect t (server : Uls_api.Sockets_api.addr) =
   if server.port < 0 || server.port > Tags.max_id then

@@ -1042,6 +1042,72 @@ let test_classify_busy_unchanged () =
     (paper.busy - model.Cost_model.nic_ack_gen)
     ring.busy
 
+(* --- one-slot sends: the fetch and the header build are one job ----- *)
+
+let test_one_slot_fetch_and_header_one_job () =
+  (* A [Ring] endpoint posts two one-slot sends back to back, so the
+     second's doorbell comes 1.65 us (host charge and PIO write) after
+     the first's, inside the first's 2.6 us descriptor fetch. The send
+     core books each fetch with its header build as one job, and the
+     payload DMA starts once the fetch ends: the first frame leaves at
+     its post + fetch + max(header, DMA), and the second's job waits
+     behind the whole first one. The core is busy as long as before. *)
+  let c = Uls_bench.Cluster.create ~n:2 () in
+  let e0 = Uls_bench.Cluster.emp ~firmware:E.Ring c 0
+  and e1 = Uls_bench.Cluster.emp c 1 in
+  let sim = Uls_bench.Cluster.sim c in
+  let left = ref [] and posted = ref [] in
+  (* The switch sees a frame once it has crossed the uplink: it left
+     the NIC its wire time and the propagation delay before. *)
+  Uls_ether.Network.set_fault_filter (Uls_bench.Cluster.network c) (fun f ->
+      (match f.Uls_ether.Frame.payload with
+      | Uls_emp.Wire.Data _ when f.Uls_ether.Frame.src = 0 ->
+        let wire =
+          int_of_float
+            (float_of_int (Uls_ether.Frame.wire_bytes f * 8)
+            /. model.Cost_model.link_bits_per_ns)
+        in
+        left :=
+          (Sim.now sim - wire - model.Cost_model.link_propagation) :: !left
+      | _ -> ());
+      false);
+  let payloads = [ "first"; "second" ] in
+  Sim.spawn sim (fun () ->
+      List.iteri
+        (fun i p ->
+          let len = String.length p in
+          ignore (E.post_recv e1 ~src:0 ~tag:(i + 1) (Memory.alloc len) ~off:0 ~len))
+        payloads;
+      Sim.delay sim (Time.ms 1);
+      (* One region, pinned by the first post only. *)
+      let region = Memory.of_string (String.concat "" payloads) in
+      ignore
+        (List.fold_left
+           (fun (i, off) p ->
+             let len = String.length p in
+             ignore (E.post_send e0 ~dst:1 ~tag:(i + 1) region ~off ~len);
+             posted := Sim.now sim :: !posted;
+             (i + 1, off + len))
+           (0, 0) payloads));
+  run c;
+  let fetch = model.Cost_model.nic_doorbell_batch + model.Cost_model.nic_ring_slot_fetch
+  and header = model.Cost_model.nic_tx_per_frame in
+  match (List.rev !posted, List.rev !left) with
+  | [ p1; p2 ], [ l1; l2 ] ->
+    check_int "posted 1.65 us apart"
+      (model.Cost_model.emp_host_post + model.Cost_model.ring_slot_post
+     + model.Cost_model.pio_write)
+      (p2 - p1);
+    check_int "first: post + fetch + max(header, DMA)"
+      (p1 + fetch + max header (Cost_model.dma_cost model 5))
+      l1;
+    check_int "second: behind the first job"
+      (p1 + fetch + header + fetch + max header (Cost_model.dma_cost model 6))
+      l2;
+    check_int "send core busy as before" (2 * (fetch + header))
+      (Resource.busy_time (Uls_nic.Tigon.tx_cpu (E.nic e0)))
+  | _ -> Alcotest.fail "two posts, two data frames"
+
 let test_uq_message_delivered_once () =
   (* One 4096-byte unexpected message, whose host copy takes 7.4 us,
      and two descriptors for it posted 800 ns apart (their regions
@@ -1132,6 +1198,11 @@ let suites =
           test_queued_frame_starts_late;
         Alcotest.test_case "core busy time unchanged" `Quick
           test_classify_busy_unchanged;
+      ] );
+    ( "emp.one_slot_send",
+      [
+        Alcotest.test_case "fetch and header build: one job" `Quick
+          test_one_slot_fetch_and_header_one_job;
       ] );
     ( "emp.held_acks",
       [

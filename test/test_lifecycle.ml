@@ -615,11 +615,12 @@ let node_state c nodes =
     nodes
 
 let test_kill_during_batched_connect () =
-  (* Under the server preset a connection posts its descriptors (and
-     the client its connect reply slot) through the fill ring in one
-     batch, and joins its node's active-socket table only once the
-     batch is posted: a kill landing inside the batch finds nothing to
-     kill. A close or reset landing anywhere in the connect, on either
+  (* Under the server preset a connection joins its node's
+     active-socket table, sends its handshake frame, and then posts its
+     descriptors (and the client its connect reply slot) through the
+     fill ring in one batch: a kill landing inside the batch has the
+     batch taken back, and fails a client's connect at once. A close
+     or reset landing anywhere in the connect, on either
      side, leaves no descriptor posted, every pin dropped, and the
      connect either connected or failed with a typed error; a client
      killed while its connect waits for the reply fails with its own

@@ -1056,15 +1056,71 @@ let test_setup_ring_is_faster () =
      it is 1.5 us below the 50.92 us of a repost first, 49.42 us. The
      ring firmware's cut-through receive then classifies the request
      (24 bytes behind EMP's header) and the reply (8 bytes and the
-     request's carried ack) from their headers. *)
+     request's carried ack) from their headers: 48.80 us. The server
+     posts its close 1.65 us after its reply (one slot's host charge
+     and doorbell), inside the reply's 2.6 us descriptor fetch; the send
+     core books each one-slot send's fetch and header build as one job,
+     so that close no longer delays the reply by its own fetch: 46.20
+     us. Each handshake frame then leaves before its side posts the
+     connection's fill-ring batch (DESIGN §18), taking that batch's
+     host time off the connect: one host post, a slot write each for
+     the client's 4 data, 3 control and reply descriptors and the
+     server's 7, and one doorbell each: 40.95 us. *)
   let m = Uls_host.Cost_model.paper_testbed in
+  let open Uls_host.Cost_model in
   let hdr = Uls_emp.Wire.header_bytes in
-  check_int "server preset connect: 49.42 us less two minimum frames' tails"
+  let fetch = m.nic_doorbell_batch + m.nic_ring_slot_fetch in
+  let batch slots = m.emp_host_post + (slots * m.ring_slot_post) + m.pio_write in
+  check_int "client batch: 2.70 us" 2_700 (batch 8);
+  check_int "server batch: 2.55 us" 2_550 (batch 7);
+  check_int
+    "server preset connect: 49.42 us less two minimum frames' tails, the \
+     close's fetch and both batches"
     (49_420
     - cut_through m ~payload_len:(hdr + 24)
-    - cut_through m ~payload_len:(hdr + 8 + 8))
+    - cut_through m ~payload_len:(hdr + 8 + 8)
+    - fetch - batch 8 - batch 7)
     (int_of_float (Float.round (ring *. 1000.)));
-  check_str "server preset connect (us)" "48.80" (Printf.sprintf "%.2f" ring)
+  check_str "server preset connect (us)" "40.95" (Printf.sprintf "%.2f" ring)
+
+(* Connect and one 256-byte echo under [opts]; each node's EMP
+   statistics after the run. *)
+let connect_echo_stats opts =
+  let c = Uls_bench.Cluster.create ~n:2 () in
+  let api = Uls_bench.Cluster.substrate_api ~opts c in
+  let sim = Uls_bench.Cluster.sim c in
+  let msg = String.make 256 'r' in
+  Sim.spawn sim (fun () ->
+      let l = api.listen ~node:1 ~port:80 ~backlog:4 in
+      let s, _ = l.accept () in
+      s.send (recv_exact s 256);
+      check_str "eof" "" (s.recv 1);
+      s.close ();
+      l.close_listener ());
+  Sim.spawn sim (fun () ->
+      Sim.delay sim (Time.us 10);
+      let s = api.connect ~node:0 { node = 1; port = 80 } in
+      s.send msg;
+      check_str "echo" msg (recv_exact s 256);
+      s.close ());
+  check_bool "quiescent" true (Uls_bench.Cluster.run c = `Quiescent);
+  List.init 2 (fun i -> E.stats (Uls_bench.Cluster.emp c i))
+
+let test_handshake_before_posting_drops_nothing () =
+  (* At firehose's ring datagram preset (64 credits) each side's batch
+     is the longest: 68 slots on the client (11.7 us of host time) and
+     67 on the server, all posted after the side's handshake frame
+     left. The peer sends nothing before it holds that frame, which
+     takes far longer, so every frame still finds its descriptor: none
+     is dropped, none waits in the unexpected queue, none is resent. *)
+  List.iteri
+    (fun node (st : E.stats) ->
+      let what name = Printf.sprintf "node %d: %s" node name in
+      check_int (what "dropped for want of a descriptor") 0
+        st.E.frames_dropped_no_descriptor;
+      check_int (what "unexpected-queue hits") 0 st.E.unexpected_queue_hits;
+      check_int (what "frames retransmitted") 0 st.E.frames_retransmitted)
+    (connect_echo_stats { dg with Opt.rx_ring = true; credits = 64 })
 
 (* --- send posting: mailbox or one ring slot ----------------------------- *)
 
@@ -1337,6 +1393,8 @@ let suites =
           test_setup_per_call_under_paper_preset;
         Alcotest.test_case "set-up: fill ring beats per-call" `Quick
           test_setup_ring_is_faster;
+        Alcotest.test_case "set-up: handshake first, no frame dropped (DG, 64 credits)"
+          `Quick test_handshake_before_posting_drops_nothing;
         Alcotest.test_case "send: one ring slot (server) vs mailbox" `Quick
           test_send_charge_ring_vs_mailbox;
         Alcotest.test_case
